@@ -394,7 +394,8 @@ def main(argv=None) -> int:
         else:
             p.add_argument("--instance", required=True)
         if "grid" in extra:
-            p.add_argument("--grid", type=int)
+            p.add_argument("--grid", type=int,
+                           help="grid points per axis; only used when h is not max-affine")
         if "dirs" in extra:
             p.add_argument("--dirs", type=int, default=1000)
         if "out" in extra:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
-from .logconcave import LogConcaveFn, eval_h, eval_h_many, make_log_concave
+from .logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many, make_log_concave
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -254,13 +254,27 @@ def _refine_contact(h: LogConcaveFn, s: float, x0: np.ndarray, step: float) -> n
     return x
 
 
-def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
-                    gap_tol: float = 1e-8) -> ContactSet:
-    """Locate the contact set by a ball grid scan plus coordinate-descent refinement.
+def _contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
+    """Candidates with gap <= gap_tol, deduplicated at 1e-6 and sorted."""
+    X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
+    kept = []
+    for x in X[hemisphere_gap(h, s, X) <= gap_tol]:
+        if not any(np.linalg.norm(x - y) <= 1e-6 for y in kept):
+            kept.append(x)
+    kept.sort(key=lambda p: tuple(p))
+    points = np.array(kept) if kept else np.zeros((0, h.n))
+    vals = (eval_h_many(h, points) ** (1.0 / s)) if kept else np.zeros(0)
+    return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)
+
+
+def _grid_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
+                   gap_tol: float = 1e-8) -> ContactSet:
+    """Ball grid scan plus coordinate-descent refinement, for any form of h.
 
     Raises NotJohnPosition when h**(1/s) drops below the hemisphere anywhere
     on the grid.  When at least half of the grid is in contact the set is
-    returned as-is with continuum=True.
+    returned as-is with continuum=True.  Contacts closer than about one grid
+    step are merged.
     """
     n = h.n
     axes = [np.linspace(-1.0, 1.0, grid_per_axis)] * n
@@ -297,15 +311,35 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
         if best:
             candidates.append(x)
 
-    refined = [_refine_contact(h, s, x, step) for x in candidates]
-    kept = []
-    for x in refined:
-        if hemisphere_gap(h, s, x[None, :])[0] > gap_tol:
-            continue
-        if any(np.linalg.norm(x - y) <= 1e-6 for y in kept):
-            continue
-        kept.append(x)
-    kept.sort(key=lambda p: tuple(p))
-    points = np.array(kept) if kept else np.zeros((0, n))
-    vals = (eval_h_many(h, points) ** (1.0 / s)) if kept else np.zeros(0)
-    return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)
+    return _contact_set(h, s, [_refine_contact(h, s, x, step) for x in candidates], gap_tol)
+
+
+def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
+                    gap_tol: float = 1e-8) -> ContactSet:
+    """Contact set of h**(1/s) with the hemisphere.
+
+    For max-affine h the contacts are exact: psi <= -(s/2) log(1 - |x|^2)
+    with a strictly convex right side, so piece j can touch only at its
+    tangency point u_j = rho_j a_j/|a_j| with s rho_j/(1 - rho_j^2) = |a_j|
+    (u_j = 0 when a_j = 0), and h is in John position iff the gap is
+    nonnegative at every u_j and domain_radius >= 1.  Raises
+    NotJohnPosition otherwise; the set is never a continuum.
+
+    grid_per_axis only matters when h is not max-affine: then the grid scan
+    `_grid_contacts` is used.
+    """
+    form = h.form
+    if not isinstance(form, PiecewiseLogAffine):
+        return _grid_contacts(h, s, grid_per_axis, gap_tol)
+    if form.domain_radius is not None and form.domain_radius < 1.0:
+        raise NotJohnPosition(
+            f"domain radius {form.domain_radius} < 1: h vanishes inside the unit ball")
+    norm = np.linalg.norm(form.a, axis=1)
+    rho = 2.0 * norm / (s + np.sqrt(s * s + 4.0 * norm * norm))
+    U = form.a * np.divide(rho, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
+    gaps = hemisphere_gap(h, s, U)
+    j = int(np.argmin(gaps))
+    if gaps[j] < -gap_tol:
+        raise NotJohnPosition(
+            f"h**(1/s) falls below the hemisphere by {-gaps[j]:.3e} at {U[j]} (piece {j})")
+    return _contact_set(h, s, U, gap_tol)

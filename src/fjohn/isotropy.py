@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import (BlockMat, EPoint, identity_direction, inner, project_trace0,
-                       trace0_basis)
+from .blockmat import (BlockMat, EPoint, from_coords, identity_direction, inner,
+                       project_trace0, trace0_basis)
 from .contact import hemisphere_gap
 from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
                      ZeroValueAtom)
@@ -167,20 +167,20 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         dirs.append((f"shift(-e{j})", -1.0 * e))
     coeffs = rng.standard_normal((n_dirs, len(basis)))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    for i in range(n_dirs):
-        d = EPoint.zero(n)
-        for cval, b in zip(coeffs[i], basis):
-            d = d + float(cval) * b
-        dirs.append((f"sample{i}", d))
 
-    margin = np.inf
+    # args is linear in the direction: the sampled ones are one matmul with
+    # the (k, d) feature matrix of the basis
+    phi = np.array([at.args(b) for b in basis]).T
+    best = np.concatenate([[np.max(at.args(d)) for _, d in dirs],
+                           np.max(coeffs @ phi.T, axis=1)])
     failures = []
-    for label, d in dirs:
-        best = float(np.max(at.args(d)))
-        margin = min(margin, best)
-        if best <= 1e-12:
-            failures.append((label, d, best))
-    return WitnessReport(margin=float(margin), n_checked=len(dirs), failures=failures)
+    for i in np.flatnonzero(best <= 1e-12):
+        if i < len(dirs):
+            label, d = dirs[i]
+        else:
+            label, d = f"sample{i - len(dirs)}", from_coords(coeffs[i - len(dirs)], basis)
+        failures.append((label, d, float(best[i])))
+    return WitnessReport(margin=float(np.min(best)), n_checked=len(best), failures=failures)
 
 
 def _lambda_two_ways(at: _Atoms, F: ConvolutionProfile, grad: EPoint,
@@ -217,17 +217,11 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     basis = trace0_basis(at.n, s)
 
     def grad_coords(c: np.ndarray) -> np.ndarray:
-        p = EPoint.zero(at.n)
-        for ci, b in zip(c, basis):
-            p = p + float(ci) * b
-        g = functional_gradient(h, s, nu, F, p)
+        g = functional_gradient(h, s, nu, F, from_coords(c, basis))
         return np.array([inner(g, b) for b in basis])
 
     def value_at(c: np.ndarray) -> float:
-        p = EPoint.zero(at.n)
-        for ci, b in zip(c, basis):
-            p = p + float(ci) * b
-        return float(np.dot(at.m, at.h_pow * F(at.args(p))))
+        return float(np.dot(at.m, at.h_pow * F(at.args(from_coords(c, basis)))))
 
     start = project_trace0(x0, s) if x0 is not None else EPoint.zero(at.n)
     c = np.array([inner(start, b) for b in basis])
@@ -250,9 +244,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         if not accepted:
             break  # below line-search resolution; Newton polish takes over
         if np.linalg.norm(c) > 1e6:
-            p = EPoint.zero(at.n)
-            for ci, b in zip(c, basis):
-                p = p + float(ci) * b
+            p = from_coords(c, basis)
             raise DivergingIterates("iterates escaped beyond norm 1e6",
                                     direction=p * (1.0 / p.norm()))
 
@@ -290,9 +282,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     if gnorm > tol:
         raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}")
 
-    p = EPoint.zero(at.n)
-    for ci, b in zip(c, basis):
-        p = p + float(ci) * b
+    p = from_coords(c, basis)
     value = value_at(c)
     grad = functional_gradient(h, s, nu, F, p)
     lam_a, lam_b = _lambda_two_ways(at, F, grad, p)

@@ -205,50 +205,22 @@ def _positively_spans(a: np.ndarray) -> bool:
     return bool(res.success and -res.fun > 1e-12)
 
 
-def _gauss_legendre_cube(n: int, radius: float, nodes_per_axis: int):
-    x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
-    x = x * radius
-    w = w * radius
-    pts = np.stack([g.ravel() for g in np.meshgrid(*([x] * n), indexing="ij")], axis=1)
-    wts = np.prod(np.stack(np.meshgrid(*([w] * n), indexing="ij"), axis=0), axis=0).ravel()
-    return pts, wts
-
-
-def integral_h(h: LogConcaveFn, radius: float | None = None, nodes_per_axis: int = 64) -> float:
-    """Tensor Gauss-Legendre integral of h over a ball-bounding cube.
-
-    One Richardson-style refinement doubles the nodes; the refined value is
-    returned.
-    """
-    form = h.form
-    if isinstance(form, EllipsoidHeightPower):
-        A = form.E.mat.diag
-        radius = radius or float(np.linalg.norm(A, 2) + np.linalg.norm(form.E.shift) + 0.5)
-    elif radius is None:
-        radius = form.domain_radius if form.domain_radius is not None else 40.0
-
-    def value(m):
-        pts, wts = _gauss_legendre_cube(h.n, radius, m)
-        return float(np.sum(wts * eval_h_many(h, pts)))
-
-    return value(2 * nodes_per_axis)
-
-
 def check_proper(h: LogConcaveFn) -> None:
     """Raise NotProper unless h has a finite positive integral.
 
-    Max-affine h with unbounded domain must have coercive psi, certified by
-    the pieces' gradients positively spanning R^n; bounded domains and
-    ellipsoid-height forms are always proper.
+    Max-affine h with unbounded domain must have coercive psi, certified
+    exactly by an LP: the pieces' gradients positively span R^n.  On a domain
+    ball of positive radius h is positive and bounded, so proper; a radius
+    <= 0 leaves a null support.  Ellipsoid-height forms are always proper.
     """
     form = h.form
     if isinstance(form, EllipsoidHeightPower):
         return
-    if form.domain_radius is None and not _positively_spans(form.a):
-        raise NotProper("unbounded domain and piece gradients do not positively span R^n")
-    total = integral_h(h)
-    if not np.isfinite(total) or total <= 0.0:
-        raise NotProper(f"integral of h is {total}")
+    if form.domain_radius is None:
+        if not _positively_spans(form.a):
+            raise NotProper("unbounded domain and piece gradients do not positively span R^n")
+    elif form.domain_radius <= 0.0:
+        raise NotProper(f"domain radius {form.domain_radius} leaves h a null support")
 
 
 def make_log_concave(a, b, s: float, domain_radius: float | None = None) -> LogConcaveFn:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fjohn.blockmat import BlockMat, EPoint
-from fjohn.contact import (cross_fixture, detect_contacts, hemisphere_gap,
+from fjohn.contact import (_grid_contacts, cross_fixture, detect_contacts, hemisphere_gap,
                            make_tangent_instance, two_level_cross_fixture,
                            verify_decomposition)
 from fjohn.errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
@@ -166,3 +166,44 @@ class TestDetectContacts:
         shrunk = make_log_concave(h.form.a, h.form.b - np.log(0.9), 1.0)
         with pytest.raises(NotJohnPosition):
             detect_contacts(shrunk, 1.0, grid_per_axis=101)
+
+    def test_domain_radius_below_one_not_john(self):
+        # the contacts lie inside radius 0.9, but h vanishes on 0.9 < |x| < 1
+        h, cs, w = two_level_cross_fixture(1, 1.0, 0.4, 0.8)
+        cut = make_log_concave(h.form.a, h.form.b, 1.0, domain_radius=0.9)
+        with pytest.raises(NotJohnPosition):
+            detect_contacts(cut, 1.0)
+
+    def test_close_contacts_not_merged(self):
+        # -0.61792 and -0.60585 are about one step of a 201 grid apart
+        pts = np.array([-0.82355, -0.69337, -0.61792, -0.60585, 0.59407, 0.83231])[:, None]
+        h = make_tangent_instance(pts, 1.5)
+        cs = detect_contacts(h, 1.5, grid_per_axis=201)
+        assert not cs.continuum
+        assert cs.points.shape == (6, 1)
+        assert np.max(np.abs(cs.points - pts)) <= 1e-12
+
+
+def _spread_points(rng, n, count, min_dist):
+    """Seeded points with |u| <= 0.85, pairwise at least min_dist apart."""
+    pts = []
+    while len(pts) < count:
+        u = rng.uniform(-0.85, 0.85, size=n)
+        if np.linalg.norm(u) <= 0.85 and all(np.linalg.norm(u - q) >= min_dist for q in pts):
+            pts.append(u)
+    return np.array(sorted(pts, key=tuple))
+
+
+class TestClosedFormMatchesGrid:
+    @pytest.mark.parametrize("n,grid", [(1, 201), (2, 61), (3, 21)])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+    def test_random_tangent_instances(self, n, grid, s):
+        rng = np.random.default_rng(100 * n + int(10 * s))
+        pts = _spread_points(rng, n, 4, 3 * 2.0 / (grid - 1))
+        h = make_tangent_instance(pts, s)
+        exact = detect_contacts(h, s)
+        scan = _grid_contacts(h, s, grid)
+        assert exact.points.shape == pts.shape == scan.points.shape
+        assert np.max(np.abs(exact.points - pts)) <= 1e-12
+        assert np.max(np.abs(exact.points - scan.points)) <= 1e-6
+        assert np.allclose(exact.h_values, scan.h_values, rtol=0, atol=1e-6)

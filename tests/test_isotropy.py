@@ -4,7 +4,7 @@ import pytest
 from fjohn.blockmat import BlockMat, EPoint, from_coords, inner, project_trace0, trace0_basis
 from fjohn.contact import cross_fixture, two_level_cross_fixture
 from fjohn.errors import AtomOffContactSet, DivergingIterates
-from fjohn.isotropy import (DiscreteMeasure, calibrated_measure, check_isotropy,
+from fjohn.isotropy import (DiscreteMeasure, _Atoms, calibrated_measure, check_isotropy,
                             coercivity_witness, counting_measure, extract_measure,
                             functional_gradient, functional_value, minimize_functional)
 from fjohn.profiles import ConvolutionProfile, canonical_pair
@@ -243,3 +243,28 @@ class TestCoercivityWitness:
         nu = DiscreteMeasure(np.array([[np.sqrt(0.5), 0.0]]), np.array([1.0]))
         wit = coercivity_witness(h2, 2.0, nu, n_dirs=50, seed=0)
         assert not wit.ok
+
+    @pytest.mark.parametrize("build,s", [
+        (lambda s: cross_fixture(1, s), 1.0), (lambda s: cross_fixture(2, s), 2.0),
+        (lambda s: two_level_cross_fixture(1, s, 0.4, 0.8), 1.0),
+        (lambda s: two_level_cross_fixture(2, s, 0.4, 0.8), 1.0)])
+    def test_matmul_margin_matches_per_direction(self, build, s):
+        h, cs, w = build(s)
+        nu = counting_measure(cs.points)
+        wit = coercivity_witness(h, s, nu, n_dirs=300, seed=3)
+        # reference: every direction as an EPoint, evaluated on its own
+        at, n, basis = _Atoms(h, s, nu), h.n, trace0_basis(h.n, s)
+        flat = EPoint(BlockMat(np.eye(n), -n / s), np.zeros(n))
+        flat = flat * (1.0 / flat.norm())
+        dirs = [("identity-flat(+)", flat), ("identity-flat(-)", -1.0 * flat)]
+        for j in range(n):
+            e = EPoint(BlockMat.zero(n), np.eye(n)[j])
+            dirs += [(f"shift(+e{j})", e), (f"shift(-e{j})", -1.0 * e)]
+        coeffs = np.random.default_rng(3).standard_normal((300, len(basis)))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        dirs += [(f"sample{i}", from_coords(c, basis)) for i, c in enumerate(coeffs)]
+        best = [float(np.max(at.args(d))) for _, d in dirs]
+        assert wit.n_checked == len(dirs) == 2 + 2 * n + 300
+        assert abs(wit.margin - min(best)) <= 1e-14
+        assert [lbl for lbl, _, _ in wit.failures] == [
+            lbl for (lbl, _), b in zip(dirs, best) if b <= 1e-12]

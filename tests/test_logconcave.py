@@ -207,6 +207,11 @@ class TestProperness:
         h = make_log_concave([[1.0]], [0.0], 1.0, domain_radius=3.0)
         check_proper(h)
 
+    def test_zero_domain_radius_not_proper(self):
+        h = make_log_concave([[1.0]], [0.0], 1.0, domain_radius=0.0)
+        with pytest.raises(NotProper):
+            check_proper(h)
+
     def test_positive_span_needs_all_directions(self):
         # gradients spanning only a half-space in n=2
         h = make_log_concave([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0], 1.0)
