@@ -317,6 +317,7 @@ def cmd_sweep_r(args) -> int:
             "secant_to_M0": e.secant_to_reference,
             "mu_integrals": e.mu_integrals,
             "mu_reference": e.mu_reference,
+            "error": e.error,
         })
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -132,12 +132,12 @@ def functional_value(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 def functional_gradient(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                         F: ConvolutionProfile, p: EPoint) -> EPoint:
     """Gradient as a pair: sum_i m_i/h_i^(1/s) F'(arg_i) (x_i x_i^T + h_i^(2/s) corner, x_i)."""
-    at = _Atoms(h, s, nu)
+    return _gradient(_Atoms(h, s, nu), F, p)
+
+
+def _gradient(at: _Atoms, F: ConvolutionProfile, p: EPoint) -> EPoint:
     c = at.m / at.h_pow * F.deriv(at.args(p))
-    diag = (at.X.T * c) @ at.X
-    corner = float(np.dot(c, at.h_pow2))
-    shift = c @ at.X
-    return EPoint(BlockMat(diag, corner), shift)
+    return EPoint(BlockMat((at.X.T * c) @ at.X, float(np.dot(c, at.h_pow2))), c @ at.X)
 
 
 def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
@@ -217,7 +217,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     basis = trace0_basis(at.n, s)
 
     def grad_coords(c: np.ndarray) -> np.ndarray:
-        g = functional_gradient(h, s, nu, F, from_coords(c, basis))
+        g = _gradient(at, F, from_coords(c, basis))
         return np.array([inner(g, b) for b in basis])
 
     def value_at(c: np.ndarray) -> float:
@@ -284,7 +284,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 
     p = from_coords(c, basis)
     value = value_at(c)
-    grad = functional_gradient(h, s, nu, F, p)
+    grad = _gradient(at, F, p)
     lam_a, lam_b = _lambda_two_ways(at, F, grad, p)
     gap = abs(lam_a - lam_b)
     if gap > 1e-8:

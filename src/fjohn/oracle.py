@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmat import EPoint
-from .logconcave import LogConcaveFn, eval_h_many
+from .logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
 from .profiles import ProfilePair
 
 
@@ -66,6 +66,19 @@ def grid_minimize(objective, subspace_basis: list[EPoint], grid: GridSpec,
     for c, b in zip(best_coords, subspace_basis):
         point = point + float(c) * b
     return point, best_val
+
+
+def envelope_breaks_scan(form: PiecewiseLogAffine, lo: float, hi: float) -> np.ndarray:
+    """Kinks of a 1-D max-affine envelope on [lo, hi] from a 4097-point argmax scan.
+
+    Each switch of the maximizing piece between neighbouring samples reports
+    the crossing of the two pieces, so a piece that wins only between two
+    samples is missed and its neighbours' crossing reported instead.
+    """
+    a, b = form.a[:, 0], form.b
+    idx = np.argmax(np.outer(np.linspace(lo, hi, 4097), a) + b, axis=1)
+    crossings = [(b[j] - b[i]) / (a[i] - a[j]) for i, j in zip(idx[:-1], idx[1:]) if a[i] != a[j]]
+    return np.array(sorted(x for x in crossings if lo < x < hi))
 
 
 def convolve_numeric(f, g_bar, x: float, step: float = 1e-4) -> float:

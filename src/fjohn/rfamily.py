@@ -11,6 +11,7 @@ with the derivative profile.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,15 +38,9 @@ class QuadratureSpec:
     tol: float = 1e-6
 
 
-def _check_r(r: float) -> None:
-    if not 0.5 < r < 1.0:
-        raise BadR(f"r={r} outside (1/2, 1)")
-
-
 def sup_h_pow2(h: LogConcaveFn, s: float, probe_radius: float = 2.0) -> float:
     """Upper estimate of sup h**(2/s) over the probe ball (coarse grid maximum)."""
-    n = h.n
-    axes = [np.linspace(-probe_radius, probe_radius, 201 if n == 1 else 41)] * n
+    axes = [np.linspace(-probe_radius, probe_radius, 201 if h.n == 1 else 41)] * h.n
     X = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     return float(np.max(eval_h_many(h, X) ** (2.0 / s))) * 1.0000001
 
@@ -55,14 +50,13 @@ def band_radius(h: LogConcaveFn, s: float, r: float) -> float:
     return float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup_h_pow2(h, s)))
 
 
-def _resolve_radius(h: LogConcaveFn, s: float, r: float, quad: QuadratureSpec) -> float:
-    need = band_radius(h, s, r)
-    if quad.domain_radius is None:
-        return need
-    if quad.domain_radius < need - 1e-12:
-        raise ValueError(
-            f"quadrature radius {quad.domain_radius} below the band radius {need:.6f}")
-    return float(quad.domain_radius)
+@functools.lru_cache(maxsize=None)
+def _gauss(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only k-node Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(k)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def _x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
@@ -74,26 +68,21 @@ def _x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
     """
     per_panel = 8
     panels = max(4, int(np.ceil(nodes_per_axis / per_panel)))
-    xi, wi = np.polynomial.legendre.leggauss(per_panel)
+    xi, wi = _gauss(per_panel)
     if n == 1 and kinks is not None and len(kinks):
-        inner = np.asarray(kinks, dtype=float)
-        inner = inner[(inner > -radius + 1e-12) & (inner < radius - 1e-12)]
+        inner = kinks[(kinks > -radius + 1e-12) & (kinks < radius - 1e-12)]
         base = np.unique(np.concatenate([[-radius, radius], inner]))
         target = 2.0 * radius / panels
-        edges = [base[0]]
+        edges = [base[:1]]
         for a, b in zip(base[:-1], base[1:]):
             m = max(1, int(np.ceil((b - a) / target)))
-            edges.extend(np.linspace(a, b, m + 1)[1:])
-        edges = np.array(edges)
+            edges.append(np.linspace(a, b, m + 1)[1:])
+        edges = np.concatenate(edges)
     else:
         edges = np.linspace(-radius, radius, panels + 1)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        xs.append(mid + half * xi)
-        ws.append(half * wi)
-    x1 = np.concatenate(xs)
-    w1 = np.concatenate(ws)
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[:-1] + edges[1:])
+    x1 = (mid[:, None] + half[:, None] * xi).ravel()
+    w1 = (half[:, None] * wi).ravel()
     if n == 1:
         return x1[:, None], w1
     pts = np.stack([m.ravel() for m in np.meshgrid(*([x1] * n), indexing="ij")], axis=1)
@@ -102,43 +91,25 @@ def _x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
 
 
 def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.ndarray:
-    """Kink locations of the max-affine envelope on [lo, hi] (n = 1 only)."""
-    a = form.a[:, 0]
-    b = form.b
-    xs = np.linspace(lo, hi, 4097)
-    idx = np.argmax(np.outer(xs, a) + b, axis=1)
-    breaks = []
-    for k in np.nonzero(np.diff(idx))[0]:
-        i, j = idx[k], idx[k + 1]
-        if a[i] != a[j]:
-            x_cross = (b[j] - b[i]) / (a[i] - a[j])
-            if lo < x_cross < hi:
-                breaks.append(x_cross)
-    return np.array(sorted(breaks))
+    """Kink locations of the max-affine envelope inside (lo, hi) (n = 1 only).
 
-
-def _kink_edges(h: LogConcaveFn, radius: float, maps=()) -> np.ndarray | None:
-    """Panel edges from the envelope kinks of psi, pulled back through x -> u*x + c maps.
-
-    `maps` lists (u, c) pairs such that psi is evaluated at u*x + c; the kink
-    pre-images are x = (break - c)/u.  The identity map is always included.
+    Sweeps the upper hull of the lines in order of slope (of parallel lines
+    only the highest can show); each kink is the crossing of two hull
+    neighbours, (b_j - b_i)/(a_i - a_j) with i the left piece.
     """
-    if h.n != 1 or not isinstance(h.form, PiecewiseLogAffine):
-        return None
-    edges = []
-    all_maps = [(1.0, 0.0), *maps]
-    span = max(abs(u) * radius + abs(c) for u, c in all_maps) + 1.0
-    breaks = _envelope_breaks_1d(h.form, -span, span)
-    for u, c in all_maps:
-        if u != 0.0:
-            edges.extend((breaks - c) / u)
-    return np.array(edges) if edges else None
-
-
-def _require_pl(pair: ProfilePair) -> tuple[PiecewiseLinear, PiecewiseLinear]:
-    if not pair.piecewise_linear:
-        raise ValueError("band quadrature needs piecewise-linear profile functions")
-    return pair.f, pair.g
+    a, b = form.a[:, 0], form.b
+    hull: list[int] = []
+    for j in sorted(range(len(a)), key=lambda k: (a[k], -b[k], k)):
+        if hull and a[hull[-1]] == a[j]:
+            continue
+        while len(hull) >= 2:
+            i, k = hull[-2], hull[-1]
+            if (b[j] - b[i]) / (a[i] - a[j]) > (b[k] - b[i]) / (a[i] - a[k]):
+                break
+            hull.pop()
+        hull.append(j)
+    breaks = [(b[j] - b[i]) / (a[i] - a[j]) for i, j in zip(hull[:-1], hull[1:])]
+    return np.array([x for x in breaks if lo < x < hi])
 
 
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
@@ -167,7 +138,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     B = np.clip(B, -1.0, np.maximum(t_top, -1.0)[:, None])
     B.sort(axis=1)
 
-    nodes, wts = np.polynomial.legendre.leggauss(max(gl_nodes, 3))
+    nodes, wts = _gauss(max(gl_nodes, 3))
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
     total = np.zeros(len(c2))
     for j in range(B.shape[1] - 1):
@@ -191,8 +162,59 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     return total
 
 
-def _h_pow(h: LogConcaveFn, X: np.ndarray, s: float) -> np.ndarray:
-    return eval_h_many(h, X) ** (1.0 / s)
+class _Band:
+    """What a band quadrature needs that does not depend on the position.
+
+    Built once per (h, s, pair, r, quad) and kept for one call or one
+    minimization: the profiles, the band radius and, for n = 1 max-affine
+    psi, the kinks of its envelope on the whole line.
+    """
+
+    def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
+                 quad: QuadratureSpec):
+        if not 0.5 < r < 1.0:
+            raise BadR(f"r={r} outside (1/2, 1)")
+        if not pair.piecewise_linear:
+            raise ValueError("band quadrature needs piecewise-linear profile functions")
+        self.h, self.s, self.r, self.quad, self.f, self.g = h, s, r, quad, pair.f, pair.g
+        self.radius = band_radius(h, s, r)
+        if quad.domain_radius is not None:
+            if quad.domain_radius < self.radius - 1e-12:
+                raise ValueError(f"quadrature radius {quad.domain_radius} below the band "
+                                 f"radius {self.radius:.6f}")
+            self.radius = float(quad.domain_radius)
+        one_d = h.n == 1 and isinstance(h.form, PiecewiseLogAffine)
+        self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if one_d else None
+
+    def terms(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool, mode: str):
+        """Grid X, weights W, h^(1/s) at the band-factor argument, and the inner integrals.
+
+        shifted: x is the band variable and the factor is evaluated at Ax + v
+        (the band_functional route); otherwise x is the factor argument and
+        the band variable is A^-1 (x - v).  For n = 1 the panels follow the
+        kinks of psi in both variables.  Returns None in mode 'value' when
+        part of the open band lies where h vanishes.
+        """
+        radius = (self.radius if shifted else
+                  float(np.linalg.norm(A, 2) * self.radius + np.linalg.norm(v)) + 1e-9)
+        kinks = None
+        if self.breaks is not None:
+            a, c = float(A[0, 0]), float(v[0])
+            u, c = (a, c) if shifted else (1.0 / a, -c / a)
+            kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
+        X, W = _x_grid(self.h.n, radius, self.quad.x_nodes_per_axis, kinks)
+        Z, Y = (X, X @ A.T + v) if shifted else (np.linalg.solve(A, (X - v).T).T, X)
+
+        den = 2.0 * eval_h_many(self.h, Z) ** (2.0 / self.s) * (1.0 - self.r)
+        r2m1 = np.sum(Z * Z, axis=1) - 1.0
+        h_y = eval_h_many(self.h, Y) ** (1.0 / self.s)
+        live = h_y > 0.0
+        # q(-1) below the top kink of g: the band is open there
+        if mode == "value" and np.any(~live & (r2m1 < den * self.g.breaks[-1])):
+            return None
+        c2 = np.where(live, h_y / alpha, 1.0) ** 2
+        inner = _inner_band(self.f, self.g, self.r, c2, den, r2m1, mode, self.quad.t_nodes)
+        return X, W, h_y, np.where(live, inner, 0.0)
 
 
 def band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -202,38 +224,18 @@ def band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     Returns +inf when the position pushes part of the band outside the
     support of h (the coercive barrier).
     """
-    _check_r(r)
-    f_pl, g_pl = _require_pl(pair)
+    return _band_value(_Band(h, s, pair, r, quad), p)
+
+
+def _band_value(band: _Band, p: EPoint) -> float:
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if alpha <= 0.0 or np.linalg.det(A) == 0.0:
         raise SingularA("block must be invertible with positive corner")
-    radius = _resolve_radius(h, s, r, quad)
-    maps = [(float(A[0, 0]), float(v[0]))] if h.n == 1 else []
-    X, W = _x_grid(h.n, radius, quad.x_nodes_per_axis, kinks=_kink_edges(h, radius, maps))
-
-    h_x2s = eval_h_many(h, X) ** (2.0 / s)
-    h_Axv = _h_pow(h, X @ A.T + v, s)
-    den = 2.0 * h_x2s * (1.0 - r)
-    r2m1 = np.sum(X * X, axis=1) - 1.0
-    band_open = r2m1 < den * g_pl.breaks[-1]  # q(-1) can be below the top kink
-    c = h_Axv / alpha
-    dead = (c == 0.0) & band_open
-    if np.any(dead):
+    terms = band.terms(A, alpha, v, shifted=True, mode="value")
+    if terms is None:
         return float("inf")
-    c2 = np.where(c > 0.0, c, 1.0) ** 2
-    inner = _inner_band(f_pl, g_pl, r, c2, den, r2m1, "value", quad.t_nodes)
-    inner = np.where(c > 0.0, inner, 0.0)
-    return float(np.sum(W * c * inner))
-
-
-def _rescaled_position(p: EPoint, r: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """(A, alpha, shift) for the rescaled point (M, beta, w)."""
-    n = p.n
-    A = np.eye(n) + (1.0 - r) * p.mat.diag
-    alpha = 1.0 + (1.0 - r) * p.mat.corner
-    if abs(np.linalg.det(A)) < 1e-14 or alpha <= 0.0:
-        raise NotInBr("identity plus (1-r) M is not invertible (or corner <= 0)")
-    return A, alpha, (1.0 - r) * p.shift
+    _, W, h_y, inner = terms
+    return float(np.sum(W * (h_y / alpha) * inner))
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -244,75 +246,55 @@ def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: fl
     factor, a different route than band_functional, so the exact
     reparametrization identity between the two is a genuine two-route check.
     """
-    _check_r(r)
-    f_pl, g_pl = _require_pl(pair)
-    A, alpha, shift = _rescaled_position(p, r)
-    R_ball = _resolve_radius(h, s, r, quad)
-    radius = float(np.linalg.norm(A, 2) * R_ball + np.linalg.norm(shift)) + 1e-9
-    maps = [(1.0 / float(A[0, 0]), -float(shift[0]) / float(A[0, 0]))] if h.n == 1 else []
-    X, W = _x_grid(h.n, radius, quad.x_nodes_per_axis, kinks=_kink_edges(h, radius, maps))
-
-    Z = np.linalg.solve(A, (X - shift).T).T
-    h_z2s = eval_h_many(h, Z) ** (2.0 / s)
-    h_x = _h_pow(h, X, s)
-    den = 2.0 * h_z2s * (1.0 - r)
-    r2m1 = np.sum(Z * Z, axis=1) - 1.0
-    band_open = r2m1 < den * g_pl.breaks[-1]
-    dead = (h_x == 0.0) & band_open
-    if np.any(dead):
+    band = _Band(h, s, pair, r, quad)
+    A = np.eye(p.n) + (1.0 - r) * p.mat.diag
+    alpha = 1.0 + (1.0 - r) * p.mat.corner
+    if abs(np.linalg.det(A)) < 1e-14 or alpha <= 0.0:
+        raise NotInBr("identity plus (1-r) M is not invertible (or corner <= 0)")
+    terms = band.terms(A, alpha, (1.0 - r) * p.shift, shifted=False, mode="value")
+    if terms is None:
         return float("inf")
-    c2 = np.where(h_x > 0.0, h_x / alpha, 1.0) ** 2
-    inner = _inner_band(f_pl, g_pl, r, c2, den, r2m1, "value", quad.t_nodes)
-    inner = np.where(h_x > 0.0, inner, 0.0)
+    _, W, h_x, inner = terms
     return float(alpha ** (s - 1.0) * np.sum(W * h_x * inner))
 
 
-def _density_terms(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
-                   minimizer: EPoint, quad: QuadratureSpec):
+def _density_terms(band: _Band, minimizer: EPoint):
     """Grid, weights and concentration-measure density at the given position."""
-    _check_r(r)
-    f_pl, g_pl = _require_pl(pair)
     A, alpha, v = minimizer.mat.diag, minimizer.mat.corner, minimizer.shift
     if alpha <= 0.0:
         raise SingularA("corner must be positive")
-    R_ball = _resolve_radius(h, s, r, quad)
-    radius = float(np.linalg.norm(A, 2) * R_ball + np.linalg.norm(v)) + 1e-9
-    maps = [(1.0 / float(A[0, 0]), -float(v[0]) / float(A[0, 0]))] if h.n == 1 else []
-    X, W = _x_grid(h.n, radius, quad.x_nodes_per_axis, kinks=_kink_edges(h, radius, maps))
-
-    Z = np.linalg.solve(A, (X - v).T).T
-    h_z2s = eval_h_many(h, Z) ** (2.0 / s)
-    h_x = _h_pow(h, X, s)
-    den = 2.0 * h_z2s * (1.0 - r)
-    r2m1 = np.sum(Z * Z, axis=1) - 1.0
-    c2 = np.where(h_x > 0.0, h_x / alpha, 1.0) ** 2
-    inner = _inner_band(f_pl, g_pl, r, c2, den, r2m1, "density", quad.t_nodes)
-    inner = np.where(h_x > 0.0, inner, 0.0)
+    X, W, h_x, inner = band.terms(A, alpha, v, shifted=False, mode="density")
     with np.errstate(divide="ignore", invalid="ignore"):
-        density = alpha ** (s - 1.0) * inner / h_x
+        density = alpha ** (band.s - 1.0) * inner / h_x
     density = np.where(inner != 0.0, density, 0.0)
     return X, W, density, h_x
+
+
+def _bump_integral(X, W, density, delta) -> float:
+    return float(np.sum(W * np.asarray(delta(X), dtype=float) * density))
 
 
 def concentration_integral(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                            minimizer: EPoint, delta, quad: QuadratureSpec) -> float:
     """Integral of a compactly supported test function against the band measure."""
-    X, W, density, _ = _density_terms(h, s, pair, r, minimizer, quad)
-    return float(np.sum(W * np.asarray(delta(X), dtype=float) * density))
+    X, W, density, _ = _density_terms(_Band(h, s, pair, r, quad), minimizer)
+    return _bump_integral(X, W, density, delta)
 
 
 def stationarity_multiplier(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                             minimizer: EPoint, quad: QuadratureSpec) -> float:
     """Multiplier from the identity-direction contraction of the measure moments."""
-    X, W, density, h_x = _density_terms(h, s, pair, r, minimizer, quad)
-    n = h.n
-    if isinstance(h.form, PiecewiseLogAffine):
-        idx = np.argmax(X @ h.form.a.T + h.form.b, axis=1)
-        grad_psi = h.form.a[idx]
-    else:
+    band = _Band(h, s, pair, r, quad)
+    return _multiplier(band, *_density_terms(band, minimizer))
+
+
+def _multiplier(band: _Band, X, W, density, h_x) -> float:
+    h, s, n = band.h, band.s, band.h.n
+    if not isinstance(h.form, PiecewiseLogAffine):
         raise ValueError("multiplier needs the max-affine form")
+    grad_psi = h.form.a[np.argmax(X @ h.form.a.T + h.form.b, axis=1)]
     contraction = h_x**2 * ((1.0 / s) * np.sum(grad_psi * X, axis=1) + s)
-    return float(np.sum(W * density * contraction) / ((1.0 - r) * (n + s * s)))
+    return float(np.sum(W * density * contraction) / ((1.0 - band.r) * (n + s * s)))
 
 
 def _logm_sym(A: np.ndarray) -> np.ndarray:
@@ -323,20 +305,6 @@ def _logm_sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (L + L.T)
 
 
-def _sym_from_vec(theta: np.ndarray, n: int) -> np.ndarray:
-    S = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            S[i, j] = S[j, i] = theta[k]
-            k += 1
-    return S
-
-
-def _vec_from_sym(S: np.ndarray, n: int) -> np.ndarray:
-    return np.array([S[i, j] for i in range(n) for j in range(i, n)])
-
-
 def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                   quad: QuadratureSpec, x0: EPoint | None = None,
                   max_iter: int = 400) -> tuple[EPoint, float]:
@@ -345,24 +313,40 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
     loses nothing at a minimum).  Derivative-free compass search with a
-    shrinking step, then a short finite-difference gradient polish.  Returns
-    the minimizer and the stationarity multiplier.
+    shrinking step, then a short finite-difference gradient polish.  The band
+    geometry (radius, kinks of psi) is built once per minimization, and a
+    position already visited is not evaluated again.  Returns the minimizer
+    and the stationarity multiplier.
     """
-    _check_r(r)
-    n = h.n
-    dim_s = n * (n + 1) // 2
+    band = _Band(h, s, pair, r, quad)
+    point, _ = _minimize_band(band, x0, max_iter)
+    return point, _multiplier(band, *_density_terms(band, point))
+
+
+def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> tuple[EPoint, float]:
+    """minimize_band on a prepared band geometry: (minimizer, band functional there)."""
+    n, s, r = band.h.n, band.s, band.r
+    upper = np.triu_indices(n)  # theta = (upper triangle of S, shift)
+    dim_s = len(upper[0])
 
     def to_point(theta: np.ndarray) -> EPoint:
-        S = _sym_from_vec(theta[:dim_s], n)
+        S = np.zeros((n, n))
+        S[upper] = S[upper[::-1]] = theta[:dim_s]
         A = expm_sym(S)
         alpha = float(np.exp(-np.trace(S) / s))
         return EPoint(BlockMat(A, alpha), theta[dim_s:])
 
+    seen: dict[tuple, float] = {}  # thetas a few ulps apart can share a position
+
     def obj(theta: np.ndarray) -> float:
-        return band_functional(h, s, pair, r, to_point(theta), quad)
+        p = to_point(theta)
+        key = (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes())
+        if key not in seen:
+            seen[key] = _band_value(band, p)
+        return seen[key]
 
     if x0 is not None:
-        theta = np.concatenate([_vec_from_sym(_logm_sym(x0.mat.diag), n), x0.shift])
+        theta = np.concatenate([_logm_sym(x0.mat.diag)[upper], x0.shift])
     else:
         theta = np.zeros(dim_s + n)
     value = obj(theta)
@@ -410,10 +394,7 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
             stepg *= 0.5
         if not moved:
             break
-
-    point = to_point(theta)
-    lam_r = stationarity_multiplier(h, s, pair, r, point, quad)
-    return point, lam_r
+    return to_point(theta), value
 
 
 def hat_bump(center, halfwidth: float):
@@ -467,6 +448,7 @@ class SweepEntry:
     secant_to_reference: float
     mu_integrals: np.ndarray
     mu_reference: np.ndarray
+    error: str | None = None  # "<ExceptionClass>: <message>" when the r failed
 
 
 @dataclass
@@ -482,11 +464,8 @@ def default_bumps(reference_measure: DiscreteMeasure):
     """One trapezoid per atom plus a plateau covering the whole contact set."""
     pts = reference_measure.points
     k = pts.shape[0]
-    if k > 1:
-        gaps = [np.linalg.norm(pts[i] - pts[j]) for i in range(k) for j in range(i + 1, k)]
-        gap = min(gaps)
-    else:
-        gap = 0.5
+    gap = min((np.linalg.norm(pts[i] - pts[j]) for i in range(k) for j in range(i + 1, k)),
+              default=0.5)
     bumps = [trapezoid_bump(pts[i], 0.45 * gap, 0.2 * gap) for i in range(k)]
     radius = float(np.max(np.linalg.norm(pts, axis=1)))
     bumps.append(plateau_bump(radius + 0.05, 0.2))
@@ -501,8 +480,10 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     The concentration-measure integrals are normalized by (1-r) * lambda_r
     and scaled by the reference multiplier, which makes them comparable with
     the reference measure: at the exact minimizer both normalized measures
-    satisfy the same identity-direction moment identity.  Failures at a
-    single r are recorded and the sweep continues.
+    satisfy the same identity-direction moment identity.  Each r builds the
+    band geometry once and integrates every bump against one density
+    evaluation.  A failure at a single r is recorded with its reason and the
+    sweep continues.
     """
     if bumps is None:
         bumps = default_bumps(reference_measure)
@@ -523,14 +504,17 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
                             scale * p_prev.shift)
             else:
                 x0 = None
-            point, lam_r = minimize_band(h, s, pair, r, quad, x0=x0)
+            band = _Band(h, s, pair, r, quad)
+            point, value = _minimize_band(band, x0, 400)
+            terms = _density_terms(band, point)
+            lam_r = _multiplier(band, *terms)
         except (NotConverged, NotInBr, SingularA) as exc:
+            nan = float("nan")
             result.entries.append(SweepEntry(
-                r=r, point=None, rescaled=None, lambda_r=float("nan"),
-                value=float("nan"), dist_to_identity=float("nan"),
-                normalized_s_trace=float("nan"), secant_to_reference=float("nan"),
-                mu_integrals=np.full(len(bumps), np.nan),
-                mu_reference=ref_integrals))
+                r=r, point=None, rescaled=None, lambda_r=nan, value=nan,
+                dist_to_identity=nan, normalized_s_trace=nan, secant_to_reference=nan,
+                mu_integrals=np.full(len(bumps), np.nan), mu_reference=ref_integrals,
+                error=f"{type(exc).__name__}: {exc}"))
             continue
         prev = (r, point)
         omr = 1.0 - r
@@ -540,13 +524,10 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
         dist = diff.norm()
         nst = abs(s_trace(rescaled.mat, s)) / max(rescaled.mat.frobenius_norm(), 1e-300)
         secant = (rescaled - reference.point).norm()
-        mu_vals = np.array([
-            concentration_integral(h, s, pair, r, point, b, quad) for b in bumps
-        ])
+        mu_vals = np.array([_bump_integral(*terms[:3], b) for b in bumps])
         mu_norm = reference.lam * mu_vals / (omr * lam_r)
         result.entries.append(SweepEntry(
-            r=r, point=point, rescaled=rescaled, lambda_r=lam_r,
-            value=band_functional(h, s, pair, r, point, quad),
+            r=r, point=point, rescaled=rescaled, lambda_r=lam_r, value=value,
             dist_to_identity=dist, normalized_s_trace=nst,
             secant_to_reference=secant, mu_integrals=mu_norm,
             mu_reference=ref_integrals))

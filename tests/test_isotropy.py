@@ -166,6 +166,25 @@ class TestMinimize:
             assert res.lam > 0.0
 
 
+class TestAtomsBuiltOnce:
+    def test_one_construction_per_minimization(self, two_level, monkeypatch):
+        h, cs, w = two_level
+        nu = counting_measure(cs.points)
+        built = []
+        original = _Atoms.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Atoms, "__init__", counting)
+        minimize_functional(h, S, nu, F, check_coercivity=False)
+        assert len(built) == 1
+        built.clear()
+        minimize_functional(h, S, nu, F)
+        assert len(built) == 2  # the public coercivity_witness builds its own
+
+
 class TestExtractMeasure:
     def test_scaling_nu_scales_weights(self, two_level):
         h, cs, w = two_level
