@@ -20,7 +20,7 @@ from .logconcave import (LogConcaveFn, SLiftingPoint, check_proper, eval_h, grad
                          height_fn, make_log_concave, s_lifting_contains,
                          s_volume_ellipsoid, s_volume_unit_ball)
 from .profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair,
-                       r_scale, validate_profiles)
+                       validate_profiles)
 from .rfamily import (QuadratureSpec, RSweepResult, band_functional,
                       concentration_integral, minimize_band, r_sweep,
                       rescaled_band_functional)

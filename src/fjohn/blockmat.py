@@ -232,6 +232,3 @@ def from_coords(coeffs: np.ndarray, basis: list[EPoint]) -> EPoint:
         p = p + float(c) * b
     return p
 
-
-def to_coords(p: EPoint, basis: list[EPoint]) -> np.ndarray:
-    return np.array([inner(p, b) for b in basis])

@@ -97,9 +97,12 @@ def build_h(inst: dict) -> LogConcaveFn:
     pieces = desc.get("pieces", [])
     if not pieces:
         raise InputError("h.pieces is empty")
-    a = np.array([p["a"] for p in pieces], dtype=float)
-    b = np.array([p["b"] for p in pieces], dtype=float)
-    if a.shape[1] != inst["n"]:
+    try:
+        a = np.array([p["a"] for p in pieces], dtype=float)
+        b = np.array([p["b"] for p in pieces], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed h.pieces ({type(exc).__name__}: {exc})")
+    if a.ndim != 2 or a.shape[1] != inst["n"]:
         raise InputError("piece dimension does not match n")
     h = make_log_concave(a, b, inst["s"], desc.get("domain_radius"))
     try:
@@ -119,7 +122,10 @@ def build_profile(inst: dict) -> ProfilePair:
                 np.asarray(desc["xs"], dtype=float), np.asarray(desc["ys"], dtype=float),
                 left_slope=float(desc.get("left_slope", 0.0)),
                 right_slope=float(desc.get("right_slope", 0.0)))
-        return ProfilePair(f=pl(prof["f"]), g=pl(prof["g"]), name="custom")
+        try:
+            return ProfilePair(f=pl(prof["f"]), g=pl(prof["g"]), name="custom")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed profile ({type(exc).__name__}: {exc})")
     raise InputError(f"unsupported profile {prof!r}")
 
 
@@ -146,9 +152,15 @@ def build_nu(inst: dict, h: LogConcaveFn) -> isotropy.DiscreteMeasure:
             raise InputError("calibrated nu needs construction weights in contacts.weights")
         return isotropy.calibrated_measure(pts, np.array(weights, dtype=float), h, inst["s"])
     if isinstance(nu, dict) and "atoms" in nu:
-        pts = np.array([a["x"] for a in nu["atoms"]], dtype=float)
-        m = np.array([a["m"] for a in nu["atoms"]], dtype=float)
-        return isotropy.DiscreteMeasure(pts, m)
+        try:
+            pts = np.array([a["x"] for a in nu["atoms"]], dtype=float)
+            m = np.array([a["m"] for a in nu["atoms"]], dtype=float)
+            measure = isotropy.DiscreteMeasure(pts, m)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed nu.atoms ({type(exc).__name__}: {exc})")
+        if measure.points.shape[1] != inst["n"]:
+            raise InputError("nu atom dimension does not match n")
+        return measure
     raise InputError(f"unsupported nu {nu!r}")
 
 
@@ -275,6 +287,8 @@ def cmd_coercivity(args) -> int:
     h = build_h(inst)
     nu = build_nu(inst, h)
     seed = args.seed if args.seed is not None else inst.get("seed", 0)
+    if args.dirs < 0:
+        raise InputError(f"--dirs must be nonnegative, got {args.dirs}")
     wit = isotropy.coercivity_witness(h, inst["s"], nu, n_dirs=args.dirs, seed=seed)
     print(_report("coercivity", inst, {
         "margin": wit.margin,

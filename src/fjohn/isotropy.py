@@ -12,6 +12,7 @@ isotropic measure supported on the atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +98,13 @@ class WitnessReport:
 
 
 class _Atoms:
-    """Cached per-atom quantities for one (h, s, nu) combination."""
+    """Cached per-atom quantities for one (h, s, nu) combination.
+
+    The argument of F is linear in (M, beta, w).  On the weighted-trace-zero
+    subspace, with coordinates c in the orthonormal `basis`, it is `phi @ c`
+    for the (k x d) design matrix `phi`, so the functional there is
+    sum_i w_i F((phi c)_i) with weights `w` = m h^(1/s).
+    """
 
     def __init__(self, h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                  contact_tol: float = 1e-8):
@@ -115,6 +122,16 @@ class _Atoms:
         self.h_pow2 = self.h_pow**2           # h^(2/s)
         self.n = nu.points.shape[1]
         self.s = s
+        self.w = self.m * self.h_pow
+
+    # built on first use: functional_value and extract_measure never need them
+    @cached_property
+    def basis(self) -> list[EPoint]:
+        return trace0_basis(self.n, self.s)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return np.array([self.args(b) for b in self.basis]).T
 
     def args(self, p: EPoint) -> np.ndarray:
         """<x_i, M x_i + w>/h_i^(2/s) + beta for all atoms."""
@@ -149,13 +166,15 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     together with the analytic flat candidates: the identity-block direction
     with corner -n/s, and the coordinate shift directions.
     """
-    at = _Atoms(h, s, nu)
+    return _witness(_Atoms(h, s, nu), n_dirs, seed)
+
+
+def _witness(at: _Atoms, n_dirs: int, seed: int) -> WitnessReport:
     n = at.n
-    basis = trace0_basis(n, s)
     rng = np.random.default_rng(seed)
 
     dirs: list[tuple[str, EPoint]] = []
-    flat = EPoint(BlockMat(np.eye(n), -n / s), np.zeros(n))
+    flat = EPoint(BlockMat(np.eye(n), -n / at.s), np.zeros(n))
     flat = flat * (1.0 / flat.norm())
     dirs.append(("identity-flat(+)", flat))
     dirs.append(("identity-flat(-)", -1.0 * flat))
@@ -165,20 +184,18 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         e = EPoint(BlockMat.zero(n), w)
         dirs.append((f"shift(+e{j})", e))
         dirs.append((f"shift(-e{j})", -1.0 * e))
-    coeffs = rng.standard_normal((n_dirs, len(basis)))
+    coeffs = rng.standard_normal((n_dirs, len(at.basis)))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
 
-    # args is linear in the direction: the sampled ones are one matmul with
-    # the (k, d) feature matrix of the basis
-    phi = np.array([at.args(b) for b in basis]).T
+    # args is linear in the direction: the sampled ones are one matmul
     best = np.concatenate([[np.max(at.args(d)) for _, d in dirs],
-                           np.max(coeffs @ phi.T, axis=1)])
+                           np.max(coeffs @ at.phi.T, axis=1)])
     failures = []
     for i in np.flatnonzero(best <= 1e-12):
         if i < len(dirs):
             label, d = dirs[i]
         else:
-            label, d = f"sample{i - len(dirs)}", from_coords(coeffs[i - len(dirs)], basis)
+            label, d = f"sample{i - len(dirs)}", from_coords(coeffs[i - len(dirs)], at.basis)
         failures.append((label, d, float(best[i])))
     return WitnessReport(margin=float(np.min(best)), n_checked=len(best), failures=failures)
 
@@ -197,99 +214,67 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                         x0: EPoint | None = None, seed: int = 0) -> MinimizerResult:
     """Minimize the contact functional on the weighted-trace-zero subspace.
 
-    Projected gradient descent with Armijo backtracking (c = 1e-4, shrink
-    0.5, initial step 1) until value comparisons hit float resolution, then a
-    Newton polish on the analytic gradient in orthonormal subspace
-    coordinates to push the projected gradient norm to `tol`.  The
+    Exact Newton on the design matrix of `_Atoms`: with z = phi c the
+    gradient is phi^T (w F'(z)) and the Hessian phi^T diag(w F''(z)) phi.
+    The step is the minimum-norm least-squares solution, so a singular
+    Hessian (a flat direction of the functional, which the gradient has no
+    component along) leaves that direction alone.  Armijo backtracking on
+    the value (c = 1e-4, halving) until the projected gradient norm is at
+    most `tol`; `iterations` counts the gradient evaluations.  F'' > 0
+    wherever F' > 0, so every Newton step is a descent direction.  The
     multiplier is computed both from the identity-direction contraction and
     from the plain trace formula; the two must agree to 1e-8, which doubles
     as a contact-set sanity check.
     """
     at = _Atoms(h, s, nu)
     if check_coercivity:
-        wit = coercivity_witness(h, s, nu, n_dirs=200, seed=seed)
+        wit = _witness(at, 200, seed)
         if not wit.ok:
             label, d, best = wit.failures[0]
             raise DivergingIterates(
                 f"flat direction detected ({label}, max expression {best:.2e}); "
                 "the functional is not coercive for this measure", direction=d)
 
-    basis = trace0_basis(at.n, s)
-
-    def grad_coords(c: np.ndarray) -> np.ndarray:
-        g = _gradient(at, F, from_coords(c, basis))
-        return np.array([inner(g, b) for b in basis])
-
-    def value_at(c: np.ndarray) -> float:
-        return float(np.dot(at.m, at.h_pow * F(at.args(from_coords(c, basis)))))
-
+    phi, w = at.phi, at.w
     start = project_trace0(x0, s) if x0 is not None else EPoint.zero(at.n)
-    c = np.array([inner(start, b) for b in basis])
-    value = value_at(c)
-    it = 0
+    c = np.array([inner(start, b) for b in at.basis])
+    z = phi @ c
+    value = float(np.dot(w, F(z)))
     for it in range(1, max_iter + 1):
-        g = grad_coords(c)
+        g = phi.T @ (w * F.deriv(z))
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= max(tol, 1e-7):
-            break
-        step, accepted = 1.0, False
-        while step > 1e-16:
-            cand = c - step * g
-            new_value = value_at(cand)
-            if new_value <= value - 1e-4 * step * gnorm * gnorm:
-                c, value = cand, new_value
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # below line-search resolution; Newton polish takes over
-        if np.linalg.norm(c) > 1e6:
-            p = from_coords(c, basis)
-            raise DivergingIterates("iterates escaped beyond norm 1e6",
-                                    direction=p * (1.0 / p.norm()))
-
-    # Newton polish: finite-difference Hessian of the analytic gradient
-    g = grad_coords(c)
-    gnorm = float(np.linalg.norm(g))
-    fd = 1e-6
-    for _ in range(60):
         if gnorm <= tol:
             break
-        dim = len(c)
-        H = np.zeros((dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = fd
-            H[:, j] = (grad_coords(c + e) - grad_coords(c - e)) / (2.0 * fd)
-        H = 0.5 * (H + H.T)
-        try:
-            delta = np.linalg.solve(H + 1e-14 * np.eye(dim), -g)
-        except np.linalg.LinAlgError:
-            raise NotConverged(f"singular Hessian during polish, grad {gnorm:.3e}")
+        hess = (phi.T * (w * F.deriv2(z))) @ phi
+        delta = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        slope = float(np.dot(g, delta))
         step = 1.0
-        improved = False
-        for _ in range(25):
-            g_new = grad_coords(c + step * delta)
-            if np.linalg.norm(g_new) < gnorm:
-                c = c + step * delta
-                g, gnorm = g_new, float(np.linalg.norm(g_new))
-                improved = True
+        while True:
+            cand = c + step * delta
+            z_cand = phi @ cand
+            new_value = float(np.dot(w, F(z_cand)))
+            # a predicted decrease (-slope/2) below the rounding of the value
+            # is invisible to the Armijo test: take the full step then
+            if new_value <= value + 1e-4 * step * slope or -slope <= 1e-12 * value:
                 break
             step *= 0.5
-        if not improved:
-            break
-
-    if gnorm > tol:
+            if step < 1e-16:
+                raise NotConverged(f"no descent along the Newton step, grad {gnorm:.3e}")
+        c, z, value = cand, z_cand, new_value
+        if np.linalg.norm(c) > 1e6:
+            p = from_coords(c, at.basis)
+            raise DivergingIterates("iterates escaped beyond norm 1e6",
+                                    direction=p * (1.0 / p.norm()))
+    else:
         raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}")
 
-    p = from_coords(c, basis)
-    value = value_at(c)
+    p = from_coords(c, at.basis)
     grad = _gradient(at, F, p)
     lam_a, lam_b = _lambda_two_ways(at, F, grad, p)
     gap = abs(lam_a - lam_b)
     if gap > 1e-8:
         raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}")
-    return MinimizerResult(point=p, value=value, projected_grad_norm=float(gnorm),
+    return MinimizerResult(point=p, value=value, projected_grad_norm=gnorm,
                            lam=float(lam_a), iterations=it, converged=True,
                            lambda_gap=float(gap))
 

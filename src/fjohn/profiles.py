@@ -1,4 +1,4 @@
-"""Profile functions f, g, their scaled family, and the convolution profile F.
+"""Profile functions f, g and their convolution profile F.
 
 f is zero left of -1, convex and strictly increasing afterwards; g is one
 left of -1, nonincreasing, positive on (-1, 1) and zero from 1 on.  The
@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .errors import BadR
 
 
 @dataclass(frozen=True)
@@ -101,13 +99,6 @@ def canonical_pair() -> ProfilePair:
     return ProfilePair(f=f, g=g, name="canonical")
 
 
-def r_scale(gamma: Callable, r: float, t) -> float:
-    """gamma((t - 1)/(1 - r)) for r in (1/2, 1)."""
-    if not 0.5 < r < 1.0:
-        raise BadR(f"r={r} outside (1/2, 1)")
-    return gamma((np.asarray(t, dtype=float) - 1.0) / (1.0 - r))
-
-
 @dataclass
 class PropertyCheck:
     name: str
@@ -191,7 +182,7 @@ def _convolve_pl(f: PiecewiseLinear, g: PiecewiseLinear, x: float, order: int = 
 
 
 class ConvolutionProfile:
-    """F = f * g(-.) with value and derivative; nondecreasing and convex.
+    """F = f * g(-.) with value and first two derivatives; nondecreasing and convex.
 
     The canonical pair uses the closed-form branches; piecewise-linear pairs
     use segment-exact convolution.
@@ -223,10 +214,13 @@ class ConvolutionProfile:
         return np.array([_convolve_pl(self.pair.f, self.pair.g, float(t), order=1)
                          for t in np.asarray(x)])
 
+    def deriv2(self, x):
+        """F''(x) = sum_k (jump of g' at b_k) f(x + b_k) over the kinks b_k of g.
 
-def F_eval(pair: ProfilePair, x) -> float:
-    return ConvolutionProfile(pair)(x)
+        That is F''(x) = integral f'(u + x) (-g'(u)) du integrated by parts (g'
+        vanishes outside its kinks).  Exact for piecewise-linear pairs; for the
+        canonical one it is (x+2)/2 on (-2, 0] and 1 for x > 0.
+        """
+        f, g = self.pair.f, self.pair.g
+        return f(np.add.outer(x, g.breaks)) @ np.diff(g.slopes)
 
-
-def F_prime(pair: ProfilePair, x) -> float:
-    return ConvolutionProfile(pair).deriv(x)

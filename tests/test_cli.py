@@ -71,6 +71,32 @@ class TestVerifyCommand:
         assert res.returncode == 1
 
 
+G_KNOTS = {"xs": [-1.0, 1.0], "ys": [1.0, 0.0]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command,mutate,extra", [
+        ("minimize-i1", lambda i: i["h"]["pieces"][0].pop("a"), []),
+        ("minimize-i1", lambda i: i.update(profile={"f": {"ys": [0.0, 2.0]}, "g": G_KNOTS}), []),
+        ("minimize-i1", lambda i: i.update(
+            profile={"f": {"xs": [1.0, -1.0], "ys": [2.0, 0.0]}, "g": G_KNOTS}), []),
+        ("minimize-i1", lambda i: i.update(
+            nu={"atoms": [{"x": p, "m": -1.0} for p in i["contacts"]["points"]]}), []),
+        ("coercivity", lambda i: None, ["--dirs", "-1"]),
+    ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
+            "negative-nu-mass", "negative-dirs"])
+    def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
+                                           mutate, extra):
+        inst = json.loads(two_level_instance.read_text())
+        mutate(inst)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(inst))
+        res = run(command, "--instance", str(bad), *extra)
+        assert res.returncode == 1
+        assert "input error" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestCoercivityCommand:
     def test_two_level_passes(self, two_level_instance):
         res = run("coercivity", "--instance", str(two_level_instance), "--dirs", "200")

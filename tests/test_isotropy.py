@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fjohn.blockmat import BlockMat, EPoint, from_coords, inner, project_trace0, trace0_basis
-from fjohn.contact import cross_fixture, two_level_cross_fixture
+from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
 from fjohn.errors import AtomOffContactSet, DivergingIterates
 from fjohn.isotropy import (DiscreteMeasure, _Atoms, calibrated_measure, check_isotropy,
                             coercivity_witness, counting_measure, extract_measure,
@@ -166,6 +166,69 @@ class TestMinimize:
             assert res.lam > 0.0
 
 
+def off_axis_two_level(n, rho1_sq=0.4, rho2_sq=0.8):
+    """Tangent h and counting measure on two tight-frame levels, turned off the axes.
+
+    The levels are a +-pair at n = 1, a triangle and a square at n = 2, an
+    octahedron and a cube at n = 3.
+    """
+    if n == 1:
+        inner_level = outer_level = np.array([[1.0], [-1.0]])
+    elif n == 2:
+        tri = np.arange(3) * 2.0 * np.pi / 3.0 + 0.3
+        sq = np.arange(4) * np.pi / 2.0 + np.pi / 4.0 + 0.3
+        inner_level = np.stack([np.cos(tri), np.sin(tri)], axis=1)
+        outer_level = np.stack([np.cos(sq), np.sin(sq)], axis=1)
+    else:
+        rot = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        inner_level = np.vstack([np.eye(3), -np.eye(3)]) @ rot.T
+        cube = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T / np.sqrt(3.0)
+        outer_level = cube @ rot.T
+    pts = np.vstack([np.sqrt(rho1_sq) * inner_level, np.sqrt(rho2_sq) * outer_level])
+    return make_tangent_instance(pts, S), counting_measure(pts)
+
+
+class TestNewton:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_off_axis_converges_in_few_steps(self, n):
+        h, nu = off_axis_two_level(n)
+        res = minimize_functional(h, S, nu, F)
+        assert res.iterations <= 10
+        assert res.projected_grad_norm <= 1e-10
+        iso = check_isotropy(extract_measure(res, h, S, nu, F), S)
+        assert iso.residual_iso <= 1e-8
+        assert iso.residual_center <= 1e-8
+
+    def test_converges_from_next_to_the_minimizer(self):
+        # there the decrease a Newton step promises is below the rounding of
+        # the value, which the Armijo test alone cannot confirm
+        rng = np.random.default_rng(7)
+        for n in (1, 2):
+            h, nu = off_axis_two_level(n)
+            best = minimize_functional(h, S, nu, F, tol=1e-14)
+            basis = trace0_basis(n, S)
+            for scale in (1e-9, 1e-10):
+                for _ in range(20):
+                    x0 = best.point + from_coords(scale * rng.standard_normal(len(basis)),
+                                                  basis)
+                    res = minimize_functional(h, S, nu, F, x0=x0)
+                    assert res.iterations <= 5
+                    assert (res.point - best.point).norm() <= 1e-9
+
+    def test_singular_hessian_leaves_flat_direction_alone(self):
+        # every atom is on an axis: the functional is constant along M_12
+        h, cs, w = two_level_cross_fixture(2, S, 0.4, 0.8)
+        nu = counting_measure(cs.points)
+        at = _Atoms(h, S, nu)
+        assert np.linalg.matrix_rank(at.phi) == at.phi.shape[1] - 1 == 4
+        res = minimize_functional(h, S, nu, F)
+        assert res.projected_grad_norm <= 1e-10
+        assert abs(res.point.mat.diag[0, 1]) <= 1e-12
+        iso = check_isotropy(extract_measure(res, h, S, nu, F), S)
+        assert iso.residual_iso <= 1e-8
+        assert iso.residual_center <= 1e-8
+
+
 class TestAtomsBuiltOnce:
     def test_one_construction_per_minimization(self, two_level, monkeypatch):
         h, cs, w = two_level
@@ -182,7 +245,7 @@ class TestAtomsBuiltOnce:
         assert len(built) == 1
         built.clear()
         minimize_functional(h, S, nu, F)
-        assert len(built) == 2  # the public coercivity_witness builds its own
+        assert len(built) == 1
 
 
 class TestExtractMeasure:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fjohn.errors import BadR
 from fjohn.oracle import convolve_numeric
 from fjohn.profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair,
-                            canonical_pair, r_scale, validate_profiles)
+                            canonical_pair, validate_profiles)
 
 
 class TestCanonicalPair:
@@ -36,29 +35,6 @@ class TestValidateProfiles:
                            g=canonical_pair().g)
         rep = validate_profiles(pair)
         assert "f4_strictly_increasing" in rep.failed()
-
-
-class TestRScale:
-    def test_center(self):
-        g = canonical_pair().g
-        for r in (0.6, 0.75, 0.9):
-            assert r_scale(g, r, 1.0) == pytest.approx(g(0.0))
-
-    def test_substitution_identity(self):
-        g = canonical_pair().g
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            r = rng.uniform(0.51, 0.99)
-            u = rng.uniform(-2, 2)
-            assert r_scale(g, r, 1.0 + (1.0 - r) * u) == pytest.approx(g(u), abs=1e-12)
-
-    def test_example(self):
-        g = canonical_pair().g
-        assert r_scale(g, 0.9, 1.05) == pytest.approx(0.25)
-
-    def test_bad_r(self):
-        with pytest.raises(BadR):
-            r_scale(canonical_pair().g, 0.4, 1.0)
 
 
 class TestConvolutionProfile:
@@ -108,6 +84,13 @@ class TestConvolutionProfile:
         assert np.all(second[pos] > 0.0)
         assert F.deriv(0.0) >= 1.0 - 1e-12
 
+    def test_deriv2_closed_form(self):
+        F = ConvolutionProfile(canonical_pair())
+        xs = np.linspace(-3.0, 3.0, 601)
+        want = np.where(xs <= -2.0, 0.0, np.where(xs <= 0.0, (xs + 2.0) / 2.0, 1.0))
+        assert np.max(np.abs(F.deriv2(xs) - want)) <= 1e-15
+        assert F.deriv2(0.5) == 1.0
+
 
 class TestCustomPair:
     @staticmethod
@@ -138,6 +121,18 @@ class TestCustomPair:
         for x in (-1.5, -0.3, 0.0, 0.8, 2.0):
             assert F(x) == pytest.approx(convolve_numeric(pair.f, gbar, x, 1e-4),
                                          abs=1e-6)
+
+    def test_deriv2_matches_central_differences(self):
+        pair = self.make_pair()
+        F = ConvolutionProfile(pair)
+        # F'' has kinks where a kink of f meets a shifted kink of g
+        kinks = np.subtract.outer(pair.f.breaks, pair.g.breaks).ravel()
+        xs = np.linspace(-3.0, 3.0, 241)
+        xs = xs[np.min(np.abs(xs[:, None] - kinks), axis=1) > 1e-3]
+        step = 1e-5
+        fd = np.array([(F.deriv(x + step) - F.deriv(x - step)) / (2 * step) for x in xs])
+        assert np.max(np.abs(F.deriv2(xs) - fd)) <= 1e-8
+        assert np.all(F.deriv2(xs) >= 0.0)
 
 
 class TestPiecewiseLinear:
