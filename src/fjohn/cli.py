@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -76,6 +77,15 @@ def _epoint_dict(p: EPoint | None) -> dict | None:
     return {"diag": p.mat.diag, "corner": p.mat.corner, "shift": p.shift}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_s(s) -> None:
+    if not _is_number(s) or s <= 0:
+        raise InputError(f"s must be a positive number, got {s!r}")
+
+
 def load_instance(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -87,6 +97,7 @@ def load_instance(path: str) -> dict:
             raise InputError(f"instance missing required key '{key}'")
     if inst["version"] != SCHEMA_VERSION:
         raise InputError(f"unsupported instance version {inst['version']}")
+    _check_s(inst["s"])
     return inst
 
 
@@ -104,7 +115,10 @@ def build_h(inst: dict) -> LogConcaveFn:
         raise InputError(f"malformed h.pieces ({type(exc).__name__}: {exc})")
     if a.ndim != 2 or a.shape[1] != inst["n"]:
         raise InputError("piece dimension does not match n")
-    h = make_log_concave(a, b, inst["s"], desc.get("domain_radius"))
+    radius = desc.get("domain_radius")
+    if radius is not None and not _is_number(radius):
+        raise InputError(f"h.domain_radius must be a number or null, got {radius!r}")
+    h = make_log_concave(a, b, inst["s"], radius)
     try:
         check_proper(h)
     except NotProper as exc:
@@ -132,7 +146,16 @@ def build_profile(inst: dict) -> ProfilePair:
 def contact_points(inst: dict, h: LogConcaveFn):
     c = inst.get("contacts")
     if c and "points" in c:
-        return np.array(c["points"], dtype=float), c.get("weights")
+        try:
+            pts = np.array(c["points"], dtype=float)
+            weights = None if c.get("weights") is None else np.array(c["weights"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed contacts ({type(exc).__name__}: {exc})")
+        if pts.ndim != 2 or pts.shape[1] != inst["n"]:
+            raise InputError(f"contacts.points must be a list of points in R^{inst['n']}")
+        if weights is not None and weights.shape != (len(pts),):
+            raise InputError(f"contacts.weights must hold one number per point ({len(pts)})")
+        return pts, weights
     cs = contact.detect_contacts(h, inst["s"],
                                  grid_per_axis=inst.get("tolerances", {}).get("grid_per_axis", 201),
                                  gap_tol=inst.get("tolerances", {}).get("gap_tol", 1e-8))
@@ -150,7 +173,7 @@ def build_nu(inst: dict, h: LogConcaveFn) -> isotropy.DiscreteMeasure:
         pts, weights = contact_points(inst, h)
         if weights is None:
             raise InputError("calibrated nu needs construction weights in contacts.weights")
-        return isotropy.calibrated_measure(pts, np.array(weights, dtype=float), h, inst["s"])
+        return isotropy.calibrated_measure(pts, weights, h, inst["s"])
     if isinstance(nu, dict) and "atoms" in nu:
         try:
             pts = np.array([a["x"] for a in nu["atoms"]], dtype=float)
@@ -166,11 +189,14 @@ def build_nu(inst: dict, h: LogConcaveFn) -> isotropy.DiscreteMeasure:
 
 def build_quad(inst: dict) -> rfamily.QuadratureSpec:
     q = inst.get("quadrature", {})
-    return rfamily.QuadratureSpec(
-        x_nodes_per_axis=int(q.get("x_nodes_per_axis", 960)),
-        t_nodes=int(q.get("t_nodes", 4)),
-        domain_radius=q.get("domain_radius"),
-        tol=float(q.get("tol", 1e-6)))
+    try:
+        return rfamily.QuadratureSpec(
+            x_nodes_per_axis=int(q.get("x_nodes_per_axis", 960)),
+            t_nodes=int(q.get("t_nodes", 4)),
+            domain_radius=q.get("domain_radius"),
+            tol=float(q.get("tol", 1e-6)))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed quadrature ({type(exc).__name__}: {exc})")
 
 
 def _pieces_json(h: LogConcaveFn) -> dict:
@@ -185,6 +211,7 @@ def _pieces_json(h: LogConcaveFn) -> dict:
 
 def cmd_fixture(args) -> int:
     n, s = args.n, args.s
+    _check_s(s)
     if args.name == "cross":
         h, cs, weights = contact.cross_fixture(n, s)
         params = {}
@@ -239,7 +266,7 @@ def cmd_verify(args) -> int:
     if weights is None:
         raise InputError("verify needs contacts.weights in the instance")
     tol = inst.get("tolerances", {}).get("decomposition_tol", 1e-8)
-    rep = contact.verify_decomposition(pts, np.array(weights, dtype=float), h, inst["s"], tol)
+    rep = contact.verify_decomposition(pts, weights, h, inst["s"], tol)
     print(_report("verify", inst, rep.as_dict()))
     return EXIT_OK if rep.ok else EXIT_MATH
 

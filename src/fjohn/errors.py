@@ -37,6 +37,10 @@ class NotProper(FJohnError):
     pass
 
 
+class NoCertificate(FJohnError):
+    """An exact test found neither of its two certificates to hold; it does not guess."""
+
+
 class NotJohnPosition(FJohnError):
     pass
 

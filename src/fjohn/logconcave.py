@@ -8,15 +8,17 @@ height form covers the hemisphere-type functions directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .blockmat import EPoint, is_spd
-from .errors import DimensionMismatch, NotProper, SingularA, SubgradientAmbiguous, ZeroValue
+from .errors import (DimensionMismatch, NoCertificate, NotProper, SingularA,
+                     SubgradientAmbiguous, ZeroValue)
 
 KINK_REL_TOL = 1e-9
+SPAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,20 +161,8 @@ def s_lifting_contains(h: LogConcaveFn, p: SLiftingPoint, s: float) -> bool:
 
 
 def s_volume_unit_ball(n: int, s: float) -> float:
-    """Integral of (1 - |x|^2)**(s/2) over the unit ball, via the radial reduction."""
-    if n == 1:
-        surface = 2.0
-    else:
-        from math import gamma, pi
-
-        surface = 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
-    if n == 1:
-        val, _ = integrate.quad(lambda t: (1.0 - t * t) ** (s / 2.0), -1.0, 1.0,
-                                epsabs=0.0, epsrel=1e-11, limit=200)
-        return float(val)
-    val, _ = integrate.quad(lambda t: t ** (n - 1) * (1.0 - t * t) ** (s / 2.0), 0.0, 1.0,
-                            epsabs=0.0, epsrel=1e-11, limit=200)
-    return float(surface * val)
+    """Integral of (1 - |x|^2)**(s/2) over the unit ball, pi^(n/2) G(s/2 + 1) / G((n + s)/2 + 1)."""
+    return math.pi ** (n / 2.0) * math.gamma(s / 2.0 + 1.0) / math.gamma((n + s) / 2.0 + 1.0)
 
 
 def s_volume_ellipsoid(E: EPoint, s: float) -> float:
@@ -183,33 +173,87 @@ def s_volume_ellipsoid(E: EPoint, s: float) -> float:
     return s_volume_unit_ball(E.n, s) * alpha**s * float(np.linalg.det(A))
 
 
-def _positively_spans(a: np.ndarray) -> bool:
-    """True iff the rows of a positively span R^n.
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """argmin |E z - f| over z >= 0, by Lawson and Hanson's active-set method.
 
-    Equivalent to the origin lying in the interior of their convex hull:
-    rank n and a strictly positive convex combination of the rows is zero.
+    C. Lawson and R. Hanson, *Solving Least Squares Problems* (1974), ch. 23:
+    the passive set P gains the index of the largest dual w = E^T (f - E z);
+    while the least-squares solution on P leaves the orthant, z moves toward
+    it until a passive component reaches 0, and that index leaves P.  The
+    method stops when no dual component is positive.
+    """
+    k = E.shape[1]
+    z = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    blocked = np.zeros(k, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * k * (1.0 + np.linalg.norm(f))
+
+    def solve():
+        out = np.zeros(k)
+        out[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+        return out
+
+    for _ in range(4 * k + 4):
+        w = E.T @ (f - E @ z)
+        w[passive | blocked] = -np.inf
+        j = int(np.argmax(w))
+        if not w[j] > tol:
+            return z
+        passive[j] = True
+        trial = solve()
+        if trial[j] <= 0.0:  # w_j > 0 only by rounding: skip j until z moves
+            passive[j], blocked[j] = False, True
+            continue
+        blocked[:] = False
+        while np.any(trial[passive] <= 0.0):
+            q = np.flatnonzero(passive & (trial <= 0.0))
+            step = z[q] / (z[q] - trial[q])
+            i = int(np.argmin(step))
+            z = z + step[i] * (trial - z)
+            z[q[i]] = 0.0
+            passive &= z > 0.0
+            z[~passive] = 0.0
+            trial = solve()
+        z = trial
+    raise NoCertificate(f"NNLS did not stop within {4 * k + 4} passes")
+
+
+def _positive_span(a: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Whether the rows a_j of a (k x n) positively span R^n, with a checked certificate.
+
+    Returns (True, y): y > 0 and a^T y = 0 with a of rank n (Stiemke), or
+    (False, d): d != 0 and a d <= 0, a direction along which no row grows.
+    Rank below n gives d in the kernel of a.  Otherwise, with U the rows
+    scaled to unit length, z = argmin_{z >= 0} |U^T z + U^T 1|: a zero
+    residual r = U^T (1 + z) gives y = 1 + z (rescaled back to a), and a
+    nonzero one gives d = -r, since the optimality conditions read U r >= 0.
+    (k = n rows of rank n always end in d.)  Each certificate is checked to
+    SPAN_TOL relative to its scale; if neither holds, NoCertificate.
     """
     k, n = a.shape
-    if k < n + 1 or np.linalg.matrix_rank(a) < n:
-        return False
-    # max t s.t. sum lam_j a_j = 0, sum lam_j = 1, lam_j >= t
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    A_eq = np.vstack([np.hstack([a.T, np.zeros((n, 1))]), np.hstack([np.ones(k), 0.0])])
-    b_eq = np.zeros(n + 1)
-    b_eq[-1] = 1.0
-    A_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
-    b_ub = np.zeros(k)
-    res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                           bounds=[(None, None)] * k + [(None, None)], method="highs")
-    return bool(res.success and -res.fun > 1e-12)
+    _, sv, vt = np.linalg.svd(a)
+    if np.sum(sv > sv.max(initial=0.0) * max(k, n) * np.finfo(float).eps) < n:
+        return False, vt[-1]
+    norms = np.linalg.norm(a, axis=1)
+    norms[norms == 0.0] = 1.0
+    unit = a / norms[:, None]
+    y = 1.0 + _nnls(unit.T, -unit.sum(axis=0))
+    r = unit.T @ y
+    if np.linalg.norm(r) <= SPAN_TOL * y.sum():
+        return True, y / norms
+    if np.all(unit @ r >= -SPAN_TOL * np.linalg.norm(r)):
+        return False, -r
+    raise NoCertificate(f"positive span of {k} rows in R^{n}: residual {np.linalg.norm(r):.3e} "
+                        f"certifies neither outcome")
 
 
 def check_proper(h: LogConcaveFn) -> None:
     """Raise NotProper unless h has a finite positive integral.
 
-    Max-affine h with unbounded domain must have coercive psi, certified
-    exactly by an LP: the pieces' gradients positively span R^n.  On a domain
+    Max-affine h with unbounded domain must have coercive psi, decided
+    exactly by `_positive_span`: the pieces' gradients positively span R^n;
+    otherwise the message names a direction d along which psi stays
+    bounded (no gradient has <a_j, d> > 0).  On a domain
     ball of positive radius h is positive and bounded, so proper; a radius
     <= 0 leaves a null support.  Ellipsoid-height forms are always proper.
     """
@@ -217,8 +261,11 @@ def check_proper(h: LogConcaveFn) -> None:
     if isinstance(form, EllipsoidHeightPower):
         return
     if form.domain_radius is None:
-        if not _positively_spans(form.a):
-            raise NotProper("unbounded domain and piece gradients do not positively span R^n")
+        spans, d = _positive_span(form.a)
+        if not spans:
+            d = np.round(d / np.linalg.norm(d), 6) + 0.0
+            raise NotProper("unbounded domain and piece gradients do not positively span "
+                            f"R^n: psi stays bounded along d = {d.tolist()}")
     elif form.domain_radius <= 0.0:
         raise NotProper(f"domain radius {form.domain_radius} leaves h a null support")
 

@@ -14,6 +14,10 @@ from typing import Callable
 
 import numpy as np
 
+# 4-node Gauss-Legendre rule on [-1, 1]: exact on each segment of `_convolve_pl`,
+# where the integrand is a product of two linear pieces
+_GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -166,18 +170,17 @@ def _convolve_pl(f: PiecewiseLinear, g: PiecewiseLinear, x: float, order: int = 
         return 0.0
     cuts = np.concatenate([[lo, hi], f.breaks, g.breaks + x])
     cuts = np.unique(np.clip(cuts, lo, hi))
-    nodes, wts = np.polynomial.legendre.leggauss(4)
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a < 1e-15:
             continue
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * nodes
+        t = mid + half * _GL4_NODES
         if order == 0:
             vals = f(t) * g(t - x)
         else:
             vals = f(t) * (-g.deriv(t - x))
-        total += half * float(np.dot(wts, vals))
+        total += half * float(np.dot(_GL4_WEIGHTS, vals))
     return total
 
 

@@ -83,8 +83,17 @@ class TestMalformedInput:
         ("minimize-i1", lambda i: i.update(
             nu={"atoms": [{"x": p, "m": -1.0} for p in i["contacts"]["points"]]}), []),
         ("coercivity", lambda i: None, ["--dirs", "-1"]),
+        ("verify", lambda i: i["h"].update(domain_radius="abc"), []),
+        ("verify", lambda i: i["contacts"].update(
+            points=[p + [0.0] for p in i["contacts"]["points"]]), []),
+        ("verify", lambda i: i["contacts"].update(weights=i["contacts"]["weights"][:1]), []),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis="abc"), []),
+        ("verify", lambda i: i.update(s=-1.0), []),
+        ("minimize-i1", lambda i: i.update(s=0), []),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
-            "negative-nu-mass", "negative-dirs"])
+            "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
+            "contact-points-wrong-dimension", "contact-weights-wrong-length",
+            "x-nodes-not-a-number", "negative-s", "zero-s"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
                                            mutate, extra):
         inst = json.loads(two_level_instance.read_text())
@@ -95,6 +104,13 @@ class TestMalformedInput:
         assert res.returncode == 1
         assert "input error" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys, fjohn.cli; assert 'scipy' not in sys.modules"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 class TestCoercivityCommand:
