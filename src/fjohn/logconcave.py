@@ -85,8 +85,12 @@ def psi_eval(form: PiecewiseLogAffine, x: np.ndarray) -> float:
 
 
 def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
-    """Vectorized psi over rows of X, ignoring the domain ball."""
-    return np.max(X @ form.a.T + form.b, axis=1)
+    """Vectorized psi over rows of X, ignoring the domain ball.
+
+    The (k, N) layout puts the long axis last, so the max over the k pieces
+    runs along contiguous rows instead of over k-wide rows of an (N, k) array.
+    """
+    return np.max(form.a @ X.T + form.b[:, None], axis=0)
 
 
 def eval_h(h: LogConcaveFn, x: np.ndarray) -> float:

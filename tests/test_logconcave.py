@@ -49,6 +49,34 @@ class TestEvalH:
         assert eval_h(h, np.array([2.1])) == 0.0
 
 
+class TestPsiEvalMany:
+    @staticmethod
+    def _row_major(form, X):
+        return np.max(X @ form.a.T + form.b, axis=1)
+
+    def test_shipped_instances(self):
+        rng = np.random.default_rng(19)
+        for path in sorted(INSTANCES.glob("*.json")):
+            inst = json.loads(path.read_text())
+            h = make_log_concave([p["a"] for p in inst["h"]["pieces"]],
+                                 [p["b"] for p in inst["h"]["pieces"]], inst["s"])
+            X = rng.uniform(-2.5, 2.5, size=(20000, h.n))
+            got = logconcave.psi_eval_many(h.form, X)
+            assert got.shape == (len(X),)
+            np.testing.assert_allclose(got, self._row_major(h.form, X), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_max_affine_forms(self, n):
+        rng = np.random.default_rng(23 + n)
+        for k in (1, 2, 7, 30):
+            h = make_log_concave(rng.normal(scale=3.0, size=(k, n)), rng.normal(size=k), 1.0)
+            for count in (1, 5, 4099):
+                X = rng.normal(scale=2.0, size=(count, n))
+                got = logconcave.psi_eval_many(h.form, X)
+                np.testing.assert_allclose(got, self._row_major(h.form, X),
+                                           rtol=1e-15, atol=0.0)
+
+
 class TestGrad:
     def test_constant_zero(self):
         h = make_log_concave([[0.0, 0.0]], [0.0], 1.0)

@@ -10,7 +10,7 @@ from fjohn.errors import BadR, NotConverged, NotInBr
 from fjohn.isotropy import counting_measure, extract_measure, minimize_functional
 from fjohn.logconcave import PiecewiseLogAffine, eval_h_many
 from fjohn.oracle import envelope_breaks_scan
-from fjohn.profiles import ConvolutionProfile, canonical_pair
+from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, _x_grid, band_functional,
                            band_radius, concentration_integral, default_bumps, hat_bump,
                            minimize_band, r_sweep, rescaled_band_functional,
@@ -258,6 +258,7 @@ class TestBandGeometry:
         (1, 1.37, 960, np.array([-0.61, -0.2, 0.0, 0.2, 0.61, 1.2, 3.0])),
         (1, 2.05, 100, np.array([-1.9999, 0.3333])),
         (2, 1.21, 96, None),
+        (3, 0.93, 40, None),
     ])
     def test_x_grid_matches_panel_loop(self, n, radius, nodes, kinks):
         X, W = _x_grid(n, radius, nodes, kinks)
@@ -313,6 +314,116 @@ class TestBandGeometry:
             assert e.value == band_functional(h, S, pair, e.r, e.point, quad)
             assert np.array_equal(e.mu_integrals, ref.lam * raw / ((1.0 - e.r) * lam_r))
             assert e.error is None
+
+
+def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
+    """The full-array kernel that _inner_band replaces, kept as its bit-for-bit reference.
+
+    Every node runs every segment, and f and g choose their piece at every
+    Gauss node.
+    """
+    omr = 1.0 - r
+    g_breaks = g_pl.breaks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau2 = (den[:, None] * g_breaks[None, :] - r2m1[:, None]) / c2[:, None]
+    tau = np.sqrt(np.clip(tau2, 0.0, None))
+    t_roots = (tau - 1.0) / omr
+    t_top = t_roots[:, -1]
+
+    cols = [np.full(len(c2), -1.0)]
+    cols.extend(np.full(len(c2), fb) for fb in f_pl.breaks if fb > -1.0)
+    cols.extend(t_roots[:, k] for k in range(len(g_breaks)))
+    B = np.stack(cols, axis=1)
+    B = np.clip(B, -1.0, np.maximum(t_top, -1.0)[:, None])
+    B.sort(axis=1)
+
+    nodes, wts = np.polynomial.legendre.leggauss(max(gl_nodes, 3))
+    qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
+    total = np.zeros(len(c2))
+    for j in range(B.shape[1] - 1):
+        a, b = B[:, j], B[:, j + 1]
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        seg = np.zeros(len(c2))
+        for xi, wi in zip(nodes, wts):
+            t = mid + half * xi
+            tau_t = 1.0 + omr * t
+            num = r2m1 + c2 * tau_t**2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = num / den
+            q = np.where(den > 0.0, q, np.where(num > 0.0, np.inf, -np.inf))
+            q = np.clip(q, qlo, qhi)
+            if mode == "value":
+                vals = f_pl(t) * g_pl(q)
+            else:
+                vals = f_pl.deriv(t) * tau_t * g_pl(q)
+            seg += wi * vals
+        total += half * seg
+    return total
+
+
+def _custom_pair():
+    """Convex f with a kink at -0.3 (> -1) and g with three kinks."""
+    f = PiecewiseLinear.from_knots([-1.0, -0.3, 0.4], [0.0, 0.35, 1.1], right_slope=2.0)
+    g = PiecewiseLinear.from_knots([-1.0, -0.2, 1.0], [1.0, 0.6, 0.0])
+    return ProfilePair(f=f, g=g)
+
+
+def _kernel_inputs(seed, count=4000):
+    """Band-kernel inputs mixing open, closed, den = 0 and not-live (c2 = 1) nodes."""
+    rng = np.random.default_rng(seed)
+    c2 = rng.uniform(0.05, 3.0, size=count)
+    den = rng.uniform(0.0, 1.2, size=count)
+    r2m1 = rng.uniform(-0.9, 1.5, size=count)
+    kind = rng.integers(0, 4, size=count)
+    den[kind == 1] = 0.0
+    r2m1[kind == 1] = rng.uniform(-0.9, 0.5, size=np.sum(kind == 1))
+    c2[kind == 2] = 1.0
+    return c2, den, r2m1
+
+
+class TestInnerBandKernel:
+    @pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
+                             ids=["canonical", "custom"])
+    @pytest.mark.parametrize("mode", ["value", "density"])
+    @pytest.mark.parametrize("r, gl_nodes", [(0.8, 4), (0.93, 6), (0.6, 2)])
+    def test_matches_full_array_kernel(self, pair, mode, r, gl_nodes):
+        c2, den, r2m1 = _kernel_inputs(int(100 * r) + gl_nodes)
+        got = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, mode, gl_nodes)
+        ref = _full_inner_band(pair.f, pair.g, r, c2, den, r2m1, mode, gl_nodes)
+        assert np.array_equal(got, ref)
+        # the inputs exercise both the open and the closed path, also at den = 0
+        open_ = got != 0.0
+        assert 0.1 < np.mean(open_) < 0.9
+        assert np.any(open_ & (den == 0.0)) and np.any(~open_ & (den == 0.0))
+        assert np.any(open_ & (c2 == 1.0))
+
+    @pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
+                             ids=["canonical", "custom"])
+    @pytest.mark.parametrize("mode", ["value", "density"])
+    def test_all_closed(self, pair, mode):
+        c2, den, _ = _kernel_inputs(7, count=500)
+        r2m1 = den * pair.g.breaks[-1] + np.linspace(0.0, 2.0, 500)  # q(-1) above g's top kink
+        got = rfamily._inner_band(pair.f, pair.g, 0.8, c2, den, r2m1, mode, 4)
+        ref = _full_inner_band(pair.f, pair.g, 0.8, c2, den, r2m1, mode, 4)
+        assert got.shape == (500,) and np.array_equal(got, ref)
+        assert not np.any(got)
+
+    def test_band_inputs_n2(self):
+        # the inputs band_functional builds on an n = 2 grid, both pairs
+        h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
+        p = random_unit_sdet_members(2, S, 1, seed=61)[0]
+        A, alpha, v = p.mat.diag, p.mat.corner, p.shift
+        X, _ = _x_grid(2, 1.4, 120)
+        Y = X @ A.T + v
+        den = 2.0 * eval_h_many(h, X) ** (2.0 / S) * 0.15
+        r2m1 = np.sum(X * X, axis=1) - 1.0
+        c2 = (eval_h_many(h, Y) ** (1.0 / S) / alpha) ** 2
+        for pair in (canonical_pair(), _custom_pair()):
+            for mode in ("value", "density"):
+                got = rfamily._inner_band(pair.f, pair.g, 0.85, c2, den, r2m1, mode, 4)
+                ref = _full_inner_band(pair.f, pair.g, 0.85, c2, den, r2m1, mode, 4)
+                assert np.array_equal(got, ref)
+                assert 0.0 < np.mean(got != 0.0) < 1.0
 
 
 def _envelope_from_kinks(kinks, slopes, rng):
