@@ -359,6 +359,8 @@ def cmd_sweep_r(args) -> int:
             "mu_integrals": e.mu_integrals,
             "mu_reference": e.mu_reference,
             "error": e.error,
+            "evaluations": e.solver.evaluations if e.solver else None,
+            "stop_reason": e.solver.stop_reason if e.solver else None,
         })
     if args.out:
         with open(args.out, "w", newline="") as fh:

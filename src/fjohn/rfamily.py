@@ -4,9 +4,12 @@ Both functionals integrate a product f_r(..) g_r(..) over a thin band around
 the upper unit hemisphere; the band substitution t = (scaled height - 1)/(1-r)
 turns the inner integral into a piecewise-polynomial in t whenever the
 profiles are piecewise linear, so it is integrated segment-exactly and the
-only quadrature error comes from the outer x grid.  The concentration
-measure density and the stationarity multiplier reuse the same machinery
-with the derivative profile.
+only quadrature error comes from the outer x grid.  The same segment pass
+also gives the derivative of the inner integral, and through the chain rule
+the analytic gradient of the band functional in the minimizer's
+coordinates, so the minimizer is Newton on that gradient.  The
+concentration measure density and the stationarity multiplier reuse the
+same machinery with the derivative profile.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import BlockMat, EPoint, expm_sym, s_trace
+from .blockmat import BlockMat, EPoint, s_trace, sdet1_param
 from .errors import BadR, NotConverged, NotInBr, SingularA
 from .isotropy import DiscreteMeasure, MinimizerResult
 from .logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
@@ -33,7 +36,10 @@ class QuadratureSpec:
     The inner kernel integrates only the grid nodes where the band is open,
     so a band evaluation costs in proportion to the open share of the grid
     (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
-    x_nodes_per_axis ** n.  Both node counts must be positive.
+    x_nodes_per_axis ** n.  Counts the rules would silently raise are
+    rejected: the inner Gauss rule has at least 3 nodes per segment, and the
+    outer grid at least 4 panels of 8 nodes per axis, so `t_nodes` must be at
+    least 3 and `x_nodes_per_axis` at least 25.
     """
 
     x_nodes_per_axis: int = 960
@@ -42,9 +48,9 @@ class QuadratureSpec:
     tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("x_nodes_per_axis", "t_nodes"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, least in (("x_nodes_per_axis", 25), ("t_nodes", 3)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 def sup_h_pow2(h: LogConcaveFn, s: float, probe_radius: float = 2.0) -> float:
@@ -130,6 +136,9 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 
     mode 'value':   integral of f(t) g(q(t)) dt
     mode 'density': integral of f'(t) (1 + (1-r)t) g(q(t)) dt
+    mode 'grad':    the 'value' integral I and its derivative in c2,
+                    I' = integral of f(t) g'(q(t)) (1+(1-r)t)^2/den dt,
+                    stacked as a (2, N) array
     with q(t) = (r2m1 + c2 (1+(1-r)t)^2)/den, increasing in t >= -1.  Between
     the kinks of f and the pullbacks of the kinks of g the integrand is a
     polynomial of degree <= 3, so the per-segment Gauss rule is exact, and
@@ -138,10 +147,14 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     kink of g lies above -1; everywhere else each segment end clips to -1 and
     the integral is exactly 0.  The segments are integrated on the open
     nodes alone, so the cost follows the open share of the grid (about a
-    third of an n = 2 grid at r = 0.8), not its size.
+    third of an n = 2 grid at r = 0.8), not its size.  f(t) g(q(t)) is
+    continuous at every segment end and vanishes at the top one, so moving
+    the ends with c2 adds no term to I': it is accumulated in the same pass,
+    on the same nodes and pieces.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
+    grad = mode == "grad"
     total = np.zeros(len(c2))
 
     def pullback(gb):  # t with q(t) = gb; -1/(1-r), i.e. tau = 0, where q(tau = 0) >= gb
@@ -152,7 +165,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
     is_open = np.flatnonzero(~(pullback(g_breaks[-1:])[:, 0] <= -1.0))
     if not len(is_open):
-        return total
+        return np.stack([total, total]) if grad else total
     c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
     t_roots = pullback(g_breaks)
     t_top = t_roots[:, -1:]
@@ -177,6 +190,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         return np.clip(q, qlo, qhi)
 
     inner = np.zeros(len(c2))
+    d_inner = np.zeros(len(c2)) if grad else None
     for j in range(B.shape[1] - 1):
         a, b = B[:, j], B[:, j + 1]
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
@@ -185,18 +199,30 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         f_slope, f_icpt = f_pl.slopes[kf], f_pl.intercepts[kf]
         g_slope, g_icpt = g_pl.slopes[kg], g_pl.intercepts[kg]
         seg = np.zeros(len(c2))
+        d_seg = np.zeros(len(c2)) if grad else None
         for xi, wi in zip(nodes, wts):
             t = mid + half * xi
             tau_t = 1.0 + omr * t
             g_q = g_slope * q_of(tau_t) + g_icpt
             if mode == "value":
                 vals = (f_slope * t + f_icpt) * g_q
+            elif grad:  # g' = g_slope is fixed on the segment: applied once below
+                f_t = f_slope * t + f_icpt
+                vals = f_t * g_q
+                d_seg += wi * (f_t * tau_t**2)
             else:
                 vals = f_slope * tau_t * g_q
             seg += wi * vals
         inner += half * seg
+        if grad:
+            d_inner += (half * g_slope) * d_seg
     total[is_open] = inner
-    return total
+    if not grad:
+        return total
+    d_total = np.zeros(len(total))
+    with np.errstate(divide="ignore", invalid="ignore"):  # den = 0: q is +-inf, fixed in c2
+        d_total[is_open] = np.where(den_pos, d_inner / den, 0.0)
+    return np.stack([total, d_total])
 
 
 class _Band:
@@ -231,8 +257,8 @@ class _Band:
         the band variable is A^-1 (x - v).  For n = 1 the panels follow the
         kinks of psi in both variables.  h^(1/s) is evaluated only where the
         band can be open (q(-1) below the top kink of g) and is 0 elsewhere,
-        where every inner integral is 0.  Returns None in mode 'value' when
-        part of the open band lies where h vanishes.
+        where every inner integral is 0.  Returns None in modes 'value' and
+        'grad' when part of the open band lies where h vanishes.
         """
         radius = (self.radius if shifted else
                   float(np.linalg.norm(A, 2) * self.radius + np.linalg.norm(v)) + 1e-9)
@@ -250,7 +276,7 @@ class _Band:
         h_y = np.zeros(len(X))
         h_y[near] = eval_h_many(self.h, Y[near]) ** (1.0 / self.s)
         live = h_y > 0.0
-        if mode == "value" and np.any(near & ~live):
+        if mode != "density" and np.any(near & ~live):
             return None
         c2 = np.where(live, h_y / alpha, 1.0) ** 2
         inner = _inner_band(self.f, self.g, self.r, c2, den, r2m1, mode, self.quad.t_nodes)
@@ -276,6 +302,45 @@ def _band_value(band: _Band, p: EPoint) -> float:
         return float("inf")
     _, W, h_y, inner = terms
     return float(np.sum(W * (h_y / alpha) * inner))
+
+
+def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.ndarray]:
+    """Band functional at p = (exp S, exp(-tr S / s), v) and its gradient in theta.
+
+    theta = (upper triangle of S, v), the coordinates of `_minimize_band`.
+    The value is `_band_value(band, p)` bit for bit.  With c = h(y)^(1/s)/alpha
+    at y = Ax + v and the inner integral I(c^2), each node contributes
+    W c I(c^2), so the gradient is sum W c (I + 2 c^2 I') d(log c), where
+    d(log c) = -(1/s) a_j(y) . dy + tr(dS)/s with a_j(y) the active piece of
+    psi at y.  dy = dA x + dv; dA = L(S, dS) is the Frechet derivative of
+    the symmetric matrix exponential (Daleckii-Krein: in the eigenbasis of
+    S, dS scaled entrywise by the divided differences of exp), which is
+    self-adjoint, so the S-gradient is L(S, G) for G = sum (weight) a_j x^T.
+    Returns (inf, None) beyond the coercive barrier.
+    """
+    A, alpha, v = p.mat.diag, p.mat.corner, p.shift
+    terms = band.terms(A, alpha, v, shifted=True, mode="grad")
+    if terms is None:
+        return float("inf"), None
+    X, W, h_y, (inner, d_inner) = terms
+    c = h_y / alpha
+    value = float(np.sum(W * c * inner))
+    nz = np.flatnonzero(inner)  # the open nodes, the only ones with a term
+    Xn, cn = X[nz], c[nz]
+    omega = W[nz] * cn * (inner[nz] + 2.0 * cn * cn * d_inner[nz])
+    form = band.h.form
+    a_j = form.a[np.argmax((Xn @ A.T + v) @ form.a.T + form.b, axis=1)]
+    lam, V = np.linalg.eigh(S)
+    half_gap = 0.5 * np.subtract.outer(lam, lam)
+    sinhc = np.divide(np.sinh(half_gap), half_gap, out=np.ones_like(half_gap),
+                      where=half_gap != 0.0)
+    gamma = np.exp(0.5 * np.add.outer(lam, lam)) * sinhc  # divided differences of exp
+    G = (a_j.T * omega) @ Xn  # sum omega a_j x^T
+    D = V @ ((V.T @ G @ V) * gamma) @ V.T
+    s, upper = band.s, np.triu_indices(band.h.n)
+    g_S = (D + D.T - np.diag(np.diag(D)))[upper] / -s
+    g_S[upper[0] == upper[1]] += float(np.sum(omega)) / s
+    return value, np.concatenate([g_S, (a_j.T @ omega) / -s])
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -345,6 +410,23 @@ def _logm_sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (L + L.T)
 
 
+@dataclass
+class BandMinimum:
+    """What `_minimize_band` found, and how it got there."""
+
+    point: EPoint
+    value: float
+    evaluations: int  # value-and-gradient calls, Hessian columns and line-search trials included
+    iterations: int   # Newton steps taken
+    stop_reason: str  # CONVERGED, RESOLVED or "max_iter"
+    grad_norm: float  # norm of the gradient in theta at `point`
+
+
+CONVERGED = "predicted decrease below rounding"
+RESOLVED = "no descent beyond the difference step"
+ROUNDING = 1e-12  # relative level of the value below which a predicted decrease is not resolved
+
+
 def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                   quad: QuadratureSpec, x0: EPoint | None = None,
                   max_iter: int = 400) -> tuple[EPoint, float]:
@@ -352,89 +434,105 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
 
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
-    loses nothing at a minimum).  Derivative-free compass search with a
-    shrinking step, then a short finite-difference gradient polish.  The band
-    geometry (radius, kinks of psi) is built once per minimization, and a
-    position already visited is not evaluated again.  Returns the minimizer
-    and the stationarity multiplier.
+    loses nothing at a minimum).  Newton in theta = (upper triangle of S,
+    shift) on the analytic gradient of `_band_value_grad`, with the Hessian
+    from differences of that gradient and Armijo backtracking on the value;
+    it stops once the decrease the Newton step predicts is below the
+    rounding of the value, once no step down to the Hessian's difference
+    step descends, or after `max_iter` Newton steps.  The band
+    geometry (radius, kinks of psi) is built once per minimization.  Returns
+    the minimizer and the stationarity multiplier.
     """
     band = _Band(h, s, pair, r, quad)
-    point, _ = _minimize_band(band, x0, max_iter)
+    point = _minimize_band(band, x0, max_iter).point
     return point, _multiplier(band, *_density_terms(band, point))
 
 
-def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> tuple[EPoint, float]:
-    """minimize_band on a prepared band geometry: (minimizer, band functional there)."""
+def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> BandMinimum:
+    """minimize_band on a prepared band geometry, as a solver record.
+
+    Every evaluation is one `_band_value_grad` call.  Each Newton step builds
+    the Hessian from forward differences of the gradient with step
+    fd = 1e-4 (1-r) (theta moves on the scale 1-r of the band), floors its
+    eigenvalues in magnitude so that the step descends, and halves the step
+    until Armijo (1e-4) holds on the value; +inf beyond the coercive barrier
+    is a rejection.  The minimizer stops (CONVERGED) once the newest Hessian
+    predicts a decrease below ROUNDING of the value: the n = 1 grid follows
+    the kinks of psi(Ax + v) and moves with theta, so the analytic gradient
+    and the discrete values differ at the quadrature level (~1e-6 of the
+    gradient, ~1e-12 of the value), and a smaller decrease is not resolved.
+    It also stops (RESOLVED) when the halved step falls below fd, the scale
+    the Hessian was measured on, without a decrease: that is where the
+    discrete functional stops following its Newton model, as on a fixed
+    n >= 2 grid, whose nodes cross the kinks of psi one by one.
+    """
     n, s, r = band.h.n, band.s, band.r
+    if not isinstance(band.h.form, PiecewiseLogAffine):
+        raise ValueError("band minimizer needs the max-affine form")
     upper = np.triu_indices(n)  # theta = (upper triangle of S, shift)
     dim_s = len(upper[0])
+    evals = 0
 
-    def to_point(theta: np.ndarray) -> EPoint:
+    def to_point(theta: np.ndarray) -> tuple[EPoint, np.ndarray]:
         S = np.zeros((n, n))
         S[upper] = S[upper[::-1]] = theta[:dim_s]
-        A = expm_sym(S)
-        alpha = float(np.exp(-np.trace(S) / s))
-        return EPoint(BlockMat(A, alpha), theta[dim_s:])
+        return EPoint(BlockMat(*sdet1_param(S, s)), theta[dim_s:]), S
 
-    seen: dict[tuple, float] = {}  # thetas a few ulps apart can share a position
-
-    def obj(theta: np.ndarray) -> float:
-        p = to_point(theta)
-        key = (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes())
-        if key not in seen:
-            seen[key] = _band_value(band, p)
-        return seen[key]
+    def evaluate(theta: np.ndarray):
+        nonlocal evals
+        evals += 1
+        return _band_value_grad(band, *to_point(theta))
 
     if x0 is not None:
         theta = np.concatenate([_logm_sym(x0.mat.diag)[upper], x0.shift])
     else:
         theta = np.zeros(dim_s + n)
-    value = obj(theta)
+    value, grad = evaluate(theta)
     if not np.isfinite(value):
         raise NotConverged("band functional infinite at the starting point")
 
-    step = 0.25 * (1.0 - r)
-    step_min = 1e-7 * (1.0 - r)
-    evals = 0
-    while step > step_min and evals < 60 * max_iter:
-        improved = False
-        for k in range(len(theta)):
-            for sgn in (1.0, -1.0):
-                cand = theta.copy()
-                cand[k] += sgn * step
-                val = obj(cand)
-                evals += 1
-                if val < value - 1e-15:
-                    theta, value = cand, val
-                    improved = True
+    fd = 1e-4 * (1.0 - r)
+    hess, it, stop = None, 0, CONVERGED
+    while hess is None or _newton(hess, grad)[1] > ROUNDING * value:
+        if it == max_iter:
+            stop = "max_iter"
+            break
+        cols = []
+        for unit in np.eye(len(theta)):
+            for step in (fd, -fd):  # backwards where the forward point is beyond the barrier
+                g_k = evaluate(theta + step * unit)[1]
+                if g_k is not None:
                     break
-            if improved:
+            else:
+                raise NotConverged(f"coercive barrier within {fd:.1e} of the iterate at r={r}")
+            cols.append((g_k - grad) / step)
+        hess = 0.5 * (np.array(cols) + np.array(cols).T)
+        delta, decrease = _newton(hess, grad)
+        if decrease <= ROUNDING * value:
+            break
+        t = 1.0
+        while True:
+            c_value, c_grad = evaluate(theta + t * delta)
+            if c_value <= value - 2e-4 * t * decrease:
                 break
-        if not improved:
-            step *= 0.5
+            t *= 0.5
+            if t * np.linalg.norm(delta) < fd:
+                stop = RESOLVED
+                break
+        if stop == RESOLVED:
+            break
+        theta, value, grad, it = theta + t * delta, c_value, c_grad, it + 1
+    return BandMinimum(point=to_point(theta)[0], value=value, evaluations=evals,
+                       iterations=it, stop_reason=stop,
+                       grad_norm=float(np.linalg.norm(grad)))
 
-    # finite-difference gradient polish
-    fd = 1e-7
-    for _ in range(20):
-        g = np.zeros_like(theta)
-        for k in range(len(theta)):
-            e = np.zeros_like(theta)
-            e[k] = fd
-            g[k] = (obj(theta + e) - obj(theta - e)) / (2.0 * fd)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            break
-        stepg, moved = (1.0 - r) * 0.01 / max(gn, 1e-30), False
-        for _ in range(20):
-            cand = theta - stepg * g
-            val = obj(cand)
-            if val < value - 1e-15:
-                theta, value, moved = cand, val, True
-                break
-            stepg *= 0.5
-        if not moved:
-            break
-    return to_point(theta), value
+
+def _newton(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton step on the eigenvalue-floored Hessian and the decrease it predicts."""
+    lam, V = np.linalg.eigh(hess)
+    lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
+    coef = (V.T @ grad) / lam
+    return -(V @ coef), 0.5 * float(np.dot(coef, V.T @ grad))
 
 
 def hat_bump(center, halfwidth: float):
@@ -489,6 +587,7 @@ class SweepEntry:
     mu_integrals: np.ndarray
     mu_reference: np.ndarray
     error: str | None = None  # "<ExceptionClass>: <message>" when the r failed
+    solver: BandMinimum | None = None  # the minimizer's record; None when the r failed
 
 
 @dataclass
@@ -545,7 +644,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             else:
                 x0 = None
             band = _Band(h, s, pair, r, quad)
-            point, value = _minimize_band(band, x0, 400)
+            solver = _minimize_band(band, x0, 400)
+            point, value = solver.point, solver.value
             terms = _density_terms(band, point)
             lam_r = _multiplier(band, *terms)
         except (NotConverged, NotInBr, SingularA) as exc:
@@ -570,5 +670,5 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             r=r, point=point, rescaled=rescaled, lambda_r=lam_r, value=value,
             dist_to_identity=dist, normalized_s_trace=nst,
             secant_to_reference=secant, mu_integrals=mu_norm,
-            mu_reference=ref_integrals))
+            mu_reference=ref_integrals, solver=solver))
     return result

@@ -94,11 +94,14 @@ class TestMalformedInput:
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5), []),
         ("sweep-r", lambda i: i["quadrature"].update(t_nodes=0), []),
         ("sweep-r", lambda i: i["quadrature"].update(t_nodes=-2), []),
+        ("sweep-r", lambda i: i["quadrature"].update(t_nodes=2), []),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8), []),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
             "x-nodes-not-a-number", "negative-s", "zero-s", "x-nodes-zero",
-            "x-nodes-negative", "t-nodes-zero", "t-nodes-negative"])
+            "x-nodes-negative", "t-nodes-zero", "t-nodes-negative",
+            "t-nodes-below-three", "x-nodes-below-four-panels"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
                                            mutate, extra):
         inst = json.loads(two_level_instance.read_text())

@@ -8,7 +8,7 @@ from fjohn.blockmat import BlockMat, EPoint, s_det, sdet1_param
 from fjohn.contact import two_level_cross_fixture
 from fjohn.errors import BadR, NotConverged, NotInBr
 from fjohn.isotropy import counting_measure, extract_measure, minimize_functional
-from fjohn.logconcave import PiecewiseLogAffine, eval_h_many
+from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
 from fjohn.oracle import envelope_breaks_scan
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, _x_grid, band_functional,
@@ -17,6 +17,7 @@ from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, _x_grid, band_fu
                            stationarity_multiplier, sup_h_pow2, trapezoid_bump)
 
 S = 1.0
+CONVERGED_STOPS = (rfamily.CONVERGED, rfamily.RESOLVED)  # both stop at a minimum
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +171,150 @@ class TestRescaledBandFunctional:
         assert sups[0] > sups[1] > sups[2]
 
 
+def _theta_point(theta, n):
+    """(position, S) at theta = (upper triangle of S, shift), as the band minimizer maps it."""
+    upper = np.triu_indices(n)
+    Sm = np.zeros((n, n))
+    Sm[upper] = Sm[upper[::-1]] = theta[:len(upper[0])]
+    A, alpha = sdet1_param(Sm, S)
+    return EPoint(BlockMat(A, alpha), theta[len(upper[0]):]), Sm
+
+
+def _compass_minimize(band, max_iter=400):
+    """The compass search and finite-difference polish the Newton minimizer replaced.
+
+    Kept as the reference oracle of `_minimize_band`: derivative-free steps
+    of 0.25 (1-r) halved down to 1e-7 (1-r), a position already visited is
+    not evaluated again, then a gradient polish on central differences.
+    Starts at the identity and returns (point, value).
+    """
+    n, r = band.h.n, band.r
+    seen = {}
+
+    def obj(theta):
+        p = _theta_point(theta, n)[0]
+        key = (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes())
+        if key not in seen:
+            seen[key] = rfamily._band_value(band, p)
+        return seen[key]
+
+    theta = np.zeros(n * (n + 1) // 2 + n)
+    value = obj(theta)
+    step, evals = 0.25 * (1.0 - r), 0
+    while step > 1e-7 * (1.0 - r) and evals < 60 * max_iter:
+        improved = False
+        for k in range(len(theta)):
+            for sgn in (1.0, -1.0):
+                cand = theta.copy()
+                cand[k] += sgn * step
+                val = obj(cand)
+                evals += 1
+                if val < value - 1e-15:
+                    theta, value, improved = cand, val, True
+                    break
+            if improved:
+                break
+        if not improved:
+            step *= 0.5
+    fd = 1e-7
+    for _ in range(20):
+        g = np.array([(obj(theta + e) - obj(theta - e)) / (2.0 * fd)
+                      for e in fd * np.eye(len(theta))])
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        stepg, moved = (1.0 - r) * 0.01 / max(gn, 1e-30), False
+        for _ in range(20):
+            cand = theta - stepg * g
+            val = obj(cand)
+            if val < value - 1e-15:
+                theta, value, moved = cand, val, True
+                break
+            stepg *= 0.5
+        if not moved:
+            break
+    return _theta_point(theta, n)[0], value
+
+
+class TestBandGradient:
+    @pytest.mark.parametrize("r", [0.8, 0.9])
+    def test_matches_central_differences_n1(self, fixture, quad, r):
+        h, _, _ = fixture
+        band = rfamily._Band(h, S, canonical_pair(), r, quad)
+        rng = np.random.default_rng(int(100 * r))
+        step, worst = 1e-6, 0.0
+        for _ in range(20):
+            theta = rng.normal(scale=0.3 * (1.0 - r), size=2)
+            value, grad = rfamily._band_value_grad(band, *_theta_point(theta, 1))
+            fd = np.array([
+                (band_functional(h, S, canonical_pair(), r, _theta_point(theta + e, 1)[0], quad)
+                 - band_functional(h, S, canonical_pair(), r, _theta_point(theta - e, 1)[0], quad))
+                / (2.0 * step) for e in step * np.eye(2)])
+            worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
+        assert worst <= 1e-4
+
+    @pytest.mark.parametrize("r", [0.8, 0.9])
+    def test_matches_central_differences_n2(self, r):
+        h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
+        quad = QuadratureSpec(x_nodes_per_axis=96)
+        band = rfamily._Band(h, S, canonical_pair(), r, quad)
+        rng = np.random.default_rng(int(200 * r))
+        step = 1e-6
+        for _ in range(3):
+            theta = rng.normal(scale=0.3 * (1.0 - r), size=5)
+            _, grad = rfamily._band_value_grad(band, *_theta_point(theta, 2))
+            fd = np.array([
+                (band_functional(h, S, canonical_pair(), r, _theta_point(theta + e, 2)[0], quad)
+                 - band_functional(h, S, canonical_pair(), r, _theta_point(theta - e, 2)[0], quad))
+                / (2.0 * step) for e in step * np.eye(5)])
+            assert np.linalg.norm(fd - grad) <= 1e-4 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_value_is_band_value(self, n):
+        h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
+        quad = QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96)
+        rng = np.random.default_rng(67 + n)
+        for r in (0.8, 0.95):
+            band = rfamily._Band(h, S, canonical_pair(), r, quad)
+            for _ in range(5):
+                p, Sm = _theta_point(rng.normal(scale=0.05, size=n * (n + 1) // 2 + n), n)
+                value, _ = rfamily._band_value_grad(band, p, Sm)
+                assert value == rfamily._band_value(band, p)
+                assert value == band_functional(h, S, canonical_pair(), r, p, quad)
+
+    def test_barrier_has_no_gradient(self):
+        # a shift that pushes the band beyond the bounded domain of h
+        form = two_level_cross_fixture(1, S, 0.4, 0.8)[0].form
+        bounded = make_log_concave(form.a, form.b, S, domain_radius=1.2)
+        band = rfamily._Band(bounded, S, canonical_pair(), 0.9, QuadratureSpec())
+        p, Sm = _theta_point(np.array([0.0, 0.5]), 1)
+        assert rfamily._band_value(band, p) == float("inf")
+        assert rfamily._band_value_grad(band, p, Sm) == (float("inf"), None)
+
+
 class TestMinimizeBand:
+    @pytest.mark.parametrize("r", [0.8, 0.9, 0.99])
+    def test_lands_on_compass_minimizer(self, fixture, quad, r):
+        h, _, _ = fixture
+        band = rfamily._Band(h, S, canonical_pair(), r, quad)
+        ref_point, ref_value = _compass_minimize(band)
+        res = rfamily._minimize_band(band, None, 400)
+        assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 40
+        assert (res.point - ref_point).norm() / (1.0 - r) <= 1e-5
+        assert res.value <= ref_value * (1.0 + 1e-10)
+        assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
+
+    @pytest.mark.parametrize("r", [0.8, 0.9])
+    def test_same_loop_at_n2(self, r):
+        h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
+        quad = QuadratureSpec(x_nodes_per_axis=96)
+        band = rfamily._Band(h, S, canonical_pair(), r, quad)
+        res = rfamily._minimize_band(band, None, 400)
+        assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 60
+        assert s_det(res.point.mat, S) == pytest.approx(1.0, abs=1e-10)
+        assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
+        assert res.value < band_functional(h, S, canonical_pair(), r, identity_point(2), quad)
+
     def test_unit_sdet_and_trend(self, fixture, quad):
         h, _, _ = fixture
         pair = canonical_pair()
@@ -284,18 +428,30 @@ class TestBandGeometry:
         assert len(set(alone)) == len(alone)
 
     def test_minimize_band_never_revisits(self, fixture, quad, monkeypatch):
-        h, _, _ = fixture
-        seen = []
-        original = rfamily._band_value
+        # every value(+gradient) call counts once; none repeats a position,
+        # and the acceptance sweep stays within the Newton budget per r
+        h, cs, _ = fixture
+        pair = canonical_pair()
+        F = ConvolutionProfile(pair)
+        nu = counting_measure(cs.points)
+        ref = minimize_functional(h, S, nu, F)
+        mu0 = extract_measure(ref, h, S, nu, F)
+        seen = {}
+        original = rfamily._band_value_grad
 
-        def recording(band, p):
-            seen.append((p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes()))
-            return original(band, p)
+        def recording(band, p, Sm):
+            seen.setdefault(band.r, []).append(
+                (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes()))
+            return original(band, p, Sm)
 
-        monkeypatch.setattr(rfamily, "_band_value", recording)
-        minimize_band(h, S, canonical_pair(), 0.9, quad)
-        assert len(seen) > 50
-        assert len(set(seen)) == len(seen)
+        monkeypatch.setattr(rfamily, "_band_value_grad", recording)
+        schedule = [0.8, 0.9, 0.95, 0.99]
+        sweep = r_sweep(h, S, pair, schedule, quad, ref, mu0)
+        counts = [len(seen[r]) for r in schedule]
+        assert counts == [e.solver.evaluations for e in sweep.entries]
+        assert all(len(set(calls)) == len(calls) for calls in seen.values())
+        assert np.median(counts) <= 20 and max(counts) <= 40
+        assert all(e.solver.stop_reason in CONVERGED_STOPS for e in sweep.entries)
 
     def test_sweep_integrals_match_public_calls(self, fixture, quad):
         h, cs, _ = fixture
@@ -396,6 +552,23 @@ class TestInnerBandKernel:
         assert 0.1 < np.mean(open_) < 0.9
         assert np.any(open_ & (den == 0.0)) and np.any(~open_ & (den == 0.0))
         assert np.any(open_ & (c2 == 1.0))
+
+    @pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
+                             ids=["canonical", "custom"])
+    @pytest.mark.parametrize("r", [0.8, 0.93])
+    def test_grad_mode(self, pair, r):
+        # row 0 is the 'value' kernel bit for bit, row 1 its derivative in c2
+        c2, den, r2m1 = _kernel_inputs(71)
+        value, d_value = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, "grad", 4)
+        assert np.array_equal(value, rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1,
+                                                         "value", 4))
+        assert not np.any(d_value[(den == 0.0) | (value == 0.0)])
+        step = 1e-6 * c2
+        fd = (rfamily._inner_band(pair.f, pair.g, r, c2 + step, den, r2m1, "value", 4)
+              - rfamily._inner_band(pair.f, pair.g, r, c2 - step, den, r2m1, "value", 4)) / (2 * step)
+        pos = den > 0.0
+        assert np.allclose(d_value[pos], fd[pos], rtol=1e-6, atol=1e-8 * np.max(np.abs(fd)))
+        assert np.mean(d_value[pos] != 0.0) > 0.1
 
     @pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
                              ids=["canonical", "custom"])
@@ -524,3 +697,6 @@ class TestSweepErrors:
         assert rows[0]["error"] == "NotConverged: band functional infinite at the starting point"
         assert rows[0]["lambda_r"] == "nan" and rows[0]["minimizer"] is None
         assert rows[1]["error"] is None and rows[1]["lambda_r"] > 0.0
+        assert rows[0]["evaluations"] is None and rows[0]["stop_reason"] is None
+        assert rows[1]["evaluations"] > 0
+        assert rows[1]["stop_reason"] in CONVERGED_STOPS
