@@ -36,10 +36,13 @@ class QuadratureSpec:
     The inner kernel integrates only the grid nodes where the band is open,
     so a band evaluation costs in proportion to the open share of the grid
     (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
-    x_nodes_per_axis ** n.  Counts the rules would silently raise are
-    rejected: the inner Gauss rule has at least 3 nodes per segment, and the
-    outer grid at least 4 panels of 8 nodes per axis, so `t_nodes` must be at
-    least 3 and `x_nodes_per_axis` at least 25.
+    x_nodes_per_axis ** n.  The grid is walked in blocks of about 32k nodes,
+    so an evaluation holds one block's temporaries and a few full-length
+    arrays of floats (weights, h and the inner integrals), never the
+    (nodes, n) array of grid points.  Counts the rules would silently raise
+    are rejected: the inner Gauss rule has at least 3 nodes per segment, and
+    the outer grid at least 4 panels of 8 nodes per axis, so `t_nodes` must
+    be at least 3 and `x_nodes_per_axis` at least 25.
     """
 
     x_nodes_per_axis: int = 960
@@ -74,17 +77,17 @@ def _gauss(k: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
-    """Composite 8-node Gauss-Legendre grid on [-radius, radius]^n.
+def _axis_rule(radius: float, nodes_per_axis: int, kinks=None):
+    """Composite 8-node Gauss-Legendre rule (nodes, weights) on [-radius, radius].
 
-    For n = 1 the panel edges are aligned with the supplied kink locations
+    With kink locations supplied, the panel edges are aligned with them
     (piece switches of the max-affine exponents), which keeps the integrand
-    analytic inside every panel.
+    analytic inside every panel.  The node count is a multiple of 8.
     """
     per_panel = 8
     panels = max(4, int(np.ceil(nodes_per_axis / per_panel)))
     xi, wi = _gauss(per_panel)
-    if n == 1 and kinks is not None and len(kinks):
+    if kinks is not None and len(kinks):
         inner = kinks[(kinks > -radius + 1e-12) & (kinks < radius - 1e-12)]
         base = np.unique(np.concatenate([[-radius, radius], inner]))
         a, b = base[:-1], base[1:]
@@ -98,13 +101,20 @@ def _x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
     else:
         edges = np.linspace(-radius, radius, panels + 1)
     half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[:-1] + edges[1:])
-    x1 = (mid[:, None] + half[:, None] * xi).ravel()
-    w1 = (half[:, None] * wi).ravel()
-    if n == 1:
-        return x1[:, None], w1
+    return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wi).ravel()
+
+
+def _x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
+    """Tensor grid of `_axis_rule` on [-radius, radius]^n: nodes (N, n), weights (N,).
+
+    Node i0 * P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the
+    P nodes x of the axis rule.  `_Band.terms` walks this order in blocks
+    without building the grid; this whole-grid form is its reference.
+    Kinks are used for n = 1 only.
+    """
+    x1, w1 = _axis_rule(radius, nodes_per_axis, kinks if n == 1 else None)
     pts = np.stack([m.ravel() for m in np.meshgrid(*([x1] * n), indexing="ij")], axis=1)
-    wts = functools.reduce(np.multiply.outer, [w1] * n).ravel()
-    return pts, wts
+    return pts, functools.reduce(np.multiply.outer, [w1] * n).ravel()
 
 
 def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.ndarray:
@@ -129,6 +139,10 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.nd
     return np.array([x for x in breaks if lo < x < hi])
 
 
+_BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.terms`: ~32k, so its temporaries stay in cache
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # q at den = 0 is resolved by np.where below
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
                 c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray,
                 mode: str, gl_nodes: int) -> np.ndarray:
@@ -146,8 +160,11 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     its midpoint.  The band is open only where the pullback t_top of the top
     kink of g lies above -1; everywhere else each segment end clips to -1 and
     the integral is exactly 0.  The segments are integrated on the open
-    nodes alone, so the cost follows the open share of the grid (about a
-    third of an n = 2 grid at r = 0.8), not its size.  f(t) g(q(t)) is
+    nodes alone, so the cost follows the open share of the nodes given
+    (about a third of an n = 2 grid at r = 0.8), not their number.  Every
+    node is integrated on its own, so `_Band.terms` calls this on one block
+    of the grid at a time and gets the same bits as on the whole grid; its
+    temporaries are then the size of a block.  f(t) g(q(t)) is
     continuous at every segment end and vanishes at the top one, so moving
     the ends with c2 adds no term to I': it is accumulated in the same pass,
     on the same nodes and pieces.
@@ -158,8 +175,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     total = np.zeros(len(c2))
 
     def pullback(gb):  # t with q(t) = gb; -1/(1-r), i.e. tau = 0, where q(tau = 0) >= gb
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
+        tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
         return (np.sqrt(np.clip(tau2, 0.0, None)) - 1.0) / omr
 
     # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
@@ -183,8 +199,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 
     def q_of(tau_t):
         num = r2m1 + c2 * tau_t**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = num / den
+        q = num / den
         if not all_pos:
             q = np.where(den_pos, q, np.where(num > 0.0, np.inf, -np.inf))
         return np.clip(q, qlo, qhi)
@@ -220,8 +235,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     if not grad:
         return total
     d_total = np.zeros(len(total))
-    with np.errstate(divide="ignore", invalid="ignore"):  # den = 0: q is +-inf, fixed in c2
-        d_total[is_open] = np.where(den_pos, d_inner / den, 0.0)
+    d_total[is_open] = np.where(den_pos, d_inner / den, 0.0)  # den = 0: q is +-inf, fixed in c2
     return np.stack([total, d_total])
 
 
@@ -229,8 +243,9 @@ class _Band:
     """What a band quadrature needs that does not depend on the position.
 
     Built once per (h, s, pair, r, quad) and kept for one call or one
-    minimization: the profiles, the band radius and, for n = 1 max-affine
-    psi, the kinks of its envelope on the whole line.
+    minimization: the profiles, the band radius, for n = 1 max-affine psi
+    the kinks of its envelope on the whole line, and the upper-triangle
+    indices of the minimizer's coordinates.
     """
 
     def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -248,9 +263,11 @@ class _Band:
             self.radius = float(quad.domain_radius)
         one_d = h.n == 1 and isinstance(h.form, PiecewiseLogAffine)
         self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if one_d else None
+        self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
+        self.on_diagonal = self.upper[0] == self.upper[1]
 
     def terms(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool, mode: str):
-        """Grid X, weights W, h^(1/s) at the band-factor argument, and the inner integrals.
+        """Nodes, weights W, h^(1/s) at the band-factor argument, and the inner integrals.
 
         shifted: x is the band variable and the factor is evaluated at Ax + v
         (the band_functional route); otherwise x is the factor argument and
@@ -259,7 +276,27 @@ class _Band:
         band can be open (q(-1) below the top kink of g) and is 0 elsewhere,
         where every inner integral is 0.  Returns None in modes 'value' and
         'grad' when part of the open band lies where h vanishes.
+
+        The grid (in `_x_grid`'s node order) is walked in blocks of whole
+        tensor rows, about `_BLOCK_NODES` nodes each, so every per-node
+        temporary stays in cache.  What outlives a block is the full-length
+        W, h^(1/s) and inner integrals, so the caller's sums run over the same
+        arrays as on the whole grid.  The nodes returned are what the caller
+        reads: None in 'value', the nodes with a nonzero inner integral in
+        'grad', the whole grid in 'density'.
+
+        Each node's arithmetic is the whole grid's.  A block keeps the grid's
+        row-major (nodes, n) layout, so every matrix product takes the same
+        BLAS path; a column-major block rounds the psi product differently.
+        One caveat: OpenBLAS computes the last (count mod 8) columns of a
+        product with another micro-kernel, which can round differently,
+        mostly when psi has 12 or more pieces.  h at the band-factor argument
+        is one product over the near nodes of a block, not of the whole grid,
+        so its tail falls on other nodes, and a node's h can move in its last
+        bit: seen at 1 node in 32,768 on a rotated n = 3 cross, never on the
+        axis crosses or the benchmark's instances.
         """
+        n, s = self.h.n, self.s
         radius = (self.radius if shifted else
                   float(np.linalg.norm(A, 2) * self.radius + np.linalg.norm(v)) + 1e-9)
         kinks = None
@@ -267,20 +304,45 @@ class _Band:
             a, c = float(A[0, 0]), float(v[0])
             u, c = (a, c) if shifted else (1.0 / a, -c / a)
             kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
-        X, W = _x_grid(self.h.n, radius, self.quad.x_nodes_per_axis, kinks)
-        Z, Y = (X, X @ A.T + v) if shifted else (np.linalg.solve(A, (X - v).T).T, X)
-
-        den = 2.0 * eval_h_many(self.h, Z) ** (2.0 / self.s) * (1.0 - self.r)
-        r2m1 = np.sum(Z * Z, axis=1) - 1.0
-        near = r2m1 < den * self.g.breaks[-1]
-        h_y = np.zeros(len(X))
-        h_y[near] = eval_h_many(self.h, Y[near]) ** (1.0 / self.s)
-        live = h_y > 0.0
-        if mode != "density" and np.any(near & ~live):
-            return None
-        c2 = np.where(live, h_y / alpha, 1.0) ** 2
-        inner = _inner_band(self.f, self.g, self.r, c2, den, r2m1, mode, self.quad.t_nodes)
-        return X, W, h_y, np.where(live, inner, 0.0)
+        x1, w1 = _axis_rule(radius, self.quad.x_nodes_per_axis, kinks)
+        P = len(x1)
+        W = functools.reduce(np.multiply.outer, [w1] * n).ravel()
+        h_y = np.zeros(len(W))
+        inner = np.zeros((2, len(W)) if mode == "grad" else len(W))
+        kept = [np.empty((0, n))]  # nodes for the caller; the empty start serves a closed band
+        rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
+        for r0 in range(0, rows, step):
+            r1 = min(rows, r0 + step)
+            X = np.empty((r1 - r0, P, n))
+            X[..., -1] = x1
+            for k in range(n - 1):
+                X[..., k] = x1[np.arange(r0, r1) // P ** (n - 2 - k) % P, None]
+            X = X.reshape(-1, n)
+            if mode == "density":
+                kept.append(X)
+            Z = X if shifted else np.linalg.solve(A, (X - v).T).T
+            r2m1 = Z[:, 0] * Z[:, 0]  # np.sum(Z * Z, axis=1) - 1 in its order, without its slow reduce
+            for k in range(1, n):
+                r2m1 += Z[:, k] * Z[:, k]
+            r2m1 -= 1.0
+            den = 2.0 * eval_h_many(self.h, Z) ** (2.0 / s) * (1.0 - self.r)
+            near = np.flatnonzero(r2m1 < den * self.g.breaks[-1])
+            if not len(near):  # the band is closed on the whole block
+                continue
+            h_near = eval_h_many(self.h, X[near] @ A.T + v if shifted else X[near]) ** (1.0 / s)
+            live = h_near > 0.0
+            if mode != "density" and not live.all():
+                return None
+            at = r0 * P + near
+            h_y[at] = h_near
+            c2 = np.where(live, h_near / alpha, 1.0) ** 2
+            got = np.where(live, _inner_band(self.f, self.g, self.r, c2, den[near], r2m1[near],
+                                             mode, self.quad.t_nodes), 0.0)
+            inner[..., at] = got
+            if mode == "grad":
+                kept.append(X[near[got[0] != 0.0]])
+        nodes = None if mode == "value" else np.concatenate(kept)
+        return nodes, W, h_y, inner
 
 
 def band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -322,11 +384,11 @@ def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.n
     terms = band.terms(A, alpha, v, shifted=True, mode="grad")
     if terms is None:
         return float("inf"), None
-    X, W, h_y, (inner, d_inner) = terms
+    Xn, W, h_y, (inner, d_inner) = terms
     c = h_y / alpha
     value = float(np.sum(W * c * inner))
-    nz = np.flatnonzero(inner)  # the open nodes, the only ones with a term
-    Xn, cn = X[nz], c[nz]
+    nz = np.flatnonzero(inner)  # the open nodes Xn, the only ones with a term
+    cn = c[nz]
     omega = W[nz] * cn * (inner[nz] + 2.0 * cn * cn * d_inner[nz])
     form = band.h.form
     a_j = form.a[np.argmax((Xn @ A.T + v) @ form.a.T + form.b, axis=1)]
@@ -337,9 +399,9 @@ def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.n
     gamma = np.exp(0.5 * np.add.outer(lam, lam)) * sinhc  # divided differences of exp
     G = (a_j.T * omega) @ Xn  # sum omega a_j x^T
     D = V @ ((V.T @ G @ V) * gamma) @ V.T
-    s, upper = band.s, np.triu_indices(band.h.n)
+    s, upper = band.s, band.upper
     g_S = (D + D.T - np.diag(np.diag(D)))[upper] / -s
-    g_S[upper[0] == upper[1]] += float(np.sum(omega)) / s
+    g_S[band.on_diagonal] += float(np.sum(omega)) / s
     return value, np.concatenate([g_S, (a_j.T @ omega) / -s])
 
 
@@ -469,7 +531,7 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> BandMinimum
     n, s, r = band.h.n, band.s, band.r
     if not isinstance(band.h.form, PiecewiseLogAffine):
         raise ValueError("band minimizer needs the max-affine form")
-    upper = np.triu_indices(n)  # theta = (upper triangle of S, shift)
+    upper = band.upper
     dim_s = len(upper[0])
     evals = 0
 
@@ -533,18 +595,6 @@ def _newton(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
     lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
     coef = (V.T @ grad) / lam
     return -(V @ coef), 0.5 * float(np.dot(coef, V.T @ grad))
-
-
-def hat_bump(center, halfwidth: float):
-    """Radial hat: 1 at the center, linear to 0 at distance halfwidth."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-
-    def delta(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        d = np.linalg.norm(X - center, axis=1)
-        return np.clip(1.0 - d / halfwidth, 0.0, None)
-
-    return delta
 
 
 def trapezoid_bump(center, flat: float, taper: float):

@@ -12,7 +12,7 @@ from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
 from fjohn.oracle import envelope_breaks_scan
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, _x_grid, band_functional,
-                           band_radius, concentration_integral, default_bumps, hat_bump,
+                           band_radius, concentration_integral, default_bumps,
                            minimize_band, r_sweep, rescaled_band_functional,
                            stationarity_multiplier, sup_h_pow2, trapezoid_bump)
 
@@ -336,7 +336,7 @@ class TestConcentration:
         # exactly zero rather than merely small values
         h, _, _ = fixture
         pair = canonical_pair()
-        bump = hat_bump(np.zeros(1), 0.15)
+        bump = trapezoid_bump(np.zeros(1), 0.0, 0.15)  # a hat: no flat part
         vals = []
         for r in (0.8, 0.9, 0.95):
             p, _ = minimize_band(h, S, pair, r, quad)
@@ -470,6 +470,84 @@ class TestBandGeometry:
             assert e.value == band_functional(h, S, pair, e.r, e.point, quad)
             assert np.array_equal(e.mu_integrals, ref.lam * raw / ((1.0 - e.r) * lam_r))
             assert e.error is None
+
+
+def _unblocked_terms(band, A, alpha, v, shifted, mode):
+    """The whole-grid, row-major `_Band.terms` that the block walk replaces, kept as its
+    bit-for-bit reference: (X, W, h_y, inner) on the full grid, or None."""
+    radius = (band.radius if shifted else
+              float(np.linalg.norm(A, 2) * band.radius + np.linalg.norm(v)) + 1e-9)
+    kinks = None
+    if band.breaks is not None:
+        a, c = float(A[0, 0]), float(v[0])
+        u, c = (a, c) if shifted else (1.0 / a, -c / a)
+        kinks = np.concatenate([band.breaks, (band.breaks - c) / u])
+    X, W = _x_grid(band.h.n, radius, band.quad.x_nodes_per_axis, kinks)
+    Z, Y = (X, X @ A.T + v) if shifted else (np.linalg.solve(A, (X - v).T).T, X)
+    den = 2.0 * eval_h_many(band.h, Z) ** (2.0 / band.s) * (1.0 - band.r)
+    r2m1 = np.sum(Z * Z, axis=1) - 1.0
+    near = r2m1 < den * band.g.breaks[-1]
+    h_y = np.zeros(len(X))
+    h_y[near] = eval_h_many(band.h, Y[near]) ** (1.0 / band.s)
+    live = h_y > 0.0
+    if mode != "density" and np.any(near & ~live):
+        return None
+    c2 = np.where(live, h_y / alpha, 1.0) ** 2
+    inner = rfamily._inner_band(band.f, band.g, band.r, c2, den, r2m1, mode, band.quad.t_nodes)
+    return X, W, h_y, np.where(live, inner, 0.0)
+
+
+class TestBlockedTerms:
+    # (x_nodes_per_axis, block constant): 300 nodes are 7 grid rows of 40 at n = 2
+    # and 9 rows of 32 at n = 3; n = 1 is always one block
+    GRIDS = {1: (200, 300), 2: (40, 300), 3: (32, 300)}
+
+    @staticmethod
+    def _positions(n):
+        """Two positions inside the domain of h and one that pushes the band out of it."""
+        rng = np.random.default_rng(89 + n)
+        out = []
+        for _ in range(2):
+            Sm = rng.normal(scale=0.1, size=(n, n))
+            A, alpha = sdet1_param(0.5 * (Sm + Sm.T), S)
+            out.append((A, alpha, rng.normal(scale=0.1, size=n)))
+        out.append((np.eye(n), 1.0, np.eye(n)[0] * 0.5))
+        return out
+
+    @pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "unshifted"])
+    @pytest.mark.parametrize("mode", ["value", "grad", "density"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_unblocked_terms(self, n, mode, shifted, monkeypatch):
+        nodes, block = self.GRIDS[n]
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", block)
+        # on the axis cross every product a . x is exact, so no BLAS kernel's order of
+        # summation can move a bit: what is compared is the walk over the blocks
+        form = two_level_cross_fixture(n, S, 0.4, 0.8)[0].form
+        h = make_log_concave(form.a, form.b, S, domain_radius=1.4)  # h = 0 beyond 1.4
+        band = rfamily._Band(h, S, canonical_pair(), 0.8, QuadratureSpec(x_nodes_per_axis=nodes))
+        per_row = len(_x_grid(1, 1.0, nodes)[0])
+        rows, per_block = per_row ** (n - 1), max(1, block // per_row)
+        if n > 1:  # at least three blocks, the last one partial
+            assert rows >= 2 * per_block and rows % per_block
+        refused = 0
+        for A, alpha, v in self._positions(n):
+            got = band.terms(A, alpha, v, shifted, mode)
+            ref = _unblocked_terms(band, A, alpha, v, shifted, mode)
+            assert (got is None) == (ref is None)
+            if ref is None:
+                refused += 1
+                continue
+            X, W, h_y, inner = ref
+            assert np.array_equal(got[1], W) and np.array_equal(got[2], h_y)
+            assert np.array_equal(got[3], inner)
+            if mode == "value":
+                assert got[0] is None
+            else:  # the nodes the caller reads: the open ones in 'grad', all in 'density'
+                read = X[np.flatnonzero(inner[0])] if mode == "grad" else X
+                assert got[0].shape == read.shape and np.array_equal(got[0], read)
+            assert np.any(inner)
+        # the last position lies partly where h = 0: refused except in mode 'density'
+        assert refused == (0 if mode == "density" else 1)
 
 
 def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
