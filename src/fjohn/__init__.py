@@ -6,9 +6,8 @@ conditions, and numerical validation of the r -> 1 limit behavior of the
 band functionals at small dimension.
 """
 
-from .blockmat import (BlockMat, EPoint, contact_tensor, identity_direction, inner,
-                       is_in_sE_plus, project_trace0, s_det, s_trace, sdet1_param,
-                       trace0_basis)
+from .blockmat import (BlockMat, EPoint, identity_direction, inner, project_trace0, s_det,
+                       s_trace, sdet1_param, trace0_basis)
 from .contact import (ContactSet, DecompositionReport, cross_fixture, detect_contacts,
                       make_tangent_instance, two_level_cross_fixture,
                       verify_decomposition)
@@ -16,9 +15,7 @@ from .isotropy import (DiscreteMeasure, IsotropyReport, MinimizerResult,
                        calibrated_measure, check_isotropy, coercivity_witness,
                        counting_measure, extract_measure, functional_gradient,
                        functional_value, minimize_functional)
-from .logconcave import (LogConcaveFn, SLiftingPoint, check_proper, eval_h, grad_h_pow,
-                         height_fn, make_log_concave, s_lifting_contains,
-                         s_volume_ellipsoid, s_volume_unit_ball)
+from .logconcave import LogConcaveFn, check_proper, eval_h, make_log_concave
 from .profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair,
                        validate_profiles)
 from .rfamily import (QuadratureSpec, RSweepResult, band_functional,

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveCorner, PointOutsideBall
-
-SPD_EIG_REL_TOL = 1e-10
+from .errors import DimensionMismatch, NonPositiveCorner
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -152,14 +150,6 @@ def project_trace0(p: EPoint, s: float) -> EPoint:
     return EPoint(BlockMat(diag, p.mat.corner - coeff * s), p.shift)
 
 
-def contact_tensor(u: np.ndarray, gamma: float) -> BlockMat:
-    """Rank-one block u u^T with the given nonnegative corner."""
-    u = np.asarray(u, dtype=float)
-    if np.dot(u, u) > 1.0 + 1e-12:
-        raise PointOutsideBall(f"|u|={np.linalg.norm(u):.6f} exceeds 1")
-    return BlockMat(np.outer(u, u), gamma)
-
-
 def expm_sym(S: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix via eigendecomposition."""
     S = 0.5 * (S + S.T)
@@ -176,22 +166,6 @@ def sdet1_param(S: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     A = expm_sym(np.asarray(S, dtype=float))
     alpha = float(np.exp(-np.trace(S) / s))
     return A, alpha
-
-
-def is_spd(A: np.ndarray) -> bool:
-    A = np.asarray(A, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    scale = np.linalg.norm(A, ord="fro")
-    return bool(eigs[0] > SPD_EIG_REL_TOL * scale)
-
-
-def is_in_sE_plus(p: EPoint, s: float) -> bool:
-    """Membership in the cone: SPD block, positive corner, s_det >= 1 (tolerant)."""
-    if p.mat.corner <= 0:
-        return False
-    if not is_spd(p.mat.diag):
-        return False
-    return s_det(p.mat, s) >= 1.0 - 1e-12
 
 
 def trace0_basis(n: int, s: float) -> list[EPoint]:

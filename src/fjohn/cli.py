@@ -157,10 +157,7 @@ def contact_points(inst: dict, h: LogConcaveFn):
             raise InputError(f"contacts.weights must hold one number per point ({len(pts)})")
         return pts, weights
     cs = contact.detect_contacts(h, inst["s"],
-                                 grid_per_axis=inst.get("tolerances", {}).get("grid_per_axis", 201),
                                  gap_tol=inst.get("tolerances", {}).get("gap_tol", 1e-8))
-    if cs.continuum:
-        raise InputError("continuum contact set detected; supply nu atoms explicitly")
     return cs.points, None
 
 
@@ -193,8 +190,7 @@ def build_quad(inst: dict) -> rfamily.QuadratureSpec:
         return rfamily.QuadratureSpec(
             x_nodes_per_axis=int(q.get("x_nodes_per_axis", 960)),
             t_nodes=int(q.get("t_nodes", 4)),
-            domain_radius=q.get("domain_radius"),
-            tol=float(q.get("tol", 1e-6)))
+            domain_radius=q.get("domain_radius"))
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed quadrature ({type(exc).__name__}: {exc})")
 
@@ -274,13 +270,11 @@ def cmd_verify(args) -> int:
 def cmd_contacts(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
-    tols = inst.get("tolerances", {})
     cs = contact.detect_contacts(h, inst["s"],
-                                 grid_per_axis=args.grid or tols.get("grid_per_axis", 201),
-                                 gap_tol=tols.get("gap_tol", 1e-8))
-    print(_report("contacts", inst, {
+                                 gap_tol=inst.get("tolerances", {}).get("gap_tol", 1e-8))
+    print(_report("contacts", inst, {  # schema version 1 keeps "continuum": the set is finite
         "points": cs.points, "h_values": cs.h_values,
-        "continuum": cs.continuum, "gap_tol": cs.gap_tol,
+        "continuum": False, "gap_tol": cs.gap_tol,
     }))
     return EXIT_OK
 
@@ -439,7 +433,8 @@ def main(argv=None) -> int:
             p.add_argument("--instance", required=True)
         if "grid" in extra:
             p.add_argument("--grid", type=int,
-                           help="grid points per axis; only used when h is not max-affine")
+                           help="accepted and ignored (schema version 1): contacts are "
+                                "found in closed form, not on a grid")
         if "dirs" in extra:
             p.add_argument("--dirs", type=int, default=1000)
         if "out" in extra:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
-from .logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many, make_log_concave
-
-GOLD = (np.sqrt(5.0) - 1.0) / 2.0
+from .logconcave import LogConcaveFn, eval_h_many, make_log_concave
 
 
 @dataclass(frozen=True)
@@ -25,7 +23,6 @@ class ContactSet:
     points: np.ndarray  # (k, n)
     gap_tol: float
     h_values: np.ndarray  # h(u_i)**(1/s)
-    continuum: bool = False
 
     @property
     def k(self) -> int:
@@ -165,95 +162,6 @@ def verify_decomposition(points, weights, h: LogConcaveFn, s: float,
     return DecompositionReport(res_a, res_b, res_c, res_d, tol)
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - GOLD * (b - a)
-    d = a + GOLD * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLD * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLD * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-def _refine_contact(h: LogConcaveFn, s: float, x0: np.ndarray, step: float) -> np.ndarray:
-    """Coordinate descent with golden-section line searches, then a Newton polish.
-
-    Golden section alone localizes a smooth minimum only to sqrt(eps); the
-    finite-difference Newton steps push interior tangency contacts to ~1e-11.
-    """
-    x = np.array(x0, dtype=float)
-    n = len(x)
-
-    def phi_at(y):
-        return float(hemisphere_gap(h, s, y[None, :])[0])
-
-    width = step
-    for _ in range(80):
-        moved = 0.0
-        for i in range(n):
-            rest = np.dot(x, x) - x[i] * x[i]
-            cap = np.sqrt(max(1.0 - rest, 0.0))
-            lo = max(x[i] - width, -cap)
-            hi = min(x[i] + width, cap)
-            if hi <= lo:
-                continue
-
-            def along(t, i=i):
-                y = x.copy()
-                y[i] = t
-                return phi_at(y)
-
-            t_new = _golden_section(along, lo, hi, 1e-12)
-            moved = max(moved, abs(t_new - x[i]))
-            x[i] = t_new
-        width = max(width * 0.5, 1e-8)
-        if moved < 1e-10:
-            break
-
-    fd = 1e-5
-    for _ in range(6):
-        if np.dot(x, x) > (1.0 - 10 * fd) ** 2:
-            break
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        base = phi_at(x)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = fd
-            fp, fm = phi_at(x + ei), phi_at(x - ei)
-            grad[i] = (fp - fm) / (2 * fd)
-            hess[i, i] = (fp - 2 * base + fm) / fd**2
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei = np.zeros(n)
-                ei[i] = fd
-                ej = np.zeros(n)
-                ej[j] = fd
-                hess[i, j] = hess[j, i] = (
-                    phi_at(x + ei + ej) - phi_at(x + ei - ej)
-                    - phi_at(x - ei + ej) + phi_at(x - ei - ej)) / (4 * fd**2)
-        try:
-            delta = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 10 * step:
-            break
-        y = x + delta
-        if np.dot(y, y) >= 1.0 or phi_at(y) > base + 1e-15:
-            break
-        x = y
-        if np.linalg.norm(delta) < 1e-12:
-            break
-    return x
-
-
 def _contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
     """Candidates with gap <= gap_tol, deduplicated at 1e-6 and sorted."""
     X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
@@ -267,70 +175,21 @@ def _contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> Conta
     return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)
 
 
-def _grid_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
-                   gap_tol: float = 1e-8) -> ContactSet:
-    """Ball grid scan plus coordinate-descent refinement, for any form of h.
-
-    Raises NotJohnPosition when h**(1/s) drops below the hemisphere anywhere
-    on the grid.  When at least half of the grid is in contact the set is
-    returned as-is with continuum=True.  Contacts closer than about one grid
-    step are merged.
-    """
-    n = h.n
-    axes = [np.linspace(-1.0, 1.0, grid_per_axis)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = np.sum(X * X, axis=1) <= 1.0
-    X = X[inside]
-    gaps = hemisphere_gap(h, s, X)
-    if np.min(gaps) < -gap_tol:
-        worst = X[int(np.argmin(gaps))]
-        raise NotJohnPosition(
-            f"h**(1/s) falls below the hemisphere by {-np.min(gaps):.3e} near {worst}")
-
-    if np.mean(gaps <= gap_tol) >= 0.5:
-        vals = eval_h_many(h, X) ** (1.0 / s)
-        return ContactSet(points=X, gap_tol=gap_tol, h_values=vals, continuum=True)
-
-    # local minimizers on the grid: no neighbor (one step along any axis) is lower
-    gap_map = {tuple(np.round(x, 12)): g for x, g in zip(X, gaps)}
-    step = 2.0 / (grid_per_axis - 1)
-    candidates = []
-    for x, g in zip(X, gaps):
-        best = True
-        for i in range(n):
-            for sgn in (-1.0, 1.0):
-                y = x.copy()
-                y[i] += sgn * step
-                gy = gap_map.get(tuple(np.round(y, 12)))
-                if gy is not None and gy < g:
-                    best = False
-                    break
-            if not best:
-                break
-        if best:
-            candidates.append(x)
-
-    return _contact_set(h, s, [_refine_contact(h, s, x, step) for x in candidates], gap_tol)
-
-
-def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
+def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None,
                     gap_tol: float = 1e-8) -> ContactSet:
-    """Contact set of h**(1/s) with the hemisphere.
+    """Contact set of h**(1/s) with the hemisphere, in closed form.
 
-    For max-affine h the contacts are exact: psi <= -(s/2) log(1 - |x|^2)
-    with a strictly convex right side, so piece j can touch only at its
-    tangency point u_j = rho_j a_j/|a_j| with s rho_j/(1 - rho_j^2) = |a_j|
-    (u_j = 0 when a_j = 0), and h is in John position iff the gap is
-    nonnegative at every u_j and domain_radius >= 1.  Raises
-    NotJohnPosition otherwise; the set is never a continuum.
+    psi <= -(s/2) log(1 - |x|^2) with a strictly convex right side, so piece
+    j can touch only at its tangency point u_j = rho_j a_j/|a_j| with
+    s rho_j/(1 - rho_j^2) = |a_j| (u_j = 0 when a_j = 0), and h is in John
+    position iff the gap is nonnegative at every u_j and domain_radius >= 1.
+    Raises NotJohnPosition otherwise.
 
-    grid_per_axis only matters when h is not max-affine: then the grid scan
-    `_grid_contacts` is used.
+    grid_per_axis is accepted and ignored, as the instance file's
+    `tolerances.grid_per_axis` is in schema version 1.  A grid scan of the
+    same set is the test oracle `fjohn.oracle.grid_contacts`.
     """
     form = h.form
-    if not isinstance(form, PiecewiseLogAffine):
-        return _grid_contacts(h, s, grid_per_axis, gap_tol)
     if form.domain_radius is not None and form.domain_radius < 1.0:
         raise NotJohnPosition(
             f"domain radius {form.domain_radius} < 1: h vanishes inside the unit ball")

@@ -13,24 +13,12 @@ class NonPositiveCorner(FJohnError):
     pass
 
 
-class PointOutsideBall(FJohnError):
-    pass
-
-
 class PointOnBoundary(FJohnError):
     pass
 
 
 class SingularA(FJohnError):
     pass
-
-
-class ZeroValue(FJohnError):
-    pass
-
-
-class SubgradientAmbiguous(FJohnError):
-    """Two affine pieces are (near-)tied at the query point; the gradient is not unique."""
 
 
 class NotProper(FJohnError):

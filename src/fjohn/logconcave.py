@@ -1,23 +1,18 @@
-"""Log-concave functions h = exp(-psi), ellipsoid height functions and s-volumes.
+"""Log-concave functions h = exp(-psi) with max-affine psi, and their properness.
 
 psi is a maximum of affine pieces (optionally restricted to a ball), which
 keeps evaluation exact, makes gradients piecewise constant, and is closed
-under the tangent constructions used to build test instances.  The ellipsoid
-height form covers the hemisphere-type functions directly.
+under the tangent constructions used to build test instances.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import EPoint, is_spd
-from .errors import (DimensionMismatch, NoCertificate, NotProper, SingularA,
-                     SubgradientAmbiguous, ZeroValue)
+from .errors import DimensionMismatch, NoCertificate, NotProper
 
-KINK_REL_TOL = 1e-9
 SPAN_TOL = 1e-9
 
 
@@ -45,39 +40,10 @@ class PiecewiseLogAffine:
 
 
 @dataclass(frozen=True)
-class EllipsoidHeightPower:
-    """h = scale * height_fn(E, .)**power."""
-
-    E: EPoint
-    power: float
-    scale: float = 1.0
-
-    @property
-    def n(self) -> int:
-        return self.E.n
-
-
-@dataclass(frozen=True)
 class LogConcaveFn:
     n: int
     s: float
-    form: PiecewiseLogAffine | EllipsoidHeightPower
-
-
-@dataclass(frozen=True)
-class SLiftingPoint:
-    x: np.ndarray
-    xi: float
-
-
-def height_fn(E: EPoint, x: np.ndarray) -> float:
-    """Height of the ellipsoid (A, alpha, a) above x: alpha*sqrt(1 - |A^-1(x-a)|^2)."""
-    A, alpha, a = E.mat.diag, E.mat.corner, E.shift
-    if not is_spd(A) or alpha <= 0:
-        raise SingularA("ellipsoid block must be SPD with positive corner")
-    z = np.linalg.solve(A, np.asarray(x, dtype=float) - a)
-    q = 1.0 - float(np.dot(z, z))
-    return alpha * np.sqrt(q) if q > 0.0 else 0.0
+    form: PiecewiseLogAffine
 
 
 def psi_eval(form: PiecewiseLogAffine, x: np.ndarray) -> float:
@@ -93,88 +59,33 @@ def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
     return np.max(form.a @ X.T + form.b[:, None], axis=0)
 
 
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """np.sum(X * X, axis=1) bit for bit, without numpy's slow reduce over short rows.
+
+    numpy sums the rows of an (N, n) array column by column; so does this.
+    """
+    out = X[:, 0] * X[:, 0]
+    for k in range(1, X.shape[1]):
+        out += X[:, k] * X[:, k]
+    return out
+
+
 def eval_h(h: LogConcaveFn, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     form = h.form
-    if isinstance(form, PiecewiseLogAffine):
-        if form.domain_radius is not None and np.dot(x, x) > form.domain_radius**2:
-            return 0.0
-        return float(np.exp(-psi_eval(form, x)))
-    return form.scale * height_fn(form.E, x) ** form.power
+    if form.domain_radius is not None and np.dot(x, x) > form.domain_radius**2:
+        return 0.0
+    return float(np.exp(-psi_eval(form, x)))
 
 
 def eval_h_many(h: LogConcaveFn, X: np.ndarray) -> np.ndarray:
     """Vectorized eval_h over rows of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     form = h.form
-    if isinstance(form, PiecewiseLogAffine):
-        vals = np.exp(-psi_eval_many(form, X))
-        if form.domain_radius is not None:
-            vals = np.where(np.sum(X * X, axis=1) <= form.domain_radius**2, vals, 0.0)
-        return vals
-    return np.array([eval_h(h, x) for x in X])
-
-
-def active_piece(form: PiecewiseLogAffine, x: np.ndarray, strict: bool = True) -> int:
-    """Index of the maximizing affine piece; raise if the top two are near-tied."""
-    vals = form.a @ np.asarray(x, dtype=float) + form.b
-    order = np.argsort(vals)
-    j = int(order[-1])
-    if strict and len(vals) > 1:
-        gap = vals[j] - vals[order[-2]]
-        if gap <= KINK_REL_TOL * (1.0 + abs(vals[j])):
-            raise SubgradientAmbiguous(f"pieces {j} and {int(order[-2])} tied at x={x}")
-    return j
-
-
-def grad_psi(form: PiecewiseLogAffine, x: np.ndarray, strict: bool = True) -> np.ndarray:
-    return form.a[active_piece(form, x, strict=strict)].copy()
-
-
-def grad_h_pow(h: LogConcaveFn, x: np.ndarray, s: float) -> np.ndarray:
-    """Gradient of h**(1/s) at x.
-
-    For the max-affine form this is -(a_j/s) * h(x)**(1/s) with a_j the unique
-    active piece; raises SubgradientAmbiguous at kinks and ZeroValue where h
-    vanishes.
-    """
-    x = np.asarray(x, dtype=float)
-    hx = eval_h(h, x)
-    if hx <= 0.0:
-        raise ZeroValue(f"h({x}) = 0")
-    form = h.form
-    if isinstance(form, PiecewiseLogAffine):
-        a = grad_psi(form, x)
-        return -(a / s) * hx ** (1.0 / s)
-    # scale * height**power: chain rule through the height function
-    E, p = form.E, form.power
-    A, alpha, a0 = E.mat.diag, E.mat.corner, E.shift
-    z = np.linalg.solve(A, x - a0)
-    q = 1.0 - float(np.dot(z, z))
-    if q <= 0.0:
-        raise ZeroValue("gradient undefined on the boundary of the shadow ellipsoid")
-    hgt = alpha * np.sqrt(q)
-    grad_height = -alpha * np.linalg.solve(A.T, z) / np.sqrt(q)
-    c = form.scale ** (1.0 / s)
-    return c * (p / s) * hgt ** (p / s - 1.0) * grad_height
-
-
-def s_lifting_contains(h: LogConcaveFn, p: SLiftingPoint, s: float) -> bool:
-    """|xi| <= h(x)**(1/s), with an absolute slack of 1e-12."""
-    return abs(p.xi) <= eval_h(h, p.x) ** (1.0 / s) + 1e-12
-
-
-def s_volume_unit_ball(n: int, s: float) -> float:
-    """Integral of (1 - |x|^2)**(s/2) over the unit ball, pi^(n/2) G(s/2 + 1) / G((n + s)/2 + 1)."""
-    return math.pi ** (n / 2.0) * math.gamma(s / 2.0 + 1.0) / math.gamma((n + s) / 2.0 + 1.0)
-
-
-def s_volume_ellipsoid(E: EPoint, s: float) -> float:
-    """Scaling law: unit-ball s-volume times corner**s * det(block)."""
-    A, alpha = E.mat.diag, E.mat.corner
-    if not is_spd(A) or alpha <= 0:
-        raise SingularA("ellipsoid block must be SPD with positive corner")
-    return s_volume_unit_ball(E.n, s) * alpha**s * float(np.linalg.det(A))
+    vals = np.exp(-psi_eval_many(form, X))
+    if form.domain_radius is not None:
+        vals = np.where(_sq_norms(X) <= form.domain_radius**2, vals, 0.0)
+    return vals
 
 
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -254,16 +165,14 @@ def _positive_span(a: np.ndarray) -> tuple[bool, np.ndarray]:
 def check_proper(h: LogConcaveFn) -> None:
     """Raise NotProper unless h has a finite positive integral.
 
-    Max-affine h with unbounded domain must have coercive psi, decided
+    On an unbounded domain psi must be coercive, which is decided
     exactly by `_positive_span`: the pieces' gradients positively span R^n;
     otherwise the message names a direction d along which psi stays
     bounded (no gradient has <a_j, d> > 0).  On a domain
     ball of positive radius h is positive and bounded, so proper; a radius
-    <= 0 leaves a null support.  Ellipsoid-height forms are always proper.
+    <= 0 leaves a null support.
     """
     form = h.form
-    if isinstance(form, EllipsoidHeightPower):
-        return
     if form.domain_radius is None:
         spans, d = _positive_span(form.a)
         if not spans:

@@ -22,7 +22,7 @@ import numpy as np
 from .blockmat import BlockMat, EPoint, s_trace, sdet1_param
 from .errors import BadR, NotConverged, NotInBr, SingularA
 from .isotropy import DiscreteMeasure, MinimizerResult
-from .logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
+from .logconcave import LogConcaveFn, PiecewiseLogAffine, _sq_norms, eval_h_many
 from .profiles import PiecewiseLinear, ProfilePair
 
 
@@ -31,8 +31,10 @@ class QuadratureSpec:
     """Outer-grid resolution for the band quadratures.
 
     The inner t-integrals are segment-exact for piecewise-linear profiles,
-    so `tol` is governed by the x grid alone; 960 nodes per axis holds the
-    default 1e-6 at n = 1 up to r = 0.99 (cost grows like 1/(1-r) beyond).
+    so the quadrature error comes from the x grid alone; 960 nodes per axis
+    holds it to 1e-6 at n = 1 up to r = 0.99 (cost grows like 1/(1-r)
+    beyond).  No field sets a tolerance: an instance file's `quadrature.tol`
+    is accepted and ignored in schema version 1.
     The inner kernel integrates only the grid nodes where the band is open,
     so a band evaluation costs in proportion to the open share of the grid
     (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
@@ -48,7 +50,6 @@ class QuadratureSpec:
     x_nodes_per_axis: int = 960
     t_nodes: int = 4
     domain_radius: float | None = None
-    tol: float = 1e-6
 
     def __post_init__(self):
         for name, least in (("x_nodes_per_axis", 25), ("t_nodes", 3)):
@@ -243,9 +244,9 @@ class _Band:
     """What a band quadrature needs that does not depend on the position.
 
     Built once per (h, s, pair, r, quad) and kept for one call or one
-    minimization: the profiles, the band radius, for n = 1 max-affine psi
-    the kinks of its envelope on the whole line, and the upper-triangle
-    indices of the minimizer's coordinates.
+    minimization: the profiles, the band radius, for n = 1 the kinks of psi
+    on the whole line, and the upper-triangle indices of the minimizer's
+    coordinates.
     """
 
     def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -261,8 +262,7 @@ class _Band:
                 raise ValueError(f"quadrature radius {quad.domain_radius} below the band "
                                  f"radius {self.radius:.6f}")
             self.radius = float(quad.domain_radius)
-        one_d = h.n == 1 and isinstance(h.form, PiecewiseLogAffine)
-        self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if one_d else None
+        self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if h.n == 1 else None
         self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
         self.on_diagonal = self.upper[0] == self.upper[1]
 
@@ -321,9 +321,7 @@ class _Band:
             if mode == "density":
                 kept.append(X)
             Z = X if shifted else np.linalg.solve(A, (X - v).T).T
-            r2m1 = Z[:, 0] * Z[:, 0]  # np.sum(Z * Z, axis=1) - 1 in its order, without its slow reduce
-            for k in range(1, n):
-                r2m1 += Z[:, k] * Z[:, k]
+            r2m1 = _sq_norms(Z)
             r2m1 -= 1.0
             den = 2.0 * eval_h_many(self.h, Z) ** (2.0 / s) * (1.0 - self.r)
             near = np.flatnonzero(r2m1 < den * self.g.breaks[-1])
@@ -457,10 +455,8 @@ def stationarity_multiplier(h: LogConcaveFn, s: float, pair: ProfilePair, r: flo
 
 def _multiplier(band: _Band, X, W, density, h_x) -> float:
     h, s, n = band.h, band.s, band.h.n
-    if not isinstance(h.form, PiecewiseLogAffine):
-        raise ValueError("multiplier needs the max-affine form")
-    grad_psi = h.form.a[np.argmax(X @ h.form.a.T + h.form.b, axis=1)]
-    contraction = h_x**2 * ((1.0 / s) * np.sum(grad_psi * X, axis=1) + s)
+    slope = h.form.a[np.argmax(X @ h.form.a.T + h.form.b, axis=1)]  # the gradient of psi
+    contraction = h_x**2 * ((1.0 / s) * np.sum(slope * X, axis=1) + s)
     return float(np.sum(W * density * contraction) / ((1.0 - band.r) * (n + s * s)))
 
 
@@ -529,8 +525,6 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> BandMinimum
     n >= 2 grid, whose nodes cross the kinks of psi one by one.
     """
     n, s, r = band.h.n, band.s, band.r
-    if not isinstance(band.h.form, PiecewiseLogAffine):
-        raise ValueError("band minimizer needs the max-affine form")
     upper = band.upper
     dim_s = len(upper[0])
     evals = 0

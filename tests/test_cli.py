@@ -1,10 +1,14 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from fjohn import cli
+
 CLI = [sys.executable, "-m", "fjohn.cli"]
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
 
 def run(*args, **kw):
@@ -116,9 +120,38 @@ class TestMalformedInput:
 
 def test_cli_import_leaves_scipy_out():
     res = subprocess.run([sys.executable, "-c",
-                          "import sys, fjohn.cli; assert 'scipy' not in sys.modules"],
+                          "import sys, fjohn.cli; assert 'scipy' not in sys.modules; "
+                          "assert 'fjohn.oracle' not in sys.modules"],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+class TestAcceptedAndIgnored:
+    """Schema version 1 keeps `--grid`, `tolerances.grid_per_axis` and `quadrature.tol`."""
+
+    def test_grid_flag_leaves_contacts_report_unchanged(self):
+        inst = str(INSTANCES / "cross_n2_s2.json")
+        outs = [run("contacts", "--instance", inst, *extra)
+                for extra in ([], ["--grid", "41"], ["--grid", "3"])]
+        assert [res.returncode for res in outs] == [0, 0, 0]
+        assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+        assert json.loads(outs[0].stdout)["result"]["continuum"] is False
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("tolerances", "grid_per_axis", 3), ("quadrature", "tol", 1e-2)])
+    def test_instance_keys_change_nothing(self, two_level_instance, tmp_path, capsys,
+                                          section, key, value):
+        inst = json.loads(two_level_instance.read_text())
+        changed = json.loads(two_level_instance.read_text())
+        changed[section][key] = value
+        assert cli.build_quad(changed) == cli.build_quad(inst)
+        results = []
+        for i, body in enumerate((inst, changed)):
+            path = tmp_path / f"inst{i}.json"
+            path.write_text(json.dumps(body))
+            assert cli.main(["contacts", "--instance", str(path)]) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        assert results[0] == results[1]
 
 
 class TestCoercivityCommand:

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from fjohn.blockmat import BlockMat, EPoint
-from fjohn.contact import (_grid_contacts, cross_fixture, detect_contacts, hemisphere_gap,
-                           make_tangent_instance, two_level_cross_fixture,
-                           verify_decomposition)
+from fjohn.contact import (cross_fixture, detect_contacts, hemisphere_gap, make_tangent_instance,
+                           two_level_cross_fixture, verify_decomposition)
 from fjohn.errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from fjohn.isotropy import DiscreteMeasure, check_isotropy
-from fjohn.logconcave import (EllipsoidHeightPower, LogConcaveFn, eval_h, eval_h_many,
-                              make_log_concave)
+from fjohn.logconcave import eval_h, eval_h_many, make_log_concave
+from fjohn.oracle import grid_contacts
 
 
 class TestMakeTangentInstance:
@@ -124,13 +122,6 @@ class TestVerifyDecomposition:
 
 
 class TestDetectContacts:
-    def test_hemisphere_power_is_continuum(self):
-        E = EPoint(BlockMat.identity(1, 1.0), np.zeros(1))
-        h = LogConcaveFn(1, 2.0, EllipsoidHeightPower(E, power=2.0))
-        cs = detect_contacts(h, 2.0, grid_per_axis=51)
-        assert cs.continuum
-        assert cs.points.shape[0] > 25
-
     def test_single_tangent_point(self):
         h = make_tangent_instance([[0.5]], 1.0)
         cs = detect_contacts(h, 1.0, grid_per_axis=101)
@@ -179,7 +170,6 @@ class TestDetectContacts:
         pts = np.array([-0.82355, -0.69337, -0.61792, -0.60585, 0.59407, 0.83231])[:, None]
         h = make_tangent_instance(pts, 1.5)
         cs = detect_contacts(h, 1.5, grid_per_axis=201)
-        assert not cs.continuum
         assert cs.points.shape == (6, 1)
         assert np.max(np.abs(cs.points - pts)) <= 1e-12
 
@@ -202,7 +192,7 @@ class TestClosedFormMatchesGrid:
         pts = _spread_points(rng, n, 4, 3 * 2.0 / (grid - 1))
         h = make_tangent_instance(pts, s)
         exact = detect_contacts(h, s)
-        scan = _grid_contacts(h, s, grid)
+        scan = grid_contacts(h, s, grid)
         assert exact.points.shape == pts.shape == scan.points.shape
         assert np.max(np.abs(exact.points - pts)) <= 1e-12
         assert np.max(np.abs(exact.points - scan.points)) <= 1e-6
