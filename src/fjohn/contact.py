@@ -123,7 +123,11 @@ def two_level_cross_fixture(n: int, s: float, rho1_sq: float, rho2_sq: float):
     2*c1*rho1^2 + 2*c2*rho2^2 = 1        (per-axis identity condition)
     2n*c1*(1-rho1^2) + 2n*c2*(1-rho2^2) = s   (corner condition)
 
-    Coercive for the minimization (unlike the single-level cross).
+    At n = 1 the contact functional is coercive (Phi has full rank and its
+    rows positively span).  At n = 2 and 3 it is not: the axis cross makes
+    Phi (`isotropy._Atoms.phi`) rank 4 of 5 and 6 of 9, flat along the
+    off-diagonal entries of the block, so `logconcave._positive_span` is
+    False there.
     """
     if not 0.0 < rho1_sq < rho2_sq < 1.0:
         raise InfeasibleWeights(f"need 0 < rho1_sq < rho2_sq < 1, got {rho1_sq}, {rho2_sq}")

@@ -52,10 +52,6 @@ class DiscreteMeasure:
     def k(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
 
 @dataclass
 class MinimizerResult:

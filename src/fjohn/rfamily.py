@@ -7,7 +7,7 @@ profiles are piecewise linear, so it is integrated segment-exactly and the
 only quadrature error comes from the outer x grid.  The same segment pass
 also gives the derivative of the inner integral, and through the chain rule
 the analytic gradient of the band functional in the minimizer's
-coordinates, so the minimizer is Newton on that gradient.  The
+coordinates, so the minimizer is quasi-Newton on that gradient.  The
 concentration measure density and the stationarity multiplier reuse the
 same machinery with the derivative profile.
 """
@@ -177,7 +177,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 
     def pullback(gb):  # t with q(t) = gb; -1/(1-r), i.e. tau = 0, where q(tau = 0) >= gb
         tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
-        return (np.sqrt(np.clip(tau2, 0.0, None)) - 1.0) / omr
+        return (np.sqrt(np.maximum(tau2, 0.0)) - 1.0) / omr
 
     # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
     is_open = np.flatnonzero(~(pullback(g_breaks[-1:])[:, 0] <= -1.0))
@@ -190,7 +190,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     cols = [np.full(len(c2), -1.0)]
     cols.extend(np.full(len(c2), fb) for fb in f_pl.breaks if fb > -1.0)
     cols.extend(t_roots[:, k] for k in range(len(g_breaks)))
-    B = np.clip(np.stack(cols, axis=1), -1.0, t_top)
+    B = np.minimum(np.maximum(np.stack(cols, axis=1), -1.0), t_top)
     B.sort(axis=1)
 
     nodes, wts = _gauss(max(gl_nodes, 3))
@@ -203,7 +203,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         q = num / den
         if not all_pos:
             q = np.where(den_pos, q, np.where(num > 0.0, np.inf, -np.inf))
-        return np.clip(q, qlo, qhi)
+        return np.minimum(np.maximum(q, qlo), qhi)
 
     inner = np.zeros(len(c2))
     d_inner = np.zeros(len(c2)) if grad else None
@@ -475,9 +475,11 @@ class BandMinimum:
     point: EPoint
     value: float
     evaluations: int  # value-and-gradient calls, Hessian columns and line-search trials included
-    iterations: int   # Newton steps taken
+    iterations: int   # quasi-Newton steps taken
     stop_reason: str  # CONVERGED, RESOLVED or "max_iter"
     grad_norm: float  # norm of the gradient in theta at `point`
+    hessian_builds: int  # forward-difference Hessians built
+    hessian: np.ndarray = field(repr=False)  # the model Hessian in theta at `point`
 
 
 CONVERGED = "predicted decrease below rounding"
@@ -492,42 +494,50 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
 
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
-    loses nothing at a minimum).  Newton in theta = (upper triangle of S,
-    shift) on the analytic gradient of `_band_value_grad`, with the Hessian
-    from differences of that gradient and Armijo backtracking on the value;
-    it stops once the decrease the Newton step predicts is below the
-    rounding of the value, once no step down to the Hessian's difference
-    step descends, or after `max_iter` Newton steps.  The band
-    geometry (radius, kinks of psi) is built once per minimization.  Returns
-    the minimizer and the stationarity multiplier.
+    loses nothing at a minimum).  Quasi-Newton in theta = (upper triangle of
+    S, shift) on the analytic gradient of `_band_value_grad`: one Hessian
+    from differences of that gradient at the start, BFGS updates after every
+    step, and Armijo backtracking on the value.  It stops once the decrease
+    the model predicts is below the rounding of the value, once no step down
+    to the difference step descends on a freshly differenced Hessian, or
+    after `max_iter` steps.  The band geometry (radius, kinks of psi) is
+    built once per minimization.  Returns the minimizer and the stationarity
+    multiplier.
     """
     band = _Band(h, s, pair, r, quad)
     point = _minimize_band(band, x0, max_iter).point
     return point, _multiplier(band, *_density_terms(band, point))
 
 
-def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> BandMinimum:
+def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
+                   hessian: np.ndarray | None = None) -> BandMinimum:
     """minimize_band on a prepared band geometry, as a solver record.
 
-    Every evaluation is one `_band_value_grad` call.  Each Newton step builds
-    the Hessian from forward differences of the gradient with step
-    fd = 1e-4 (1-r) (theta moves on the scale 1-r of the band), floors its
-    eigenvalues in magnitude so that the step descends, and halves the step
-    until Armijo (1e-4) holds on the value; +inf beyond the coercive barrier
-    is a rejection.  The minimizer stops (CONVERGED) once the newest Hessian
-    predicts a decrease below ROUNDING of the value: the n = 1 grid follows
-    the kinks of psi(Ax + v) and moves with theta, so the analytic gradient
-    and the discrete values differ at the quadrature level (~1e-6 of the
-    gradient, ~1e-12 of the value), and a smaller decrease is not resolved.
-    It also stops (RESOLVED) when the halved step falls below fd, the scale
-    the Hessian was measured on, without a decrease: that is where the
-    discrete functional stops following its Newton model, as on a fixed
-    n >= 2 grid, whose nodes cross the kinks of psi one by one.
+    Every evaluation is one `_band_value_grad` call.  Without a `hessian`
+    (in theta at x0) the loop starts from one built from forward differences
+    of the gradient with step fd = 1e-4 (1-r), theta's scale being 1-r, the
+    width of the band; its eigenvalues are floored in magnitude, so the
+    model starts positive definite.  Each step is Newton on the model
+    (floored again), halved until Armijo (1e-4) holds on the value; +inf
+    beyond the coercive barrier is a rejection.  An accepted step s with
+    gradient change y updates the model by BFGS, skipped when s.y <= 0, so
+    the model stays positive definite.  The minimizer stops (CONVERGED) once
+    the model predicts a decrease below ROUNDING of the value: the n = 1
+    grid follows the kinks of psi(Ax + v) and moves with theta, so the
+    analytic gradient and the discrete values differ at the quadrature
+    level (~1e-6 of the gradient, ~1e-12 of the value), and a smaller
+    decrease is not resolved.  When the halved step falls below fd without
+    a decrease, the model is rebuilt from differences at the same theta and
+    the step retried; if a fresh difference Hessian fails too the minimizer
+    stops (RESOLVED): that is where the discrete functional stops following
+    its Newton model, as on a fixed n >= 2 grid, whose nodes cross the kinks
+    of psi one by one.  The record keeps the final model Hessian, which
+    `r_sweep` carries to the next r.
     """
     n, s, r = band.h.n, band.s, band.r
     upper = band.upper
     dim_s = len(upper[0])
-    evals = 0
+    evals = builds = 0
 
     def to_point(theta: np.ndarray) -> tuple[EPoint, np.ndarray]:
         S = np.zeros((n, n))
@@ -539,20 +549,9 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> BandMinimum
         evals += 1
         return _band_value_grad(band, *to_point(theta))
 
-    if x0 is not None:
-        theta = np.concatenate([_logm_sym(x0.mat.diag)[upper], x0.shift])
-    else:
-        theta = np.zeros(dim_s + n)
-    value, grad = evaluate(theta)
-    if not np.isfinite(value):
-        raise NotConverged("band functional infinite at the starting point")
-
-    fd = 1e-4 * (1.0 - r)
-    hess, it, stop = None, 0, CONVERGED
-    while hess is None or _newton(hess, grad)[1] > ROUNDING * value:
-        if it == max_iter:
-            stop = "max_iter"
-            break
+    def difference_hessian() -> np.ndarray:
+        nonlocal builds
+        builds += 1
         cols = []
         for unit in np.eye(len(theta)):
             for step in (fd, -fd):  # backwards where the forward point is beyond the barrier
@@ -562,9 +561,27 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> BandMinimum
             else:
                 raise NotConverged(f"coercive barrier within {fd:.1e} of the iterate at r={r}")
             cols.append((g_k - grad) / step)
-        hess = 0.5 * (np.array(cols) + np.array(cols).T)
+        lam, V = _floored(0.5 * (np.array(cols) + np.array(cols).T))
+        return (V * lam) @ V.T
+
+    if x0 is not None:
+        theta = np.concatenate([_logm_sym(x0.mat.diag)[upper], x0.shift])
+    else:
+        theta = np.zeros(dim_s + n)
+    value, grad = evaluate(theta)
+    if not np.isfinite(value):
+        raise NotConverged("band functional infinite at the starting point")
+
+    fd = 1e-4 * (1.0 - r)
+    fresh = hessian is None  # the model is a difference Hessian at theta
+    hess = difference_hessian() if fresh else hessian
+    it, stop = 0, CONVERGED
+    while True:
         delta, decrease = _newton(hess, grad)
         if decrease <= ROUNDING * value:
+            break
+        if it == max_iter:
+            stop = "max_iter"
             break
         t = 1.0
         while True:
@@ -573,20 +590,36 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int) -> BandMinimum
                 break
             t *= 0.5
             if t * np.linalg.norm(delta) < fd:
+                t = 0.0  # no descent down to the difference step
+                break
+        if t == 0.0:
+            if fresh:
                 stop = RESOLVED
                 break
-        if stop == RESOLVED:
-            break
-        theta, value, grad, it = theta + t * delta, c_value, c_grad, it + 1
+            hess, fresh = difference_hessian(), True
+            continue
+        step, change = t * delta, c_grad - grad
+        theta, value, grad, it, fresh = theta + step, c_value, c_grad, it + 1, False
+        sy = float(np.dot(step, change))
+        if sy > 0.0:
+            h_step = hess @ step
+            hess = (hess - np.outer(h_step, h_step) / np.dot(step, h_step)
+                    + np.outer(change, change) / sy)
     return BandMinimum(point=to_point(theta)[0], value=value, evaluations=evals,
                        iterations=it, stop_reason=stop,
-                       grad_norm=float(np.linalg.norm(grad)))
+                       grad_norm=float(np.linalg.norm(grad)),
+                       hessian_builds=builds, hessian=hess)
+
+
+def _floored(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric Hessian floored in magnitude, and its eigenvectors."""
+    lam, V = np.linalg.eigh(hess)
+    return np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam))), V
 
 
 def _newton(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
     """Newton step on the eigenvalue-floored Hessian and the decrease it predicts."""
-    lam, V = np.linalg.eigh(hess)
-    lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
+    lam, V = _floored(hess)
     coef = (V.T @ grad) / lam
     return -(V @ coef), 0.5 * float(np.dot(coef, V.T @ grad))
 
@@ -665,8 +698,12 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     the reference measure: at the exact minimizer both normalized measures
     satisfy the same identity-direction moment identity.  Each r builds the
     band geometry once and integrates every bump against one density
-    evaluation.  A failure at a single r is recorded with its reason and the
-    sweep continues.
+    evaluation.  Each r starts from the minimizer of the last r that
+    succeeded, rescaled by (1-r)/(1-r_prev) about the identity, and from its
+    final model Hessian scaled by (1-r_prev)/(1-r), so only the first r
+    builds a difference Hessian unless a later one falls back to it (see
+    `_minimize_band`).  A failure at a single r is recorded with
+    its reason and the sweep continues.
     """
     if bumps is None:
         bumps = default_bumps(reference_measure)
@@ -680,15 +717,16 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     for r in schedule:
         try:
             if prev is not None:
-                r_prev, p_prev = prev
+                r_prev, p_prev, hess_prev = prev
                 scale = (1.0 - r) / (1.0 - r_prev)
                 A0 = np.eye(n) + scale * (p_prev.mat.diag - np.eye(n))
                 x0 = EPoint(BlockMat(A0, 1.0 + scale * (p_prev.mat.corner - 1.0)),
                             scale * p_prev.shift)
+                hess0 = hess_prev / scale
             else:
-                x0 = None
+                x0 = hess0 = None
             band = _Band(h, s, pair, r, quad)
-            solver = _minimize_band(band, x0, 400)
+            solver = _minimize_band(band, x0, 400, hess0)
             point, value = solver.point, solver.value
             terms = _density_terms(band, point)
             lam_r = _multiplier(band, *terms)
@@ -700,7 +738,7 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
                 mu_integrals=np.full(len(bumps), np.nan), mu_reference=ref_integrals,
                 error=f"{type(exc).__name__}: {exc}"))
             continue
-        prev = (r, point)
+        prev = (r, point, solver.hessian)
         omr = 1.0 - r
         ident = EPoint(BlockMat.identity(n, 1.0), np.zeros(n))
         diff = point - ident
