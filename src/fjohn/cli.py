@@ -137,7 +137,7 @@ def build_profile(inst: dict) -> ProfilePair:
                 left_slope=float(desc.get("left_slope", 0.0)),
                 right_slope=float(desc.get("right_slope", 0.0)))
         try:
-            return ProfilePair(f=pl(prof["f"]), g=pl(prof["g"]), name="custom")
+            return ProfilePair(f=pl(prof["f"]), g=pl(prof["g"]))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise InputError(f"malformed profile ({type(exc).__name__}: {exc})")
     raise InputError(f"unsupported profile {prof!r}")

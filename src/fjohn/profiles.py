@@ -14,11 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-# 4-node Gauss-Legendre rule on [-1, 1]: exact on each segment of `_convolve_pl`,
-# where the integrand is a product of two linear pieces
-_GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
-
-
 @dataclass(frozen=True)
 class PiecewiseLinear:
     """Continuous piecewise-linear function on R.
@@ -82,13 +77,11 @@ class ProfilePair:
     """Profile functions with derivative oracles.
 
     f and g are callables; when they are PiecewiseLinear the band quadratures
-    can segment exactly and a convolution profile is available in closed or
-    segment-exact form.
+    can segment exactly and the convolution profile is a piecewise cubic.
     """
 
     f: Callable
     g: Callable
-    name: str = "custom"
 
     @property
     def piecewise_linear(self) -> bool:
@@ -100,7 +93,7 @@ def canonical_pair() -> ProfilePair:
     f = PiecewiseLinear(np.array([-1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     g = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([0.0, -0.5, 0.0]),
                         np.array([1.0, 0.5, 0.0]))
-    return ProfilePair(f=f, g=g, name="canonical")
+    return ProfilePair(f=f, g=g)
 
 
 @dataclass
@@ -158,72 +151,53 @@ def validate_profiles(pair: ProfilePair, samples: int = 601) -> ProfileReport:
     return rep
 
 
-def _convolve_pl(f: PiecewiseLinear, g: PiecewiseLinear, x: float, order: int = 0) -> float:
-    """Exact integral of f(t) g(t - x) dt (order 0) or f(t) (-g')(t - x) dt (order 1).
-
-    The integrand is supported on t in [-1, x + 1] and is piecewise polynomial
-    between the kinks of f and the shifted kinks of g; fixed-order
-    Gauss-Legendre per segment is exact.
-    """
-    lo, hi = -1.0, x + 1.0
-    if hi <= lo:
-        return 0.0
-    cuts = np.concatenate([[lo, hi], f.breaks, g.breaks + x])
-    cuts = np.unique(np.clip(cuts, lo, hi))
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-15:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * _GL4_NODES
-        if order == 0:
-            vals = f(t) * g(t - x)
-        else:
-            vals = f(t) * (-g.deriv(t - x))
-        total += half * float(np.dot(_GL4_WEIGHTS, vals))
-    return total
-
-
 class ConvolutionProfile:
-    """F = f * g(-.) with value and first two derivatives; nondecreasing and convex.
+    """F(x) = integral f(t) g(t - x) dt with F' and F''; nondecreasing and convex.
 
-    The canonical pair uses the closed-form branches; piecewise-linear pairs
-    use segment-exact convolution.
+    For a piecewise-linear pair F'' is piecewise linear: integrating
+    integral f(t) g''(t - x) dt by parts gives F''(x) = sum_k J_k f(x + b_k)
+    over the kinks b_k of g, with J_k the jump of g' there.  Its breaks are
+    the differences of a kink of f and a kink of g, and it is 0 left of
+    them (f vanishes left of -1, g right of 1).  So F is one piecewise
+    cubic, built once by integrating F'' twice from 0: row i of `coef`
+    holds a0..a3 in powers of u = x - `lefts`[i].  The canonical pair
+    yields 0, (x+2)^3/12 on [-2, 0] and x^2/2 + x + 2/3 from 0 on.
     """
 
     def __init__(self, pair: ProfilePair):
-        self.pair = pair
-        self._closed = pair.name == "canonical"
-        if not self._closed and not pair.piecewise_linear:
-            raise ValueError("convolution profile needs a canonical or piecewise-linear pair")
+        if not pair.piecewise_linear:
+            raise ValueError("convolution profile needs a piecewise-linear pair")
+        f, g = pair.f, pair.g
+        jumps = np.diff(g.slopes)
+        self.breaks = np.unique(np.subtract.outer(f.breaks, g.breaks))
+        ends = np.append(self.breaks, self.breaks[-1] + 2.0)
+        # f's piece per kink of g taken at each piece's midpoint: at a break
+        # (f_kink - g_kink) + g_kink can round to the other side of f_kink
+        kf = np.searchsorted(f.breaks, np.add.outer(0.5 * (ends[:-1] + ends[1:]), g.breaks),
+                             side="right")
+        slope = f.slopes[kf] @ jumps
+        d2 = f(np.add.outer(self.breaks, g.breaks)) @ jumps
+        width = np.diff(self.breaks)
+        d1 = np.concatenate([[0.0], np.cumsum((d2[:-1] + 0.5 * slope[:-1] * width) * width)])
+        d0 = np.concatenate([[0.0], np.cumsum(
+            ((slope[:-1] * width / 6.0 + 0.5 * d2[:-1]) * width + d1[:-1]) * width)])
+        self.lefts = np.concatenate([self.breaks[:1], self.breaks])
+        self.coef = np.zeros((len(self.lefts), 4))
+        self.coef[1:] = np.stack([d0, d1, 0.5 * d2, slope / 6.0], axis=1)
+
+    def _local(self, x):
+        x = np.asarray(x, dtype=float)
+        idx = np.searchsorted(self.breaks, x, side="right")
+        return x - self.lefts[idx], self.coef[idx].T
 
     def __call__(self, x):
-        if self._closed:
-            x = np.asarray(x, dtype=float)
-            return np.where(
-                x <= -2.0, 0.0,
-                np.where(x <= 0.0, (x + 2.0) ** 3 / 12.0, x * x / 2.0 + x + 2.0 / 3.0),
-            )
-        if np.ndim(x) == 0:
-            return _convolve_pl(self.pair.f, self.pair.g, float(x))
-        return np.array([_convolve_pl(self.pair.f, self.pair.g, float(t)) for t in np.asarray(x)])
+        u, (a0, a1, a2, a3) = self._local(x)
+        return ((a3 * u + a2) * u + a1) * u + a0
 
     def deriv(self, x):
-        if self._closed:
-            x = np.asarray(x, dtype=float)
-            return np.where(x <= -2.0, 0.0, np.where(x <= 0.0, (x + 2.0) ** 2 / 4.0, x + 1.0))
-        if np.ndim(x) == 0:
-            return _convolve_pl(self.pair.f, self.pair.g, float(x), order=1)
-        return np.array([_convolve_pl(self.pair.f, self.pair.g, float(t), order=1)
-                         for t in np.asarray(x)])
+        u, (_, a1, a2, a3) = self._local(x)
+        return (3.0 * a3 * u + 2.0 * a2) * u + a1
 
     def deriv2(self, x):
-        """F''(x) = sum_k (jump of g' at b_k) f(x + b_k) over the kinks b_k of g.
-
-        That is F''(x) = integral f'(u + x) (-g'(u)) du integrated by parts (g'
-        vanishes outside its kinks).  Exact for piecewise-linear pairs; for the
-        canonical one it is (x+2)/2 on (-2, 0] and 1 for x > 0.
-        """
-        f, g = self.pair.f, self.pair.g
-        return f(np.add.outer(x, g.breaks)) @ np.diff(g.slopes)
-
+        u, (_, _, a2, a3) = self._local(x)
+        return 6.0 * a3 * u + 2.0 * a2

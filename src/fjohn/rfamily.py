@@ -15,14 +15,16 @@ same machinery with the derivative profile.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blockmat import BlockMat, EPoint, s_trace, sdet1_param
-from .errors import BadR, NotConverged, NotInBr, SingularA
+from .errors import BadR, NotConverged, NotInBr, NotProper, SingularA
 from .isotropy import DiscreteMeasure, MinimizerResult
-from .logconcave import LogConcaveFn, PiecewiseLogAffine, _sq_norms, eval_h_many
+from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
+                         eval_h_many, psi_eval_many)
 from .profiles import PiecewiseLinear, ProfilePair
 
 
@@ -57,16 +59,50 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
-def sup_h_pow2(h: LogConcaveFn, s: float, probe_radius: float = 2.0) -> float:
-    """Upper estimate of sup h**(2/s) over the probe ball (coarse grid maximum)."""
-    axes = [np.linspace(-probe_radius, probe_radius, 201 if h.n == 1 else 41)] * h.n
-    X = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return float(np.max(eval_h_many(h, X) ** (2.0 / s))) * 1.0000001
+def _min_psi(form: PiecewiseLogAffine) -> float:
+    """Lower bound on psi over its domain; min psi itself when psi is coercive.
+
+    The larger of two bounds.  A coercive psi (its gradients positively
+    span R^n) attains its minimum at a vertex of its epigraph, where n + 1
+    pieces with independent (a_j, -1) meet, so min psi is the least psi
+    over those vertices: C(k, n + 1) small solves, taken in blocks.
+    Without coercivity a vertex proves nothing, since psi can fall below it
+    along a direction in which no piece grows.  On a domain ball of radius
+    R, psi >= b_j - |a_j| R for every piece j.
+    """
+    k, n = form.a.shape
+    bounds = []
+    if form.domain_radius is not None:
+        bounds.append(float(np.max(form.b - np.linalg.norm(form.a, axis=1) * form.domain_radius)))
+    if _positive_span(form.a)[0]:
+        least = np.inf
+        subsets = itertools.combinations(range(k), n + 1)
+        while block := list(itertools.islice(subsets, 4096)):
+            S = np.array(block)
+            M = np.concatenate([form.a[S], np.full(S.shape + (1,), -1.0)], axis=2)
+            ok = np.linalg.matrix_rank(M) == n + 1
+            xt = np.linalg.solve(M[ok], -form.b[S[ok]][..., None])[..., 0]
+            least = min(least, float(np.min(psi_eval_many(form, xt[:, :n]), initial=np.inf)))
+        bounds.append(least)
+    if not bounds:
+        raise NotProper("psi is not bounded below: no domain ball and not coercive")
+    return max(bounds)
+
+
+def sup_h_pow2(h: LogConcaveFn, s: float) -> float:
+    """Upper bound on sup h**(2/s): exp(-min psi)**(2/s) from `_min_psi`, times 1 + 1e-7."""
+    return float(np.exp(-_min_psi(h.form)) ** (2.0 / s)) * 1.0000001
 
 
 def band_radius(h: LogConcaveFn, s: float, r: float) -> float:
-    """Radius enclosing the set where the band factor can be nonzero."""
-    return float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup_h_pow2(h, s)))
+    """Radius enclosing the set where the band factor can be nonzero.
+
+    Where h vanishes, |x| > 1 closes the band, so with a domain ball of
+    radius R the radius is capped at max(R, 1).
+    """
+    radius = float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup_h_pow2(h, s)))
+    R = h.form.domain_radius
+    return radius if R is None else min(radius, max(R, 1.0))
 
 
 @functools.lru_cache(maxsize=None)

@@ -209,6 +209,26 @@ class TestProfilesCheck:
         assert payload["result"]["F_prime_at_zero"] == pytest.approx(1.0)
 
 
+    def test_custom_pair_end_to_end(self, tmp_path):
+        # the steep pair of test_profiles as an xs/ys profile: f's slope triples
+        # at 0.5, g has a kink at 0
+        inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+        inst["profile"] = {"f": {"xs": [-1.0, 0.5], "ys": [0.0, 1.5], "right_slope": 3.0},
+                           "g": {"xs": [-1.0, 0.0, 1.0], "ys": [1.0, 0.7, 0.0]}}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(inst))
+        res = run("profiles-check", "--instance", str(path))
+        assert res.returncode == 0, res.stderr
+        check = json.loads(res.stdout)["result"]
+        assert check["all_ok"] is True
+        assert check["F_nonnegative"] and check["F_nondecreasing"] and check["F_convex"]
+        res = run("minimize-i1", "--instance", str(path))
+        assert res.returncode == 0, res.stderr
+        r = json.loads(res.stdout)["result"]
+        assert r["converged"] is True and r["lambda_gap"] <= 1e-8
+        assert r["isotropy"]["residual_iso"] <= 1e-8
+
+
 class TestSweepCommand:
     def test_short_sweep_with_csv(self, two_level_instance, tmp_path):
         inst = json.loads(two_level_instance.read_text())

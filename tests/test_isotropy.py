@@ -7,7 +7,7 @@ from fjohn.errors import AtomOffContactSet, DivergingIterates
 from fjohn.isotropy import (DiscreteMeasure, _Atoms, calibrated_measure, check_isotropy,
                             coercivity_witness, counting_measure, extract_measure,
                             functional_gradient, functional_value, minimize_functional)
-from fjohn.profiles import ConvolutionProfile, canonical_pair
+from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 
 F = ConvolutionProfile(canonical_pair())
 S = 1.0
@@ -196,6 +196,22 @@ class TestNewton:
         assert res.iterations <= 10
         assert res.projected_grad_norm <= 1e-10
         iso = check_isotropy(extract_measure(res, h, S, nu, F), S)
+        assert iso.residual_iso <= 1e-8
+        assert iso.residual_center <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_custom_pair_converges(self, n):
+        # a piecewise-linear pair other than the canonical one: f's slope
+        # triples at 0.5 and g has a kink at 0
+        steep = ProfilePair(
+            f=PiecewiseLinear.from_knots([-1.0, 0.5], [0.0, 1.5], right_slope=3.0),
+            g=PiecewiseLinear.from_knots([-1.0, 0.0, 1.0], [1.0, 0.7, 0.0]))
+        F_steep = ConvolutionProfile(steep)
+        h, nu = off_axis_two_level(n)
+        res = minimize_functional(h, S, nu, F_steep)
+        assert res.converged and res.iterations <= 10
+        assert res.projected_grad_norm <= 1e-10 and res.lambda_gap <= 1e-8
+        iso = check_isotropy(extract_measure(res, h, S, nu, F_steep), S)
         assert iso.residual_iso <= 1e-8
         assert iso.residual_center <= 1e-8
 

@@ -6,6 +6,127 @@ from fjohn.profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair,
                             canonical_pair, validate_profiles)
 
 
+# 4-node Gauss-Legendre rule on [-1, 1]: exact on each segment of `_convolve_pl`,
+# where the integrand is a product of two linear pieces
+_GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
+def _convolve_pl(f: PiecewiseLinear, g: PiecewiseLinear, xs, order: int = 0) -> np.ndarray:
+    """Oracle: integral of f(t) g(t - x) dt (order 0) or f(t) (-g')(t - x) dt (order 1).
+
+    The integrand is supported on t in [-1, x + 1] and is piecewise polynomial
+    between the kinks of f and the shifted kinks of g; fixed-order
+    Gauss-Legendre per segment is exact.  Every x gets the same number of
+    cuts, clipped to its support, so a segment of zero length adds 0.
+    """
+    xs = np.asarray(xs, dtype=float)[:, None]
+    lo, hi = -1.0, np.maximum(xs + 1.0, -1.0)
+    cuts = np.concatenate([np.full_like(xs, lo), hi, f.breaks + 0.0 * xs, g.breaks + xs], axis=1)
+    cuts = np.sort(np.minimum(np.maximum(cuts, lo), hi), axis=1)
+    mid, half = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+    t = mid[..., None] + half[..., None] * _GL4_NODES
+    u = t - xs[..., None]
+    vals = f(t) * (g(u) if order == 0 else -g.deriv(u))
+    return np.sum(half * (vals @ _GL4_WEIGHTS), axis=1)
+
+
+def _oracle(pair, xs):
+    """F and F' by `_convolve_pl`, and F'' = sum_k J_k f(x + b_k)."""
+    f, g = pair.f, pair.g
+    return (_convolve_pl(f, g, xs), _convolve_pl(f, g, xs, order=1),
+            f(np.add.outer(xs, g.breaks)) @ np.diff(g.slopes))
+
+
+def _canonical_closed(x):
+    """Oracle: the canonical pair's F, F', F'' in closed form."""
+    x = np.asarray(x, dtype=float)
+    return (np.where(x <= -2.0, 0.0,
+                     np.where(x <= 0.0, (x + 2.0) ** 3 / 12.0, x * x / 2.0 + x + 2.0 / 3.0)),
+            np.where(x <= -2.0, 0.0, np.where(x <= 0.0, (x + 2.0) ** 2 / 4.0, x + 1.0)),
+            np.where(x <= -2.0, 0.0, np.where(x <= 0.0, (x + 2.0) / 2.0, 1.0)))
+
+
+def _steep_pair():
+    """f with a kink at 0.5 where its slope triples, g with a kink at 0."""
+    f = PiecewiseLinear(np.array([-1.0, 0.5]), np.array([0.0, 1.0, 3.0]),
+                        np.array([0.0, 1.0, 0.0]))
+    g = PiecewiseLinear.from_knots([-1.0, 0.0, 1.0], [1.0, 0.7, 0.0])
+    return ProfilePair(f=f, g=g)
+
+
+def _three_kink_pair():
+    """The custom pair of test_rfamily: f kinks at -1, -0.3 and 0.4; g at -1, -0.2, 1."""
+    f = PiecewiseLinear.from_knots([-1.0, -0.3, 0.4], [0.0, 0.35, 1.1], right_slope=2.0)
+    g = PiecewiseLinear.from_knots([-1.0, -0.2, 1.0], [1.0, 0.6, 0.0])
+    return ProfilePair(f=f, g=g)
+
+
+def _random_pair(seed):
+    """A valid piecewise-linear pair: 1-3 kinks in f beyond -1, 0-3 in g inside (-1, 1).
+
+    Kinks are at least 0.1 apart, which bounds the jumps of g' by 20.  Much
+    closer kinks make F'' = sum_k J_k f(x + b_k) a sum of large terms that
+    cancel, and the oracle's own rounding then exceeds the 1e-14 tolerance.
+    """
+    rng = np.random.default_rng(seed)
+
+    def kinks(lo, hi, count):
+        while True:
+            x = np.sort(rng.uniform(lo, hi, size=count))
+            if np.all(np.diff(np.concatenate([[-1.0], x, [max(hi, 1.0)]])) >= 0.1):
+                return x
+
+    fx = np.concatenate([[-1.0], kinks(-1.0, 2.0, rng.integers(1, 4))])
+    slopes = np.sort(rng.uniform(0.1, 3.0, size=len(fx)))  # increasing: convex
+    fy = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(fx))])
+    f = PiecewiseLinear.from_knots(fx, fy, right_slope=slopes[-1])
+    gx = np.concatenate([[-1.0], kinks(-1.0, 1.0, rng.integers(0, 4)), [1.0]])
+    gy = np.concatenate([[1.0], np.sort(rng.uniform(0.05, 1.0, size=len(gx) - 2))[::-1], [0.0]])
+    return ProfilePair(f=f, g=PiecewiseLinear.from_knots(gx, gy))
+
+
+PAIRS = ([("canonical", canonical_pair), ("steep", _steep_pair),
+          ("three-kink", _three_kink_pair)]
+         + [(f"random-{seed}", lambda seed=seed: _random_pair(seed)) for seed in range(20)])
+
+
+def _gap(got, want, scale):
+    return np.max(np.abs(got - want) / np.maximum(1.0, scale))
+
+
+class TestAgainstOracles:
+    """The piecewise cubic against segment quadrature and the closed form.
+
+    F and F' must hold to 1e-14 max(1, |value|).  The oracle's F'' is a sum
+    of terms J_k f(x + b_k) that cancel, so its own rounding grows with
+    their size: on the random pairs F'' is held to 1e-14 times the sum of
+    their magnitudes, and on the shipped and test pairs to the tolerance of
+    F and F'.
+    """
+
+    @pytest.mark.parametrize("make", [m for _, m in PAIRS], ids=[i for i, _ in PAIRS])
+    def test_matches_segment_oracle(self, make):
+        pair = make()
+        assert validate_profiles(pair).ok
+        F = ConvolutionProfile(pair)
+        breaks = np.unique(np.subtract.outer(pair.f.breaks, pair.g.breaks))
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 6001), breaks])
+        want, want1, want2 = _oracle(pair, xs)
+        assert _gap(F(xs), want, np.abs(want)) <= 1e-14
+        assert _gap(F.deriv(xs), want1, np.abs(want1)) <= 1e-14
+        terms = np.abs(pair.f(np.add.outer(xs, pair.g.breaks))) @ np.abs(np.diff(pair.g.slopes))
+        assert _gap(F.deriv2(xs), want2, terms) <= 1e-14
+        if make in (canonical_pair, _steep_pair, _three_kink_pair):
+            assert _gap(F.deriv2(xs), want2, np.abs(want2)) <= 1e-14
+        assert np.all(F(xs[xs <= -2.0]) == 0.0)
+
+    def test_canonical_matches_closed_form(self):
+        F = ConvolutionProfile(canonical_pair())
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 6001), [-2.0, 0.0]])
+        for got, want in zip((F(xs), F.deriv(xs), F.deriv2(xs)), _canonical_closed(xs)):
+            assert _gap(got, want, np.abs(want)) <= 1e-14
+
+
 class TestCanonicalPair:
     def test_f_values(self):
         f = canonical_pair().f
@@ -87,18 +208,13 @@ class TestConvolutionProfile:
     def test_deriv2_closed_form(self):
         F = ConvolutionProfile(canonical_pair())
         xs = np.linspace(-3.0, 3.0, 601)
-        want = np.where(xs <= -2.0, 0.0, np.where(xs <= 0.0, (xs + 2.0) / 2.0, 1.0))
+        want = _canonical_closed(xs)[2]
         assert np.max(np.abs(F.deriv2(xs) - want)) <= 1e-15
         assert F.deriv2(0.5) == 1.0
 
 
 class TestCustomPair:
-    @staticmethod
-    def make_pair():
-        f = PiecewiseLinear(np.array([-1.0, 0.5]), np.array([0.0, 1.0, 3.0]),
-                            np.array([0.0, 1.0, 0.0]))
-        g = PiecewiseLinear.from_knots([-1.0, 0.0, 1.0], [1.0, 0.7, 0.0])
-        return ProfilePair(f=f, g=g, name="steep")
+    make_pair = staticmethod(_steep_pair)
 
     def test_validates(self):
         rep = validate_profiles(self.make_pair())

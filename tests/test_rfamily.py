@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from fjohn import cli, rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_det, sdet1_param
 from fjohn.contact import two_level_cross_fixture
-from fjohn.errors import BadR, NotConverged, NotInBr
+from fjohn.errors import BadR, NotConverged, NotInBr, NotProper
 from fjohn.isotropy import counting_measure, extract_measure, minimize_functional
 from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
 from fjohn.oracle import envelope_breaks_scan
@@ -16,6 +17,7 @@ from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, _x_grid, band_fu
                            minimize_band, r_sweep, rescaled_band_functional,
                            stationarity_multiplier, sup_h_pow2, trapezoid_bump)
 
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 S = 1.0
 QUAD_TOL = 1e-6  # the quadrature error 960 nodes per axis hold at n = 1 (QuadratureSpec)
 CONVERGED_STOPS = (rfamily.CONVERGED, rfamily.RESOLVED)  # both stop at a minimum
@@ -124,6 +126,42 @@ class TestBandFunctional:
                     p = EPoint(BlockMat(A, alpha), np.array([tau * gen[1]]))
                     vals.append(band_functional(h, S, pair, r, p, quad))
                 assert vals[1] >= 10.0 * vals[0]
+
+
+class TestBandRadius:
+    def test_tangent_instance_band_is_enclosed(self, quad):
+        # one piece on a domain of radius 8: sup h^2 = 62,671 sits at x = -8, far
+        # outside [-2, 2], and the band reaches the domain's edge; the expected
+        # values are band_functional on the domain radius with 9600 nodes, where
+        # 960 nodes agree to 5e-7
+        inst = json.loads((INSTANCES / "tangent_n1_s1.json").read_text())
+        h = cli.build_h(inst)
+        assert sup_h_pow2(h, S) == pytest.approx(62670.82, rel=1e-6)
+        assert band_radius(h, S, 0.8) == 8.0
+        pair = canonical_pair()
+        for v, want in ((0.4, 1.8334019), (0.5, 2.9710297), (-0.3, np.inf)):
+            p = EPoint(BlockMat(np.eye(1), 1.0), np.array([v]))
+            assert band_functional(h, S, pair, 0.8, p, quad) == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sup_is_attained_on_coercive_psi(self, n):
+        h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
+        rng = np.random.default_rng(n)
+        X = np.vstack([np.zeros((1, n)), rng.uniform(-3.0, 3.0, size=(20000, n)),
+                       rng.normal(scale=0.2, size=(20000, n))])
+        sampled = float(np.max(eval_h_many(h, X) ** (2.0 / S)))
+        # sup_h_pow2 is exp(-min psi)^2 times 1 + 1e-7, and the fixture's psi is least at 0
+        assert sup_h_pow2(h, S) == float(eval_h_many(h, np.zeros((1, n)))[0] ** 2) * 1.0000001
+        assert sampled <= sup_h_pow2(h, S) <= sampled * (1.0 + 2e-7)
+
+    def test_non_coercive_pieces_use_the_domain_bound(self):
+        # psi = max(x, 2x) has a vertex at 0 but falls to -3 at x = -3 on |x| <= 3
+        h = make_log_concave([[1.0], [2.0]], [0.0, 0.0], S, domain_radius=3.0)
+        assert sup_h_pow2(h, S) == pytest.approx(np.exp(6.0), rel=2e-7)
+        assert band_radius(h, S, 0.99) == 3.0
+        assert band_radius(make_log_concave([[1.0], [2.0]], [0.0, 0.0], S, 0.5), S, 0.99) == 1.0
+        with pytest.raises(NotProper):
+            sup_h_pow2(make_log_concave([[1.0], [2.0]], [0.0, 0.0], S), S)
 
 
 class TestRescaledBandFunctional:
