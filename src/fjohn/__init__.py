@@ -15,7 +15,7 @@ from .isotropy import (DiscreteMeasure, IsotropyReport, MinimizerResult,
                        calibrated_measure, check_isotropy, coercivity_witness,
                        counting_measure, extract_measure, functional_gradient,
                        functional_value, minimize_functional)
-from .logconcave import LogConcaveFn, check_proper, eval_h, make_log_concave
+from .logconcave import LogConcaveFn, check_proper, make_log_concave
 from .profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair,
                        validate_profiles)
 from .rfamily import (QuadratureSpec, RSweepResult, band_functional,

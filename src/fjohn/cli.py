@@ -187,10 +187,7 @@ def build_nu(inst: dict, h: LogConcaveFn) -> isotropy.DiscreteMeasure:
 def build_quad(inst: dict) -> rfamily.QuadratureSpec:
     q = inst.get("quadrature", {})
     try:
-        return rfamily.QuadratureSpec(
-            x_nodes_per_axis=int(q.get("x_nodes_per_axis", 960)),
-            t_nodes=int(q.get("t_nodes", 4)),
-            domain_radius=q.get("domain_radius"))
+        return rfamily.QuadratureSpec(x_nodes_per_axis=int(q.get("x_nodes_per_axis", 960)))
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed quadrature ({type(exc).__name__}: {exc})")
 
@@ -330,6 +327,10 @@ def cmd_sweep_r(args) -> int:
     h = build_h(inst)
     nu = build_nu(inst, h)
     pair = build_profile(inst)
+    try:  # before the reference minimization, which a pair the band cannot take would waste
+        rfamily.check_band_pair(pair)
+    except ValueError as exc:
+        raise InputError(f"profile unfit for the band functionals ({exc})")
     F = ConvolutionProfile(pair)
     quad = build_quad(inst)
     s = inst["s"]

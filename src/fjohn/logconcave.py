@@ -46,10 +46,6 @@ class LogConcaveFn:
     form: PiecewiseLogAffine
 
 
-def psi_eval(form: PiecewiseLogAffine, x: np.ndarray) -> float:
-    return float(np.max(form.a @ np.asarray(x, dtype=float) + form.b))
-
-
 def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
     """Vectorized psi over rows of X, ignoring the domain ball.
 
@@ -70,16 +66,8 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_h(h: LogConcaveFn, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    form = h.form
-    if form.domain_radius is not None and np.dot(x, x) > form.domain_radius**2:
-        return 0.0
-    return float(np.exp(-psi_eval(form, x)))
-
-
 def eval_h_many(h: LogConcaveFn, X: np.ndarray) -> np.ndarray:
-    """Vectorized eval_h over rows of X."""
+    """h over the rows of X: exp(-psi), and 0 outside the domain ball."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     form = h.form
     vals = np.exp(-psi_eval_many(form, X))

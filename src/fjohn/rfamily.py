@@ -2,14 +2,14 @@
 
 Both functionals integrate a product f_r(..) g_r(..) over a thin band around
 the upper unit hemisphere; the band substitution t = (scaled height - 1)/(1-r)
-turns the inner integral into a piecewise-polynomial in t whenever the
-profiles are piecewise linear, so it is integrated segment-exactly and the
-only quadrature error comes from the outer x grid.  The same segment pass
-also gives the derivative of the inner integral, and through the chain rule
-the analytic gradient of the band functional in the minimizer's
-coordinates, so the minimizer is quasi-Newton on that gradient.  The
-concentration measure density and the stationarity multiplier reuse the
-same machinery with the derivative profile.
+turns the inner integral into a piecewise cubic in t whenever the profiles
+are piecewise linear, so the 2-point Gauss rule integrates it exactly on
+every segment and the only quadrature error comes from the outer x grid.
+One kernel gives the inner integral I and its derivative I' in c^2 on the
+nodes where the band is open, and everything else is built from those two:
+the band functional, its analytic gradient in the minimizer's coordinates
+(so the minimizer is quasi-Newton on that gradient), and, by parts, the
+concentration-measure density and the stationarity multiplier.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockmat import BlockMat, EPoint, s_trace, sdet1_param
-from .errors import BadR, NotConverged, NotInBr, NotProper, SingularA
+from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
 from .isotropy import DiscreteMeasure, MinimizerResult
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
                          eval_h_many, psi_eval_many)
@@ -32,31 +32,27 @@ from .profiles import PiecewiseLinear, ProfilePair
 class QuadratureSpec:
     """Outer-grid resolution for the band quadratures.
 
-    The inner t-integrals are segment-exact for piecewise-linear profiles,
-    so the quadrature error comes from the x grid alone; 960 nodes per axis
-    holds it to 1e-6 at n = 1 up to r = 0.99 (cost grows like 1/(1-r)
-    beyond).  No field sets a tolerance: an instance file's `quadrature.tol`
-    is accepted and ignored in schema version 1.
+    The inner t-integrals are exact for piecewise-linear profiles (2-point
+    Gauss on piecewise cubics), so the quadrature error comes from the x
+    grid alone; 960 nodes per axis holds it to 1e-6 at n = 1 up to r = 0.99
+    (cost grows like 1/(1-r) beyond).  The grid spans the exact band radius
+    of `band_radius`.  An instance file's `quadrature.tol`, `t_nodes` and
+    `domain_radius` are accepted and ignored in schema version 1.
     The inner kernel integrates only the grid nodes where the band is open,
     so a band evaluation costs in proportion to the open share of the grid
     (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
     x_nodes_per_axis ** n.  The grid is walked in blocks of about 32k nodes,
-    so an evaluation holds one block's temporaries and a few full-length
-    arrays of floats (weights, h and the inner integrals), never the
-    (nodes, n) array of grid points.  Counts the rules would silently raise
-    are rejected: the inner Gauss rule has at least 3 nodes per segment, and
-    the outer grid at least 4 panels of 8 nodes per axis, so `t_nodes` must
-    be at least 3 and `x_nodes_per_axis` at least 25.
+    so an evaluation holds one block's temporaries and four floats per open
+    node, never the (nodes, n) array of grid points.  The outer grid has at
+    least 4 panels of 8 nodes per axis, so a count below 25, which it would
+    silently raise, is rejected.
     """
 
     x_nodes_per_axis: int = 960
-    t_nodes: int = 4
-    domain_radius: float | None = None
 
     def __post_init__(self):
-        for name, least in (("x_nodes_per_axis", 25), ("t_nodes", 3)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not self.x_nodes_per_axis >= 25:
+            raise ValueError(f"x_nodes_per_axis must be at least 25, got {self.x_nodes_per_axis}")
 
 
 def _min_psi(form: PiecewiseLogAffine) -> float:
@@ -179,37 +175,29 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.nd
 _BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.terms`: ~32k, so its temporaries stay in cache
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # q at den = 0 is resolved by np.where below
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
-                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray,
-                mode: str, gl_nodes: int) -> np.ndarray:
-    """Per-node t-integrals over the band.
+                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray):
+    """The inner t-integral I and its derivative I' in c2, on the nodes where the band is open.
 
-    mode 'value':   integral of f(t) g(q(t)) dt
-    mode 'density': integral of f'(t) (1 + (1-r)t) g(q(t)) dt
-    mode 'grad':    the 'value' integral I and its derivative in c2,
-                    I' = integral of f(t) g'(q(t)) (1+(1-r)t)^2/den dt,
-                    stacked as a (2, N) array
-    with q(t) = (r2m1 + c2 (1+(1-r)t)^2)/den, increasing in t >= -1.  Between
-    the kinks of f and the pullbacks of the kinks of g the integrand is a
-    polynomial of degree <= 3, so the per-segment Gauss rule is exact, and
-    the pieces of f and g are fixed: they are chosen once per segment, at
-    its midpoint.  The band is open only where the pullback t_top of the top
-    kink of g lies above -1; everywhere else each segment end clips to -1 and
-    the integral is exactly 0.  The segments are integrated on the open
-    nodes alone, so the cost follows the open share of the nodes given
-    (about a third of an n = 2 grid at r = 0.8), not their number.  Every
-    node is integrated on its own, so `_Band.terms` calls this on one block
-    of the grid at a time and gets the same bits as on the whole grid; its
-    temporaries are then the size of a block.  f(t) g(q(t)) is
-    continuous at every segment end and vanishes at the top one, so moving
-    the ends with c2 adds no term to I': it is accumulated in the same pass,
-    on the same nodes and pieces.
+    I  = integral of f(t) g(q(t)) dt,
+    I' = integral of f(t) g'(q(t)) (1+(1-r)t)^2/den dt,
+    with q(t) = (r2m1 + c2 (1+(1-r)t)^2)/den, increasing in t >= -1, for
+    c2 > 0 and den > 0 (`_Band` makes sure of both).  Returns (open, I, I'):
+    the indices of the open nodes and the two integrals there.  The band is
+    open only where the pullback t_top of the top kink of g lies above -1;
+    everywhere else each segment end clips to -1 and both integrals are
+    exactly 0.  Between the kinks of f and the pullbacks of the kinks of g
+    both integrands are polynomials of degree <= 3, so the 2-point Gauss
+    rule is exact on every segment, and the pieces of f and g are fixed:
+    they are chosen once per segment, at its midpoint.  Every node is
+    integrated on its own, so `_Band.terms` calls this on one block of the
+    grid at a time and gets the same bits as on the whole grid.
+    f(t) g(q(t)) is continuous at every segment end and vanishes at the top
+    one, so moving the ends with c2 adds no term to I': it is accumulated in
+    the same pass, on the same nodes and pieces.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
-    grad = mode == "grad"
-    total = np.zeros(len(c2))
 
     def pullback(gb):  # t with q(t) = gb; -1/(1-r), i.e. tau = 0, where q(tau = 0) >= gb
         tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
@@ -217,8 +205,6 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 
     # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
     is_open = np.flatnonzero(~(pullback(g_breaks[-1:])[:, 0] <= -1.0))
-    if not len(is_open):
-        return np.stack([total, total]) if grad else total
     c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
     t_roots = pullback(g_breaks)
     t_top = t_roots[:, -1:]
@@ -227,53 +213,47 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     cols.extend(np.full(len(c2), fb) for fb in f_pl.breaks if fb > -1.0)
     cols.extend(t_roots[:, k] for k in range(len(g_breaks)))
     B = np.minimum(np.maximum(np.stack(cols, axis=1), -1.0), t_top)
-    B.sort(axis=1)
+    if len(cols) > 1 + len(g_breaks):  # the pullbacks increase, so only kinks of f need a sort
+        B.sort(axis=1)
 
-    nodes, wts = _gauss(max(gl_nodes, 3))
+    xi = _gauss(2)[0][:, None]  # the 2-point rule: nodes mid + xi half, both weights exactly 1
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
-    den_pos = den > 0.0
-    all_pos = bool(den_pos.all())
-
-    def q_of(tau_t):
-        num = r2m1 + c2 * tau_t**2
-        q = num / den
-        if not all_pos:
-            q = np.where(den_pos, q, np.where(num > 0.0, np.inf, -np.inf))
-        return np.minimum(np.maximum(q, qlo), qhi)
-
     inner = np.zeros(len(c2))
-    d_inner = np.zeros(len(c2)) if grad else None
+    d_inner = np.zeros(len(c2))
     for j in range(B.shape[1] - 1):
         a, b = B[:, j], B[:, j + 1]
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
         kf = np.searchsorted(f_pl.breaks, mid, side="right")
-        kg = np.searchsorted(g_breaks, q_of(1.0 + omr * mid), side="right")
+        kg = np.searchsorted(g_breaks, (r2m1 + c2 * (1.0 + omr * mid)**2) / den, side="right")
         f_slope, f_icpt = f_pl.slopes[kf], f_pl.intercepts[kf]
         g_slope, g_icpt = g_pl.slopes[kg], g_pl.intercepts[kg]
-        seg = np.zeros(len(c2))
-        d_seg = np.zeros(len(c2)) if grad else None
-        for xi, wi in zip(nodes, wts):
-            t = mid + half * xi
-            tau_t = 1.0 + omr * t
-            g_q = g_slope * q_of(tau_t) + g_icpt
-            if mode == "value":
-                vals = (f_slope * t + f_icpt) * g_q
-            elif grad:  # g' = g_slope is fixed on the segment: applied once below
-                f_t = f_slope * t + f_icpt
-                vals = f_t * g_q
-                d_seg += wi * (f_t * tau_t**2)
-            else:
-                vals = f_slope * tau_t * g_q
-            seg += wi * vals
-        inner += half * seg
-        if grad:
-            d_inner += (half * g_slope) * d_seg
-    total[is_open] = inner
-    if not grad:
-        return total
-    d_total = np.zeros(len(total))
-    d_total[is_open] = np.where(den_pos, d_inner / den, 0.0)  # den = 0: q is +-inf, fixed in c2
-    return np.stack([total, d_total])
+        t = mid + half * xi  # (2, nodes)
+        tau2 = (1.0 + omr * t) ** 2
+        q = np.minimum(np.maximum((r2m1 + c2 * tau2) / den, qlo), qhi)
+        f_t = f_slope * t + f_icpt
+        vals = f_t * (g_slope * q + g_icpt)
+        d_vals = f_t * tau2  # g' = g_slope is fixed on the segment: applied below
+        inner += half * (vals[0] + vals[1])
+        d_inner += (half * g_slope) * (d_vals[0] + d_vals[1])
+    return is_open, inner, d_inner / den
+
+
+def check_band_pair(pair: ProfilePair) -> None:
+    """Raise ValueError unless the band kernel applies to the profile pair.
+
+    It needs piecewise-linear profiles with f(-1) = 0 and g = 0 at its top
+    kink: then f(t) (1+(1-r)t) g(q(t)) vanishes at both ends of the band,
+    which is what lets the density integral be taken by parts and I' skip
+    the moving segment ends.
+    """
+    if not pair.piecewise_linear:
+        raise ValueError("band quadrature needs piecewise-linear profile functions")
+    top = float(pair.g.breaks[-1])
+    f_low, g_top = float(pair.f(-1.0)), float(pair.g(top))
+    if abs(f_low) > 1e-12:
+        raise ValueError(f"band quadrature needs f(-1) = 0, got {f_low!r}")
+    if abs(g_top) > 1e-12:
+        raise ValueError(f"band quadrature needs g = 0 at its top kink {top!r}, got {g_top!r}")
 
 
 class _Band:
@@ -282,44 +262,54 @@ class _Band:
     Built once per (h, s, pair, r, quad) and kept for one call or one
     minimization: the profiles, the band radius, for n = 1 the kinks of psi
     on the whole line, and the upper-triangle indices of the minimizer's
-    coordinates.
+    coordinates.  It checks up front what the band kernel assumes: the pair
+    passes `check_band_pair`, and h > 0 on the closed unit ball without
+    underflow of h^(2/s) 2(1-r) there.  Then a node where the band can be
+    open (|z|^2 - 1 below den times the top kink of g) has den > 0: den = 0
+    would need |z| < 1.
     """
 
     def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                  quad: QuadratureSpec):
         if not 0.5 < r < 1.0:
             raise BadR(f"r={r} outside (1/2, 1)")
-        if not pair.piecewise_linear:
-            raise ValueError("band quadrature needs piecewise-linear profile functions")
+        check_band_pair(pair)
+        form = h.form
+        if form.domain_radius is not None and form.domain_radius < 1.0:
+            raise NotJohnPosition(f"h vanishes on the unit ball beyond its domain radius "
+                                  f"{form.domain_radius}")
+        # on |x| <= 1, psi <= max_j (b_j + |a_j|)
+        least = np.exp(-np.max(form.b + np.linalg.norm(form.a, axis=1))) ** (2.0 / s)
+        if not least * 2.0 * (1.0 - r) > 0.0:
+            raise NotJohnPosition("h^(2/s) underflows on the unit ball")
         self.h, self.s, self.r, self.quad, self.f, self.g = h, s, r, quad, pair.f, pair.g
         self.radius = band_radius(h, s, r)
-        if quad.domain_radius is not None:
-            if quad.domain_radius < self.radius - 1e-12:
-                raise ValueError(f"quadrature radius {quad.domain_radius} below the band "
-                                 f"radius {self.radius:.6f}")
-            self.radius = float(quad.domain_radius)
         self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if h.n == 1 else None
         self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
         self.on_diagonal = self.upper[0] == self.upper[1]
 
-    def terms(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool, mode: str):
-        """Nodes, weights W, h^(1/s) at the band-factor argument, and the inner integrals.
+    def terms(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool,
+              nodes: bool = False):
+        """The open nodes' weights W, h^(1/s) at the band-factor argument, I and I'.
 
         shifted: x is the band variable and the factor is evaluated at Ax + v
         (the band_functional route); otherwise x is the factor argument and
         the band variable is A^-1 (x - v).  For n = 1 the panels follow the
-        kinks of psi in both variables.  h^(1/s) is evaluated only where the
-        band can be open (q(-1) below the top kink of g) and is 0 elsewhere,
-        where every inner integral is 0.  Returns None in modes 'value' and
-        'grad' when part of the open band lies where h vanishes.
+        kinks of psi in both variables.  Returns (X, W, h^(1/s), I, I') on
+        the nodes where the band is open, in `_x_grid`'s node order, with X
+        their coordinates when `nodes` is set and None otherwise; or None
+        when part of the band lies where h^(1/s)/alpha vanishes (or its
+        square underflows).  h at the band-factor argument is evaluated only
+        where the band can be open (q(-1) below the top kink of g).
 
-        The grid (in `_x_grid`'s node order) is walked in blocks of whole
-        tensor rows, about `_BLOCK_NODES` nodes each, so every per-node
-        temporary stays in cache.  What outlives a block is the full-length
-        W, h^(1/s) and inner integrals, so the caller's sums run over the same
-        arrays as on the whole grid.  The nodes returned are what the caller
-        reads: None in 'value', the nodes with a nonzero inner integral in
-        'grad', the whole grid in 'density'.
+        The grid is walked in blocks of whole tensor rows, about
+        `_BLOCK_NODES` nodes each, so every per-node temporary stays in
+        cache.  What outlives a block is its open nodes' W, h, I and I',
+        written in grid order to the front of four arrays with room for the
+        whole grid; their rest is never written, so it never becomes
+        resident, and the returned arrays are views of the fronts.
+        A block's weights are its rows' weights times the axis weights, the
+        same products as `_x_grid`'s.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -342,10 +332,11 @@ class _Band:
             kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
         x1, w1 = _axis_rule(radius, self.quad.x_nodes_per_axis, kinks)
         P = len(x1)
-        W = functools.reduce(np.multiply.outer, [w1] * n).ravel()
-        h_y = np.zeros(len(W))
-        inner = np.zeros((2, len(W)) if mode == "grad" else len(W))
-        kept = [np.empty((0, n))]  # nodes for the caller; the empty start serves a closed band
+        w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
+        # four arrays, not one (4, nodes) buffer: after freeing that larger buffer the
+        # allocator kept ~3 MB more of the process resident on the benchmark's n = 2 grid
+        out, filled = [np.empty(P ** n) for _ in range(4)], 0
+        kept = [np.empty((0, n))]  # the open nodes' coordinates; the empty start serves a closed band
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
         for r0 in range(0, rows, step):
             r1 = min(rows, r0 + step)
@@ -354,8 +345,6 @@ class _Band:
             for k in range(n - 1):
                 X[..., k] = x1[np.arange(r0, r1) // P ** (n - 2 - k) % P, None]
             X = X.reshape(-1, n)
-            if mode == "density":
-                kept.append(X)
             Z = X if shifted else np.linalg.solve(A, (X - v).T).T
             r2m1 = _sq_norms(Z)
             r2m1 -= 1.0
@@ -364,19 +353,20 @@ class _Band:
             if not len(near):  # the band is closed on the whole block
                 continue
             h_near = eval_h_many(self.h, X[near] @ A.T + v if shifted else X[near]) ** (1.0 / s)
-            live = h_near > 0.0
-            if mode != "density" and not live.all():
+            c2 = (h_near / alpha) ** 2
+            if not np.all(c2 > 0.0):
                 return None
-            at = r0 * P + near
-            h_y[at] = h_near
-            c2 = np.where(live, h_near / alpha, 1.0) ** 2
-            got = np.where(live, _inner_band(self.f, self.g, self.r, c2, den[near], r2m1[near],
-                                             mode, self.quad.t_nodes), 0.0)
-            inner[..., at] = got
-            if mode == "grad":
-                kept.append(X[near[got[0] != 0.0]])
-        nodes = None if mode == "value" else np.concatenate(kept)
-        return nodes, W, h_y, inner
+            opened, inner, d_inner = _inner_band(self.f, self.g, self.r, c2, den[near],
+                                                 r2m1[near])
+            at = near[opened]
+            if nodes:
+                kept.append(X[at])
+            for o, got in zip(out, ((w_rows[r0:r1, None] * w1).ravel()[at], h_near[opened],
+                                    inner, d_inner)):
+                o[filled:filled + len(at)] = got
+            filled += len(at)
+        W, h_y, inner, d_inner = (o[:filled] for o in out)
+        return (np.concatenate(kept) if nodes else None), W, h_y, inner, d_inner
 
 
 def band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -393,10 +383,10 @@ def _band_value(band: _Band, p: EPoint) -> float:
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if alpha <= 0.0 or np.linalg.det(A) == 0.0:
         raise SingularA("block must be invertible with positive corner")
-    terms = band.terms(A, alpha, v, shifted=True, mode="value")
+    terms = band.terms(A, alpha, v, shifted=True)
     if terms is None:
         return float("inf")
-    _, W, h_y, inner = terms
+    _, W, h_y, inner, _ = terms
     return float(np.sum(W * (h_y / alpha) * inner))
 
 
@@ -405,7 +395,7 @@ def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.n
 
     theta = (upper triangle of S, v), the coordinates of `_minimize_band`.
     The value is `_band_value(band, p)` bit for bit.  With c = h(y)^(1/s)/alpha
-    at y = Ax + v and the inner integral I(c^2), each node contributes
+    at y = Ax + v and the inner integral I(c^2), each open node contributes
     W c I(c^2), so the gradient is sum W c (I + 2 c^2 I') d(log c), where
     d(log c) = -(1/s) a_j(y) . dy + tr(dS)/s with a_j(y) the active piece of
     psi at y.  dy = dA x + dv; dA = L(S, dS) is the Frechet derivative of
@@ -415,15 +405,13 @@ def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.n
     Returns (inf, None) beyond the coercive barrier.
     """
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
-    terms = band.terms(A, alpha, v, shifted=True, mode="grad")
+    terms = band.terms(A, alpha, v, shifted=True, nodes=True)
     if terms is None:
         return float("inf"), None
-    Xn, W, h_y, (inner, d_inner) = terms
+    Xn, W, h_y, inner, d_inner = terms
     c = h_y / alpha
     value = float(np.sum(W * c * inner))
-    nz = np.flatnonzero(inner)  # the open nodes Xn, the only ones with a term
-    cn = c[nz]
-    omega = W[nz] * cn * (inner[nz] + 2.0 * cn * cn * d_inner[nz])
+    omega = W * c * (inner + 2.0 * c * c * d_inner)
     form = band.h.form
     a_j = form.a[np.argmax((Xn @ A.T + v) @ form.a.T + form.b, axis=1)]
     lam, V = np.linalg.eigh(S)
@@ -452,22 +440,32 @@ def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: fl
     alpha = 1.0 + (1.0 - r) * p.mat.corner
     if abs(np.linalg.det(A)) < 1e-14 or alpha <= 0.0:
         raise NotInBr("identity plus (1-r) M is not invertible (or corner <= 0)")
-    terms = band.terms(A, alpha, (1.0 - r) * p.shift, shifted=False, mode="value")
+    terms = band.terms(A, alpha, (1.0 - r) * p.shift, shifted=False)
     if terms is None:
         return float("inf")
-    _, W, h_x, inner = terms
+    _, W, h_x, inner, _ = terms
     return float(alpha ** (s - 1.0) * np.sum(W * h_x * inner))
 
 
 def _density_terms(band: _Band, minimizer: EPoint):
-    """Grid, weights and concentration-measure density at the given position."""
+    """Open nodes, their weights, the concentration-measure density there, and h^(1/s).
+
+    The density is alpha^(s-1) D / h^(1/s) with D the integral of
+    f'(t) (1+(1-r)t) g(q(t)) dt.  By parts, since f(t) (1+(1-r)t) g(q(t))
+    vanishes at both ends of the band (`check_band_pair`), and with
+    dq/dt = 2 c^2 (1+(1-r)t)(1-r)/den, D = -(1-r)(I + 2 c^2 I').  Raises
+    NotInBr when part of the band lies where h vanishes, where the band
+    functional is +inf.
+    """
     A, alpha, v = minimizer.mat.diag, minimizer.mat.corner, minimizer.shift
     if alpha <= 0.0:
         raise SingularA("corner must be positive")
-    X, W, h_x, inner = band.terms(A, alpha, v, shifted=False, mode="density")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        density = alpha ** (band.s - 1.0) * inner / h_x
-    density = np.where(inner != 0.0, density, 0.0)
+    terms = band.terms(A, alpha, v, shifted=False, nodes=True)
+    if terms is None:
+        raise NotInBr("the band reaches where h vanishes")
+    X, W, h_x, inner, d_inner = terms
+    c2 = (h_x / alpha) ** 2
+    density = (-(1.0 - band.r) * alpha ** (band.s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
     return X, W, density, h_x
 
 

@@ -96,16 +96,14 @@ class TestMalformedInput:
         ("minimize-i1", lambda i: i.update(s=0), []),
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=0), []),
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5), []),
-        ("sweep-r", lambda i: i["quadrature"].update(t_nodes=0), []),
-        ("sweep-r", lambda i: i["quadrature"].update(t_nodes=-2), []),
-        ("sweep-r", lambda i: i["quadrature"].update(t_nodes=2), []),
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8), []),
+        ("sweep-r", lambda i: i.update(
+            profile={"f": {"xs": [-1.0, 0.5], "ys": [0.2, 1.5]}, "g": G_KNOTS}), []),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
             "x-nodes-not-a-number", "negative-s", "zero-s", "x-nodes-zero",
-            "x-nodes-negative", "t-nodes-zero", "t-nodes-negative",
-            "t-nodes-below-three", "x-nodes-below-four-panels"])
+            "x-nodes-negative", "x-nodes-below-four-panels", "f-nonzero-at-minus-one"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
                                            mutate, extra):
         inst = json.loads(two_level_instance.read_text())
@@ -127,7 +125,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 class TestAcceptedAndIgnored:
-    """Schema version 1 keeps `--grid`, `tolerances.grid_per_axis` and `quadrature.tol`."""
+    """Schema version 1 keeps `--grid`, `tolerances.grid_per_axis` and `quadrature.tol`,
+    `t_nodes` and `domain_radius`."""
 
     def test_grid_flag_leaves_contacts_report_unchanged(self):
         inst = str(INSTANCES / "cross_n2_s2.json")
@@ -138,7 +137,9 @@ class TestAcceptedAndIgnored:
         assert json.loads(outs[0].stdout)["result"]["continuum"] is False
 
     @pytest.mark.parametrize("section,key,value", [
-        ("tolerances", "grid_per_axis", 3), ("quadrature", "tol", 1e-2)])
+        ("tolerances", "grid_per_axis", 3), ("quadrature", "tol", 1e-2),
+        ("quadrature", "t_nodes", 0), ("quadrature", "t_nodes", -2), ("quadrature", "t_nodes", 2),
+        ("quadrature", "domain_radius", 0.5)])
     def test_instance_keys_change_nothing(self, two_level_instance, tmp_path, capsys,
                                           section, key, value):
         inst = json.loads(two_level_instance.read_text())

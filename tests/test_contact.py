@@ -5,7 +5,7 @@ from fjohn.contact import (cross_fixture, detect_contacts, hemisphere_gap, make_
                            two_level_cross_fixture, verify_decomposition)
 from fjohn.errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from fjohn.isotropy import DiscreteMeasure, check_isotropy
-from fjohn.logconcave import eval_h, eval_h_many, make_log_concave
+from fjohn.logconcave import eval_h_many, make_log_concave
 from fjohn.oracle import grid_contacts
 
 
@@ -15,7 +15,7 @@ class TestMakeTangentInstance:
         assert h.form.a[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert h.form.b[0] == pytest.approx(expected["tangent_intercept_u05_s1"]["value"],
                                             abs=expected["tangent_intercept_u05_s1"]["tol"])
-        assert eval_h(h, np.array([0.5])) == pytest.approx(np.sqrt(0.75), rel=1e-13)
+        assert eval_h_many(h, np.array([[0.5]]))[0] == pytest.approx(np.sqrt(0.75), rel=1e-13)
 
     def test_apex_piece(self):
         h = make_tangent_instance([[0.0]], 1.0)

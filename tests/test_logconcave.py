@@ -10,7 +10,7 @@ from fjohn import logconcave
 from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
 from fjohn.errors import NoCertificate, NotProper
 from fjohn.isotropy import _Atoms, counting_measure
-from fjohn.logconcave import (_nnls, _positive_span, check_proper, eval_h, eval_h_many,
+from fjohn.logconcave import (_nnls, _positive_span, check_proper, eval_h_many,
                               make_log_concave)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -21,19 +21,19 @@ class TestEvalH:
         h = make_log_concave([[0.0, 0.0]], [0.0], 1.0)
         rng = np.random.default_rng(0)
         for x in rng.standard_normal((20, 2)):
-            assert eval_h(h, x) == 1.0
+            assert eval_h_many(h, x[None])[0] == 1.0
 
     def test_tangent_fixture_contact_value(self):
         for s in (0.5, 1.0, 2.0):
             u = np.array([0.5, -0.2])
             h = make_tangent_instance([u], s)
-            assert eval_h(h, u) ** (1.0 / s) == pytest.approx(
+            assert eval_h_many(h, u[None])[0] ** (1.0 / s) == pytest.approx(
                 np.sqrt(1 - u @ u), rel=1e-13)
 
     def test_domain_cutoff(self):
         h = make_log_concave([[0.0]], [0.0], 1.0, domain_radius=2.0)
-        assert eval_h(h, np.array([1.9])) == 1.0
-        assert eval_h(h, np.array([2.1])) == 0.0
+        assert eval_h_many(h, np.array([[1.9]]))[0] == 1.0
+        assert eval_h_many(h, np.array([[2.1]]))[0] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_domain_cutoff_matches_np_sum_bits(self, n):

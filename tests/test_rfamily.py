@@ -7,7 +7,7 @@ import pytest
 from fjohn import cli, rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_det, sdet1_param
 from fjohn.contact import two_level_cross_fixture
-from fjohn.errors import BadR, NotConverged, NotInBr, NotProper
+from fjohn.errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper
 from fjohn.isotropy import counting_measure, extract_measure, minimize_functional
 from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
 from fjohn.oracle import envelope_breaks_scan
@@ -63,8 +63,7 @@ class TestBandFunctional:
     def test_refinement_stability(self, fixture, quad):
         h, _, _ = fixture
         pair = canonical_pair()
-        fine = QuadratureSpec(x_nodes_per_axis=2 * quad.x_nodes_per_axis,
-                              t_nodes=2 * quad.t_nodes)
+        fine = QuadratureSpec(x_nodes_per_axis=2 * quad.x_nodes_per_axis)
         pts = [identity_point()] + random_unit_sdet_members(1, S, 3, seed=10)
         for r in (0.8, 0.9):
             for p in pts:
@@ -563,7 +562,7 @@ class TestBandGeometry:
         # must not change a single bit
         pair = canonical_pair()
         other = two_level_cross_fixture(1, S, 0.3, 0.7)[0]
-        specs = (QuadratureSpec(), QuadratureSpec(x_nodes_per_axis=480, t_nodes=6))
+        specs = (QuadratureSpec(), QuadratureSpec(x_nodes_per_axis=480))
         p = random_unit_sdet_members(1, S, 1, seed=43)[0]
         calls = [(h, r, q) for h in (fixture[0], other) for r in (0.8, 0.9) for q in specs]
         alone = [band_functional(h, S, pair, r, p, q) for h, r, q in calls]
@@ -622,9 +621,10 @@ class TestBandGeometry:
             assert e.error is None
 
 
-def _unblocked_terms(band, A, alpha, v, shifted, mode):
+def _unblocked_terms(band, A, alpha, v, shifted, nodes):
     """The whole-grid, row-major `_Band.terms` that the block walk replaces, kept as its
-    bit-for-bit reference: (X, W, h_y, inner) on the full grid, or None."""
+    bit-for-bit reference: (X, W, h_y, I, I') on the open nodes, or None.  Also returns
+    the near nodes' kernel inputs (c2, den, r2m1) and which of them are open."""
     radius = (band.radius if shifted else
               float(np.linalg.norm(A, 2) * band.radius + np.linalg.norm(v)) + 1e-9)
     kinks = None
@@ -636,15 +636,16 @@ def _unblocked_terms(band, A, alpha, v, shifted, mode):
     Z, Y = (X, X @ A.T + v) if shifted else (np.linalg.solve(A, (X - v).T).T, X)
     den = 2.0 * eval_h_many(band.h, Z) ** (2.0 / band.s) * (1.0 - band.r)
     r2m1 = np.sum(Z * Z, axis=1) - 1.0
-    near = r2m1 < den * band.g.breaks[-1]
-    h_y = np.zeros(len(X))
-    h_y[near] = eval_h_many(band.h, Y[near]) ** (1.0 / band.s)
-    live = h_y > 0.0
-    if mode != "density" and np.any(near & ~live):
-        return None
-    c2 = np.where(live, h_y / alpha, 1.0) ** 2
-    inner = rfamily._inner_band(band.f, band.g, band.r, c2, den, r2m1, mode, band.quad.t_nodes)
-    return X, W, h_y, np.where(live, inner, 0.0)
+    near = np.flatnonzero(r2m1 < den * band.g.breaks[-1])
+    h_y = eval_h_many(band.h, Y[near]) ** (1.0 / band.s)
+    c2 = (h_y / alpha) ** 2
+    if not np.all(c2 > 0.0):
+        return None, None
+    opened, inner, d_inner = rfamily._inner_band(band.f, band.g, band.r, c2, den[near],
+                                                 r2m1[near])
+    at = near[opened]
+    terms = (X[at] if nodes else None), W[at], h_y[opened], inner, d_inner
+    return terms, (c2, den[near], r2m1[near], opened)
 
 
 class TestBlockedTerms:
@@ -668,6 +669,10 @@ class TestBlockedTerms:
     @pytest.mark.parametrize("mode", ["value", "grad", "density"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_unblocked_terms(self, n, mode, shifted, monkeypatch):
+        # mode names what the caller reads: 'value' the open nodes' W, h and I without
+        # their coordinates; 'grad' also their coordinates; 'density' the by-parts density
+        # on them (`_density_terms`'s in the unshifted route), which must carry all of the
+        # grid's density: the direct integrand is 0 on every near node that is not open
         nodes, block = self.GRIDS[n]
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", block)
         # on the axis cross every product a . x is exact, so no BLAS kernel's order of
@@ -681,35 +686,49 @@ class TestBlockedTerms:
             assert rows >= 2 * per_block and rows % per_block
         refused = 0
         for A, alpha, v in self._positions(n):
-            got = band.terms(A, alpha, v, shifted, mode)
-            ref = _unblocked_terms(band, A, alpha, v, shifted, mode)
+            got = band.terms(A, alpha, v, shifted, nodes=mode != "value")
+            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted, mode != "value")
             assert (got is None) == (ref is None)
             if ref is None:
                 refused += 1
+                if mode == "density" and not shifted:
+                    with pytest.raises(NotInBr):
+                        rfamily._density_terms(band, EPoint(BlockMat(A, alpha), v))
                 continue
-            X, W, h_y, inner = ref
-            assert np.array_equal(got[1], W) and np.array_equal(got[2], h_y)
-            assert np.array_equal(got[3], inner)
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], ref[1:]))
+            assert len(got[1]) and np.all(got[3] > 0.0)
             if mode == "value":
                 assert got[0] is None
-            else:  # the nodes the caller reads: the open ones in 'grad', all in 'density'
-                read = X[np.flatnonzero(inner[0])] if mode == "grad" else X
-                assert got[0].shape == read.shape and np.array_equal(got[0], read)
-            assert np.any(inner)
-        # the last position lies partly where h = 0: refused except in mode 'density'
-        assert refused == (0 if mode == "density" else 1)
+            else:
+                assert got[0].shape == (len(got[1]), n) and np.array_equal(got[0], ref[0])
+            if mode == "density":
+                c2, den, r2m1, opened = inputs
+                direct = _full_inner_band(band.f, band.g, band.r, c2, den, r2m1, "density", 2)
+                shut = np.ones(len(c2), dtype=bool)
+                shut[opened] = False
+                assert np.any(shut) and not np.any(direct[shut])
+                _, _, h_y, inner, d_inner = got
+                if shifted:
+                    by_parts = _by_parts(band.r, c2[opened], inner, d_inner)
+                else:  # the density the measure uses, times h^(1/s) / alpha^(s-1)
+                    density = rfamily._density_terms(band, EPoint(BlockMat(A, alpha), v))[2]
+                    by_parts = density * h_y / alpha ** (S - 1.0)
+                assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
+        # the last position lies partly where h = 0: refused
+        assert refused == 1
 
 
 def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
-    """The full-array kernel that _inner_band replaces, kept as its bit-for-bit reference.
+    """The full-array kernel that _inner_band replaces, kept as its reference.
 
-    Every node runs every segment, and f and g choose their piece at every
-    Gauss node.
+    Every node runs every segment on a gl_nodes-point Gauss rule, and f and g
+    choose their piece at every Gauss node.  mode 'value' integrates
+    f(t) g(q(t)), 'grad' f(t) g'(q(t)) (1+(1-r)t)^2/den, and 'density'
+    f'(t) (1+(1-r)t) g(q(t)) directly.  c2 > 0 and den > 0.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau2 = (den[:, None] * g_breaks[None, :] - r2m1[:, None]) / c2[:, None]
+    tau2 = (den[:, None] * g_breaks[None, :] - r2m1[:, None]) / c2[:, None]
     tau = np.sqrt(np.clip(tau2, 0.0, None))
     t_roots = (tau - 1.0) / omr
     t_top = t_roots[:, -1]
@@ -721,7 +740,7 @@ def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
     B = np.clip(B, -1.0, np.maximum(t_top, -1.0)[:, None])
     B.sort(axis=1)
 
-    nodes, wts = np.polynomial.legendre.leggauss(max(gl_nodes, 3))
+    nodes, wts = np.polynomial.legendre.leggauss(gl_nodes)
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
     total = np.zeros(len(c2))
     for j in range(B.shape[1] - 1):
@@ -731,13 +750,11 @@ def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
         for xi, wi in zip(nodes, wts):
             t = mid + half * xi
             tau_t = 1.0 + omr * t
-            num = r2m1 + c2 * tau_t**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = num / den
-            q = np.where(den > 0.0, q, np.where(num > 0.0, np.inf, -np.inf))
-            q = np.clip(q, qlo, qhi)
+            q = np.clip((r2m1 + c2 * tau_t**2) / den, qlo, qhi)
             if mode == "value":
                 vals = f_pl(t) * g_pl(q)
+            elif mode == "grad":
+                vals = f_pl(t) * g_pl.deriv(q) * tau_t**2 / den
             else:
                 vals = f_pl.deriv(t) * tau_t * g_pl(q)
             seg += wi * vals
@@ -753,61 +770,88 @@ def _custom_pair():
 
 
 def _kernel_inputs(seed, count=4000):
-    """Band-kernel inputs mixing open, closed, den = 0 and not-live (c2 = 1) nodes."""
+    """Band-kernel inputs, c2 > 0 and den > 0 as `_Band` guarantees, open and closed nodes."""
     rng = np.random.default_rng(seed)
     c2 = rng.uniform(0.05, 3.0, size=count)
-    den = rng.uniform(0.0, 1.2, size=count)
+    den = rng.uniform(0.01, 1.2, size=count)
     r2m1 = rng.uniform(-0.9, 1.5, size=count)
-    kind = rng.integers(0, 4, size=count)
-    den[kind == 1] = 0.0
-    r2m1[kind == 1] = rng.uniform(-0.9, 0.5, size=np.sum(kind == 1))
-    c2[kind == 2] = 1.0
     return c2, den, r2m1
 
 
+def _kernel(pair, r, c2, den, r2m1):
+    """`_inner_band`'s I and I' on every node, 0 where the band is closed, and the open mask."""
+    opened, inner, d_inner = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1)
+    out = np.zeros((2, len(c2)))
+    out[0, opened], out[1, opened] = inner, d_inner
+    is_open = np.zeros(len(c2), dtype=bool)
+    is_open[opened] = True
+    return out[0], out[1], is_open
+
+
+def _by_parts(r, c2, inner, d_inner):
+    """The density integral from I and I': -(1-r)(I + 2 c2 I')."""
+    return -(1.0 - r) * (inner + 2.0 * c2 * d_inner)
+
+
+PAIRS = pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
+                                ids=["canonical", "custom"])
+
+
 class TestInnerBandKernel:
-    @pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
-                             ids=["canonical", "custom"])
+    @PAIRS
     @pytest.mark.parametrize("mode", ["value", "density"])
     @pytest.mark.parametrize("r, gl_nodes", [(0.8, 4), (0.93, 6), (0.6, 2)])
     def test_matches_full_array_kernel(self, pair, mode, r, gl_nodes):
+        # the reference on gl_nodes points per segment: I bit for bit on the same 2-point
+        # rule and to rounding on more; the by-parts density against the direct integrand
         c2, den, r2m1 = _kernel_inputs(int(100 * r) + gl_nodes)
-        got = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, mode, gl_nodes)
+        inner, d_inner, is_open = _kernel(pair, r, c2, den, r2m1)
         ref = _full_inner_band(pair.f, pair.g, r, c2, den, r2m1, mode, gl_nodes)
-        assert np.array_equal(got, ref)
-        # the inputs exercise both the open and the closed path, also at den = 0
-        open_ = got != 0.0
-        assert 0.1 < np.mean(open_) < 0.9
-        assert np.any(open_ & (den == 0.0)) and np.any(~open_ & (den == 0.0))
-        assert np.any(open_ & (c2 == 1.0))
+        if mode == "value" and gl_nodes == 2:
+            assert np.array_equal(inner, ref)
+        elif mode == "value":
+            assert np.max(np.abs(inner - ref)) <= 1e-14 * np.max(ref)
+        else:
+            got = _by_parts(r, c2, inner, d_inner)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+        # the inputs exercise both the open and the closed path
+        assert 0.1 < np.mean(is_open) < 0.9
+        assert not np.any(ref[~is_open])
 
-    @pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
-                             ids=["canonical", "custom"])
+    @PAIRS
     @pytest.mark.parametrize("r", [0.8, 0.93])
     def test_grad_mode(self, pair, r):
-        # row 0 is the 'value' kernel bit for bit, row 1 its derivative in c2
+        # I' is the derivative in c2 of I, the row the gradient reads
         c2, den, r2m1 = _kernel_inputs(71)
-        value, d_value = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, "grad", 4)
-        assert np.array_equal(value, rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1,
-                                                         "value", 4))
-        assert not np.any(d_value[(den == 0.0) | (value == 0.0)])
+        value, d_value, is_open = _kernel(pair, r, c2, den, r2m1)
+        assert np.array_equal(value, _full_inner_band(pair.f, pair.g, r, c2, den, r2m1,
+                                                      "value", 2))
+        assert not np.any(d_value[~is_open])
         step = 1e-6 * c2
-        fd = (rfamily._inner_band(pair.f, pair.g, r, c2 + step, den, r2m1, "value", 4)
-              - rfamily._inner_band(pair.f, pair.g, r, c2 - step, den, r2m1, "value", 4)) / (2 * step)
-        pos = den > 0.0
-        assert np.allclose(d_value[pos], fd[pos], rtol=1e-6, atol=1e-8 * np.max(np.abs(fd)))
-        assert np.mean(d_value[pos] != 0.0) > 0.1
+        fd = (_kernel(pair, r, c2 + step, den, r2m1)[0]
+              - _kernel(pair, r, c2 - step, den, r2m1)[0]) / (2 * step)
+        assert np.allclose(d_value, fd, rtol=1e-6, atol=1e-8 * np.max(np.abs(fd)))
+        assert np.mean(d_value != 0.0) > 0.1
 
-    @pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair()],
-                             ids=["canonical", "custom"])
+    @PAIRS
+    @pytest.mark.parametrize("r", [0.6, 0.8, 0.93])
+    def test_two_nodes_match_eight(self, pair, r):
+        # the integrands are cubic on every segment: 8 Gauss nodes add only rounding
+        c2, den, r2m1 = _kernel_inputs(int(1000 * r))
+        inner, d_inner, _ = _kernel(pair, r, c2, den, r2m1)
+        for got, mode in ((inner, "value"), (d_inner, "grad")):
+            ref = _full_inner_band(pair.f, pair.g, r, c2, den, r2m1, mode, 8)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @PAIRS
     @pytest.mark.parametrize("mode", ["value", "density"])
     def test_all_closed(self, pair, mode):
         c2, den, _ = _kernel_inputs(7, count=500)
         r2m1 = den * pair.g.breaks[-1] + np.linspace(0.0, 2.0, 500)  # q(-1) above g's top kink
-        got = rfamily._inner_band(pair.f, pair.g, 0.8, c2, den, r2m1, mode, 4)
-        ref = _full_inner_band(pair.f, pair.g, 0.8, c2, den, r2m1, mode, 4)
-        assert got.shape == (500,) and np.array_equal(got, ref)
-        assert not np.any(got)
+        opened, inner, d_inner = rfamily._inner_band(pair.f, pair.g, 0.8, c2, den, r2m1)
+        assert opened.shape == inner.shape == d_inner.shape == (0,)
+        ref = _full_inner_band(pair.f, pair.g, 0.8, c2, den, r2m1, mode, 2)
+        assert ref.shape == (500,) and not np.any(ref)
 
     def test_band_inputs_n2(self):
         # the inputs band_functional builds on an n = 2 grid, both pairs
@@ -820,11 +864,40 @@ class TestInnerBandKernel:
         r2m1 = np.sum(X * X, axis=1) - 1.0
         c2 = (eval_h_many(h, Y) ** (1.0 / S) / alpha) ** 2
         for pair in (canonical_pair(), _custom_pair()):
-            for mode in ("value", "density"):
-                got = rfamily._inner_band(pair.f, pair.g, 0.85, c2, den, r2m1, mode, 4)
-                ref = _full_inner_band(pair.f, pair.g, 0.85, c2, den, r2m1, mode, 4)
-                assert np.array_equal(got, ref)
-                assert 0.0 < np.mean(got != 0.0) < 1.0
+            inner, d_inner, is_open = _kernel(pair, 0.85, c2, den, r2m1)
+            ref = _full_inner_band(pair.f, pair.g, 0.85, c2, den, r2m1, "value", 2)
+            assert np.array_equal(inner, ref)
+            direct = _full_inner_band(pair.f, pair.g, 0.85, c2, den, r2m1, "density", 2)
+            got = _by_parts(0.85, c2, inner, d_inner)
+            assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(direct)
+            assert 0.0 < np.mean(is_open) < 1.0
+
+
+class TestBandPreconditions:
+    """`_Band` refuses what would break the band kernel's by-parts identities."""
+
+    def test_domain_inside_unit_ball(self, fixture, quad):
+        form = fixture[0].form
+        cut = make_log_concave(form.a, form.b, S, domain_radius=0.9)
+        with pytest.raises(NotJohnPosition):
+            rfamily._Band(cut, S, canonical_pair(), 0.8, quad)
+        rfamily._Band(make_log_concave(form.a, form.b, S, domain_radius=1.0), S,
+                      canonical_pair(), 0.8, quad)
+
+    def test_h_underflows_on_unit_ball(self, quad):
+        h = make_log_concave([[1.0], [-1.0]], [800.0, 800.0], S)
+        with pytest.raises(NotJohnPosition):
+            rfamily._Band(h, S, canonical_pair(), 0.8, quad)
+
+    @pytest.mark.parametrize("f_ys, g_ys", [([0.2, 1.1], [1.0, 0.0]), ([0.0, 1.1], [1.0, 0.1])],
+                             ids=["f-at-minus-one", "g-at-top-kink"])
+    def test_pair_boundary_terms(self, fixture, quad, f_ys, g_ys):
+        pair = ProfilePair(f=PiecewiseLinear.from_knots([-1.0, 0.4], f_ys, right_slope=1.0),
+                           g=PiecewiseLinear.from_knots([-1.0, 1.0], g_ys))
+        with pytest.raises(ValueError):
+            rfamily._Band(fixture[0], S, pair, 0.8, quad)
+        with pytest.raises(ValueError):
+            rfamily.check_band_pair(pair)
 
 
 def _envelope_from_kinks(kinks, slopes, rng):
