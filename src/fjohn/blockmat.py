@@ -3,8 +3,10 @@
 The objects here are (n+1)x(n+1) matrices with an n x n symmetric block M,
 a scalar corner beta and zero off-blocks, optionally paired with a shift
 vector w in R^n.  They carry the exponent-weighted determinant and trace,
-the Frobenius-type inner product, and the orthogonal projection onto the
-weighted-trace-zero subspace used by the minimizers.
+the Frobenius-type inner product (a plain dot product of the flat form
+`EPoint.vec`), the orthogonal projection onto the weighted-trace-zero
+subspace, and that subspace's orthonormal basis in closed form, as one
+array of flat rows for the minimizers.
 """
 
 from __future__ import annotations
@@ -64,9 +66,6 @@ class BlockMat:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "BlockMat":
-        return self * -1.0
-
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.sum(self.diag**2) + self.corner**2))
 
@@ -103,8 +102,14 @@ class EPoint:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "EPoint":
-        return self * -1.0
+    @property
+    def vec(self) -> np.ndarray:
+        """Flat form in R^(n^2+1+n): M row-major, then beta, then w."""
+        return np.concatenate([self.mat.diag.ravel(), [self.mat.corner], self.shift])
+
+    @staticmethod
+    def from_vec(v: np.ndarray, n: int) -> "EPoint":
+        return EPoint(BlockMat(v[:n * n].reshape(n, n), v[n * n]), v[n * n + 1:])
 
     def norm(self) -> float:
         return float(np.sqrt(self.mat.frobenius_norm() ** 2 + np.dot(self.shift, self.shift)))
@@ -126,11 +131,7 @@ def inner(p: EPoint, q: EPoint) -> float:
     """Frobenius product of the blocks plus the dot product of the shifts."""
     if p.n != q.n:
         raise DimensionMismatch(f"dimensions {p.n} and {q.n} differ")
-    return float(
-        np.sum(p.mat.diag * q.mat.diag)
-        + p.mat.corner * q.mat.corner
-        + np.dot(p.shift, q.shift)
-    )
+    return float(np.dot(p.vec, q.vec))
 
 
 def identity_direction(n: int, s: float) -> EPoint:
@@ -168,41 +169,34 @@ def sdet1_param(S: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     return A, alpha
 
 
-def trace0_basis(n: int, s: float) -> list[EPoint]:
-    """Deterministic orthonormal basis of the weighted-trace-zero subspace.
+def trace0_array(n: int, s: float) -> np.ndarray:
+    """Orthonormal basis of the weighted-trace-zero subspace, one flat `EPoint.vec` per row.
 
     Spans {(M, beta, w): M symmetric, s*beta + tr M = 0, w in R^n}; dimension
-    n(n+1)/2 + n.  Built by Gram-Schmidt from the symmetric unit blocks after
-    removing the identity_direction component.
+    n(n+1)/2 + n.  Rows follow the upper triangle of M row by row, then the
+    shifts: an off-diagonal (i, j) is (E_ij + E_ji)/sqrt(2), a diagonal k is
+    column k of the Q of a QR of the unit diagonal blocks e_k projected off
+    (Id + s-corner), signed so that R has a positive diagonal (the
+    Gram-Schmidt order), and a shift is a unit vector.
     """
-    cands: list[EPoint] = []
-    zeros = np.zeros(n)
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            cands.append(EPoint(BlockMat(E, 0.0), zeros))
-    cands.append(EPoint(BlockMat(np.zeros((n, n)), 1.0), zeros))
-    for j in range(n):
-        w = np.zeros(n)
-        w[j] = 1.0
-        cands.append(EPoint(BlockMat.zero(n), w))
+    u = np.append(np.ones(n), s) / np.sqrt(n + s * s)
+    Q, R = np.linalg.qr(np.eye(n + 1, n) - np.outer(u, u[:n]))
+    Q *= np.sign(np.diag(R))
+    i, j = np.triu_indices(n)
+    off, diag = np.flatnonzero(i != j), np.flatnonzero(i == j)
+    B = np.zeros((len(i) + n, n * n + 1 + n))
+    B[off, i[off] * n + j[off]] = B[off, j[off] * n + i[off]] = np.sqrt(0.5)
+    B[diag[:, None], np.arange(n) * (n + 1)] = Q[:n].T
+    B[diag, n * n] = Q[n]
+    B[len(i):, n * n + 1:] = np.eye(n)
+    return B
 
-    basis: list[EPoint] = []
-    for c in cands:
-        v = project_trace0(c, s)
-        for b in basis:
-            v = v - inner(v, b) * b
-        nv = v.norm()
-        if nv > 1e-12:
-            basis.append(v * (1.0 / nv))
-    assert len(basis) == n * (n + 1) // 2 + n
-    return basis
+
+def trace0_basis(n: int, s: float) -> list[EPoint]:
+    """The rows of `trace0_array` as points."""
+    return [EPoint.from_vec(b, n) for b in trace0_array(n, s)]
 
 
 def from_coords(coeffs: np.ndarray, basis: list[EPoint]) -> EPoint:
-    p = EPoint.zero(basis[0].n)
-    for c, b in zip(coeffs, basis):
-        p = p + float(c) * b
-    return p
-
+    return EPoint.from_vec(np.asarray(coeffs, dtype=float) @ np.array([b.vec for b in basis]),
+                           basis[0].n)

@@ -143,6 +143,15 @@ def build_profile(inst: dict) -> ProfilePair:
     raise InputError(f"unsupported profile {prof!r}")
 
 
+def build_valid_profile(inst: dict) -> ProfilePair:
+    """The instance's profile pair, which must pass every `validate_profiles` check."""
+    pair = build_profile(inst)
+    failed = validate_profiles(pair).failed()
+    if failed:
+        raise InputError(f"profile pair fails {', '.join(failed)}")
+    return pair
+
+
 def contact_points(inst: dict, h: LogConcaveFn):
     c = inst.get("contacts")
     if c and "points" in c:
@@ -235,10 +244,8 @@ def cmd_fixture(args) -> int:
         "nu": args.nu,
         "profile": "canonical",
         "r_schedule": [0.8, 0.9, 0.95, 0.99],
-        "quadrature": {"x_nodes_per_axis": 960, "t_nodes": 4, "tol": 1e-6,
-                       "domain_radius": None},
-        "tolerances": {"gap_tol": 1e-8, "minimize_tol": 1e-10,
-                       "decomposition_tol": 1e-8, "grid_per_axis": 201},
+        "quadrature": {"x_nodes_per_axis": 960},
+        "tolerances": {"gap_tol": 1e-8, "minimize_tol": 1e-10, "decomposition_tol": 1e-8},
         "seed": args.seed,
         "fixture": {"name": args.name, "params": params},
     }
@@ -280,7 +287,7 @@ def cmd_minimize_i1(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
     nu = build_nu(inst, h)
-    F = ConvolutionProfile(build_profile(inst))
+    F = ConvolutionProfile(build_valid_profile(inst))
     tol = inst.get("tolerances", {}).get("minimize_tol", 1e-10)
     seed = args.seed if args.seed is not None else inst.get("seed", 0)
     res = isotropy.minimize_functional(h, inst["s"], nu, F, tol=tol, seed=seed)
@@ -326,7 +333,7 @@ def cmd_sweep_r(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
     nu = build_nu(inst, h)
-    pair = build_profile(inst)
+    pair = build_valid_profile(inst)
     try:  # before the reference minimization, which a pair the band cannot take would waste
         rfamily.check_band_pair(pair)
     except ValueError as exc:

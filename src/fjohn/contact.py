@@ -24,10 +24,6 @@ class ContactSet:
     gap_tol: float
     h_values: np.ndarray  # h(u_i)**(1/s)
 
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class DecompositionReport:

@@ -12,12 +12,10 @@ isotropic measure supported on the atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .blockmat import (BlockMat, EPoint, from_coords, identity_direction, inner,
-                       project_trace0, trace0_basis)
+from .blockmat import EPoint, s_trace, trace0_array
 from .contact import hemisphere_gap
 from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
                      ZeroValueAtom)
@@ -47,10 +45,6 @@ class DiscreteMeasure:
         m.flags.writeable = False
         object.__setattr__(self, "points", P)
         object.__setattr__(self, "masses", m)
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass
@@ -96,9 +90,12 @@ class WitnessReport:
 class _Atoms:
     """Cached per-atom quantities for one (h, s, nu) combination.
 
-    The argument of F is linear in (M, beta, w).  On the weighted-trace-zero
-    subspace, with coordinates c in the orthonormal `basis`, it is `phi @ c`
-    for the (k x d) design matrix `phi`, so the functional there is
+    The argument of F is linear in (M, beta, w): in the flat form `EPoint.vec`
+    it is `features @ p.vec`, row i of `features` being
+    (x_i x_i^T / h_i^(2/s), 1, x_i / h_i^(2/s)).  On the weighted-trace-zero
+    subspace, with coordinates c in the rows of the orthonormal `basis`
+    array, it is `phi @ c` for the (k x d) design matrix
+    phi = features basis^T, so the functional there is
     sum_i w_i F((phi c)_i) with weights `w` = m h^(1/s).
     """
 
@@ -112,27 +109,26 @@ class _Atoms:
         hv = eval_h_many(h, nu.points)
         if np.any(hv <= 0.0):
             raise ZeroValueAtom("h vanishes at an atom")
-        self.X = nu.points
+        X = nu.points
+        k, n = X.shape
+        self.X = X
         self.m = nu.masses
         self.h_pow = hv ** (1.0 / s)          # h^(1/s)
-        self.h_pow2 = self.h_pow**2           # h^(2/s)
-        self.n = nu.points.shape[1]
+        self.n = n
         self.s = s
         self.w = self.m * self.h_pow
-
-    # built on first use: functional_value and extract_measure never need them
-    @cached_property
-    def basis(self) -> list[EPoint]:
-        return trace0_basis(self.n, self.s)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return np.array([self.args(b) for b in self.basis]).T
+        Y = X / (self.h_pow**2)[:, None]
+        self.features = np.hstack([(Y[:, :, None] * X[:, None, :]).reshape(k, n * n),
+                                   np.ones((k, 1)), Y])
+        self.basis = trace0_array(n, s)
+        self.phi = self.features @ self.basis.T
 
     def args(self, p: EPoint) -> np.ndarray:
         """<x_i, M x_i + w>/h_i^(2/s) + beta for all atoms."""
-        Mx = self.X @ p.mat.diag.T + p.shift
-        return np.sum(self.X * Mx, axis=1) / self.h_pow2 + p.mat.corner
+        return self.features @ p.vec
+
+    def point(self, v: np.ndarray) -> EPoint:
+        return EPoint.from_vec(v, self.n)
 
 
 def functional_value(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
@@ -145,12 +141,13 @@ def functional_value(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 def functional_gradient(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                         F: ConvolutionProfile, p: EPoint) -> EPoint:
     """Gradient as a pair: sum_i m_i/h_i^(1/s) F'(arg_i) (x_i x_i^T + h_i^(2/s) corner, x_i)."""
-    return _gradient(_Atoms(h, s, nu), F, p)
+    at = _Atoms(h, s, nu)
+    return _gradient(at, F.deriv(at.args(p)))
 
 
-def _gradient(at: _Atoms, F: ConvolutionProfile, p: EPoint) -> EPoint:
-    c = at.m / at.h_pow * F.deriv(at.args(p))
-    return EPoint(BlockMat((at.X.T * c) @ at.X, float(np.dot(c, at.h_pow2))), c @ at.X)
+def _gradient(at: _Atoms, dF: np.ndarray) -> EPoint:
+    """The gradient at a point where the arguments have F' = `dF`."""
+    return at.point(at.features.T @ (at.w * dF))
 
 
 def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
@@ -168,40 +165,24 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 def _witness(at: _Atoms, n_dirs: int, seed: int) -> WitnessReport:
     n = at.n
     rng = np.random.default_rng(seed)
-
-    dirs: list[tuple[str, EPoint]] = []
-    flat = EPoint(BlockMat(np.eye(n), -n / at.s), np.zeros(n))
-    flat = flat * (1.0 / flat.norm())
-    dirs.append(("identity-flat(+)", flat))
-    dirs.append(("identity-flat(-)", -1.0 * flat))
-    for j in range(n):
-        w = np.zeros(n)
-        w[j] = 1.0
-        e = EPoint(BlockMat.zero(n), w)
-        dirs.append((f"shift(+e{j})", e))
-        dirs.append((f"shift(-e{j})", -1.0 * e))
     coeffs = rng.standard_normal((n_dirs, len(at.basis)))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    dirs = np.zeros((2 + 2 * n + n_dirs, at.features.shape[1]))
+    dirs[0, :n * n:n + 1], dirs[0, n * n] = 1.0, -n / at.s
+    dirs[0] /= np.linalg.norm(dirs[0])
+    dirs[1] = -dirs[0]
+    dirs[2:2 + 2 * n:2, n * n + 1:] = np.eye(n)
+    dirs[3:2 + 2 * n:2, n * n + 1:] = -np.eye(n)
+    dirs[2 + 2 * n:] = coeffs @ at.basis
+    labels = ["identity-flat(+)", "identity-flat(-)"]
+    labels += [f"shift({sign}e{j})" for j in range(n) for sign in "+-"]
+    labels += [f"sample{i}" for i in range(n_dirs)]
 
-    # args is linear in the direction: the sampled ones are one matmul
-    best = np.concatenate([[np.max(at.args(d)) for _, d in dirs],
-                           np.max(coeffs @ at.phi.T, axis=1)])
-    failures = []
-    for i in np.flatnonzero(best <= 1e-12):
-        if i < len(dirs):
-            label, d = dirs[i]
-        else:
-            label, d = f"sample{i - len(dirs)}", from_coords(coeffs[i - len(dirs)], at.basis)
-        failures.append((label, d, float(best[i])))
+    # args is linear in the direction: every direction is one column of one matmul
+    best = np.max(at.features @ dirs.T, axis=0)
+    failures = [(labels[i], at.point(dirs[i]), float(best[i]))
+                for i in np.flatnonzero(best <= 1e-12)]
     return WitnessReport(margin=float(np.min(best)), n_checked=len(best), failures=failures)
-
-
-def _lambda_two_ways(at: _Atoms, F: ConvolutionProfile, grad: EPoint,
-                     p: EPoint) -> tuple[float, float]:
-    n, s = at.n, at.s
-    lam_a = inner(grad, identity_direction(n, s)) / (n + s * s)
-    lam_b = float(np.dot(at.m / at.h_pow, F.deriv(at.args(p)))) / (n + s)
-    return lam_a, lam_b
 
 
 def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
@@ -232,8 +213,8 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                 "the functional is not coercive for this measure", direction=d)
 
     phi, w = at.phi, at.w
-    start = project_trace0(x0, s) if x0 is not None else EPoint.zero(at.n)
-    c = np.array([inner(start, b) for b in at.basis])
+    # the basis rows are orthonormal and orthogonal to (Id + s-corner, 0)
+    c = at.basis @ x0.vec if x0 is not None else np.zeros(len(at.basis))
     z = phi @ c
     value = float(np.dot(w, F(z)))
     for it in range(1, max_iter + 1):
@@ -258,19 +239,18 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                 raise NotConverged(f"no descent along the Newton step, grad {gnorm:.3e}")
         c, z, value = cand, z_cand, new_value
         if np.linalg.norm(c) > 1e6:
-            p = from_coords(c, at.basis)
             raise DivergingIterates("iterates escaped beyond norm 1e6",
-                                    direction=p * (1.0 / p.norm()))
+                                    direction=at.point(c @ at.basis / np.linalg.norm(c)))
     else:
         raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}")
 
-    p = from_coords(c, at.basis)
-    grad = _gradient(at, F, p)
-    lam_a, lam_b = _lambda_two_ways(at, F, grad, p)
+    dF = F.deriv(z)
+    lam_a = s_trace(_gradient(at, dF).mat, s) / (at.n + s * s)
+    lam_b = float(np.dot(at.m / at.h_pow, dF)) / (at.n + s)
     gap = abs(lam_a - lam_b)
     if gap > 1e-8:
         raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}")
-    return MinimizerResult(point=p, value=value, projected_grad_norm=gnorm,
+    return MinimizerResult(point=at.point(c @ at.basis), value=value, projected_grad_norm=gnorm,
                            lam=float(lam_a), iterations=it, converged=True,
                            lambda_gap=float(gap))
 

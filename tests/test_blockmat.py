@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fjohn.blockmat import (BlockMat, EPoint, identity_direction, inner, project_trace0, s_det,
-                            s_trace, sdet1_param, trace0_basis)
+from fjohn.blockmat import (BlockMat, EPoint, from_coords, identity_direction, inner,
+                            project_trace0, s_det, s_trace, sdet1_param, trace0_array,
+                            trace0_basis)
 from fjohn.errors import DimensionMismatch, NonPositiveCorner
 
 
@@ -151,3 +152,52 @@ class TestTrace0Basis:
             for j, bj in enumerate(basis):
                 want = 1.0 if i == j else 0.0
                 assert inner(bi, bj) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+    def test_matches_gram_schmidt(self, n, s):
+        got = trace0_array(n, s)
+        want = np.array([b.vec for b in _gram_schmidt_basis(n, s)])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert all(np.array_equal(b.vec, row) for b, row in zip(trace0_basis(n, s), got))
+
+
+def _gram_schmidt_basis(n, s):
+    """Oracle: Gram-Schmidt over the symmetric unit blocks, the corner and the shifts,
+    each projected off the identity direction; a candidate that vanishes is dropped."""
+    cands = []
+    for i in range(n):
+        for j in range(i, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0
+            cands.append(EPoint(BlockMat(E, 0.0), np.zeros(n)))
+    cands.append(EPoint(BlockMat(np.zeros((n, n)), 1.0), np.zeros(n)))
+    cands += [EPoint(BlockMat.zero(n), w) for w in np.eye(n)]
+    basis = []
+    for c in cands:
+        v = project_trace0(c, s)
+        for b in basis:
+            v = v - inner(v, b) * b
+        if v.norm() > 1e-12:
+            basis.append(v * (1.0 / v.norm()))
+    return basis
+
+
+class TestFlatForm:
+    def test_round_trip_and_inner(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(1, 4))
+            M = rng.standard_normal((n, n))
+            p = EPoint(BlockMat(M + M.T, rng.standard_normal()), rng.standard_normal(n))
+            v = p.vec
+            assert v.shape == (n * n + 1 + n,)
+            assert np.array_equal(EPoint.from_vec(v, n).vec, v)
+            assert inner(p, p) == pytest.approx(p.norm() ** 2, rel=1e-14)
+
+    def test_from_coords_is_the_basis_combination(self):
+        basis = trace0_basis(2, 1.5)
+        c = np.random.default_rng(17).standard_normal(len(basis))
+        want = sum((float(ci) * b for ci, b in zip(c, basis)), EPoint.zero(2))
+        assert np.max(np.abs(from_coords(c, basis).vec - want.vec)) <= 1e-14

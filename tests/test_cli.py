@@ -76,6 +76,8 @@ class TestVerifyCommand:
 
 
 G_KNOTS = {"xs": [-1.0, 1.0], "ys": [1.0, 0.0]}
+# f = 0.2 left of -1: fails f3_zero_left, which ConvolutionProfile assumes
+F_NONZERO_LEFT = {"f": {"xs": [-1.0, 0.5], "ys": [0.2, 1.5]}, "g": G_KNOTS}
 
 
 class TestMalformedInput:
@@ -97,8 +99,7 @@ class TestMalformedInput:
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=0), []),
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5), []),
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8), []),
-        ("sweep-r", lambda i: i.update(
-            profile={"f": {"xs": [-1.0, 0.5], "ys": [0.2, 1.5]}, "g": G_KNOTS}), []),
+        ("sweep-r", lambda i: i.update(profile=F_NONZERO_LEFT), []),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
@@ -114,6 +115,24 @@ class TestMalformedInput:
         assert res.returncode == 1
         assert "input error" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", ["minimize-i1", "sweep-r"])
+    def test_invalid_profile_names_failed_properties(self, two_level_instance, tmp_path,
+                                                      command):
+        inst = json.loads(two_level_instance.read_text())
+        inst["profile"] = F_NONZERO_LEFT
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(inst))
+        res = run(command, "--instance", str(bad))
+        assert res.returncode == 1
+        assert res.stdout == "" and "Traceback" not in res.stderr
+        named = res.stderr.split("input error: profile pair fails", 1)[1].strip().split(", ")
+        assert "f3_zero_left" in named
+        # profiles-check still reports the pair instead of refusing it
+        check = run("profiles-check", "--instance", str(bad))
+        assert check.returncode == 2
+        props = json.loads(check.stdout)["result"]["profile_properties"]
+        assert sorted(named) == sorted(k for k, ok in props.items() if not ok)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -264,6 +264,39 @@ class TestAtomsBuiltOnce:
         assert len(built) == 1
 
 
+class TestFeatureOracles:
+    """`_Atoms.features` against the per-atom formulas it replaced."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3):
+            h, nu = off_axis_two_level(n)
+            masses = rng.uniform(0.2, 2.0, size=len(nu.masses))
+            yield h, DiscreteMeasure(nu.points, masses), rng
+        h, cs, _ = two_level_cross_fixture(2, 2.0, 0.3, 0.7)
+        yield h, counting_measure(cs.points), rng
+
+    def test_args_and_gradient_match_per_atom_formulas(self):
+        checked = 0
+        for h, nu, rng in self._cases():
+            n, s = h.n, h.s
+            at = _Atoms(h, s, nu)
+            X, h2 = nu.points, at.h_pow**2
+            for _ in range(20):
+                M = rng.standard_normal((n, n))
+                p = EPoint(BlockMat(M + M.T, rng.standard_normal()), rng.standard_normal(n))
+                want = np.sum(X * (X @ p.mat.diag.T + p.shift), axis=1) / h2 + p.mat.corner
+                got = at.args(p)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                c = nu.masses / at.h_pow * F.deriv(want)
+                ref = EPoint(BlockMat((X.T * c) @ X, float(np.dot(c, h2))), c @ X).vec
+                g = functional_gradient(h, s, nu, F, p).vec
+                assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+                checked += 1
+        assert checked == 80
+
+
 class TestExtractMeasure:
     def test_scaling_nu_scales_weights(self, two_level):
         h, cs, w = two_level
