@@ -300,6 +300,8 @@ def cmd_minimize_i1(args) -> int:
         "lambda": res.lam,
         "lambda_gap": res.lambda_gap,
         "iterations": res.iterations,
+        "evaluations": res.evaluations,
+        "stop_reason": res.stop_reason,
         "converged": res.converged,
         "extracted": {"points": mu.points, "masses": mu.masses},
         "isotropy": iso.as_dict(),

@@ -47,6 +47,9 @@ class DiscreteMeasure:
         object.__setattr__(self, "masses", m)
 
 
+WITHIN_TOL = "projected gradient within tol"  # the stop of a `minimize_functional` that returns
+
+
 @dataclass
 class MinimizerResult:
     point: EPoint
@@ -55,6 +58,8 @@ class MinimizerResult:
     lam: float
     iterations: int
     converged: bool
+    evaluations: int  # values of the functional, the start and every Armijo trial included
+    stop_reason: str
     lambda_gap: float = 0.0
 
 
@@ -197,11 +202,12 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     Hessian (a flat direction of the functional, which the gradient has no
     component along) leaves that direction alone.  Armijo backtracking on
     the value (c = 1e-4, halving) until the projected gradient norm is at
-    most `tol`; `iterations` counts the gradient evaluations.  F'' > 0
-    wherever F' > 0, so every Newton step is a descent direction.  The
-    multiplier is computed both from the identity-direction contraction and
-    from the plain trace formula; the two must agree to 1e-8, which doubles
-    as a contact-set sanity check.
+    most `tol` (the stop WITHIN_TOL; every other end raises); `iterations`
+    counts the gradient evaluations and `evaluations` the values, Armijo
+    trials included.  F'' > 0 wherever F' > 0, so every Newton step is a
+    descent direction.  The multiplier is computed both from the
+    identity-direction contraction and from the plain trace formula; the
+    two must agree to 1e-8, which doubles as a contact-set sanity check.
     """
     at = _Atoms(h, s, nu)
     if check_coercivity:
@@ -217,6 +223,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     c = at.basis @ x0.vec if x0 is not None else np.zeros(len(at.basis))
     z = phi @ c
     value = float(np.dot(w, F(z)))
+    evals = 1
     for it in range(1, max_iter + 1):
         g = phi.T @ (w * F.deriv(z))
         gnorm = float(np.linalg.norm(g))
@@ -230,6 +237,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
             cand = c + step * delta
             z_cand = phi @ cand
             new_value = float(np.dot(w, F(z_cand)))
+            evals += 1
             # a predicted decrease (-slope/2) below the rounding of the value
             # is invisible to the Armijo test: take the full step then
             if new_value <= value + 1e-4 * step * slope or -slope <= 1e-12 * value:
@@ -252,7 +260,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}")
     return MinimizerResult(point=at.point(c @ at.basis), value=value, projected_grad_norm=gnorm,
                            lam=float(lam_a), iterations=it, converged=True,
-                           lambda_gap=float(gap))
+                           evaluations=evals, stop_reason=WITHIN_TOL, lambda_gap=float(gap))
 
 
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,

@@ -114,8 +114,19 @@ class ProfileReport:
         return [c.name for c in self.checks if not c.ok]
 
 
+_TOL = 1e-12  # rounding allowed in the "= 0", "= 1" and "nondecreasing slope" checks
+
+
 def validate_profiles(pair: ProfilePair, samples: int = 601) -> ProfileReport:
-    """Check the nine profile properties on a deterministic grid over [-3, 3]."""
+    """Check the nine profile properties.
+
+    A piecewise-linear pair is decided exactly on all of R by `_exact_checks`;
+    other callables are checked on a deterministic grid of `samples` points
+    over [-3, 3], which cannot see a failure outside it.
+    """
+    if pair.piecewise_linear:
+        return ProfileReport([PropertyCheck(name, bool(ok))
+                              for name, ok in _exact_checks(pair.f, pair.g)])
     xs = np.linspace(-3.0, 3.0, samples)
     fv = np.asarray(pair.f(xs), dtype=float)
     gv = np.asarray(pair.g(xs), dtype=float)
@@ -142,6 +153,43 @@ def validate_profiles(pair: ProfilePair, samples: int = 601) -> ProfileReport:
     add("g4_positive_inside", (xs > -1.0) & (xs < 1.0) & (gv <= 0.0))
     add("g5_zero_right", (xs >= 1.0) & (np.abs(gv) > 1e-12))
     return rep
+
+
+def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
+    """The nine properties of a piecewise-linear pair as (name, verdict), on all of R.
+
+    A continuous piecewise-linear function is constant (increasing, ...) on
+    an interval exactly when every piece meeting it has slope 0 (> 0, ...),
+    and it equals a constant there when it also does at one point: so each
+    property reads the slopes of the pieces meeting (-inf, -1), (-1, inf)
+    or (1, inf) and the values at -1 and 1.  g > 0 on (-1, 1) holds when it
+    does at the kinks inside and at the midpoints between them and +-1, and
+    g(-1), g(1) >= 0: each piece is then positive inside its segment.
+    """
+    def slopes_on(pl, lo, hi):  # piece k spans [b_(k-1), b_k]: those meeting (lo, hi)
+        b = pl.breaks
+        return pl.slopes[np.searchsorted(b, lo, side="right"):np.searchsorted(b, hi) + 1]
+
+    def finite(pl):
+        return np.all(np.isfinite(pl.slopes)) and np.all(np.isfinite(pl.intercepts))
+
+    inside = g.breaks[(g.breaks > -1.0) & (g.breaks < 1.0)]
+    ends = np.concatenate([[-1.0], inside, [1.0]])
+    return [
+        ("f1_lipschitz", finite(f)),
+        ("g1_lipschitz", finite(g)),
+        ("f2_convex", np.all(np.diff(f.slopes) >= -_TOL)),
+        ("f3_zero_left", np.all(np.abs(slopes_on(f, -np.inf, -1.0)) <= _TOL)
+         and abs(f(-1.0)) <= _TOL),
+        ("f4_strictly_increasing", np.all(slopes_on(f, -1.0, np.inf) > 0.0)),
+        ("g2_nonincreasing", np.all(g.slopes <= _TOL)),
+        ("g3_one_left", np.all(np.abs(slopes_on(g, -np.inf, -1.0)) <= _TOL)
+         and abs(g(-1.0) - 1.0) <= _TOL),
+        ("g4_positive_inside", np.all(g(inside) > 0.0)
+         and np.all(g(0.5 * (ends[:-1] + ends[1:])) > 0.0) and np.all(g(ends[[0, -1]]) >= 0.0)),
+        ("g5_zero_right", np.all(np.abs(slopes_on(g, 1.0, np.inf)) <= _TOL)
+         and abs(g(1.0)) <= _TOL),
+    ]
 
 
 class ConvolutionProfile:

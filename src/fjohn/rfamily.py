@@ -186,15 +186,19 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     the indices of the open nodes and the two integrals there.  The band is
     open only where the pullback t_top of the top kink of g lies above -1;
     everywhere else each segment end clips to -1 and both integrals are
-    exactly 0.  Between the kinks of f and the pullbacks of the kinks of g
-    both integrands are polynomials of degree <= 3, so the 2-point Gauss
-    rule is exact on every segment, and the pieces of f and g are fixed:
-    they are chosen once per segment, at its midpoint.  Every node is
-    integrated on its own, so `_Band.terms` calls this on one block of the
-    grid at a time and gets the same bits as on the whole grid.
-    f(t) g(q(t)) is continuous at every segment end and vanishes at the top
-    one, so moving the ends with c2 adds no term to I': it is accumulated in
-    the same pass, on the same nodes and pieces.
+    exactly 0.  On [-1, t_top] the integrands are polynomials of degree
+    <= 3 on the overlap of a piece i of f with the t-range of a piece j of
+    g (between the pullbacks of its kinks), so the 2-point Gauss rule is
+    exact there, with the slopes and intercepts of i and j as constants.
+    The kernel walks every pair (i, j) on every node; an empty overlap has
+    b = a and adds exactly 0, and the pairs come in increasing t, so the
+    sums run in the order of the sorted segment ends.  A piece of g with
+    slope 0 needs no q (0 q + c = c) and adds nothing to I'.  A pair that
+    no node reaches is skipped.  Every node is integrated on its own, so
+    `_Band.terms` calls this on one block of the grid at a time and gets
+    the same bits as on the whole grid.  f(t) g(q(t)) is continuous at
+    every segment end and vanishes at the top one, so moving the ends with
+    c2 adds no term to I': it is accumulated in the same pass.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
@@ -203,38 +207,41 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
         return (np.sqrt(np.maximum(tau2, 0.0)) - 1.0) / omr
 
+    t_top = pullback(g_breaks[-1:])[:, 0]
     # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
-    is_open = np.flatnonzero(~(pullback(g_breaks[-1:])[:, 0] <= -1.0))
-    c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
-    t_roots = pullback(g_breaks)
-    t_top = t_roots[:, -1:]
-
-    cols = [np.full(len(c2), -1.0)]
-    cols.extend(np.full(len(c2), fb) for fb in f_pl.breaks if fb > -1.0)
-    cols.extend(t_roots[:, k] for k in range(len(g_breaks)))
-    B = np.minimum(np.maximum(np.stack(cols, axis=1), -1.0), t_top)
-    if len(cols) > 1 + len(g_breaks):  # the pullbacks increase, so only kinks of f need a sort
-        B.sort(axis=1)
+    is_open = np.flatnonzero(~(t_top <= -1.0))
+    c2, den, r2m1, t_top = c2[is_open], den[is_open], r2m1[is_open], t_top[is_open]
+    # the t-ends of f's pieces above -1, and of g's pieces below its top kink in [-1, t_top]
+    f_ends = [-1.0, *f_pl.breaks[f_pl.breaks > -1.0], np.inf]
+    g_ends = [-1.0, *np.minimum(np.maximum(pullback(g_breaks[:-1]), -1.0), t_top[:, None]).T,
+              t_top]
+    f_first = int(np.count_nonzero(f_pl.breaks <= -1.0))  # the piece of f right of -1
+    # each end's least and greatest value: NaN where a node is NaN, and then no pair skips
+    g_lows = [np.min(e, initial=np.inf) for e in g_ends]
+    g_highs = [np.max(e, initial=-np.inf) for e in g_ends]
 
     xi = _gauss(2)[0][:, None]  # the 2-point rule: nodes mid + xi half, both weights exactly 1
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
     inner = np.zeros(len(c2))
     d_inner = np.zeros(len(c2))
-    for j in range(B.shape[1] - 1):
-        a, b = B[:, j], B[:, j + 1]
+    for i, j in itertools.product(range(len(f_ends) - 1), range(len(g_breaks))):
+        if f_ends[i] >= g_highs[j + 1] or f_ends[i + 1] <= g_lows[j]:
+            continue  # empty on every node
+        a = np.maximum(g_ends[j], f_ends[i])
+        b = np.maximum(a, np.minimum(g_ends[j + 1], f_ends[i + 1]))
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        kf = np.searchsorted(f_pl.breaks, mid, side="right")
-        kg = np.searchsorted(g_breaks, (r2m1 + c2 * (1.0 + omr * mid)**2) / den, side="right")
-        f_slope, f_icpt = f_pl.slopes[kf], f_pl.intercepts[kf]
-        g_slope, g_icpt = g_pl.slopes[kg], g_pl.intercepts[kg]
         t = mid + half * xi  # (2, nodes)
-        tau2 = (1.0 + omr * t) ** 2
-        q = np.minimum(np.maximum((r2m1 + c2 * tau2) / den, qlo), qhi)
-        f_t = f_slope * t + f_icpt
-        vals = f_t * (g_slope * q + g_icpt)
-        d_vals = f_t * tau2  # g' = g_slope is fixed on the segment: applied below
+        f_t = f_pl.slopes[f_first + i] * t + f_pl.intercepts[f_first + i]
+        g_slope, g_icpt = g_pl.slopes[j], g_pl.intercepts[j]
+        if g_slope == 0.0:
+            vals = f_t * g_icpt
+        else:
+            tau2 = (1.0 + omr * t) ** 2
+            q = np.minimum(np.maximum((r2m1 + c2 * tau2) / den, qlo), qhi)
+            vals = f_t * (g_slope * q + g_icpt)
+            d_vals = f_t * tau2  # g' = g_slope is fixed on the overlap: applied here
+            d_inner += (half * g_slope) * (d_vals[0] + d_vals[1])
         inner += half * (vals[0] + vals[1])
-        d_inner += (half * g_slope) * (d_vals[0] + d_vals[1])
     return is_open, inner, d_inner / den
 
 
@@ -352,7 +359,11 @@ class _Band:
             near = np.flatnonzero(r2m1 < den * self.g.breaks[-1])
             if not len(near):  # the band is closed on the whole block
                 continue
-            h_near = eval_h_many(self.h, X[near] @ A.T + v if shifted else X[near]) ** (1.0 / s)
+            Y = X.take(near, axis=0)
+            if shifted:
+                Y = Y @ A.T
+                Y += v
+            h_near = eval_h_many(self.h, Y) ** (1.0 / s)
             c2 = (h_near / alpha) ** 2
             if not np.all(c2 > 0.0):
                 return None
@@ -360,7 +371,7 @@ class _Band:
                                                  r2m1[near])
             at = near[opened]
             if nodes:
-                kept.append(X[at])
+                kept.append(X.take(at, axis=0))
             for o, got in zip(out, ((w_rows[r0:r1, None] * w1).ravel()[at], h_near[opened],
                                     inner, d_inner)):
                 o[filled:filled + len(at)] = got

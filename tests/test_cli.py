@@ -135,6 +135,23 @@ class TestMalformedInput:
         assert sorted(named) == sorted(k for k, ok in props.items() if not ok)
 
 
+def test_profile_failing_beyond_the_grid(two_level_instance, tmp_path):
+    # f falls after 3.5, outside the [-3, 3] a sampled check would look at
+    inst = json.loads(two_level_instance.read_text())
+    inst["profile"] = {"f": {"xs": [-1.0, 3.5, 4.0], "ys": [0.0, 1.0, 0.5]}, "g": G_KNOTS}
+    bad = tmp_path / "falling.json"
+    bad.write_text(json.dumps(inst))
+    check = run("profiles-check", "--instance", str(bad))
+    assert check.returncode == 2
+    result = json.loads(check.stdout)["result"]
+    assert result["all_ok"] is False
+    assert [k for k, ok in result["profile_properties"].items() if not ok] == [
+        "f2_convex", "f4_strictly_increasing"]
+    res = run("minimize-i1", "--instance", str(bad))
+    assert res.returncode == 1 and res.stdout == ""
+    assert "input error: profile pair fails f2_convex, f4_strictly_increasing" in res.stderr
+
+
 def test_cli_import_leaves_scipy_out():
     res = subprocess.run([sys.executable, "-c",
                           "import sys, fjohn.cli; assert 'scipy' not in sys.modules; "
@@ -247,6 +264,8 @@ class TestProfilesCheck:
         r = json.loads(res.stdout)["result"]
         assert r["converged"] is True and r["lambda_gap"] <= 1e-8
         assert r["isotropy"]["residual_iso"] <= 1e-8
+        assert r["evaluations"] >= r["iterations"] > 1
+        assert r["stop_reason"] == "projected gradient within tol"
 
 
 class TestSweepCommand:

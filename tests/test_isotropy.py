@@ -4,9 +4,10 @@ import pytest
 from fjohn.blockmat import BlockMat, EPoint, from_coords, inner, project_trace0, trace0_basis
 from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
 from fjohn.errors import AtomOffContactSet, DivergingIterates
-from fjohn.isotropy import (DiscreteMeasure, _Atoms, calibrated_measure, check_isotropy,
-                            coercivity_witness, counting_measure, extract_measure,
-                            functional_gradient, functional_value, minimize_functional)
+from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, _Atoms, calibrated_measure,
+                            check_isotropy, coercivity_witness, counting_measure,
+                            extract_measure, functional_gradient, functional_value,
+                            minimize_functional)
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 
 F = ConvolutionProfile(canonical_pair())
@@ -214,6 +215,20 @@ class TestNewton:
         iso = check_isotropy(extract_measure(res, h, S, nu, F_steep), S)
         assert iso.residual_iso <= 1e-8
         assert iso.residual_center <= 1e-8
+
+    def test_reports_evaluations_and_stop(self):
+        # every value of the functional is one call of F: the start and each Armijo trial
+        calls = []
+
+        class Counted(ConvolutionProfile):
+            def __call__(self, x):
+                calls.append(x)
+                return super().__call__(x)
+
+        h, nu = off_axis_two_level(2)
+        res = minimize_functional(h, S, nu, Counted(canonical_pair()))
+        assert res.evaluations == len(calls) >= res.iterations > 1
+        assert res.stop_reason == WITHIN_TOL
 
     def test_converges_from_next_to_the_minimizer(self):
         # there the decrease a Newton step promises is below the rounding of

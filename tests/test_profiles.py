@@ -158,6 +158,45 @@ class TestValidateProfiles:
         assert "f4_strictly_increasing" in rep.failed()
 
 
+_pl = PiecewiseLinear.from_knots
+_FALLING_F = _pl([-1.0, 3.5, 4.0], [0.0, 1.0, 0.5])  # convex and increasing on [-3, 3] only
+
+
+class TestExactChecks:
+    """A piecewise-linear pair is decided on all of R, not on the grid over [-3, 3]."""
+
+    @pytest.mark.parametrize("pair, failed", [
+        (ProfilePair(_FALLING_F, canonical_pair().g), ["f2_convex", "f4_strictly_increasing"]),
+        (ProfilePair(_pl([-3.5, -1.0, 0.5], [0.0, 0.0, 1.0], left_slope=-0.2, right_slope=1.0),
+                     canonical_pair().g), ["f3_zero_left"]),
+        (ProfilePair(canonical_pair().f, _pl([-4.0, -3.5, -1.0, 1.0], [1.2, 1.0, 1.0, 0.0])),
+         ["g3_one_left"]),
+        (ProfilePair(canonical_pair().f, _pl([-1.0, 1.0, 3.2, 4.0], [1.0, 0.0, 0.0, -0.5])),
+         ["g5_zero_right"]),
+    ], ids=["f-falls-after-3.5", "f-nonzero-left-of-3.5", "g-not-one-left-of-3.5",
+            "g-negative-after-3.2"])
+    def test_failure_outside_the_grid(self, pair, failed):
+        assert validate_profiles(pair).failed() == failed
+        # the same functions as plain callables take the grid, which sees nothing wrong
+        opaque = ProfilePair(f=lambda x: pair.f(x), g=lambda x: pair.g(x))
+        assert validate_profiles(opaque).ok
+
+    @pytest.mark.parametrize("make", [canonical_pair, _steep_pair, _three_kink_pair],
+                             ids=["canonical", "steep", "three-kink"])
+    def test_shipped_and_test_pairs_pass(self, make):
+        rep = validate_profiles(make())
+        assert rep.ok, rep.failed()
+        assert [c.name for c in rep.checks] == [
+            "f1_lipschitz", "g1_lipschitz", "f2_convex", "f3_zero_left",
+            "f4_strictly_increasing", "g2_nonincreasing", "g3_one_left",
+            "g4_positive_inside", "g5_zero_right"]
+
+    def test_g_zero_at_an_inner_kink(self):
+        g = _pl([-1.0, 0.2, 1.0], [1.0, 0.0, 0.0])  # g = 0 on [0.2, 1): not positive inside
+        assert validate_profiles(ProfilePair(canonical_pair().f, g)).failed() == [
+            "g4_positive_inside"]
+
+
 class TestConvolutionProfile:
     def test_frozen_values(self, expected):
         F = ConvolutionProfile(canonical_pair())

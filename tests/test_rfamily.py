@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -871,6 +872,155 @@ class TestInnerBandKernel:
             got = _by_parts(0.85, c2, inner, d_inner)
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(direct)
             assert 0.0 < np.mean(is_open) < 1.0
+
+
+def _sorted_inner_band(f_pl, g_pl, r, c2, den, r2m1):
+    """The sorted-merge kernel that _inner_band replaces, kept as its bit-for-bit reference.
+
+    Each node stacks -1, the kinks of f above -1 and the pullbacks of the
+    kinks of g, clipped to [-1, t_top], sorts them, and picks the pieces of
+    f and g on every segment at its midpoint.
+    """
+    omr = 1.0 - r
+    g_breaks = g_pl.breaks
+
+    def pullback(gb):
+        tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
+        return (np.sqrt(np.maximum(tau2, 0.0)) - 1.0) / omr
+
+    is_open = np.flatnonzero(~(pullback(g_breaks[-1:])[:, 0] <= -1.0))
+    c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
+    t_roots = pullback(g_breaks)
+    t_top = t_roots[:, -1:]
+
+    cols = [np.full(len(c2), -1.0)]
+    cols.extend(np.full(len(c2), fb) for fb in f_pl.breaks if fb > -1.0)
+    cols.extend(t_roots[:, k] for k in range(len(g_breaks)))
+    B = np.minimum(np.maximum(np.stack(cols, axis=1), -1.0), t_top)
+    B.sort(axis=1)
+
+    xi = rfamily._gauss(2)[0][:, None]
+    qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
+    inner = np.zeros(len(c2))
+    d_inner = np.zeros(len(c2))
+    for j in range(B.shape[1] - 1):
+        a, b = B[:, j], B[:, j + 1]
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        kf = np.searchsorted(f_pl.breaks, mid, side="right")
+        kg = np.searchsorted(g_breaks, (r2m1 + c2 * (1.0 + omr * mid)**2) / den, side="right")
+        f_slope, f_icpt = f_pl.slopes[kf], f_pl.intercepts[kf]
+        g_slope, g_icpt = g_pl.slopes[kg], g_pl.intercepts[kg]
+        t = mid + half * xi
+        tau2 = (1.0 + omr * t) ** 2
+        q = np.minimum(np.maximum((r2m1 + c2 * tau2) / den, qlo), qhi)
+        f_t = f_slope * t + f_icpt
+        vals = f_t * (g_slope * q + g_icpt)
+        d_vals = f_t * tau2
+        inner += half * (vals[0] + vals[1])
+        d_inner += (half * g_slope) * (d_vals[0] + d_vals[1])
+    return is_open, inner, d_inner / den
+
+
+def _two_kink_pair():
+    """Convex f with kinks at -0.5 and 0.3 (both > -1), g with a flat middle piece."""
+    f = PiecewiseLinear.from_knots([-1.0, -0.5, 0.3], [0.0, 0.2, 0.8], right_slope=1.5)
+    g = PiecewiseLinear.from_knots([-1.0, -0.4, 0.2, 1.0], [1.0, 0.6, 0.6, 0.0])
+    return ProfilePair(f=f, g=g)
+
+
+def _inputs_with_top(pair, r, tau_top, seed):
+    """Kernel inputs whose top pullback is (tau_top - 1)/(1-r): open where tau_top > r."""
+    c2, den, _ = _kernel_inputs(seed, count=len(tau_top))
+    return c2, den, den * pair.g.breaks[-1] - c2 * tau_top ** 2
+
+
+class TestPairKernel:
+    """_inner_band against the sorted-merge kernel it replaces, bit for bit."""
+
+    ALL_PAIRS = pytest.mark.parametrize("pair", [canonical_pair(), _custom_pair(),
+                                                 _two_kink_pair()],
+                                        ids=["canonical", "custom", "two-kink"])
+
+    @staticmethod
+    def _same(pair, r, c2, den, r2m1):
+        got = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1)
+        ref = _sorted_inner_band(pair.f, pair.g, r, c2, den, r2m1)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b, equal_nan=True)
+        return got
+
+    @ALL_PAIRS
+    @pytest.mark.parametrize("r", [0.6, 0.8, 0.93])
+    def test_random_inputs(self, pair, r):
+        opened, inner, _ = self._same(pair, r, *_kernel_inputs(int(1000 * r) + 5))
+        assert 0 < len(opened) < 4000 and np.all(inner >= 0.0)
+
+    @ALL_PAIRS
+    def test_f_kinks_above_the_top(self, pair):
+        # t_top below the least kink of f above -1 on every node (the canonical f has none)
+        r = 0.8
+        least = min([fb for fb in pair.f.breaks if fb > -1.0], default=0.0)
+        tau_top = np.random.default_rng(3).uniform(r + 0.01, 1.0 + (1.0 - r) * least, size=2000)
+        c2, den, r2m1 = _inputs_with_top(pair, r, tau_top, 31)
+        opened, _, _ = self._same(pair, r, c2, den, r2m1)
+        t_top = (tau_top - 1.0) / (1.0 - r)
+        assert len(opened) == 2000 and np.all(t_top < least)
+
+    @ALL_PAIRS
+    def test_pullbacks_clip_to_minus_one(self, pair):
+        # q(-1) = (r2m1 + c2 r^2)/den between the lowest and the top kink of g: the
+        # pullbacks of the kinks below it clip to -1, the top one does not
+        r = 0.85
+        c2, den, _ = _kernel_inputs(41, count=2000)
+        lo, top = pair.g.breaks[0], pair.g.breaks[-1]
+        r2m1 = den * np.random.default_rng(5).uniform(lo, top, size=2000) - c2 * r * r
+        opened, _, _ = self._same(pair, r, c2, den, r2m1)
+        assert len(opened) == 2000
+
+    @ALL_PAIRS
+    def test_pullback_on_an_f_kink(self, pair):
+        # nodes whose pullback of a kink of g is a kink of f (-1 included) exactly, found
+        # by walking r2m1 over a few ulps from the exact-arithmetic value; t = (tau - 1)/(1-r)
+        # reaches a given kink only for some r, so several are tried
+        kinks = [fb for fb in pair.f.breaks if fb >= -1.0]
+        hit_kinks = set()
+        for r in (0.57, 0.6, 0.75, 0.95):
+            omr = 1.0 - r
+            c2, den, _ = _kernel_inputs(43, count=300)
+            rows = []
+            for fk, gb in itertools.product(kinks, pair.g.breaks[:-1]):
+                r2m1 = den * gb - c2 * (1.0 + omr * fk) ** 2
+                for _ in range(16):
+                    t = (np.sqrt(np.maximum((den * gb - r2m1) / c2, 0.0)) - 1.0) / omr
+                    hit = t == fk
+                    if np.any(hit):
+                        hit_kinks.add(fk)
+                    rows.append((c2[hit], den[hit], r2m1[hit]))
+                    r2m1 = np.where(t < fk, np.nextafter(r2m1, -np.inf),
+                                    np.nextafter(r2m1, np.inf))
+            c2, den, r2m1 = (np.concatenate(col) for col in zip(*rows))
+            opened, _, _ = self._same(pair, r, c2, den, r2m1)
+            assert len(opened) == len(c2)
+        assert hit_kinks == set(kinks)
+
+    @ALL_PAIRS
+    def test_nan_nodes_reach_the_result(self, pair):
+        c2, den, r2m1 = _kernel_inputs(47, count=1000)
+        bad = np.arange(0, 1000, 97)
+        c2 = c2.copy()
+        c2[bad] = np.nan
+        opened, inner, d_inner = self._same(pair, 0.8, c2, den, r2m1)
+        at = np.isin(opened, bad)
+        assert np.count_nonzero(at) == len(bad)
+        assert np.all(np.isnan(inner[at])) and np.all(np.isnan(d_inner[at]))
+        assert not np.any(np.isnan(inner[~at]))
+
+    @ALL_PAIRS
+    def test_all_closed(self, pair):
+        c2, den, _ = _kernel_inputs(7, count=500)
+        r2m1 = den * pair.g.breaks[-1] + np.linspace(0.0, 2.0, 500)
+        opened, inner, d_inner = self._same(pair, 0.8, c2, den, r2m1)
+        assert opened.shape == inner.shape == d_inner.shape == (0,)
 
 
 class TestBandPreconditions:
