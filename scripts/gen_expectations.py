@@ -17,13 +17,15 @@ import sys
 import numpy as np
 from scipy.optimize import brentq
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the oracles live with the tests, not in the package
 
-from fjohn.blockmat import trace0_basis  # noqa: E402
-from fjohn.oracle import GridSpec, convolve_numeric, grid_minimize  # noqa: E402
+from fjohn.blockmat import trace0_array  # noqa: E402
 from fjohn.profiles import canonical_pair  # noqa: E402
+from oracles import GridSpec, convolve_numeric, grid_minimize  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "expected.json"
+OUT = ROOT / "tests" / "data" / "expected.json"
 
 
 def F_closed(x):
@@ -65,15 +67,10 @@ def grid_value_two_level():
     rho1, rho2 = math.sqrt(0.4), math.sqrt(0.8)
     pts = np.array([rho1, -rho1, rho2, -rho2])
     hp = np.sqrt(1.0 - pts**2)
-    basis = trace0_basis(1, 1.0)
+    basis = trace0_array(1, 1.0)  # rows (M, beta, w)
     # coordinates of the argument gradient per atom: arg_i(p) = <gvec_i, coords>
-    gvecs = []
-    for u, hv in zip(pts, hp):
-        comp = []
-        for b in basis:
-            comp.append((u * u * b.mat.diag[0, 0] + u * b.shift[0]) / hv**2 + b.mat.corner)
-        gvecs.append(comp)
-    gvecs = np.array(gvecs)
+    gvecs = np.array([[(u * u * m + u * w) / hv**2 + beta for m, beta, w in basis]
+                      for u, hv in zip(pts, hp)])
 
     def batch(coords):
         args = coords @ gvecs.T

@@ -6,8 +6,7 @@ conditions, and numerical validation of the r -> 1 limit behavior of the
 band functionals at small dimension.
 """
 
-from .blockmat import (BlockMat, EPoint, identity_direction, inner, project_trace0, s_det,
-                       s_trace, sdet1_param, trace0_basis)
+from .blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_basis
 from .contact import (ContactSet, DecompositionReport, cross_fixture, detect_contacts,
                       make_tangent_instance, two_level_cross_fixture,
                       verify_decomposition)

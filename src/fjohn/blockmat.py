@@ -2,11 +2,11 @@
 
 The objects here are (n+1)x(n+1) matrices with an n x n symmetric block M,
 a scalar corner beta and zero off-blocks, optionally paired with a shift
-vector w in R^n.  They carry the exponent-weighted determinant and trace,
-the Frobenius-type inner product (a plain dot product of the flat form
-`EPoint.vec`), the orthogonal projection onto the weighted-trace-zero
-subspace, and that subspace's orthonormal basis in closed form, as one
-array of flat rows for the minimizers.
+vector w in R^n.  They carry the weighted trace, the flat form
+`EPoint.vec` (in which the Frobenius-type inner product is a plain dot
+product), the pairs of unit weighted determinant corner^s det(M) as images
+of symmetric matrices, and the orthonormal basis of the weighted-trace-zero
+subspace in closed form, as one array of flat rows for the minimizers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveCorner
+from .errors import DimensionMismatch
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -115,40 +115,9 @@ class EPoint:
         return float(np.sqrt(self.mat.frobenius_norm() ** 2 + np.dot(self.shift, self.shift)))
 
 
-def s_det(b: BlockMat, s: float) -> float:
-    """corner**s * det(diag).  Needs corner > 0 when s is not an integer."""
-    if b.corner <= 0 and s != int(s):
-        raise NonPositiveCorner(f"corner={b.corner} with non-integer s={s}")
-    return float(b.corner**s * np.linalg.det(b.diag))
-
-
 def s_trace(b: BlockMat, s: float) -> float:
     """s*corner + trace(diag); equals the inner product with identity+s-corner."""
     return float(s * b.corner + np.trace(b.diag))
-
-
-def inner(p: EPoint, q: EPoint) -> float:
-    """Frobenius product of the blocks plus the dot product of the shifts."""
-    if p.n != q.n:
-        raise DimensionMismatch(f"dimensions {p.n} and {q.n} differ")
-    return float(np.dot(p.vec, q.vec))
-
-
-def identity_direction(n: int, s: float) -> EPoint:
-    """The distinguished direction (identity block with corner s, zero shift)."""
-    return EPoint(BlockMat.identity(n, s), np.zeros(n))
-
-
-def project_trace0(p: EPoint, s: float) -> EPoint:
-    """Orthogonal projection onto the weighted-trace-zero subspace.
-
-    Subtracts the component along (Id + s-corner, 0); idempotent, and the
-    image is exactly the kernel of s_trace.
-    """
-    n = p.n
-    coeff = s_trace(p.mat, s) / (n + s * s)
-    diag = p.mat.diag - coeff * np.eye(n)
-    return EPoint(BlockMat(diag, p.mat.corner - coeff * s), p.shift)
 
 
 def expm_sym(S: np.ndarray) -> np.ndarray:
@@ -160,7 +129,7 @@ def expm_sym(S: np.ndarray) -> np.ndarray:
 
 
 def sdet1_param(S: np.ndarray, s: float) -> tuple[np.ndarray, float]:
-    """Map a symmetric matrix S to an SPD pair (A, alpha) with s_det(A, alpha) = 1.
+    """Map a symmetric matrix S to an SPD pair (A, alpha) of unit weighted determinant.
 
     A = exp(S), alpha = exp(-trace(S)/s), so alpha**s * det(A) = 1 exactly.
     """
@@ -196,7 +165,3 @@ def trace0_basis(n: int, s: float) -> list[EPoint]:
     """The rows of `trace0_array` as points."""
     return [EPoint.from_vec(b, n) for b in trace0_array(n, s)]
 
-
-def from_coords(coeffs: np.ndarray, basis: list[EPoint]) -> EPoint:
-    return EPoint.from_vec(np.asarray(coeffs, dtype=float) @ np.array([b.vec for b in basis]),
-                           basis[0].n)

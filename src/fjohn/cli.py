@@ -20,7 +20,7 @@ from . import contact, isotropy, rfamily
 from .blockmat import EPoint
 from .errors import (DivergingIterates, FJohnError, InfeasibleWeights, NotConverged,
                      NotJohnPosition, NotProper)
-from .logconcave import LogConcaveFn, eval_h_many, check_proper, make_log_concave
+from .logconcave import LogConcaveFn, check_proper, make_log_concave
 from .profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair,
                        validate_profiles)
 
@@ -211,26 +211,40 @@ def _pieces_json(h: LogConcaveFn) -> dict:
     }
 
 
+def _tangent_points(text, n: int) -> np.ndarray:
+    """The `--points` of a tangent fixture: finite points in R^n."""
+    if not text:
+        raise InputError("tangent fixture needs --points")
+    try:
+        pts = np.array([[float(v) for v in chunk.split(",")] for chunk in text.split(";")])
+    except ValueError as exc:
+        raise InputError(f"malformed --points ({exc})")
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise InputError(f"--points must be points in R^{n}, got {text!r}")
+    if not np.all(np.isfinite(pts)):
+        raise InputError(f"--points must be finite, got {text!r}")
+    return pts
+
+
 def cmd_fixture(args) -> int:
     n, s = args.n, args.s
     _check_s(s)
+    if n < 1:
+        raise InputError(f"--n must be at least 1, got {n}")
     if args.name == "cross":
         h, cs, weights = contact.cross_fixture(n, s)
-        params = {}
+        points, params = cs.points, {}
     elif args.name == "two-level-cross":
         h, cs, weights = contact.two_level_cross_fixture(n, s, args.rho1_sq, args.rho2_sq)
-        params = {"rho1_sq": args.rho1_sq, "rho2_sq": args.rho2_sq}
+        points, params = cs.points, {"rho1_sq": args.rho1_sq, "rho2_sq": args.rho2_sq}
     elif args.name == "tangent":
-        if not args.points:
-            raise InputError("tangent fixture needs --points")
-        pts = np.array([[float(v) for v in chunk.split(",")]
-                        for chunk in args.points.split(";")])
-        radius = args.domain_radius if args.domain_radius else 8.0
-        h = contact.make_tangent_instance(pts, s, domain_radius=radius)
-        vals = eval_h_many(h, pts) ** (1.0 / s)
-        cs = contact.ContactSet(points=pts, gap_tol=1e-10, h_values=vals)
+        points = _tangent_points(args.points, n)
+        radius = 8.0 if args.domain_radius is None else args.domain_radius
+        if not (_is_number(radius) and radius > 0):
+            raise InputError(f"--domain-radius must be a positive number, got {radius!r}")
+        h = contact.make_tangent_instance(points, s, domain_radius=radius)
         weights = None
-        params = {"points": pts, "domain_radius": radius}
+        params = {"points": points, "domain_radius": radius}
     else:
         raise InputError(f"unknown fixture {args.name!r}")
 
@@ -239,7 +253,7 @@ def cmd_fixture(args) -> int:
         "n": n,
         "s": s,
         "h": _pieces_json(h),
-        "contacts": {"points": cs.points,
+        "contacts": {"points": points,
                      **({"weights": weights} if weights is not None else {})},
         "nu": args.nu,
         "profile": "canonical",

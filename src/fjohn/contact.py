@@ -186,8 +186,8 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None,
     Raises NotJohnPosition otherwise.
 
     grid_per_axis is accepted and ignored, as the instance file's
-    `tolerances.grid_per_axis` is in schema version 1.  A grid scan of the
-    same set is the test oracle `fjohn.oracle.grid_contacts`.
+    `tolerances.grid_per_axis` is in schema version 1.  The tests check
+    this closed form against a grid scan of the same set.
     """
     form = h.form
     if form.domain_radius is not None and form.domain_radius < 1.0:

@@ -9,10 +9,6 @@ class DimensionMismatch(FJohnError):
     pass
 
 
-class NonPositiveCorner(FJohnError):
-    pass
-
-
 class PointOnBoundary(FJohnError):
     pass
 

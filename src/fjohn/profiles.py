@@ -1,16 +1,15 @@
 """Profile functions f, g and their convolution profile F.
 
 f is zero left of -1, convex and strictly increasing afterwards; g is one
-left of -1, nonincreasing, positive on (-1, 1) and zero from 1 on.  The
-shipped canonical pair is piecewise linear, which makes the convolution
-F(x) = integral f(t) g(t - x) dt piecewise polynomial and lets the band
-quadratures integrate it segment-exactly.
+left of -1, nonincreasing, positive on (-1, 1) and zero from 1 on.  Both
+are piecewise linear, in the canonical pair and in every custom one, which
+makes the convolution F(x) = integral f(t) g(t - x) dt piecewise
+polynomial and lets the band quadratures integrate it segment-exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -20,8 +19,7 @@ class PiecewiseLinear:
 
     `breaks` are the k sorted kink locations; `slopes` and `intercepts` give
     the k+1 affine pieces on (-inf, b_1], [b_1, b_2], ..., [b_k, inf).
-    Evaluation at a kink uses the right-hand piece (the sides agree for the
-    value; the derivative is one-sided).
+    Evaluation at a kink uses the right-hand piece (the sides agree there).
     """
 
     breaks: np.ndarray
@@ -50,12 +48,6 @@ class PiecewiseLinear:
         idx = np.searchsorted(self.breaks, x, side="right")
         return self.slopes[idx] * x + self.intercepts[idx]
 
-    def deriv(self, x):
-        """Right-hand derivative."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breaks, x, side="right")
-        return self.slopes[idx] + np.zeros_like(x)
-
     @staticmethod
     def from_knots(xs, ys, left_slope: float = 0.0, right_slope: float = 0.0) -> "PiecewiseLinear":
         """Interpolate the knot list, extending with the given outer slopes."""
@@ -74,18 +66,21 @@ class PiecewiseLinear:
 
 @dataclass(frozen=True)
 class ProfilePair:
-    """Profile functions with derivative oracles.
+    """The profile functions f and g, both `PiecewiseLinear`.
 
-    f and g are callables; when they are PiecewiseLinear the band quadratures
-    can segment exactly and the convolution profile is a piecewise cubic.
+    That form is what every consumer relies on: `validate_profiles` decides
+    the pair exactly on all of R, the convolution profile is one piecewise
+    cubic, and the band quadratures integrate segment-exactly.  Anything
+    else raises ValueError here.
     """
 
-    f: Callable
-    g: Callable
+    f: PiecewiseLinear
+    g: PiecewiseLinear
 
-    @property
-    def piecewise_linear(self) -> bool:
-        return isinstance(self.f, PiecewiseLinear) and isinstance(self.g, PiecewiseLinear)
+    def __post_init__(self):
+        for name, fn in (("f", self.f), ("g", self.g)):
+            if not isinstance(fn, PiecewiseLinear):
+                raise ValueError(f"profile {name} must be PiecewiseLinear, got {type(fn).__name__}")
 
 
 def canonical_pair() -> ProfilePair:
@@ -117,42 +112,10 @@ class ProfileReport:
 _TOL = 1e-12  # rounding allowed in the "= 0", "= 1" and "nondecreasing slope" checks
 
 
-def validate_profiles(pair: ProfilePair, samples: int = 601) -> ProfileReport:
-    """Check the nine profile properties.
-
-    A piecewise-linear pair is decided exactly on all of R by `_exact_checks`;
-    other callables are checked on a deterministic grid of `samples` points
-    over [-3, 3], which cannot see a failure outside it.
-    """
-    if pair.piecewise_linear:
-        return ProfileReport([PropertyCheck(name, bool(ok))
-                              for name, ok in _exact_checks(pair.f, pair.g)])
-    xs = np.linspace(-3.0, 3.0, samples)
-    fv = np.asarray(pair.f(xs), dtype=float)
-    gv = np.asarray(pair.g(xs), dtype=float)
-    rep = ProfileReport()
-
-    def add(name, mask_bad):
-        rep.checks.append(PropertyCheck(name, not np.any(mask_bad)))
-
-    # f1/g1: finite values and bounded difference quotients on the grid
-    dq_f = np.abs(np.diff(fv) / np.diff(xs))
-    dq_g = np.abs(np.diff(gv) / np.diff(xs))
-    add("f1_lipschitz", ~np.isfinite(fv) | np.concatenate([[False], ~np.isfinite(dq_f)]))
-    add("g1_lipschitz", ~np.isfinite(gv) | np.concatenate([[False], ~np.isfinite(dq_g)]))
-    # f2: midpoint convexity via second differences on the uniform grid
-    add("f2_convex", np.concatenate([[False], fv[2:] - 2 * fv[1:-1] + fv[:-2] < -1e-12, [False]]))
-    add("f3_zero_left", (xs <= -1.0) & (np.abs(fv) > 1e-12))
-    on = xs >= -1.0
-    incr_bad = np.zeros_like(xs, dtype=bool)
-    idx = np.nonzero(on)[0]
-    incr_bad[idx[1:]] = np.diff(fv[on]) <= 0.0
-    add("f4_strictly_increasing", incr_bad)
-    add("g2_nonincreasing", np.concatenate([[False], np.diff(gv) > 1e-12]))
-    add("g3_one_left", (xs <= -1.0) & (np.abs(gv - 1.0) > 1e-12))
-    add("g4_positive_inside", (xs > -1.0) & (xs < 1.0) & (gv <= 0.0))
-    add("g5_zero_right", (xs >= 1.0) & (np.abs(gv) > 1e-12))
-    return rep
+def validate_profiles(pair: ProfilePair) -> ProfileReport:
+    """Check the nine profile properties, each decided exactly on all of R by `_exact_checks`."""
+    return ProfileReport([PropertyCheck(name, bool(ok))
+                          for name, ok in _exact_checks(pair.f, pair.g)])
 
 
 def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
@@ -206,8 +169,6 @@ class ConvolutionProfile:
     """
 
     def __init__(self, pair: ProfilePair):
-        if not pair.piecewise_linear:
-            raise ValueError("convolution profile needs a piecewise-linear pair")
         f, g = pair.f, pair.g
         jumps = np.diff(g.slopes)
         self.breaks = np.unique(np.subtract.outer(f.breaks, g.breaks))

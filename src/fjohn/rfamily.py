@@ -137,19 +137,6 @@ def _axis_rule(radius: float, nodes_per_axis: int, kinks=None):
     return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wi).ravel()
 
 
-def _x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
-    """Tensor grid of `_axis_rule` on [-radius, radius]^n: nodes (N, n), weights (N,).
-
-    Node i0 * P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the
-    P nodes x of the axis rule.  `_Band.terms` walks this order in blocks
-    without building the grid; this whole-grid form is its reference.
-    Kinks are used for n = 1 only.
-    """
-    x1, w1 = _axis_rule(radius, nodes_per_axis, kinks if n == 1 else None)
-    pts = np.stack([m.ravel() for m in np.meshgrid(*([x1] * n), indexing="ij")], axis=1)
-    return pts, functools.reduce(np.multiply.outer, [w1] * n).ravel()
-
-
 def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.ndarray:
     """Kink locations of the max-affine envelope inside (lo, hi) (n = 1 only).
 
@@ -248,13 +235,11 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 def check_band_pair(pair: ProfilePair) -> None:
     """Raise ValueError unless the band kernel applies to the profile pair.
 
-    It needs piecewise-linear profiles with f(-1) = 0 and g = 0 at its top
-    kink: then f(t) (1+(1-r)t) g(q(t)) vanishes at both ends of the band,
-    which is what lets the density integral be taken by parts and I' skip
-    the moving segment ends.
+    It needs f(-1) = 0 and g = 0 at the top kink of g: then
+    f(t) (1+(1-r)t) g(q(t)) vanishes at both ends of the band, which is what
+    lets the density integral be taken by parts and I' skip the moving
+    segment ends.
     """
-    if not pair.piecewise_linear:
-        raise ValueError("band quadrature needs piecewise-linear profile functions")
     top = float(pair.g.breaks[-1])
     f_low, g_top = float(pair.f(-1.0)), float(pair.g(top))
     if abs(f_low) > 1e-12:
@@ -303,11 +288,13 @@ class _Band:
         (the band_functional route); otherwise x is the factor argument and
         the band variable is A^-1 (x - v).  For n = 1 the panels follow the
         kinks of psi in both variables.  Returns (X, W, h^(1/s), I, I') on
-        the nodes where the band is open, in `_x_grid`'s node order, with X
-        their coordinates when `nodes` is set and None otherwise; or None
-        when part of the band lies where h^(1/s)/alpha vanishes (or its
-        square underflows).  h at the band-factor argument is evaluated only
-        where the band can be open (q(-1) below the top kink of g).
+        the nodes where the band is open, in row-major grid order (node
+        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P
+        nodes x of `_axis_rule`), with X their coordinates when `nodes` is
+        set and None otherwise; or None when part of the band lies where
+        h^(1/s)/alpha vanishes (or its square underflows).  h at the
+        band-factor argument is evaluated only where the band can be open
+        (q(-1) below the top kink of g).
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in
@@ -316,7 +303,7 @@ class _Band:
         whole grid; their rest is never written, so it never becomes
         resident, and the returned arrays are views of the fronts.
         A block's weights are its rows' weights times the axis weights, the
-        same products as `_x_grid`'s.
+        same products as those of the whole tensor grid.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -685,17 +672,6 @@ def trapezoid_bump(center, flat: float, taper: float):
     return delta
 
 
-def plateau_bump(radius: float, taper: float):
-    """1 on the ball of the given radius, linear to 0 over the taper width."""
-
-    def delta(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        d = np.linalg.norm(X, axis=1)
-        return np.clip((radius + taper - d) / taper, 0.0, 1.0)
-
-    return delta
-
-
 @dataclass
 class SweepEntry:
     r: float
@@ -722,14 +698,14 @@ class RSweepResult:
 
 
 def default_bumps(reference_measure: DiscreteMeasure):
-    """One trapezoid per atom plus a plateau covering the whole contact set."""
+    """One trapezoid per atom plus one at the origin whose flat part covers the contact set."""
     pts = reference_measure.points
     k = pts.shape[0]
     gap = min((np.linalg.norm(pts[i] - pts[j]) for i in range(k) for j in range(i + 1, k)),
               default=0.5)
     bumps = [trapezoid_bump(pts[i], 0.45 * gap, 0.2 * gap) for i in range(k)]
     radius = float(np.max(np.linalg.norm(pts, axis=1)))
-    bumps.append(plateau_bump(radius + 0.05, 0.2))
+    bumps.append(trapezoid_bump(np.zeros(pts.shape[1]), radius + 0.05, 0.2))
     return bumps
 
 

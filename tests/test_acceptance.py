@@ -15,17 +15,17 @@ import time
 import numpy as np
 import pytest
 
-from fjohn.blockmat import BlockMat, EPoint, from_coords, inner, project_trace0, sdet1_param, trace0_basis
+from fjohn.blockmat import BlockMat, EPoint, sdet1_param, trace0_array
 from fjohn.contact import cross_fixture, two_level_cross_fixture, verify_decomposition
 from fjohn.errors import DivergingIterates
 from fjohn.isotropy import (calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
                             functional_value, minimize_functional)
 from fjohn.logconcave import eval_h_many
-from fjohn.oracle import GridSpec, convolve_numeric, grid_minimize
 from fjohn.profiles import ConvolutionProfile, canonical_pair, validate_profiles
 from fjohn.rfamily import (QuadratureSpec, band_functional, r_sweep,
                            rescaled_band_functional)
+from oracles import GridSpec, convolve_numeric, grid_minimize, project_trace0
 
 PAIR = canonical_pair()
 F = ConvolutionProfile(PAIR)
@@ -113,11 +113,12 @@ def test_c3_gradient_correctness():
     while checked < 100:
         (h, cs, w), s = fixtures[checked % 3]
         nu = counting_measure(cs.points)
-        basis = trace0_basis(cs.points.shape[1], s)
-        p = from_coords(rng.normal(scale=1.2, size=len(basis)), basis)
-        d = from_coords(rng.normal(size=len(basis)), basis)
+        n = cs.points.shape[1]
+        basis = trace0_array(n, s)
+        p = EPoint.from_vec(rng.normal(scale=1.2, size=len(basis)) @ basis, n)
+        d = EPoint.from_vec(rng.normal(size=len(basis)) @ basis, n)
         d = d * (1.0 / d.norm())
-        g = inner(functional_gradient(h, s, nu, F, p), d)
+        g = float(np.dot(functional_gradient(h, s, nu, F, p).vec, d.vec))
         step = 1e-6
         fd = (functional_value(h, s, nu, F, p + step * d)
               - functional_value(h, s, nu, F, p - step * d)) / (2 * step)
@@ -142,10 +143,10 @@ def test_c4_oracle_equivalence(two_level, counting_run):
         # closed-form profile branches, no calls into the minimized path
         pts = cs.points.ravel()
         hp = np.sqrt(1.0 - pts**2)
-        basis = trace0_basis(1, 1.0)
+        basis = trace0_array(1, 1.0)  # rows (M, beta, w)
         gvecs = np.array([
-            [(u * u * b.mat.diag[0, 0] + u * b.shift[0]) / hv**2 + b.mat.corner
-             for b in basis] for u, hv in zip(pts, hp)])
+            [(u * u * m + u * w) / hv**2 + beta for m, beta, w in basis]
+            for u, hv in zip(pts, hp)])
 
         def batch(coords):
             args = coords @ gvecs.T
@@ -182,7 +183,7 @@ def test_c5_coercivity_equivalence(two_level):
         align = 0.0
     except DivergingIterates as exc:
         diverged = True
-        align = abs(inner(exc.direction, flat))
+        align = abs(np.dot(exc.direction.vec, flat.vec))
     ok &= diverged and align == pytest.approx(1.0, abs=1e-9)
 
     h, cs, w = two_level

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from fjohn.blockmat import (BlockMat, EPoint, from_coords, identity_direction, inner,
-                            project_trace0, s_det, s_trace, sdet1_param, trace0_array,
-                            trace0_basis)
-from fjohn.errors import DimensionMismatch, NonPositiveCorner
+from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array, trace0_basis
+from oracles import gram_schmidt_basis, project_trace0, s_det
+
+
+def _identity_direction(n, s):
+    """The distinguished direction (identity block with corner s, zero shift)."""
+    return EPoint(BlockMat.identity(n, s))
 
 
 class TestSDet:
@@ -18,7 +21,7 @@ class TestSDet:
         assert s_det(BlockMat(np.array([[3.0]]), 2.0), 2.0) == pytest.approx(12.0)
 
     def test_nonpositive_corner(self):
-        with pytest.raises(NonPositiveCorner):
+        with pytest.raises(ValueError):
             s_det(BlockMat(np.eye(2), -1.0), 0.5)
         # integer exponent is fine
         assert s_det(BlockMat(np.eye(2), -1.0), 2.0) == pytest.approx(1.0)
@@ -41,37 +44,13 @@ class TestSTrace:
             s = rng.uniform(0.3, 3.0)
             M = rng.standard_normal((n, n))
             p = EPoint(BlockMat(M + M.T, rng.standard_normal()), rng.standard_normal(n))
-            assert inner(p, identity_direction(n, s)) == pytest.approx(
+            assert np.dot(p.vec, _identity_direction(n, s).vec) == pytest.approx(
                 s_trace(p.mat, s), abs=1e-12)
-
-
-class TestInner:
-    def test_unit(self):
-        p = EPoint(BlockMat.identity(1, 1.0), np.zeros(1))
-        assert inner(p, p) == pytest.approx(2.0)
-
-    def test_identity_direction_norm(self):
-        for n, s in [(1, 0.5), (2, 1.0), (3, 2.0)]:
-            d = identity_direction(n, s)
-            assert inner(d, d) == pytest.approx(n + s * s)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            inner(EPoint.zero(1), EPoint.zero(2))
-
-    def test_orthogonality_iff_trace_zero(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            n, s = int(rng.integers(1, 4)), rng.uniform(0.3, 3.0)
-            M = rng.standard_normal((n, n))
-            p = EPoint(BlockMat(M + M.T, rng.standard_normal()), rng.standard_normal(n))
-            lhs = inner(identity_direction(n, s), p)
-            assert lhs == pytest.approx(s_trace(p.mat, s), abs=1e-12)
 
 
 class TestProjectTrace0:
     def test_kills_identity_direction(self):
-        q = project_trace0(identity_direction(2, 1.5), 1.5)
+        q = project_trace0(_identity_direction(2, 1.5), 1.5)
         assert q.norm() < 1e-14
 
     def test_fixes_trace_zero(self):
@@ -94,7 +73,7 @@ class TestProjectTrace0:
             p = EPoint(BlockMat(M + M.T, rng.standard_normal()), rng.standard_normal(n))
             q = project_trace0(p, s)
             assert abs(s_trace(q.mat, s)) <= 1e-12 * max(1.0, p.norm())
-            assert abs(inner(q, identity_direction(n, s))) <= 1e-12 * max(1.0, p.norm())
+            assert abs(np.dot(q.vec, _identity_direction(n, s).vec)) <= 1e-12 * max(1.0, p.norm())
             assert (project_trace0(q, s) - q).norm() <= 1e-12 * max(1.0, p.norm())
 
 
@@ -151,37 +130,16 @@ class TestTrace0Basis:
             assert abs(s_trace(bi.mat, s)) < 1e-12
             for j, bj in enumerate(basis):
                 want = 1.0 if i == j else 0.0
-                assert inner(bi, bj) == pytest.approx(want, abs=1e-12)
+                assert np.dot(bi.vec, bj.vec) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
     def test_matches_gram_schmidt(self, n, s):
         got = trace0_array(n, s)
-        want = np.array([b.vec for b in _gram_schmidt_basis(n, s)])
+        want = np.array([b.vec for b in gram_schmidt_basis(n, s)])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14
         assert all(np.array_equal(b.vec, row) for b, row in zip(trace0_basis(n, s), got))
-
-
-def _gram_schmidt_basis(n, s):
-    """Oracle: Gram-Schmidt over the symmetric unit blocks, the corner and the shifts,
-    each projected off the identity direction; a candidate that vanishes is dropped."""
-    cands = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            cands.append(EPoint(BlockMat(E, 0.0), np.zeros(n)))
-    cands.append(EPoint(BlockMat(np.zeros((n, n)), 1.0), np.zeros(n)))
-    cands += [EPoint(BlockMat.zero(n), w) for w in np.eye(n)]
-    basis = []
-    for c in cands:
-        v = project_trace0(c, s)
-        for b in basis:
-            v = v - inner(v, b) * b
-        if v.norm() > 1e-12:
-            basis.append(v * (1.0 / v.norm()))
-    return basis
 
 
 class TestFlatForm:
@@ -194,10 +152,5 @@ class TestFlatForm:
             v = p.vec
             assert v.shape == (n * n + 1 + n,)
             assert np.array_equal(EPoint.from_vec(v, n).vec, v)
-            assert inner(p, p) == pytest.approx(p.norm() ** 2, rel=1e-14)
+            assert np.dot(p.vec, p.vec) == pytest.approx(p.norm() ** 2, rel=1e-14)
 
-    def test_from_coords_is_the_basis_combination(self):
-        basis = trace0_basis(2, 1.5)
-        c = np.random.default_rng(17).standard_normal(len(basis))
-        want = sum((float(ci) * b for ci, b in zip(c, basis)), EPoint.zero(2))
-        assert np.max(np.abs(from_coords(c, basis).vec - want.vec)) <= 1e-14

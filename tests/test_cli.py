@@ -51,6 +51,24 @@ class TestFixtureCommand:
         inst = json.loads(res.stdout)
         assert inst["n"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["cross", "--n", "0"], ["cross", "--n", "-1"], ["two-level-cross", "--n", "0"],
+        ["tangent", "--n", "1", "--points", "a"],
+        ["tangent", "--n", "2", "--points", "0.5"],
+        ["tangent", "--n", "1", "--points", "0.5;0.1,0.2"],
+        ["tangent", "--n", "1", "--points", "nan"],
+        ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "0"],
+        ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "-3"],
+    ], ids=["cross-n0", "cross-n-1", "two-level-n0", "points-not-numbers",
+            "points-wrong-dimension", "points-ragged", "points-nan", "domain-radius-0",
+            "domain-radius-negative"])
+    def test_bad_input_is_an_input_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        assert cli.main(["fixture", *argv, "--s", "1.0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_verify_ok(self, two_level_instance):
@@ -154,8 +172,9 @@ def test_profile_failing_beyond_the_grid(two_level_instance, tmp_path):
 
 def test_cli_import_leaves_scipy_out():
     res = subprocess.run([sys.executable, "-c",
-                          "import sys, fjohn.cli; assert 'scipy' not in sys.modules; "
-                          "assert 'fjohn.oracle' not in sys.modules"],
+                          "import importlib.util, sys, fjohn.cli; "
+                          "assert 'scipy' not in sys.modules; "
+                          "assert importlib.util.find_spec('fjohn.oracle') is None"],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
 

@@ -6,7 +6,7 @@ from fjohn.contact import (cross_fixture, detect_contacts, hemisphere_gap, make_
 from fjohn.errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from fjohn.isotropy import DiscreteMeasure, check_isotropy
 from fjohn.logconcave import eval_h_many, make_log_concave
-from fjohn.oracle import grid_contacts
+from oracles import grid_contacts
 
 
 class TestMakeTangentInstance:

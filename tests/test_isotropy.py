@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fjohn.blockmat import BlockMat, EPoint, from_coords, inner, project_trace0, trace0_basis
+from fjohn.blockmat import BlockMat, EPoint, trace0_array
 from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
 from fjohn.errors import AtomOffContactSet, DivergingIterates
 from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, _Atoms, calibrated_measure,
@@ -9,6 +9,7 @@ from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, _Atoms, calibrated_meas
                             extract_measure, functional_gradient, functional_value,
                             minimize_functional)
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
+from oracles import project_trace0
 
 F = ConvolutionProfile(canonical_pair())
 S = 1.0
@@ -41,11 +42,11 @@ class TestFunctionalValue:
     def test_midpoint_convexity(self, two_level):
         h, cs, w = two_level
         nu = counting_measure(cs.points)
-        basis = trace0_basis(1, S)
+        basis = trace0_array(1, S)
         rng = np.random.default_rng(1)
         for _ in range(1000):
-            p = from_coords(rng.normal(scale=2.0, size=len(basis)), basis)
-            q = from_coords(rng.normal(scale=2.0, size=len(basis)), basis)
+            p = EPoint.from_vec(rng.normal(scale=2.0, size=len(basis)) @ basis, 1)
+            q = EPoint.from_vec(rng.normal(scale=2.0, size=len(basis)) @ basis, 1)
             vm = functional_value(h, S, nu, F, 0.5 * (p + q))
             assert vm <= 0.5 * (functional_value(h, S, nu, F, p)
                                 + functional_value(h, S, nu, F, q)) + 1e-10
@@ -69,16 +70,17 @@ class TestFunctionalGradient:
         checked = 0
         for (h, cs, w), s in zip(fixtures, s_list):
             nu = counting_measure(cs.points)
-            basis = trace0_basis(cs.points.shape[1], s)
+            n = cs.points.shape[1]
+            basis = trace0_array(n, s)
             for _ in range(34):
-                p = from_coords(rng.normal(scale=1.0, size=len(basis)), basis)
-                d = from_coords(rng.normal(size=len(basis)), basis)
+                p = EPoint.from_vec(rng.normal(scale=1.0, size=len(basis)) @ basis, n)
+                d = EPoint.from_vec(rng.normal(size=len(basis)) @ basis, n)
                 d = d * (1.0 / d.norm())
                 g = functional_gradient(h, s, nu, F, p)
                 step = 1e-6
                 fd = (functional_value(h, s, nu, F, p + step * d)
                       - functional_value(h, s, nu, F, p - step * d)) / (2 * step)
-                want = inner(g, d)
+                want = np.dot(g.vec, d.vec)
                 assert fd == pytest.approx(want, rel=1e-5, abs=1e-9)
                 checked += 1
         assert checked >= 100
@@ -137,7 +139,7 @@ class TestMinimize:
         d = exc.value.direction
         flat = project_trace0(EPoint(BlockMat(np.eye(1), -1.0), np.zeros(1)), 1.0)
         flat = flat * (1.0 / flat.norm())
-        align = abs(inner(d, flat))
+        align = abs(np.dot(d.vec, flat.vec))
         assert align == pytest.approx(1.0, abs=1e-9)
 
     def test_cross_fixture_override_still_stationary_at_origin(self):
@@ -237,11 +239,11 @@ class TestNewton:
         for n in (1, 2):
             h, nu = off_axis_two_level(n)
             best = minimize_functional(h, S, nu, F, tol=1e-14)
-            basis = trace0_basis(n, S)
+            basis = trace0_array(n, S)
             for scale in (1e-9, 1e-10):
                 for _ in range(20):
-                    x0 = best.point + from_coords(scale * rng.standard_normal(len(basis)),
-                                                  basis)
+                    x0 = best.point + EPoint.from_vec(
+                        scale * rng.standard_normal(len(basis)) @ basis, n)
                     res = minimize_functional(h, S, nu, F, x0=x0)
                     assert res.iterations <= 5
                     assert (res.point - best.point).norm() <= 1e-9
@@ -399,7 +401,7 @@ class TestCoercivityWitness:
         nu = counting_measure(cs.points)
         wit = coercivity_witness(h, s, nu, n_dirs=300, seed=3)
         # reference: every direction as an EPoint, evaluated on its own
-        at, n, basis = _Atoms(h, s, nu), h.n, trace0_basis(h.n, s)
+        at, n, basis = _Atoms(h, s, nu), h.n, trace0_array(h.n, s)
         flat = EPoint(BlockMat(np.eye(n), -n / s), np.zeros(n))
         flat = flat * (1.0 / flat.norm())
         dirs = [("identity-flat(+)", flat), ("identity-flat(-)", -1.0 * flat)]
@@ -408,7 +410,7 @@ class TestCoercivityWitness:
             dirs += [(f"shift(+e{j})", e), (f"shift(-e{j})", -1.0 * e)]
         coeffs = np.random.default_rng(3).standard_normal((300, len(basis)))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        dirs += [(f"sample{i}", from_coords(c, basis)) for i, c in enumerate(coeffs)]
+        dirs += [(f"sample{i}", EPoint.from_vec(c @ basis, n)) for i, c in enumerate(coeffs)]
         best = [float(np.max(at.args(d))) for _, d in dirs]
         assert wit.n_checked == len(dirs) == 2 + 2 * n + 300
         assert abs(wit.margin - min(best)) <= 1e-14

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from fjohn.blockmat import BlockMat, EPoint, sdet1_param, trace0_basis
+from fjohn.blockmat import BlockMat, EPoint, sdet1_param, trace0_array
 from fjohn.contact import two_level_cross_fixture
 from fjohn.isotropy import calibrated_measure, functional_value
-from fjohn.oracle import GridSpec, convolve_numeric, dense_quadrature_band, grid_minimize
 from fjohn.profiles import ConvolutionProfile, canonical_pair
 from fjohn.rfamily import QuadratureSpec, band_functional
+from oracles import GridSpec, convolve_numeric, dense_quadrature_band, grid_minimize
 
 
 class TestGridMinimize:
     def test_quadratic_bowl(self):
-        basis = trace0_basis(1, 1.0)
+        basis = trace0_array(1, 1.0)
         grid = GridSpec(center=np.array([1.0, -2.0]), half_width=4.0,
                         points_per_axis=41, refinements=1)
         point, value = grid_minimize(lambda p: p.norm() ** 2, basis, grid)
@@ -26,7 +26,7 @@ class TestGridMinimize:
         h, cs, w = two_level_cross_fixture(1, 1.0, 0.4, 0.8)
         nu = calibrated_measure(cs.points, w, h, 1.0)
         F = ConvolutionProfile(canonical_pair())
-        basis = trace0_basis(1, 1.0)
+        basis = trace0_array(1, 1.0)
         grid = GridSpec(center=np.zeros(2), half_width=2.0, points_per_axis=81,
                         refinements=1)
         point, value = grid_minimize(

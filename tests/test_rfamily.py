@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from fjohn import cli, rfamily
-from fjohn.blockmat import BlockMat, EPoint, s_det, sdet1_param
+from fjohn.blockmat import BlockMat, EPoint, sdet1_param, trace0_array
 from fjohn.contact import two_level_cross_fixture
 from fjohn.errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper
 from fjohn.isotropy import counting_measure, extract_measure, minimize_functional
 from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
-from fjohn.oracle import envelope_breaks_scan
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
-from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, _x_grid, band_functional,
+from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            band_radius, concentration_integral, default_bumps,
                            minimize_band, r_sweep, rescaled_band_functional,
                            stationarity_multiplier, sup_h_pow2, trapezoid_bump)
+from oracles import (envelope_breaks_scan, fd_newton_minimize, pl_deriv, s_det,
+                     sorted_inner_band, theta_point, x_grid)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 S = 1.0
@@ -198,25 +199,15 @@ class TestRescaledBandFunctional:
         # so the sup over a compact grid must decrease along the schedule
         h, _, _ = fixture
         pair = canonical_pair()
-        from fjohn.blockmat import trace0_basis, from_coords
-        basis = trace0_basis(1, S)
+        basis = trace0_array(1, S)
         rng = np.random.default_rng(41)
-        grid_pts = [from_coords(c, basis) for c in rng.uniform(-1, 1, size=(11, 2)) * 2]
+        grid_pts = [EPoint.from_vec(c @ basis, 1) for c in rng.uniform(-1, 1, size=(11, 2)) * 2]
         sups = []
         for r, nodes in ((0.9, 960), (0.99, 1600), (0.999, 4000)):
             q = QuadratureSpec(x_nodes_per_axis=nodes)
             sups.append(max(abs(rescaled_band_functional(h, S, pair, r, p, q))
                             for p in grid_pts))
         assert sups[0] > sups[1] > sups[2]
-
-
-def _theta_point(theta, n):
-    """(position, S) at theta = (upper triangle of S, shift), as the band minimizer maps it."""
-    upper = np.triu_indices(n)
-    Sm = np.zeros((n, n))
-    Sm[upper] = Sm[upper[::-1]] = theta[:len(upper[0])]
-    A, alpha = sdet1_param(Sm, S)
-    return EPoint(BlockMat(A, alpha), theta[len(upper[0]):]), Sm
 
 
 def _compass_minimize(band, max_iter=400):
@@ -231,7 +222,7 @@ def _compass_minimize(band, max_iter=400):
     seen = {}
 
     def obj(theta):
-        p = _theta_point(theta, n)[0]
+        p = theta_point(theta, n, S)[0]
         key = (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes())
         if key not in seen:
             seen[key] = rfamily._band_value(band, p)
@@ -272,65 +263,7 @@ def _compass_minimize(band, max_iter=400):
             stepg *= 0.5
         if not moved:
             break
-    return _theta_point(theta, n)[0], value
-
-
-def _fd_newton_minimize(band, x0=None, max_iter=400):
-    """The Newton loop the quasi-Newton minimizer replaced, kept as its reference oracle.
-
-    Every step builds the Hessian from forward differences of the analytic
-    gradient (step fd = 1e-4 (1-r)), takes the eigenvalue-floored Newton step
-    and halves it under Armijo; it stops once the fresh Hessian predicts a
-    decrease below ROUNDING of the value (CONVERGED) or the halved step falls
-    below fd without a decrease (RESOLVED).  Returns (point, value,
-    evaluations, stop_reason).
-    """
-    n, r = band.h.n, band.r
-    dim_s = n * (n + 1) // 2
-    evals = 0
-
-    def evaluate(theta):
-        nonlocal evals
-        evals += 1
-        return rfamily._band_value_grad(band, *_theta_point(theta, n))
-
-    if x0 is not None:
-        theta = np.concatenate([rfamily._logm_sym(x0.mat.diag)[np.triu_indices(n)], x0.shift])
-    else:
-        theta = np.zeros(dim_s + n)
-    value, grad = evaluate(theta)
-    fd = 1e-4 * (1.0 - r)
-    hess, it, stop = None, 0, rfamily.CONVERGED
-    while hess is None or rfamily._newton(hess, grad)[1] > rfamily.ROUNDING * value:
-        if it == max_iter:
-            stop = "max_iter"
-            break
-        cols = []
-        for unit in np.eye(len(theta)):
-            for step in (fd, -fd):
-                g_k = evaluate(theta + step * unit)[1]
-                if g_k is not None:
-                    break
-            else:
-                raise NotConverged(f"coercive barrier within {fd:.1e} of the iterate at r={r}")
-            cols.append((g_k - grad) / step)
-        hess = 0.5 * (np.array(cols) + np.array(cols).T)
-        delta, decrease = rfamily._newton(hess, grad)
-        if decrease <= rfamily.ROUNDING * value:
-            break
-        t = 1.0
-        while True:
-            c_value, c_grad = evaluate(theta + t * delta)
-            if c_value <= value - 2e-4 * t * decrease:
-                break
-            t *= 0.5
-            if t * np.linalg.norm(delta) < fd:
-                stop = rfamily.RESOLVED
-                break
-        if stop == rfamily.RESOLVED:
-            break
-        theta, value, grad, it = theta + t * delta, c_value, c_grad, it + 1
-    return _theta_point(theta, n)[0], value, evals, stop
+    return theta_point(theta, n, S)[0], value
 
 
 class TestBandGradient:
@@ -339,14 +272,16 @@ class TestBandGradient:
         h, _, _ = fixture
         band = rfamily._Band(h, S, canonical_pair(), r, quad)
         rng = np.random.default_rng(int(100 * r))
+
+        def value_at(th):
+            return band_functional(h, S, canonical_pair(), r, theta_point(th, 1, S)[0], quad)
+
         step, worst = 1e-6, 0.0
         for _ in range(20):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=2)
-            value, grad = rfamily._band_value_grad(band, *_theta_point(theta, 1))
-            fd = np.array([
-                (band_functional(h, S, canonical_pair(), r, _theta_point(theta + e, 1)[0], quad)
-                 - band_functional(h, S, canonical_pair(), r, _theta_point(theta - e, 1)[0], quad))
-                / (2.0 * step) for e in step * np.eye(2)])
+            value, grad = rfamily._band_value_grad(band, *theta_point(theta, 1, S))
+            fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
+                           for e in step * np.eye(2)])
             worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
         assert worst <= 1e-4
 
@@ -356,14 +291,16 @@ class TestBandGradient:
         quad = QuadratureSpec(x_nodes_per_axis=96)
         band = rfamily._Band(h, S, canonical_pair(), r, quad)
         rng = np.random.default_rng(int(200 * r))
+
+        def value_at(th):
+            return band_functional(h, S, canonical_pair(), r, theta_point(th, 2, S)[0], quad)
+
         step = 1e-6
         for _ in range(3):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=5)
-            _, grad = rfamily._band_value_grad(band, *_theta_point(theta, 2))
-            fd = np.array([
-                (band_functional(h, S, canonical_pair(), r, _theta_point(theta + e, 2)[0], quad)
-                 - band_functional(h, S, canonical_pair(), r, _theta_point(theta - e, 2)[0], quad))
-                / (2.0 * step) for e in step * np.eye(5)])
+            _, grad = rfamily._band_value_grad(band, *theta_point(theta, 2, S))
+            fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
+                           for e in step * np.eye(5)])
             assert np.linalg.norm(fd - grad) <= 1e-4 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -374,7 +311,7 @@ class TestBandGradient:
         for r in (0.8, 0.95):
             band = rfamily._Band(h, S, canonical_pair(), r, quad)
             for _ in range(5):
-                p, Sm = _theta_point(rng.normal(scale=0.05, size=n * (n + 1) // 2 + n), n)
+                p, Sm = theta_point(rng.normal(scale=0.05, size=n * (n + 1) // 2 + n), n, S)
                 value, _ = rfamily._band_value_grad(band, p, Sm)
                 assert value == rfamily._band_value(band, p)
                 assert value == band_functional(h, S, canonical_pair(), r, p, quad)
@@ -384,7 +321,7 @@ class TestBandGradient:
         form = two_level_cross_fixture(1, S, 0.4, 0.8)[0].form
         bounded = make_log_concave(form.a, form.b, S, domain_radius=1.2)
         band = rfamily._Band(bounded, S, canonical_pair(), 0.9, QuadratureSpec())
-        p, Sm = _theta_point(np.array([0.0, 0.5]), 1)
+        p, Sm = theta_point(np.array([0.0, 0.5]), 1, S)
         assert rfamily._band_value(band, p) == float("inf")
         assert rfamily._band_value_grad(band, p, Sm) == (float("inf"), None)
 
@@ -406,7 +343,7 @@ class TestMinimizeBand:
         h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
         band = rfamily._Band(h, S, canonical_pair(), r,
                              QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96))
-        ref_point, ref_value, ref_evals, _ = _fd_newton_minimize(band)
+        ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band)
         res = rfamily._minimize_band(band, None, 400)
         assert res.stop_reason in CONVERGED_STOPS and res.hessian_builds == 1
         assert (res.point - ref_point).norm() / (1.0 - r) <= 1e-5
@@ -422,7 +359,7 @@ class TestMinimizeBand:
         band = rfamily._Band(h, S, canonical_pair(), 0.8, QuadratureSpec(x_nodes_per_axis=96))
         res = rfamily._minimize_band(band, None, 400)
         assert res.stop_reason == rfamily.RESOLVED
-        point, value, _, stop = _fd_newton_minimize(band, res.point)  # x0 goes through log(A)
+        point, value, _, stop = fd_newton_minimize(band, res.point)  # x0 goes through log(A)
         assert stop == rfamily.RESOLVED and value == pytest.approx(res.value, rel=1e-14)
         assert (point - res.point).norm() <= 1e-12
 
@@ -447,7 +384,7 @@ class TestMinimizeBand:
         assert sum(e.solver.hessian_builds for e in sweep.entries) >= 2
         for e in sweep.entries:
             band = rfamily._Band(h, S, pair, e.r, quad)
-            ref_point, ref_value, _, _ = _fd_newton_minimize(band)
+            ref_point, ref_value, _, _ = fd_newton_minimize(band)
             assert e.solver.stop_reason in CONVERGED_STOPS
             assert (e.point - ref_point).norm() / (1.0 - e.r) <= 1e-5
             assert e.value <= ref_value * (1.0 + 1e-10)
@@ -515,7 +452,7 @@ class TestConcentration:
 
 
 def _loop_x_grid(n, radius, nodes_per_axis, kinks=None):
-    """The per-panel loop that _x_grid replaces, kept as its bit-for-bit reference."""
+    """The per-panel loop that `x_grid` replaces, kept as its bit-for-bit reference."""
     per_panel = 8
     panels = max(4, int(np.ceil(nodes_per_axis / per_panel)))
     xi, wi = np.polynomial.legendre.leggauss(per_panel)
@@ -553,7 +490,7 @@ class TestBandGeometry:
         (3, 0.93, 40, None),
     ])
     def test_x_grid_matches_panel_loop(self, n, radius, nodes, kinks):
-        X, W = _x_grid(n, radius, nodes, kinks)
+        X, W = x_grid(n, radius, nodes, kinks)
         X0, W0 = _loop_x_grid(n, radius, nodes, kinks)
         assert X.shape == X0.shape and W.shape == W0.shape
         assert np.array_equal(X, X0) and np.array_equal(W, W0)
@@ -633,7 +570,7 @@ def _unblocked_terms(band, A, alpha, v, shifted, nodes):
         a, c = float(A[0, 0]), float(v[0])
         u, c = (a, c) if shifted else (1.0 / a, -c / a)
         kinks = np.concatenate([band.breaks, (band.breaks - c) / u])
-    X, W = _x_grid(band.h.n, radius, band.quad.x_nodes_per_axis, kinks)
+    X, W = x_grid(band.h.n, radius, band.quad.x_nodes_per_axis, kinks)
     Z, Y = (X, X @ A.T + v) if shifted else (np.linalg.solve(A, (X - v).T).T, X)
     den = 2.0 * eval_h_many(band.h, Z) ** (2.0 / band.s) * (1.0 - band.r)
     r2m1 = np.sum(Z * Z, axis=1) - 1.0
@@ -681,7 +618,7 @@ class TestBlockedTerms:
         form = two_level_cross_fixture(n, S, 0.4, 0.8)[0].form
         h = make_log_concave(form.a, form.b, S, domain_radius=1.4)  # h = 0 beyond 1.4
         band = rfamily._Band(h, S, canonical_pair(), 0.8, QuadratureSpec(x_nodes_per_axis=nodes))
-        per_row = len(_x_grid(1, 1.0, nodes)[0])
+        per_row = len(x_grid(1, 1.0, nodes)[0])
         rows, per_block = per_row ** (n - 1), max(1, block // per_row)
         if n > 1:  # at least three blocks, the last one partial
             assert rows >= 2 * per_block and rows % per_block
@@ -755,9 +692,9 @@ def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
             if mode == "value":
                 vals = f_pl(t) * g_pl(q)
             elif mode == "grad":
-                vals = f_pl(t) * g_pl.deriv(q) * tau_t**2 / den
+                vals = f_pl(t) * pl_deriv(g_pl, q) * tau_t**2 / den
             else:
-                vals = f_pl.deriv(t) * tau_t * g_pl(q)
+                vals = pl_deriv(f_pl, t) * tau_t * g_pl(q)
             seg += wi * vals
         total += half * seg
     return total
@@ -859,7 +796,7 @@ class TestInnerBandKernel:
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         p = random_unit_sdet_members(2, S, 1, seed=61)[0]
         A, alpha, v = p.mat.diag, p.mat.corner, p.shift
-        X, _ = _x_grid(2, 1.4, 120)
+        X, _ = x_grid(2, 1.4, 120)
         Y = X @ A.T + v
         den = 2.0 * eval_h_many(h, X) ** (2.0 / S) * 0.15
         r2m1 = np.sum(X * X, axis=1) - 1.0
@@ -872,53 +809,6 @@ class TestInnerBandKernel:
             got = _by_parts(0.85, c2, inner, d_inner)
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(direct)
             assert 0.0 < np.mean(is_open) < 1.0
-
-
-def _sorted_inner_band(f_pl, g_pl, r, c2, den, r2m1):
-    """The sorted-merge kernel that _inner_band replaces, kept as its bit-for-bit reference.
-
-    Each node stacks -1, the kinks of f above -1 and the pullbacks of the
-    kinks of g, clipped to [-1, t_top], sorts them, and picks the pieces of
-    f and g on every segment at its midpoint.
-    """
-    omr = 1.0 - r
-    g_breaks = g_pl.breaks
-
-    def pullback(gb):
-        tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
-        return (np.sqrt(np.maximum(tau2, 0.0)) - 1.0) / omr
-
-    is_open = np.flatnonzero(~(pullback(g_breaks[-1:])[:, 0] <= -1.0))
-    c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
-    t_roots = pullback(g_breaks)
-    t_top = t_roots[:, -1:]
-
-    cols = [np.full(len(c2), -1.0)]
-    cols.extend(np.full(len(c2), fb) for fb in f_pl.breaks if fb > -1.0)
-    cols.extend(t_roots[:, k] for k in range(len(g_breaks)))
-    B = np.minimum(np.maximum(np.stack(cols, axis=1), -1.0), t_top)
-    B.sort(axis=1)
-
-    xi = rfamily._gauss(2)[0][:, None]
-    qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
-    inner = np.zeros(len(c2))
-    d_inner = np.zeros(len(c2))
-    for j in range(B.shape[1] - 1):
-        a, b = B[:, j], B[:, j + 1]
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        kf = np.searchsorted(f_pl.breaks, mid, side="right")
-        kg = np.searchsorted(g_breaks, (r2m1 + c2 * (1.0 + omr * mid)**2) / den, side="right")
-        f_slope, f_icpt = f_pl.slopes[kf], f_pl.intercepts[kf]
-        g_slope, g_icpt = g_pl.slopes[kg], g_pl.intercepts[kg]
-        t = mid + half * xi
-        tau2 = (1.0 + omr * t) ** 2
-        q = np.minimum(np.maximum((r2m1 + c2 * tau2) / den, qlo), qhi)
-        f_t = f_slope * t + f_icpt
-        vals = f_t * (g_slope * q + g_icpt)
-        d_vals = f_t * tau2
-        inner += half * (vals[0] + vals[1])
-        d_inner += (half * g_slope) * (d_vals[0] + d_vals[1])
-    return is_open, inner, d_inner / den
 
 
 def _two_kink_pair():
@@ -944,7 +834,7 @@ class TestPairKernel:
     @staticmethod
     def _same(pair, r, c2, den, r2m1):
         got = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1)
-        ref = _sorted_inner_band(pair.f, pair.g, r, c2, den, r2m1)
+        ref = sorted_inner_band(pair.f, pair.g, r, c2, den, r2m1)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b, equal_nan=True)
         return got
