@@ -212,7 +212,7 @@ def _pieces_json(h: LogConcaveFn) -> dict:
 
 
 def _tangent_points(text, n: int) -> np.ndarray:
-    """The `--points` of a tangent fixture: finite points in R^n."""
+    """The `--points` of a tangent fixture: finite points in the open unit ball of R^n."""
     if not text:
         raise InputError("tangent fixture needs --points")
     try:
@@ -223,6 +223,8 @@ def _tangent_points(text, n: int) -> np.ndarray:
         raise InputError(f"--points must be points in R^{n}, got {text!r}")
     if not np.all(np.isfinite(pts)):
         raise InputError(f"--points must be finite, got {text!r}")
+    if np.any(np.sum(pts * pts, axis=1) >= 1.0):  # make_tangent_instance's own test
+        raise InputError(f"--points must lie inside the unit ball, got {text!r}")
     return pts
 
 
@@ -479,6 +481,9 @@ def main(argv=None) -> int:
         return EXIT_MATH
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
+        print("solver record: " + _dumps({"reason": exc.reason, "iterations": exc.iterations,
+                                          "evaluations": exc.evaluations,
+                                          "grad_norm": exc.grad_norm}), file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except FJohnError as exc:
         print(f"math failure: {exc}", file=sys.stderr)

@@ -46,7 +46,18 @@ class AllWeightsZero(FJohnError):
 
 
 class NotConverged(FJohnError):
-    pass
+    """A solver stopped short of its tolerance; carries the record of the work it did.
+
+    `reason` names the stop; a count or norm the solver did not reach is None.
+    """
+
+    def __init__(self, message, *, reason=None, iterations=None, evaluations=None,
+                 grad_norm=None):
+        super().__init__(message)
+        self.reason = reason
+        self.iterations = iterations
+        self.evaluations = evaluations
+        self.grad_norm = grad_norm
 
 
 class DivergingIterates(FJohnError):

@@ -202,9 +202,11 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     Hessian (a flat direction of the functional, which the gradient has no
     component along) leaves that direction alone.  Armijo backtracking on
     the value (c = 1e-4, halving) until the projected gradient norm is at
-    most `tol` (the stop WITHIN_TOL; every other end raises); `iterations`
-    counts the gradient evaluations and `evaluations` the values, Armijo
-    trials included.  F'' > 0 wherever F' > 0, so every Newton step is a
+    most `tol` (the stop WITHIN_TOL; every other end raises NotConverged
+    with the same counts, the last gradient norm and a `reason`: "max_iter",
+    "no descent" or "multiplier cross-check"); `iterations` counts the
+    gradient evaluations and `evaluations` the values, Armijo trials
+    included.  F'' > 0 wherever F' > 0, so every Newton step is a
     descent direction.  The multiplier is computed both from the
     identity-direction contraction and from the plain trace formula; the
     two must agree to 1e-8, which doubles as a contact-set sanity check.
@@ -244,20 +246,25 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                 break
             step *= 0.5
             if step < 1e-16:
-                raise NotConverged(f"no descent along the Newton step, grad {gnorm:.3e}")
+                raise NotConverged(f"no descent along the Newton step, grad {gnorm:.3e}",
+                                   reason="no descent", iterations=it, evaluations=evals,
+                                   grad_norm=gnorm)
         c, z, value = cand, z_cand, new_value
         if np.linalg.norm(c) > 1e6:
             raise DivergingIterates("iterates escaped beyond norm 1e6",
                                     direction=at.point(c @ at.basis / np.linalg.norm(c)))
     else:
-        raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}")
+        raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}",
+                           reason="max_iter", iterations=it, evaluations=evals, grad_norm=gnorm)
 
     dF = F.deriv(z)
     lam_a = s_trace(_gradient(at, dF).mat, s) / (at.n + s * s)
     lam_b = float(np.dot(at.m / at.h_pow, dF)) / (at.n + s)
     gap = abs(lam_a - lam_b)
     if gap > 1e-8:
-        raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}")
+        raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}",
+                           reason="multiplier cross-check", iterations=it, evaluations=evals,
+                           grad_norm=gnorm)
     return MinimizerResult(point=at.point(c @ at.basis), value=value, projected_grad_norm=gnorm,
                            lam=float(lam_a), iterations=it, converged=True,
                            evaluations=evals, stop_reason=WITHIN_TOL, lambda_gap=float(gap))

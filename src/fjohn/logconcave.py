@@ -51,8 +51,11 @@ def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
 
     The (k, N) layout puts the long axis last, so the max over the k pieces
     runs along contiguous rows instead of over k-wide rows of an (N, k) array.
+    The intercepts are added in place, so a call builds one (k, N) array.
     """
-    return np.max(form.a @ X.T + form.b[:, None], axis=0)
+    vals = form.a @ X.T
+    vals += form.b[:, None]
+    return np.max(vals, axis=0)
 
 
 def _sq_norms(X: np.ndarray) -> np.ndarray:
@@ -70,7 +73,9 @@ def eval_h_many(h: LogConcaveFn, X: np.ndarray) -> np.ndarray:
     """h over the rows of X: exp(-psi), and 0 outside the domain ball."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     form = h.form
-    vals = np.exp(-psi_eval_many(form, X))
+    vals = psi_eval_many(form, X)
+    np.negative(vals, out=vals)
+    np.exp(vals, out=vals)
     if form.domain_radius is not None:
         vals = np.where(_sq_norms(X) <= form.domain_radius**2, vals, 0.0)
     return vals

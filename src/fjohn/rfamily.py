@@ -25,7 +25,7 @@ from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, Sin
 from .isotropy import DiscreteMeasure, MinimizerResult
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
                          eval_h_many, psi_eval_many)
-from .profiles import PiecewiseLinear, ProfilePair
+from .profiles import PiecewiseLinear, ProfilePair, _distinct
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,9 @@ class QuadratureSpec:
     (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
     x_nodes_per_axis ** n.  The grid is walked in blocks of about 32k nodes,
     so an evaluation holds one block's temporaries and four floats per open
-    node, never the (nodes, n) array of grid points.  The outer grid has at
+    node, never the (nodes, n) array of grid points; for n >= 2 a block
+    drops the columns outside the grid's disk, where no node is near, so
+    the square's corners cost almost nothing.  The outer grid has at
     least 4 panels of 8 nodes per axis, so a count below 25, which it would
     silently raise, is rejected.
     """
@@ -96,7 +98,16 @@ def band_radius(h: LogConcaveFn, s: float, r: float) -> float:
     Where h vanishes, |x| > 1 closes the band, so with a domain ball of
     radius R the radius is capped at max(R, 1).
     """
-    radius = float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup_h_pow2(h, s)))
+    return _radius(h, sup_h_pow2(h, s), r, 1.0)
+
+
+def _radius(h: LogConcaveFn, sup: float, r: float, top: float) -> float:
+    """sqrt(1 + 2 (1-r) sup top), capped at max(R, 1) for a domain ball of radius R.
+
+    With sup >= sup h^(2/s), no node beyond it has |x|^2 - 1 below
+    den = 2 (1-r) h^(2/s) times top, nor any beyond the cap, where den = 0.
+    """
+    radius = float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup * top))
     R = h.form.domain_radius
     return radius if R is None else min(radius, max(R, 1.0))
 
@@ -122,7 +133,7 @@ def _axis_rule(radius: float, nodes_per_axis: int, kinks=None):
     xi, wi = _gauss(per_panel)
     if kinks is not None and len(kinks):
         inner = kinks[(kinks > -radius + 1e-12) & (kinks < radius - 1e-12)]
-        base = np.unique(np.concatenate([[-radius, radius], inner]))
+        base = _distinct(np.concatenate([[-radius, radius], inner]))
         a, b = base[:-1], base[1:]
         m = np.maximum(1, np.ceil((b - a) / (2.0 * radius / panels))).astype(int)
         # np.linspace(a, b, m + 1)[1:] on every interval at once: k * step + a, last b
@@ -185,23 +196,41 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     `_Band.terms` calls this on one block of the grid at a time and gets
     the same bits as on the whole grid.  f(t) g(q(t)) is continuous at
     every segment end and vanishes at the top one, so moving the ends with
-    c2 adds no term to I': it is accumulated in the same pass.
+    c2 adds no term to I': it is accumulated in the same pass.  The kernel
+    works in place: each pullback is computed one g kink at a time into
+    its own array, and every pass writes into the same few preallocated
+    (2, nodes) work arrays through `out=` ufuncs, each operation on the
+    operands and in the order of the plain expression in its comment (up to
+    the order of the two factors of a product or terms of a sum, which
+    rounds alike), so I and I' keep the bits of those expressions.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
 
-    def pullback(gb):  # t with q(t) = gb; -1/(1-r), i.e. tau = 0, where q(tau = 0) >= gb
-        tau2 = (den[:, None] * gb[None, :] - r2m1[:, None]) / c2[:, None]
-        return (np.sqrt(np.maximum(tau2, 0.0)) - 1.0) / omr
+    def pullback(gb, out):  # t with q(t) = gb; -1/(1-r), i.e. tau = 0, where q(tau = 0) >= gb
+        # (sqrt(max((den gb - r2m1)/c2, 0)) - 1)/(1-r)
+        np.multiply(den, gb, out=out)
+        out -= r2m1
+        out /= c2
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        out -= 1.0
+        out /= omr
+        return out
 
-    t_top = pullback(g_breaks[-1:])[:, 0]
+    t_top = pullback(g_breaks[-1], np.empty(len(c2)))
     # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
     is_open = np.flatnonzero(~(t_top <= -1.0))
     c2, den, r2m1, t_top = c2[is_open], den[is_open], r2m1[is_open], t_top[is_open]
+    m = len(c2)
     # the t-ends of f's pieces above -1, and of g's pieces below its top kink in [-1, t_top]
     f_ends = [-1.0, *f_pl.breaks[f_pl.breaks > -1.0], np.inf]
-    g_ends = [-1.0, *np.minimum(np.maximum(pullback(g_breaks[:-1]), -1.0), t_top[:, None]).T,
-              t_top]
+    g_ends = [-1.0]
+    for gb in g_breaks[:-1]:  # min(max(pullback, -1), t_top)
+        end = pullback(gb, np.empty(m))
+        np.maximum(end, -1.0, out=end)
+        g_ends.append(np.minimum(end, t_top, out=end))
+    g_ends.append(t_top)
     f_first = int(np.count_nonzero(f_pl.breaks <= -1.0))  # the piece of f right of -1
     # each end's least and greatest value: NaN where a node is NaN, and then no pair skips
     g_lows = [np.min(e, initial=np.inf) for e in g_ends]
@@ -209,26 +238,57 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 
     xi = _gauss(2)[0][:, None]  # the 2-point rule: nodes mid + xi half, both weights exactly 1
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
-    inner = np.zeros(len(c2))
-    d_inner = np.zeros(len(c2))
+    inner = np.zeros(m)
+    d_inner = np.zeros(m)
+    # work arrays of every pass: the segment ends, then the Gauss nodes t; half, mid and
+    # the row sums; f(t); tau^2 and then d_vals; q and then vals
+    ends, half, mid = np.empty((2, m)), np.empty(m), np.empty(m)
+    f_t, work, vals = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
+    a, b = ends
     for i, j in itertools.product(range(len(f_ends) - 1), range(len(g_breaks))):
         if f_ends[i] >= g_highs[j + 1] or f_ends[i + 1] <= g_lows[j]:
             continue  # empty on every node
-        a = np.maximum(g_ends[j], f_ends[i])
-        b = np.maximum(a, np.minimum(g_ends[j + 1], f_ends[i + 1]))
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        t = mid + half * xi  # (2, nodes)
-        f_t = f_pl.slopes[f_first + i] * t + f_pl.intercepts[f_first + i]
+        # a = max(g_j, f_i), b = max(a, min(g_j+1, f_i+1))
+        np.maximum(g_ends[j], f_ends[i], out=a)
+        np.minimum(g_ends[j + 1], f_ends[i + 1], out=b)
+        np.maximum(a, b, out=b)
+        # half = (b - a)/2, mid = (a + b)/2, t = mid + half xi: (2, nodes)
+        np.subtract(b, a, out=half)
+        half *= 0.5
+        np.add(a, b, out=mid)
+        mid *= 0.5
+        t = np.multiply(half, xi, out=ends)
+        t += mid
+        # f_t = f slope t + f intercept
+        np.multiply(t, f_pl.slopes[f_first + i], out=f_t)
+        f_t += f_pl.intercepts[f_first + i]
         g_slope, g_icpt = g_pl.slopes[j], g_pl.intercepts[j]
-        if g_slope == 0.0:
-            vals = f_t * g_icpt
+        if g_slope == 0.0:  # vals = f_t g_icpt
+            np.multiply(f_t, g_icpt, out=vals)
         else:
-            tau2 = (1.0 + omr * t) ** 2
-            q = np.minimum(np.maximum((r2m1 + c2 * tau2) / den, qlo), qhi)
-            vals = f_t * (g_slope * q + g_icpt)
-            d_vals = f_t * tau2  # g' = g_slope is fixed on the overlap: applied here
-            d_inner += (half * g_slope) * (d_vals[0] + d_vals[1])
-        inner += half * (vals[0] + vals[1])
+            # tau2 = (1 + (1-r) t)^2, q = min(max((r2m1 + c2 tau2)/den, qlo), qhi),
+            # vals = f_t (g_slope q + g_icpt)
+            tau2 = np.multiply(t, omr, out=work)
+            tau2 += 1.0
+            np.square(tau2, out=tau2)
+            q = np.multiply(tau2, c2, out=vals)
+            q += r2m1
+            q /= den
+            np.maximum(q, qlo, out=q)
+            np.minimum(q, qhi, out=q)
+            q *= g_slope
+            q += g_icpt
+            vals *= f_t
+            # d_inner += (half g_slope)(d_vals[0] + d_vals[1]) with d_vals = f_t tau2:
+            # g' = g_slope is fixed on the overlap, so it is applied here
+            d_vals = np.multiply(f_t, tau2, out=work)
+            np.add(d_vals[0], d_vals[1], out=mid)
+            mid *= np.multiply(half, g_slope, out=d_vals[0])
+            d_inner += mid
+        # inner += half (vals[0] + vals[1])
+        np.add(vals[0], vals[1], out=mid)
+        mid *= half
+        inner += mid
     return is_open, inner, d_inner / den
 
 
@@ -275,7 +335,11 @@ class _Band:
         if not least * 2.0 * (1.0 - r) > 0.0:
             raise NotJohnPosition("h^(2/s) underflows on the unit ball")
         self.h, self.s, self.r, self.quad, self.f, self.g = h, s, r, quad, pair.f, pair.g
-        self.radius = band_radius(h, s, r)
+        sup = sup_h_pow2(h, s)
+        self.radius = _radius(h, sup, r, 1.0)  # band_radius(h, s, r)
+        # no node beyond `reach` in the band variable is near: the same as the radius
+        # unless g has a kink beyond 1
+        self.reach = _radius(h, sup, r, max(float(pair.g.breaks[-1]), 1.0))
         self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if h.n == 1 else None
         self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
         self.on_diagonal = self.upper[0] == self.upper[1]
@@ -298,12 +362,19 @@ class _Band:
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in
-        cache.  What outlives a block is its open nodes' W, h, I and I',
-        written in grid order to the front of four arrays with room for the
-        whole grid; their rest is never written, so it never becomes
-        resident, and the returned arrays are views of the fronts.
-        A block's weights are its rows' weights times the axis weights, the
-        same products as those of the whole tensor grid.
+        cache.  For n >= 2 a block keeps only the columns (last-axis
+        nodes) that some row of the block has inside the disk of `reach`
+        (the grid's own radius unless g has a kink beyond 1; in the
+        unshifted route mapped like the radius, |x| <= |A| reach + |v|),
+        plus 1e-9 for rounding.  No node beyond it is near: there
+        |z|^2 - 1 exceeds den times the top kink of g, or h = 0.  So the
+        square's corners, 21% of an n = 2 grid, mostly go unvisited.
+        What outlives a block is its open nodes' W, h, I and I', written
+        in grid order to the front of four arrays with room for the whole
+        grid; their rest is never written, so it never becomes resident,
+        and the returned arrays are views of the fronts.  W is gathered at
+        the open nodes alone, as their row's weight times their column's
+        axis weight: the same products as those of the whole tensor grid.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -314,17 +385,22 @@ class _Band:
         is one product over the near nodes of a block, not of the whole grid,
         so its tail falls on other nodes, and a node's h can move in its last
         bit: seen at 1 node in 32,768 on a rotated n = 3 cross, never on the
-        axis crosses or the benchmark's instances.
+        axis crosses or the benchmark's instances.  h on the grid is one
+        product over a block's kept columns, so the same holds for it.
         """
         n, s = self.h.n, self.s
-        radius = (self.radius if shifted else
-                  float(np.linalg.norm(A, 2) * self.radius + np.linalg.norm(v)) + 1e-9)
+
+        def extent(radius):  # the grid's half-width for a radius in the band variable
+            return (radius if shifted else
+                    float(np.linalg.norm(A, 2) * radius + np.linalg.norm(v)) + 1e-9)
+
         kinks = None
         if self.breaks is not None:
             a, c = float(A[0, 0]), float(v[0])
             u, c = (a, c) if shifted else (1.0 / a, -c / a)
             kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
-        x1, w1 = _axis_rule(radius, self.quad.x_nodes_per_axis, kinks)
+        x1, w1 = _axis_rule(extent(self.radius), self.quad.x_nodes_per_axis, kinks)
+        clip2 = (extent(self.reach) + 1e-9) ** 2  # no near node lies beyond; 1e-9 for rounding
         P = len(x1)
         w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
         # four arrays, not one (4, nodes) buffer: after freeing that larger buffer the
@@ -332,17 +408,29 @@ class _Band:
         out, filled = [np.empty(P ** n) for _ in range(4)], 0
         kept = [np.empty((0, n))]  # the open nodes' coordinates; the empty start serves a closed band
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
+        c0, c1 = 0, P
         for r0 in range(0, rows, step):
             r1 = min(rows, r0 + step)
-            X = np.empty((r1 - r0, P, n))
-            X[..., -1] = x1
-            for k in range(n - 1):
-                X[..., k] = x1[np.arange(r0, r1) // P ** (n - 2 - k) % P, None]
+            lead = [x1[np.arange(r0, r1) // P ** (n - 2 - k) % P] for k in range(n - 1)]
+            if n > 1:  # the columns some row of the block has inside the disk
+                least = np.min(functools.reduce(np.add, [x * x for x in lead]))
+                cols = np.flatnonzero(x1 * x1 <= clip2 - least)
+                if not len(cols):
+                    continue
+                c0, c1 = cols[0], cols[-1] + 1
+            m = c1 - c0
+            X = np.empty((r1 - r0, m, n))
+            X[..., -1] = x1[c0:c1]
+            for k, x in enumerate(lead):
+                X[..., k] = x[:, None]
             X = X.reshape(-1, n)
             Z = X if shifted else np.linalg.solve(A, (X - v).T).T
             r2m1 = _sq_norms(Z)
             r2m1 -= 1.0
-            den = 2.0 * eval_h_many(self.h, Z) ** (2.0 / s) * (1.0 - self.r)
+            den = eval_h_many(self.h, Z)  # 2 h^(2/s) (1-r), in place
+            den **= 2.0 / s
+            den *= 2.0
+            den *= 1.0 - self.r
             near = np.flatnonzero(r2m1 < den * self.g.breaks[-1])
             if not len(near):  # the band is closed on the whole block
                 continue
@@ -359,7 +447,8 @@ class _Band:
             at = near[opened]
             if nodes:
                 kept.append(X.take(at, axis=0))
-            for o, got in zip(out, ((w_rows[r0:r1, None] * w1).ravel()[at], h_near[opened],
+            row, col = np.divmod(at, m)
+            for o, got in zip(out, (w_rows[r0 + row] * w1[c0 + col], h_near[opened],
                                     inner, d_inner)):
                 o[filled:filled + len(at)] = got
             filled += len(at)
@@ -564,7 +653,10 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
     stops (RESOLVED): that is where the discrete functional stops following
     its Newton model, as on a fixed n >= 2 grid, whose nodes cross the kinks
     of psi one by one.  The record keeps the final model Hessian, which
-    `r_sweep` carries to the next r.
+    `r_sweep` carries to the next r.  A start beyond the coercive barrier,
+    or a barrier within fd of an iterate in every direction a difference
+    Hessian steps along, raises NotConverged with the iterations and
+    evaluations so far.
     """
     n, s, r = band.h.n, band.s, band.r
     upper = band.upper
@@ -591,7 +683,9 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
                 if g_k is not None:
                     break
             else:
-                raise NotConverged(f"coercive barrier within {fd:.1e} of the iterate at r={r}")
+                raise NotConverged(f"coercive barrier within {fd:.1e} of the iterate at r={r}",
+                                   reason="coercive barrier", iterations=it, evaluations=evals,
+                                   grad_norm=float(np.linalg.norm(grad)))
             cols.append((g_k - grad) / step)
         lam, V = _floored(0.5 * (np.array(cols) + np.array(cols).T))
         return (V * lam) @ V.T
@@ -602,12 +696,13 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
         theta = np.zeros(dim_s + n)
     value, grad = evaluate(theta)
     if not np.isfinite(value):
-        raise NotConverged("band functional infinite at the starting point")
+        raise NotConverged("band functional infinite at the starting point",
+                           reason="infinite start", iterations=0, evaluations=evals)
 
     fd = 1e-4 * (1.0 - r)
+    it, stop = 0, CONVERGED
     fresh = hessian is None  # the model is a difference Hessian at theta
     hess = difference_hessian() if fresh else hessian
-    it, stop = 0, CONVERGED
     while True:
         delta, decrease = _newton(hess, grad)
         if decrease <= ROUNDING * value:

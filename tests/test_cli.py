@@ -1,3 +1,4 @@
+import functools
 import json
 import pathlib
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from fjohn import cli
+from fjohn import cli, isotropy
 
 CLI = [sys.executable, "-m", "fjohn.cli"]
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -59,9 +60,11 @@ class TestFixtureCommand:
         ["tangent", "--n", "1", "--points", "nan"],
         ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "0"],
         ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "-3"],
+        ["tangent", "--n", "1", "--points", "1.2"],
+        ["tangent", "--n", "2", "--points", "0.5,0.5;0.6,0.8"],
     ], ids=["cross-n0", "cross-n-1", "two-level-n0", "points-not-numbers",
             "points-wrong-dimension", "points-ragged", "points-nan", "domain-radius-0",
-            "domain-radius-negative"])
+            "domain-radius-negative", "points-outside-ball", "points-on-sphere"])
     def test_bad_input_is_an_input_error(self, argv, tmp_path, capsys):
         out = tmp_path / "inst.json"
         assert cli.main(["fixture", *argv, "--s", "1.0", "--out", str(out)]) == 1
@@ -244,6 +247,24 @@ class TestMinimizeCommand:
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert len(payload["result"]["points"]) == 4
+
+
+class TestNotConverged:
+    @pytest.mark.parametrize("command", ["minimize-i1", "sweep-r"])
+    def test_exit_3_reports_the_solver_record(self, command, monkeypatch, capsys):
+        # two Newton steps leave the contact functional's gradient at 2.965e-01
+        capped = functools.partial(isotropy.minimize_functional, max_iter=2)
+        monkeypatch.setattr(isotropy, "minimize_functional", capped)
+        code = cli.main([command, "--instance", str(INSTANCES / "two_level_n1_s1.json")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NOT_CONVERGED and captured.out == ""
+        message, record = captured.err.splitlines()
+        assert message == "not converged: projected gradient 2.965e-01 above tol 1.0e-10"
+        assert record.startswith("solver record: ")
+        record = json.loads(record[len("solver record: "):])
+        assert record["reason"] == "max_iter" and record["iterations"] == 2
+        assert record["evaluations"] >= 3
+        assert f"{record['grad_norm']:.3e}" == "2.965e-01"
 
 
 class TestDeterminism:

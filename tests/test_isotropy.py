@@ -1,9 +1,13 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from fjohn import cli
 from fjohn.blockmat import BlockMat, EPoint, trace0_array
 from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
-from fjohn.errors import AtomOffContactSet, DivergingIterates
+from fjohn.errors import AtomOffContactSet, DivergingIterates, NotConverged
 from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, _Atoms, calibrated_measure,
                             check_isotropy, coercivity_witness, counting_measure,
                             extract_measure, functional_gradient, functional_value,
@@ -13,6 +17,7 @@ from oracles import project_trace0
 
 F = ConvolutionProfile(canonical_pair())
 S = 1.0
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +108,20 @@ class TestFunctionalGradient:
 
 
 class TestMinimize:
+    def test_not_converged_carries_the_record(self):
+        inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+        h = cli.build_h(inst)
+        nu = cli.build_nu(inst, h)
+        with pytest.raises(NotConverged) as caught:
+            minimize_functional(h, inst["s"], nu, F, max_iter=2)
+        exc = caught.value
+        assert str(exc) == "projected gradient 2.965e-01 above tol 1.0e-10"
+        assert exc.reason == "max_iter" and exc.iterations == 2
+        assert f"{exc.grad_norm:.3e}" == "2.965e-01"
+        # one value at the start and at least one Armijo trial per step
+        full = minimize_functional(h, inst["s"], nu, F)
+        assert 3 <= exc.evaluations < full.evaluations and full.iterations > 2
+
     def test_calibrated_recovers_construction(self, two_level):
         h, cs, w = two_level
         nu = calibrated_measure(cs.points, w, h, S)

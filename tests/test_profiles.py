@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fjohn.profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair,
+from fjohn.profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair, _distinct,
                             canonical_pair, validate_profiles)
 from oracles import convolve_numeric, convolve_pl, pl_deriv
 
@@ -174,6 +174,17 @@ class TestExactChecks:
         g = _pl([-1.0, 0.2, 1.0], [1.0, 0.0, 0.0])  # g = 0 on [0.2, 1): not positive inside
         assert validate_profiles(ProfilePair(canonical_pair().f, g)).failed() == [
             "g4_positive_inside"]
+
+
+class TestDistinct:
+    def test_matches_np_unique_bit_for_bit(self):
+        # np.unique is the reference: repeats, signed zeros, infinities and 2-d input
+        rng = np.random.default_rng(3)
+        cases = [np.round(rng.normal(size=(7, 5)), 1), np.array([0.0, -0.0, 0.0, -1.0, -0.0]),
+                 np.array([np.inf, 1.0, -np.inf, np.inf]), np.array([2.5]), np.zeros(0)]
+        for x in cases:
+            got, want = _distinct(x), np.unique(x)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestConvolutionProfile:

@@ -655,6 +655,61 @@ class TestBlockedTerms:
         # the last position lies partly where h = 0: refused
         assert refused == 1
 
+    @pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "unshifted"])
+    @pytest.mark.parametrize("case", ["domain-below-band-radius", "multi-kink-pair"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_disk_clipped_blocks(self, n, case, shifted, monkeypatch):
+        # blocks that lose the columns no row has inside the grid's disk: the walk must
+        # visit fewer nodes than the grid holds, hand `_inner_band` exactly the reference's
+        # near nodes in grid order (so it skipped none of them), and match it bit for bit
+        nodes, block = self.GRIDS[n]
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", block)
+        form = two_level_cross_fixture(n, S, 0.4, 0.8)[0].form
+        if case == "domain-below-band-radius":
+            # the grid spans the domain radius 1.05, and near nodes lie within 0.5% of it
+            # (1.046 at n = 2 and 1.048 at n = 3); near-identity positions keep the band
+            # inside the domain
+            h, pair = make_log_concave(form.a, form.b, S, domain_radius=1.05), canonical_pair()
+            positions = [(np.eye(n), 1.0, np.zeros(n)),
+                         (0.99 * np.eye(n), 1.1, 0.005 * np.eye(n)[0])]
+        else:
+            h, pair = make_log_concave(form.a, form.b, S, domain_radius=1.4), _two_kink_pair()
+            positions = self._positions(n)  # the last one is refused
+        band = rfamily._Band(h, S, pair, 0.8, QuadratureSpec(x_nodes_per_axis=nodes))
+        if case == "domain-below-band-radius":
+            assert band.radius == 1.05 < band_radius(make_log_concave(form.a, form.b, S), S, 0.8)
+        visited, kernel_inputs = [], []
+        sq_norms, inner_band = rfamily._sq_norms, rfamily._inner_band
+
+        def spy_sq_norms(Z):
+            visited.append(len(Z))
+            return sq_norms(Z)
+
+        def spy_inner_band(f, g, r, c2, den, r2m1):
+            kernel_inputs.append((c2, den, r2m1))
+            return inner_band(f, g, r, c2, den, r2m1)
+
+        compared = 0
+        for A, alpha, v in positions:
+            visited.clear()
+            kernel_inputs.clear()
+            monkeypatch.setattr(rfamily, "_sq_norms", spy_sq_norms)
+            monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
+            got = band.terms(A, alpha, v, shifted, nodes=True)
+            monkeypatch.setattr(rfamily, "_sq_norms", sq_norms)
+            monkeypatch.setattr(rfamily, "_inner_band", inner_band)
+            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted, True)
+            assert (got is None) == (ref is None)
+            if ref is None:
+                continue
+            compared += 1
+            assert sum(visited) < len(x_grid(1, 1.0, nodes)[0]) ** n
+            walked = [np.concatenate(col) for col in zip(*kernel_inputs)]
+            assert all(np.array_equal(a, b) for a, b in zip(walked, inputs[:3]))
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert len(got[1]) and np.all(got[3] > 0.0)
+        assert compared == 2
+
 
 def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
     """The full-array kernel that _inner_band replaces, kept as its reference.
