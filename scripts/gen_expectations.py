@@ -7,6 +7,12 @@ search, trapezoid convolution) and stored with its tolerance.  Run from the
 repository root:
 
     python3 scripts/gen_expectations.py
+
+The output is not byte-stable across numpy builds: the trapezoid sums round
+differently, so a regenerated file differs from the committed one in the last
+bits (e.g. `F_at_0` 0.6666666649999999 against 0.666666665).  Compare a
+regenerated file with the committed one within the stored tolerances, as CI
+does, not with `git diff`.
 """
 
 import json

@@ -8,21 +8,26 @@ coercivity), 3 no convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import contact, isotropy, rfamily
-from .blockmat import EPoint
+from . import contact
 from .errors import (DivergingIterates, FJohnError, InfeasibleWeights, NotConverged,
                      NotJohnPosition, NotProper)
 from .logconcave import LogConcaveFn, check_proper, make_log_concave
-from .profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair,
-                       validate_profiles)
+
+# A command imports the rest of the package where it first needs it, so a cold
+# `verify` or `contacts` loads neither the contact functional nor the band family.
+if TYPE_CHECKING:
+    from .blockmat import EPoint
+    from .isotropy import DiscreteMeasure
+    from .profiles import ProfilePair
+    from .rfamily import QuadratureSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,6 +132,8 @@ def build_h(inst: dict) -> LogConcaveFn:
 
 
 def build_profile(inst: dict) -> ProfilePair:
+    from .profiles import PiecewiseLinear, ProfilePair, canonical_pair
+
     prof = inst.get("profile", "canonical")
     if prof == "canonical":
         return canonical_pair()
@@ -145,6 +152,8 @@ def build_profile(inst: dict) -> ProfilePair:
 
 def build_valid_profile(inst: dict) -> ProfilePair:
     """The instance's profile pair, which must pass every `validate_profiles` check."""
+    from .profiles import validate_profiles
+
     pair = build_profile(inst)
     failed = validate_profiles(pair).failed()
     if failed:
@@ -170,7 +179,9 @@ def contact_points(inst: dict, h: LogConcaveFn):
     return cs.points, None
 
 
-def build_nu(inst: dict, h: LogConcaveFn) -> isotropy.DiscreteMeasure:
+def build_nu(inst: dict, h: LogConcaveFn) -> DiscreteMeasure:
+    from . import isotropy
+
     nu = inst.get("nu", "counting")
     if nu == "counting":
         pts, _ = contact_points(inst, h)
@@ -193,7 +204,9 @@ def build_nu(inst: dict, h: LogConcaveFn) -> isotropy.DiscreteMeasure:
     raise InputError(f"unsupported nu {nu!r}")
 
 
-def build_quad(inst: dict) -> rfamily.QuadratureSpec:
+def build_quad(inst: dict) -> QuadratureSpec:
+    from . import rfamily
+
     q = inst.get("quadrature", {})
     try:
         return rfamily.QuadratureSpec(x_nodes_per_axis=int(q.get("x_nodes_per_axis", 960)))
@@ -300,6 +313,9 @@ def cmd_contacts(args) -> int:
 
 
 def cmd_minimize_i1(args) -> int:
+    from . import isotropy
+    from .profiles import ConvolutionProfile
+
     inst = load_instance(args.instance)
     h = build_h(inst)
     nu = build_nu(inst, h)
@@ -326,6 +342,8 @@ def cmd_minimize_i1(args) -> int:
 
 
 def cmd_coercivity(args) -> int:
+    from . import isotropy
+
     inst = load_instance(args.instance)
     h = build_h(inst)
     nu = build_nu(inst, h)
@@ -348,6 +366,11 @@ def cmd_coercivity(args) -> int:
 
 
 def cmd_sweep_r(args) -> int:
+    import csv
+
+    from . import isotropy, rfamily
+    from .profiles import ConvolutionProfile
+
     inst = load_instance(args.instance)
     h = build_h(inst)
     nu = build_nu(inst, h)
@@ -403,6 +426,8 @@ def cmd_sweep_r(args) -> int:
 
 
 def cmd_profiles_check(args) -> int:
+    from .profiles import ConvolutionProfile, canonical_pair, validate_profiles
+
     if args.instance:
         inst = load_instance(args.instance)
         pair = build_profile(inst)

@@ -12,6 +12,7 @@ isotropic measure supported on the atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from .contact import hemisphere_gap
 from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
                      ZeroValueAtom)
 from .logconcave import LogConcaveFn, eval_h_many
-from .profiles import ConvolutionProfile
+
+if TYPE_CHECKING:
+    from .profiles import ConvolutionProfile
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,10 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     descent direction.  The multiplier is computed both from the
     identity-direction contraction and from the plain trace formula; the
     two must agree to 1e-8, which doubles as a contact-set sanity check.
+    A `max_iter` below 1 raises ValueError before any work.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     at = _Atoms(h, s, nu)
     if check_coercivity:
         wit = _witness(at, 200, seed)

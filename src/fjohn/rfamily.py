@@ -608,6 +608,11 @@ RESOLVED = "no descent beyond the difference step"
 ROUNDING = 1e-12  # relative level of the value below which a predicted decrease is not resolved
 
 
+def _check_max_iter(max_iter: int) -> None:
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+
+
 def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                   quad: QuadratureSpec, x0: EPoint | None = None,
                   max_iter: int = 400) -> tuple[EPoint, float]:
@@ -623,8 +628,9 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     to the difference step descends on a freshly differenced Hessian, or
     after `max_iter` steps.  The band geometry (radius, kinks of psi) is
     built once per minimization.  Returns the minimizer and the stationarity
-    multiplier.
+    multiplier.  A negative `max_iter` raises ValueError before any work.
     """
+    _check_max_iter(max_iter)
     band = _Band(h, s, pair, r, quad)
     point = _minimize_band(band, x0, max_iter).point
     return point, _multiplier(band, *_density_terms(band, point))
@@ -656,8 +662,9 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
     `r_sweep` carries to the next r.  A start beyond the coercive barrier,
     or a barrier within fd of an iterate in every direction a difference
     Hessian steps along, raises NotConverged with the iterations and
-    evaluations so far.
+    evaluations so far.  A negative `max_iter` raises ValueError.
     """
+    _check_max_iter(max_iter)
     n, s, r = band.h.n, band.s, band.r
     upper = band.upper
     dim_s = len(upper[0])

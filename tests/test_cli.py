@@ -182,6 +182,45 @@ def test_cli_import_leaves_scipy_out():
     assert res.returncode == 0, res.stderr
 
 
+def fjohn_modules_after(*argv):
+    """The fjohn modules a fresh interpreter holds after `fjohn.cli.main(argv)` exits 0;
+    after a bare `import fjohn` when argv is empty."""
+    code = ("import contextlib, io, json, sys\n"
+            "import fjohn\n"
+            "if sys.argv[1:]:\n"
+            "    import fjohn.cli\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fjohn.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fjohn'))))")
+    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout))
+
+
+class TestModulesLoaded:
+    """A cold command imports only the modules its own code path calls."""
+
+    INSTANCE = str(INSTANCES / "two_level_n1_s1.json")
+
+    @pytest.mark.parametrize("command", ["verify", "contacts"])
+    def test_certificates_load_neither_functional(self, command):
+        loaded = fjohn_modules_after(command, "--instance", self.INSTANCE)
+        assert "fjohn.contact" in loaded
+        assert not loaded & {"fjohn.isotropy", "fjohn.profiles", "fjohn.rfamily",
+                             "fjohn.blockmat"}
+
+    @pytest.mark.parametrize("command", ["coercivity", "minimize-i1"])
+    def test_contact_functional_leaves_band_family_out(self, command):
+        loaded = fjohn_modules_after(command, "--instance", self.INSTANCE)
+        assert "fjohn.isotropy" in loaded and "fjohn.rfamily" not in loaded
+
+    def test_sweep_r_loads_band_family(self):
+        assert "fjohn.rfamily" in fjohn_modules_after("sweep-r", "--instance", self.INSTANCE)
+
+    def test_bare_package_import_loads_no_submodule(self):
+        assert fjohn_modules_after() == {"fjohn"}
+
+
 class TestAcceptedAndIgnored:
     """Schema version 1 keeps `--grid`, `tolerances.grid_per_axis` and `quadrature.tol`,
     `t_nodes` and `domain_radius`."""

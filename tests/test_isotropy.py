@@ -122,6 +122,16 @@ class TestMinimize:
         full = minimize_functional(h, inst["s"], nu, F)
         assert 3 <= exc.evaluations < full.evaluations and full.iterations > 2
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_raises_before_any_work(self, two_level, monkeypatch,
+                                                       max_iter):
+        h, cs, _ = two_level
+        built = []
+        monkeypatch.setattr(_Atoms, "__init__", lambda self, *args: built.append(1))
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            minimize_functional(h, S, counting_measure(cs.points), F, max_iter=max_iter)
+        assert built == []
+
     def test_calibrated_recovers_construction(self, two_level):
         h, cs, w = two_level
         nu = calibrated_measure(cs.points, w, h, S)

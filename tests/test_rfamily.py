@@ -400,6 +400,27 @@ class TestMinimizeBand:
         assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
         assert res.value < band_functional(h, S, canonical_pair(), r, identity_point(2), quad)
 
+    def test_max_iter_zero_takes_no_step(self, fixture, quad):
+        h, _, _ = fixture
+        band = rfamily._Band(h, S, canonical_pair(), 0.9, quad)
+        res = rfamily._minimize_band(band, None, 0)
+        assert res.iterations == 0 and res.stop_reason == "max_iter"
+        assert (res.point - identity_point()).norm() == 0.0
+        p, lam = minimize_band(h, S, canonical_pair(), 0.9, quad, max_iter=0)
+        assert (p - identity_point()).norm() == 0.0 and lam > 0.0
+
+    def test_negative_max_iter_raises_before_any_work(self, fixture, quad, monkeypatch):
+        h, _, _ = fixture
+        band = rfamily._Band(h, S, canonical_pair(), 0.9, quad)
+        evaluated = []
+        monkeypatch.setattr(rfamily, "_band_value_grad", lambda *args: evaluated.append(1))
+        with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
+            rfamily._minimize_band(band, None, -1)
+        monkeypatch.setattr(rfamily, "_Band", lambda *args: evaluated.append(1))
+        with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
+            minimize_band(h, S, canonical_pair(), 0.9, quad, max_iter=-1)
+        assert evaluated == []
+
     def test_unit_sdet_and_trend(self, fixture, quad):
         h, _, _ = fixture
         pair = canonical_pair()
