@@ -11,6 +11,7 @@ subspace in closed form, as one array of flat rows for the minimizers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +139,7 @@ def sdet1_param(S: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     return A, alpha
 
 
+@functools.lru_cache(maxsize=None)
 def trace0_array(n: int, s: float) -> np.ndarray:
     """Orthonormal basis of the weighted-trace-zero subspace, one flat `EPoint.vec` per row.
 
@@ -146,7 +148,8 @@ def trace0_array(n: int, s: float) -> np.ndarray:
     shifts: an off-diagonal (i, j) is (E_ij + E_ji)/sqrt(2), a diagonal k is
     column k of the Q of a QR of the unit diagonal blocks e_k projected off
     (Id + s-corner), signed so that R has a positive diagonal (the
-    Gram-Schmidt order), and a shift is a unit vector.
+    Gram-Schmidt order), and a shift is a unit vector.  One read-only
+    array per (n, s) is built and shared by every caller.
     """
     u = np.append(np.ones(n), s) / np.sqrt(n + s * s)
     Q, R = np.linalg.qr(np.eye(n + 1, n) - np.outer(u, u[:n]))
@@ -158,6 +161,7 @@ def trace0_array(n: int, s: float) -> np.ndarray:
     B[diag[:, None], np.arange(n) * (n + 1)] = Q[:n].T
     B[diag, n * n] = Q[n]
     B[len(i):, n * n + 1:] = np.eye(n)
+    B.flags.writeable = False
     return B
 
 

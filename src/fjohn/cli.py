@@ -321,8 +321,7 @@ def cmd_minimize_i1(args) -> int:
     nu = build_nu(inst, h)
     F = ConvolutionProfile(build_valid_profile(inst))
     tol = inst.get("tolerances", {}).get("minimize_tol", 1e-10)
-    seed = args.seed if args.seed is not None else inst.get("seed", 0)
-    res = isotropy.minimize_functional(h, inst["s"], nu, F, tol=tol, seed=seed)
+    res = isotropy.minimize_functional(h, inst["s"], nu, F, tol=tol)
     mu = isotropy.extract_measure(res, h, inst["s"], nu, F)
     iso = isotropy.check_isotropy(mu, inst["s"])
     print(_report("minimize-i1", inst, {
@@ -383,8 +382,7 @@ def cmd_sweep_r(args) -> int:
     quad = build_quad(inst)
     s = inst["s"]
     tol = inst.get("tolerances", {}).get("minimize_tol", 1e-10)
-    seed = args.seed if args.seed is not None else inst.get("seed", 0)
-    ref = isotropy.minimize_functional(h, s, nu, F, tol=tol, seed=seed)
+    ref = isotropy.minimize_functional(h, s, nu, F, tol=tol)
     mu0 = isotropy.extract_measure(ref, h, s, nu, F)
     schedule = inst.get("r_schedule", [0.8, 0.9, 0.95, 0.99])
     sweep = rfamily.r_sweep(h, s, pair, schedule, quad, ref, mu0)
@@ -473,9 +471,9 @@ def main(argv=None) -> int:
     for name, fn, extra in [
         ("verify", cmd_verify, []),
         ("contacts", cmd_contacts, ["grid"]),
-        ("minimize-i1", cmd_minimize_i1, ["seed"]),
+        ("minimize-i1", cmd_minimize_i1, []),
         ("coercivity", cmd_coercivity, ["dirs", "seed"]),
-        ("sweep-r", cmd_sweep_r, ["out", "seed"]),
+        ("sweep-r", cmd_sweep_r, ["out"]),
         ("profiles-check", cmd_profiles_check, ["optional-instance"]),
     ]:
         p = sub.add_parser(name)

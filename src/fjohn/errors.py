@@ -61,7 +61,7 @@ class NotConverged(FJohnError):
 
 
 class DivergingIterates(FJohnError):
-    """Minimization escaped along a flat or descent ray; carries the offending direction."""
+    """The contact functional is not coercive: its value does not grow along `direction`."""
 
     def __init__(self, message, direction=None):
         super().__init__(message)

@@ -20,7 +20,7 @@ from .blockmat import EPoint, s_trace, trace0_array
 from .contact import hemisphere_gap
 from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
                      ZeroValueAtom)
-from .logconcave import LogConcaveFn, eval_h_many
+from .logconcave import LogConcaveFn, _positive_span, eval_h_many
 
 if TYPE_CHECKING:
     from .profiles import ConvolutionProfile
@@ -50,6 +50,7 @@ class DiscreteMeasure:
         object.__setattr__(self, "masses", m)
 
 
+CONTACT_TOL = 1e-8  # the largest hemisphere gap an atom of the functional may have
 WITHIN_TOL = "projected gradient within tol"  # the stop of a `minimize_functional` that returns
 
 
@@ -107,13 +108,12 @@ class _Atoms:
     sum_i w_i F((phi c)_i) with weights `w` = m h^(1/s).
     """
 
-    def __init__(self, h: LogConcaveFn, s: float, nu: DiscreteMeasure,
-                 contact_tol: float = 1e-8):
+    def __init__(self, h: LogConcaveFn, s: float, nu: DiscreteMeasure):
         gaps = hemisphere_gap(h, s, nu.points)
-        if np.max(np.abs(gaps)) > contact_tol:
+        if np.max(np.abs(gaps)) > CONTACT_TOL:
             i = int(np.argmax(np.abs(gaps)))
             raise AtomOffContactSet(
-                f"atom {nu.points[i]} has contact gap {gaps[i]:.3e} > {contact_tol:.1e}")
+                f"atom {nu.points[i]} has contact gap {gaps[i]:.3e} > {CONTACT_TOL:.1e}")
         hv = eval_h_many(h, nu.points)
         if np.any(hv <= 0.0):
             raise ZeroValueAtom("h vanishes at an atom")
@@ -165,12 +165,13 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     For each unit direction (M, beta, w) the witness needs some atom with
     <x, Mx + w>/h^(2/s) + beta > 0.  Sampled directions (seeded) are checked
     together with the analytic flat candidates: the identity-block direction
-    with corner -n/s, and the coordinate shift directions.
+    with corner -n/s, and the coordinate shift directions.  When none of
+    them fails, the certificate direction of `_positive_span` on the design
+    matrix, if the rows do not positively span, is one more checked
+    direction and a failure labelled "certificate"; so `ok` is exact, the
+    same decision `minimize_functional` gates on.
     """
-    return _witness(_Atoms(h, s, nu), n_dirs, seed)
-
-
-def _witness(at: _Atoms, n_dirs: int, seed: int) -> WitnessReport:
+    at = _Atoms(h, s, nu)
     n = at.n
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((n_dirs, len(at.basis)))
@@ -190,45 +191,39 @@ def _witness(at: _Atoms, n_dirs: int, seed: int) -> WitnessReport:
     best = np.max(at.features @ dirs.T, axis=0)
     failures = [(labels[i], at.point(dirs[i]), float(best[i]))
                 for i in np.flatnonzero(best <= 1e-12)]
-    return WitnessReport(margin=float(np.min(best)), n_checked=len(best), failures=failures)
+    margin, n_checked = float(np.min(best)), len(best)
+    if not failures:
+        d = _flat_direction(at)
+        if d is not None:
+            top = float(np.max(at.features @ d))
+            failures.append(("certificate", at.point(d), top))
+            margin, n_checked = min(margin, top), n_checked + 1
+    return WitnessReport(margin=margin, n_checked=n_checked, failures=failures)
 
 
-def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
-                        F: ConvolutionProfile, tol: float = 1e-10,
-                        max_iter: int = 2000, check_coercivity: bool = True,
-                        x0: EPoint | None = None, seed: int = 0) -> MinimizerResult:
-    """Minimize the contact functional on the weighted-trace-zero subspace.
+def _flat_direction(at: _Atoms) -> np.ndarray | None:
+    """None if the rows of `phi` positively span, else a unit flat `d @ basis` with phi d <= 0.
 
-    Exact Newton on the design matrix of `_Atoms`: with z = phi c the
-    gradient is phi^T (w F'(z)) and the Hessian phi^T diag(w F''(z)) phi.
-    The step is the minimum-norm least-squares solution, so a singular
-    Hessian (a flat direction of the functional, which the gradient has no
-    component along) leaves that direction alone.  Armijo backtracking on
-    the value (c = 1e-4, halving) until the projected gradient norm is at
-    most `tol` (the stop WITHIN_TOL; every other end raises NotConverged
-    with the same counts, the last gradient norm and a `reason`: "max_iter",
-    "no descent" or "multiplier cross-check"); `iterations` counts the
-    gradient evaluations and `evaluations` the values, Armijo trials
-    included.  F'' > 0 wherever F' > 0, so every Newton step is a
-    descent direction.  The multiplier is computed both from the
-    identity-direction contraction and from the plain trace formula; the
-    two must agree to 1e-8, which doubles as a contact-set sanity check.
-    A `max_iter` below 1 raises ValueError before any work.
+    The contact functional sum_i w_i F((phi c)_i) is coercive exactly when
+    no direction d != 0 has phi d <= 0 (F is nondecreasing, bounded below
+    and unbounded to the right), which `_positive_span` decides with a
+    checked certificate.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    at = _Atoms(h, s, nu)
-    if check_coercivity:
-        wit = _witness(at, 200, seed)
-        if not wit.ok:
-            label, d, best = wit.failures[0]
-            raise DivergingIterates(
-                f"flat direction detected ({label}, max expression {best:.2e}); "
-                "the functional is not coercive for this measure", direction=d)
+    spans, d = _positive_span(at.phi)
+    if spans:
+        return None
+    return d @ at.basis / np.linalg.norm(d)  # the basis rows are orthonormal
 
-    phi, w = at.phi, at.w
-    # the basis rows are orthonormal and orthogonal to (Id + s-corner, 0)
-    c = at.basis @ x0.vec if x0 is not None else np.zeros(len(at.basis))
+
+def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray,
+            tol: float, max_iter: int):
+    """Minimize sum_i w_i F((phi c)_i) over c from `c`: `minimize_functional`'s Newton loop.
+
+    Returns (c, z = phi c, value, gradient norm, iterations, evaluations); a
+    stop short of `tol` raises NotConverged with the same counts.  It does
+    not check coercivity: on a functional that is not coercive it may run to
+    `max_iter` or stop at a stationary point.
+    """
     z = phi @ c
     value = float(np.dot(w, F(z)))
     evals = 1
@@ -236,7 +231,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         g = phi.T @ (w * F.deriv(z))
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
-            break
+            return c, z, value, gnorm, it, evals
         hess = (phi.T * (w * F.deriv2(z))) @ phi
         delta = np.linalg.lstsq(hess, -g, rcond=None)[0]
         slope = float(np.dot(g, delta))
@@ -256,12 +251,51 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                                    reason="no descent", iterations=it, evaluations=evals,
                                    grad_norm=gnorm)
         c, z, value = cand, z_cand, new_value
-        if np.linalg.norm(c) > 1e6:
-            raise DivergingIterates("iterates escaped beyond norm 1e6",
-                                    direction=at.point(c @ at.basis / np.linalg.norm(c)))
-    else:
-        raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}",
-                           reason="max_iter", iterations=it, evaluations=evals, grad_norm=gnorm)
+    raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}",
+                       reason="max_iter", iterations=it, evaluations=evals, grad_norm=gnorm)
+
+
+def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
+                        F: ConvolutionProfile, tol: float = 1e-10,
+                        max_iter: int = 2000, x0: EPoint | None = None) -> MinimizerResult:
+    """Minimize the contact functional on the weighted-trace-zero subspace.
+
+    The functional must be coercive, which is decided exactly first: unless
+    the rows of the design matrix phi of `_Atoms` positively span the
+    subspace (`_positive_span`), DivergingIterates carries the unit
+    certificate direction `d @ basis`, along which no atom's argument grows,
+    and the message names it rounded to 6 digits.  Then exact Newton on phi
+    (`_newton`): with z = phi c the gradient is phi^T (w F'(z)) and the
+    Hessian phi^T diag(w F''(z)) phi.  The step is the minimum-norm
+    least-squares solution, so a singular Hessian (F'' = 0 on some atoms)
+    leaves its null directions alone, which the gradient has no component
+    along.
+    Armijo backtracking on the value (c = 1e-4, halving) until the projected
+    gradient norm is at most `tol` (the stop WITHIN_TOL; every other end
+    raises NotConverged with the same counts, the last gradient norm and a
+    `reason`: "max_iter", "no descent" or "multiplier cross-check");
+    `iterations` counts the gradient evaluations and `evaluations` the
+    values, Armijo trials included.  F'' > 0 wherever F' > 0, so every
+    Newton step is a descent direction, and descent keeps the iterates in
+    the start's sublevel set, which coercivity bounds.  The multiplier is
+    computed both from the identity-direction contraction and from the
+    plain trace formula; the two must agree to 1e-8, which doubles as a
+    contact-set sanity check.  A `max_iter` below 1 raises ValueError
+    before any work.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    at = _Atoms(h, s, nu)
+    d = _flat_direction(at)
+    if d is not None:
+        shown = np.round(d, 6) + 0.0
+        raise DivergingIterates(
+            "the contact functional is not coercive for this measure: no atom's argument "
+            f"grows along d = {shown.tolist()}", direction=at.point(d))
+
+    # the basis rows are orthonormal and orthogonal to (Id + s-corner, 0)
+    c0 = at.basis @ x0.vec if x0 is not None else np.zeros(len(at.basis))
+    c, z, value, gnorm, it, evals = _newton(at.phi, at.w, F, c0, tol, max_iter)
 
     dF = F.deriv(z)
     lam_a = s_trace(_gradient(at, dF).mat, s) / (at.n + s * s)

@@ -813,23 +813,22 @@ def default_bumps(reference_measure: DiscreteMeasure):
 
 def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             quad: QuadratureSpec, reference: MinimizerResult,
-            reference_measure: DiscreteMeasure, bumps=None) -> RSweepResult:
+            reference_measure: DiscreteMeasure) -> RSweepResult:
     """Minimize the band functional along the schedule and collect diagnostics.
 
-    The concentration-measure integrals are normalized by (1-r) * lambda_r
-    and scaled by the reference multiplier, which makes them comparable with
-    the reference measure: at the exact minimizer both normalized measures
-    satisfy the same identity-direction moment identity.  Each r builds the
-    band geometry once and integrates every bump against one density
-    evaluation.  Each r starts from the minimizer of the last r that
-    succeeded, rescaled by (1-r)/(1-r_prev) about the identity, and from its
-    final model Hessian scaled by (1-r_prev)/(1-r), so only the first r
-    builds a difference Hessian unless a later one falls back to it (see
-    `_minimize_band`).  A failure at a single r is recorded with
-    its reason and the sweep continues.
+    The concentration-measure integrals of the `default_bumps` are
+    normalized by (1-r) * lambda_r and scaled by the reference multiplier,
+    which makes them comparable with the reference measure: at the exact
+    minimizer both normalized measures satisfy the same identity-direction
+    moment identity.  Each r builds the band geometry once and integrates
+    every bump against one density evaluation.  Each r starts from the
+    minimizer of the last r that succeeded, rescaled by (1-r)/(1-r_prev)
+    about the identity, and from its final model Hessian scaled by
+    (1-r_prev)/(1-r), so only the first r builds a difference Hessian unless
+    a later one falls back to it (see `_minimize_band`).  A failure at a
+    single r is recorded with its reason and the sweep continues.
     """
-    if bumps is None:
-        bumps = default_bumps(reference_measure)
+    bumps = default_bumps(reference_measure)
     ref_integrals = np.array([
         float(np.dot(reference_measure.masses, b(reference_measure.points)))
         for b in bumps

@@ -70,6 +70,31 @@ def gram_schmidt_basis(n: int, s: float) -> list[EPoint]:
     return basis
 
 
+# --- positive span ------------------------------------------------------------------------
+
+def lp_spans(a):
+    """Oracle: rank n and a strictly positive convex combination of the rows is 0 (HiGHS LP).
+
+    The reference for `logconcave._positive_span`; scipy is imported here only.
+    """
+    from scipy import optimize
+
+    k, n = a.shape
+    if k < n + 1 or np.linalg.matrix_rank(a) < n:
+        return False
+    # max t s.t. sum lam_j a_j = 0, sum lam_j = 1, lam_j >= t
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    A_eq = np.vstack([np.hstack([a.T, np.zeros((n, 1))]), np.hstack([np.ones(k), 0.0])])
+    b_eq = np.zeros(n + 1)
+    b_eq[-1] = 1.0
+    A_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
+    res = optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
+                           bounds=[(None, None)] * (k + 1), method="highs")
+    assert res.success, res.message
+    return -res.fun > 1e-12
+
+
 # --- grid search --------------------------------------------------------------------------
 
 @dataclass(frozen=True)

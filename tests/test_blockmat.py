@@ -141,6 +141,12 @@ class TestTrace0Basis:
         assert np.max(np.abs(got - want)) <= 1e-14
         assert all(np.array_equal(b.vec, row) for b, row in zip(trace0_basis(n, s), got))
 
+    def test_one_shared_read_only_array(self):
+        basis = trace0_array(2, 1.5)
+        assert trace0_array(2, 1.5) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
+
 
 class TestFlatForm:
     def test_round_trip_and_inner(self):

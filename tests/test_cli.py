@@ -270,6 +270,31 @@ class TestCoercivityCommand:
         assert "identity-flat" in res.stderr
 
 
+class TestTwoLevelCrossN2:
+    """At n = 2 every atom of the two-level cross is on an axis: flat along M_12."""
+
+    @pytest.fixture(scope="class")
+    def cross_n2_instance(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("inst") / "two_level_n2.json"
+        res = run("fixture", "two-level-cross", "--n", "2", "--s", "1.0", "--out", str(path))
+        assert res.returncode == 0, res.stderr
+        return path
+
+    @pytest.mark.parametrize("command", ["minimize-i1", "sweep-r"])
+    def test_minimizers_exit_2(self, cross_n2_instance, command):
+        res = run(command, "--instance", str(cross_n2_instance))
+        assert res.returncode == 2 and res.stdout == ""
+        assert "not coercive" in res.stderr
+
+    def test_coercivity_exits_2_on_the_certificate(self, cross_n2_instance):
+        res = run("coercivity", "--instance", str(cross_n2_instance))
+        assert res.returncode == 2
+        result = json.loads(res.stdout)["result"]
+        assert result["ok"] is False
+        assert [f["label"] for f in result["failures"]] == ["certificate"]
+        assert "certificate" in res.stderr
+
+
 class TestMinimizeCommand:
     def test_report_schema_and_isotropy(self, two_level_instance):
         res = run("minimize-i1", "--instance", str(two_level_instance))

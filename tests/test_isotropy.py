@@ -8,16 +8,30 @@ from fjohn import cli
 from fjohn.blockmat import BlockMat, EPoint, trace0_array
 from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
 from fjohn.errors import AtomOffContactSet, DivergingIterates, NotConverged
-from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, _Atoms, calibrated_measure,
-                            check_isotropy, coercivity_witness, counting_measure,
-                            extract_measure, functional_gradient, functional_value,
-                            minimize_functional)
+from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, MinimizerResult, _Atoms, _newton,
+                            calibrated_measure, check_isotropy, coercivity_witness,
+                            counting_measure, extract_measure, functional_gradient,
+                            functional_value, minimize_functional)
+from fjohn.logconcave import _positive_span
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
-from oracles import project_trace0
+from oracles import lp_spans, project_trace0
 
 F = ConvolutionProfile(canonical_pair())
 S = 1.0
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
+
+
+def ungated(h, s, nu):
+    """`minimize_functional`'s Newton loop from the origin, without its coercivity gate.
+
+    The result's multiplier is NaN: the tests that reach the loop this way do not read it.
+    """
+    at = _Atoms(h, s, nu)
+    c, _, value, gnorm, it, evals = _newton(at.phi, at.w, F, np.zeros(len(at.basis)),
+                                            1e-10, 2000)
+    return MinimizerResult(point=at.point(c @ at.basis), value=value, projected_grad_norm=gnorm,
+                           lam=float("nan"), iterations=it, converged=True, evaluations=evals,
+                           stop_reason=WITHIN_TOL)
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +187,10 @@ class TestMinimize:
 
     def test_cross_fixture_override_still_stationary_at_origin(self):
         # the origin happens to be stationary for the counting measure; the
-        # witness, not descent, is what flags the degeneracy
+        # coercivity gate, not descent, is what flags the degeneracy
         h, cs, w = cross_fixture(1, 1.0)
         nu = counting_measure(cs.points)
-        res = minimize_functional(h, 1.0, nu, F, check_coercivity=False)
+        res = ungated(h, 1.0, nu)
         assert res.converged
         assert res.point.norm() <= 1e-10
 
@@ -283,7 +297,7 @@ class TestNewton:
         nu = counting_measure(cs.points)
         at = _Atoms(h, S, nu)
         assert np.linalg.matrix_rank(at.phi) == at.phi.shape[1] - 1 == 4
-        res = minimize_functional(h, S, nu, F)
+        res = ungated(h, S, nu)
         assert res.projected_grad_norm <= 1e-10
         assert abs(res.point.mat.diag[0, 1]) <= 1e-12
         iso = check_isotropy(extract_measure(res, h, S, nu, F), S)
@@ -303,9 +317,6 @@ class TestAtomsBuiltOnce:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(_Atoms, "__init__", counting)
-        minimize_functional(h, S, nu, F, check_coercivity=False)
-        assert len(built) == 1
-        built.clear()
         minimize_functional(h, S, nu, F)
         assert len(built) == 1
 
@@ -441,7 +452,97 @@ class TestCoercivityWitness:
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         dirs += [(f"sample{i}", EPoint.from_vec(c @ basis, n)) for i, c in enumerate(coeffs)]
         best = [float(np.max(at.args(d))) for _, d in dirs]
-        assert wit.n_checked == len(dirs) == 2 + 2 * n + 300
+        # when no labelled direction fails, a flat direction of the exact
+        # test is one more (the n = 2 two-level cross, flat along M_12)
+        spans, d = _positive_span(at.phi)
+        if min(best) > 1e-12 and not spans:
+            cert = EPoint.from_vec(d @ basis, n)
+            dirs.append(("certificate", cert * (1.0 / cert.norm())))
+            best.append(float(np.max(at.args(dirs[-1][1]))))
+        assert wit.n_checked == len(dirs) == 2 + 2 * n + 300 + (dirs[-1][0] == "certificate")
         assert abs(wit.margin - min(best)) <= 1e-14
         assert [lbl for lbl, _, _ in wit.failures] == [
-            lbl for (lbl, _), b in zip(dirs, best) if b <= 1e-12]
+            lbl for (lbl, _), b in zip(dirs, best) if b <= 1e-12 or lbl == "certificate"]
+
+
+def _spread_points(rng, n, count, min_dist, half=None):
+    """Seeded points with |u|^2 uniform in [0.2, 0.9], pairwise at least min_dist apart.
+
+    As `test_contact._spread_points`, but the radii straddle n/(n+s): along the
+    identity-flat direction (Id, -n/s) an atom's argument grows only if
+    |u|^2 > n/(n+s), and against it only if |u|^2 < n/(n+s), so points in
+    |u| <= 0.85 are rarely coercive at n >= 2.  With a unit vector `half` every point
+    has <u, half> > 0, so no atom's argument grows along the shift -half.
+    """
+    pts = []
+    while len(pts) < count:
+        u = rng.standard_normal(n)
+        u *= np.sqrt(rng.uniform(0.2, 0.9)) / np.linalg.norm(u)
+        if ((half is None or u @ half > 0)
+                and all(np.linalg.norm(u - q) >= min_dist for q in pts)):
+            pts.append(u)
+    return np.array(sorted(pts, key=tuple))
+
+
+class TestCoercivityGate:
+    """`minimize_functional` decides coercivity exactly, by `_positive_span` on phi."""
+
+    @pytest.fixture(scope="class")
+    def cross_n2(self):
+        # every atom is on an axis: phi has rank 4 of 5, flat along M_12
+        h, cs, _ = two_level_cross_fixture(2, S, 0.4, 0.8)
+        return h, counting_measure(cs.points)
+
+    def test_two_level_cross_n2_rejected_along_m12(self, cross_n2):
+        h, nu = cross_n2
+        with pytest.raises(DivergingIterates, match=r"d = \[") as exc:
+            minimize_functional(h, S, nu, F)
+        d = exc.value.direction
+        assert d.norm() == pytest.approx(1.0, abs=1e-12)
+        assert abs(d.mat.diag[0, 1]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        rest = np.delete(d.vec, [1, 2])  # M_12 and M_21 in the flat form
+        assert np.max(np.abs(rest)) <= 1e-12
+
+    def test_witness_fails_on_the_certificate(self, cross_n2):
+        # every labelled and sampled direction has an atom with a positive
+        # argument; only the exact test finds the flat direction
+        h, nu = cross_n2
+        wit = coercivity_witness(h, S, nu, n_dirs=1000, seed=0)
+        assert not wit.ok
+        assert [lbl for lbl, _, _ in wit.failures] == ["certificate"]
+        _, d, top = wit.failures[0]
+        assert abs(d.mat.diag[0, 1]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert abs(top) <= 1e-12
+        assert wit.n_checked == 2 + 2 * 2 + 1000 + 1
+        assert wit.margin == top
+
+    def test_random_tangent_instances_agree_with_lp(self):
+        rng = np.random.default_rng(19)
+        outcomes = set()
+        for i in range(90):
+            n = 1 + i % 3
+            s = (1.0, 2.0)[(i // 3) % 2]
+            d = n * (n + 1) // 2 + n
+            half = None
+            if i % 4 == 3:
+                half = rng.standard_normal(n)
+                half /= np.linalg.norm(half)
+            pts = _spread_points(rng, n, int(rng.integers(d + 1, 3 * d + 1)), 0.05, half)
+            h = make_tangent_instance(pts, s)
+            nu = DiscreteMeasure(pts, rng.uniform(0.2, 2.0, size=len(pts)))
+            at = _Atoms(h, s, nu)
+            spans = lp_spans(at.phi)
+            try:
+                res = minimize_functional(h, s, nu, F)
+            except DivergingIterates as exc:
+                assert not spans, i
+                direction = exc.direction
+                assert np.max(at.args(direction)) <= 1e-9 * direction.norm(), i
+            else:
+                assert spans, i
+                iso = check_isotropy(extract_measure(res, h, s, nu, F), s)
+                assert iso.residual_iso <= 1e-10 and iso.residual_center <= 1e-10, i
+            outcomes.add((n, spans, half is not None))
+        # each n has certified instances, uncertified ones, and half-ball ones
+        assert {(n, True, False) for n in (1, 2, 3)} <= outcomes
+        assert {(n, False, True) for n in (1, 2, 3)} <= outcomes

@@ -12,6 +12,7 @@ from fjohn.errors import NoCertificate, NotProper
 from fjohn.isotropy import _Atoms, counting_measure
 from fjohn.logconcave import (_nnls, _positive_span, check_proper, eval_h_many,
                               make_log_concave)
+from oracles import lp_spans
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -116,24 +117,6 @@ class TestProperness:
         h = make_log_concave([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0], 1.0)
         with pytest.raises(NotProper, match=r"d = \[0\.0, -1\.0\]"):
             check_proper(h)
-
-
-def lp_spans(a):
-    """Oracle: rank n and a strictly positive convex combination of the rows is 0 (HiGHS LP)."""
-    k, n = a.shape
-    if k < n + 1 or np.linalg.matrix_rank(a) < n:
-        return False
-    # max t s.t. sum lam_j a_j = 0, sum lam_j = 1, lam_j >= t
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    A_eq = np.vstack([np.hstack([a.T, np.zeros((n, 1))]), np.hstack([np.ones(k), 0.0])])
-    b_eq = np.zeros(n + 1)
-    b_eq[-1] = 1.0
-    A_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
-    res = optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
-                           bounds=[(None, None)] * (k + 1), method="highs")
-    assert res.success, res.message
-    return -res.fun > 1e-12
 
 
 def assert_certificate(a, spans, cert):
