@@ -41,13 +41,15 @@ class QuadratureSpec:
     The inner kernel integrates only the grid nodes where the band is open,
     so a band evaluation costs in proportion to the open share of the grid
     (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
-    x_nodes_per_axis ** n.  The grid is walked in blocks of about 32k nodes,
-    so an evaluation holds one block's temporaries and four floats per open
-    node, never the (nodes, n) array of grid points; for n >= 2 a block
-    drops the columns outside the grid's disk, where no node is near, so
-    the square's corners cost almost nothing.  The outer grid has at
-    least 4 panels of 8 nodes per axis, so a count below 25, which it would
-    silently raise, is rejected.
+    x_nodes_per_axis ** n.  The grid is walked in blocks of about 32k nodes
+    and every sum over the open nodes is taken block by block, so an
+    evaluation holds one block's temporaries and nothing grid-sized; for
+    n >= 2 a block drops the columns outside the grid's disk, where no node
+    is near, so the square's corners cost almost nothing.  At n >= 2 a sum
+    is a sum of block sums in grid order (~1e-16 relative from one sum over
+    the grid); n = 1 is one block.  The outer grid has at least 4 panels of
+    8 nodes per axis, so a count below 25, which it would silently raise,
+    is rejected.
     """
 
     x_nodes_per_axis: int = 960
@@ -170,7 +172,7 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.nd
     return np.array([x for x in breaks if lo < x < hi])
 
 
-_BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.terms`: ~32k, so its temporaries stay in cache
+_BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.blocks`: ~32k, so temporaries stay in cache
 
 
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
@@ -193,7 +195,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     sums run in the order of the sorted segment ends.  A piece of g with
     slope 0 needs no q (0 q + c = c) and adds nothing to I'.  A pair that
     no node reaches is skipped.  Every node is integrated on its own, so
-    `_Band.terms` calls this on one block of the grid at a time and gets
+    `_Band.blocks` calls this on one block of the grid at a time and gets
     the same bits as on the whole grid.  f(t) g(q(t)) is continuous at
     every segment end and vanishes at the top one, so moving the ends with
     c2 adds no term to I': it is accumulated in the same pass.  The kernel
@@ -312,12 +314,13 @@ class _Band:
     """What a band quadrature needs that does not depend on the position.
 
     Built once per (h, s, pair, r, quad) and kept for one call or one
-    minimization: the profiles, the band radius, for n = 1 the kinks of psi
-    on the whole line, and the upper-triangle indices of the minimizer's
-    coordinates.  It checks up front what the band kernel assumes: the pair
-    passes `check_band_pair`, and h > 0 on the closed unit ball without
-    underflow of h^(2/s) 2(1-r) there.  Then a node where the band can be
-    open (|z|^2 - 1 below den times the top kink of g) has den > 0: den = 0
+    minimization, whose every evaluation walks it with `blocks`: the
+    profiles, the band radius, for n = 1 the kinks of psi on the whole line,
+    and the upper-triangle indices of the minimizer's coordinates.  It
+    checks up front what the band kernel assumes: the pair passes
+    `check_band_pair`, and h > 0 on the closed unit ball without underflow
+    of h^(2/s) 2(1-r) there.  Then a node where the band can be open
+    (|z|^2 - 1 below den times the top kink of g) has den > 0: den = 0
     would need |z| < 1.
     """
 
@@ -344,21 +347,24 @@ class _Band:
         self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
         self.on_diagonal = self.upper[0] == self.upper[1]
 
-    def terms(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool,
-              nodes: bool = False):
-        """The open nodes' weights W, h^(1/s) at the band-factor argument, I and I'.
+    def blocks(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool):
+        """Walk the grid block by block, yielding each block's open nodes.
 
         shifted: x is the band variable and the factor is evaluated at Ax + v
         (the band_functional route); otherwise x is the factor argument and
         the band variable is A^-1 (x - v).  For n = 1 the panels follow the
-        kinks of psi in both variables.  Returns (X, W, h^(1/s), I, I') on
-        the nodes where the band is open, in row-major grid order (node
-        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P
-        nodes x of `_axis_rule`), with X their coordinates when `nodes` is
-        set and None otherwise; or None when part of the band lies where
-        h^(1/s)/alpha vanishes (or its square underflows).  h at the
+        kinks of psi in both variables.  Yields (W, h^(1/s), I, I', X, at,
+        Y, opened) for each block where the band is open: the open nodes'
+        weights, h at their band-factor argument and the inner integrals, in
+        row-major grid order (node i0 P^(n-1) + ... + i_(n-1) is (x[i0], ...,
+        x[i_(n-1)]) for the P nodes x of `_axis_rule`); the block's grid
+        points X and the near nodes' band-factor arguments Y, whose rows `at`
+        and `opened` are the open nodes, for a caller that needs them.
+        Yields None and stops at the first block where part of the band lies
+        where h^(1/s)/alpha vanishes (or its square underflows).  h at the
         band-factor argument is evaluated only where the band can be open
-        (q(-1) below the top kink of g).
+        (q(-1) below the top kink of g).  Callers reduce each block as it
+        comes (see `QuadratureSpec`).
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in
@@ -368,13 +374,9 @@ class _Band:
         unshifted route mapped like the radius, |x| <= |A| reach + |v|),
         plus 1e-9 for rounding.  No node beyond it is near: there
         |z|^2 - 1 exceeds den times the top kink of g, or h = 0.  So the
-        square's corners, 21% of an n = 2 grid, mostly go unvisited.
-        What outlives a block is its open nodes' W, h, I and I', written
-        in grid order to the front of four arrays with room for the whole
-        grid; their rest is never written, so it never becomes resident,
-        and the returned arrays are views of the fronts.  W is gathered at
-        the open nodes alone, as their row's weight times their column's
-        axis weight: the same products as those of the whole tensor grid.
+        square's corners, 21% of an n = 2 grid, mostly go unvisited.  W is
+        taken at the open nodes from the block's tile of row weights times
+        column weights: the same products as those of the whole tensor grid.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -403,10 +405,6 @@ class _Band:
         clip2 = (extent(self.reach) + 1e-9) ** 2  # no near node lies beyond; 1e-9 for rounding
         P = len(x1)
         w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
-        # four arrays, not one (4, nodes) buffer: after freeing that larger buffer the
-        # allocator kept ~3 MB more of the process resident on the benchmark's n = 2 grid
-        out, filled = [np.empty(P ** n) for _ in range(4)], 0
-        kept = [np.empty((0, n))]  # the open nodes' coordinates; the empty start serves a closed band
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
         c0, c1 = 0, P
         for r0 in range(0, rows, step):
@@ -418,8 +416,7 @@ class _Band:
                 if not len(cols):
                     continue
                 c0, c1 = cols[0], cols[-1] + 1
-            m = c1 - c0
-            X = np.empty((r1 - r0, m, n))
+            X = np.empty((r1 - r0, c1 - c0, n))
             X[..., -1] = x1[c0:c1]
             for k, x in enumerate(lead):
                 X[..., k] = x[:, None]
@@ -435,30 +432,30 @@ class _Band:
             if not len(near):  # the band is closed on the whole block
                 continue
             Y = X.take(near, axis=0)
-            if shifted:
-                Y = Y @ A.T
-                Y += v
+            if shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
+                Y = Y @ np.ascontiguousarray(A.T)
+                for k in range(n):
+                    Y[:, k] += v[k]
             h_near = eval_h_many(self.h, Y) ** (1.0 / s)
             c2 = (h_near / alpha) ** 2
-            if not np.all(c2 > 0.0):
-                return None
+            if not c2.min() > 0.0:  # NaN fails too
+                yield None
+                return
             opened, inner, d_inner = _inner_band(self.f, self.g, self.r, c2, den[near],
                                                  r2m1[near])
             at = near[opened]
-            if nodes:
-                kept.append(X.take(at, axis=0))
-            row, col = np.divmod(at, m)
-            for o, got in zip(out, (w_rows[r0 + row] * w1[c0 + col], h_near[opened],
-                                    inner, d_inner)):
-                o[filled:filled + len(at)] = got
-            filled += len(at)
-        W, h_y, inner, d_inner = (o[:filled] for o in out)
-        return (np.concatenate(kept) if nodes else None), W, h_y, inner, d_inner
+            yield (np.multiply.outer(w_rows[r0:r1], w1[c0:c1]).ravel().take(at),
+                   h_near[opened], inner, d_inner, X, at, Y, opened)
+
+
+def _positive(A: np.ndarray, alpha: float) -> bool:
+    """alpha > 0 and A positive definite; a nonzero determinant is not enough (-I has one)."""
+    return alpha > 0.0 and np.linalg.eigvalsh(A).min() > 0.0
 
 
 def band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                     p: EPoint, quad: QuadratureSpec) -> float:
-    """Band functional at (A, alpha, v): SPD block, positive corner required.
+    """Band functional at (A, alpha, v): SPD block, positive corner required (SingularA).
 
     Returns +inf when the position pushes part of the band outside the
     support of h (the coercive barrier).
@@ -468,13 +465,20 @@ def band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
 
 def _band_value(band: _Band, p: EPoint) -> float:
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
-    if alpha <= 0.0 or np.linalg.det(A) == 0.0:
-        raise SingularA("block must be invertible with positive corner")
-    terms = band.terms(A, alpha, v, shifted=True)
-    if terms is None:
-        return float("inf")
-    _, W, h_y, inner, _ = terms
-    return float(np.sum(W * (h_y / alpha) * inner))
+    if not _positive(A, alpha):
+        raise SingularA("block must be positive definite with positive corner")
+    return _value_sum(band, A, alpha, v, True, alpha)
+
+
+def _value_sum(band: _Band, A, alpha, v, shifted: bool, scale: float) -> float:
+    """The sum of W (h^(1/s)/scale) I over the open nodes, block by block; +inf at the barrier."""
+    value = 0.0
+    for block in band.blocks(A, alpha, v, shifted):
+        if block is None:
+            return float("inf")
+        W, h, inner = block[:3]
+        value += float(np.sum(W * (h / scale) * inner))
+    return value
 
 
 def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.ndarray]:
@@ -489,29 +493,34 @@ def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.n
     the symmetric matrix exponential (Daleckii-Krein: in the eigenbasis of
     S, dS scaled entrywise by the divided differences of exp), which is
     self-adjoint, so the S-gradient is L(S, G) for G = sum (weight) a_j x^T.
-    Returns (inf, None) beyond the coercive barrier.
+    Each block adds its share of the value, G, sum (weight) a_j and sum
+    (weight), with a_j at the block's own y.  Returns (inf, None) beyond the
+    coercive barrier; A = exp S is positive definite, so it is not checked.
     """
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
-    terms = band.terms(A, alpha, v, shifted=True, nodes=True)
-    if terms is None:
-        return float("inf"), None
-    Xn, W, h_y, inner, d_inner = terms
-    c = h_y / alpha
-    value = float(np.sum(W * c * inner))
-    omega = W * c * (inner + 2.0 * c * c * d_inner)
-    form = band.h.form
-    a_j = form.a[np.argmax((Xn @ A.T + v) @ form.a.T + form.b, axis=1)]
+    form, s, upper = band.h.form, band.s, band.upper
+    value, omega_sum, G, a_sum = 0.0, 0.0, np.zeros_like(A), np.zeros_like(v)
+    for block in band.blocks(A, alpha, v, shifted=True):
+        if block is None:
+            return float("inf"), None
+        W, h_y, inner, d_inner, X, at, Y, opened = block
+        X, Y = X.take(at, axis=0), Y.take(opened, axis=0)
+        c = h_y / alpha
+        value += float(np.sum(W * c * inner))
+        omega = W * c * (inner + 2.0 * c * c * d_inner)
+        a_j = form.a[np.argmax(Y @ form.a.T + form.b, axis=1)]
+        G += (a_j.T * omega) @ X  # sum omega a_j x^T
+        a_sum += a_j.T @ omega
+        omega_sum += float(np.sum(omega))
     lam, V = np.linalg.eigh(S)
     half_gap = 0.5 * np.subtract.outer(lam, lam)
     sinhc = np.divide(np.sinh(half_gap), half_gap, out=np.ones_like(half_gap),
                       where=half_gap != 0.0)
     gamma = np.exp(0.5 * np.add.outer(lam, lam)) * sinhc  # divided differences of exp
-    G = (a_j.T * omega) @ Xn  # sum omega a_j x^T
     D = V @ ((V.T @ G @ V) * gamma) @ V.T
-    s, upper = band.s, band.upper
     g_S = (D + D.T - np.diag(np.diag(D)))[upper] / -s
-    g_S[band.on_diagonal] += float(np.sum(omega)) / s
-    return value, np.concatenate([g_S, (a_j.T @ omega) / -s])
+    g_S[band.on_diagonal] += omega_sum / s
+    return value, np.concatenate([g_S, a_sum / -s])
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -521,64 +530,57 @@ def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: fl
     Integrates over the unshifted x variable with the inverse-mapped band
     factor, a different route than band_functional, so the exact
     reparametrization identity between the two is a genuine two-route check.
+    Raises NotInBr unless I + (1-r) M is positive definite and 1 + (1-r) beta > 0.
     """
     band = _Band(h, s, pair, r, quad)
     A = np.eye(p.n) + (1.0 - r) * p.mat.diag
     alpha = 1.0 + (1.0 - r) * p.mat.corner
-    if abs(np.linalg.det(A)) < 1e-14 or alpha <= 0.0:
-        raise NotInBr("identity plus (1-r) M is not invertible (or corner <= 0)")
-    terms = band.terms(A, alpha, (1.0 - r) * p.shift, shifted=False)
-    if terms is None:
-        return float("inf")
-    _, W, h_x, inner, _ = terms
-    return float(alpha ** (s - 1.0) * np.sum(W * h_x * inner))
+    if not _positive(A, alpha):
+        raise NotInBr("identity plus (1-r) M is not positive definite (or corner <= 0)")
+    return float(alpha ** (s - 1.0) * _value_sum(band, A, alpha, (1.0 - r) * p.shift, False, 1.0))
 
 
-def _density_terms(band: _Band, minimizer: EPoint):
-    """Open nodes, their weights, the concentration-measure density there, and h^(1/s).
+def _density_sums(band: _Band, minimizer: EPoint, bumps) -> tuple[np.ndarray, float]:
+    """Every bump's integral against the concentration measure, and the multiplier.
 
-    The density is alpha^(s-1) D / h^(1/s) with D the integral of
+    One walk of the density alpha^(s-1) D / h^(1/s), with D the integral of
     f'(t) (1+(1-r)t) g(q(t)) dt.  By parts, since f(t) (1+(1-r)t) g(q(t))
     vanishes at both ends of the band (`check_band_pair`), and with
-    dq/dt = 2 c^2 (1+(1-r)t)(1-r)/den, D = -(1-r)(I + 2 c^2 I').  Raises
-    NotInBr when part of the band lies where h vanishes, where the band
-    functional is +inf.
+    dq/dt = 2 c^2 (1+(1-r)t)(1-r)/den, D = -(1-r)(I + 2 c^2 I').  Each block
+    adds its share of every integral and of the multiplier's numerator.
+    Raises SingularA unless the block is SPD with a positive corner, and
+    NotInBr when part of the band lies where h vanishes (band functional +inf).
     """
     A, alpha, v = minimizer.mat.diag, minimizer.mat.corner, minimizer.shift
-    if alpha <= 0.0:
-        raise SingularA("corner must be positive")
-    terms = band.terms(A, alpha, v, shifted=False, nodes=True)
-    if terms is None:
-        raise NotInBr("the band reaches where h vanishes")
-    X, W, h_x, inner, d_inner = terms
-    c2 = (h_x / alpha) ** 2
-    density = (-(1.0 - band.r) * alpha ** (band.s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
-    return X, W, density, h_x
-
-
-def _bump_integral(X, W, density, delta) -> float:
-    return float(np.sum(W * np.asarray(delta(X), dtype=float) * density))
+    if not _positive(A, alpha):
+        raise SingularA("block must be positive definite with positive corner")
+    form, s, r = band.h.form, band.s, band.r
+    integrals, moment = np.zeros(len(bumps)), 0.0
+    for block in band.blocks(A, alpha, v, shifted=False):
+        if block is None:
+            raise NotInBr("the band reaches where h vanishes")
+        W, h_x, inner, d_inner, X, at = block[:6]
+        X = X.take(at, axis=0)
+        c2 = (h_x / alpha) ** 2
+        density = (-(1.0 - r) * alpha ** (s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
+        for k, delta in enumerate(bumps):
+            integrals[k] += float(np.sum(W * np.asarray(delta(X), dtype=float) * density))
+        slope = form.a[np.argmax(X @ form.a.T + form.b, axis=1)]  # the gradient of psi
+        contraction = h_x**2 * ((1.0 / s) * np.sum(slope * X, axis=1) + s)
+        moment += float(np.sum(W * density * contraction))
+    return integrals, moment / ((1.0 - r) * (band.h.n + s * s))
 
 
 def concentration_integral(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                            minimizer: EPoint, delta, quad: QuadratureSpec) -> float:
     """Integral of a compactly supported test function against the band measure."""
-    X, W, density, _ = _density_terms(_Band(h, s, pair, r, quad), minimizer)
-    return _bump_integral(X, W, density, delta)
+    return float(_density_sums(_Band(h, s, pair, r, quad), minimizer, [delta])[0][0])
 
 
 def stationarity_multiplier(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                             minimizer: EPoint, quad: QuadratureSpec) -> float:
     """Multiplier from the identity-direction contraction of the measure moments."""
-    band = _Band(h, s, pair, r, quad)
-    return _multiplier(band, *_density_terms(band, minimizer))
-
-
-def _multiplier(band: _Band, X, W, density, h_x) -> float:
-    h, s, n = band.h, band.s, band.h.n
-    slope = h.form.a[np.argmax(X @ h.form.a.T + h.form.b, axis=1)]  # the gradient of psi
-    contraction = h_x**2 * ((1.0 / s) * np.sum(slope * X, axis=1) + s)
-    return float(np.sum(W * density * contraction) / ((1.0 - band.r) * (n + s * s)))
+    return _density_sums(_Band(h, s, pair, r, quad), minimizer, [])[1]
 
 
 def _logm_sym(A: np.ndarray) -> np.ndarray:
@@ -633,7 +635,7 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     _check_max_iter(max_iter)
     band = _Band(h, s, pair, r, quad)
     point = _minimize_band(band, x0, max_iter).point
-    return point, _multiplier(band, *_density_terms(band, point))
+    return point, _density_sums(band, point, [])[1]
 
 
 def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
@@ -820,9 +822,9 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     normalized by (1-r) * lambda_r and scaled by the reference multiplier,
     which makes them comparable with the reference measure: at the exact
     minimizer both normalized measures satisfy the same identity-direction
-    moment identity.  Each r builds the band geometry once and integrates
-    every bump against one density evaluation.  Each r starts from the
-    minimizer of the last r that succeeded, rescaled by (1-r)/(1-r_prev)
+    moment identity.  Each r builds the band geometry once, and one walk of
+    the density gives every bump integral and lambda_r.  Each r starts from
+    the minimizer of the last r that succeeded, rescaled by (1-r)/(1-r_prev)
     about the identity, and from its final model Hessian scaled by
     (1-r_prev)/(1-r), so only the first r builds a difference Hessian unless
     a later one falls back to it (see `_minimize_band`).  A failure at a
@@ -850,8 +852,7 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             band = _Band(h, s, pair, r, quad)
             solver = _minimize_band(band, x0, 400, hess0)
             point, value = solver.point, solver.value
-            terms = _density_terms(band, point)
-            lam_r = _multiplier(band, *terms)
+            mu_vals, lam_r = _density_sums(band, point, bumps)
         except (NotConverged, NotInBr, SingularA) as exc:
             nan = float("nan")
             result.entries.append(SweepEntry(
@@ -868,7 +869,6 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
         dist = diff.norm()
         nst = abs(s_trace(rescaled.mat, s)) / max(rescaled.mat.frobenius_norm(), 1e-300)
         secant = (rescaled - reference.point).norm()
-        mu_vals = np.array([_bump_integral(*terms[:3], b) for b in bumps])
         mu_norm = reference.lam * mu_vals / (omr * lam_r)
         result.entries.append(SweepEntry(
             r=r, point=point, rescaled=rescaled, lambda_r=lam_r, value=value,

@@ -339,7 +339,7 @@ def x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
     """Tensor grid of `rfamily._axis_rule` on [-radius, radius]^n: nodes (N, n), weights (N,).
 
     Node i0 * P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the
-    P nodes x of the axis rule.  `_Band.terms` walks this order in blocks
+    P nodes x of the axis rule.  `_Band.blocks` walks this order in blocks
     without building the grid; this whole-grid form is its reference.
     Kinks are used for n = 1 only.
     """

@@ -1,14 +1,16 @@
 import itertools
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fjohn import cli, rfamily
 from fjohn.blockmat import BlockMat, EPoint, sdet1_param, trace0_array
-from fjohn.contact import two_level_cross_fixture
-from fjohn.errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper
+from fjohn.contact import make_tangent_instance, two_level_cross_fixture
+from fjohn.errors import (BadR, NotConverged, NotInBr, NotJohnPosition, NotProper,
+                          SingularA)
 from fjohn.isotropy import counting_measure, extract_measure, minimize_functional
 from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
@@ -208,6 +210,59 @@ class TestRescaledBandFunctional:
             sups.append(max(abs(rescaled_band_functional(h, S, pair, r, p, q))
                             for p in grid_pts))
         assert sups[0] > sups[1] > sups[2]
+
+
+def _triangle_square_n2():
+    """The benchmark's n = 2 instance up to a reflection: h tangent at a triangle at
+    sqrt 0.4, theta = 0.3 + 2 pi j/3, and a square at sqrt 0.8, theta = 0.3 + pi/4 + pi j/2."""
+    angles = np.concatenate([0.3 + 2.0 * np.pi * np.arange(3) / 3.0,
+                             0.3 + np.pi / 4.0 + np.pi * np.arange(4) / 2.0])
+    radii = np.sqrt([0.4] * 3 + [0.8] * 4)
+    points = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return make_tangent_instance(points, S)
+
+
+class TestPositiveDefiniteBlock:
+    # a nonzero determinant passes -I and diag(1, -1); the band functional and its
+    # measure are defined on positive definite blocks only
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_indefinite_block_is_rejected(self, n):
+        h = two_level_cross_fixture(1, S, 0.4, 0.8)[0] if n == 1 else _triangle_square_n2()
+        pair, r, quad = canonical_pair(), 0.8, QuadratureSpec(x_nodes_per_axis=96)
+        blocks = [-np.eye(n)] + ([np.diag([1.0, -1.0])] if n == 2 else [])
+        for A in blocks:
+            p = EPoint(BlockMat(A, 1.0), np.zeros(n))
+            with pytest.raises(SingularA):
+                band_functional(h, S, pair, r, p, quad)
+            with pytest.raises(SingularA):
+                concentration_integral(h, S, pair, r, p, lambda x: np.ones(len(x)), quad)
+            with pytest.raises(SingularA):
+                stationarity_multiplier(h, S, pair, r, p, quad)
+            # I + (1-r) M = A
+            rescaled = EPoint(BlockMat((A - np.eye(n)) / (1.0 - r), 0.0), np.zeros(n))
+            with pytest.raises(NotInBr):
+                rescaled_band_functional(h, S, pair, r, rescaled, quad)
+        # the identity passes every check
+        ident = identity_point(n)
+        assert 0.0 < band_functional(h, S, pair, r, ident, quad) < np.inf
+        assert stationarity_multiplier(h, S, pair, r, ident, quad) > 0.0
+
+
+def test_band_functional_allocates_one_block():
+    # an n = 2 evaluation on the default 921,600-node grid reduces every block as it is
+    # walked, so its peak allocation is a few blocks' temporaries, not grid-sized buffers
+    h = _triangle_square_n2()
+    A, alpha = sdet1_param(np.array([[0.1, -0.05], [-0.05, -0.08]]), S)
+    p = EPoint(BlockMat(A, alpha), np.array([0.05, -0.1]))
+    band_functional(h, S, canonical_pair(), 0.8, p, QuadratureSpec(x_nodes_per_axis=64))
+    tracemalloc.start()
+    try:
+        value = band_functional(h, S, canonical_pair(), 0.8, p, QuadratureSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < np.inf
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _compass_minimize(band, max_iter=400):
@@ -580,9 +635,9 @@ class TestBandGeometry:
             assert e.error is None
 
 
-def _unblocked_terms(band, A, alpha, v, shifted, nodes):
-    """The whole-grid, row-major `_Band.terms` that the block walk replaces, kept as its
-    bit-for-bit reference: (X, W, h_y, I, I') on the open nodes, or None.  Also returns
+def _unblocked_terms(band, A, alpha, v, shifted):
+    """The whole-grid, row-major band terms that the block walk replaces, kept as its
+    bit-for-bit reference: (X, Y, W, h_y, I, I') on the open nodes, or None.  Also returns
     the near nodes' kernel inputs (c2, den, r2m1) and which of them are open."""
     radius = (band.radius if shifted else
               float(np.linalg.norm(A, 2) * band.radius + np.linalg.norm(v)) + 1e-9)
@@ -603,8 +658,31 @@ def _unblocked_terms(band, A, alpha, v, shifted, nodes):
     opened, inner, d_inner = rfamily._inner_band(band.f, band.g, band.r, c2, den[near],
                                                  r2m1[near])
     at = near[opened]
-    terms = (X[at] if nodes else None), W[at], h_y[opened], inner, d_inner
+    terms = X[at], Y[at], W[at], h_y[opened], inner, d_inner
     return terms, (c2, den[near], r2m1[near], opened)
+
+
+def _walked_terms(band, A, alpha, v, shifted):
+    """`_Band.blocks`'s open nodes (X[at], Y[opened], W, h_y, I, I') concatenated in walk
+    order, or None when the walk stops at the coercive barrier."""
+    blocks = list(band.blocks(A, alpha, v, shifted))
+    if None in blocks:
+        assert blocks[-1] is None  # the walk stops at the barrier
+        return None
+    n = band.h.n
+    terms = [(np.empty((0, n)),) * 2 + (np.empty(0),) * 4]
+    for W, h_y, inner, d_inner, X, at, Y, opened in blocks:
+        terms.append((X.take(at, axis=0), Y.take(opened, axis=0), W, h_y, inner, d_inner))
+    return tuple(np.concatenate(col) for col in zip(*terms))
+
+
+def _one_block(terms):
+    """The whole grid's open-node terms (X, Y, W, h_y, I, I') as one block of `_Band.blocks`."""
+    if terms is None:
+        return None
+    X, Y, W, h_y, inner, d_inner = terms
+    every = np.arange(len(W))
+    return W, h_y, inner, d_inner, X, every, Y, every
 
 
 class TestBlockedTerms:
@@ -628,9 +706,9 @@ class TestBlockedTerms:
     @pytest.mark.parametrize("mode", ["value", "grad", "density"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_unblocked_terms(self, n, mode, shifted, monkeypatch):
-        # mode names what the caller reads: 'value' the open nodes' W, h and I without
-        # their coordinates; 'grad' also their coordinates; 'density' the by-parts density
-        # on them (`_density_terms`'s in the unshifted route), which must carry all of the
+        # mode names what the caller reads: 'value' the open nodes' W, h and I; 'grad'
+        # also their coordinates and band-factor arguments; 'density' the by-parts density
+        # on them (`_density_sums`'s in the unshifted route), which must carry all of the
         # grid's density: the direct integrand is 0 on every near node that is not open
         nodes, block = self.GRIDS[n]
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", block)
@@ -645,34 +723,36 @@ class TestBlockedTerms:
             assert rows >= 2 * per_block and rows % per_block
         refused = 0
         for A, alpha, v in self._positions(n):
-            got = band.terms(A, alpha, v, shifted, nodes=mode != "value")
-            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted, mode != "value")
+            got = _walked_terms(band, A, alpha, v, shifted)
+            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted)
             assert (got is None) == (ref is None)
             if ref is None:
                 refused += 1
                 if mode == "density" and not shifted:
                     with pytest.raises(NotInBr):
-                        rfamily._density_terms(band, EPoint(BlockMat(A, alpha), v))
+                        rfamily._density_sums(band, EPoint(BlockMat(A, alpha), v), [])
                 continue
-            assert all(np.array_equal(a, b) for a, b in zip(got[1:], ref[1:]))
-            assert len(got[1]) and np.all(got[3] > 0.0)
-            if mode == "value":
-                assert got[0] is None
-            else:
-                assert got[0].shape == (len(got[1]), n) and np.array_equal(got[0], ref[0])
+            assert all(np.array_equal(a, b) for a, b in zip(got[2:], ref[2:]))
+            assert len(got[2]) and np.all(got[4] > 0.0)
+            if mode != "value":
+                assert all(a.shape == (len(got[2]), n) for a in got[:2])
+                assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
             if mode == "density":
                 c2, den, r2m1, opened = inputs
                 direct = _full_inner_band(band.f, band.g, band.r, c2, den, r2m1, "density", 2)
                 shut = np.ones(len(c2), dtype=bool)
                 shut[opened] = False
                 assert np.any(shut) and not np.any(direct[shut])
-                _, _, h_y, inner, d_inner = got
-                if shifted:
-                    by_parts = _by_parts(band.r, c2[opened], inner, d_inner)
-                else:  # the density the measure uses, times h^(1/s) / alpha^(s-1)
-                    density = rfamily._density_terms(band, EPoint(BlockMat(A, alpha), v))[2]
-                    by_parts = density * h_y / alpha ** (S - 1.0)
+                X, _, W, h_y, inner, d_inner = got
+                by_parts = _by_parts(band.r, c2[opened], inner, d_inner)
                 assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
+                if not shifted:  # the density the measure uses, times h^(1/s) / alpha^(S-1)
+                    density = by_parts * alpha ** (S - 1.0) / h_y
+                    point = EPoint(BlockMat(A, alpha), v)
+                    for delta in (lambda x: np.ones(len(x)), lambda x: x[:, 0] > 0.0):
+                        got_mu = rfamily._density_sums(band, point, [delta])[0][0]
+                        want = float(np.sum(W * delta(X) * density))
+                        assert abs(got_mu - want) <= 1e-13 * abs(want)
         # the last position lies partly where h = 0: refused
         assert refused == 1
 
@@ -716,10 +796,10 @@ class TestBlockedTerms:
             kernel_inputs.clear()
             monkeypatch.setattr(rfamily, "_sq_norms", spy_sq_norms)
             monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
-            got = band.terms(A, alpha, v, shifted, nodes=True)
+            got = _walked_terms(band, A, alpha, v, shifted)
             monkeypatch.setattr(rfamily, "_sq_norms", sq_norms)
             monkeypatch.setattr(rfamily, "_inner_band", inner_band)
-            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted, True)
+            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted)
             assert (got is None) == (ref is None)
             if ref is None:
                 continue
@@ -728,8 +808,41 @@ class TestBlockedTerms:
             walked = [np.concatenate(col) for col in zip(*kernel_inputs)]
             assert all(np.array_equal(a, b) for a, b in zip(walked, inputs[:3]))
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-            assert len(got[1]) and np.all(got[3] > 0.0)
+            assert len(got[2]) and np.all(got[4] > 0.0)
         assert compared == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_sums_match_whole_grid(self, n, monkeypatch):
+        # every consumer reduces each block as it is walked; the reference runs the same
+        # consumer on `_unblocked_terms` handed over as one block, i.e. one sum over the
+        # whole grid's open nodes.  n = 1 is one block, so the sums are equal; at n >= 2
+        # only the order of summation across the blocks differs
+        nodes, block = self.GRIDS[n]
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", block)
+        h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
+        quad = QuadratureSpec(x_nodes_per_axis=nodes)
+        band = rfamily._Band(h, S, canonical_pair(), 0.8, quad)
+        whole = rfamily._Band(h, S, canonical_pair(), 0.8, quad)
+        whole.blocks = lambda A, alpha, v, shifted: iter(
+            [_one_block(_unblocked_terms(band, A, alpha, v, shifted)[0])])
+        if n > 1:  # at least three blocks
+            per_row = len(x_grid(1, 1.0, nodes)[0])
+            assert per_row ** (n - 1) >= 2 * max(1, block // per_row) + 1
+        tol = 0.0 if n == 1 else 1e-13
+        bumps = [trapezoid_bump(np.full(n, 0.3), 0.2, 0.2), trapezoid_bump(np.zeros(n), 1.0, 0.2)]
+        rng = np.random.default_rng(97 + n)
+        for _ in range(2):
+            p, Sm = theta_point(rng.normal(scale=0.05, size=n * (n + 1) // 2 + n), n, S)
+            got = rfamily._band_value(band, p)
+            assert abs(got - rfamily._band_value(whole, p)) <= tol * got
+            (got, grad), (want, want_grad) = (rfamily._band_value_grad(b, p, Sm)
+                                              for b in (band, whole))
+            assert abs(got - want) <= tol * want
+            assert np.linalg.norm(grad - want_grad) <= tol * np.linalg.norm(want_grad)
+            (mu, lam), (want_mu, want_lam) = (rfamily._density_sums(b, p, bumps)
+                                              for b in (band, whole))
+            assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu)) and np.all(mu != 0.0)
+            assert abs(lam - want_lam) <= tol * abs(want_lam)
 
 
 def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
