@@ -8,11 +8,12 @@ repository root:
 
     python3 scripts/gen_expectations.py
 
-The output is not byte-stable across numpy builds: the trapezoid sums round
-differently, so a regenerated file differs from the committed one in the last
-bits (e.g. `F_at_0` 0.6666666649999999 against 0.666666665).  Compare a
-regenerated file with the committed one within the stored tolerances, as CI
-does, not with `git diff`.
+Every value is stored rounded to 1/1000 of its tolerance (a power of ten),
+which moves it by at most tol/2000.  The trapezoid sums round differently
+across numpy builds (e.g. `F_at_0` 0.6666666649999999 against 0.666666665),
+and the rounding absorbs that, so a regenerated file is byte-stable unless a
+value lies within its last bits of a rounding boundary.  CI compares a
+regenerated file with the committed one within the stored tolerances.
 """
 
 import json
@@ -90,6 +91,14 @@ def grid_value_two_level():
     return value
 
 
+def rounded(value, tol: float):
+    """value (a number or a list) rounded to tol/1000, for a tol that is a power of ten."""
+    digits = 3 - round(math.log10(tol))
+    if isinstance(value, list):
+        return [round(float(v), digits) for v in value]
+    return round(float(value), digits)
+
+
 def main():
     pair = canonical_pair()
     gbar = lambda u: pair.g(-np.asarray(u))
@@ -157,6 +166,8 @@ def main():
             "params": {"nu": "counting"},
         },
     }
+    for entry in expectations.values():
+        entry["value"] = rounded(entry["value"], entry["tol"])
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(expectations, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT}")

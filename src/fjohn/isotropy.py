@@ -40,10 +40,10 @@ class DiscreteMeasure:
             raise ValueError("points/masses length mismatch")
         if np.any(m <= 0.0):
             raise ValueError("masses must be positive")
-        for i in range(P.shape[0]):
-            for j in range(i + 1, P.shape[0]):
-                if np.linalg.norm(P[i] - P[j]) < 1e-9:
-                    raise ValueError(f"atoms {i} and {j} coincide")
+        close = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2) < 1e-9
+        i, j = np.nonzero(np.triu(close, 1))  # row-major: the first pair first
+        if len(i):
+            raise ValueError(f"atoms {i[0]} and {j[0]} coincide")
         P.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "points", P)
@@ -185,11 +185,11 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     dirs[2 + 2 * n:] = coeffs @ at.basis
     labels = ["identity-flat(+)", "identity-flat(-)"]
     labels += [f"shift({sign}e{j})" for j in range(n) for sign in "+-"]
-    labels += [f"sample{i}" for i in range(n_dirs)]
 
     # args is linear in the direction: every direction is one column of one matmul
     best = np.max(at.features @ dirs.T, axis=0)
-    failures = [(labels[i], at.point(dirs[i]), float(best[i]))
+    failures = [(labels[i] if i < len(labels) else f"sample{i - len(labels)}",
+                 at.point(dirs[i]), float(best[i]))
                 for i in np.flatnonzero(best <= 1e-12)]
     margin, n_checked = float(np.min(best)), len(best)
     if not failures:

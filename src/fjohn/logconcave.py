@@ -58,6 +58,11 @@ def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
     return np.max(vals, axis=0)
 
 
+def psi_gradient(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
+    """The gradient of psi at the rows of X: the slope of the active piece (first on a tie)."""
+    return form.a[np.argmax(X @ form.a.T + form.b, axis=1)]
+
+
 def _sq_norms(X: np.ndarray) -> np.ndarray:
     """np.sum(X * X, axis=1) bit for bit, without numpy's slow reduce over short rows.
 

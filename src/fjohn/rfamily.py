@@ -24,7 +24,7 @@ from .blockmat import BlockMat, EPoint, s_trace, sdet1_param
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
 from .isotropy import DiscreteMeasure, MinimizerResult
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
-                         eval_h_many, psi_eval_many)
+                         eval_h_many, psi_eval_many, psi_gradient)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
 
 
@@ -35,17 +35,17 @@ class QuadratureSpec:
     The inner t-integrals are exact for piecewise-linear profiles (2-point
     Gauss on piecewise cubics), so the quadrature error comes from the x
     grid alone; 960 nodes per axis holds it to 1e-6 at n = 1 up to r = 0.99
-    (cost grows like 1/(1-r) beyond).  The grid spans the exact band radius
-    of `band_radius`.  An instance file's `quadrature.tol`, `t_nodes` and
+    (cost grows like 1/(1-r) beyond).  The grid spans the band radius of
+    `_Band`.  An instance file's `quadrature.tol`, `t_nodes` and
     `domain_radius` are accepted and ignored in schema version 1.
     The inner kernel integrates only the grid nodes where the band is open,
     so a band evaluation costs in proportion to the open share of the grid
     (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
     x_nodes_per_axis ** n.  The grid is walked in blocks of about 32k nodes
     and every sum over the open nodes is taken block by block, so an
-    evaluation holds one block's temporaries and nothing grid-sized; for
-    n >= 2 a block drops the columns outside the grid's disk, where no node
-    is near, so the square's corners cost almost nothing.  At n >= 2 a sum
+    evaluation holds one block's temporaries and nothing grid-sized; a
+    block drops the columns outside the grid's disk, where no node is near,
+    so at n >= 2 the square's corners cost almost nothing.  At n >= 2 a sum
     is a sum of block sums in grid order (~1e-16 relative from one sum over
     the grid); n = 1 is one block.  The outer grid has at least 4 panels of
     8 nodes per axis, so a count below 25, which it would silently raise,
@@ -87,31 +87,6 @@ def _min_psi(form: PiecewiseLogAffine) -> float:
     if not bounds:
         raise NotProper("psi is not bounded below: no domain ball and not coercive")
     return max(bounds)
-
-
-def sup_h_pow2(h: LogConcaveFn, s: float) -> float:
-    """Upper bound on sup h**(2/s): exp(-min psi)**(2/s) from `_min_psi`, times 1 + 1e-7."""
-    return float(np.exp(-_min_psi(h.form)) ** (2.0 / s)) * 1.0000001
-
-
-def band_radius(h: LogConcaveFn, s: float, r: float) -> float:
-    """Radius enclosing the set where the band factor can be nonzero.
-
-    Where h vanishes, |x| > 1 closes the band, so with a domain ball of
-    radius R the radius is capped at max(R, 1).
-    """
-    return _radius(h, sup_h_pow2(h, s), r, 1.0)
-
-
-def _radius(h: LogConcaveFn, sup: float, r: float, top: float) -> float:
-    """sqrt(1 + 2 (1-r) sup top), capped at max(R, 1) for a domain ball of radius R.
-
-    With sup >= sup h^(2/s), no node beyond it has |x|^2 - 1 below
-    den = 2 (1-r) h^(2/s) times top, nor any beyond the cap, where den = 0.
-    """
-    radius = float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup * top))
-    R = h.form.domain_radius
-    return radius if R is None else min(radius, max(R, 1.0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,13 +290,20 @@ class _Band:
 
     Built once per (h, s, pair, r, quad) and kept for one call or one
     minimization, whose every evaluation walks it with `blocks`: the
-    profiles, the band radius, for n = 1 the kinks of psi on the whole line,
+    profiles, the grid radii, for n = 1 the kinks of psi on the whole line,
     and the upper-triangle indices of the minimizer's coordinates.  It
     checks up front what the band kernel assumes: the pair passes
     `check_band_pair`, and h > 0 on the closed unit ball without underflow
     of h^(2/s) 2(1-r) there.  Then a node where the band can be open
-    (|z|^2 - 1 below den times the top kink of g) has den > 0: den = 0
-    would need |z| < 1.
+    (|z|^2 - 1 below den = 2(1-r) h^(2/s) times the top kink of g) has
+    den > 0: den = 0 would need |z| < 1.
+
+    The grid's radius is sqrt(1 + 2(1-r) e^(-2 min psi/s) (1 + 1e-7)),
+    capped at max(R, 1) = R for a domain ball of radius R (R >= 1, as
+    checked).  e^(-2 min psi/s) (1 + 1e-7) bounds sup h^(2/s) from above
+    (`_min_psi`), so no node beyond the radius has |z|^2 - 1 below den, nor
+    any beyond the cap, where h = 0 and |z| > 1 close the band.  `reach` is
+    the same bound with den times the top kink of g where that exceeds 1.
     """
 
     def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -338,14 +320,19 @@ class _Band:
         if not least * 2.0 * (1.0 - r) > 0.0:
             raise NotJohnPosition("h^(2/s) underflows on the unit ball")
         self.h, self.s, self.r, self.quad, self.f, self.g = h, s, r, quad, pair.f, pair.g
-        sup = sup_h_pow2(h, s)
-        self.radius = _radius(h, sup, r, 1.0)  # band_radius(h, s, r)
-        # no node beyond `reach` in the band variable is near: the same as the radius
-        # unless g has a kink beyond 1
-        self.reach = _radius(h, sup, r, max(float(pair.g.breaks[-1]), 1.0))
+        sup = float(np.exp(-_min_psi(form)) ** (2.0 / s)) * 1.0000001  # >= sup h^(2/s)
+        cap = np.inf if form.domain_radius is None else form.domain_radius  # >= 1, as checked
+        self.radius, self.reach = (min(float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup * top)), cap)
+                                   for top in (1.0, max(float(pair.g.breaks[-1]), 1.0)))
         self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if h.n == 1 else None
         self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
         self.on_diagonal = self.upper[0] == self.upper[1]
+
+    def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(S, shift) at the minimizer's coordinates theta = (upper triangle of S, shift)."""
+        S = np.zeros((self.h.n, self.h.n))
+        S[self.upper] = S[self.upper[::-1]] = theta[:len(self.upper[0])]
+        return S, theta[len(self.upper[0]):]
 
     def blocks(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool):
         """Walk the grid block by block, yielding each block's open nodes.
@@ -368,15 +355,16 @@ class _Band:
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in
-        cache.  For n >= 2 a block keeps only the columns (last-axis
-        nodes) that some row of the block has inside the disk of `reach`
-        (the grid's own radius unless g has a kink beyond 1; in the
-        unshifted route mapped like the radius, |x| <= |A| reach + |v|),
-        plus 1e-9 for rounding.  No node beyond it is near: there
-        |z|^2 - 1 exceeds den times the top kink of g, or h = 0.  So the
-        square's corners, 21% of an n = 2 grid, mostly go unvisited.  W is
-        taken at the open nodes from the block's tile of row weights times
-        column weights: the same products as those of the whole tensor grid.
+        cache.  A block keeps only the columns (last-axis nodes) that some
+        row of the block has inside the disk of `reach` (the grid's own
+        radius unless g has a kink beyond 1; in the unshifted route mapped
+        like the radius, |x| <= |A| reach + |v|), plus 1e-9 for rounding;
+        at n = 1 the grid lies inside it, so every column.  No node beyond
+        it is near: there |z|^2 - 1 exceeds den times the top kink of g, or
+        h = 0.  So the square's corners, 21% of an n = 2 grid, mostly go
+        unvisited.  W is taken at the open nodes from the block's tile of row
+        weights times column weights: the same products as those of the
+        whole tensor grid.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -406,16 +394,15 @@ class _Band:
         P = len(x1)
         w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
-        c0, c1 = 0, P
         for r0 in range(0, rows, step):
             r1 = min(rows, r0 + step)
             lead = [x1[np.arange(r0, r1) // P ** (n - 2 - k) % P] for k in range(n - 1)]
-            if n > 1:  # the columns some row of the block has inside the disk
-                least = np.min(functools.reduce(np.add, [x * x for x in lead]))
-                cols = np.flatnonzero(x1 * x1 <= clip2 - least)
-                if not len(cols):
-                    continue
-                c0, c1 = cols[0], cols[-1] + 1
+            # the columns some row of the block has inside the disk (at n = 1, every column)
+            least = np.min(functools.reduce(np.add, [x * x for x in lead], 0.0))
+            cols = np.flatnonzero(x1 * x1 <= clip2 - least)
+            if not len(cols):
+                continue
+            c0, c1 = cols[0], cols[-1] + 1
             X = np.empty((r1 - r0, c1 - c0, n))
             X[..., -1] = x1[c0:c1]
             for k, x in enumerate(lead):
@@ -481,24 +468,30 @@ def _value_sum(band: _Band, A, alpha, v, shifted: bool, scale: float) -> float:
     return value
 
 
-def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.ndarray]:
-    """Band functional at p = (exp S, exp(-tr S / s), v) and its gradient in theta.
+def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Band functional at theta and its gradient there.
 
-    theta = (upper triangle of S, v), the coordinates of `_minimize_band`.
-    The value is `_band_value(band, p)` bit for bit.  With c = h(y)^(1/s)/alpha
-    at y = Ax + v and the inner integral I(c^2), each open node contributes
-    W c I(c^2), so the gradient is sum W c (I + 2 c^2 I') d(log c), where
-    d(log c) = -(1/s) a_j(y) . dy + tr(dS)/s with a_j(y) the active piece of
-    psi at y.  dy = dA x + dv; dA = L(S, dS) is the Frechet derivative of
-    the symmetric matrix exponential (Daleckii-Krein: in the eigenbasis of
-    S, dS scaled entrywise by the divided differences of exp), which is
-    self-adjoint, so the S-gradient is L(S, G) for G = sum (weight) a_j x^T.
-    Each block adds its share of the value, G, sum (weight) a_j and sum
-    (weight), with a_j at the block's own y.  Returns (inf, None) beyond the
-    coercive barrier; A = exp S is positive definite, so it is not checked.
+    theta = (upper triangle of S, v), the coordinates of `_minimize_band`,
+    stands for the position (exp S, exp(-tr S / s), v).  One eigh of S gives
+    A = exp S, symmetrised as `expm_sym` does it, and the gradient below, so
+    the value is `_band_value` at the `sdet1_param` position bit for bit.
+    With c = h(y)^(1/s)/alpha at y = Ax + v and the inner integral I(c^2),
+    each open node contributes W c I(c^2), so the gradient is
+    sum W c (I + 2 c^2 I') d(log c), where d(log c) = -(1/s) a_j(y) . dy
+    + tr(dS)/s with a_j(y) the active piece of psi at y.  dy = dA x + dv;
+    dA = L(S, dS) is the Frechet derivative of the symmetric matrix
+    exponential (Daleckii-Krein: in the eigenbasis of S, dS scaled
+    entrywise by the divided differences of exp), which is self-adjoint, so
+    the S-gradient is L(S, G) for G = sum (weight) a_j x^T.  Each block adds
+    its share of the value, G, sum (weight) a_j and sum (weight), with a_j
+    at the block's own y.  Returns (inf, None) beyond the coercive barrier;
+    A = exp S is positive definite, so it is not checked.
     """
-    A, alpha, v = p.mat.diag, p.mat.corner, p.shift
-    form, s, upper = band.h.form, band.s, band.upper
+    s, upper = band.s, band.upper
+    S, v = band.split(theta)
+    lam, V = np.linalg.eigh(S)
+    E = (V * np.exp(lam)) @ V.T
+    A, alpha = 0.5 * (E + E.T), float(np.exp(-np.trace(S) / s))
     value, omega_sum, G, a_sum = 0.0, 0.0, np.zeros_like(A), np.zeros_like(v)
     for block in band.blocks(A, alpha, v, shifted=True):
         if block is None:
@@ -508,11 +501,10 @@ def _band_value_grad(band: _Band, p: EPoint, S: np.ndarray) -> tuple[float, np.n
         c = h_y / alpha
         value += float(np.sum(W * c * inner))
         omega = W * c * (inner + 2.0 * c * c * d_inner)
-        a_j = form.a[np.argmax(Y @ form.a.T + form.b, axis=1)]
+        a_j = psi_gradient(band.h.form, Y)
         G += (a_j.T * omega) @ X  # sum omega a_j x^T
         a_sum += a_j.T @ omega
         omega_sum += float(np.sum(omega))
-    lam, V = np.linalg.eigh(S)
     half_gap = 0.5 * np.subtract.outer(lam, lam)
     sinhc = np.divide(np.sinh(half_gap), half_gap, out=np.ones_like(half_gap),
                       where=half_gap != 0.0)
@@ -554,7 +546,7 @@ def _density_sums(band: _Band, minimizer: EPoint, bumps) -> tuple[np.ndarray, fl
     A, alpha, v = minimizer.mat.diag, minimizer.mat.corner, minimizer.shift
     if not _positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    form, s, r = band.h.form, band.s, band.r
+    s, r = band.s, band.r
     integrals, moment = np.zeros(len(bumps)), 0.0
     for block in band.blocks(A, alpha, v, shifted=False):
         if block is None:
@@ -565,7 +557,7 @@ def _density_sums(band: _Band, minimizer: EPoint, bumps) -> tuple[np.ndarray, fl
         density = (-(1.0 - r) * alpha ** (s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
         for k, delta in enumerate(bumps):
             integrals[k] += float(np.sum(W * np.asarray(delta(X), dtype=float) * density))
-        slope = form.a[np.argmax(X @ form.a.T + form.b, axis=1)]  # the gradient of psi
+        slope = psi_gradient(band.h.form, X)
         contraction = h_x**2 * ((1.0 / s) * np.sum(slope * X, axis=1) + s)
         moment += float(np.sum(W * density * contraction))
     return integrals, moment / ((1.0 - r) * (band.h.n + s * s))
@@ -642,7 +634,8 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
                    hessian: np.ndarray | None = None) -> BandMinimum:
     """minimize_band on a prepared band geometry, as a solver record.
 
-    Every evaluation is one `_band_value_grad` call.  Without a `hessian`
+    Every evaluation is one `_band_value_grad` call on theta itself; the
+    position is built once, for the result.  Without a `hessian`
     (in theta at x0) the loop starts from one built from forward differences
     of the gradient with step fd = 1e-4 (1-r), theta's scale being 1-r, the
     width of the band; its eigenvalues are floored in magnitude, so the
@@ -669,18 +662,12 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
     _check_max_iter(max_iter)
     n, s, r = band.h.n, band.s, band.r
     upper = band.upper
-    dim_s = len(upper[0])
     evals = builds = 0
-
-    def to_point(theta: np.ndarray) -> tuple[EPoint, np.ndarray]:
-        S = np.zeros((n, n))
-        S[upper] = S[upper[::-1]] = theta[:dim_s]
-        return EPoint(BlockMat(*sdet1_param(S, s)), theta[dim_s:]), S
 
     def evaluate(theta: np.ndarray):
         nonlocal evals
         evals += 1
-        return _band_value_grad(band, *to_point(theta))
+        return _band_value_grad(band, theta)
 
     def difference_hessian() -> np.ndarray:
         nonlocal builds
@@ -702,7 +689,7 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
     if x0 is not None:
         theta = np.concatenate([_logm_sym(x0.mat.diag)[upper], x0.shift])
     else:
-        theta = np.zeros(dim_s + n)
+        theta = np.zeros(len(upper[0]) + n)
     value, grad = evaluate(theta)
     if not np.isfinite(value):
         raise NotConverged("band functional infinite at the starting point",
@@ -741,8 +728,9 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
             h_step = hess @ step
             hess = (hess - np.outer(h_step, h_step) / np.dot(step, h_step)
                     + np.outer(change, change) / sy)
-    return BandMinimum(point=to_point(theta)[0], value=value, evaluations=evals,
-                       iterations=it, stop_reason=stop,
+    S, v = band.split(theta)
+    return BandMinimum(point=EPoint(BlockMat(*sdet1_param(S, s)), v), value=value,
+                       evaluations=evals, iterations=it, stop_reason=stop,
                        grad_norm=float(np.linalg.norm(grad)),
                        hessian_builds=builds, hessian=hess)
 

@@ -438,12 +438,12 @@ def dense_quadrature_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float
 
 
 def theta_point(theta, n: int, s: float):
-    """(position, S) at theta = (upper triangle of S, shift), as the band minimizer maps it."""
+    """The position at theta = (upper triangle of S, shift), by `sdet1_param`."""
     upper = np.triu_indices(n)
     Sm = np.zeros((n, n))
     Sm[upper] = Sm[upper[::-1]] = theta[:len(upper[0])]
     A, alpha = sdet1_param(Sm, s)
-    return EPoint(BlockMat(A, alpha), theta[len(upper[0]):]), Sm
+    return EPoint(BlockMat(A, alpha), theta[len(upper[0]):])
 
 
 def fd_newton_minimize(band, x0=None, max_iter=400):
@@ -463,7 +463,7 @@ def fd_newton_minimize(band, x0=None, max_iter=400):
     def evaluate(theta):
         nonlocal evals
         evals += 1
-        return rfamily._band_value_grad(band, *theta_point(theta, n, s))
+        return rfamily._band_value_grad(band, theta)
 
     if x0 is not None:
         theta = np.concatenate([rfamily._logm_sym(x0.mat.diag)[np.triu_indices(n)], x0.shift])
@@ -501,4 +501,4 @@ def fd_newton_minimize(band, x0=None, max_iter=400):
         if stop == rfamily.RESOLVED:
             break
         theta, value, grad, it = theta + t * delta, c_value, c_grad, it + 1
-    return theta_point(theta, n, s)[0], value, evals, stop
+    return theta_point(theta, n, s), value, evals, stop

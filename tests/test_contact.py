@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fjohn.contact import (cross_fixture, detect_contacts, hemisphere_gap, make_tangent_instance,
-                           two_level_cross_fixture, verify_decomposition)
+from fjohn.contact import (_contact_set, cross_fixture, detect_contacts, hemisphere_gap,
+                           make_tangent_instance, two_level_cross_fixture, verify_decomposition)
 from fjohn.errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from fjohn.isotropy import DiscreteMeasure, check_isotropy
 from fjohn.logconcave import eval_h_many, make_log_concave
@@ -172,6 +172,16 @@ class TestDetectContacts:
         cs = detect_contacts(h, 1.5, grid_per_axis=201)
         assert cs.points.shape == (6, 1)
         assert np.max(np.abs(cs.points - pts)) <= 1e-12
+
+    def test_merge_is_greedy_in_candidate_order(self):
+        # a candidate goes only if it lies within 1e-6 of an earlier kept one, so a
+        # chain 0.8e-6 apart keeps its ends when it starts at an end, and only its
+        # middle when it starts there; the kept points come out sorted
+        h = two_level_cross_fixture(1, 1.0, 0.4, 0.8)[0]
+        a, b, c = 0.5, 0.5 + 0.8e-6, 0.5 + 1.6e-6
+        for order, kept in (([c, a, b], [a, c]), ([b, a, c], [b])):
+            cs = _contact_set(h, 1.0, np.array(order)[:, None], gap_tol=1.0)
+            assert cs.points[:, 0].tolist() == kept
 
 
 def _spread_points(rng, n, count, min_dist):

@@ -376,6 +376,16 @@ class TestExtractMeasure:
             assert m == pytest.approx(by_point[-p], abs=1e-10)
 
 
+class TestDiscreteMeasure:
+    def test_coincident_atoms_name_the_first_pair(self):
+        with pytest.raises(ValueError, match="atoms 0 and 2 coincide"):
+            DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]),
+                            np.ones(4))
+        with pytest.raises(ValueError, match="atoms 1 and 2 coincide"):
+            DiscreteMeasure(np.array([[0.0], [0.5], [0.5 + 5e-10]]), np.ones(3))
+        assert len(DiscreteMeasure(np.array([[0.0], [0.5], [0.5 + 2e-9]]), np.ones(3)).points) == 3
+
+
 class TestCheckIsotropy:
     def test_cross_weights(self):
         _, cs, w = cross_fixture(2, 2.0)
@@ -431,6 +441,22 @@ class TestCoercivityWitness:
         nu = DiscreteMeasure(np.array([[np.sqrt(0.5), 0.0]]), np.array([1.0]))
         wit = coercivity_witness(h2, 2.0, nu, n_dirs=50, seed=0)
         assert not wit.ok
+
+    def test_failing_samples_are_named_by_index(self):
+        # one atom: the labelled directions fail first, then every sampled direction
+        # i with no positive argument, as sample{i}
+        h2, _, _ = cross_fixture(2, 2.0)
+        nu = DiscreteMeasure(np.array([[np.sqrt(0.5), 0.0]]), np.array([1.0]))
+        wit = coercivity_witness(h2, 2.0, nu, n_dirs=50, seed=0)
+        at, basis = _Atoms(h2, 2.0, nu), trace0_array(2, 2.0)
+        coeffs = np.random.default_rng(0).standard_normal((50, len(basis)))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        failing = [f"sample{i}" for i, c in enumerate(coeffs)
+                   if np.max(at.args(EPoint.from_vec(c @ basis, 2))) <= 1e-12]
+        labels = [lbl for lbl, _, _ in wit.failures]
+        assert 0 < len(failing) < 50
+        assert labels[len(labels) - len(failing):] == failing
+        assert not any(lbl.startswith("sample") for lbl in labels[:len(labels) - len(failing)])
 
     @pytest.mark.parametrize("build,s", [
         (lambda s: cross_fixture(1, s), 1.0), (lambda s: cross_fixture(2, s), 2.0),

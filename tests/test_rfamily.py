@@ -15,9 +15,8 @@ from fjohn.isotropy import counting_measure, extract_measure, minimize_functiona
 from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
-                           band_radius, concentration_integral, default_bumps,
-                           minimize_band, r_sweep, rescaled_band_functional,
-                           stationarity_multiplier, sup_h_pow2, trapezoid_bump)
+                           concentration_integral, default_bumps, minimize_band, r_sweep,
+                           rescaled_band_functional, stationarity_multiplier, trapezoid_bump)
 from oracles import (envelope_breaks_scan, fd_newton_minimize, pl_deriv, s_det,
                      sorted_inner_band, theta_point, x_grid)
 
@@ -58,11 +57,11 @@ class TestBandFunctional:
         with pytest.raises(BadR):
             band_functional(h, S, canonical_pair(), 0.3, identity_point(), quad)
 
-    def test_band_radius_invariant(self, fixture):
+    def test_band_radius_invariant(self, fixture, quad):
         h, _, _ = fixture
         for r in (0.8, 0.9, 0.95, 0.99):
-            need = np.sqrt(1.0 + 2.0 * (1.0 - r) * sup_h_pow2(h, S))
-            assert band_radius(h, S, r) >= need - 1e-12
+            need = np.sqrt(1.0 + 2.0 * (1.0 - r) * np.exp(-rfamily._min_psi(h.form)) ** (2.0 / S))
+            assert rfamily._Band(h, S, canonical_pair(), r, quad).radius >= need - 1e-12
 
     def test_refinement_stability(self, fixture, quad):
         h, _, _ = fixture
@@ -139,32 +138,41 @@ class TestBandRadius:
         # 960 nodes agree to 5e-7
         inst = json.loads((INSTANCES / "tangent_n1_s1.json").read_text())
         h = cli.build_h(inst)
-        assert sup_h_pow2(h, S) == pytest.approx(62670.82, rel=1e-6)
-        assert band_radius(h, S, 0.8) == 8.0
         pair = canonical_pair()
+        assert np.exp(-rfamily._min_psi(h.form)) ** (2.0 / S) == pytest.approx(62670.82, rel=1e-6)
+        band = rfamily._Band(h, S, pair, 0.8, quad)
+        assert band.radius == band.reach == 8.0
         for v, want in ((0.4, 1.8334019), (0.5, 2.9710297), (-0.3, np.inf)):
             p = EPoint(BlockMat(np.eye(1), 1.0), np.array([v]))
             assert band_functional(h, S, pair, 0.8, p, quad) == pytest.approx(want, rel=1e-5)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_sup_is_attained_on_coercive_psi(self, n):
+    def test_sup_is_attained_on_coercive_psi(self, n, quad):
         h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
         rng = np.random.default_rng(n)
         X = np.vstack([np.zeros((1, n)), rng.uniform(-3.0, 3.0, size=(20000, n)),
                        rng.normal(scale=0.2, size=(20000, n))])
         sampled = float(np.max(eval_h_many(h, X) ** (2.0 / S)))
-        # sup_h_pow2 is exp(-min psi)^2 times 1 + 1e-7, and the fixture's psi is least at 0
-        assert sup_h_pow2(h, S) == float(eval_h_many(h, np.zeros((1, n)))[0] ** 2) * 1.0000001
-        assert sampled <= sup_h_pow2(h, S) <= sampled * (1.0 + 2e-7)
+        # the radii bound sup h^(2/s) by exp(-min psi)^2 times 1 + 1e-7, and the
+        # fixture's psi is least at 0
+        sup = float(np.exp(-rfamily._min_psi(h.form)) ** (2.0 / S)) * 1.0000001
+        assert sup == float(eval_h_many(h, np.zeros((1, n)))[0] ** 2) * 1.0000001
+        assert sampled <= sup <= sampled * (1.0 + 2e-7)
+        band = rfamily._Band(h, S, canonical_pair(), 0.8, quad)
+        assert band.radius == band.reach == np.sqrt(1.0 + 2.0 * (1.0 - 0.8) * sup)
 
-    def test_non_coercive_pieces_use_the_domain_bound(self):
+    def test_non_coercive_pieces_use_the_domain_bound(self, quad):
         # psi = max(x, 2x) has a vertex at 0 but falls to -3 at x = -3 on |x| <= 3
-        h = make_log_concave([[1.0], [2.0]], [0.0, 0.0], S, domain_radius=3.0)
-        assert sup_h_pow2(h, S) == pytest.approx(np.exp(6.0), rel=2e-7)
-        assert band_radius(h, S, 0.99) == 3.0
-        assert band_radius(make_log_concave([[1.0], [2.0]], [0.0, 0.0], S, 0.5), S, 0.99) == 1.0
+        def band(domain_radius):
+            h = make_log_concave([[1.0], [2.0]], [0.0, 0.0], S, domain_radius)
+            return rfamily._Band(h, S, canonical_pair(), 0.99, quad)
+
+        assert np.exp(-rfamily._min_psi(band(3.0).h.form)) ** (2.0 / S) == pytest.approx(
+            np.exp(6.0), rel=2e-7)
+        assert band(3.0).radius == band(3.0).reach == 3.0
+        assert band(1.0).radius == band(1.0).reach == 1.0
         with pytest.raises(NotProper):
-            sup_h_pow2(make_log_concave([[1.0], [2.0]], [0.0, 0.0], S), S)
+            band(None)
 
 
 class TestRescaledBandFunctional:
@@ -277,7 +285,7 @@ def _compass_minimize(band, max_iter=400):
     seen = {}
 
     def obj(theta):
-        p = theta_point(theta, n, S)[0]
+        p = theta_point(theta, n, S)
         key = (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes())
         if key not in seen:
             seen[key] = rfamily._band_value(band, p)
@@ -318,7 +326,7 @@ def _compass_minimize(band, max_iter=400):
             stepg *= 0.5
         if not moved:
             break
-    return theta_point(theta, n, S)[0], value
+    return theta_point(theta, n, S), value
 
 
 class TestBandGradient:
@@ -329,12 +337,12 @@ class TestBandGradient:
         rng = np.random.default_rng(int(100 * r))
 
         def value_at(th):
-            return band_functional(h, S, canonical_pair(), r, theta_point(th, 1, S)[0], quad)
+            return band_functional(h, S, canonical_pair(), r, theta_point(th, 1, S), quad)
 
         step, worst = 1e-6, 0.0
         for _ in range(20):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=2)
-            value, grad = rfamily._band_value_grad(band, *theta_point(theta, 1, S))
+            value, grad = rfamily._band_value_grad(band, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(2)])
             worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
@@ -348,27 +356,30 @@ class TestBandGradient:
         rng = np.random.default_rng(int(200 * r))
 
         def value_at(th):
-            return band_functional(h, S, canonical_pair(), r, theta_point(th, 2, S)[0], quad)
+            return band_functional(h, S, canonical_pair(), r, theta_point(th, 2, S), quad)
 
         step = 1e-6
         for _ in range(3):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=5)
-            _, grad = rfamily._band_value_grad(band, *theta_point(theta, 2, S))
+            _, grad = rfamily._band_value_grad(band, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(5)])
             assert np.linalg.norm(fd - grad) <= 1e-4 * np.linalg.norm(grad)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_value_is_band_value(self, n):
+        # the minimizer's own map from theta to (A, alpha, v) is the sdet1_param one,
+        # bit for bit
         h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
-        quad = QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96)
+        quad = QuadratureSpec(x_nodes_per_axis={1: 960, 2: 96, 3: 32}[n])
         rng = np.random.default_rng(67 + n)
         for r in (0.8, 0.95):
             band = rfamily._Band(h, S, canonical_pair(), r, quad)
             for _ in range(5):
-                p, Sm = theta_point(rng.normal(scale=0.05, size=n * (n + 1) // 2 + n), n, S)
-                value, _ = rfamily._band_value_grad(band, p, Sm)
-                assert value == rfamily._band_value(band, p)
+                theta = rng.normal(scale=0.05, size=n * (n + 1) // 2 + n)
+                p = theta_point(theta, n, S)
+                value, _ = rfamily._band_value_grad(band, theta)
+                assert 0.0 < value == rfamily._band_value(band, p)
                 assert value == band_functional(h, S, canonical_pair(), r, p, quad)
 
     def test_barrier_has_no_gradient(self):
@@ -376,9 +387,9 @@ class TestBandGradient:
         form = two_level_cross_fixture(1, S, 0.4, 0.8)[0].form
         bounded = make_log_concave(form.a, form.b, S, domain_radius=1.2)
         band = rfamily._Band(bounded, S, canonical_pair(), 0.9, QuadratureSpec())
-        p, Sm = theta_point(np.array([0.0, 0.5]), 1, S)
-        assert rfamily._band_value(band, p) == float("inf")
-        assert rfamily._band_value_grad(band, p, Sm) == (float("inf"), None)
+        theta = np.array([0.0, 0.5])
+        assert rfamily._band_value(band, theta_point(theta, 1, S)) == float("inf")
+        assert rfamily._band_value_grad(band, theta) == (float("inf"), None)
 
 
 class TestMinimizeBand:
@@ -601,10 +612,9 @@ class TestBandGeometry:
         seen = {}
         original = rfamily._band_value_grad
 
-        def recording(band, p, Sm):
-            seen.setdefault(band.r, []).append(
-                (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes()))
-            return original(band, p, Sm)
+        def recording(band, theta):
+            seen.setdefault(band.r, []).append(theta.tobytes())
+            return original(band, theta)
 
         monkeypatch.setattr(rfamily, "_band_value_grad", recording)
         schedule = [0.8, 0.9, 0.95, 0.99]
@@ -778,7 +788,8 @@ class TestBlockedTerms:
             positions = self._positions(n)  # the last one is refused
         band = rfamily._Band(h, S, pair, 0.8, QuadratureSpec(x_nodes_per_axis=nodes))
         if case == "domain-below-band-radius":
-            assert band.radius == 1.05 < band_radius(make_log_concave(form.a, form.b, S), S, 0.8)
+            unbounded = make_log_concave(form.a, form.b, S)
+            assert band.radius == 1.05 < rfamily._Band(unbounded, S, pair, 0.8, band.quad).radius
         visited, kernel_inputs = [], []
         sq_norms, inner_band = rfamily._sq_norms, rfamily._inner_band
 
@@ -832,10 +843,11 @@ class TestBlockedTerms:
         bumps = [trapezoid_bump(np.full(n, 0.3), 0.2, 0.2), trapezoid_bump(np.zeros(n), 1.0, 0.2)]
         rng = np.random.default_rng(97 + n)
         for _ in range(2):
-            p, Sm = theta_point(rng.normal(scale=0.05, size=n * (n + 1) // 2 + n), n, S)
+            theta = rng.normal(scale=0.05, size=n * (n + 1) // 2 + n)
+            p = theta_point(theta, n, S)
             got = rfamily._band_value(band, p)
             assert abs(got - rfamily._band_value(whole, p)) <= tol * got
-            (got, grad), (want, want_grad) = (rfamily._band_value_grad(b, p, Sm)
+            (got, grad), (want, want_grad) = (rfamily._band_value_grad(b, theta)
                                               for b in (band, whole))
             assert abs(got - want) <= tol * want
             assert np.linalg.norm(grad - want_grad) <= tol * np.linalg.norm(want_grad)
