@@ -123,10 +123,15 @@ def s_trace(b: BlockMat, s: float) -> float:
 
 def expm_sym(S: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix via eigendecomposition."""
+    return _expm_sym_eig(S)[0]
+
+
+def _expm_sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp S, lam, V) for the eigendecomposition S = V diag(lam) V^T of S's symmetric part."""
     S = 0.5 * (S + S.T)
     lam, V = np.linalg.eigh(S)
     E = (V * np.exp(lam)) @ V.T
-    return 0.5 * (E + E.T)
+    return 0.5 * (E + E.T), lam, V
 
 
 def sdet1_param(S: np.ndarray, s: float) -> tuple[np.ndarray, float]:

@@ -165,12 +165,11 @@ def verify_decomposition(points, weights, h: LogConcaveFn, s: float,
 def _contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
     """Candidates with gap <= gap_tol, deduplicated at 1e-6 and sorted."""
     X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
-    X = X[hemisphere_gap(h, s, X) <= gap_tol]
-    near = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) <= 1e-6
-    keep = np.ones(len(X), dtype=bool)
-    for i in range(1, len(X)):  # in candidate order: kept unless near an earlier kept point
-        keep[i] = not np.any(near[i, :i] & keep[:i])
-    kept = sorted(X[keep], key=tuple)
+    kept = []
+    for x in X[hemisphere_gap(h, s, X) <= gap_tol]:
+        if not any(np.linalg.norm(x - y) <= 1e-6 for y in kept):
+            kept.append(x)
+    kept.sort(key=lambda p: tuple(p))
     points = np.array(kept) if kept else np.zeros((0, h.n))
     vals = (eval_h_many(h, points) ** (1.0 / s)) if kept else np.zeros(0)
     return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import BlockMat, EPoint, s_trace, sdet1_param
+from .blockmat import BlockMat, EPoint, _expm_sym_eig, s_trace, sdet1_param
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
 from .isotropy import DiscreteMeasure, MinimizerResult
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
@@ -472,9 +472,9 @@ def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]
     """Band functional at theta and its gradient there.
 
     theta = (upper triangle of S, v), the coordinates of `_minimize_band`,
-    stands for the position (exp S, exp(-tr S / s), v).  One eigh of S gives
-    A = exp S, symmetrised as `expm_sym` does it, and the gradient below, so
-    the value is `_band_value` at the `sdet1_param` position bit for bit.
+    stands for the position (exp S, exp(-tr S / s), v).  The one eigh of S
+    that `expm_sym` takes gives both A = exp S and the gradient below, so the
+    value is `_band_value` at the `sdet1_param` position bit for bit.
     With c = h(y)^(1/s)/alpha at y = Ax + v and the inner integral I(c^2),
     each open node contributes W c I(c^2), so the gradient is
     sum W c (I + 2 c^2 I') d(log c), where d(log c) = -(1/s) a_j(y) . dy
@@ -489,9 +489,8 @@ def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]
     """
     s, upper = band.s, band.upper
     S, v = band.split(theta)
-    lam, V = np.linalg.eigh(S)
-    E = (V * np.exp(lam)) @ V.T
-    A, alpha = 0.5 * (E + E.T), float(np.exp(-np.trace(S) / s))
+    A, lam, V = _expm_sym_eig(S)
+    alpha = float(np.exp(-np.trace(S) / s))
     value, omega_sum, G, a_sum = 0.0, 0.0, np.zeros_like(A), np.zeros_like(v)
     for block in band.blocks(A, alpha, v, shifted=True):
         if block is None:

@@ -613,7 +613,9 @@ class TestBandGeometry:
         original = rfamily._band_value_grad
 
         def recording(band, theta):
-            seen.setdefault(band.r, []).append(theta.tobytes())
+            p = theta_point(theta, band.h.n, S)
+            seen.setdefault(band.r, []).append(
+                (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes()))
             return original(band, theta)
 
         monkeypatch.setattr(rfamily, "_band_value_grad", recording)
