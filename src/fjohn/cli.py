@@ -91,6 +91,17 @@ def _check_s(s) -> None:
         raise InputError(f"s must be a positive number, got {s!r}")
 
 
+def _tolerance(inst: dict, key: str, default: float) -> float:
+    """The instance's `tolerances.<key>`, which must be a positive finite number."""
+    tols = inst.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise InputError(f"tolerances must be an object, got {tols!r}")
+    tol = tols.get(key, default)
+    if not _is_number(tol) or tol <= 0:
+        raise InputError(f"tolerances.{key} must be a positive number, got {tol!r}")
+    return tol
+
+
 def load_instance(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -120,6 +131,8 @@ def build_h(inst: dict) -> LogConcaveFn:
         raise InputError(f"malformed h.pieces ({type(exc).__name__}: {exc})")
     if a.ndim != 2 or a.shape[1] != inst["n"]:
         raise InputError("piece dimension does not match n")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InputError("h.pieces must hold finite numbers")
     radius = desc.get("domain_radius")
     if radius is not None and not _is_number(radius):
         raise InputError(f"h.domain_radius must be a number or null, got {radius!r}")
@@ -173,9 +186,10 @@ def contact_points(inst: dict, h: LogConcaveFn):
             raise InputError(f"contacts.points must be a list of points in R^{inst['n']}")
         if weights is not None and weights.shape != (len(pts),):
             raise InputError(f"contacts.weights must hold one number per point ({len(pts)})")
+        if not (np.all(np.isfinite(pts)) and (weights is None or np.all(np.isfinite(weights)))):
+            raise InputError("contacts must hold finite numbers")
         return pts, weights
-    cs = contact.detect_contacts(h, inst["s"],
-                                 gap_tol=inst.get("tolerances", {}).get("gap_tol", 1e-8))
+    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol", 1e-8))
     return cs.points, None
 
 
@@ -294,7 +308,7 @@ def cmd_verify(args) -> int:
     pts, weights = contact_points(inst, h)
     if weights is None:
         raise InputError("verify needs contacts.weights in the instance")
-    tol = inst.get("tolerances", {}).get("decomposition_tol", 1e-8)
+    tol = _tolerance(inst, "decomposition_tol", 1e-8)
     rep = contact.verify_decomposition(pts, weights, h, inst["s"], tol)
     print(_report("verify", inst, rep.as_dict()))
     return EXIT_OK if rep.ok else EXIT_MATH
@@ -303,8 +317,7 @@ def cmd_verify(args) -> int:
 def cmd_contacts(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
-    cs = contact.detect_contacts(h, inst["s"],
-                                 gap_tol=inst.get("tolerances", {}).get("gap_tol", 1e-8))
+    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol", 1e-8))
     print(_report("contacts", inst, {  # schema version 1 keeps "continuum": the set is finite
         "points": cs.points, "h_values": cs.h_values,
         "continuum": False, "gap_tol": cs.gap_tol,
@@ -320,7 +333,7 @@ def cmd_minimize_i1(args) -> int:
     h = build_h(inst)
     nu = build_nu(inst, h)
     F = ConvolutionProfile(build_valid_profile(inst))
-    tol = inst.get("tolerances", {}).get("minimize_tol", 1e-10)
+    tol = _tolerance(inst, "minimize_tol", 1e-10)
     res = isotropy.minimize_functional(h, inst["s"], nu, F, tol=tol)
     mu = isotropy.extract_measure(res, h, inst["s"], nu, F)
     iso = isotropy.check_isotropy(mu, inst["s"])
@@ -381,7 +394,7 @@ def cmd_sweep_r(args) -> int:
     F = ConvolutionProfile(pair)
     quad = build_quad(inst)
     s = inst["s"]
-    tol = inst.get("tolerances", {}).get("minimize_tol", 1e-10)
+    tol = _tolerance(inst, "minimize_tol", 1e-10)
     ref = isotropy.minimize_functional(h, s, nu, F, tol=tol)
     mu0 = isotropy.extract_measure(ref, h, s, nu, F)
     schedule = inst.get("r_schedule", [0.8, 0.9, 0.95, 0.99])

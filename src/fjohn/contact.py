@@ -68,9 +68,13 @@ class DecompositionReport:
 def hemisphere_gap(h: LogConcaveFn, s: float, X: np.ndarray) -> np.ndarray:
     """h(x)**(1/s) - sqrt(1 - |x|^2) on rows of X (nonnegative in John position)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _hemisphere_gap(eval_h_many(h, X) ** (1.0 / s), X)
+
+
+def _hemisphere_gap(h_pow: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """`hemisphere_gap` from h**(1/s) at the rows of X, for callers that keep those values."""
     r2 = np.sum(X * X, axis=1)
-    hemi = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-    return eval_h_many(h, X) ** (1.0 / s) - hemi
+    return h_pow - np.sqrt(np.clip(1.0 - r2, 0.0, None))
 
 
 def make_tangent_instance(points, s: float, domain_radius: float | None = None) -> LogConcaveFn:
@@ -163,16 +167,33 @@ def verify_decomposition(points, weights, h: LogConcaveFn, s: float,
 
 
 def _contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
-    """Candidates with gap <= gap_tol, deduplicated at 1e-6 and sorted."""
+    """Candidates with gap <= gap_tol, merged at 1e-6 and sorted, as `_merge_contacts` does."""
     X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
-    kept = []
-    for x in X[hemisphere_gap(h, s, X) <= gap_tol]:
-        if not any(np.linalg.norm(x - y) <= 1e-6 for y in kept):
-            kept.append(x)
-    kept.sort(key=lambda p: tuple(p))
-    points = np.array(kept) if kept else np.zeros((0, h.n))
-    vals = (eval_h_many(h, points) ** (1.0 / s)) if kept else np.zeros(0)
-    return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)
+    h_pow = eval_h_many(h, X) ** (1.0 / s)
+    return _merge_contacts(X, h_pow, _hemisphere_gap(h_pow, X), gap_tol)
+
+
+def _merge_contacts(X: np.ndarray, h_pow: np.ndarray, gaps: np.ndarray,
+                    gap_tol: float) -> ContactSet:
+    """The rows of X with gap <= gap_tol, deduplicated at 1e-6 and sorted, with their h**(1/s).
+
+    The merge is greedy in candidate order: a candidate goes when it lies
+    within 1e-6 of an earlier kept one.  One k x k matrix holds the
+    distances, each taken with the dot product `np.linalg.norm` takes of a
+    single difference (so the 1e-6 test matches a pair loop bit for bit),
+    and the loop walks the candidates, not the pairs.
+    """
+    on = gaps <= gap_tol
+    X, h_pow = X[on], h_pow[on]
+    diff = X[:, None, :] - X[None, :, :]
+    close = np.sqrt(np.vecdot(diff, diff)) <= 1e-6
+    keep = np.ones(len(X), dtype=bool)
+    for i in range(len(X)):
+        if keep[i]:
+            keep[i + 1:] &= ~close[i, i + 1:]
+    X, h_pow = X[keep], h_pow[keep]
+    order = np.lexsort(X.T[::-1])  # lexicographic in the coordinates, as tuples sort
+    return ContactSet(points=X[order], gap_tol=gap_tol, h_values=h_pow[order])
 
 
 def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None,
@@ -196,9 +217,10 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None,
     norm = np.linalg.norm(form.a, axis=1)
     rho = 2.0 * norm / (s + np.sqrt(s * s + 4.0 * norm * norm))
     U = form.a * np.divide(rho, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
-    gaps = hemisphere_gap(h, s, U)
+    h_pow = eval_h_many(h, U) ** (1.0 / s)
+    gaps = _hemisphere_gap(h_pow, U)
     j = int(np.argmin(gaps))
     if gaps[j] < -gap_tol:
         raise NotJohnPosition(
             f"h**(1/s) falls below the hemisphere by {-gaps[j]:.3e} at {U[j]} (piece {j})")
-    return _contact_set(h, s, U, gap_tol)
+    return _merge_contacts(U, h_pow, gaps, gap_tol)

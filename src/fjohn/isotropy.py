@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .blockmat import EPoint, s_trace, trace0_array
-from .contact import hemisphere_gap
+from .contact import _hemisphere_gap
 from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
                      ZeroValueAtom)
 from .logconcave import LogConcaveFn, _positive_span, eval_h_many
@@ -38,8 +38,10 @@ class DiscreteMeasure:
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
         if P.shape[0] != m.shape[0]:
             raise ValueError("points/masses length mismatch")
-        if np.any(m <= 0.0):
-            raise ValueError("masses must be positive")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("atom points must be finite")
+        if not np.all((m > 0.0) & np.isfinite(m)):
+            raise ValueError("masses must be positive and finite")
         close = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2) < 1e-9
         i, j = np.nonzero(np.triu(close, 1))  # row-major: the first pair first
         if len(i):
@@ -109,19 +111,19 @@ class _Atoms:
     """
 
     def __init__(self, h: LogConcaveFn, s: float, nu: DiscreteMeasure):
-        gaps = hemisphere_gap(h, s, nu.points)
+        X = nu.points
+        hv = eval_h_many(h, X)
+        self.h_pow = hv ** (1.0 / s)          # h^(1/s)
+        gaps = _hemisphere_gap(self.h_pow, X)
         if np.max(np.abs(gaps)) > CONTACT_TOL:
             i = int(np.argmax(np.abs(gaps)))
             raise AtomOffContactSet(
-                f"atom {nu.points[i]} has contact gap {gaps[i]:.3e} > {CONTACT_TOL:.1e}")
-        hv = eval_h_many(h, nu.points)
+                f"atom {X[i]} has contact gap {gaps[i]:.3e} > {CONTACT_TOL:.1e}")
         if np.any(hv <= 0.0):
             raise ZeroValueAtom("h vanishes at an atom")
-        X = nu.points
         k, n = X.shape
         self.X = X
         self.m = nu.masses
-        self.h_pow = hv ** (1.0 / s)          # h^(1/s)
         self.n = n
         self.s = s
         self.w = self.m * self.h_pow

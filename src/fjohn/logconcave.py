@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionMismatch, NoCertificate, NotProper
 
 SPAN_TOL = 1e-9
+SPAN_FLOOR = 1e-3  # least weight on a unit row for `_positive_span`'s closed-form certificate
 
 
 @dataclass(frozen=True)
@@ -136,22 +137,34 @@ def _positive_span(a: np.ndarray) -> tuple[bool, np.ndarray]:
 
     Returns (True, y): y > 0 and a^T y = 0 with a of rank n (Stiemke), or
     (False, d): d != 0 and a d <= 0, a direction along which no row grows.
-    Rank below n gives d in the kernel of a.  Otherwise, with U the rows
-    scaled to unit length, z = argmin_{z >= 0} |U^T z + U^T 1|: a zero
-    residual r = U^T (1 + z) gives y = 1 + z (rescaled back to a), and a
-    nonzero one gives d = -r, since the optimality conditions read U r >= 0.
-    (k = n rows of rank n always end in d.)  Each certificate is checked to
-    SPAN_TOL relative to its scale; if neither holds, NoCertificate.
+    Rank below n gives d in the kernel of a.  Otherwise the SVD of the rank
+    test gives a closed-form candidate first: with W the first n left
+    singular vectors, y = t - W W^T t for t_j = 1/|a_j| has a^T y = 0.  With
+    U the rows scaled to unit length, the weights |a_j| y_j on U must be at
+    least SPAN_FLOOR and pass the residual check below; then y, scaled to
+    min 1, is a zero-residual optimum of the NNLS that follows, so the
+    verdict is the same.  The floor keeps rounding from certifying: on zero
+    rows plus one nonzero row the projection leaves that row a weight of 0
+    or of rounding size (4.4e-16), and the residual check passes.  Otherwise z = argmin_{z >= 0}
+    |U^T z + U^T 1|: a zero residual r = U^T (1 + z) gives y = 1 + z
+    (rescaled back to a), and a nonzero one gives d = -r, since the
+    optimality conditions read U r >= 0.  (k = n rows of rank n always end
+    in d.)  Each certificate is checked to SPAN_TOL relative to its scale;
+    if neither holds, NoCertificate.
     """
     k, n = a.shape
-    _, sv, vt = np.linalg.svd(a)
+    left, sv, vt = np.linalg.svd(a)
     if np.sum(sv > sv.max(initial=0.0) * max(k, n) * np.finfo(float).eps) < n:
         return False, vt[-1]
     norms = np.linalg.norm(a, axis=1)
     norms[norms == 0.0] = 1.0
     unit = a / norms[:, None]
-    y = 1.0 + _nnls(unit.T, -unit.sum(axis=0))
+    t = 1.0 / norms
+    y = norms * (t - left[:, :n] @ (left[:, :n].T @ t))
     r = unit.T @ y
+    if not (y.min() >= SPAN_FLOOR and np.linalg.norm(r) <= SPAN_TOL * y.sum()):
+        y = 1.0 + _nnls(unit.T, -unit.sum(axis=0))
+        r = unit.T @ y
     if np.linalg.norm(r) <= SPAN_TOL * y.sum():
         return True, y / norms
     if np.all(unit @ r >= -SPAN_TOL * np.linalg.norm(r)):

@@ -17,7 +17,7 @@ import numpy as np
 
 from fjohn import rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param
-from fjohn.contact import ContactSet, _contact_set, hemisphere_gap
+from fjohn.contact import ContactSet, hemisphere_gap
 from fjohn.errors import NotConverged, NotJohnPosition
 from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
 from fjohn.profiles import PiecewiseLinear, ProfilePair
@@ -246,14 +246,30 @@ def _refine_contact(h: LogConcaveFn, s: float, x0: np.ndarray, step: float) -> n
     return x
 
 
-def grid_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
-                  gap_tol: float = 1e-8) -> ContactSet:
-    """Contact set by a ball grid scan plus coordinate-descent refinement.
+def pairwise_contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
+    """Candidates with gap <= gap_tol, merged at 1e-6 one pair at a time, and sorted.
 
-    The cross-check for the closed form of `contact.detect_contacts`: it
-    uses h only through its values.  Raises NotJohnPosition when h**(1/s)
-    drops below the hemisphere anywhere on the grid.  Contacts closer than
-    about one grid step are merged.
+    The reference for `contact._contact_set`: a candidate is kept unless it
+    lies within 1e-6 of an earlier kept one, tested pair by pair, and h is
+    evaluated again at the kept points.
+    """
+    X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
+    kept = []
+    for x in X[hemisphere_gap(h, s, X) <= gap_tol]:
+        if not any(np.linalg.norm(x - y) <= 1e-6 for y in kept):
+            kept.append(x)
+    kept.sort(key=lambda p: tuple(p))
+    points = np.array(kept) if kept else np.zeros((0, h.n))
+    vals = (eval_h_many(h, points) ** (1.0 / s)) if kept else np.zeros(0)
+    return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)
+
+
+def grid_candidates(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
+                    gap_tol: float = 1e-8) -> list[np.ndarray]:
+    """The refined grid minimizers of the hemisphere gap that `grid_contacts` merges.
+
+    Raises NotJohnPosition when h**(1/s) drops below the hemisphere anywhere
+    on the grid.
     """
     n = h.n
     axes = [np.linspace(-1.0, 1.0, grid_per_axis)] * n
@@ -286,7 +302,19 @@ def grid_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
         if best:
             candidates.append(x)
 
-    return _contact_set(h, s, [_refine_contact(h, s, x, step) for x in candidates], gap_tol)
+    return [_refine_contact(h, s, x, step) for x in candidates]
+
+
+def grid_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
+                  gap_tol: float = 1e-8) -> ContactSet:
+    """Contact set by a ball grid scan plus coordinate-descent refinement.
+
+    The cross-check for the closed form of `contact.detect_contacts`: it
+    uses h only through its values.  Raises NotJohnPosition when h**(1/s)
+    drops below the hemisphere anywhere on the grid.  Contacts closer than
+    about one grid step are merged.
+    """
+    return pairwise_contact_set(h, s, grid_candidates(h, s, grid_per_axis, gap_tol), gap_tol)
 
 
 # --- profiles -----------------------------------------------------------------------------

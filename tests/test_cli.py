@@ -96,6 +96,7 @@ class TestVerifyCommand:
         assert res.returncode == 1
 
 
+NAN, INF = float("nan"), float("inf")  # json writes and reads them as NaN and Infinity
 G_KNOTS = {"xs": [-1.0, 1.0], "ys": [1.0, 0.0]}
 # f = 0.2 left of -1: fails f3_zero_left, which ConvolutionProfile assumes
 F_NONZERO_LEFT = {"f": {"xs": [-1.0, 0.5], "ys": [0.2, 1.5]}, "g": G_KNOTS}
@@ -121,11 +122,35 @@ class TestMalformedInput:
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5), []),
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8), []),
         ("sweep-r", lambda i: i.update(profile=F_NONZERO_LEFT), []),
+        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[NAN]), []),
+        ("verify", lambda i: i["h"]["pieces"][1].update(b=INF), []),
+        ("minimize-i1", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN), []),
+        ("coercivity", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN), []),
+        ("verify", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN), []),
+        ("verify", lambda i: i["contacts"]["weights"].__setitem__(0, NAN), []),
+        ("minimize-i1", lambda i: i.update(
+            nu={"atoms": [{"x": p, "m": NAN} for p in i["contacts"]["points"]]}), []),
+        ("coercivity", lambda i: i.update(
+            nu={"atoms": [{"x": p, "m": INF} for p in i["contacts"]["points"]]}), []),
+        ("coercivity", lambda i: i.update(
+            nu={"atoms": [{"x": [NAN], "m": 1.0}] + [{"x": p, "m": 1.0}
+                                                    for p in i["contacts"]["points"]]}), []),
+        ("contacts", lambda i: i["tolerances"].update(gap_tol=NAN), []),
+        ("minimize-i1", lambda i: (i.pop("contacts"), i["tolerances"].update(gap_tol=-1e-8)), []),
+        ("minimize-i1", lambda i: i["tolerances"].update(minimize_tol=NAN), []),
+        ("sweep-r", lambda i: i["tolerances"].update(minimize_tol=0.0), []),
+        ("verify", lambda i: i["tolerances"].update(decomposition_tol="abc"), []),
+        ("verify", lambda i: i.update(tolerances=[1e-8]), []),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
             "x-nodes-not-a-number", "negative-s", "zero-s", "x-nodes-zero",
-            "x-nodes-negative", "x-nodes-below-four-panels", "f-nonzero-at-minus-one"])
+            "x-nodes-negative", "x-nodes-below-four-panels", "f-nonzero-at-minus-one",
+            "nan-piece-slope", "infinite-piece-intercept", "nan-contact-point-minimize",
+            "nan-contact-point-coercivity", "nan-contact-point-verify", "nan-contact-weight",
+            "nan-nu-mass", "infinite-nu-mass", "nan-nu-point", "nan-gap-tol",
+            "negative-gap-tol-detected-contacts", "nan-minimize-tol", "zero-minimize-tol",
+            "decomposition-tol-not-a-number", "tolerances-not-an-object"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
                                            mutate, extra):
         inst = json.loads(two_level_instance.read_text())

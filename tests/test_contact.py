@@ -6,7 +6,7 @@ from fjohn.contact import (_contact_set, cross_fixture, detect_contacts, hemisph
 from fjohn.errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from fjohn.isotropy import DiscreteMeasure, check_isotropy
 from fjohn.logconcave import eval_h_many, make_log_concave
-from oracles import grid_contacts
+from oracles import grid_candidates, grid_contacts, pairwise_contact_set
 
 
 class TestMakeTangentInstance:
@@ -182,6 +182,51 @@ class TestDetectContacts:
         for order, kept in (([c, a, b], [a, c]), ([b, a, c], [b])):
             cs = _contact_set(h, 1.0, np.array(order)[:, None], gap_tol=1.0)
             assert cs.points[:, 0].tolist() == kept
+
+
+class TestMergeMatchesPairLoop:
+    """`_contact_set`'s distance-matrix merge keeps what the pair loop keeps, in its order."""
+
+    @staticmethod
+    def assert_same(h, s, candidates, gap_tol=1.0):
+        got = _contact_set(h, s, candidates, gap_tol)
+        want = pairwise_contact_set(h, s, candidates, gap_tol)
+        assert got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.h_values.tobytes() == want.h_values.tobytes()
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_clusters_and_pairs(self, n):
+        h = two_level_cross_fixture(n, 1.0, 0.4, 0.8)[0]
+        rng = np.random.default_rng(n)
+        centers = rng.uniform(-0.5, 0.5, size=(5, n))
+        clusters = np.repeat(centers, 4, axis=0) + 1e-7 * rng.standard_normal((20, n))
+        step = rng.standard_normal((5, n))
+        step *= 2e-6 / np.linalg.norm(step, axis=1, keepdims=True)
+        pairs = np.vstack([centers + 0.1, centers + 0.1 + step])
+        for cands, kept in ((clusters, 5), (pairs, 10)):
+            for perm in (np.arange(len(cands)), rng.permutation(len(cands))):
+                assert len(self.assert_same(h, 1.0, cands[perm]).points) == kept
+
+    def test_chain_depends_on_order(self):
+        # links 0.8e-6 apart: which links survive depends on where the walk starts
+        h = two_level_cross_fixture(2, 1.0, 0.4, 0.8)[0]
+        chain = np.array([0.3, -0.2]) + np.outer(np.arange(6) * 0.8e-6, [0.6, 0.8])
+        assert len(self.assert_same(h, 1.0, chain).points) == 3
+        assert len(self.assert_same(h, 1.0, chain[[1, 4, 0, 2, 3, 5]]).points) == 2
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            self.assert_same(h, 1.0, chain[rng.permutation(6)])
+
+    def test_grid_oracle_candidates(self):
+        # two grid minimizers refine onto the same contact, which the merge joins
+        rng = np.random.default_rng(200)
+        pts = _spread_points(rng, 2, 4, 0.1)
+        h = make_tangent_instance(pts, 1.5)
+        cands = grid_candidates(h, 1.5, 61)
+        cs = self.assert_same(h, 1.5, cands, gap_tol=1e-8)
+        assert len(cands) > len(cs.points) == 4
 
 
 def _spread_points(rng, n, count, min_dist):

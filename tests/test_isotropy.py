@@ -385,6 +385,17 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([[0.0], [0.5], [0.5 + 5e-10]]), np.ones(3))
         assert len(DiscreteMeasure(np.array([[0.0], [0.5], [0.5 + 2e-9]]), np.ones(3)).points) == 3
 
+    @pytest.mark.parametrize("points,masses,message", [
+        ([[0.0], [np.nan]], [1.0, 1.0], "points must be finite"),
+        ([[0.0], [np.inf]], [1.0, 1.0], "points must be finite"),
+        ([[0.0], [0.5]], [1.0, np.nan], "masses must be positive and finite"),
+        ([[0.0], [0.5]], [np.inf, 1.0], "masses must be positive and finite"),
+        ([[0.0], [0.5]], [1.0, 0.0], "masses must be positive and finite"),
+    ])
+    def test_rejects_non_finite_atoms(self, points, masses, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(np.array(points), np.array(masses))
+
 
 class TestCheckIsotropy:
     def test_cross_weights(self):

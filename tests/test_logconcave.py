@@ -265,6 +265,48 @@ class TestPositiveSpan:
             assert_certificate(a * np.array(scale)[:, None], spans, y)
 
     def test_unchecked_certificate_raises(self, monkeypatch):
+        # the closed form gives the row 1.0 a weight of -2, so the (patched) NNLS decides
         monkeypatch.setattr(logconcave, "_nnls", lambda E, f: np.zeros(E.shape[1]))
         with pytest.raises(NoCertificate):
-            _positive_span(np.array([[1.0], [-1.0], [-1.0]]))
+            _positive_span(np.array([[1.0], [0.01], [0.01], [0.01], [-0.01]]))
+
+    @pytest.mark.parametrize("nonzero", [-0.9807074973666587, 0.9137633127354792, 14.29])
+    def test_zero_rows_and_one_row_do_not_span(self, nonzero):
+        # the projection leaves the nonzero row a weight of 0 or of rounding size
+        # (4.4e-16 for the first after two zero rows), with a residual that passes:
+        # SPAN_FLOOR is what refuses it
+        for zeros in (1, 2, 5):
+            a = np.vstack([np.zeros((zeros, 1)), [[nonzero]]])
+            spans, d = _positive_span(a)
+            assert not spans
+            assert_certificate(a, spans, d)
+
+    def test_pipeline_inputs_need_no_nnls(self, monkeypatch):
+        """The gradients `check_proper` takes and the design matrices of the shipped
+        instances, the two-level cross and rotated two-level frames are decided by the
+        rank test or the closed form alone."""
+        def no_nnls(E, f):
+            raise AssertionError("NNLS reached")
+
+        rng = np.random.default_rng(23)
+        cases = []
+        for path in sorted(INSTANCES.glob("*.json")):
+            inst = json.loads(path.read_text())
+            h = make_log_concave([p["a"] for p in inst["h"]["pieces"]],
+                                 [p["b"] for p in inst["h"]["pieces"]], inst["s"],
+                                 inst["h"]["domain_radius"])
+            cases.append((h, np.array(inst["contacts"]["points"])))
+        h, cs, _ = two_level_cross_fixture(1, 1.0, 0.4, 0.8)
+        cases.append((h, cs.points))
+        for n in (1, 2, 3):
+            for _ in range(3):
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                pts = two_level_frames(n) @ q
+                cases.append((make_tangent_instance(pts, 1.0), pts))
+        phis = [_Atoms(h, h.s, counting_measure(pts)).phi for h, pts in cases]
+        monkeypatch.setattr(logconcave, "_nnls", no_nnls)
+        verdicts = set()
+        for (h, _), phi in zip(cases, phis):
+            check_proper(h)
+            verdicts.add(_positive_span(phi)[0])
+        assert verdicts == {True, False}
