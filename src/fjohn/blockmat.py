@@ -121,11 +121,6 @@ def s_trace(b: BlockMat, s: float) -> float:
     return float(s * b.corner + np.trace(b.diag))
 
 
-def expm_sym(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via eigendecomposition."""
-    return _expm_sym_eig(S)[0]
-
-
 def _expm_sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(exp S, lam, V) for the eigendecomposition S = V diag(lam) V^T of S's symmetric part."""
     S = 0.5 * (S + S.T)
@@ -139,7 +134,7 @@ def sdet1_param(S: np.ndarray, s: float) -> tuple[np.ndarray, float]:
 
     A = exp(S), alpha = exp(-trace(S)/s), so alpha**s * det(A) = 1 exactly.
     """
-    A = expm_sym(np.asarray(S, dtype=float))
+    A = _expm_sym_eig(np.asarray(S, dtype=float))[0]
     alpha = float(np.exp(-np.trace(S) / s))
     return A, alpha
 

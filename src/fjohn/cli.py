@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import contact
-from .errors import (DivergingIterates, FJohnError, InfeasibleWeights, NotConverged,
-                     NotJohnPosition, NotProper)
+from .errors import FJohnError, InfeasibleWeights, NotConverged, NotProper
 from .logconcave import LogConcaveFn, check_proper, make_log_concave
 
 # A command imports the rest of the package where it first needs it, so a cold
@@ -100,6 +99,14 @@ def _tolerance(inst: dict, key: str, default: float) -> float:
     if not _is_number(tol) or tol <= 0:
         raise InputError(f"tolerances.{key} must be a positive number, got {tol!r}")
     return tol
+
+
+def _r_schedule(inst: dict) -> list:
+    """The instance's `r_schedule`, which must be a list of numbers in (1/2, 1)."""
+    schedule = inst.get("r_schedule", [0.8, 0.9, 0.95, 0.99])
+    if not (isinstance(schedule, list) and all(_is_number(r) and 0.5 < r < 1.0 for r in schedule)):
+        raise InputError(f"r_schedule must be a list of numbers in (1/2, 1), got {schedule!r}")
+    return schedule
 
 
 def load_instance(path: str) -> dict:
@@ -393,11 +400,11 @@ def cmd_sweep_r(args) -> int:
         raise InputError(f"profile unfit for the band functionals ({exc})")
     F = ConvolutionProfile(pair)
     quad = build_quad(inst)
+    schedule = _r_schedule(inst)
     s = inst["s"]
     tol = _tolerance(inst, "minimize_tol", 1e-10)
     ref = isotropy.minimize_functional(h, s, nu, F, tol=tol)
     mu0 = isotropy.extract_measure(ref, h, s, nu, F)
-    schedule = inst.get("r_schedule", [0.8, 0.9, 0.95, 0.99])
     sweep = rfamily.r_sweep(h, s, pair, schedule, quad, ref, mu0)
     rows = []
     for e in sweep.entries:
@@ -512,9 +519,6 @@ def main(argv=None) -> int:
     except (InputError, InfeasibleWeights) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotJohnPosition, DivergingIterates) as exc:
-        print(f"math failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         print("solver record: " + _dumps({"reason": exc.reason, "iterations": exc.iterations,

@@ -33,46 +33,32 @@ class DecompositionReport:
     residual_d: float
     tol: float
 
-    @property
-    def pass_a(self) -> bool:
-        return self.residual_a <= self.tol
-
-    @property
-    def pass_b(self) -> bool:
-        return self.residual_b <= self.tol
-
-    @property
-    def pass_c(self) -> bool:
-        return self.residual_c <= self.tol
-
-    @property
-    def pass_d(self) -> bool:
-        return self.residual_d <= self.tol
+    def _passes(self) -> dict:
+        """Condition -> residual <= tol, the one pass rule (a NaN residual fails)."""
+        return {k: getattr(self, f"residual_{k}") <= self.tol for k in "abcd"}
 
     @property
     def ok(self) -> bool:
-        return self.pass_a and self.pass_b and self.pass_c and self.pass_d
+        return all(self._passes().values())
 
     def as_dict(self) -> dict:
+        passes = self._passes()
         return {
             "residual_a": self.residual_a,
             "residual_b": self.residual_b,
             "residual_c": self.residual_c,
             "residual_d": self.residual_d,
             "tol": self.tol,
-            "pass": {"a": self.pass_a, "b": self.pass_b, "c": self.pass_c, "d": self.pass_d},
-            "ok": self.ok,
+            "pass": passes,
+            "ok": all(passes.values()),
         }
 
 
-def hemisphere_gap(h: LogConcaveFn, s: float, X: np.ndarray) -> np.ndarray:
-    """h(x)**(1/s) - sqrt(1 - |x|^2) on rows of X (nonnegative in John position)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _hemisphere_gap(eval_h_many(h, X) ** (1.0 / s), X)
-
-
 def _hemisphere_gap(h_pow: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """`hemisphere_gap` from h**(1/s) at the rows of X, for callers that keep those values."""
+    """h(x)**(1/s) - sqrt(1 - |x|^2) at the rows of X, from h_pow = h**(1/s) there.
+
+    Nonnegative on the unit ball in John position, and zero at the contacts.
+    """
     r2 = np.sum(X * X, axis=1)
     return h_pow - np.sqrt(np.clip(1.0 - r2, 0.0, None))
 
@@ -92,10 +78,22 @@ def make_tangent_instance(points, s: float, domain_radius: float | None = None) 
     return make_log_concave(a, b, s, domain_radius)
 
 
-def _contact_set_for(h: LogConcaveFn, s: float, points: np.ndarray,
-                     gap_tol: float = 1e-10) -> ContactSet:
-    vals = eval_h_many(h, points) ** (1.0 / s)
-    return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)
+def _axis_cross(n: int, s: float,
+                levels: list[tuple[float, float]]) -> tuple[LogConcaveFn, ContactSet, np.ndarray]:
+    """Tangent instance at the points +-rho e_j, one ring per (rho^2, weight) level.
+
+    Returns h, the contact set (the points in ring, axis, sign order, with
+    their h**(1/s)) and one weight per point.
+    """
+    pts = []
+    for rho_sq, _ in levels:
+        E = np.sqrt(rho_sq) * np.eye(n)
+        pts.append(np.stack([E, -E], axis=1).reshape(2 * n, n))
+    points = np.vstack(pts)
+    weights = np.repeat([c for _, c in levels], 2 * n)
+    h = make_tangent_instance(points, s)
+    h_pow = eval_h_many(h, points) ** (1.0 / s)
+    return h, ContactSet(points=points, gap_tol=1e-10, h_values=h_pow), weights
 
 
 def cross_fixture(n: int, s: float):
@@ -105,16 +103,7 @@ def cross_fixture(n: int, s: float):
     exactly.  Degenerate for the minimization (one flat direction), so it is
     used for certificate tests only.
     """
-    rho = np.sqrt(n / (n + s))
-    pts = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = rho
-        pts.extend([e.copy(), -e.copy()])
-    points = np.array(pts)
-    weights = np.full(2 * n, (n + s) / (2.0 * n))
-    h = make_tangent_instance(points, s)
-    return h, _contact_set_for(h, s, points), weights
+    return _axis_cross(n, s, [(n / (n + s), (n + s) / (2.0 * n))])
 
 
 def two_level_cross_fixture(n: int, s: float, rho1_sq: float, rho2_sq: float):
@@ -136,18 +125,7 @@ def two_level_cross_fixture(n: int, s: float, rho1_sq: float, rho2_sq: float):
     c1, c2 = np.linalg.solve(A, np.array([1.0, s]))
     if c1 <= 0.0 or c2 <= 0.0:
         raise InfeasibleWeights(f"nonpositive weights c1={c1:.6g}, c2={c2:.6g}")
-    pts, wts = [], []
-    for rho_sq, c in ((rho1_sq, c1), (rho2_sq, c2)):
-        rho = np.sqrt(rho_sq)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = rho
-            pts.extend([e.copy(), -e.copy()])
-            wts.extend([c, c])
-    points = np.array(pts)
-    weights = np.array(wts)
-    h = make_tangent_instance(points, s)
-    return h, _contact_set_for(h, s, points), weights
+    return _axis_cross(n, s, [(rho1_sq, c1), (rho2_sq, c2)])
 
 
 def verify_decomposition(points, weights, h: LogConcaveFn, s: float,
@@ -156,21 +134,13 @@ def verify_decomposition(points, weights, h: LogConcaveFn, s: float,
     U = np.atleast_2d(np.asarray(points, dtype=float))
     c = np.asarray(weights, dtype=float)
     n = U.shape[1]
-    r2 = np.sum(U * U, axis=1)
     h_pow = eval_h_many(h, U) ** (1.0 / s)
-    res_a = float(np.max(np.abs(h_pow - np.sqrt(np.clip(1.0 - r2, 0.0, None)))))
+    res_a = float(np.max(np.abs(_hemisphere_gap(h_pow, U))))
     M = (U.T * c) @ U
     res_b = float(np.linalg.norm(M - np.eye(n), ord="fro"))
     res_c = float(abs(np.dot(c, h_pow**2) - s))
     res_d = float(np.linalg.norm(c @ U))
     return DecompositionReport(res_a, res_b, res_c, res_d, tol)
-
-
-def _contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
-    """Candidates with gap <= gap_tol, merged at 1e-6 and sorted, as `_merge_contacts` does."""
-    X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
-    h_pow = eval_h_many(h, X) ** (1.0 / s)
-    return _merge_contacts(X, h_pow, _hemisphere_gap(h_pow, X), gap_tol)
 
 
 def _merge_contacts(X: np.ndarray, h_pow: np.ndarray, gaps: np.ndarray,

@@ -323,7 +323,7 @@ def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,
     return DiscreteMeasure(at.X[keep], w[keep])
 
 
-def check_isotropy(mu: DiscreteMeasure, s: float, tol: float = 1e-8) -> IsotropyReport:
+def check_isotropy(mu: DiscreteMeasure, s: float) -> IsotropyReport:
     """Least-squares multiplier and residuals of the isotropy/centering identities."""
     U, m = mu.points, mu.masses
     n = U.shape[1]

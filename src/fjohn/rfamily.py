@@ -473,8 +473,9 @@ def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]
 
     theta = (upper triangle of S, v), the coordinates of `_minimize_band`,
     stands for the position (exp S, exp(-tr S / s), v).  The one eigh of S
-    that `expm_sym` takes gives both A = exp S and the gradient below, so the
-    value is `_band_value` at the `sdet1_param` position bit for bit.
+    in `_expm_sym_eig`, which `sdet1_param` takes too, gives both A = exp S
+    and the gradient below, so the value is `_band_value` at the
+    `sdet1_param` position bit for bit.
     With c = h(y)^(1/s)/alpha at y = Ax + v and the inner integral I(c^2),
     each open node contributes W c I(c^2), so the gradient is
     sum W c (I + 2 c^2 I') d(log c), where d(log c) = -(1/s) a_j(y) . dy
@@ -625,20 +626,23 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     """
     _check_max_iter(max_iter)
     band = _Band(h, s, pair, r, quad)
-    point = _minimize_band(band, x0, max_iter).point
+    theta0 = None if x0 is None else np.concatenate([_logm_sym(x0.mat.diag)[band.upper], x0.shift])
+    point = _minimize_band(band, theta0, max_iter).point
     return point, _density_sums(band, point, [])[1]
 
 
-def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
+def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
                    hessian: np.ndarray | None = None) -> BandMinimum:
     """minimize_band on a prepared band geometry, as a solver record.
 
-    Every evaluation is one `_band_value_grad` call on theta itself; the
-    position is built once, for the result.  Without a `hessian`
-    (in theta at x0) the loop starts from one built from forward differences
-    of the gradient with step fd = 1e-4 (1-r), theta's scale being 1-r, the
-    width of the band; its eigenvalues are floored in magnitude, so the
-    model starts positive definite.  Each step is Newton on the model
+    theta0 is the start in theta (None: theta = 0); `minimize_band`
+    and `r_sweep` convert their starts once.  Every evaluation is one
+    `_band_value_grad` call on theta; the position is built once, for the
+    result.  Without a `hessian` (in theta at theta0) the loop starts from
+    one built from forward differences of the gradient with step
+    fd = 1e-4 (1-r), theta's scale being 1-r, the width of the band; its
+    eigenvalues are floored in magnitude, so the model starts positive
+    definite.  Each step is Newton on the model
     (floored again), halved until Armijo (1e-4) holds on the value; +inf
     beyond the coercive barrier is a rejection.  An accepted step s with
     gradient change y updates the model by BFGS, skipped when s.y <= 0, so
@@ -685,10 +689,7 @@ def _minimize_band(band: _Band, x0: EPoint | None, max_iter: int,
         lam, V = _floored(0.5 * (np.array(cols) + np.array(cols).T))
         return (V * lam) @ V.T
 
-    if x0 is not None:
-        theta = np.concatenate([_logm_sym(x0.mat.diag)[upper], x0.shift])
-    else:
-        theta = np.zeros(len(upper[0]) + n)
+    theta = np.zeros(len(upper[0]) + n) if theta0 is None else theta0
     value, grad = evaluate(theta)
     if not np.isfinite(value):
         raise NotConverged("band functional infinite at the starting point",
@@ -827,17 +828,16 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     prev = None
     for r in schedule:
         try:
+            band = _Band(h, s, pair, r, quad)
             if prev is not None:
                 r_prev, p_prev, hess_prev = prev
                 scale = (1.0 - r) / (1.0 - r_prev)
                 A0 = np.eye(n) + scale * (p_prev.mat.diag - np.eye(n))
-                x0 = EPoint(BlockMat(A0, 1.0 + scale * (p_prev.mat.corner - 1.0)),
-                            scale * p_prev.shift)
+                theta0 = np.concatenate([_logm_sym(A0)[band.upper], scale * p_prev.shift])
                 hess0 = hess_prev / scale
             else:
-                x0 = hess0 = None
-            band = _Band(h, s, pair, r, quad)
-            solver = _minimize_band(band, x0, 400, hess0)
+                theta0 = hess0 = None
+            solver = _minimize_band(band, theta0, 400, hess0)
             point, value = solver.point, solver.value
             mu_vals, lam_r = _density_sums(band, point, bumps)
         except (NotConverged, NotInBr, SingularA) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from fjohn import rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param
-from fjohn.contact import ContactSet, hemisphere_gap
+from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
 from fjohn.errors import NotConverged, NotJohnPosition
 from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
 from fjohn.profiles import PiecewiseLinear, ProfilePair
@@ -246,10 +246,27 @@ def _refine_contact(h: LogConcaveFn, s: float, x0: np.ndarray, step: float) -> n
     return x
 
 
+def hemisphere_gap(h: LogConcaveFn, s: float, X) -> np.ndarray:
+    """h(x)**(1/s) - sqrt(1 - |x|^2) on rows of X, through `contact._hemisphere_gap`."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _hemisphere_gap(eval_h_many(h, X) ** (1.0 / s), X)
+
+
+def merged_contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
+    """Candidates with gap <= gap_tol through the package's merge, `contact._merge_contacts`.
+
+    What `contact.detect_contacts` does with its tangency points, on any
+    candidates; `pairwise_contact_set` is its reference.
+    """
+    X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
+    h_pow = eval_h_many(h, X) ** (1.0 / s)
+    return _merge_contacts(X, h_pow, _hemisphere_gap(h_pow, X), gap_tol)
+
+
 def pairwise_contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
     """Candidates with gap <= gap_tol, merged at 1e-6 one pair at a time, and sorted.
 
-    The reference for `contact._contact_set`: a candidate is kept unless it
+    The reference for `merged_contact_set`: a candidate is kept unless it
     lies within 1e-6 of an earlier kept one, tested pair by pair, and h is
     evaluated again at the kept points.
     """

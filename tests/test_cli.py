@@ -81,6 +81,16 @@ class TestVerifyCommand:
         assert payload["command"] == "verify"
         assert payload["result"]["ok"] is True
 
+    @pytest.mark.parametrize("name", ["cross", "two-level-cross"])
+    @pytest.mark.parametrize("n,s", [(2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)])
+    def test_fixture_file_verifies(self, name, n, s, tmp_path, capsys):
+        # written by `fixture`, read back by `verify`: both crosses hold all four conditions
+        path = tmp_path / "inst.json"
+        assert cli.main(["fixture", name, "--n", str(n), "--s", str(s), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--instance", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["ok"] is True
+
     def test_verify_fails_on_broken_weights(self, two_level_instance, tmp_path):
         inst = json.loads(two_level_instance.read_text())
         inst["contacts"]["weights"][0] *= 1.2
@@ -141,6 +151,11 @@ class TestMalformedInput:
         ("sweep-r", lambda i: i["tolerances"].update(minimize_tol=0.0), []),
         ("verify", lambda i: i["tolerances"].update(decomposition_tol="abc"), []),
         ("verify", lambda i: i.update(tolerances=[1e-8]), []),
+        ("sweep-r", lambda i: i.update(r_schedule=["abc"]), []),
+        ("sweep-r", lambda i: i.update(r_schedule=0.9), []),
+        ("sweep-r", lambda i: i.update(r_schedule=True), []),
+        ("sweep-r", lambda i: i.update(r_schedule=[NAN]), []),
+        ("sweep-r", lambda i: i.update(r_schedule=[1.5]), []),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
@@ -150,7 +165,9 @@ class TestMalformedInput:
             "nan-contact-point-coercivity", "nan-contact-point-verify", "nan-contact-weight",
             "nan-nu-mass", "infinite-nu-mass", "nan-nu-point", "nan-gap-tol",
             "negative-gap-tol-detected-contacts", "nan-minimize-tol", "zero-minimize-tol",
-            "decomposition-tol-not-a-number", "tolerances-not-an-object"])
+            "decomposition-tol-not-a-number", "tolerances-not-an-object",
+            "r-schedule-string-entry", "r-schedule-not-a-list", "r-schedule-boolean",
+            "r-schedule-nan-entry", "r-schedule-entry-above-one"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
                                            mutate, extra):
         inst = json.loads(two_level_instance.read_text())

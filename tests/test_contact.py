@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from fjohn.contact import (_contact_set, cross_fixture, detect_contacts, hemisphere_gap,
+from fjohn.contact import (DecompositionReport, cross_fixture, detect_contacts,
                            make_tangent_instance, two_level_cross_fixture, verify_decomposition)
 from fjohn.errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from fjohn.isotropy import DiscreteMeasure, check_isotropy
 from fjohn.logconcave import eval_h_many, make_log_concave
-from oracles import grid_candidates, grid_contacts, pairwise_contact_set
+from oracles import (grid_candidates, grid_contacts, hemisphere_gap, merged_contact_set,
+                     pairwise_contact_set)
 
 
 class TestMakeTangentInstance:
@@ -120,6 +121,13 @@ class TestVerifyDecomposition:
         assert rep.residual_d <= 1e-14
         assert rep.residual_b == pytest.approx(abs(t - 1) * np.sqrt(2), rel=1e-10)
 
+    def test_nan_residual_fails(self):
+        # ok and the report's pass object come from one rule, under which NaN fails
+        rep = DecompositionReport(0.0, float("nan"), 0.0, 0.0, 1e-8)
+        assert not rep.ok
+        assert rep.as_dict()["pass"] == {"a": True, "b": False, "c": True, "d": True}
+        assert rep.as_dict()["ok"] is False
+
 
 class TestDetectContacts:
     def test_single_tangent_point(self):
@@ -180,16 +188,16 @@ class TestDetectContacts:
         h = two_level_cross_fixture(1, 1.0, 0.4, 0.8)[0]
         a, b, c = 0.5, 0.5 + 0.8e-6, 0.5 + 1.6e-6
         for order, kept in (([c, a, b], [a, c]), ([b, a, c], [b])):
-            cs = _contact_set(h, 1.0, np.array(order)[:, None], gap_tol=1.0)
+            cs = merged_contact_set(h, 1.0, np.array(order)[:, None], gap_tol=1.0)
             assert cs.points[:, 0].tolist() == kept
 
 
 class TestMergeMatchesPairLoop:
-    """`_contact_set`'s distance-matrix merge keeps what the pair loop keeps, in its order."""
+    """`_merge_contacts`'s distance-matrix merge keeps what the pair loop keeps, in its order."""
 
     @staticmethod
     def assert_same(h, s, candidates, gap_tol=1.0):
-        got = _contact_set(h, s, candidates, gap_tol)
+        got = merged_contact_set(h, s, candidates, gap_tol)
         want = pairwise_contact_set(h, s, candidates, gap_tol)
         assert got.points.shape == want.points.shape
         assert got.points.tobytes() == want.points.tobytes()

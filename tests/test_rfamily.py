@@ -442,8 +442,8 @@ class TestMinimizeBand:
         mu0 = extract_measure(ref, h, S, nu, F)
         original = rfamily._minimize_band
 
-        def miscaled(band, x0, max_iter, hessian):
-            return original(band, x0, max_iter, None if hessian is None else scale * hessian)
+        def miscaled(band, theta0, max_iter, hessian):
+            return original(band, theta0, max_iter, None if hessian is None else scale * hessian)
 
         monkeypatch.setattr(rfamily, "_minimize_band", miscaled)
         sweep = r_sweep(h, S, pair, [0.8, 0.9, 0.95, 0.99], quad, ref, mu0)
@@ -1200,10 +1200,10 @@ class TestSweepErrors:
     def _failing_at(monkeypatch, bad_r):
         original = rfamily._minimize_band
 
-        def flaky(band, x0, max_iter, hessian):
+        def flaky(band, theta0, max_iter, hessian):
             if band.r == bad_r:
                 raise NotConverged("band functional infinite at the starting point")
-            return original(band, x0, max_iter, hessian)
+            return original(band, theta0, max_iter, hessian)
 
         monkeypatch.setattr(rfamily, "_minimize_band", flaky)
 
