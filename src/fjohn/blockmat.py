@@ -1,12 +1,12 @@
-"""Block-matrix algebra for pairs (M + corner block, shift vector).
+"""Points (M + corner block, shift vector) as frozen values.
 
-The objects here are (n+1)x(n+1) matrices with an n x n symmetric block M,
-a scalar corner beta and zero off-blocks, optionally paired with a shift
-vector w in R^n.  They carry the weighted trace, the flat form
-`EPoint.vec` (in which the Frobenius-type inner product is a plain dot
-product), the pairs of unit weighted determinant corner^s det(M) as images
-of symmetric matrices, and the orthonormal basis of the weighted-trace-zero
-subspace in closed form, as one array of flat rows for the minimizers.
+A point is an (n+1)x(n+1) block matrix (n x n symmetric block M, scalar corner
+beta, zero off-blocks) with a shift vector w in R^n.  Points carry no
+arithmetic: all of it is numpy's on the flat form `EPoint.vec` (back with
+`EPoint.from_vec`), in which the inner product is a dot product.  Also here:
+the weighted trace, the pairs of unit weighted determinant corner^s det(M) as
+images of symmetric matrices, and the closed-form orthonormal basis of the
+weighted-trace-zero subspace.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class BlockMat:
         d = np.asarray(self.diag, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch(f"diag must be square, got shape {d.shape}")
-        upper = np.triu(d)
-        object.__setattr__(self, "diag", _freeze(upper + np.triu(d, 1).T))
+        object.__setattr__(self, "diag", _freeze(np.triu(d) + np.triu(d, 1).T))
         object.__setattr__(self, "corner", float(self.corner))
 
     @property
@@ -49,26 +48,8 @@ class BlockMat:
         return self.diag.shape[0]
 
     @staticmethod
-    def zero(n: int) -> "BlockMat":
-        return BlockMat(np.zeros((n, n)), 0.0)
-
-    @staticmethod
     def identity(n: int, corner: float = 1.0) -> "BlockMat":
         return BlockMat(np.eye(n), corner)
-
-    def __add__(self, other: "BlockMat") -> "BlockMat":
-        return BlockMat(self.diag + other.diag, self.corner + other.corner)
-
-    def __sub__(self, other: "BlockMat") -> "BlockMat":
-        return BlockMat(self.diag - other.diag, self.corner - other.corner)
-
-    def __mul__(self, t: float) -> "BlockMat":
-        return BlockMat(self.diag * t, self.corner * t)
-
-    __rmul__ = __mul__
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.diag**2) + self.corner**2))
 
 
 @dataclass(frozen=True)
@@ -88,21 +69,6 @@ class EPoint:
     def n(self) -> int:
         return self.mat.n
 
-    @staticmethod
-    def zero(n: int) -> "EPoint":
-        return EPoint(BlockMat.zero(n), np.zeros(n))
-
-    def __add__(self, other: "EPoint") -> "EPoint":
-        return EPoint(self.mat + other.mat, self.shift + other.shift)
-
-    def __sub__(self, other: "EPoint") -> "EPoint":
-        return EPoint(self.mat - other.mat, self.shift - other.shift)
-
-    def __mul__(self, t: float) -> "EPoint":
-        return EPoint(self.mat * t, self.shift * t)
-
-    __rmul__ = __mul__
-
     @property
     def vec(self) -> np.ndarray:
         """Flat form in R^(n^2+1+n): M row-major, then beta, then w."""
@@ -111,9 +77,6 @@ class EPoint:
     @staticmethod
     def from_vec(v: np.ndarray, n: int) -> "EPoint":
         return EPoint(BlockMat(v[:n * n].reshape(n, n), v[n * n]), v[n * n + 1:])
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.mat.frobenius_norm() ** 2 + np.dot(self.shift, self.shift)))
 
 
 def s_trace(b: BlockMat, s: float) -> float:

@@ -35,6 +35,12 @@ EXIT_NOT_CONVERGED = 3
 
 SCHEMA_VERSION = 1
 
+# The instance schema's defaults: `fixture` writes them, and every reader falls back to them.
+INSTANCE_DEFAULTS = {
+    "r_schedule": [0.8, 0.9, 0.95, 0.99], "quadrature": {"x_nodes_per_axis": 960}, "seed": 0,
+    "tolerances": {"gap_tol": 1e-8, "minimize_tol": 1e-10, "decomposition_tol": 1e-8},
+}
+
 
 class InputError(Exception):
     pass
@@ -90,12 +96,9 @@ def _check_s(s) -> None:
         raise InputError(f"s must be a positive number, got {s!r}")
 
 
-def _tolerance(inst: dict, key: str, default: float) -> float:
+def _tolerance(inst: dict, key: str) -> float:
     """The instance's `tolerances.<key>`, which must be a positive finite number."""
-    tols = inst.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise InputError(f"tolerances must be an object, got {tols!r}")
-    tol = tols.get(key, default)
+    tol = {**INSTANCE_DEFAULTS["tolerances"], **inst.get("tolerances", {})}[key]
     if not _is_number(tol) or tol <= 0:
         raise InputError(f"tolerances.{key} must be a positive number, got {tol!r}")
     return tol
@@ -103,7 +106,7 @@ def _tolerance(inst: dict, key: str, default: float) -> float:
 
 def _r_schedule(inst: dict) -> list:
     """The instance's `r_schedule`, which must be a list of numbers in (1/2, 1)."""
-    schedule = inst.get("r_schedule", [0.8, 0.9, 0.95, 0.99])
+    schedule = inst.get("r_schedule", INSTANCE_DEFAULTS["r_schedule"])
     if not (isinstance(schedule, list) and all(_is_number(r) and 0.5 < r < 1.0 for r in schedule)):
         raise InputError(f"r_schedule must be a list of numbers in (1/2, 1), got {schedule!r}")
     return schedule
@@ -121,6 +124,9 @@ def load_instance(path: str) -> dict:
     if inst["version"] != SCHEMA_VERSION:
         raise InputError(f"unsupported instance version {inst['version']}")
     _check_s(inst["s"])
+    for key in ("h", "contacts", "quadrature", "tolerances"):
+        if not isinstance(inst.get(key, {}), dict):
+            raise InputError(f"{key} must be an object, got {inst[key]!r}")
     return inst
 
 
@@ -182,8 +188,8 @@ def build_valid_profile(inst: dict) -> ProfilePair:
 
 
 def contact_points(inst: dict, h: LogConcaveFn):
-    c = inst.get("contacts")
-    if c and "points" in c:
+    c = inst.get("contacts", {})
+    if "points" in c:
         try:
             pts = np.array(c["points"], dtype=float)
             weights = None if c.get("weights") is None else np.array(c["weights"], dtype=float)
@@ -196,7 +202,7 @@ def contact_points(inst: dict, h: LogConcaveFn):
         if not (np.all(np.isfinite(pts)) and (weights is None or np.all(np.isfinite(weights)))):
             raise InputError("contacts must hold finite numbers")
         return pts, weights
-    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol", 1e-8))
+    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol"))
     return cs.points, None
 
 
@@ -228,10 +234,12 @@ def build_nu(inst: dict, h: LogConcaveFn) -> DiscreteMeasure:
 def build_quad(inst: dict) -> QuadratureSpec:
     from . import rfamily
 
-    q = inst.get("quadrature", {})
+    nodes = {**INSTANCE_DEFAULTS["quadrature"], **inst.get("quadrature", {})}["x_nodes_per_axis"]
+    if type(nodes) is not int:  # a bool or a fraction is not a node count
+        raise InputError(f"quadrature.x_nodes_per_axis must be an integer, got {nodes!r}")
     try:
-        return rfamily.QuadratureSpec(x_nodes_per_axis=int(q.get("x_nodes_per_axis", 960)))
-    except (TypeError, ValueError) as exc:
+        return rfamily.QuadratureSpec(x_nodes_per_axis=nodes)
+    except ValueError as exc:
         raise InputError(f"malformed quadrature ({type(exc).__name__}: {exc})")
 
 
@@ -293,9 +301,7 @@ def cmd_fixture(args) -> int:
                      **({"weights": weights} if weights is not None else {})},
         "nu": args.nu,
         "profile": "canonical",
-        "r_schedule": [0.8, 0.9, 0.95, 0.99],
-        "quadrature": {"x_nodes_per_axis": 960},
-        "tolerances": {"gap_tol": 1e-8, "minimize_tol": 1e-10, "decomposition_tol": 1e-8},
+        **INSTANCE_DEFAULTS,
         "seed": args.seed,
         "fixture": {"name": args.name, "params": params},
     }
@@ -315,7 +321,7 @@ def cmd_verify(args) -> int:
     pts, weights = contact_points(inst, h)
     if weights is None:
         raise InputError("verify needs contacts.weights in the instance")
-    tol = _tolerance(inst, "decomposition_tol", 1e-8)
+    tol = _tolerance(inst, "decomposition_tol")
     rep = contact.verify_decomposition(pts, weights, h, inst["s"], tol)
     print(_report("verify", inst, rep.as_dict()))
     return EXIT_OK if rep.ok else EXIT_MATH
@@ -324,7 +330,7 @@ def cmd_verify(args) -> int:
 def cmd_contacts(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
-    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol", 1e-8))
+    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol"))
     print(_report("contacts", inst, {  # schema version 1 keeps "continuum": the set is finite
         "points": cs.points, "h_values": cs.h_values,
         "continuum": False, "gap_tol": cs.gap_tol,
@@ -340,7 +346,7 @@ def cmd_minimize_i1(args) -> int:
     h = build_h(inst)
     nu = build_nu(inst, h)
     F = ConvolutionProfile(build_valid_profile(inst))
-    tol = _tolerance(inst, "minimize_tol", 1e-10)
+    tol = _tolerance(inst, "minimize_tol")
     res = isotropy.minimize_functional(h, inst["s"], nu, F, tol=tol)
     mu = isotropy.extract_measure(res, h, inst["s"], nu, F)
     iso = isotropy.check_isotropy(mu, inst["s"])
@@ -366,7 +372,9 @@ def cmd_coercivity(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
     nu = build_nu(inst, h)
-    seed = args.seed if args.seed is not None else inst.get("seed", 0)
+    seed = args.seed if args.seed is not None else inst.get("seed", INSTANCE_DEFAULTS["seed"])
+    if type(seed) is not int or seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     if args.dirs < 0:
         raise InputError(f"--dirs must be nonnegative, got {args.dirs}")
     wit = isotropy.coercivity_witness(h, inst["s"], nu, n_dirs=args.dirs, seed=seed)
@@ -402,7 +410,7 @@ def cmd_sweep_r(args) -> int:
     quad = build_quad(inst)
     schedule = _r_schedule(inst)
     s = inst["s"]
-    tol = _tolerance(inst, "minimize_tol", 1e-10)
+    tol = _tolerance(inst, "minimize_tol")
     ref = isotropy.minimize_functional(h, s, nu, F, tol=tol)
     mu0 = isotropy.extract_measure(ref, h, s, nu, F)
     sweep = rfamily.r_sweep(h, s, pair, schedule, quad, ref, mu0)
@@ -484,7 +492,7 @@ def main(argv=None) -> int:
     p_fix.add_argument("--points", help="semicolon-separated comma vectors, e.g. '0.5;-0.25'")
     p_fix.add_argument("--domain-radius", dest="domain_radius", type=float)
     p_fix.add_argument("--nu", default="counting", choices=["counting", "calibrated"])
-    p_fix.add_argument("--seed", type=int, default=0)
+    p_fix.add_argument("--seed", type=int, default=INSTANCE_DEFAULTS["seed"])
     p_fix.add_argument("--out")
     p_fix.set_defaults(func=cmd_fixture)
 

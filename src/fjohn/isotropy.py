@@ -137,9 +137,6 @@ class _Atoms:
         """<x_i, M x_i + w>/h_i^(2/s) + beta for all atoms."""
         return self.features @ p.vec
 
-    def point(self, v: np.ndarray) -> EPoint:
-        return EPoint.from_vec(v, self.n)
-
 
 def functional_value(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                      F: ConvolutionProfile, p: EPoint) -> float:
@@ -157,7 +154,7 @@ def functional_gradient(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 
 def _gradient(at: _Atoms, dF: np.ndarray) -> EPoint:
     """The gradient at a point where the arguments have F' = `dF`."""
-    return at.point(at.features.T @ (at.w * dF))
+    return EPoint.from_vec(at.features.T @ (at.w * dF), at.n)
 
 
 def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
@@ -191,14 +188,14 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     # args is linear in the direction: every direction is one column of one matmul
     best = np.max(at.features @ dirs.T, axis=0)
     failures = [(labels[i] if i < len(labels) else f"sample{i - len(labels)}",
-                 at.point(dirs[i]), float(best[i]))
+                 EPoint.from_vec(dirs[i], at.n), float(best[i]))
                 for i in np.flatnonzero(best <= 1e-12)]
     margin, n_checked = float(np.min(best)), len(best)
     if not failures:
         d = _flat_direction(at)
         if d is not None:
             top = float(np.max(at.features @ d))
-            failures.append(("certificate", at.point(d), top))
+            failures.append(("certificate", EPoint.from_vec(d, at.n), top))
             margin, n_checked = min(margin, top), n_checked + 1
     return WitnessReport(margin=margin, n_checked=n_checked, failures=failures)
 
@@ -293,7 +290,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         shown = np.round(d, 6) + 0.0
         raise DivergingIterates(
             "the contact functional is not coercive for this measure: no atom's argument "
-            f"grows along d = {shown.tolist()}", direction=at.point(d))
+            f"grows along d = {shown.tolist()}", direction=EPoint.from_vec(d, at.n))
 
     # the basis rows are orthonormal and orthogonal to (Id + s-corner, 0)
     c0 = at.basis @ x0.vec if x0 is not None else np.zeros(len(at.basis))
@@ -307,9 +304,10 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}",
                            reason="multiplier cross-check", iterations=it, evaluations=evals,
                            grad_norm=gnorm)
-    return MinimizerResult(point=at.point(c @ at.basis), value=value, projected_grad_norm=gnorm,
-                           lam=float(lam_a), iterations=it, converged=True,
-                           evaluations=evals, stop_reason=WITHIN_TOL, lambda_gap=float(gap))
+    return MinimizerResult(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
+                           projected_grad_norm=gnorm, lam=float(lam_a), iterations=it,
+                           converged=True, evaluations=evals, stop_reason=WITHIN_TOL,
+                           lambda_gap=float(gap))
 
 
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,

@@ -125,8 +125,8 @@ def _axis_rule(radius: float, nodes_per_axis: int, kinks=None):
     return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wi).ravel()
 
 
-def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.ndarray:
-    """Kink locations of the max-affine envelope inside (lo, hi) (n = 1 only).
+def _envelope_breaks_1d(form: PiecewiseLogAffine) -> np.ndarray:
+    """Kink locations of the max-affine envelope, in increasing order (n = 1 only).
 
     Sweeps the upper hull of the lines in order of slope (of parallel lines
     only the highest can show); each kink is the crossing of two hull
@@ -143,8 +143,7 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine, lo: float, hi: float) -> np.nd
                 break
             hull.pop()
         hull.append(j)
-    breaks = [(b[j] - b[i]) / (a[i] - a[j]) for i, j in zip(hull[:-1], hull[1:])]
-    return np.array([x for x in breaks if lo < x < hi])
+    return np.array([(b[j] - b[i]) / (a[i] - a[j]) for i, j in zip(hull[:-1], hull[1:])])
 
 
 _BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.blocks`: ~32k, so temporaries stay in cache
@@ -324,7 +323,7 @@ class _Band:
         cap = np.inf if form.domain_radius is None else form.domain_radius  # >= 1, as checked
         self.radius, self.reach = (min(float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup * top)), cap)
                                    for top in (1.0, max(float(pair.g.breaks[-1]), 1.0)))
-        self.breaks = _envelope_breaks_1d(h.form, -np.inf, np.inf) if h.n == 1 else None
+        self.breaks = _envelope_breaks_1d(h.form) if h.n == 1 else None
         self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
         self.on_diagonal = self.upper[0] == self.upper[1]
 
@@ -816,7 +815,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     about the identity, and from its final model Hessian scaled by
     (1-r_prev)/(1-r), so only the first r builds a difference Hessian unless
     a later one falls back to it (see `_minimize_band`).  A failure at a
-    single r is recorded with its reason and the sweep continues.
+    single r is recorded with its reason and the sweep continues.  The
+    diagnostics are norms of differences of flat forms `EPoint.vec`.
     """
     bumps = default_bumps(reference_measure)
     ref_integrals = np.array([
@@ -824,6 +824,7 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
         for b in bumps
     ])
     n = h.n
+    ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
     result = RSweepResult(schedule=list(schedule))
     prev = None
     for r in schedule:
@@ -850,12 +851,12 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             continue
         prev = (r, point, solver.hessian)
         omr = 1.0 - r
-        ident = EPoint(BlockMat.identity(n, 1.0), np.zeros(n))
-        diff = point - ident
-        rescaled = diff * (1.0 / omr)
-        dist = diff.norm()
-        nst = abs(s_trace(rescaled.mat, s)) / max(rescaled.mat.frobenius_norm(), 1e-300)
-        secant = (rescaled - reference.point).norm()
+        diff = point.vec - ident
+        rescaled = EPoint.from_vec(diff * (1.0 / omr), n)
+        flat = rescaled.vec
+        dist = float(np.linalg.norm(diff))
+        nst = abs(s_trace(rescaled.mat, s)) / max(float(np.linalg.norm(flat[:n * n + 1])), 1e-300)
+        secant = float(np.linalg.norm(flat - reference.point.vec))
         mu_norm = reference.lam * mu_vals / (omr * lam_r)
         result.entries.append(SweepEntry(
             r=r, point=point, rescaled=rescaled, lambda_r=lam_r, value=value,

@@ -46,11 +46,11 @@ def project_trace0(p: EPoint, s: float) -> EPoint:
     return EPoint(BlockMat(diag, p.mat.corner - coeff * s), p.shift)
 
 
-def gram_schmidt_basis(n: int, s: float) -> list[EPoint]:
+def gram_schmidt_basis(n: int, s: float) -> np.ndarray:
     """Gram-Schmidt over the symmetric unit blocks, the corner and the shifts,
     each projected off the identity direction; a candidate that vanishes is dropped.
 
-    The reference for the closed form of `trace0_array`.
+    One flat `EPoint.vec` per row: the reference for the closed form of `trace0_array`.
     """
     cands = []
     for i in range(n):
@@ -59,15 +59,15 @@ def gram_schmidt_basis(n: int, s: float) -> list[EPoint]:
             E[i, j] = E[j, i] = 1.0
             cands.append(EPoint(BlockMat(E, 0.0), np.zeros(n)))
     cands.append(EPoint(BlockMat(np.zeros((n, n)), 1.0), np.zeros(n)))
-    cands += [EPoint(BlockMat.zero(n), w) for w in np.eye(n)]
+    cands += [EPoint(BlockMat(np.zeros((n, n)), 0.0), w) for w in np.eye(n)]
     basis = []
     for c in cands:
-        v = project_trace0(c, s)
+        v = project_trace0(c, s).vec
         for b in basis:
-            v = v - float(np.dot(v.vec, b.vec)) * b
-        if v.norm() > 1e-12:
-            basis.append(v * (1.0 / v.norm()))
-    return basis
+            v = v - float(np.dot(v, b)) * b
+        if np.linalg.norm(v) > 1e-12:
+            basis.append(v * (1.0 / np.linalg.norm(v)))
+    return np.array(basis)
 
 
 # --- positive span ------------------------------------------------------------------------

@@ -156,6 +156,15 @@ class TestMalformedInput:
         ("sweep-r", lambda i: i.update(r_schedule=True), []),
         ("sweep-r", lambda i: i.update(r_schedule=[NAN]), []),
         ("sweep-r", lambda i: i.update(r_schedule=[1.5]), []),
+        ("coercivity", lambda i: i.update(seed="abc"), []),
+        ("coercivity", lambda i: i.update(seed=1.5), []),
+        ("coercivity", lambda i: i.update(seed=-3), []),
+        ("coercivity", lambda i: i.update(seed=True), []),
+        ("coercivity", lambda i: None, ["--seed", "-3"]),
+        ("sweep-r", lambda i: i.update(quadrature=[1, 2]), []),
+        ("verify", lambda i: i.update(h=[1]), []),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=960.7), []),
+        ("minimize-i1", lambda i: i.update(contacts=[1, 2]), []),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
@@ -167,7 +176,10 @@ class TestMalformedInput:
             "negative-gap-tol-detected-contacts", "nan-minimize-tol", "zero-minimize-tol",
             "decomposition-tol-not-a-number", "tolerances-not-an-object",
             "r-schedule-string-entry", "r-schedule-not-a-list", "r-schedule-boolean",
-            "r-schedule-nan-entry", "r-schedule-entry-above-one"])
+            "r-schedule-nan-entry", "r-schedule-entry-above-one", "seed-string",
+            "seed-fraction", "seed-negative", "seed-boolean", "seed-flag-negative",
+            "quadrature-not-an-object", "h-not-an-object", "x-nodes-fraction",
+            "contacts-not-an-object"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
                                            mutate, extra):
         inst = json.loads(two_level_instance.read_text())

@@ -29,9 +29,9 @@ def ungated(h, s, nu):
     at = _Atoms(h, s, nu)
     c, _, value, gnorm, it, evals = _newton(at.phi, at.w, F, np.zeros(len(at.basis)),
                                             1e-10, 2000)
-    return MinimizerResult(point=at.point(c @ at.basis), value=value, projected_grad_norm=gnorm,
-                           lam=float("nan"), iterations=it, converged=True, evaluations=evals,
-                           stop_reason=WITHIN_TOL)
+    return MinimizerResult(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
+                           projected_grad_norm=gnorm, lam=float("nan"), iterations=it,
+                           converged=True, evaluations=evals, stop_reason=WITHIN_TOL)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ class TestFunctionalValue:
     def test_counting_at_origin(self, two_level, expected):
         h, cs, w = two_level
         nu = counting_measure(cs.points)
-        val = functional_value(h, S, nu, F, EPoint.zero(1))
+        val = functional_value(h, S, nu, F, EPoint.from_vec(np.zeros(3), 1))
         exp = expected["functional_value_at_zero_n1_s1"]
         assert val == pytest.approx(exp["value"], abs=exp["tol"])
 
@@ -66,7 +66,7 @@ class TestFunctionalValue:
         for _ in range(1000):
             p = EPoint.from_vec(rng.normal(scale=2.0, size=len(basis)) @ basis, 1)
             q = EPoint.from_vec(rng.normal(scale=2.0, size=len(basis)) @ basis, 1)
-            vm = functional_value(h, S, nu, F, 0.5 * (p + q))
+            vm = functional_value(h, S, nu, F, EPoint.from_vec(0.5 * (p.vec + q.vec), 1))
             assert vm <= 0.5 * (functional_value(h, S, nu, F, p)
                                 + functional_value(h, S, nu, F, q)) + 1e-10
 
@@ -74,7 +74,7 @@ class TestFunctionalValue:
         h, cs, w = two_level
         nu = DiscreteMeasure(np.array([[0.1]]), np.array([1.0]))
         with pytest.raises(AtomOffContactSet):
-            functional_value(h, S, nu, F, EPoint.zero(1))
+            functional_value(h, S, nu, F, EPoint.from_vec(np.zeros(3), 1))
 
 
 class TestFunctionalGradient:
@@ -93,13 +93,14 @@ class TestFunctionalGradient:
             basis = trace0_array(n, s)
             for _ in range(34):
                 p = EPoint.from_vec(rng.normal(scale=1.0, size=len(basis)) @ basis, n)
-                d = EPoint.from_vec(rng.normal(size=len(basis)) @ basis, n)
-                d = d * (1.0 / d.norm())
+                d = rng.normal(size=len(basis)) @ basis
+                d = d * (1.0 / np.linalg.norm(d))
                 g = functional_gradient(h, s, nu, F, p)
                 step = 1e-6
-                fd = (functional_value(h, s, nu, F, p + step * d)
-                      - functional_value(h, s, nu, F, p - step * d)) / (2 * step)
-                want = np.dot(g.vec, d.vec)
+                fd = (functional_value(h, s, nu, F, EPoint.from_vec(p.vec + step * d, n))
+                      - functional_value(h, s, nu, F, EPoint.from_vec(p.vec - step * d, n))
+                      ) / (2 * step)
+                want = np.dot(g.vec, d)
                 assert fd == pytest.approx(want, rel=1e-5, abs=1e-9)
                 checked += 1
         assert checked >= 100
@@ -107,7 +108,7 @@ class TestFunctionalGradient:
     def test_calibrated_gradient_is_identity_direction(self, two_level):
         h, cs, w = two_level
         nu = calibrated_measure(cs.points, w, h, S)
-        g = functional_gradient(h, S, nu, F, EPoint.zero(1))
+        g = functional_gradient(h, S, nu, F, EPoint.from_vec(np.zeros(3), 1))
         # conditions (b),(c),(d) collapse the gradient onto the identity direction
         assert g.mat.diag[0, 0] == pytest.approx(float(F.deriv(0.0)), rel=1e-12)
         assert g.mat.corner == pytest.approx(S * float(F.deriv(0.0)), rel=1e-12)
@@ -118,7 +119,7 @@ class TestFunctionalGradient:
         nu = counting_measure(cs.points)
         p = EPoint(BlockMat(np.zeros((1, 1)), -3.0), np.zeros(1))
         g = functional_gradient(h, S, nu, F, p)
-        assert g.norm() == 0.0
+        assert np.linalg.norm(g.vec) == 0.0
 
 
 class TestMinimize:
@@ -151,7 +152,7 @@ class TestMinimize:
         nu = calibrated_measure(cs.points, w, h, S)
         res = minimize_functional(h, S, nu, F)
         assert res.converged
-        assert res.point.norm() <= 1e-8
+        assert np.linalg.norm(res.point.vec) <= 1e-8
         assert res.lam == pytest.approx(1.0, abs=1e-8)
         mu = extract_measure(res, h, S, nu, F)
         assert np.allclose(np.sort(mu.masses), [0.25, 0.25, 0.75, 0.75], atol=1e-8)
@@ -161,7 +162,7 @@ class TestMinimize:
         nu = counting_measure(cs.points)
         res = minimize_functional(h, S, nu, F)
         assert res.converged and res.projected_grad_norm <= 1e-10
-        assert res.point.norm() > 0.1
+        assert np.linalg.norm(res.point.vec) > 0.1
         exp_m = expected["counting_min_M_n1_s1"]
         assert res.point.mat.diag[0, 0] == pytest.approx(exp_m["value"], abs=1e-8)
         exp_v = expected["counting_min_value_n1_s1"]
@@ -180,9 +181,9 @@ class TestMinimize:
         with pytest.raises(DivergingIterates) as exc:
             minimize_functional(h, 1.0, nu, F)
         d = exc.value.direction
-        flat = project_trace0(EPoint(BlockMat(np.eye(1), -1.0), np.zeros(1)), 1.0)
-        flat = flat * (1.0 / flat.norm())
-        align = abs(np.dot(d.vec, flat.vec))
+        flat = project_trace0(EPoint(BlockMat(np.eye(1), -1.0), np.zeros(1)), 1.0).vec
+        flat = flat * (1.0 / np.linalg.norm(flat))
+        align = abs(np.dot(d.vec, flat))
         assert align == pytest.approx(1.0, abs=1e-9)
 
     def test_cross_fixture_override_still_stationary_at_origin(self):
@@ -192,7 +193,7 @@ class TestMinimize:
         nu = counting_measure(cs.points)
         res = ungated(h, 1.0, nu)
         assert res.converged
-        assert res.point.norm() <= 1e-10
+        assert np.linalg.norm(res.point.vec) <= 1e-10
 
     def test_stationarity_implies_isotropy_random_instances(self):
         rng = np.random.default_rng(3)
@@ -285,11 +286,11 @@ class TestNewton:
             basis = trace0_array(n, S)
             for scale in (1e-9, 1e-10):
                 for _ in range(20):
-                    x0 = best.point + EPoint.from_vec(
-                        scale * rng.standard_normal(len(basis)) @ basis, n)
+                    x0 = EPoint.from_vec(
+                        best.point.vec + scale * rng.standard_normal(len(basis)) @ basis, n)
                     res = minimize_functional(h, S, nu, F, x0=x0)
                     assert res.iterations <= 5
-                    assert (res.point - best.point).norm() <= 1e-9
+                    assert np.linalg.norm(res.point.vec - best.point.vec) <= 1e-9
 
     def test_singular_hessian_leaves_flat_direction_alone(self):
         # every atom is on an axis: the functional is constant along M_12
@@ -479,23 +480,23 @@ class TestCoercivityWitness:
         wit = coercivity_witness(h, s, nu, n_dirs=300, seed=3)
         # reference: every direction as an EPoint, evaluated on its own
         at, n, basis = _Atoms(h, s, nu), h.n, trace0_array(h.n, s)
-        flat = EPoint(BlockMat(np.eye(n), -n / s), np.zeros(n))
-        flat = flat * (1.0 / flat.norm())
+        flat = EPoint(BlockMat(np.eye(n), -n / s), np.zeros(n)).vec
+        flat = flat * (1.0 / np.linalg.norm(flat))
         dirs = [("identity-flat(+)", flat), ("identity-flat(-)", -1.0 * flat)]
         for j in range(n):
-            e = EPoint(BlockMat.zero(n), np.eye(n)[j])
+            e = EPoint(BlockMat(np.zeros((n, n)), 0.0), np.eye(n)[j]).vec
             dirs += [(f"shift(+e{j})", e), (f"shift(-e{j})", -1.0 * e)]
         coeffs = np.random.default_rng(3).standard_normal((300, len(basis)))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        dirs += [(f"sample{i}", EPoint.from_vec(c @ basis, n)) for i, c in enumerate(coeffs)]
-        best = [float(np.max(at.args(d))) for _, d in dirs]
+        dirs += [(f"sample{i}", c @ basis) for i, c in enumerate(coeffs)]
+        best = [float(np.max(at.args(EPoint.from_vec(d, n)))) for _, d in dirs]
         # when no labelled direction fails, a flat direction of the exact
         # test is one more (the n = 2 two-level cross, flat along M_12)
         spans, d = _positive_span(at.phi)
         if min(best) > 1e-12 and not spans:
-            cert = EPoint.from_vec(d @ basis, n)
-            dirs.append(("certificate", cert * (1.0 / cert.norm())))
-            best.append(float(np.max(at.args(dirs[-1][1]))))
+            cert = d @ basis
+            dirs.append(("certificate", cert * (1.0 / np.linalg.norm(cert))))
+            best.append(float(np.max(at.args(EPoint.from_vec(dirs[-1][1], n)))))
         assert wit.n_checked == len(dirs) == 2 + 2 * n + 300 + (dirs[-1][0] == "certificate")
         assert abs(wit.margin - min(best)) <= 1e-14
         assert [lbl for lbl, _, _ in wit.failures] == [
@@ -535,7 +536,7 @@ class TestCoercivityGate:
         with pytest.raises(DivergingIterates, match=r"d = \[") as exc:
             minimize_functional(h, S, nu, F)
         d = exc.value.direction
-        assert d.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(d.vec) == pytest.approx(1.0, abs=1e-12)
         assert abs(d.mat.diag[0, 1]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
         rest = np.delete(d.vec, [1, 2])  # M_12 and M_21 in the flat form
         assert np.max(np.abs(rest)) <= 1e-12
@@ -574,7 +575,7 @@ class TestCoercivityGate:
             except DivergingIterates as exc:
                 assert not spans, i
                 direction = exc.direction
-                assert np.max(at.args(direction)) <= 1e-9 * direction.norm(), i
+                assert np.max(at.args(direction)) <= 1e-9 * np.linalg.norm(direction.vec), i
             else:
                 assert spans, i
                 iso = check_isotropy(extract_measure(res, h, s, nu, F), s)

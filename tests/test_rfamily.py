@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fjohn import cli, rfamily
-from fjohn.blockmat import BlockMat, EPoint, sdet1_param, trace0_array
-from fjohn.contact import make_tangent_instance, two_level_cross_fixture
+from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
+from fjohn.contact import detect_contacts, make_tangent_instance, two_level_cross_fixture
 from fjohn.errors import (BadR, NotConverged, NotInBr, NotJohnPosition, NotProper,
                           SingularA)
 from fjohn.isotropy import counting_measure, extract_measure, minimize_functional
@@ -180,7 +180,7 @@ class TestRescaledBandFunctional:
         h, _, _ = fixture
         pair = canonical_pair()
         for r in (0.8, 0.9):
-            lhs = rescaled_band_functional(h, S, pair, r, EPoint.zero(1), quad)
+            lhs = rescaled_band_functional(h, S, pair, r, EPoint.from_vec(np.zeros(3), 1), quad)
             rhs = band_functional(h, S, pair, r, identity_point(), quad)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -400,7 +400,7 @@ class TestMinimizeBand:
         ref_point, ref_value = _compass_minimize(band)
         res = rfamily._minimize_band(band, None, 400)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 40
-        assert (res.point - ref_point).norm() / (1.0 - r) <= 1e-5
+        assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
         assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
 
@@ -412,7 +412,7 @@ class TestMinimizeBand:
         ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band)
         res = rfamily._minimize_band(band, None, 400)
         assert res.stop_reason in CONVERGED_STOPS and res.hessian_builds == 1
-        assert (res.point - ref_point).norm() / (1.0 - r) <= 1e-5
+        assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
         assert res.evaluations < ref_evals
 
@@ -427,7 +427,7 @@ class TestMinimizeBand:
         assert res.stop_reason == rfamily.RESOLVED
         point, value, _, stop = fd_newton_minimize(band, res.point)  # x0 goes through log(A)
         assert stop == rfamily.RESOLVED and value == pytest.approx(res.value, rel=1e-14)
-        assert (point - res.point).norm() <= 1e-12
+        assert np.linalg.norm(point.vec - res.point.vec) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e4, 1e-4])
     def test_badly_scaled_carry_falls_back(self, fixture, quad, monkeypatch, scale):
@@ -452,7 +452,7 @@ class TestMinimizeBand:
             band = rfamily._Band(h, S, pair, e.r, quad)
             ref_point, ref_value, _, _ = fd_newton_minimize(band)
             assert e.solver.stop_reason in CONVERGED_STOPS
-            assert (e.point - ref_point).norm() / (1.0 - e.r) <= 1e-5
+            assert np.linalg.norm(e.point.vec - ref_point.vec) / (1.0 - e.r) <= 1e-5
             assert e.value <= ref_value * (1.0 + 1e-10)
 
     @pytest.mark.parametrize("r", [0.8, 0.9])
@@ -471,9 +471,9 @@ class TestMinimizeBand:
         band = rfamily._Band(h, S, canonical_pair(), 0.9, quad)
         res = rfamily._minimize_band(band, None, 0)
         assert res.iterations == 0 and res.stop_reason == "max_iter"
-        assert (res.point - identity_point()).norm() == 0.0
+        assert np.linalg.norm(res.point.vec - identity_point().vec) == 0.0
         p, lam = minimize_band(h, S, canonical_pair(), 0.9, quad, max_iter=0)
-        assert (p - identity_point()).norm() == 0.0 and lam > 0.0
+        assert np.linalg.norm(p.vec - identity_point().vec) == 0.0 and lam > 0.0
 
     def test_negative_max_iter_raises_before_any_work(self, fixture, quad, monkeypatch):
         h, _, _ = fixture
@@ -495,8 +495,8 @@ class TestMinimizeBand:
         for p in (p8, p9):
             assert s_det(p.mat, S) == pytest.approx(1.0, abs=1e-10)
             assert abs(p.shift[0]) <= 1e-6
-        d8 = (p8 - identity_point()).norm()
-        d9 = (p9 - identity_point()).norm()
+        d8 = np.linalg.norm(p8.vec - identity_point().vec)
+        d9 = np.linalg.norm(p9.vec - identity_point().vec)
         assert d9 < d8
         assert lam8 > 0.0 and lam9 > 0.0
 
@@ -530,6 +530,30 @@ class TestConcentration:
         errs = [np.max(np.abs(e.mu_integrals - e.mu_reference)
                        / np.abs(e.mu_reference)) for e in sweep.entries]
         assert errs[1] < errs[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_diagnostics_are_flat_form_norms(self, n):
+        # n = 1 is the acceptance sweep; n = 2 two r on a 240-node grid (two band blocks)
+        if n == 1:
+            h, cs, _ = two_level_cross_fixture(1, S, 0.4, 0.8)
+            points, quad, schedule = cs.points, QuadratureSpec(), [0.8, 0.9, 0.95, 0.99]
+        else:
+            h = _triangle_square_n2()
+            points = detect_contacts(h, S).points
+            quad, schedule = QuadratureSpec(x_nodes_per_axis=240), [0.8, 0.9]
+        pair = canonical_pair()
+        F = ConvolutionProfile(pair)
+        nu = counting_measure(points)
+        ref = minimize_functional(h, S, nu, F)
+        sweep = r_sweep(h, S, pair, schedule, quad, ref, extract_measure(ref, h, S, nu, F))
+        for e in sweep.entries:
+            assert e.error is None
+            diff = e.point.vec - identity_point(n).vec
+            assert np.array_equal(e.rescaled.vec, diff * (1.0 / (1.0 - e.r)))
+            assert e.dist_to_identity == np.linalg.norm(diff)
+            assert e.secant_to_reference == np.linalg.norm(e.rescaled.vec - ref.point.vec)
+            assert e.normalized_s_trace == (abs(s_trace(e.rescaled.mat, S))
+                                            / np.linalg.norm(e.rescaled.vec[:n * n + 1]))
 
     def test_trapezoid_bump_shape(self):
         b = trapezoid_bump(np.array([0.5]), 0.1, 0.1)
@@ -1174,7 +1198,8 @@ class TestEnvelopeBreaks:
             slopes = np.sort(rng.choice(np.arange(-6.0, 7.0), size=m + 1, replace=False))
             form = _envelope_from_kinks(kinks, slopes, rng)
             for lo, hi in ((-10.0, 10.0), (-3.0, 2.5)):
-                closed = _envelope_breaks_1d(form, lo, hi)
+                closed = _envelope_breaks_1d(form)
+                closed = closed[(closed > lo) & (closed < hi)]
                 scan = envelope_breaks_scan(form, lo, hi)
                 assert np.array_equal(closed, scan)
                 assert closed == pytest.approx(kinks[(kinks > lo) & (kinks < hi)], abs=1e-12)
@@ -1186,13 +1211,14 @@ class TestEnvelopeBreaks:
         form = PiecewiseLogAffine(np.array([[-1.0], [0.0], [1.0]]),
                                   np.array([0.0013, 0.0005, -0.0013]))
         assert envelope_breaks_scan(form, -10.0, 10.0) == pytest.approx([0.0013])
-        closed = _envelope_breaks_1d(form, -10.0, 10.0)
+        closed = _envelope_breaks_1d(form)
+        closed = closed[(closed > -10.0) & (closed < 10.0)]
         assert closed == pytest.approx([0.0008, 0.0018], abs=1e-15)
 
     def test_no_kinks(self):
         for a, b in (([[2.0]], [0.5]), ([[1.0], [1.0]], [0.0, 3.0])):
             form = PiecewiseLogAffine(np.array(a), np.array(b))
-            assert len(_envelope_breaks_1d(form, -np.inf, np.inf)) == 0
+            assert len(_envelope_breaks_1d(form)) == 0
 
 
 class TestSweepErrors:

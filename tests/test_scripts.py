@@ -1,0 +1,26 @@
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("text,code", [
+    ('timing line\n{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n', 0),
+    ('timing line\n{"correct": false, "attempted": 3, "failed": 1, "metrics": {}}\n', 1),
+    ('{"correct": true}\n{"correct": tr\n', 1),
+    ('{"correct": true}\n["correct", true]\n', 1),
+    ('{"correct": "true"}\n', 1),
+    ("", 1),
+], ids=["correct", "not-correct", "malformed-last-line", "not-an-object", "string-true",
+        "empty"])
+def test_check_bench_correct_reads_the_last_line(tmp_path, text, code):
+    out = tmp_path / "bench.out"
+    out.write_text(text)
+    res = subprocess.run([sys.executable, str(SCRIPTS / "check_bench_correct.py"), str(out)],
+                         capture_output=True, text=True)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == (text.splitlines()[-1] if text else "") + "\n"
