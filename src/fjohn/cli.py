@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import contact
-from .errors import FJohnError, InfeasibleWeights, NotConverged, NotProper
+from .errors import FJohnError, InfeasibleWeights, NotConverged, NotProper, PointOnBoundary
 from .logconcave import LogConcaveFn, check_proper, make_log_concave
 
 # A command imports the rest of the package where it first needs it, so a cold
@@ -37,7 +37,7 @@ SCHEMA_VERSION = 1
 
 # The instance schema's defaults: `fixture` writes them, and every reader falls back to them.
 INSTANCE_DEFAULTS = {
-    "r_schedule": [0.8, 0.9, 0.95, 0.99], "quadrature": {"x_nodes_per_axis": 960}, "seed": 0,
+    "r_schedule": [0.8, 0.9, 0.95, 0.99], "quadrature": {"x_nodes_per_axis": 960},
     "tolerances": {"gap_tol": 1e-8, "minimize_tol": 1e-10, "decomposition_tol": 1e-8},
 }
 
@@ -118,11 +118,15 @@ def load_instance(path: str) -> dict:
             inst = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read instance: {exc}")
+    if not isinstance(inst, dict):
+        raise InputError(f"instance must be a JSON object, got {inst!r}")
     for key in ("version", "n", "s", "h"):
         if key not in inst:
             raise InputError(f"instance missing required key '{key}'")
     if inst["version"] != SCHEMA_VERSION:
         raise InputError(f"unsupported instance version {inst['version']}")
+    if type(inst["n"]) is not int or inst["n"] < 1:  # a bool or a fraction is not a dimension
+        raise InputError(f"n must be an integer of at least 1, got {inst['n']!r}")
     _check_s(inst["s"])
     for key in ("h", "contacts", "quadrature", "tolerances"):
         if not isinstance(inst.get(key, {}), dict):
@@ -254,7 +258,7 @@ def _pieces_json(h: LogConcaveFn) -> dict:
 
 
 def _tangent_points(text, n: int) -> np.ndarray:
-    """The `--points` of a tangent fixture: finite points in the open unit ball of R^n."""
+    """The `--points` of a tangent fixture: finite points in R^n."""
     if not text:
         raise InputError("tangent fixture needs --points")
     try:
@@ -265,8 +269,6 @@ def _tangent_points(text, n: int) -> np.ndarray:
         raise InputError(f"--points must be points in R^{n}, got {text!r}")
     if not np.all(np.isfinite(pts)):
         raise InputError(f"--points must be finite, got {text!r}")
-    if np.any(np.sum(pts * pts, axis=1) >= 1.0):  # make_tangent_instance's own test
-        raise InputError(f"--points must lie inside the unit ball, got {text!r}")
     return pts
 
 
@@ -302,7 +304,6 @@ def cmd_fixture(args) -> int:
         "nu": args.nu,
         "profile": "canonical",
         **INSTANCE_DEFAULTS,
-        "seed": args.seed,
         "fixture": {"name": args.name, "params": params},
     }
     text = _dumps(inst)
@@ -372,12 +373,7 @@ def cmd_coercivity(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
     nu = build_nu(inst, h)
-    seed = args.seed if args.seed is not None else inst.get("seed", INSTANCE_DEFAULTS["seed"])
-    if type(seed) is not int or seed < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    if args.dirs < 0:
-        raise InputError(f"--dirs must be nonnegative, got {args.dirs}")
-    wit = isotropy.coercivity_witness(h, inst["s"], nu, n_dirs=args.dirs, seed=seed)
+    wit = isotropy.coercivity_witness(h, inst["s"], nu)
     print(_report("coercivity", inst, {
         "margin": wit.margin,
         "n_checked": wit.n_checked,
@@ -386,8 +382,7 @@ def cmd_coercivity(args) -> int:
                      for lbl, d, val in wit.failures],
     }))
     if not wit.ok:
-        flat = wit.failures[0][0]
-        print(f"coercivity failed on direction {flat}", file=sys.stderr)
+        print(f"coercivity failed on direction {wit.failures[0][0]}", file=sys.stderr)
         return EXIT_MATH
     return EXIT_OK
 
@@ -487,44 +482,33 @@ def main(argv=None) -> int:
     p_fix.add_argument("name", choices=["cross", "two-level-cross", "tangent"])
     p_fix.add_argument("--n", type=int, required=True)
     p_fix.add_argument("--s", type=float, required=True)
-    p_fix.add_argument("--rho1-sq", "--rho1sq", dest="rho1_sq", type=float, default=0.4)
-    p_fix.add_argument("--rho2-sq", "--rho2sq", dest="rho2_sq", type=float, default=0.8)
+    p_fix.add_argument("--rho1-sq", type=float, default=0.4)
+    p_fix.add_argument("--rho2-sq", type=float, default=0.8)
     p_fix.add_argument("--points", help="semicolon-separated comma vectors, e.g. '0.5;-0.25'")
-    p_fix.add_argument("--domain-radius", dest="domain_radius", type=float)
+    p_fix.add_argument("--domain-radius", type=float)
     p_fix.add_argument("--nu", default="counting", choices=["counting", "calibrated"])
-    p_fix.add_argument("--seed", type=int, default=INSTANCE_DEFAULTS["seed"])
     p_fix.add_argument("--out")
     p_fix.set_defaults(func=cmd_fixture)
 
-    for name, fn, extra in [
-        ("verify", cmd_verify, []),
-        ("contacts", cmd_contacts, ["grid"]),
-        ("minimize-i1", cmd_minimize_i1, []),
-        ("coercivity", cmd_coercivity, ["dirs", "seed"]),
-        ("sweep-r", cmd_sweep_r, ["out"]),
-        ("profiles-check", cmd_profiles_check, ["optional-instance"]),
-    ]:
+    def command(name, fn, instance_required=True):
         p = sub.add_parser(name)
-        if "optional-instance" in extra:
-            p.add_argument("--instance")
-        else:
-            p.add_argument("--instance", required=True)
-        if "grid" in extra:
-            p.add_argument("--grid", type=int,
-                           help="accepted and ignored (schema version 1): contacts are "
-                                "found in closed form, not on a grid")
-        if "dirs" in extra:
-            p.add_argument("--dirs", type=int, default=1000)
-        if "out" in extra:
-            p.add_argument("--out")
-        if "seed" in extra:
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--instance", required=instance_required)
         p.set_defaults(func=fn)
+        return p
+
+    command("verify", cmd_verify)
+    command("contacts", cmd_contacts).add_argument(
+        "--grid", type=int, help="accepted and ignored (schema version 1): contacts are "
+                                 "found in closed form, not on a grid")
+    command("minimize-i1", cmd_minimize_i1)
+    command("coercivity", cmd_coercivity)
+    command("sweep-r", cmd_sweep_r).add_argument("--out")
+    command("profiles-check", cmd_profiles_check, instance_required=False)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InfeasibleWeights) as exc:
+    except (InputError, InfeasibleWeights, PointOnBoundary) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotConverged as exc:

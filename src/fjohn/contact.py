@@ -72,7 +72,7 @@ def make_tangent_instance(points, s: float, domain_radius: float | None = None) 
     U = np.atleast_2d(np.asarray(points, dtype=float))
     r2 = np.sum(U * U, axis=1)
     if np.any(r2 >= 1.0):
-        raise PointOnBoundary("tangent construction needs interior points")
+        raise PointOnBoundary("tangent construction needs points inside the open unit ball")
     a = s * U / (1.0 - r2)[:, None]
     b = -(s / 2.0) * np.log(1.0 - r2) - np.sum(a * U, axis=1)
     return make_log_concave(a, b, s, domain_radius)

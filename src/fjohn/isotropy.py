@@ -158,11 +158,12 @@ def _gradient(at: _Atoms, dF: np.ndarray) -> EPoint:
 
 
 def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
-                       n_dirs: int = 1000, seed: int = 0) -> WitnessReport:
+                       n_dirs: int = 1000) -> WitnessReport:
     """Directional positivity check for coercivity on the trace-zero subspace.
 
     For each unit direction (M, beta, w) the witness needs some atom with
-    <x, Mx + w>/h^(2/s) + beta > 0.  Sampled directions (seeded) are checked
+    <x, Mx + w>/h^(2/s) + beta > 0.  `n_dirs` sampled directions, always the
+    same ones (drawn from `default_rng(0)`), are checked as a diagnostic
     together with the analytic flat candidates: the identity-block direction
     with corner -n/s, and the coordinate shift directions.  When none of
     them fails, the certificate direction of `_positive_span` on the design
@@ -172,8 +173,7 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     """
     at = _Atoms(h, s, nu)
     n = at.n
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal((n_dirs, len(at.basis)))
+    coeffs = np.random.default_rng(0).standard_normal((n_dirs, len(at.basis)))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     dirs = np.zeros((2 + 2 * n + n_dirs, at.features.shape[1]))
     dirs[0, :n * n:n + 1], dirs[0, n * n] = 1.0, -n / at.s

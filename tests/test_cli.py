@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -113,60 +114,56 @@ F_NONZERO_LEFT = {"f": {"xs": [-1.0, 0.5], "ys": [0.2, 1.5]}, "g": G_KNOTS}
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("command,mutate,extra", [
-        ("minimize-i1", lambda i: i["h"]["pieces"][0].pop("a"), []),
-        ("minimize-i1", lambda i: i.update(profile={"f": {"ys": [0.0, 2.0]}, "g": G_KNOTS}), []),
+    @pytest.mark.parametrize("command,mutate", [
+        ("minimize-i1", lambda i: i["h"]["pieces"][0].pop("a")),
+        ("minimize-i1", lambda i: i.update(profile={"f": {"ys": [0.0, 2.0]}, "g": G_KNOTS})),
         ("minimize-i1", lambda i: i.update(
-            profile={"f": {"xs": [1.0, -1.0], "ys": [2.0, 0.0]}, "g": G_KNOTS}), []),
+            profile={"f": {"xs": [1.0, -1.0], "ys": [2.0, 0.0]}, "g": G_KNOTS})),
         ("minimize-i1", lambda i: i.update(
-            nu={"atoms": [{"x": p, "m": -1.0} for p in i["contacts"]["points"]]}), []),
-        ("coercivity", lambda i: None, ["--dirs", "-1"]),
-        ("verify", lambda i: i["h"].update(domain_radius="abc"), []),
+            nu={"atoms": [{"x": p, "m": -1.0} for p in i["contacts"]["points"]]})),
+        ("verify", lambda i: i["h"].update(domain_radius="abc")),
         ("verify", lambda i: i["contacts"].update(
-            points=[p + [0.0] for p in i["contacts"]["points"]]), []),
-        ("verify", lambda i: i["contacts"].update(weights=i["contacts"]["weights"][:1]), []),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis="abc"), []),
-        ("verify", lambda i: i.update(s=-1.0), []),
-        ("minimize-i1", lambda i: i.update(s=0), []),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=0), []),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5), []),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8), []),
-        ("sweep-r", lambda i: i.update(profile=F_NONZERO_LEFT), []),
-        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[NAN]), []),
-        ("verify", lambda i: i["h"]["pieces"][1].update(b=INF), []),
-        ("minimize-i1", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN), []),
-        ("coercivity", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN), []),
-        ("verify", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN), []),
-        ("verify", lambda i: i["contacts"]["weights"].__setitem__(0, NAN), []),
+            points=[p + [0.0] for p in i["contacts"]["points"]])),
+        ("verify", lambda i: i["contacts"].update(weights=i["contacts"]["weights"][:1])),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis="abc")),
+        ("verify", lambda i: i.update(s=-1.0)),
+        ("minimize-i1", lambda i: i.update(s=0)),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=0)),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5)),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8)),
+        ("sweep-r", lambda i: i.update(profile=F_NONZERO_LEFT)),
+        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[NAN])),
+        ("verify", lambda i: i["h"]["pieces"][1].update(b=INF)),
+        ("minimize-i1", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN)),
+        ("coercivity", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN)),
+        ("verify", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN)),
+        ("verify", lambda i: i["contacts"]["weights"].__setitem__(0, NAN)),
         ("minimize-i1", lambda i: i.update(
-            nu={"atoms": [{"x": p, "m": NAN} for p in i["contacts"]["points"]]}), []),
+            nu={"atoms": [{"x": p, "m": NAN} for p in i["contacts"]["points"]]})),
         ("coercivity", lambda i: i.update(
-            nu={"atoms": [{"x": p, "m": INF} for p in i["contacts"]["points"]]}), []),
+            nu={"atoms": [{"x": p, "m": INF} for p in i["contacts"]["points"]]})),
         ("coercivity", lambda i: i.update(
             nu={"atoms": [{"x": [NAN], "m": 1.0}] + [{"x": p, "m": 1.0}
-                                                    for p in i["contacts"]["points"]]}), []),
-        ("contacts", lambda i: i["tolerances"].update(gap_tol=NAN), []),
-        ("minimize-i1", lambda i: (i.pop("contacts"), i["tolerances"].update(gap_tol=-1e-8)), []),
-        ("minimize-i1", lambda i: i["tolerances"].update(minimize_tol=NAN), []),
-        ("sweep-r", lambda i: i["tolerances"].update(minimize_tol=0.0), []),
-        ("verify", lambda i: i["tolerances"].update(decomposition_tol="abc"), []),
-        ("verify", lambda i: i.update(tolerances=[1e-8]), []),
-        ("sweep-r", lambda i: i.update(r_schedule=["abc"]), []),
-        ("sweep-r", lambda i: i.update(r_schedule=0.9), []),
-        ("sweep-r", lambda i: i.update(r_schedule=True), []),
-        ("sweep-r", lambda i: i.update(r_schedule=[NAN]), []),
-        ("sweep-r", lambda i: i.update(r_schedule=[1.5]), []),
-        ("coercivity", lambda i: i.update(seed="abc"), []),
-        ("coercivity", lambda i: i.update(seed=1.5), []),
-        ("coercivity", lambda i: i.update(seed=-3), []),
-        ("coercivity", lambda i: i.update(seed=True), []),
-        ("coercivity", lambda i: None, ["--seed", "-3"]),
-        ("sweep-r", lambda i: i.update(quadrature=[1, 2]), []),
-        ("verify", lambda i: i.update(h=[1]), []),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=960.7), []),
-        ("minimize-i1", lambda i: i.update(contacts=[1, 2]), []),
+                                                    for p in i["contacts"]["points"]]})),
+        ("contacts", lambda i: i["tolerances"].update(gap_tol=NAN)),
+        ("minimize-i1", lambda i: (i.pop("contacts"), i["tolerances"].update(gap_tol=-1e-8))),
+        ("minimize-i1", lambda i: i["tolerances"].update(minimize_tol=NAN)),
+        ("sweep-r", lambda i: i["tolerances"].update(minimize_tol=0.0)),
+        ("verify", lambda i: i["tolerances"].update(decomposition_tol="abc")),
+        ("verify", lambda i: i.update(tolerances=[1e-8])),
+        ("sweep-r", lambda i: i.update(r_schedule=["abc"])),
+        ("sweep-r", lambda i: i.update(r_schedule=0.9)),
+        ("sweep-r", lambda i: i.update(r_schedule=True)),
+        ("sweep-r", lambda i: i.update(r_schedule=[NAN])),
+        ("sweep-r", lambda i: i.update(r_schedule=[1.5])),
+        ("sweep-r", lambda i: i.update(quadrature=[1, 2])),
+        ("verify", lambda i: i.update(h=[1])),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=960.7)),
+        ("minimize-i1", lambda i: i.update(contacts=[1, 2])),
+        ("coercivity", lambda i: i.update(n=True)),
+        ("minimize-i1", lambda i: i.update(n=1.0)),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
-            "negative-nu-mass", "negative-dirs", "domain-radius-not-a-number",
+            "negative-nu-mass", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
             "x-nodes-not-a-number", "negative-s", "zero-s", "x-nodes-zero",
             "x-nodes-negative", "x-nodes-below-four-panels", "f-nonzero-at-minus-one",
@@ -176,37 +173,44 @@ class TestMalformedInput:
             "negative-gap-tol-detected-contacts", "nan-minimize-tol", "zero-minimize-tol",
             "decomposition-tol-not-a-number", "tolerances-not-an-object",
             "r-schedule-string-entry", "r-schedule-not-a-list", "r-schedule-boolean",
-            "r-schedule-nan-entry", "r-schedule-entry-above-one", "seed-string",
-            "seed-fraction", "seed-negative", "seed-boolean", "seed-flag-negative",
+            "r-schedule-nan-entry", "r-schedule-entry-above-one",
             "quadrature-not-an-object", "h-not-an-object", "x-nodes-fraction",
-            "contacts-not-an-object"])
-    def test_input_error_without_traceback(self, two_level_instance, tmp_path, command,
-                                           mutate, extra):
+            "contacts-not-an-object", "n-boolean", "n-fraction"])
+    def test_input_error_without_traceback(self, two_level_instance, tmp_path, capsys,
+                                           command, mutate):
+        # in process: an exception escaping `main` fails the test, as a traceback would
         inst = json.loads(two_level_instance.read_text())
         mutate(inst)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(inst))
-        res = run(command, "--instance", str(bad), *extra)
-        assert res.returncode == 1
-        assert "input error" in res.stderr
-        assert "Traceback" not in res.stderr
+        assert cli.main([command, "--instance", str(bad)]) == 1
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1]"],
+                             ids=["number", "null", "string", "list"])
+    def test_top_level_value_not_an_object(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert cli.main(["verify", "--instance", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: instance must be a JSON object")
 
     @pytest.mark.parametrize("command", ["minimize-i1", "sweep-r"])
     def test_invalid_profile_names_failed_properties(self, two_level_instance, tmp_path,
-                                                      command):
+                                                      capsys, command):
         inst = json.loads(two_level_instance.read_text())
         inst["profile"] = F_NONZERO_LEFT
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(inst))
-        res = run(command, "--instance", str(bad))
-        assert res.returncode == 1
-        assert res.stdout == "" and "Traceback" not in res.stderr
-        named = res.stderr.split("input error: profile pair fails", 1)[1].strip().split(", ")
+        assert cli.main([command, "--instance", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = captured.err.split("input error: profile pair fails", 1)[1].strip().split(", ")
         assert "f3_zero_left" in named
         # profiles-check still reports the pair instead of refusing it
-        check = run("profiles-check", "--instance", str(bad))
-        assert check.returncode == 2
-        props = json.loads(check.stdout)["result"]["profile_properties"]
+        assert cli.main(["profiles-check", "--instance", str(bad)]) == 2
+        props = json.loads(capsys.readouterr().out)["result"]["profile_properties"]
         assert sorted(named) == sorted(k for k, ok in props.items() if not ok)
 
 
@@ -276,8 +280,8 @@ class TestModulesLoaded:
 
 
 class TestAcceptedAndIgnored:
-    """Schema version 1 keeps `--grid`, `tolerances.grid_per_axis` and `quadrature.tol`,
-    `t_nodes` and `domain_radius`."""
+    """Schema version 1 keeps `--grid`, `seed`, `tolerances.grid_per_axis` and
+    `quadrature.tol`, `t_nodes` and `domain_radius`."""
 
     def test_grid_flag_leaves_contacts_report_unchanged(self):
         inst = str(INSTANCES / "cross_n2_s2.json")
@@ -305,17 +309,35 @@ class TestAcceptedAndIgnored:
             results.append(json.loads(capsys.readouterr().out)["result"])
         assert results[0] == results[1]
 
+    def test_seed_leaves_coercivity_report_unchanged(self, tmp_path, capsys):
+        # the triangle (sqrt 0.4) and square (sqrt 0.8) of the CI n = 2 sweep, turned by 0.3;
+        # when the seed steered the samples, seed 7 drew a direction below every labelled one
+        polar = ([(math.sqrt(0.4), 0.3 + 2 * math.pi * j / 3) for j in range(3)]
+                 + [(math.sqrt(0.8), 0.3 + math.pi / 4 + math.pi * j / 2) for j in range(4)])
+        points = ";".join(f"{r * math.cos(t)!r},{r * math.sin(t)!r}" for r, t in polar)
+        path = tmp_path / "tangent_n2.json"
+        assert cli.main(["fixture", "tangent", "--n", "2", "--s", "1", "--points", points,
+                         "--out", str(path)]) == 0
+        inst = json.loads(path.read_text())
+        results = []
+        for seed in (0, 7):
+            path.write_text(json.dumps({**inst, "seed": seed}))
+            capsys.readouterr()
+            assert cli.main(["coercivity", "--instance", str(path)]) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        assert results[0] == results[1]
+
 
 class TestCoercivityCommand:
     def test_two_level_passes(self, two_level_instance):
-        res = run("coercivity", "--instance", str(two_level_instance), "--dirs", "200")
+        res = run("coercivity", "--instance", str(two_level_instance))
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["result"]["ok"] is True
         assert payload["result"]["margin"] >= 0.05
 
     def test_cross_fails_naming_direction(self, cross_instance):
-        res = run("coercivity", "--instance", str(cross_instance), "--dirs", "100")
+        res = run("coercivity", "--instance", str(cross_instance))
         assert res.returncode == 2
         payload = json.loads(res.stdout)
         assert payload["result"]["ok"] is False
@@ -390,8 +412,8 @@ class TestDeterminism:
         outs = [run("minimize-i1", "--instance", str(two_level_instance)).stdout
                 for _ in range(2)]
         assert outs[0] == outs[1]
-        outs = [run("coercivity", "--instance", str(two_level_instance),
-                    "--dirs", "300").stdout for _ in range(2)]
+        outs = [run("coercivity", "--instance", str(two_level_instance)).stdout
+                for _ in range(2)]
         assert outs[0] == outs[1]
 
 
