@@ -25,4 +25,6 @@ def main(path: str) -> int:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} BENCH_OUTPUT")
     sys.exit(main(sys.argv[1]))

@@ -36,10 +36,7 @@ EXIT_NOT_CONVERGED = 3
 SCHEMA_VERSION = 1
 
 # The instance schema's defaults: `fixture` writes them, and every reader falls back to them.
-INSTANCE_DEFAULTS = {
-    "r_schedule": [0.8, 0.9, 0.95, 0.99], "quadrature": {"x_nodes_per_axis": 960},
-    "tolerances": {"gap_tol": 1e-8, "minimize_tol": 1e-10, "decomposition_tol": 1e-8},
-}
+INSTANCE_DEFAULTS = {"r_schedule": [0.8, 0.9, 0.95, 0.99], "quadrature": {"x_nodes_per_axis": 960}}
 
 
 class InputError(Exception):
@@ -96,14 +93,6 @@ def _check_s(s) -> None:
         raise InputError(f"s must be a positive number, got {s!r}")
 
 
-def _tolerance(inst: dict, key: str) -> float:
-    """The instance's `tolerances.<key>`, which must be a positive finite number."""
-    tol = {**INSTANCE_DEFAULTS["tolerances"], **inst.get("tolerances", {})}[key]
-    if not _is_number(tol) or tol <= 0:
-        raise InputError(f"tolerances.{key} must be a positive number, got {tol!r}")
-    return tol
-
-
 def _r_schedule(inst: dict) -> list:
     """The instance's `r_schedule`, which must be a list of numbers in (1/2, 1)."""
     schedule = inst.get("r_schedule", INSTANCE_DEFAULTS["r_schedule"])
@@ -112,10 +101,18 @@ def _r_schedule(inst: dict) -> list:
     return schedule
 
 
+def _json_int(text: str) -> int:
+    """An integer of the instance file, which must lie within the range of a float."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise InputError(f"integer {text[:12]}... ({len(text)} digits) is beyond the float range")
+    return value
+
+
 def load_instance(path: str) -> dict:
     try:
         with open(path) as fh:
-            inst = json.load(fh)
+            inst = json.load(fh, parse_int=_json_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read instance: {exc}")
     if not isinstance(inst, dict):
@@ -128,7 +125,7 @@ def load_instance(path: str) -> dict:
     if type(inst["n"]) is not int or inst["n"] < 1:  # a bool or a fraction is not a dimension
         raise InputError(f"n must be an integer of at least 1, got {inst['n']!r}")
     _check_s(inst["s"])
-    for key in ("h", "contacts", "quadrature", "tolerances"):
+    for key in ("h", "contacts", "quadrature"):
         if not isinstance(inst.get(key, {}), dict):
             raise InputError(f"{key} must be an object, got {inst[key]!r}")
     return inst
@@ -148,11 +145,13 @@ def build_h(inst: dict) -> LogConcaveFn:
         raise InputError(f"malformed h.pieces ({type(exc).__name__}: {exc})")
     if a.ndim != 2 or a.shape[1] != inst["n"]:
         raise InputError("piece dimension does not match n")
+    if b.shape != (len(pieces),):
+        raise InputError("each piece's b must be a number")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InputError("h.pieces must hold finite numbers")
-    radius = desc.get("domain_radius")
-    if radius is not None and not _is_number(radius):
-        raise InputError(f"h.domain_radius must be a number or null, got {radius!r}")
+    radius = desc.get("domain_radius")  # `eval_h_many` squares it
+    if radius is not None and not (_is_number(radius) and math.isfinite(float(radius) * radius)):
+        raise InputError(f"h.domain_radius must be null or have a finite square, got {radius!r}")
     h = make_log_concave(a, b, inst["s"], radius)
     try:
         check_proper(h)
@@ -206,8 +205,7 @@ def contact_points(inst: dict, h: LogConcaveFn):
         if not (np.all(np.isfinite(pts)) and (weights is None or np.all(np.isfinite(weights)))):
             raise InputError("contacts must hold finite numbers")
         return pts, weights
-    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol"))
-    return cs.points, None
+    return contact.detect_contacts(h, inst["s"]).points, None
 
 
 def build_nu(inst: dict, h: LogConcaveFn) -> DiscreteMeasure:
@@ -322,8 +320,7 @@ def cmd_verify(args) -> int:
     pts, weights = contact_points(inst, h)
     if weights is None:
         raise InputError("verify needs contacts.weights in the instance")
-    tol = _tolerance(inst, "decomposition_tol")
-    rep = contact.verify_decomposition(pts, weights, h, inst["s"], tol)
+    rep = contact.verify_decomposition(pts, weights, h, inst["s"])
     print(_report("verify", inst, rep.as_dict()))
     return EXIT_OK if rep.ok else EXIT_MATH
 
@@ -331,7 +328,7 @@ def cmd_verify(args) -> int:
 def cmd_contacts(args) -> int:
     inst = load_instance(args.instance)
     h = build_h(inst)
-    cs = contact.detect_contacts(h, inst["s"], gap_tol=_tolerance(inst, "gap_tol"))
+    cs = contact.detect_contacts(h, inst["s"])
     print(_report("contacts", inst, {  # schema version 1 keeps "continuum": the set is finite
         "points": cs.points, "h_values": cs.h_values,
         "continuum": False, "gap_tol": cs.gap_tol,
@@ -347,8 +344,7 @@ def cmd_minimize_i1(args) -> int:
     h = build_h(inst)
     nu = build_nu(inst, h)
     F = ConvolutionProfile(build_valid_profile(inst))
-    tol = _tolerance(inst, "minimize_tol")
-    res = isotropy.minimize_functional(h, inst["s"], nu, F, tol=tol)
+    res = isotropy.minimize_functional(h, inst["s"], nu, F)
     mu = isotropy.extract_measure(res, h, inst["s"], nu, F)
     iso = isotropy.check_isotropy(mu, inst["s"])
     print(_report("minimize-i1", inst, {
@@ -405,8 +401,7 @@ def cmd_sweep_r(args) -> int:
     quad = build_quad(inst)
     schedule = _r_schedule(inst)
     s = inst["s"]
-    tol = _tolerance(inst, "minimize_tol")
-    ref = isotropy.minimize_functional(h, s, nu, F, tol=tol)
+    ref = isotropy.minimize_functional(h, s, nu, F)
     mu0 = isotropy.extract_measure(ref, h, s, nu, F)
     sweep = rfamily.r_sweep(h, s, pair, schedule, quad, ref, mu0)
     rows = []

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from .logconcave import LogConcaveFn, eval_h_many, make_log_concave
 
+GAP_TOL = 1e-8  # the largest hemisphere gap of a contact point, wherever contacts are decided
+
 
 @dataclass(frozen=True)
 class ContactSet:
@@ -93,7 +95,7 @@ def _axis_cross(n: int, s: float,
     weights = np.repeat([c for _, c in levels], 2 * n)
     h = make_tangent_instance(points, s)
     h_pow = eval_h_many(h, points) ** (1.0 / s)
-    return h, ContactSet(points=points, gap_tol=1e-10, h_values=h_pow), weights
+    return h, ContactSet(points=points, gap_tol=GAP_TOL, h_values=h_pow), weights
 
 
 def cross_fixture(n: int, s: float):
@@ -166,15 +168,15 @@ def _merge_contacts(X: np.ndarray, h_pow: np.ndarray, gaps: np.ndarray,
     return ContactSet(points=X[order], gap_tol=gap_tol, h_values=h_pow[order])
 
 
-def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None,
-                    gap_tol: float = 1e-8) -> ContactSet:
+def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None) -> ContactSet:
     """Contact set of h**(1/s) with the hemisphere, in closed form.
 
     psi <= -(s/2) log(1 - |x|^2) with a strictly convex right side, so piece
     j can touch only at its tangency point u_j = rho_j a_j/|a_j| with
     s rho_j/(1 - rho_j^2) = |a_j| (u_j = 0 when a_j = 0), and h is in John
     position iff the gap is nonnegative at every u_j and domain_radius >= 1.
-    Raises NotJohnPosition otherwise.
+    Raises NotJohnPosition otherwise.  A gap below -GAP_TOL is a fall below
+    the hemisphere, and one of at most GAP_TOL a contact, as in `isotropy._Atoms`.
 
     grid_per_axis is accepted and ignored, as the instance file's
     `tolerances.grid_per_axis` is in schema version 1.  The tests check
@@ -190,7 +192,7 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None,
     h_pow = eval_h_many(h, U) ** (1.0 / s)
     gaps = _hemisphere_gap(h_pow, U)
     j = int(np.argmin(gaps))
-    if gaps[j] < -gap_tol:
+    if gaps[j] < -GAP_TOL:
         raise NotJohnPosition(
             f"h**(1/s) falls below the hemisphere by {-gaps[j]:.3e} at {U[j]} (piece {j})")
-    return _merge_contacts(U, h_pow, gaps, gap_tol)
+    return _merge_contacts(U, h_pow, gaps, GAP_TOL)

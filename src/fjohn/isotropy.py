@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .blockmat import EPoint, s_trace, trace0_array
-from .contact import _hemisphere_gap
+from .contact import GAP_TOL, _hemisphere_gap
 from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
                      ZeroValueAtom)
 from .logconcave import LogConcaveFn, _positive_span, eval_h_many
@@ -52,7 +52,6 @@ class DiscreteMeasure:
         object.__setattr__(self, "masses", m)
 
 
-CONTACT_TOL = 1e-8  # the largest hemisphere gap an atom of the functional may have
 WITHIN_TOL = "projected gradient within tol"  # the stop of a `minimize_functional` that returns
 
 
@@ -101,6 +100,8 @@ class WitnessReport:
 class _Atoms:
     """Cached per-atom quantities for one (h, s, nu) combination.
 
+    An atom whose hemisphere gap exceeds `contact.GAP_TOL` in absolute value,
+    the bound `detect_contacts` lists contacts by, raises AtomOffContactSet.
     The argument of F is linear in (M, beta, w): in the flat form `EPoint.vec`
     it is `features @ p.vec`, row i of `features` being
     (x_i x_i^T / h_i^(2/s), 1, x_i / h_i^(2/s)).  On the weighted-trace-zero
@@ -115,10 +116,10 @@ class _Atoms:
         hv = eval_h_many(h, X)
         self.h_pow = hv ** (1.0 / s)          # h^(1/s)
         gaps = _hemisphere_gap(self.h_pow, X)
-        if np.max(np.abs(gaps)) > CONTACT_TOL:
+        if np.max(np.abs(gaps)) > GAP_TOL:
             i = int(np.argmax(np.abs(gaps)))
             raise AtomOffContactSet(
-                f"atom {X[i]} has contact gap {gaps[i]:.3e} > {CONTACT_TOL:.1e}")
+                f"atom {X[i]} has contact gap {gaps[i]:.3e} > {GAP_TOL:.1e}")
         if np.any(hv <= 0.0):
             raise ZeroValueAtom("h vanishes at an atom")
         k, n = X.shape
@@ -136,13 +137,6 @@ class _Atoms:
     def args(self, p: EPoint) -> np.ndarray:
         """<x_i, M x_i + w>/h_i^(2/s) + beta for all atoms."""
         return self.features @ p.vec
-
-
-def functional_value(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
-                     F: ConvolutionProfile, p: EPoint) -> float:
-    """Weighted sum of h^(1/s) F(arg) over the atoms."""
-    at = _Atoms(h, s, nu)
-    return float(np.dot(at.m, at.h_pow * F(at.args(p))))
 
 
 def functional_gradient(h: LogConcaveFn, s: float, nu: DiscreteMeasure,

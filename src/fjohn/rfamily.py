@@ -607,16 +607,15 @@ def _check_max_iter(max_iter: int) -> None:
 
 
 def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
-                  quad: QuadratureSpec, x0: EPoint | None = None,
-                  max_iter: int = 400) -> tuple[EPoint, float]:
+                  quad: QuadratureSpec, max_iter: int = 400) -> tuple[EPoint, float]:
     """Minimize the band functional over unit-weighted-determinant positions.
 
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
     loses nothing at a minimum).  Quasi-Newton in theta = (upper triangle of
-    S, shift) on the analytic gradient of `_band_value_grad`: one Hessian
-    from differences of that gradient at the start, BFGS updates after every
-    step, and Armijo backtracking on the value.  It stops once the decrease
+    S, shift) from theta = 0 on the analytic gradient of `_band_value_grad`:
+    one Hessian from differences of that gradient at the start, BFGS updates
+    after every step, and Armijo backtracking on the value.  It stops once the decrease
     the model predicts is below the rounding of the value, once no step down
     to the difference step descends on a freshly differenced Hessian, or
     after `max_iter` steps.  The band geometry (radius, kinks of psi) is
@@ -625,8 +624,7 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     """
     _check_max_iter(max_iter)
     band = _Band(h, s, pair, r, quad)
-    theta0 = None if x0 is None else np.concatenate([_logm_sym(x0.mat.diag)[band.upper], x0.shift])
-    point = _minimize_band(band, theta0, max_iter).point
+    point = _minimize_band(band, None, max_iter).point
     return point, _density_sums(band, point, [])[1]
 
 
@@ -634,8 +632,8 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
                    hessian: np.ndarray | None = None) -> BandMinimum:
     """minimize_band on a prepared band geometry, as a solver record.
 
-    theta0 is the start in theta (None: theta = 0); `minimize_band`
-    and `r_sweep` convert their starts once.  Every evaluation is one
+    theta0 is the start in theta (None: theta = 0, where `minimize_band`
+    starts); `r_sweep` converts its start once.  Every evaluation is one
     `_band_value_grad` call on theta; the position is built once, for the
     result.  Without a `hessian` (in theta at theta0) the loop starts from
     one built from forward differences of the gradient with step

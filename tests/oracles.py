@@ -19,8 +19,9 @@ from fjohn import rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param
 from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
 from fjohn.errors import NotConverged, NotJohnPosition
+from fjohn.isotropy import DiscreteMeasure, _Atoms
 from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
-from fjohn.profiles import PiecewiseLinear, ProfilePair
+from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -332,6 +333,20 @@ def grid_contacts(h: LogConcaveFn, s: float, grid_per_axis: int = 101,
     about one grid step are merged.
     """
     return pairwise_contact_set(h, s, grid_candidates(h, s, grid_per_axis, gap_tol), gap_tol)
+
+
+# --- contact functional -------------------------------------------------------------------
+
+def functional_value(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
+                     F: ConvolutionProfile, p: EPoint) -> float:
+    """Weighted sum of h^(1/s) F(arg) over the atoms of nu, at the point p.
+
+    The value the Newton loop of `isotropy.minimize_functional` descends,
+    taken at any point, for finite differences and grid searches.  Raises
+    AtomOffContactSet as `isotropy._Atoms` does.
+    """
+    at = _Atoms(h, s, nu)
+    return float(np.dot(at.m, at.h_pow * F(at.args(p))))
 
 
 # --- profiles -----------------------------------------------------------------------------

@@ -20,12 +20,13 @@ from fjohn.contact import cross_fixture, two_level_cross_fixture, verify_decompo
 from fjohn.errors import DivergingIterates
 from fjohn.isotropy import (calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
-                            functional_value, minimize_functional)
+                            minimize_functional)
 from fjohn.logconcave import eval_h_many
 from fjohn.profiles import ConvolutionProfile, canonical_pair, validate_profiles
 from fjohn.rfamily import (QuadratureSpec, band_functional, r_sweep,
                            rescaled_band_functional)
-from oracles import GridSpec, convolve_numeric, grid_minimize, project_trace0
+from oracles import (GridSpec, convolve_numeric, functional_value, grid_minimize,
+                     project_trace0)
 
 PAIR = canonical_pair()
 F = ConvolutionProfile(PAIR)

@@ -145,12 +145,6 @@ class TestMalformedInput:
         ("coercivity", lambda i: i.update(
             nu={"atoms": [{"x": [NAN], "m": 1.0}] + [{"x": p, "m": 1.0}
                                                     for p in i["contacts"]["points"]]})),
-        ("contacts", lambda i: i["tolerances"].update(gap_tol=NAN)),
-        ("minimize-i1", lambda i: (i.pop("contacts"), i["tolerances"].update(gap_tol=-1e-8))),
-        ("minimize-i1", lambda i: i["tolerances"].update(minimize_tol=NAN)),
-        ("sweep-r", lambda i: i["tolerances"].update(minimize_tol=0.0)),
-        ("verify", lambda i: i["tolerances"].update(decomposition_tol="abc")),
-        ("verify", lambda i: i.update(tolerances=[1e-8])),
         ("sweep-r", lambda i: i.update(r_schedule=["abc"])),
         ("sweep-r", lambda i: i.update(r_schedule=0.9)),
         ("sweep-r", lambda i: i.update(r_schedule=True)),
@@ -162,6 +156,9 @@ class TestMalformedInput:
         ("minimize-i1", lambda i: i.update(contacts=[1, 2])),
         ("coercivity", lambda i: i.update(n=True)),
         ("minimize-i1", lambda i: i.update(n=1.0)),
+        ("contacts", lambda i: i["h"].update(domain_radius=1e308)),
+        ("minimize-i1", lambda i: [piece.update(b=[]) for piece in i["h"]["pieces"]]),
+        ("verify", lambda i: i.update(s=10**400)),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
@@ -169,13 +166,12 @@ class TestMalformedInput:
             "x-nodes-negative", "x-nodes-below-four-panels", "f-nonzero-at-minus-one",
             "nan-piece-slope", "infinite-piece-intercept", "nan-contact-point-minimize",
             "nan-contact-point-coercivity", "nan-contact-point-verify", "nan-contact-weight",
-            "nan-nu-mass", "infinite-nu-mass", "nan-nu-point", "nan-gap-tol",
-            "negative-gap-tol-detected-contacts", "nan-minimize-tol", "zero-minimize-tol",
-            "decomposition-tol-not-a-number", "tolerances-not-an-object",
-            "r-schedule-string-entry", "r-schedule-not-a-list", "r-schedule-boolean",
-            "r-schedule-nan-entry", "r-schedule-entry-above-one",
+            "nan-nu-mass", "infinite-nu-mass", "nan-nu-point", "r-schedule-string-entry",
+            "r-schedule-not-a-list", "r-schedule-boolean", "r-schedule-nan-entry",
+            "r-schedule-entry-above-one",
             "quadrature-not-an-object", "h-not-an-object", "x-nodes-fraction",
-            "contacts-not-an-object", "n-boolean", "n-fraction"])
+            "contacts-not-an-object", "n-boolean", "n-fraction", "domain-radius-square-overflows",
+            "every-b-an-empty-list", "integer-beyond-float-range"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, capsys,
                                            command, mutate):
         # in process: an exception escaping `main` fails the test, as a traceback would
@@ -280,8 +276,8 @@ class TestModulesLoaded:
 
 
 class TestAcceptedAndIgnored:
-    """Schema version 1 keeps `--grid`, `seed`, `tolerances.grid_per_axis` and
-    `quadrature.tol`, `t_nodes` and `domain_radius`."""
+    """Schema version 1 keeps `--grid`, `seed`, `tolerances` and `quadrature.tol`,
+    `t_nodes` and `domain_radius`."""
 
     def test_grid_flag_leaves_contacts_report_unchanged(self):
         inst = str(INSTANCES / "cross_n2_s2.json")
@@ -291,23 +287,41 @@ class TestAcceptedAndIgnored:
         assert outs[0].stdout == outs[1].stdout == outs[2].stdout
         assert json.loads(outs[0].stdout)["result"]["continuum"] is False
 
+    # the command each former tolerance steered; `contacts` for every other key
+    STEERED = {"minimize_tol": "minimize-i1", "decomposition_tol": "verify"}
+
     @pytest.mark.parametrize("section,key,value", [
         ("tolerances", "grid_per_axis", 3), ("quadrature", "tol", 1e-2),
         ("quadrature", "t_nodes", 0), ("quadrature", "t_nodes", -2), ("quadrature", "t_nodes", 2),
-        ("quadrature", "domain_radius", 0.5)])
+        ("quadrature", "domain_radius", 0.5), ("tolerances", "gap_tol", 1e-6),
+        ("tolerances", "minimize_tol", 1e-3), ("tolerances", "decomposition_tol", 1.0)])
     def test_instance_keys_change_nothing(self, two_level_instance, tmp_path, capsys,
                                           section, key, value):
         inst = json.loads(two_level_instance.read_text())
         changed = json.loads(two_level_instance.read_text())
-        changed[section][key] = value
+        changed.setdefault(section, {})[key] = value
         assert cli.build_quad(changed) == cli.build_quad(inst)
         results = []
         for i, body in enumerate((inst, changed)):
             path = tmp_path / f"inst{i}.json"
             path.write_text(json.dumps(body))
-            assert cli.main(["contacts", "--instance", str(path)]) == 0
+            assert cli.main([self.STEERED.get(key, "contacts"), "--instance", str(path)]) == 0
             results.append(json.loads(capsys.readouterr().out)["result"])
         assert results[0] == results[1]
+
+    def test_every_listed_contact_is_an_atom(self, tmp_path, capsys):
+        # piece 0 lowered by 1e-7 leaves a gap of 7.7e-8 at its tangency point, within a
+        # gap_tol of 1e-6 but off the contact set the functional accepts
+        inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+        del inst["contacts"]
+        inst["h"]["pieces"][0]["b"] -= 1e-7
+        inst["tolerances"]["gap_tol"] = 1e-6
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(inst))
+        assert cli.main(["contacts", "--instance", str(path)]) == 0
+        points = json.loads(capsys.readouterr().out)["result"]["points"]
+        assert len(points) == 3
+        isotropy._Atoms(cli.build_h(inst), inst["s"], isotropy.counting_measure(points))
 
     def test_seed_leaves_coercivity_report_unchanged(self, tmp_path, capsys):
         # the triangle (sqrt 0.4) and square (sqrt 0.8) of the CI n = 2 sweep, turned by 0.3;
@@ -381,6 +395,19 @@ class TestMinimizeCommand:
         assert r["converged"] is True
         assert r["isotropy"]["residual_iso"] <= 1e-8
         assert r["isotropy"]["lambda"] > 0
+
+    def test_calibrated_minimum_at_the_origin(self, tmp_path, capsys):
+        # calibrated masses put the minimizer at the origin with multiplier F'(0) = 1
+        path = tmp_path / "calibrated.json"
+        assert cli.main(["fixture", "two-level-cross", "--n", "1", "--s", "1.0",
+                         "--nu", "calibrated", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["minimize-i1", "--instance", str(path)]) == 0
+        r = json.loads(capsys.readouterr().out)["result"]
+        m = r["minimizer"]
+        entries = [v for row in m["diag"] for v in row] + [m["corner"], *m["shift"]]
+        assert max(abs(v) for v in entries) <= 1e-12
+        assert abs(r["lambda"] - 1.0) <= 1e-12
 
     def test_contacts_command(self, two_level_instance):
         res = run("contacts", "--instance", str(two_level_instance))

@@ -11,10 +11,10 @@ from fjohn.errors import AtomOffContactSet, DivergingIterates, NotConverged
 from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, MinimizerResult, _Atoms, _newton,
                             calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
-                            functional_value, minimize_functional)
+                            minimize_functional)
 from fjohn.logconcave import _positive_span
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
-from oracles import lp_spans, project_trace0
+from oracles import functional_value, lp_spans, project_trace0
 
 F = ConvolutionProfile(canonical_pair())
 S = 1.0

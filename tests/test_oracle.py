@@ -3,10 +3,11 @@ import pytest
 
 from fjohn.blockmat import BlockMat, EPoint, sdet1_param, trace0_array
 from fjohn.contact import two_level_cross_fixture
-from fjohn.isotropy import calibrated_measure, functional_value
+from fjohn.isotropy import calibrated_measure
 from fjohn.profiles import ConvolutionProfile, canonical_pair
 from fjohn.rfamily import QuadratureSpec, band_functional
-from oracles import GridSpec, convolve_numeric, dense_quadrature_band, grid_minimize
+from oracles import (GridSpec, convolve_numeric, dense_quadrature_band, functional_value,
+                     grid_minimize)
 
 
 class TestGridMinimize:

@@ -13,7 +13,7 @@ EXPORTS = {
                 "make_tangent_instance", "two_level_cross_fixture", "verify_decomposition"],
     "isotropy": ["DiscreteMeasure", "IsotropyReport", "MinimizerResult", "calibrated_measure",
                  "check_isotropy", "coercivity_witness", "counting_measure", "extract_measure",
-                 "functional_gradient", "functional_value", "minimize_functional"],
+                 "functional_gradient", "minimize_functional"],
     "logconcave": ["LogConcaveFn", "check_proper", "make_log_concave"],
     "profiles": ["ConvolutionProfile", "PiecewiseLinear", "ProfilePair", "canonical_pair",
                  "validate_profiles"],

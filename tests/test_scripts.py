@@ -24,3 +24,10 @@ def test_check_bench_correct_reads_the_last_line(tmp_path, text, code):
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == (text.splitlines()[-1] if text else "") + "\n"
+
+
+def test_check_bench_correct_without_a_path_prints_usage():
+    res = subprocess.run([sys.executable, str(SCRIPTS / "check_bench_correct.py")],
+                         capture_output=True, text=True)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("usage: ") and "Traceback" not in res.stderr
