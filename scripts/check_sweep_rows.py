@@ -4,9 +4,11 @@
     python3 scripts/check_sweep_rows.py sweep.json
 
 Prints one line per r (r, evaluations, Hessian builds, stop reason, error,
-lambda_r, bump integrals) and exits 1 unless the report has rows and every
-row has no error, stops CONVERGED or RESOLVED, and has lambda_r > 0 and
-finite bump integrals (the by-parts density feeds both).
+lambda_r, secant to the limit point, bump integrals) and exits 1 unless the
+report has rows and every row has no error, stops CONVERGED or RESOLVED,
+and has lambda_r > 0, finite bump integrals (the by-parts density feeds
+both) and a finite secant to the limit point (H_n of the instance's own
+profile pair feeds it).
 """
 
 import json
@@ -28,10 +30,11 @@ def main(path: str) -> int:
     bad = [row for row in rows
            if row["error"] is not None or row["stop_reason"] not in (CONVERGED, RESOLVED)
            or not (finite(row["lambda_r"]) and row["lambda_r"] > 0)
-           or not all(finite(m) for m in row["mu_integrals"])]
+           or not all(finite(m) for m in row["mu_integrals"])
+           or not finite(row["secant_to_limit"])]
     for row in rows:
         print(row["r"], row["evaluations"], row["hessian_builds"], row["stop_reason"],
-              row["error"], row["lambda_r"], row["mu_integrals"])
+              row["error"], row["lambda_r"], row["secant_to_limit"], row["mu_integrals"])
     return 1 if bad or not rows else 0
 
 

@@ -415,6 +415,7 @@ def cmd_sweep_r(args) -> int:
             "dist_to_identity": e.dist_to_identity,
             "normalized_s_trace": e.normalized_s_trace,
             "secant_to_M0": e.secant_to_reference,
+            "secant_to_limit": e.secant_to_limit,
             "mu_integrals": e.mu_integrals,
             "mu_reference": e.mu_reference,
             "error": e.error,
@@ -435,6 +436,7 @@ def cmd_sweep_r(args) -> int:
                                 + list(e.mu_integrals) + list(e.mu_reference))
     print(_report("sweep-r", inst, {
         "reference": {"minimizer": _epoint_dict(ref.point), "lambda": ref.lam},
+        "limit": {"minimizer": _epoint_dict(sweep.limit)},
         "entries": rows,
         "csv": args.out,
     }))

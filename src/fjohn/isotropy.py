@@ -17,13 +17,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .blockmat import EPoint, s_trace, trace0_array
-from .contact import GAP_TOL, _hemisphere_gap
+from .contact import GAP_TOL, _hemisphere_gap, detect_contacts
 from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
                      ZeroValueAtom)
-from .logconcave import LogConcaveFn, _positive_span, eval_h_many
+from .logconcave import LogConcaveFn, _positive_span, eval_h_many, psi_gradient
 
 if TYPE_CHECKING:
-    from .profiles import ConvolutionProfile
+    from .profiles import ConvolutionProfile, ProfilePair
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,18 @@ def _flat_direction(at: _Atoms) -> np.ndarray | None:
     return d @ at.basis / np.linalg.norm(d)  # the basis rows are orthonormal
 
 
+def _require_coercive(at: _Atoms, what: str) -> None:
+    """Raise DivergingIterates, naming the certificate direction, unless `_flat_direction` is None."""
+    d = _flat_direction(at)
+    if d is not None:
+        shown = np.round(d, 6) + 0.0
+        raise DivergingIterates(f"the {what}: no atom's argument grows along d = {shown.tolist()}",
+                                direction=EPoint.from_vec(d, at.n))
+
+
 def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray,
             tol: float, max_iter: int):
-    """Minimize sum_i w_i F((phi c)_i) over c from `c`: `minimize_functional`'s Newton loop.
+    """Minimize sum_i w_i F((phi c)_i) over c from `c`, for both Newton minimizers of this module.
 
     Returns (c, z = phi c, value, gradient norm, iterations, evaluations); a
     stop short of `tol` raises NotConverged with the same counts.  It does
@@ -279,12 +288,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     at = _Atoms(h, s, nu)
-    d = _flat_direction(at)
-    if d is not None:
-        shown = np.round(d, 6) + 0.0
-        raise DivergingIterates(
-            "the contact functional is not coercive for this measure: no atom's argument "
-            f"grows along d = {shown.tolist()}", direction=EPoint.from_vec(d, at.n))
+    _require_coercive(at, "contact functional is not coercive for this measure")
 
     # the basis rows are orthonormal and orthogonal to (Id + s-corner, 0)
     c0 = at.basis @ x0.vec if x0 is not None else np.zeros(len(at.basis))
@@ -302,6 +306,44 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                            projected_grad_norm=gnorm, lam=float(lam_a), iterations=it,
                            converged=True, evaluations=evals, stop_reason=WITHIN_TOL,
                            lambda_gap=float(gap))
+
+
+@dataclass
+class LimitReference:
+    """The minimizer of the curvature-weighted limit functional and its flat Hessian there."""
+
+    point: EPoint
+    value: float
+    hessian: np.ndarray  # features^T diag(W H_n''(z)) features: in the flat form `EPoint.vec`
+
+
+def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitReference:
+    """Minimize the r -> 1 limit of the band functionals, L(c) = sum_i W_i H_n((phi c)_i).
+
+    The band functional never sees a measure, so neither does its limit:
+    the atoms are the contact set of h (`detect_contacts`) with unit masses,
+    and phi is their design matrix (`_Atoms`).  The weights are
+    W_i = w_i (h_i^(2/s))^(n/2) / sqrt(det K_i) with w_i = h_i^(1/s) and
+    K_i = (4/s^2) h_i^(2/s) a_i a_i^T + 2 I, a_i the gradient of psi at the
+    contact; det K_i = 2^n (1 + (2/s^2) h_i^(2/s) |a_i|^2).  H_n is
+    `LimitProfile`.  W > 0 and H_n is nondecreasing, convex, bounded below
+    and unbounded above, as F is, so the same exact gate as
+    `minimize_functional` decides coercivity (DivergingIterates with the
+    certificate direction), and the same Newton loop (`_newton`) minimizes,
+    from c = 0, to `minimize_functional`'s default tolerances.
+    """
+    from .profiles import ConvolutionProfile, LimitProfile  # not loaded by `coercivity`
+
+    at = _Atoms(h, s, counting_measure(detect_contacts(h, s).points))
+    _require_coercive(at, "limit functional is not coercive on the contact set")
+    h2s = at.h_pow**2
+    slope2 = np.sum(psi_gradient(h.form, at.X) ** 2, axis=1)
+    W = at.w * h2s ** (0.5 * at.n) / np.sqrt(2.0**at.n * (1.0 + 2.0 / (s * s) * h2s * slope2))
+    H = LimitProfile(ConvolutionProfile(pair), at.n)
+    c, z, value = _newton(at.phi, W, H, np.zeros(len(at.basis)), 1e-10, 2000)[:3]
+    hessian = (at.features.T * (W * H.deriv2(z))) @ at.features
+    return LimitReference(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
+                          hessian=hessian)
 
 
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,

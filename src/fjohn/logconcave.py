@@ -137,9 +137,17 @@ def _positive_span(a: np.ndarray) -> tuple[bool, np.ndarray]:
 
     Returns (True, y): y > 0 and a^T y = 0 with a of rank n (Stiemke), or
     (False, d): d != 0 and a d <= 0, a direction along which no row grows.
-    Rank below n gives d in the kernel of a.  Otherwise the SVD of the rank
-    test gives a closed-form candidate first: with W the first n left
-    singular vectors, y = t - W W^T t for t_j = 1/|a_j| has a^T y = 0.  With
+    The rank is that of the rows scaled to unit length (zero rows stay 0),
+    so one long row cannot push the others below the rank threshold: the
+    slopes (1e308, 0), (-2.83, 0), (0, +-2.83) are of rank 2, while the SVD
+    of a reads rank 1.  That SVD is taken anyway, for what follows, and the
+    unit rows' singular values only when it reads a rank below n: its
+    threshold scales with the largest singular value, so a long row can
+    make it read too low a rank without bound, and too high a rank only
+    within a factor sqrt(k) of rounding.  Rank below n gives d in the kernel of a,
+    from the SVD of a.  Otherwise that SVD gives a closed-form candidate
+    first: with W the first n left singular vectors of a,
+    y = t - W W^T t for t_j = 1/|a_j| has a^T y = 0.  With
     U the rows scaled to unit length, the weights |a_j| y_j on U must be at
     least SPAN_FLOOR and pass the residual check below; then y, scaled to
     min 1, is a zero-residual optimum of the NNLS that follows, so the
@@ -153,12 +161,16 @@ def _positive_span(a: np.ndarray) -> tuple[bool, np.ndarray]:
     if neither holds, NoCertificate.
     """
     k, n = a.shape
+
+    def rank(sv):
+        return np.sum(sv > sv.max(initial=0.0) * (max(k, n) * np.finfo(float).eps))
+
     left, sv, vt = np.linalg.svd(a)
-    if np.sum(sv > sv.max(initial=0.0) * max(k, n) * np.finfo(float).eps) < n:
-        return False, vt[-1]
-    norms = np.linalg.norm(a, axis=1)
+    norms = np.hypot.reduce(a, axis=1)  # np.linalg.norm squares, and 1e308 squared overflows
     norms[norms == 0.0] = 1.0
     unit = a / norms[:, None]
+    if rank(sv) < n and rank(np.linalg.svd(unit, compute_uv=False)) < n:
+        return False, vt[-1]
     t = 1.0 / norms
     y = norms * (t - left[:, :n] @ (left[:, :n].T @ t))
     r = unit.T @ y

@@ -216,3 +216,55 @@ class ConvolutionProfile:
     def deriv2(self, x):
         u, (_, _, a2, a3) = self._local(x)
         return 6.0 * a3 * u + 2.0 * a2
+
+
+class LimitProfile:
+    """H_n(a) = (1/2) integral_{-inf}^a (a - u)^(n/2 - 1) F(u) du, with H_n' and H_n''.
+
+    The radial profile of the band family's r -> 1 limit: with u = a - rho^2
+    it is integral_0^inf rho^(n-1) F(a - rho^2) d rho.  With t = a - u it is
+    (1/2) integral_0^inf t^(p-1) F(a - t) dt for p = n/2, so H_n^(m) is the
+    same integral of F^(m), which is continuous for m <= 2.  On the piece
+    [l, l') of F's piecewise cubic the integral runs over t in
+    [T, D] = [max(a - l', 0), max(a - l, 0)].  Expanded about u = a, the
+    piece is sum_j b_j t^j with b_j = (-1)^j P^(j)(a)/j!, so each term
+    integrates to b_j (D^(p+j) - T^(p+j))/(p+j): a closed form for every
+    n >= 1, the integrable t^(-1/2) at n = 1 included.  A piece far left of
+    a loses relative accuracy to cancellation, roughly (D/(D - T))^3; the
+    arguments the limit functional meets are O(1).  H_n vanishes left of
+    F's first break and is nondecreasing and convex, as F is.
+    """
+
+    def __init__(self, F: ConvolutionProfile, n: int):
+        self.p = 0.5 * n
+        self.lefts = F.breaks  # the piece on [lefts[i], rights[i]) is row i + 1 of F.coef
+        self.rights = np.append(F.breaks[1:], np.inf)
+        a0, a1, a2, a3 = F.coef[1:].T
+        zero = np.zeros_like(a0)
+        # local cubic coefficients of F, F' and F''
+        self._coef = [(a0, a1, a2, a3), (a1, 2.0 * a2, 3.0 * a3, zero),
+                      (2.0 * a2, 6.0 * a3, zero, zero)]
+
+    def _integral(self, order: int, a):
+        a = np.asarray(a, dtype=float)
+        x = a.reshape(-1, 1)
+        D = np.maximum(x - self.lefts, 0.0)
+        ends = np.stack([D, np.maximum(x - self.rights, 0.0)])  # D and T
+        c0, c1, c2, c3 = self._coef[order]
+        p = self.p
+        # e_j = b_j/(p + j), and sum_j e_j t^(p+j) by Horner's rule at t = D and t = T
+        e0 = (((c3 * D + c2) * D + c1) * D + c0) / p
+        e1 = -((3.0 * c3 * D + 2.0 * c2) * D + c1) / (p + 1.0)
+        e2 = (3.0 * c3 * D + c2) / (p + 2.0)
+        e3 = -c3 / (p + 3.0)
+        G = (((e3 * ends + e2) * ends + e1) * ends + e0) * ends**p
+        return 0.5 * np.sum(G[0] - G[1], axis=1).reshape(a.shape)
+
+    def __call__(self, a):
+        return self._integral(0, a)
+
+    def deriv(self, a):
+        return self._integral(1, a)
+
+    def deriv2(self, a):
+        return self._integral(2, a)

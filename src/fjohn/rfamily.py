@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blockmat import BlockMat, EPoint, _expm_sym_eig, s_trace, sdet1_param
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
-from .isotropy import DiscreteMeasure, MinimizerResult
+from .isotropy import DiscreteMeasure, LimitReference, MinimizerResult, limit_reference
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
                          eval_h_many, psi_eval_many, psi_gradient)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
@@ -574,14 +575,6 @@ def stationarity_multiplier(h: LogConcaveFn, s: float, pair: ProfilePair, r: flo
     return _density_sums(_Band(h, s, pair, r, quad), minimizer, [])[1]
 
 
-def _logm_sym(A: np.ndarray) -> np.ndarray:
-    lam, V = np.linalg.eigh(0.5 * (A + A.T))
-    if np.any(lam <= 0.0):
-        raise SingularA("matrix log of a non-SPD block")
-    L = (V * np.log(lam)) @ V.T
-    return 0.5 * (L + L.T)
-
-
 @dataclass
 class BandMinimum:
     """What `_minimize_band` found, and how it got there."""
@@ -593,7 +586,6 @@ class BandMinimum:
     stop_reason: str  # CONVERGED, RESOLVED or "max_iter"
     grad_norm: float  # norm of the gradient in theta at `point`
     hessian_builds: int  # forward-difference Hessians built
-    hessian: np.ndarray = field(repr=False)  # the model Hessian in theta at `point`
 
 
 CONVERGED = "predicted decrease below rounding"
@@ -633,13 +625,22 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
     """minimize_band on a prepared band geometry, as a solver record.
 
     theta0 is the start in theta (None: theta = 0, where `minimize_band`
-    starts); `r_sweep` converts its start once.  Every evaluation is one
+    starts); `r_sweep` starts from the limit.  Every evaluation is one
     `_band_value_grad` call on theta; the position is built once, for the
     result.  Without a `hessian` (in theta at theta0) the loop starts from
     one built from forward differences of the gradient with step
     fd = 1e-4 (1-r), theta's scale being 1-r, the width of the band; its
     eigenvalues are floored in magnitude, so the model starts positive
-    definite.  Each step is Newton on the model
+    definite.  A handed-in `hessian` (`r_sweep` hands in the limit's) has
+    the right shape but a scale nothing has checked, so it is not trusted
+    to stop the loop: the first step is taken even when the model predicts
+    a decrease below rounding, and before the first BFGS update the model
+    is multiplied by s.y/(s.Hs), the curvature the step measured over the
+    one the model predicted (Oren-Luenberger self-scaling), when that ratio
+    lies outside [1/2, 2].  The limit's model measures 1.0-1.5 on the
+    benchmark's instances and is kept as it is.  A model 1e6 times too
+    stiff then costs one short step, and one 1e6 times too soft about 20
+    halvings of its first step.  Each step is Newton on the model
     (floored again), halved until Armijo (1e-4) holds on the value; +inf
     beyond the coercive barrier is a rejection.  An accepted step s with
     gradient change y updates the model by BFGS, skipped when s.y <= 0, so
@@ -653,8 +654,7 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
     the step retried; if a fresh difference Hessian fails too the minimizer
     stops (RESOLVED): that is where the discrete functional stops following
     its Newton model, as on a fixed n >= 2 grid, whose nodes cross the kinks
-    of psi one by one.  The record keeps the final model Hessian, which
-    `r_sweep` carries to the next r.  A start beyond the coercive barrier,
+    of psi one by one.  A start beyond the coercive barrier,
     or a barrier within fd of an iterate in every direction a difference
     Hessian steps along, raises NotConverged with the iterations and
     evaluations so far.  A negative `max_iter` raises ValueError.
@@ -696,9 +696,10 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
     it, stop = 0, CONVERGED
     fresh = hessian is None  # the model is a difference Hessian at theta
     hess = difference_hessian() if fresh else hessian
+    scaled = fresh  # a handed-in model's scale is untested until a step measures it
     while True:
         delta, decrease = _newton(hess, grad)
-        if decrease <= ROUNDING * value:
+        if decrease <= ROUNDING * value and scaled:
             break
         if it == max_iter:
             stop = "max_iter"
@@ -716,20 +717,25 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
             if fresh:
                 stop = RESOLVED
                 break
-            hess, fresh = difference_hessian(), True
+            hess, fresh, scaled = difference_hessian(), True, True
             continue
         step, change = t * delta, c_grad - grad
         theta, value, grad, it, fresh = theta + step, c_value, c_grad, it + 1, False
         sy = float(np.dot(step, change))
         if sy > 0.0:
             h_step = hess @ step
+            if not scaled:  # the curvature along the step rescales a handed-in model
+                ratio = sy / float(np.dot(step, h_step))
+                if not 0.5 <= ratio <= 2.0:
+                    hess, h_step = ratio * hess, ratio * h_step
+                scaled = True
             hess = (hess - np.outer(h_step, h_step) / np.dot(step, h_step)
                     + np.outer(change, change) / sy)
     S, v = band.split(theta)
     return BandMinimum(point=EPoint(BlockMat(*sdet1_param(S, s)), v), value=value,
                        evaluations=evals, iterations=it, stop_reason=stop,
                        grad_norm=float(np.linalg.norm(grad)),
-                       hessian_builds=builds, hessian=hess)
+                       hessian_builds=builds)
 
 
 def _floored(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -771,6 +777,7 @@ class SweepEntry:
     dist_to_identity: float
     normalized_s_trace: float
     secant_to_reference: float
+    secant_to_limit: float
     mu_integrals: np.ndarray
     mu_reference: np.ndarray
     error: str | None = None  # "<ExceptionClass>: <message>" when the r failed
@@ -780,6 +787,7 @@ class SweepEntry:
 @dataclass
 class RSweepResult:
     schedule: list
+    limit: EPoint  # the minimizer of the limit functional (`isotropy.limit_reference`)
     entries: list = field(default_factory=list)
 
     def series(self, name: str) -> np.ndarray:
@@ -798,6 +806,27 @@ def default_bumps(reference_measure: DiscreteMeasure):
     return bumps
 
 
+def _limit_model(limit: LimitReference, n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The limit point in theta and the limit's Hessian in theta, both at 1 - r = 1.
+
+    theta = (upper triangle of S, v) stands for the rescaled position with
+    M = S/(1-r), beta = -tr S/(s(1-r)) and w = v/(1-r) to first order, so
+    the limit point is theta = (1-r)(upper triangle of M, w), and with J the
+    map from theta to the flat form at 1 - r = 1, the Hessian of L in theta
+    is J^T (flat Hessian) J/(1-r)^2.
+    """
+    upper = np.triu_indices(n)
+    dim_s = len(upper[0])
+    J = np.zeros((n * n + 1 + n, dim_s + n))
+    for col, (i, j) in enumerate(zip(*upper)):
+        J[i * n + j, col] = J[j * n + i, col] = 1.0
+        if i == j:
+            J[n * n, col] = -1.0 / s
+    J[n * n + 1:, dim_s:] = np.eye(n)
+    return (np.concatenate([limit.point.mat.diag[upper], limit.point.shift]),
+            J.T @ limit.hessian @ J)
+
+
 def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             quad: QuadratureSpec, reference: MinimizerResult,
             reference_measure: DiscreteMeasure) -> RSweepResult:
@@ -808,35 +837,42 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     which makes them comparable with the reference measure: at the exact
     minimizer both normalized measures satisfy the same identity-direction
     moment identity.  Each r builds the band geometry once, and one walk of
-    the density gives every bump integral and lambda_r.  Each r starts from
-    the minimizer of the last r that succeeded, rescaled by (1-r)/(1-r_prev)
-    about the identity, and from its final model Hessian scaled by
-    (1-r_prev)/(1-r), so only the first r builds a difference Hessian unless
-    a later one falls back to it (see `_minimize_band`).  A failure at a
-    single r is recorded with its reason and the sweep continues.  The
-    diagnostics are norms of differences of flat forms `EPoint.vec`.
+    the density gives every bump integral and lambda_r.
+
+    Every r starts from the curvature-weighted limit of the band family
+    (`isotropy.limit_reference`, computed once per call from h, s and the
+    pair alone: the band functional never sees a measure): at
+    theta = (1-r)(upper triangle of M, w) of the limit point, with the model
+    Hessian c_n (1-r)^(n/2) J^T (Hessian of L) J (`_limit_model`), where
+    c_n = 2^n |S^(n-1)| is the leading factor of the band functional's value
+    near the limit, rescaled_band_functional ~ c_n (1-r)^(n/2) L.  c_n was
+    read off measured values at n = 1, 2 and 3, not derived; `_minimize_band`
+    rescales a handed-in model by the curvature along its first step, so a
+    wrong factor costs evaluations, not the minimizer.  Nothing is carried
+    from one r to the next: a row depends on its r alone.  A failure at a
+    single r is recorded with its reason and the sweep continues; a contact
+    set on which the limit is not coercive raises DivergingIterates before
+    any r.  The diagnostics are norms of differences of flat forms
+    `EPoint.vec`; `secant_to_limit` is the rescaled minimizer's distance to
+    the limit point, which `RSweepResult.limit` holds.
     """
+    n = h.n
+    limit = limit_reference(h, s, pair)
+    theta_lim, hess_lim = _limit_model(limit, n, s)
+    c_n = 2.0 ** (n + 1) * np.pi ** (0.5 * n) / math.gamma(0.5 * n)  # 2^n |S^(n-1)|
     bumps = default_bumps(reference_measure)
     ref_integrals = np.array([
         float(np.dot(reference_measure.masses, b(reference_measure.points)))
         for b in bumps
     ])
-    n = h.n
     ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
-    result = RSweepResult(schedule=list(schedule))
-    prev = None
+    result = RSweepResult(schedule=list(schedule), limit=limit.point)
     for r in schedule:
+        omr = 1.0 - r
         try:
             band = _Band(h, s, pair, r, quad)
-            if prev is not None:
-                r_prev, p_prev, hess_prev = prev
-                scale = (1.0 - r) / (1.0 - r_prev)
-                A0 = np.eye(n) + scale * (p_prev.mat.diag - np.eye(n))
-                theta0 = np.concatenate([_logm_sym(A0)[band.upper], scale * p_prev.shift])
-                hess0 = hess_prev / scale
-            else:
-                theta0 = hess0 = None
-            solver = _minimize_band(band, theta0, 400, hess0)
+            solver = _minimize_band(band, omr * theta_lim, 400,
+                                    c_n * omr ** (0.5 * n - 2.0) * hess_lim)
             point, value = solver.point, solver.value
             mu_vals, lam_r = _density_sums(band, point, bumps)
         except (NotConverged, NotInBr, SingularA) as exc:
@@ -844,21 +880,20 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             result.entries.append(SweepEntry(
                 r=r, point=None, rescaled=None, lambda_r=nan, value=nan,
                 dist_to_identity=nan, normalized_s_trace=nan, secant_to_reference=nan,
-                mu_integrals=np.full(len(bumps), np.nan), mu_reference=ref_integrals,
-                error=f"{type(exc).__name__}: {exc}"))
+                secant_to_limit=nan, mu_integrals=np.full(len(bumps), np.nan),
+                mu_reference=ref_integrals, error=f"{type(exc).__name__}: {exc}"))
             continue
-        prev = (r, point, solver.hessian)
-        omr = 1.0 - r
         diff = point.vec - ident
         rescaled = EPoint.from_vec(diff * (1.0 / omr), n)
         flat = rescaled.vec
         dist = float(np.linalg.norm(diff))
         nst = abs(s_trace(rescaled.mat, s)) / max(float(np.linalg.norm(flat[:n * n + 1])), 1e-300)
         secant = float(np.linalg.norm(flat - reference.point.vec))
+        to_limit = float(np.linalg.norm(flat - limit.point.vec))
         mu_norm = reference.lam * mu_vals / (omr * lam_r)
         result.entries.append(SweepEntry(
             r=r, point=point, rescaled=rescaled, lambda_r=lam_r, value=value,
             dist_to_identity=dist, normalized_s_trace=nst,
-            secant_to_reference=secant, mu_integrals=mu_norm,
+            secant_to_reference=secant, secant_to_limit=to_limit, mu_integrals=mu_norm,
             mu_reference=ref_integrals, solver=solver))
     return result

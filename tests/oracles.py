@@ -18,7 +18,7 @@ import numpy as np
 from fjohn import rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param
 from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
-from fjohn.errors import NotConverged, NotJohnPosition
+from fjohn.errors import NotConverged, NotJohnPosition, SingularA
 from fjohn.isotropy import DiscreteMeasure, _Atoms
 from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair
@@ -351,6 +351,22 @@ def functional_value(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 
 # --- profiles -----------------------------------------------------------------------------
 
+def radial_quad(fn, n: int, a: float, breaks) -> float:
+    """Oracle for `profiles.LimitProfile`: integral_0^inf rho^(n-1) fn(a - rho^2) d rho.
+
+    fn is F, F' or F'', which vanish left of breaks[0]; the rho-range is split
+    where a - rho^2 crosses a break, so every piece is a polynomial in rho
+    that scipy's adaptive quadrature (imported here only) takes exactly.
+    """
+    from scipy import integrate
+
+    ends = np.sqrt(np.maximum(a - np.asarray(breaks, dtype=float), 0.0))
+    ends = np.unique(np.concatenate([[0.0], ends]))
+    return float(sum(integrate.quad(lambda rho: rho ** (n - 1) * fn(a - rho * rho), lo, hi,
+                                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for lo, hi in zip(ends[:-1], ends[1:])))
+
+
 def pl_deriv(pl: PiecewiseLinear, x):
     """Right-hand derivative of a piecewise-linear function."""
     x = np.asarray(x, dtype=float)
@@ -506,6 +522,15 @@ def theta_point(theta, n: int, s: float):
     return EPoint(BlockMat(A, alpha), theta[len(upper[0]):])
 
 
+def logm_sym(A: np.ndarray) -> np.ndarray:
+    """The symmetric matrix log of an SPD block, by eigh; SingularA otherwise."""
+    lam, V = np.linalg.eigh(0.5 * (A + A.T))
+    if np.any(lam <= 0.0):
+        raise SingularA("matrix log of a non-SPD block")
+    L = (V * np.log(lam)) @ V.T
+    return 0.5 * (L + L.T)
+
+
 def fd_newton_minimize(band, x0=None, max_iter=400):
     """The Newton loop the quasi-Newton `rfamily._minimize_band` replaced, its reference.
 
@@ -526,7 +551,7 @@ def fd_newton_minimize(band, x0=None, max_iter=400):
         return rfamily._band_value_grad(band, theta)
 
     if x0 is not None:
-        theta = np.concatenate([rfamily._logm_sym(x0.mat.diag)[np.triu_indices(n)], x0.shift])
+        theta = np.concatenate([logm_sym(x0.mat.diag)[np.triu_indices(n)], x0.shift])
     else:
         theta = np.zeros(dim_s + n)
     value, grad = evaluate(theta)

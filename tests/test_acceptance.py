@@ -316,6 +316,17 @@ def test_c9c_secant_to_reference(sweep):
                 "limit, which differs from the contact-functional reference")
 
 
+def test_c9e_secant_to_limit(sweep):
+    # the rescaled minimizers against the minimizer of the curvature-weighted limit
+    # functional (`isotropy.limit_reference`), the point 9c's series levels off away from
+    sec = sweep.series("secant_to_limit")
+    bound = 10.0 * (1.0 - sweep.schedule[-1])
+    ok = bool(np.all(np.diff(sec) < 0.0)) and sec[-1] <= bound
+    report("9e", "secant to limit minimizer", ok,
+           f"series {np.array2string(sec, precision=4)}, final bound {bound:.2f}")
+    assert ok
+
+
 def test_c9d_measure_integrals(sweep):
     last = sweep.entries[-1]
     rel = np.max(np.abs(last.mu_integrals - last.mu_reference)

@@ -6,14 +6,16 @@ import pytest
 
 from fjohn import cli
 from fjohn.blockmat import BlockMat, EPoint, trace0_array
-from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
+from fjohn.contact import (cross_fixture, detect_contacts, make_tangent_instance,
+                           two_level_cross_fixture)
 from fjohn.errors import AtomOffContactSet, DivergingIterates, NotConverged
 from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, MinimizerResult, _Atoms, _newton,
                             calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
-                            minimize_functional)
-from fjohn.logconcave import _positive_span
-from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
+                            limit_reference, minimize_functional)
+from fjohn.logconcave import _positive_span, psi_gradient
+from fjohn.profiles import (ConvolutionProfile, LimitProfile, PiecewiseLinear, ProfilePair,
+                            canonical_pair)
 from oracles import functional_value, lp_spans, project_trace0
 
 F = ConvolutionProfile(canonical_pair())
@@ -304,6 +306,61 @@ class TestNewton:
         iso = check_isotropy(extract_measure(res, h, S, nu, F), S)
         assert iso.residual_iso <= 1e-8
         assert iso.residual_center <= 1e-8
+
+
+class TestLimitReference:
+    """`limit_reference`: the minimizer of L = sum_i W_i H_n((phi c)_i) on the contact set."""
+
+    @staticmethod
+    def _limit(h, s, n):
+        """L over flat points, with det K_i taken by numpy rather than in closed form."""
+        at = _Atoms(h, s, counting_measure(detect_contacts(h, s).points))
+        K = [(4.0 / s**2) * hp**2 * np.outer(a, a) + 2.0 * np.eye(n)
+             for hp, a in zip(at.h_pow, psi_gradient(h.form, at.X))]
+        W = at.w * (at.h_pow**2) ** (n / 2) / np.sqrt(np.linalg.det(K))
+        H = LimitProfile(F, n)
+        return at, W, H
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stationary_with_its_hessian(self, n):
+        h, _ = off_axis_two_level(n)
+        lim = limit_reference(h, S, canonical_pair())
+        at, W, H = self._limit(h, S, n)
+        z = at.features @ lim.point.vec
+        assert lim.value == pytest.approx(float(np.dot(W, H(z))), rel=1e-13)
+        grad = at.basis @ (at.features.T @ (W * H.deriv(z)))  # on the trace-zero subspace
+        assert np.linalg.norm(grad) <= 1e-10
+        assert lim.point.vec == pytest.approx(at.basis.T @ (at.basis @ lim.point.vec), abs=1e-15)
+        # the flat Hessian against central differences of the flat gradient
+        step = 1e-6
+        cols = [(at.features.T @ (W * H.deriv(at.features @ (lim.point.vec + step * e)))
+                 - at.features.T @ (W * H.deriv(at.features @ (lim.point.vec - step * e))))
+                / (2.0 * step) for e in np.eye(at.features.shape[1])]
+        assert lim.hessian == pytest.approx(np.array(cols).T, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_limit_measure_is_isotropic(self, n):
+        # stationarity on the trace-zero subspace makes the masses W_i H_n'(z_i)/h_i^(2/s)
+        # a centered decomposition of the identity, whatever the positive weights
+        h, _ = off_axis_two_level(n)
+        lim = limit_reference(h, S, canonical_pair())
+        at, W, H = self._limit(h, S, n)
+        masses = W * H.deriv(at.features @ lim.point.vec) / at.h_pow**2
+        iso = check_isotropy(DiscreteMeasure(at.X, masses), S)
+        assert iso.residual_iso <= 1e-10 and iso.residual_center <= 1e-10 and iso.lam > 0.0
+
+    def test_uses_the_contact_set_not_a_measure(self, two_level):
+        # the limit of the band family never sees nu: only h, s and the pair enter
+        h, cs, _ = two_level
+        lim = limit_reference(h, S, canonical_pair())
+        ref = minimize_functional(h, S, counting_measure(cs.points), F)
+        assert np.linalg.norm(lim.point.vec - ref.point.vec) > 0.3  # the 9c gap
+
+    def test_non_coercive_contact_set_raises(self):
+        h, _, _ = two_level_cross_fixture(2, S, 0.4, 0.8)
+        with pytest.raises(DivergingIterates, match=r"limit functional is not coercive") as exc:
+            limit_reference(h, S, canonical_pair())
+        assert abs(exc.value.direction.mat.diag[0, 1]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 class TestAtomsBuiltOnce:

@@ -264,6 +264,16 @@ class TestPositiveSpan:
             assert spans
             assert_certificate(a * np.array(scale)[:, None], spans, y)
 
+    def test_a_huge_row_keeps_the_rank(self):
+        # the rank is taken on unit rows: against the singular value 1e308 the others
+        # fell below the rank threshold, and these slopes read as not spanning
+        a = np.array([[1e308, 0.0], [-2.83, 0.0], [0.0, 2.83], [0.0, -2.83]])
+        spans, y = _positive_span(a)
+        assert spans and np.all(y > 0.0)
+        norms = np.array([1e308, 2.83, 2.83, 2.83])
+        weights = norms * y  # on the unit rows
+        assert np.linalg.norm((a / norms[:, None]).T @ weights) <= 1e-12 * weights.sum()
+
     def test_unchecked_certificate_raises(self, monkeypatch):
         # the closed form gives the row 1.0 a weight of -2, so the (patched) NNLS decides
         monkeypatch.setattr(logconcave, "_nnls", lambda E, f: np.zeros(E.shape[1]))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fjohn.profiles import (ConvolutionProfile, PiecewiseLinear, ProfilePair, _distinct,
-                            canonical_pair, validate_profiles)
-from oracles import convolve_numeric, convolve_pl, pl_deriv
+from fjohn.profiles import (ConvolutionProfile, LimitProfile, PiecewiseLinear, ProfilePair,
+                            _distinct, canonical_pair, validate_profiles)
+from oracles import convolve_numeric, convolve_pl, pl_deriv, radial_quad
 
 
 def _oracle(pair, xs):
@@ -278,6 +278,60 @@ class TestCustomPair:
         fd = np.array([(F.deriv(x + step) - F.deriv(x - step)) / (2 * step) for x in xs])
         assert np.max(np.abs(F.deriv2(xs) - fd)) <= 1e-8
         assert np.all(F.deriv2(xs) >= 0.0)
+
+
+class TestLimitProfile:
+    """H_n, H_n' and H_n'' of `LimitProfile`, the radial profile of the band family's limit."""
+
+    PAIRS = [canonical_pair(), _steep_pair(), _three_kink_pair()]
+
+    @staticmethod
+    def _args(F):  # left of F's first break, on every piece, and right of the last
+        return np.linspace(F.breaks[0] - 0.5, F.breaks[-1] + 3.0, 31)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_quadrature(self, n):
+        for pair in self.PAIRS:
+            F = ConvolutionProfile(pair)
+            H = LimitProfile(F, n)
+            a = self._args(F)
+            for got, fn in ((H(a), F), (H.deriv(a), F.deriv), (H.deriv2(a), F.deriv2)):
+                want = np.array([radial_quad(fn, n, x, F.breaks) for x in a])
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_h2_is_half_the_integral_of_F(self):
+        # n = 2: H_2(a) = (1/2) integral_{-inf}^a F, here from the antiderivative of each
+        # cubic piece in its own local variable
+        for pair in self.PAIRS:
+            F = ConvolutionProfile(pair)
+            a = self._args(F)
+            want = np.zeros_like(a)
+            for left, right, c in zip(F.breaks, np.append(F.breaks[1:], np.inf), F.coef[1:]):
+                x = np.clip(a, left, right) - left
+                want += 0.5 * sum(c[k] * x ** (k + 1) / (k + 1) for k in range(4))
+            assert LimitProfile(F, 2)(a) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_h1_is_half_the_line_integral(self):
+        # n = 1: H_1(a) = (1/2) integral over R of F(a - sigma^2), by Gauss-Legendre between
+        # the sigma where a - sigma^2 crosses a break: exact on each polynomial piece
+        xi, wi = np.polynomial.legendre.leggauss(8)
+        for pair in self.PAIRS:
+            F = ConvolutionProfile(pair)
+            a = self._args(F)
+            want = np.zeros_like(a)
+            for i, x in enumerate(a):
+                root = np.sqrt(np.maximum(x - F.breaks, 0.0))
+                ends = np.unique(np.concatenate([-root, root]))
+                for lo, hi in zip(ends[:-1], ends[1:]):
+                    sigma = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xi
+                    want[i] += 0.25 * (hi - lo) * np.dot(wi, F(x - sigma * sigma))
+            assert LimitProfile(F, 1)(a) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_zero_left_of_F_and_shape_kept(self):
+        F = ConvolutionProfile(canonical_pair())
+        H = LimitProfile(F, 3)
+        assert H(-2.0) == 0.0 and H.deriv(-5.0) == 0.0 and H.deriv2(-2.5) == 0.0
+        assert np.shape(H(0.5)) == () and H(np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestPiecewiseLinear:
