@@ -149,6 +149,11 @@ def build_h(inst: dict) -> LogConcaveFn:
         raise InputError("each piece's b must be a number")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InputError("h.pieces must hold finite numbers")
+    with np.errstate(over="ignore"):  # `detect_contacts` takes 4|a_j|^2 of every slope
+        norm = np.linalg.norm(a, axis=1)
+        finite = np.isfinite(4.0 * norm * norm)
+    if not np.all(finite):
+        raise InputError(f"h.pieces[{int(np.argmin(finite))}].a is too large: 4|a|^2 is not finite")
     radius = desc.get("domain_radius")  # `eval_h_many` squares it
     if radius is not None and not (_is_number(radius) and math.isfinite(float(radius) * radius)):
         raise InputError(f"h.domain_radius must be null or have a finite square, got {radius!r}")
@@ -331,7 +336,7 @@ def cmd_contacts(args) -> int:
     cs = contact.detect_contacts(h, inst["s"])
     print(_report("contacts", inst, {  # schema version 1 keeps "continuum": the set is finite
         "points": cs.points, "h_values": cs.h_values,
-        "continuum": False, "gap_tol": cs.gap_tol,
+        "continuum": False, "gap_tol": contact.GAP_TOL,
     }))
     return EXIT_OK
 

@@ -18,12 +18,12 @@ from .errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from .logconcave import LogConcaveFn, eval_h_many, make_log_concave
 
 GAP_TOL = 1e-8  # the largest hemisphere gap of a contact point, wherever contacts are decided
+DECOMPOSITION_TOL = 1e-8  # the largest residual of a decomposition condition that passes
 
 
 @dataclass(frozen=True)
 class ContactSet:
     points: np.ndarray  # (k, n)
-    gap_tol: float
     h_values: np.ndarray  # h(u_i)**(1/s)
 
 
@@ -33,26 +33,26 @@ class DecompositionReport:
     residual_b: float
     residual_c: float
     residual_d: float
-    tol: float
+    weights_positive: bool  # every weight a finite number > 0, as John's c_i must be
 
     def _passes(self) -> dict:
-        """Condition -> residual <= tol, the one pass rule (a NaN residual fails)."""
-        return {k: getattr(self, f"residual_{k}") <= self.tol for k in "abcd"}
+        """Condition -> residual <= DECOMPOSITION_TOL, the one pass rule (a NaN residual fails)."""
+        return {k: getattr(self, f"residual_{k}") <= DECOMPOSITION_TOL for k in "abcd"}
 
     @property
     def ok(self) -> bool:
-        return all(self._passes().values())
+        return self.weights_positive and all(self._passes().values())
 
     def as_dict(self) -> dict:
-        passes = self._passes()
         return {
             "residual_a": self.residual_a,
             "residual_b": self.residual_b,
             "residual_c": self.residual_c,
             "residual_d": self.residual_d,
-            "tol": self.tol,
-            "pass": passes,
-            "ok": all(passes.values()),
+            "tol": DECOMPOSITION_TOL,
+            "weights_positive": self.weights_positive,
+            "pass": self._passes(),
+            "ok": self.ok,
         }
 
 
@@ -95,7 +95,7 @@ def _axis_cross(n: int, s: float,
     weights = np.repeat([c for _, c in levels], 2 * n)
     h = make_tangent_instance(points, s)
     h_pow = eval_h_many(h, points) ** (1.0 / s)
-    return h, ContactSet(points=points, gap_tol=GAP_TOL, h_values=h_pow), weights
+    return h, ContactSet(points=points, h_values=h_pow), weights
 
 
 def cross_fixture(n: int, s: float):
@@ -130,9 +130,11 @@ def two_level_cross_fixture(n: int, s: float, rho1_sq: float, rho2_sq: float):
     return _axis_cross(n, s, [(rho1_sq, c1), (rho2_sq, c2)])
 
 
-def verify_decomposition(points, weights, h: LogConcaveFn, s: float,
-                         tol: float = 1e-8) -> DecompositionReport:
-    """Residuals of the four decomposition-of-identity conditions."""
+def verify_decomposition(points, weights, h: LogConcaveFn, s: float) -> DecompositionReport:
+    """Residuals of the four decomposition-of-identity conditions, and the weights' sign.
+
+    Small residuals on weights of either sign are not a decomposition, so `ok` needs both.
+    """
     U = np.atleast_2d(np.asarray(points, dtype=float))
     c = np.asarray(weights, dtype=float)
     n = U.shape[1]
@@ -142,12 +144,12 @@ def verify_decomposition(points, weights, h: LogConcaveFn, s: float,
     res_b = float(np.linalg.norm(M - np.eye(n), ord="fro"))
     res_c = float(abs(np.dot(c, h_pow**2) - s))
     res_d = float(np.linalg.norm(c @ U))
-    return DecompositionReport(res_a, res_b, res_c, res_d, tol)
+    positive = bool(np.all((c > 0.0) & np.isfinite(c)))
+    return DecompositionReport(res_a, res_b, res_c, res_d, positive)
 
 
-def _merge_contacts(X: np.ndarray, h_pow: np.ndarray, gaps: np.ndarray,
-                    gap_tol: float) -> ContactSet:
-    """The rows of X with gap <= gap_tol, deduplicated at 1e-6 and sorted, with their h**(1/s).
+def _merge_contacts(X: np.ndarray, h_pow: np.ndarray, gaps: np.ndarray) -> ContactSet:
+    """The rows of X with gap <= GAP_TOL, deduplicated at 1e-6 and sorted, with their h**(1/s).
 
     The merge is greedy in candidate order: a candidate goes when it lies
     within 1e-6 of an earlier kept one.  One k x k matrix holds the
@@ -155,7 +157,7 @@ def _merge_contacts(X: np.ndarray, h_pow: np.ndarray, gaps: np.ndarray,
     single difference (so the 1e-6 test matches a pair loop bit for bit),
     and the loop walks the candidates, not the pairs.
     """
-    on = gaps <= gap_tol
+    on = gaps <= GAP_TOL
     X, h_pow = X[on], h_pow[on]
     diff = X[:, None, :] - X[None, :, :]
     close = np.sqrt(np.vecdot(diff, diff)) <= 1e-6
@@ -165,7 +167,7 @@ def _merge_contacts(X: np.ndarray, h_pow: np.ndarray, gaps: np.ndarray,
             keep[i + 1:] &= ~close[i, i + 1:]
     X, h_pow = X[keep], h_pow[keep]
     order = np.lexsort(X.T[::-1])  # lexicographic in the coordinates, as tuples sort
-    return ContactSet(points=X[order], gap_tol=gap_tol, h_values=h_pow[order])
+    return ContactSet(points=X[order], h_values=h_pow[order])
 
 
 def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None) -> ContactSet:
@@ -177,6 +179,7 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None)
     position iff the gap is nonnegative at every u_j and domain_radius >= 1.
     Raises NotJohnPosition otherwise.  A gap below -GAP_TOL is a fall below
     the hemisphere, and one of at most GAP_TOL a contact, as in `isotropy._Atoms`.
+    So does a NaN gap, naming the piece (a slope whose 4|a_j|^2 overflows has a NaN u_j).
 
     grid_per_axis is accepted and ignored, as the instance file's
     `tolerances.grid_per_axis` is in schema version 1.  The tests check
@@ -191,8 +194,10 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None)
     U = form.a * np.divide(rho, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
     h_pow = eval_h_many(h, U) ** (1.0 / s)
     gaps = _hemisphere_gap(h_pow, U)
-    j = int(np.argmin(gaps))
+    j = int(np.argmin(gaps))  # the first NaN, if any
+    if np.isnan(gaps[j]):
+        raise NotJohnPosition(f"the hemisphere gap of piece {j} is not a number")
     if gaps[j] < -GAP_TOL:
         raise NotJohnPosition(
             f"h**(1/s) falls below the hemisphere by {-gaps[j]:.3e} at {U[j]} (piece {j})")
-    return _merge_contacts(U, h_pow, gaps, GAP_TOL)
+    return _merge_contacts(U, h_pow, gaps)

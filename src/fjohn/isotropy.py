@@ -217,22 +217,26 @@ def _require_coercive(at: _Atoms, what: str) -> None:
                                 direction=EPoint.from_vec(d, at.n))
 
 
-def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray,
-            tol: float, max_iter: int):
+NEWTON_TOL = 1e-10  # the gradient norm at which `_newton` stops
+NEWTON_MAX_ITER = 2000  # the gradient evaluations `_newton` may take
+
+
+def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray):
     """Minimize sum_i w_i F((phi c)_i) over c from `c`, for both Newton minimizers of this module.
 
-    Returns (c, z = phi c, value, gradient norm, iterations, evaluations); a
-    stop short of `tol` raises NotConverged with the same counts.  It does
-    not check coercivity: on a functional that is not coercive it may run to
-    `max_iter` or stop at a stationary point.
+    Returns (c, z = phi c, value, gradient norm, iterations, evaluations)
+    once the gradient norm is at most NEWTON_TOL; a stop short of it raises
+    NotConverged with the same counts.  It does not check coercivity: on a
+    functional that is not coercive it may run to NEWTON_MAX_ITER or stop
+    at a stationary point.
     """
     z = phi @ c
     value = float(np.dot(w, F(z)))
     evals = 1
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         g = phi.T @ (w * F.deriv(z))
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
+        if gnorm <= NEWTON_TOL:
             return c, z, value, gnorm, it, evals
         hess = (phi.T * (w * F.deriv2(z))) @ phi
         delta = np.linalg.lstsq(hess, -g, rcond=None)[0]
@@ -253,13 +257,12 @@ def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray
                                    reason="no descent", iterations=it, evaluations=evals,
                                    grad_norm=gnorm)
         c, z, value = cand, z_cand, new_value
-    raise NotConverged(f"projected gradient {gnorm:.3e} above tol {tol:.1e}",
+    raise NotConverged(f"projected gradient {gnorm:.3e} above tol {NEWTON_TOL:.1e}",
                        reason="max_iter", iterations=it, evaluations=evals, grad_norm=gnorm)
 
 
 def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
-                        F: ConvolutionProfile, tol: float = 1e-10,
-                        max_iter: int = 2000, x0: EPoint | None = None) -> MinimizerResult:
+                        F: ConvolutionProfile) -> MinimizerResult:
     """Minimize the contact functional on the weighted-trace-zero subspace.
 
     The functional must be coercive, which is decided exactly first: unless
@@ -267,32 +270,27 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     subspace (`_positive_span`), DivergingIterates carries the unit
     certificate direction `d @ basis`, along which no atom's argument grows,
     and the message names it rounded to 6 digits.  Then exact Newton on phi
-    (`_newton`): with z = phi c the gradient is phi^T (w F'(z)) and the
-    Hessian phi^T diag(w F''(z)) phi.  The step is the minimum-norm
+    from c = 0 (`_newton`): with z = phi c the gradient is phi^T (w F'(z))
+    and the Hessian phi^T diag(w F''(z)) phi.  The step is the minimum-norm
     least-squares solution, so a singular Hessian (F'' = 0 on some atoms)
     leaves its null directions alone, which the gradient has no component
     along.
     Armijo backtracking on the value (c = 1e-4, halving) until the projected
-    gradient norm is at most `tol` (the stop WITHIN_TOL; every other end
+    gradient norm is at most NEWTON_TOL (the stop WITHIN_TOL; every other end
     raises NotConverged with the same counts, the last gradient norm and a
-    `reason`: "max_iter", "no descent" or "multiplier cross-check");
+    `reason`: "max_iter" after NEWTON_MAX_ITER gradients, "no descent" or
+    "multiplier cross-check");
     `iterations` counts the gradient evaluations and `evaluations` the
     values, Armijo trials included.  F'' > 0 wherever F' > 0, so every
     Newton step is a descent direction, and descent keeps the iterates in
     the start's sublevel set, which coercivity bounds.  The multiplier is
     computed both from the identity-direction contraction and from the
     plain trace formula; the two must agree to 1e-8, which doubles as a
-    contact-set sanity check.  A `max_iter` below 1 raises ValueError
-    before any work.
+    contact-set sanity check.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     at = _Atoms(h, s, nu)
     _require_coercive(at, "contact functional is not coercive for this measure")
-
-    # the basis rows are orthonormal and orthogonal to (Id + s-corner, 0)
-    c0 = at.basis @ x0.vec if x0 is not None else np.zeros(len(at.basis))
-    c, z, value, gnorm, it, evals = _newton(at.phi, at.w, F, c0, tol, max_iter)
+    c, z, value, gnorm, it, evals = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
 
     dF = F.deriv(z)
     lam_a = s_trace(_gradient(at, dF).mat, s) / (at.n + s * s)
@@ -330,7 +328,7 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     and unbounded above, as F is, so the same exact gate as
     `minimize_functional` decides coercivity (DivergingIterates with the
     certificate direction), and the same Newton loop (`_newton`) minimizes,
-    from c = 0, to `minimize_functional`'s default tolerances.
+    from c = 0.
     """
     from .profiles import ConvolutionProfile, LimitProfile  # not loaded by `coercivity`
 
@@ -340,7 +338,7 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     slope2 = np.sum(psi_gradient(h.form, at.X) ** 2, axis=1)
     W = at.w * h2s ** (0.5 * at.n) / np.sqrt(2.0**at.n * (1.0 + 2.0 / (s * s) * h2s * slope2))
     H = LimitProfile(ConvolutionProfile(pair), at.n)
-    c, z, value = _newton(at.phi, W, H, np.zeros(len(at.basis)), 1e-10, 2000)[:3]
+    c, z, value = _newton(at.phi, W, H, np.zeros(len(at.basis)))[:3]
     hessian = (at.features.T * (W * H.deriv2(z))) @ at.features
     return LimitReference(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
                           hessian=hessian)

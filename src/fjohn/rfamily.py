@@ -591,15 +591,11 @@ class BandMinimum:
 CONVERGED = "predicted decrease below rounding"
 RESOLVED = "no descent beyond the difference step"
 ROUNDING = 1e-12  # relative level of the value below which a predicted decrease is not resolved
-
-
-def _check_max_iter(max_iter: int) -> None:
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+BAND_MAX_ITER = 400  # the quasi-Newton steps `_minimize_band` may take
 
 
 def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
-                  quad: QuadratureSpec, max_iter: int = 400) -> tuple[EPoint, float]:
+                  quad: QuadratureSpec) -> tuple[EPoint, float]:
     """Minimize the band functional over unit-weighted-determinant positions.
 
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
@@ -610,17 +606,16 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     after every step, and Armijo backtracking on the value.  It stops once the decrease
     the model predicts is below the rounding of the value, once no step down
     to the difference step descends on a freshly differenced Hessian, or
-    after `max_iter` steps.  The band geometry (radius, kinks of psi) is
+    after BAND_MAX_ITER steps.  The band geometry (radius, kinks of psi) is
     built once per minimization.  Returns the minimizer and the stationarity
-    multiplier.  A negative `max_iter` raises ValueError before any work.
+    multiplier.
     """
-    _check_max_iter(max_iter)
     band = _Band(h, s, pair, r, quad)
-    point = _minimize_band(band, None, max_iter).point
+    point = _minimize_band(band, None).point
     return point, _density_sums(band, point, [])[1]
 
 
-def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
+def _minimize_band(band: _Band, theta0: np.ndarray | None,
                    hessian: np.ndarray | None = None) -> BandMinimum:
     """minimize_band on a prepared band geometry, as a solver record.
 
@@ -657,9 +652,8 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
     of psi one by one.  A start beyond the coercive barrier,
     or a barrier within fd of an iterate in every direction a difference
     Hessian steps along, raises NotConverged with the iterations and
-    evaluations so far.  A negative `max_iter` raises ValueError.
+    evaluations so far.  After BAND_MAX_ITER steps it stops ("max_iter").
     """
-    _check_max_iter(max_iter)
     n, s, r = band.h.n, band.s, band.r
     upper = band.upper
     evals = builds = 0
@@ -701,7 +695,7 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None, max_iter: int,
         delta, decrease = _newton(hess, grad)
         if decrease <= ROUNDING * value and scaled:
             break
-        if it == max_iter:
+        if it == BAND_MAX_ITER:
             stop = "max_iter"
             break
         t = 1.0
@@ -871,7 +865,7 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
         omr = 1.0 - r
         try:
             band = _Band(h, s, pair, r, quad)
-            solver = _minimize_band(band, omr * theta_lim, 400,
+            solver = _minimize_band(band, omr * theta_lim,
                                     c_n * omr ** (0.5 * n - 2.0) * hess_lim)
             point, value = solver.point, solver.value
             mu_vals, lam_r = _density_sums(band, point, bumps)

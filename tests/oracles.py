@@ -257,11 +257,14 @@ def merged_contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) ->
     """Candidates with gap <= gap_tol through the package's merge, `contact._merge_contacts`.
 
     What `contact.detect_contacts` does with its tangency points, on any
-    candidates; `pairwise_contact_set` is its reference.
+    candidates; `pairwise_contact_set` is its reference.  The merge keeps
+    gaps up to `contact.GAP_TOL`, so the candidates are filtered by
+    `gap_tol` first and handed in with a gap of 0.
     """
     X = np.asarray(candidates, dtype=float).reshape(-1, h.n)
     h_pow = eval_h_many(h, X) ** (1.0 / s)
-    return _merge_contacts(X, h_pow, _hemisphere_gap(h_pow, X), gap_tol)
+    on = _hemisphere_gap(h_pow, X) <= gap_tol
+    return _merge_contacts(X[on], h_pow[on], np.zeros(int(np.sum(on))))
 
 
 def pairwise_contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) -> ContactSet:
@@ -279,7 +282,7 @@ def pairwise_contact_set(h: LogConcaveFn, s: float, candidates, gap_tol: float) 
     kept.sort(key=lambda p: tuple(p))
     points = np.array(kept) if kept else np.zeros((0, h.n))
     vals = (eval_h_many(h, points) ** (1.0 / s)) if kept else np.zeros(0)
-    return ContactSet(points=points, gap_tol=gap_tol, h_values=vals)
+    return ContactSet(points=points, h_values=vals)
 
 
 def grid_candidates(h: LogConcaveFn, s: float, grid_per_axis: int = 101,

@@ -68,7 +68,7 @@ def test_c1_decomposition_identities():
     for n in (1, 2, 3):
         for s in (0.5, 1.0, 2.0):
             h, cs, w = cross_fixture(n, s)
-            rep = verify_decomposition(cs.points, w, h, s, tol=1e-12)
+            rep = verify_decomposition(cs.points, w, h, s)
             worst = max(worst, rep.residual_a, rep.residual_b,
                         rep.residual_c, rep.residual_d)
             assert rep.ok

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import pathlib
@@ -100,6 +99,21 @@ class TestVerifyCommand:
         res = run("verify", "--instance", str(bad))
         assert res.returncode == 2
 
+    def test_negative_weights_fail(self, tmp_path, capsys):
+        # weights moved along the null direction of conditions (b)-(d) keep every
+        # residual at rounding, but two are negative: not John's c_i > 0
+        inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+        null = [-1.0, 1.0, math.sqrt(0.5), -math.sqrt(0.5)]
+        inst["contacts"]["weights"] = [c + 5.0 * v / math.sqrt(3.0)
+                                       for c, v in zip(inst["contacts"]["weights"], null)]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(inst))
+        assert cli.main(["verify", "--instance", str(path)]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert all(result["pass"].values()) and max(
+            result[f"residual_{k}"] for k in "abcd") <= 1e-14
+        assert result["weights_positive"] is False and result["ok"] is False
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "garbage.json"
         bad.write_text("{not json")
@@ -157,6 +171,7 @@ class TestMalformedInput:
         ("coercivity", lambda i: i.update(n=True)),
         ("minimize-i1", lambda i: i.update(n=1.0)),
         ("contacts", lambda i: i["h"].update(domain_radius=1e308)),
+        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[1e308])),
         ("minimize-i1", lambda i: [piece.update(b=[]) for piece in i["h"]["pieces"]]),
         ("verify", lambda i: i.update(s=10**400)),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
@@ -171,6 +186,7 @@ class TestMalformedInput:
             "r-schedule-entry-above-one",
             "quadrature-not-an-object", "h-not-an-object", "x-nodes-fraction",
             "contacts-not-an-object", "n-boolean", "n-fraction", "domain-radius-square-overflows",
+            "slope-square-overflows",
             "every-b-an-empty-list", "integer-beyond-float-range"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, capsys,
                                            command, mutate):
@@ -420,8 +436,7 @@ class TestNotConverged:
     @pytest.mark.parametrize("command", ["minimize-i1", "sweep-r"])
     def test_exit_3_reports_the_solver_record(self, command, monkeypatch, capsys):
         # two Newton steps leave the contact functional's gradient at 2.965e-01
-        capped = functools.partial(isotropy.minimize_functional, max_iter=2)
-        monkeypatch.setattr(isotropy, "minimize_functional", capped)
+        monkeypatch.setattr(isotropy, "NEWTON_MAX_ITER", 2)
         code = cli.main([command, "--instance", str(INSTANCES / "two_level_n1_s1.json")])
         captured = capsys.readouterr()
         assert code == cli.EXIT_NOT_CONVERGED and captured.out == ""

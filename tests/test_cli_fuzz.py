@@ -9,7 +9,9 @@ verdicts of `verify` and `coercivity`: exit 2 with one report whose `ok` is
 false.
 
 The leaf x value pairs are sampled under a fixed seed to keep the run short.
-`sweep-r` runs at n = 1 only, on a one-r schedule.  No case sets a node count
+`sweep-r` runs at n = 1 only, on a one-r schedule.  One more instance swaps
+the canonical profile pair of `two_level_n1_s1` for a custom one, and its
+cases mutate the leaves of that pair only.  No case sets a node count
 above the default: `build_quad` takes any integer count of at least 25, and a
 large one would allocate gigabytes.
 """
@@ -33,6 +35,10 @@ COMMANDS = ["verify", "contacts", "coercivity", "minimize-i1"]
 PAIRS_PER_INSTANCE = 80
 SWEEP_PAIRS = 40
 PREFIX = {1: "input error: ", 2: "math failure: ", 3: "not converged: "}
+# f kinks at -0.3 and 0.4, g at -0.2
+CUSTOM_PAIR = {"f": {"xs": [-1, -0.3, 0.4], "ys": [0, 0.35, 1.1], "right_slope": 2.0},
+               "g": {"xs": [-1, -0.2, 1], "ys": [1, 0.7, 0]}}
+CUSTOM_PAIRS = 40
 
 
 def leaves(node, path=()):
@@ -96,8 +102,10 @@ def run_cases(inst: dict, pairs, commands, tmp_path, capsys) -> list:
     return found
 
 
-def sample(inst: dict, k: int, seed: str) -> list:
-    pairs = [(leaf, value) for leaf in leaves(inst) for value in VALUES
+def sample(inst: dict, k: int, seed: str, under: tuple = ()) -> list:
+    """k leaf x value pairs of the subtree at path `under` (the whole instance by default)."""
+    node = functools.reduce(operator.getitem, under, inst)
+    pairs = [(leaf, value) for leaf in leaves(node, under) for value in VALUES
              if node_count_allowed(leaf, value)]
     return random.Random(seed).sample(pairs, min(k, len(pairs)))
 
@@ -116,6 +124,14 @@ def test_sweep_keeps_the_exit_contract(name, tmp_path, capsys):
     inst["r_schedule"] = [0.9]
     assert run_cases(inst, sample(inst, SWEEP_PAIRS, f"sweep-{name}"), ["sweep-r"],
                      tmp_path, capsys) == []
+
+
+def test_custom_profile_pair_keeps_the_exit_contract(tmp_path, capsys):
+    inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+    inst["profile"] = copy.deepcopy(CUSTOM_PAIR)
+    inst["r_schedule"] = [0.9]
+    pairs = sample(inst, CUSTOM_PAIRS, "custom", under=("profile",))
+    assert run_cases(inst, pairs, COMMANDS + ["sweep-r"], tmp_path, capsys) == []
 
 
 def test_the_contract_check_rejects_a_bare_failure():

@@ -123,13 +123,23 @@ class TestVerifyDecomposition:
 
     def test_nan_residual_fails(self):
         # ok and the report's pass object come from one rule, under which NaN fails
-        rep = DecompositionReport(0.0, float("nan"), 0.0, 0.0, 1e-8)
+        rep = DecompositionReport(0.0, float("nan"), 0.0, 0.0, True)
         assert not rep.ok
         assert rep.as_dict()["pass"] == {"a": True, "b": False, "c": True, "d": True}
         assert rep.as_dict()["ok"] is False
 
 
 class TestDetectContacts:
+    def test_nan_gap_names_its_piece(self):
+        # 4|a|^2 overflows: the tangency point and gap are NaN, and the piece was skipped
+        h = cross_fixture(2, 2.0)[0]
+        a = h.form.a.copy()
+        a[0] = [1e308, 0.0]
+        big = make_log_concave(a, h.form.b, 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotJohnPosition, match="gap of piece 0 is not a number"):
+                detect_contacts(big, 2.0)
+
     def test_single_tangent_point(self):
         h = make_tangent_instance([[0.5]], 1.0)
         cs = detect_contacts(h, 1.0, grid_per_axis=101)

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fjohn import cli
+from fjohn import cli, isotropy
 from fjohn.blockmat import BlockMat, EPoint, trace0_array
 from fjohn.contact import (cross_fixture, detect_contacts, make_tangent_instance,
                            two_level_cross_fixture)
@@ -29,8 +29,7 @@ def ungated(h, s, nu):
     The result's multiplier is NaN: the tests that reach the loop this way do not read it.
     """
     at = _Atoms(h, s, nu)
-    c, _, value, gnorm, it, evals = _newton(at.phi, at.w, F, np.zeros(len(at.basis)),
-                                            1e-10, 2000)
+    c, _, value, gnorm, it, evals = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
     return MinimizerResult(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
                            projected_grad_norm=gnorm, lam=float("nan"), iterations=it,
                            converged=True, evaluations=evals, stop_reason=WITHIN_TOL)
@@ -125,29 +124,20 @@ class TestFunctionalGradient:
 
 
 class TestMinimize:
-    def test_not_converged_carries_the_record(self):
+    def test_not_converged_carries_the_record(self, monkeypatch):
         inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
         h = cli.build_h(inst)
         nu = cli.build_nu(inst, h)
+        full = minimize_functional(h, inst["s"], nu, F)
+        monkeypatch.setattr(isotropy, "NEWTON_MAX_ITER", 2)
         with pytest.raises(NotConverged) as caught:
-            minimize_functional(h, inst["s"], nu, F, max_iter=2)
+            minimize_functional(h, inst["s"], nu, F)
         exc = caught.value
         assert str(exc) == "projected gradient 2.965e-01 above tol 1.0e-10"
         assert exc.reason == "max_iter" and exc.iterations == 2
         assert f"{exc.grad_norm:.3e}" == "2.965e-01"
         # one value at the start and at least one Armijo trial per step
-        full = minimize_functional(h, inst["s"], nu, F)
         assert 3 <= exc.evaluations < full.evaluations and full.iterations > 2
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_raises_before_any_work(self, two_level, monkeypatch,
-                                                       max_iter):
-        h, cs, _ = two_level
-        built = []
-        monkeypatch.setattr(_Atoms, "__init__", lambda self, *args: built.append(1))
-        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
-            minimize_functional(h, S, counting_measure(cs.points), F, max_iter=max_iter)
-        assert built == []
 
     def test_calibrated_recovers_construction(self, two_level):
         h, cs, w = two_level
@@ -278,21 +268,22 @@ class TestNewton:
         assert res.evaluations == len(calls) >= res.iterations > 1
         assert res.stop_reason == WITHIN_TOL
 
-    def test_converges_from_next_to_the_minimizer(self):
+    def test_converges_from_next_to_the_minimizer(self, monkeypatch):
         # there the decrease a Newton step promises is below the rounding of
         # the value, which the Armijo test alone cannot confirm
         rng = np.random.default_rng(7)
         for n in (1, 2):
             h, nu = off_axis_two_level(n)
-            best = minimize_functional(h, S, nu, F, tol=1e-14)
-            basis = trace0_array(n, S)
+            with monkeypatch.context() as tight:
+                tight.setattr(isotropy, "NEWTON_TOL", 1e-14)
+                best = minimize_functional(h, S, nu, F)
+            at = _Atoms(h, S, nu)
             for scale in (1e-9, 1e-10):
                 for _ in range(20):
-                    x0 = EPoint.from_vec(
-                        best.point.vec + scale * rng.standard_normal(len(basis)) @ basis, n)
-                    res = minimize_functional(h, S, nu, F, x0=x0)
-                    assert res.iterations <= 5
-                    assert np.linalg.norm(res.point.vec - best.point.vec) <= 1e-9
+                    x0 = best.point.vec + scale * rng.standard_normal(len(at.basis)) @ at.basis
+                    c, _, _, _, it, _ = _newton(at.phi, at.w, F, at.basis @ x0)
+                    assert it <= 5
+                    assert np.linalg.norm(c @ at.basis - best.point.vec) <= 1e-9
 
     def test_singular_hessian_leaves_flat_direction_alone(self):
         # every atom is on an axis: the functional is constant along M_12

@@ -1,10 +1,15 @@
 import importlib
+import importlib.util
+import inspect
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fjohn
+from fjohn import contact, isotropy, logconcave, rfamily
 
 # every name `fjohn` exports, by the submodule that defines it
 EXPORTS = {
@@ -37,6 +42,32 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fjohn.no_such_name
     assert not hasattr(fjohn, "no_such_name")
+
+
+def _perfbench_spans():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_reaches_every_name_and_keyword_it_uses():
+    # perfbench's tracer rebinds these names and its workloads make these calls;
+    # a name or keyword cut from the package would fail only the traced benchmark
+    spans = _perfbench_spans()
+    for module, name in spans.SPANNED + spans.COUNTED:
+        assert callable(getattr(importlib.import_module(f"fjohn.{module}"), name)), (module, name)
+    h, p, w, s, nu, F = object(), np.zeros((1, 1)), np.ones(1), 1.0, object(), object()
+    inspect.signature(contact.detect_contacts).bind(h, s, grid_per_axis=201)
+    inspect.signature(isotropy.coercivity_witness).bind(h, s, nu, n_dirs=1000)
+    inspect.signature(isotropy.minimize_functional).bind(h, s, nu, F)
+    inspect.signature(contact.verify_decomposition).bind(p, w, h, s)
+    inspect.signature(logconcave.make_log_concave).bind(p, w, s, None)
+    inspect.signature(rfamily.QuadratureSpec).bind(x_nodes_per_axis=64)
+    # the tracer reads these arguments by position when they are not keywords
+    assert list(inspect.signature(contact.detect_contacts).parameters)[2] == "grid_per_axis"
+    assert list(inspect.signature(rfamily.band_functional).parameters)[5] == "quad"
 
 
 def test_from_import_of_names_and_submodules_in_a_fresh_interpreter():

@@ -399,7 +399,7 @@ class TestMinimizeBand:
         h, _, _ = fixture
         band = rfamily._Band(h, S, canonical_pair(), r, quad)
         ref_point, ref_value = _compass_minimize(band)
-        res = rfamily._minimize_band(band, None, 400)
+        res = rfamily._minimize_band(band, None)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 40
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -411,7 +411,7 @@ class TestMinimizeBand:
         band = rfamily._Band(h, S, canonical_pair(), r,
                              QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96))
         ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band)
-        res = rfamily._minimize_band(band, None, 400)
+        res = rfamily._minimize_band(band, None)
         assert res.stop_reason in CONVERGED_STOPS and res.hessian_builds == 1
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -424,7 +424,7 @@ class TestMinimizeBand:
         # quasi-Newton loop stopped, the FD-Newton loop finds no step either.
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         band = rfamily._Band(h, S, canonical_pair(), 0.8, QuadratureSpec(x_nodes_per_axis=96))
-        res = rfamily._minimize_band(band, None, 400)
+        res = rfamily._minimize_band(band, None)
         assert res.stop_reason == rfamily.RESOLVED
         point, value, _, stop = fd_newton_minimize(band, res.point)  # x0 goes through log(A)
         assert stop == rfamily.RESOLVED and value == pytest.approx(res.value, rel=1e-14)
@@ -444,8 +444,8 @@ class TestMinimizeBand:
         mu0 = extract_measure(ref, h, S, nu, F)
         original = rfamily._minimize_band
 
-        def miscaled(band, theta0, max_iter, hessian):
-            return original(band, theta0, max_iter, None if hessian is None else scale * hessian)
+        def miscaled(band, theta0, hessian):
+            return original(band, theta0, None if hessian is None else scale * hessian)
 
         monkeypatch.setattr(rfamily, "_minimize_band", miscaled)
         with np.errstate(over="ignore", invalid="ignore"):  # soft models step beyond the barrier
@@ -462,32 +462,21 @@ class TestMinimizeBand:
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         quad = QuadratureSpec(x_nodes_per_axis=96)
         band = rfamily._Band(h, S, canonical_pair(), r, quad)
-        res = rfamily._minimize_band(band, None, 400)
+        res = rfamily._minimize_band(band, None)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 60
         assert s_det(res.point.mat, S) == pytest.approx(1.0, abs=1e-10)
         assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
         assert res.value < band_functional(h, S, canonical_pair(), r, identity_point(2), quad)
 
-    def test_max_iter_zero_takes_no_step(self, fixture, quad):
+    def test_max_iter_zero_takes_no_step(self, fixture, quad, monkeypatch):
         h, _, _ = fixture
+        monkeypatch.setattr(rfamily, "BAND_MAX_ITER", 0)
         band = rfamily._Band(h, S, canonical_pair(), 0.9, quad)
-        res = rfamily._minimize_band(band, None, 0)
+        res = rfamily._minimize_band(band, None)
         assert res.iterations == 0 and res.stop_reason == "max_iter"
         assert np.linalg.norm(res.point.vec - identity_point().vec) == 0.0
-        p, lam = minimize_band(h, S, canonical_pair(), 0.9, quad, max_iter=0)
+        p, lam = minimize_band(h, S, canonical_pair(), 0.9, quad)
         assert np.linalg.norm(p.vec - identity_point().vec) == 0.0 and lam > 0.0
-
-    def test_negative_max_iter_raises_before_any_work(self, fixture, quad, monkeypatch):
-        h, _, _ = fixture
-        band = rfamily._Band(h, S, canonical_pair(), 0.9, quad)
-        evaluated = []
-        monkeypatch.setattr(rfamily, "_band_value_grad", lambda *args: evaluated.append(1))
-        with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
-            rfamily._minimize_band(band, None, -1)
-        monkeypatch.setattr(rfamily, "_Band", lambda *args: evaluated.append(1))
-        with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
-            minimize_band(h, S, canonical_pair(), 0.9, quad, max_iter=-1)
-        assert evaluated == []
 
     def test_unit_sdet_and_trend(self, fixture, quad):
         h, _, _ = fixture
@@ -1275,10 +1264,10 @@ class TestSweepErrors:
     def _failing_at(monkeypatch, bad_r):
         original = rfamily._minimize_band
 
-        def flaky(band, theta0, max_iter, hessian):
+        def flaky(band, theta0, hessian):
             if band.r == bad_r:
                 raise NotConverged("band functional infinite at the starting point")
-            return original(band, theta0, max_iter, hessian)
+            return original(band, theta0, hessian)
 
         monkeypatch.setattr(rfamily, "_minimize_band", flaky)
 
