@@ -245,7 +245,9 @@ def build_quad(inst: dict) -> QuadratureSpec:
     if type(nodes) is not int:  # a bool or a fraction is not a node count
         raise InputError(f"quadrature.x_nodes_per_axis must be an integer, got {nodes!r}")
     try:
-        return rfamily.QuadratureSpec(x_nodes_per_axis=nodes)
+        quad = rfamily.QuadratureSpec(x_nodes_per_axis=nodes)
+        quad.check_grid(inst["n"])  # before a sweep allocates the grid
+        return quad
     except ValueError as exc:
         raise InputError(f"malformed quadrature ({type(exc).__name__}: {exc})")
 

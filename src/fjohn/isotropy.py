@@ -11,6 +11,7 @@ isotropic measure supported on the atoms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -126,7 +127,6 @@ class _Atoms:
         self.X = X
         self.m = nu.masses
         self.n = n
-        self.s = s
         self.w = self.m * self.h_pow
         Y = X / (self.h_pow**2)[:, None]
         self.features = np.hstack([(Y[:, :, None] * X[:, None, :]).reshape(k, n * n),
@@ -157,7 +157,8 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 
     For each unit direction (M, beta, w) the witness needs some atom with
     <x, Mx + w>/h^(2/s) + beta > 0.  `n_dirs` sampled directions, always the
-    same ones (drawn from `default_rng(0)`), are checked as a diagnostic
+    same ones (drawn from `default_rng(0)`; one read-only table per
+    (n, s, n_dirs), `_witness_directions`), are checked as a diagnostic
     together with the analytic flat candidates: the identity-block direction
     with corner -n/s, and the coordinate shift directions.  When none of
     them fails, the certificate direction of `_positive_span` on the design
@@ -166,23 +167,10 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     same decision `minimize_functional` gates on.
     """
     at = _Atoms(h, s, nu)
-    n = at.n
-    coeffs = np.random.default_rng(0).standard_normal((n_dirs, len(at.basis)))
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    dirs = np.zeros((2 + 2 * n + n_dirs, at.features.shape[1]))
-    dirs[0, :n * n:n + 1], dirs[0, n * n] = 1.0, -n / at.s
-    dirs[0] /= np.linalg.norm(dirs[0])
-    dirs[1] = -dirs[0]
-    dirs[2:2 + 2 * n:2, n * n + 1:] = np.eye(n)
-    dirs[3:2 + 2 * n:2, n * n + 1:] = -np.eye(n)
-    dirs[2 + 2 * n:] = coeffs @ at.basis
-    labels = ["identity-flat(+)", "identity-flat(-)"]
-    labels += [f"shift({sign}e{j})" for j in range(n) for sign in "+-"]
-
+    dirs, labels = _witness_directions(at.n, s, n_dirs)
     # args is linear in the direction: every direction is one column of one matmul
     best = np.max(at.features @ dirs.T, axis=0)
-    failures = [(labels[i] if i < len(labels) else f"sample{i - len(labels)}",
-                 EPoint.from_vec(dirs[i], at.n), float(best[i]))
+    failures = [(labels[i], EPoint.from_vec(dirs[i], at.n), float(best[i]))
                 for i in np.flatnonzero(best <= 1e-12)]
     margin, n_checked = float(np.min(best)), len(best)
     if not failures:
@@ -192,6 +180,33 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
             failures.append(("certificate", EPoint.from_vec(d, at.n), top))
             margin, n_checked = min(margin, top), n_checked + 1
     return WitnessReport(margin=margin, n_checked=n_checked, failures=failures)
+
+
+@functools.lru_cache(maxsize=16)
+def _witness_directions(n: int, s: float, n_dirs: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The witness's unit directions, one flat `EPoint.vec` per row, and their labels.
+
+    The identity-block direction with corner -n/s and its negative, the
+    coordinate shifts +-e_j, then `n_dirs` samples: normalised
+    `default_rng(0)` normals on the rows of `trace0_array(n, s)`.  One
+    read-only table per (n, s, n_dirs) is built on first use; `maxsize`
+    bounds how many a caller's choices of `n_dirs` keep alive.
+    """
+    basis = trace0_array(n, s)
+    coeffs = np.random.default_rng(0).standard_normal((n_dirs, len(basis)))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    dirs = np.zeros((2 + 2 * n + n_dirs, basis.shape[1]))
+    dirs[0, :n * n:n + 1], dirs[0, n * n] = 1.0, -n / s
+    dirs[0] /= np.linalg.norm(dirs[0])
+    dirs[1] = -dirs[0]
+    dirs[2:2 + 2 * n:2, n * n + 1:] = np.eye(n)
+    dirs[3:2 + 2 * n:2, n * n + 1:] = -np.eye(n)
+    dirs[2 + 2 * n:] = coeffs @ basis
+    dirs.flags.writeable = False
+    labels = ["identity-flat(+)", "identity-flat(-)"]
+    labels += [f"shift({sign}e{j})" for j in range(n) for sign in "+-"]
+    labels += [f"sample{i}" for i in range(n_dirs)]
+    return dirs, tuple(labels)
 
 
 def _flat_direction(at: _Atoms) -> np.ndarray | None:
@@ -234,11 +249,12 @@ def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray
     value = float(np.dot(w, F(z)))
     evals = 1
     for it in range(1, NEWTON_MAX_ITER + 1):
-        g = phi.T @ (w * F.deriv(z))
+        dF, d2F = F.derivs(z)
+        g = phi.T @ (w * dF)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= NEWTON_TOL:
             return c, z, value, gnorm, it, evals
-        hess = (phi.T * (w * F.deriv2(z))) @ phi
+        hess = (phi.T * (w * d2F)) @ phi
         delta = np.linalg.lstsq(hess, -g, rcond=None)[0]
         slope = float(np.dot(g, delta))
         step = 1.0

@@ -45,13 +45,16 @@ class PiecewiseLinear:
         ic = np.atleast_1d(np.asarray(self.intercepts, dtype=float))
         if len(sl) != len(br) + 1 or len(ic) != len(br) + 1:
             raise ValueError("need one more piece than breaks")
+        if not (np.all(np.isfinite(br)) and np.all(np.isfinite(sl)) and np.all(np.isfinite(ic))):
+            raise ValueError("breaks, slopes and intercepts must be finite")
         if np.any(np.diff(br) <= 0):
             raise ValueError("breaks must be strictly increasing")
-        for i, b in enumerate(br):
-            left = sl[i] * b + ic[i]
-            right = sl[i + 1] * b + ic[i + 1]
-            if abs(left - right) > 1e-12 * (1.0 + abs(left)):
-                raise ValueError(f"discontinuity at break {b}: {left} vs {right}")
+        with np.errstate(all="ignore"):  # finite pieces can still overflow at a huge break
+            for i, b in enumerate(br):
+                left = sl[i] * b + ic[i]
+                right = sl[i + 1] * b + ic[i + 1]
+                if not abs(left - right) <= 1e-12 * (1.0 + abs(left)):
+                    raise ValueError(f"discontinuity at break {b}: {left} vs {right}")
         for arr, name in ((br, "breaks"), (sl, "slopes"), (ic, "intercepts")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -63,17 +66,26 @@ class PiecewiseLinear:
 
     @staticmethod
     def from_knots(xs, ys, left_slope: float = 0.0, right_slope: float = 0.0) -> "PiecewiseLinear":
-        """Interpolate the knot list, extending with the given outer slopes."""
+        """Interpolate the knot list, extending with the given outer slopes.
+
+        Knots and outer slopes must be finite, and so must every slope and
+        intercept they give (huge knots can overflow them): ValueError, with
+        no numpy warning on the way, otherwise.
+        """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
+                and np.isfinite(left_slope) and np.isfinite(right_slope)):
+            raise ValueError("knots and outer slopes must be finite")
         slopes = [left_slope]
-        intercepts = [ys[0] - left_slope * xs[0]]
-        for i in range(len(xs) - 1):
-            m = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-            slopes.append(m)
-            intercepts.append(ys[i] - m * xs[i])
-        slopes.append(right_slope)
-        intercepts.append(ys[-1] - right_slope * xs[-1])
+        with np.errstate(all="ignore"):  # overflow shows as a non-finite piece
+            intercepts = [ys[0] - left_slope * xs[0]]
+            for i in range(len(xs) - 1):
+                m = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+                slopes.append(m)
+                intercepts.append(ys[i] - m * xs[i])
+            slopes.append(right_slope)
+            intercepts.append(ys[-1] - right_slope * xs[-1])
         return PiecewiseLinear(xs, np.array(slopes), np.array(intercepts))
 
 
@@ -217,6 +229,11 @@ class ConvolutionProfile:
         u, (_, _, a2, a3) = self._local(x)
         return 6.0 * a3 * u + 2.0 * a2
 
+    def derivs(self, x):
+        """(F'(x), F''(x)) from one piece lookup, each bit for bit `deriv` and `deriv2`."""
+        u, (_, a1, a2, a3) = self._local(x)
+        return (3.0 * a3 * u + 2.0 * a2) * u + a1, 6.0 * a3 * u + 2.0 * a2
+
 
 class LimitProfile:
     """H_n(a) = (1/2) integral_{-inf}^a (a - u)^(n/2 - 1) F(u) du, with H_n' and H_n''.
@@ -245,11 +262,15 @@ class LimitProfile:
         self._coef = [(a0, a1, a2, a3), (a1, 2.0 * a2, 3.0 * a3, zero),
                       (2.0 * a2, 6.0 * a3, zero, zero)]
 
-    def _integral(self, order: int, a):
+    def _ends(self, a):
+        """(a, D, ends = stack of D and T, ends^p): every piece's range at every argument."""
         a = np.asarray(a, dtype=float)
         x = a.reshape(-1, 1)
         D = np.maximum(x - self.lefts, 0.0)
-        ends = np.stack([D, np.maximum(x - self.rights, 0.0)])  # D and T
+        ends = np.stack([D, np.maximum(x - self.rights, 0.0)])
+        return a, D, ends, ends**self.p
+
+    def _integral(self, order: int, a, D, ends, ends_p):
         c0, c1, c2, c3 = self._coef[order]
         p = self.p
         # e_j = b_j/(p + j), and sum_j e_j t^(p+j) by Horner's rule at t = D and t = T
@@ -257,14 +278,19 @@ class LimitProfile:
         e1 = -((3.0 * c3 * D + 2.0 * c2) * D + c1) / (p + 1.0)
         e2 = (3.0 * c3 * D + c2) / (p + 2.0)
         e3 = -c3 / (p + 3.0)
-        G = (((e3 * ends + e2) * ends + e1) * ends + e0) * ends**p
+        G = (((e3 * ends + e2) * ends + e1) * ends + e0) * ends_p
         return 0.5 * np.sum(G[0] - G[1], axis=1).reshape(a.shape)
 
     def __call__(self, a):
-        return self._integral(0, a)
+        return self._integral(0, *self._ends(a))
 
     def deriv(self, a):
-        return self._integral(1, a)
+        return self._integral(1, *self._ends(a))
 
     def deriv2(self, a):
-        return self._integral(2, a)
+        return self._integral(2, *self._ends(a))
+
+    def derivs(self, a):
+        """(H_n'(a), H_n''(a)) from one set of ranges, each bit for bit `deriv` and `deriv2`."""
+        ranges = self._ends(a)
+        return self._integral(1, *ranges), self._integral(2, *ranges)

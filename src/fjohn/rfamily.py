@@ -28,6 +28,14 @@ from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_n
                          eval_h_many, psi_eval_many, psi_gradient)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
 
+# Entries of the largest array the band walk (`_Band.blocks`) holds, which
+# is x_nodes_per_axis ** max(1, n - 1): at n = 1 the whole grid is one block,
+# about 180 bytes a node in flight (0.75 GB at the cap; 10^9 nodes would need
+# ~180 GB), and at n >= 2 the row-weight table holds P^(n-1) entries for the
+# P >= x_nodes_per_axis nodes per axis, while a block holds at most
+# max(`_BLOCK_NODES`, P) nodes.  It admits 2048 nodes per axis at n = 3.
+MAX_WALK_ARRAY = 1 << 22
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -50,7 +58,8 @@ class QuadratureSpec:
     is a sum of block sums in grid order (~1e-16 relative from one sum over
     the grid); n = 1 is one block.  The outer grid has at least 4 panels of
     8 nodes per axis, so a count below 25, which it would silently raise,
-    is rejected.
+    is rejected.  `check_grid` bounds the largest array of the band walk
+    by MAX_WALK_ARRAY, which `_Band` enforces.
     """
 
     x_nodes_per_axis: int = 960
@@ -58,6 +67,13 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.x_nodes_per_axis >= 25:
             raise ValueError(f"x_nodes_per_axis must be at least 25, got {self.x_nodes_per_axis}")
+
+    def check_grid(self, n: int) -> None:
+        """ValueError unless x_nodes_per_axis ** max(1, n - 1) is at most MAX_WALK_ARRAY."""
+        entries = self.x_nodes_per_axis ** max(1, n - 1)
+        if entries > MAX_WALK_ARRAY:
+            raise ValueError(f"x_nodes_per_axis {self.x_nodes_per_axis} at n = {n} needs a "
+                             f"band-walk array of {entries} entries, above {MAX_WALK_ARRAY}")
 
 
 def _min_psi(form: PiecewiseLogAffine) -> float:
@@ -311,6 +327,7 @@ class _Band:
         if not 0.5 < r < 1.0:
             raise BadR(f"r={r} outside (1/2, 1)")
         check_band_pair(pair)
+        quad.check_grid(h.n)
         form = h.form
         if form.domain_radius is not None and form.domain_radius < 1.0:
             raise NotJohnPosition(f"h vanishes on the unit ball beyond its domain radius "

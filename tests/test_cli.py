@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -241,6 +242,53 @@ def test_profile_failing_beyond_the_grid(two_level_instance, tmp_path):
     res = run("minimize-i1", "--instance", str(bad))
     assert res.returncode == 1 and res.stdout == ""
     assert "input error: profile pair fails f2_convex, f4_strictly_increasing" in res.stderr
+
+
+# the custom pair of the CI sweep step: f kinks at -0.3 and 0.4, g at -0.2
+CUSTOM_PAIR = {"f": {"xs": [-1.0, -0.3, 0.4], "ys": [0.0, 0.35, 1.1], "right_slope": 2.0},
+               "g": {"xs": [-1.0, -0.2, 1.0], "ys": [1.0, 0.7, 0.0]}}
+
+
+@pytest.mark.parametrize("knot", [NAN, INF, 1e308], ids=["nan", "infinity", "huge"])
+def test_non_finite_profile_knot_is_a_clean_input_error(tmp_path, capsys, knot):
+    # a numpy warning would reach stderr before "input error:"; as an error it escapes `main`
+    inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+    inst["profile"] = json.loads(json.dumps(CUSTOM_PAIR))
+    inst["profile"]["f"]["xs"][2] = knot
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(inst))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["minimize-i1", "--instance", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+
+
+class TestGridCap:
+    """A grid above `rfamily.MAX_WALK_ARRAY` is refused before anything is allocated."""
+
+    @pytest.mark.parametrize("n, nodes", [(1, 4194305), (2, 4194305), (3, 2049)])
+    def test_build_quad_refuses_it(self, n, nodes):
+        with pytest.raises(cli.InputError, match="band-walk array"):
+            cli.build_quad({"n": n, "quadrature": {"x_nodes_per_axis": nodes}})
+        assert cli.build_quad({"n": n, "quadrature": {"x_nodes_per_axis": nodes - 1}})
+
+    @pytest.mark.parametrize("name, nodes", [("two_level_n1_s1", 4194305),
+                                             ("cross_n2_s2", 4194305)])
+    def test_sweep_r_exits_before_the_band(self, tmp_path, capsys, monkeypatch, name, nodes):
+        from fjohn import rfamily
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a band was evaluated on the oversized grid")
+
+        monkeypatch.setattr(rfamily._Band, "blocks", evaluated)
+        inst = json.loads((INSTANCES / f"{name}.json").read_text())
+        inst["quadrature"]["x_nodes_per_axis"] = nodes
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(inst))
+        assert cli.main(["sweep-r", "--instance", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
 
 
 def test_cli_import_leaves_scipy_out():

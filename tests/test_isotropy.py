@@ -502,6 +502,35 @@ class TestCoercivityWitness:
         wit = coercivity_witness(h2, 2.0, nu, n_dirs=50)
         assert not wit.ok
 
+    def test_second_call_reuses_the_direction_table(self, monkeypatch):
+        tables = []
+        built = isotropy._witness_directions
+
+        def spy(*key):
+            tables.append(built(*key))
+            return tables[-1]
+
+        monkeypatch.setattr(isotropy, "_witness_directions", spy)
+        h, cs, w = two_level_cross_fixture(2, S, 0.4, 0.8)
+        for _ in range(2):
+            coercivity_witness(h, S, counting_measure(cs.points), n_dirs=40)
+        (first, labels), (second, again) = tables
+        assert second is first and again is labels
+        assert first.shape == (2 + 2 * 2 + 40, 2 * 2 + 1 + 2) and len(labels) == len(first)
+
+    def test_direction_table_is_read_only(self):
+        # one atom: many failures, each an EPoint built from a row of the shared table
+        h2, _, _ = cross_fixture(2, 2.0)
+        nu = DiscreteMeasure(np.array([[np.sqrt(0.5), 0.0]]), np.array([1.0]))
+        wit = coercivity_witness(h2, 2.0, nu, n_dirs=50)
+        dirs, _ = isotropy._witness_directions(2, 2.0, 50)
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 1.0
+        assert len(wit.failures) > 10
+        for _, point, _ in wit.failures:
+            for arr in (point.mat.diag, point.shift):
+                assert not arr.flags.writeable and not np.shares_memory(arr, dirs)
+
     def test_failing_samples_are_named_by_index(self):
         # one atom: the labelled directions fail first, then every sampled direction
         # i with no positive argument, as sample{i}

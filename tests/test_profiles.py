@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,41 @@ class TestCustomPair:
         assert np.all(F.deriv2(xs) >= 0.0)
 
 
+def _ci_pair():
+    """The custom pair of the CI sweep step: f kinks at -1, -0.3 and 0.4; g at -1, -0.2, 1."""
+    f = PiecewiseLinear.from_knots([-1.0, -0.3, 0.4], [0.0, 0.35, 1.1], right_slope=2.0)
+    g = PiecewiseLinear.from_knots([-1.0, -0.2, 1.0], [1.0, 0.7, 0.0])
+    return ProfilePair(f=f, g=g)
+
+
+def _every_piece_and_break(breaks):
+    """Every break, a point inside every piece between them, and one beyond either end."""
+    inside = 0.5 * (breaks[:-1] + breaks[1:])
+    return np.sort(np.concatenate([breaks, inside, [breaks[0] - 0.5, breaks[-1] + 1.5]]))
+
+
+class TestDerivs:
+    """`derivs` is `(deriv, deriv2)` bit for bit, from one lookup."""
+
+    @pytest.mark.parametrize("make", [canonical_pair, _ci_pair], ids=["canonical", "ci-pair"])
+    def test_convolution_profile(self, make):
+        F = ConvolutionProfile(make())
+        z = _every_piece_and_break(F.breaks)
+        d1, d2 = F.derivs(z)
+        assert np.array_equal(d1, F.deriv(z)) and np.array_equal(d2, F.deriv2(z))
+        assert [np.shape(d) for d in F.derivs(0.5)] == [(), ()]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("make", [canonical_pair, _ci_pair], ids=["canonical", "ci-pair"])
+    def test_limit_profile(self, make, n):
+        F = ConvolutionProfile(make())
+        H = LimitProfile(F, n)
+        z = _every_piece_and_break(F.breaks)
+        d1, d2 = H.derivs(z)
+        assert np.array_equal(d1, H.deriv(z)) and np.array_equal(d2, H.deriv2(z))
+        assert [np.shape(d) for d in H.derivs(np.zeros((2, 3)))] == [(2, 3), (2, 3)]
+
+
 class TestLimitProfile:
     """H_n, H_n' and H_n'' of `LimitProfile`, the radial profile of the band family's limit."""
 
@@ -338,6 +375,25 @@ class TestPiecewiseLinear:
     def test_continuity_enforced(self):
         with pytest.raises(ValueError):
             PiecewiseLinear(np.array([0.0]), np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("knot", [float("nan"), float("inf"), 1e308],
+                             ids=["nan", "infinity", "huge"])
+    def test_non_finite_knots_raise_without_warnings(self, knot):
+        # 1e308 is finite, but the right piece's intercept 1.1 - 2 * 1e308 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                PiecewiseLinear.from_knots([-1.0, -0.3, knot], [0.0, 0.35, 1.1], right_slope=2.0)
+
+    @pytest.mark.parametrize("kwargs", [{"left_slope": float("nan")},
+                                        {"right_slope": float("inf")}], ids=["left", "right"])
+    def test_non_finite_outer_slopes_raise(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseLinear.from_knots([-1.0, 1.0], [0.0, 1.0], **kwargs)
+
+    def test_non_finite_pieces_raise(self):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseLinear(np.array([0.0]), np.array([0.0, np.inf]), np.array([0.0, 0.0]))
 
     def test_right_hand_derivative_at_kink(self):
         f = canonical_pair().f

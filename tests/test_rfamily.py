@@ -393,6 +393,26 @@ class TestBandGradient:
         assert rfamily._band_value_grad(band, theta) == (float("inf"), None)
 
 
+class TestGridCap:
+    """MAX_WALK_ARRAY bounds x_nodes_per_axis ** max(1, n - 1); construction only, no band
+    is evaluated."""
+
+    @pytest.mark.parametrize("n, nodes", [(1, 960), (2, 960), (3, 960), (2, 1600), (2, 240),
+                                          (1, 480), (2, 96), (3, 96), (1, 64), (3, 32),
+                                          (3, 144), (3, 192)])
+    def test_admits_every_count_in_use(self, n, nodes):
+        QuadratureSpec(x_nodes_per_axis=nodes).check_grid(n)
+
+    @pytest.mark.parametrize("n, nodes", [(1, 4194305), (2, 4194305), (3, 2049)])
+    def test_band_refuses_the_first_count_above(self, n, nodes):
+        power = max(1, n - 1)
+        assert (nodes - 1) ** power <= rfamily.MAX_WALK_ARRAY < nodes ** power
+        h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
+        with pytest.raises(ValueError, match="band-walk array"):
+            rfamily._Band(h, S, canonical_pair(), 0.9, QuadratureSpec(x_nodes_per_axis=nodes))
+        rfamily._Band(h, S, canonical_pair(), 0.9, QuadratureSpec(x_nodes_per_axis=nodes - 1))
+
+
 class TestMinimizeBand:
     @pytest.mark.parametrize("r", [0.8, 0.9, 0.99])
     def test_lands_on_compass_minimizer(self, fixture, quad, r):
