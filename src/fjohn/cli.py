@@ -195,6 +195,17 @@ def build_valid_profile(inst: dict) -> ProfilePair:
     return pair
 
 
+def _check_sq_norms(pts: np.ndarray, what: str) -> None:
+    """InputError unless 4|x|^2 is finite at every point, as `DiscreteMeasure` needs.
+
+    `eval_h_many` takes |x|^2, and a measure |x - y|^2 <= 4 max(|x|^2, |y|^2).
+    """
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(4.0 * np.sum(pts * pts, axis=1))
+    if not np.all(finite):
+        raise InputError(f"{what}[{int(np.argmin(finite))}] is too large: 4|x|^2 is not finite")
+
+
 def contact_points(inst: dict, h: LogConcaveFn):
     c = inst.get("contacts", {})
     if "points" in c:
@@ -209,6 +220,7 @@ def contact_points(inst: dict, h: LogConcaveFn):
             raise InputError(f"contacts.weights must hold one number per point ({len(pts)})")
         if not (np.all(np.isfinite(pts)) and (weights is None or np.all(np.isfinite(weights)))):
             raise InputError("contacts must hold finite numbers")
+        _check_sq_norms(pts, "contacts.points")
         return pts, weights
     return contact.detect_contacts(h, inst["s"]).points, None
 
@@ -263,7 +275,7 @@ def _pieces_json(h: LogConcaveFn) -> dict:
 
 
 def _tangent_points(text, n: int) -> np.ndarray:
-    """The `--points` of a tangent fixture: finite points in R^n."""
+    """The `--points` of a tangent fixture: finite points in R^n with finite |x|^2."""
     if not text:
         raise InputError("tangent fixture needs --points")
     try:
@@ -274,6 +286,7 @@ def _tangent_points(text, n: int) -> np.ndarray:
         raise InputError(f"--points must be points in R^{n}, got {text!r}")
     if not np.all(np.isfinite(pts)):
         raise InputError(f"--points must be finite, got {text!r}")
+    _check_sq_norms(pts, "--points")
     return pts
 
 

@@ -176,9 +176,11 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None)
     psi <= -(s/2) log(1 - |x|^2) with a strictly convex right side, so piece
     j can touch only at its tangency point u_j = rho_j a_j/|a_j| with
     s rho_j/(1 - rho_j^2) = |a_j| (u_j = 0 when a_j = 0), and h is in John
-    position iff the gap is nonnegative at every u_j and domain_radius >= 1.
-    Raises NotJohnPosition otherwise.  A gap below -GAP_TOL is a fall below
-    the hemisphere, and one of at most GAP_TOL a contact, as in `isotropy._Atoms`.
+    position iff the gap is nonnegative at every u_j, zero at some u_j, and
+    domain_radius >= 1.  Raises NotJohnPosition otherwise.  A gap below
+    -GAP_TOL is a fall below the hemisphere, and one of at most GAP_TOL a
+    contact, as in `isotropy._Atoms`; an h whose least gap exceeds GAP_TOL
+    touches the hemisphere nowhere.
     So does a NaN gap, naming the piece (a slope whose 4|a_j|^2 overflows has a NaN u_j).
 
     grid_per_axis is accepted and ignored, as the instance file's
@@ -200,4 +202,7 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None)
     if gaps[j] < -GAP_TOL:
         raise NotJohnPosition(
             f"h**(1/s) falls below the hemisphere by {-gaps[j]:.3e} at {U[j]} (piece {j})")
+    if gaps[j] > GAP_TOL:
+        raise NotJohnPosition(f"h**(1/s) touches the hemisphere nowhere: the least gap is "
+                              f"{gaps[j]:.3e} at {U[j]} (piece {j})")
     return _merge_contacts(U, h_pow, gaps)

@@ -29,7 +29,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted atoms (x_i, m_i) with positive masses and pairwise-distinct points."""
+    """At least one weighted atom (x_i, m_i), with positive masses and pairwise-distinct points.
+
+    Every point has a finite 4|x|^2, so no distance |x_i - x_j| between two overflows.
+    """
 
     points: np.ndarray  # (k, n)
     masses: np.ndarray  # (k,)
@@ -39,8 +42,14 @@ class DiscreteMeasure:
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
         if P.shape[0] != m.shape[0]:
             raise ValueError("points/masses length mismatch")
+        if P.shape[0] == 0:
+            raise ValueError("a measure needs at least one atom")
         if not np.all(np.isfinite(P)):
             raise ValueError("atom points must be finite")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(4.0 * np.sum(P * P, axis=1))
+        if not np.all(finite):
+            raise ValueError(f"atom {int(np.argmin(finite))} is too large: 4|x|^2 is not finite")
         if not np.all((m > 0.0) & np.isfinite(m)):
             raise ValueError("masses must be positive and finite")
         close = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2) < 1e-9
@@ -239,8 +248,9 @@ NEWTON_MAX_ITER = 2000  # the gradient evaluations `_newton` may take
 def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray):
     """Minimize sum_i w_i F((phi c)_i) over c from `c`, for both Newton minimizers of this module.
 
-    Returns (c, z = phi c, value, gradient norm, iterations, evaluations)
-    once the gradient norm is at most NEWTON_TOL; a stop short of it raises
+    Returns (c, value, gradient norm, iterations, evaluations, (F', F''))
+    once the gradient norm is at most NEWTON_TOL, the last pair being
+    `F.derivs` at phi c from the final gradient; a stop short of it raises
     NotConverged with the same counts.  It does not check coercivity: on a
     functional that is not coercive it may run to NEWTON_MAX_ITER or stop
     at a stationary point.
@@ -253,7 +263,7 @@ def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray
         g = phi.T @ (w * dF)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= NEWTON_TOL:
-            return c, z, value, gnorm, it, evals
+            return c, value, gnorm, it, evals, (dF, d2F)
         hess = (phi.T * (w * d2F)) @ phi
         delta = np.linalg.lstsq(hess, -g, rcond=None)[0]
         slope = float(np.dot(g, delta))
@@ -306,9 +316,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     """
     at = _Atoms(h, s, nu)
     _require_coercive(at, "contact functional is not coercive for this measure")
-    c, z, value, gnorm, it, evals = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
-
-    dF = F.deriv(z)
+    c, value, gnorm, it, evals, (dF, _) = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
     lam_a = s_trace(_gradient(at, dF).mat, s) / (at.n + s * s)
     lam_b = float(np.dot(at.m / at.h_pow, dF)) / (at.n + s)
     gap = abs(lam_a - lam_b)
@@ -324,11 +332,11 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 
 @dataclass
 class LimitReference:
-    """The minimizer of the curvature-weighted limit functional and its flat Hessian there."""
+    """The minimizer of the curvature-weighted limit functional and its Hessian there."""
 
     point: EPoint
     value: float
-    hessian: np.ndarray  # features^T diag(W H_n''(z)) features: in the flat form `EPoint.vec`
+    hessian: np.ndarray  # phi^T diag(W H_n''(phi c)) phi: in the coordinates c on `trace0_array`
 
 
 def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitReference:
@@ -344,7 +352,8 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     and unbounded above, as F is, so the same exact gate as
     `minimize_functional` decides coercivity (DivergingIterates with the
     certificate direction), and the same Newton loop (`_newton`) minimizes,
-    from c = 0.
+    from c = 0.  The `hessian` is that loop's phi^T diag(W H_n'') phi at the
+    minimizer, from its last H_n''.
     """
     from .profiles import ConvolutionProfile, LimitProfile  # not loaded by `coercivity`
 
@@ -354,10 +363,9 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     slope2 = np.sum(psi_gradient(h.form, at.X) ** 2, axis=1)
     W = at.w * h2s ** (0.5 * at.n) / np.sqrt(2.0**at.n * (1.0 + 2.0 / (s * s) * h2s * slope2))
     H = LimitProfile(ConvolutionProfile(pair), at.n)
-    c, z, value = _newton(at.phi, W, H, np.zeros(len(at.basis)))[:3]
-    hessian = (at.features.T * (W * H.deriv2(z))) @ at.features
+    c, value, *_, (_, d2H) = _newton(at.phi, W, H, np.zeros(len(at.basis)))
     return LimitReference(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
-                          hessian=hessian)
+                          hessian=(at.phi.T * (W * d2H)) @ at.phi)
 
 
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,

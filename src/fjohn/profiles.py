@@ -138,13 +138,13 @@ _TOL = 1e-12  # rounding allowed in the "= 0", "= 1" and "nondecreasing slope" c
 
 
 def validate_profiles(pair: ProfilePair) -> ProfileReport:
-    """Check the nine profile properties, each decided exactly on all of R by `_exact_checks`."""
+    """Check the seven profile properties, each decided exactly on all of R by `_exact_checks`."""
     return ProfileReport([PropertyCheck(name, bool(ok))
                           for name, ok in _exact_checks(pair.f, pair.g)])
 
 
 def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
-    """The nine properties of a piecewise-linear pair as (name, verdict), on all of R.
+    """The seven properties of a piecewise-linear pair as (name, verdict), on all of R.
 
     A continuous piecewise-linear function is constant (increasing, ...) on
     an interval exactly when every piece meeting it has slope 0 (> 0, ...),
@@ -153,19 +153,16 @@ def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
     or (1, inf) and the values at -1 and 1.  g > 0 on (-1, 1) holds when it
     does at the kinks inside and at the midpoints between them and +-1, and
     g(-1), g(1) >= 0: each piece is then positive inside its segment.
+    f and g are Lipschitz (properties f1 and g1) by construction, since
+    `PiecewiseLinear` rejects non-finite slopes and intercepts.
     """
     def slopes_on(pl, lo, hi):  # piece k spans [b_(k-1), b_k]: those meeting (lo, hi)
         b = pl.breaks
         return pl.slopes[np.searchsorted(b, lo, side="right"):np.searchsorted(b, hi) + 1]
 
-    def finite(pl):
-        return np.all(np.isfinite(pl.slopes)) and np.all(np.isfinite(pl.intercepts))
-
     inside = g.breaks[(g.breaks > -1.0) & (g.breaks < 1.0)]
     ends = np.concatenate([[-1.0], inside, [1.0]])
     return [
-        ("f1_lipschitz", finite(f)),
-        ("g1_lipschitz", finite(g)),
         ("f2_convex", np.all(np.diff(f.slopes) >= -_TOL)),
         ("f3_zero_left", np.all(np.abs(slopes_on(f, -np.inf, -1.0)) <= _TOL)
          and abs(f(-1.0)) <= _TOL),
@@ -181,7 +178,7 @@ def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
 
 
 class ConvolutionProfile:
-    """F(x) = integral f(t) g(t - x) dt with F' and F''; nondecreasing and convex.
+    """F(x) = integral f(t) g(t - x) dt with F' (`deriv`) and F'' (`derivs`); nondecreasing, convex.
 
     For a piecewise-linear pair F'' is piecewise linear: integrating
     integral f(t) g''(t - x) dt by parts gives F''(x) = sum_k J_k f(x + b_k)
@@ -225,18 +222,14 @@ class ConvolutionProfile:
         u, (_, a1, a2, a3) = self._local(x)
         return (3.0 * a3 * u + 2.0 * a2) * u + a1
 
-    def deriv2(self, x):
-        u, (_, _, a2, a3) = self._local(x)
-        return 6.0 * a3 * u + 2.0 * a2
-
     def derivs(self, x):
-        """(F'(x), F''(x)) from one piece lookup, each bit for bit `deriv` and `deriv2`."""
+        """(F'(x), F''(x)) from one piece lookup, the first bit for bit `deriv`."""
         u, (_, a1, a2, a3) = self._local(x)
         return (3.0 * a3 * u + 2.0 * a2) * u + a1, 6.0 * a3 * u + 2.0 * a2
 
 
 class LimitProfile:
-    """H_n(a) = (1/2) integral_{-inf}^a (a - u)^(n/2 - 1) F(u) du, with H_n' and H_n''.
+    """H_n(a) = (1/2) integral_{-inf}^a (a - u)^(n/2 - 1) F(u) du, with H_n' and H_n'' (`derivs`).
 
     The radial profile of the band family's r -> 1 limit: with u = a - rho^2
     it is integral_0^inf rho^(n-1) F(a - rho^2) d rho.  With t = a - u it is
@@ -284,13 +277,7 @@ class LimitProfile:
     def __call__(self, a):
         return self._integral(0, *self._ends(a))
 
-    def deriv(self, a):
-        return self._integral(1, *self._ends(a))
-
-    def deriv2(self, a):
-        return self._integral(2, *self._ends(a))
-
     def derivs(self, a):
-        """(H_n'(a), H_n''(a)) from one set of ranges, each bit for bit `deriv` and `deriv2`."""
+        """(H_n'(a), H_n''(a)) from one set of ranges."""
         ranges = self._ends(a)
         return self._integral(1, *ranges), self._integral(2, *ranges)

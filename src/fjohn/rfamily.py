@@ -1,10 +1,11 @@
 """The r-indexed band functionals, their minimization, and sweep diagnostics.
 
 Both functionals integrate a product f_r(..) g_r(..) over a thin band around
-the upper unit hemisphere; the band substitution t = (scaled height - 1)/(1-r)
-turns the inner integral into a piecewise cubic in t whenever the profiles
-are piecewise linear, so the 2-point Gauss rule integrates it exactly on
-every segment and the only quadrature error comes from the outer x grid.
+the unit hemisphere xi = sqrt(1 - |x|^2); the band substitution
+t = (scaled height - 1)/(1-r) turns the inner integral into a piecewise
+cubic in t whenever the profiles are piecewise linear, so the 2-point Gauss
+rule integrates it exactly on every segment and the only quadrature error
+comes from the outer x grid.
 One kernel gives the inner integral I and its derivative I' in c^2 on the
 nodes where the band is open, and everything else is built from those two:
 the band functional, its analytic gradient in the minimizer's coordinates
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import BlockMat, EPoint, _expm_sym_eig, s_trace, sdet1_param
+from .blockmat import BlockMat, EPoint, _expm_sym_eig, s_trace, sdet1_param, trace0_array
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
-from .isotropy import DiscreteMeasure, LimitReference, MinimizerResult, limit_reference
+from .isotropy import DiscreteMeasure, MinimizerResult, limit_reference
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
                          eval_h_many, psi_eval_many, psi_gradient)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
@@ -145,7 +146,7 @@ def _axis_rule(radius: float, nodes_per_axis: int, kinks=None):
 def _envelope_breaks_1d(form: PiecewiseLogAffine) -> np.ndarray:
     """Kink locations of the max-affine envelope, in increasing order (n = 1 only).
 
-    Sweeps the upper hull of the lines in order of slope (of parallel lines
+    Sweeps the max envelope of the lines in order of slope (of parallel lines
     only the highest can show); each kink is the crossing of two hull
     neighbours, (b_j - b_i)/(a_i - a_j) with i the left piece.
     """
@@ -307,7 +308,7 @@ class _Band:
     Built once per (h, s, pair, r, quad) and kept for one call or one
     minimization, whose every evaluation walks it with `blocks`: the
     profiles, the grid radii, for n = 1 the kinks of psi on the whole line,
-    and the upper-triangle indices of the minimizer's coordinates.  It
+    and the trace-zero basis the minimizer's coordinates live on.  It
     checks up front what the band kernel assumes: the pair passes
     `check_band_pair`, and h > 0 on the closed unit ball without underflow
     of h^(2/s) 2(1-r) there.  Then a node where the band can be open
@@ -342,14 +343,13 @@ class _Band:
         self.radius, self.reach = (min(float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup * top)), cap)
                                    for top in (1.0, max(float(pair.g.breaks[-1]), 1.0)))
         self.breaks = _envelope_breaks_1d(h.form) if h.n == 1 else None
-        self.upper = np.triu_indices(h.n)  # theta = (upper triangle of S, shift)
-        self.on_diagonal = self.upper[0] == self.upper[1]
+        self.basis = trace0_array(h.n, s)
 
     def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(S, shift) at the minimizer's coordinates theta = (upper triangle of S, shift)."""
-        S = np.zeros((self.h.n, self.h.n))
-        S[self.upper] = S[self.upper[::-1]] = theta[:len(self.upper[0])]
-        return S, theta[len(self.upper[0]):]
+        """(S, shift) of the flat form theta @ basis: theta are coordinates on the basis rows."""
+        n = self.h.n
+        flat = theta @ self.basis
+        return flat[:n * n].reshape(n, n), flat[n * n + 1:]
 
     def blocks(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool):
         """Walk the grid block by block, yielding each block's open nodes.
@@ -488,24 +488,27 @@ def _value_sum(band: _Band, A, alpha, v, shifted: bool, scale: float) -> float:
 def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Band functional at theta and its gradient there.
 
-    theta = (upper triangle of S, v), the coordinates of `_minimize_band`,
-    stands for the position (exp S, exp(-tr S / s), v).  The one eigh of S
-    in `_expm_sym_eig`, which `sdet1_param` takes too, gives both A = exp S
-    and the gradient below, so the value is `_band_value` at the
-    `sdet1_param` position bit for bit.
+    theta, the coordinates of `_minimize_band` on the rows of
+    `trace0_array` (`_Band.split`), stands for the position
+    (exp S, exp(-tr S / s), v) with (S, -tr S/s, v) = theta @ basis.  The
+    one eigh of S in `_expm_sym_eig`, which `sdet1_param` takes too, gives
+    both A = exp S and the gradient below, so the value is `_band_value` at
+    the `sdet1_param` position bit for bit.
     With c = h(y)^(1/s)/alpha at y = Ax + v and the inner integral I(c^2),
     each open node contributes W c I(c^2), so the gradient is
     sum W c (I + 2 c^2 I') d(log c), where d(log c) = -(1/s) a_j(y) . dy
-    + tr(dS)/s with a_j(y) the active piece of psi at y.  dy = dA x + dv;
+    - d(log alpha) with a_j(y) the active piece of psi at y.  dy = dA x + dv;
     dA = L(S, dS) is the Frechet derivative of the symmetric matrix
     exponential (Daleckii-Krein: in the eigenbasis of S, dS scaled
     entrywise by the divided differences of exp), which is self-adjoint, so
-    the S-gradient is L(S, G) for G = sum (weight) a_j x^T.  Each block adds
-    its share of the value, G, sum (weight) a_j and sum (weight), with a_j
-    at the block's own y.  Returns (inf, None) beyond the coercive barrier;
-    A = exp S is positive definite, so it is not checked.
+    the gradient in the flat form is (L(S, G)/-s, -sum (weight),
+    sum (weight) a_j/-s) for G = sum (weight) a_j x^T, and theta's is the
+    basis times it.  Each block adds its share of the value, G,
+    sum (weight) a_j and sum (weight), with a_j at the block's own y.
+    Returns (inf, None) beyond the coercive barrier; A = exp S is positive
+    definite, so it is not checked.
     """
-    s, upper = band.s, band.upper
+    s = band.s
     S, v = band.split(theta)
     A, lam, V = _expm_sym_eig(S)
     alpha = float(np.exp(-np.trace(S) / s))
@@ -527,9 +530,7 @@ def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]
                       where=half_gap != 0.0)
     gamma = np.exp(0.5 * np.add.outer(lam, lam)) * sinhc  # divided differences of exp
     D = V @ ((V.T @ G @ V) * gamma) @ V.T
-    g_S = (D + D.T - np.diag(np.diag(D)))[upper] / -s
-    g_S[band.on_diagonal] += omega_sum / s
-    return value, np.concatenate([g_S, a_sum / -s])
+    return value, band.basis @ np.concatenate([D.ravel() / -s, [-omega_sum], a_sum / -s])
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -617,10 +618,12 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
 
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
-    loses nothing at a minimum).  Quasi-Newton in theta = (upper triangle of
-    S, shift) from theta = 0 on the analytic gradient of `_band_value_grad`:
-    one Hessian from differences of that gradient at the start, BFGS updates
-    after every step, and Armijo backtracking on the value.  It stops once the decrease
+    loses nothing at a minimum).  Quasi-Newton in theta, the coordinates of
+    (S, -tr S/s, shift) on the orthonormal rows of `trace0_array` (the basis
+    the contact functional and the limit are minimized in), from theta = 0
+    on the analytic gradient of `_band_value_grad`: one Hessian from
+    differences of that gradient at the start, BFGS updates after every
+    step, and Armijo backtracking on the value.  It stops once the decrease
     the model predicts is below the rounding of the value, once no step down
     to the difference step descends on a freshly differenced Hessian, or
     after BAND_MAX_ITER steps.  The band geometry (radius, kinks of psi) is
@@ -636,8 +639,9 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None,
                    hessian: np.ndarray | None = None) -> BandMinimum:
     """minimize_band on a prepared band geometry, as a solver record.
 
-    theta0 is the start in theta (None: theta = 0, where `minimize_band`
-    starts); `r_sweep` starts from the limit.  Every evaluation is one
+    theta0 is the start in theta, the coordinates on the rows of
+    `trace0_array` (None: theta = 0, where `minimize_band` starts);
+    `r_sweep` starts from the limit.  Every evaluation is one
     `_band_value_grad` call on theta; the position is built once, for the
     result.  Without a `hessian` (in theta at theta0) the loop starts from
     one built from forward differences of the gradient with step
@@ -671,8 +675,7 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None,
     Hessian steps along, raises NotConverged with the iterations and
     evaluations so far.  After BAND_MAX_ITER steps it stops ("max_iter").
     """
-    n, s, r = band.h.n, band.s, band.r
-    upper = band.upper
+    s, r = band.s, band.r
     evals = builds = 0
 
     def evaluate(theta: np.ndarray):
@@ -697,7 +700,7 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None,
         lam, V = _floored(0.5 * (np.array(cols) + np.array(cols).T))
         return (V * lam) @ V.T
 
-    theta = np.zeros(len(upper[0]) + n) if theta0 is None else theta0
+    theta = np.zeros(len(band.basis)) if theta0 is None else theta0
     value, grad = evaluate(theta)
     if not np.isfinite(value):
         raise NotConverged("band functional infinite at the starting point",
@@ -817,27 +820,6 @@ def default_bumps(reference_measure: DiscreteMeasure):
     return bumps
 
 
-def _limit_model(limit: LimitReference, n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The limit point in theta and the limit's Hessian in theta, both at 1 - r = 1.
-
-    theta = (upper triangle of S, v) stands for the rescaled position with
-    M = S/(1-r), beta = -tr S/(s(1-r)) and w = v/(1-r) to first order, so
-    the limit point is theta = (1-r)(upper triangle of M, w), and with J the
-    map from theta to the flat form at 1 - r = 1, the Hessian of L in theta
-    is J^T (flat Hessian) J/(1-r)^2.
-    """
-    upper = np.triu_indices(n)
-    dim_s = len(upper[0])
-    J = np.zeros((n * n + 1 + n, dim_s + n))
-    for col, (i, j) in enumerate(zip(*upper)):
-        J[i * n + j, col] = J[j * n + i, col] = 1.0
-        if i == j:
-            J[n * n, col] = -1.0 / s
-    J[n * n + 1:, dim_s:] = np.eye(n)
-    return (np.concatenate([limit.point.mat.diag[upper], limit.point.shift]),
-            J.T @ limit.hessian @ J)
-
-
 def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             quad: QuadratureSpec, reference: MinimizerResult,
             reference_measure: DiscreteMeasure) -> RSweepResult:
@@ -852,11 +834,13 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
 
     Every r starts from the curvature-weighted limit of the band family
     (`isotropy.limit_reference`, computed once per call from h, s and the
-    pair alone: the band functional never sees a measure): at
-    theta = (1-r)(upper triangle of M, w) of the limit point, with the model
-    Hessian c_n (1-r)^(n/2) J^T (Hessian of L) J (`_limit_model`), where
-    c_n = 2^n |S^(n-1)| is the leading factor of the band functional's value
-    near the limit, rescaled_band_functional ~ c_n (1-r)^(n/2) L.  c_n was
+    pair alone: the band functional never sees a measure).  L is minimized
+    in the coordinates `_minimize_band` works in, the rows of `trace0_array`,
+    and theta = (1-r) c stands for the rescaled position c @ basis to first
+    order, so the start is theta = (1-r) c_lim with the model Hessian
+    c_n (1-r)^(n/2 - 2) (Hessian of L at c_lim), where c_n = 2^n |S^(n-1)|
+    is the leading factor of the band functional's value near the limit,
+    rescaled_band_functional ~ c_n (1-r)^(n/2) L.  c_n was
     read off measured values at n = 1, 2 and 3, not derived; `_minimize_band`
     rescales a handed-in model by the curvature along its first step, so a
     wrong factor costs evaluations, not the minimizer.  Nothing is carried
@@ -869,7 +853,7 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     """
     n = h.n
     limit = limit_reference(h, s, pair)
-    theta_lim, hess_lim = _limit_model(limit, n, s)
+    c_lim = trace0_array(n, s) @ limit.point.vec  # the point lies on the orthonormal rows' span
     c_n = 2.0 ** (n + 1) * np.pi ** (0.5 * n) / math.gamma(0.5 * n)  # 2^n |S^(n-1)|
     bumps = default_bumps(reference_measure)
     ref_integrals = np.array([
@@ -882,8 +866,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
         omr = 1.0 - r
         try:
             band = _Band(h, s, pair, r, quad)
-            solver = _minimize_band(band, omr * theta_lim,
-                                    c_n * omr ** (0.5 * n - 2.0) * hess_lim)
+            solver = _minimize_band(band, omr * c_lim,
+                                    c_n * omr ** (0.5 * n - 2.0) * limit.hessian)
             point, value = solver.point, solver.value
             mu_vals, lam_r = _density_sums(band, point, bumps)
         except (NotConverged, NotInBr, SingularA) as exc:

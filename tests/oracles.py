@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fjohn import rfamily
-from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param
+from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
 from fjohn.errors import NotConverged, NotJohnPosition, SingularA
 from fjohn.isotropy import DiscreteMeasure, _Atoms
@@ -517,12 +517,13 @@ def dense_quadrature_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float
 
 
 def theta_point(theta, n: int, s: float):
-    """The position at theta = (upper triangle of S, shift), by `sdet1_param`."""
-    upper = np.triu_indices(n)
-    Sm = np.zeros((n, n))
-    Sm[upper] = Sm[upper[::-1]] = theta[:len(upper[0])]
-    A, alpha = sdet1_param(Sm, s)
-    return EPoint(BlockMat(A, alpha), theta[len(upper[0]):])
+    """The position at theta, coordinates on the rows of `trace0_array`, by `sdet1_param`.
+
+    theta @ trace0_array(n, s) is the flat form (S, -tr S/s, shift).
+    """
+    flat = theta @ trace0_array(n, s)
+    A, alpha = sdet1_param(flat[:n * n].reshape(n, n), s)
+    return EPoint(BlockMat(A, alpha), flat[n * n + 1:])
 
 
 def logm_sym(A: np.ndarray) -> np.ndarray:
@@ -545,7 +546,7 @@ def fd_newton_minimize(band, x0=None, max_iter=400):
     evaluations, stop_reason).
     """
     n, r, s = band.h.n, band.r, band.s
-    dim_s = n * (n + 1) // 2
+    basis = trace0_array(n, s)
     evals = 0
 
     def evaluate(theta):
@@ -553,10 +554,11 @@ def fd_newton_minimize(band, x0=None, max_iter=400):
         evals += 1
         return rfamily._band_value_grad(band, theta)
 
-    if x0 is not None:
-        theta = np.concatenate([logm_sym(x0.mat.diag)[np.triu_indices(n)], x0.shift])
+    if x0 is not None:  # the coordinates of (log A, -tr log A/s, shift), on the basis's span
+        S_0 = logm_sym(x0.mat.diag)
+        theta = basis @ np.concatenate([S_0.ravel(), [-np.trace(S_0) / s], x0.shift])
     else:
-        theta = np.zeros(dim_s + n)
+        theta = np.zeros(len(basis))
     value, grad = evaluate(theta)
     fd = 1e-4 * (1.0 - r)
     hess, it, stop = None, 0, rfamily.CONVERGED

@@ -264,6 +264,62 @@ def test_non_finite_profile_knot_is_a_clean_input_error(tmp_path, capsys, knot):
     assert captured.out == "" and captured.err.startswith("input error:")
 
 
+def _huge_contact_point(inst):
+    inst["contacts"]["points"][3][1] = 1e308
+
+
+def _huge_nu_atom(inst):
+    inst["nu"] = {"atoms": [{"x": p, "m": 1.0} for p in inst["contacts"]["points"]]}
+    inst["nu"]["atoms"][0]["x"] = [1e308, 0.0]
+
+
+@pytest.mark.parametrize("command,mutate", [
+    ("verify", _huge_contact_point), ("minimize-i1", _huge_contact_point),
+    ("coercivity", _huge_contact_point), ("minimize-i1", _huge_nu_atom),
+    ("coercivity", _huge_nu_atom),
+], ids=["contact-verify", "contact-minimize", "contact-coercivity", "nu-minimize",
+        "nu-coercivity"])
+def test_point_whose_square_overflows_is_a_clean_input_error(tmp_path, capsys, command, mutate):
+    # |x|^2 of the point is not finite: rejected before h or a distance overflows on it
+    inst = json.loads((INSTANCES / "cross_n2_s2.json").read_text())
+    mutate(inst)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(inst))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--instance", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+    assert "is too large: 4|x|^2 is not finite" in captured.err
+
+
+def test_tangent_point_whose_square_overflows_is_a_clean_input_error(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fixture", "tangent", "--n", "2", "--s", "1.0",
+                         "--points", "0.1,0.2;0.3,1e308", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        "input error: --points[1] is too large: 4|x|^2 is not finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["contacts", "minimize-i1", "coercivity", "sweep-r"])
+def test_no_contact_is_a_math_failure(tmp_path, capsys, command):
+    # every b lowered by 0.1 lifts h off the hemisphere everywhere: not in John position
+    inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+    for piece in inst["h"]["pieces"]:
+        piece["b"] -= 0.1
+    del inst["contacts"]
+    bad = tmp_path / "lifted.json"
+    bad.write_text(json.dumps(inst))
+    assert cli.main([command, "--instance", str(bad)]) == cli.EXIT_MATH
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        "math failure: h**(1/s) touches the hemisphere nowhere")
+
+
 class TestGridCap:
     """A grid above `rfamily.MAX_WALK_ARRAY` is refused before anything is allocated."""
 

@@ -176,6 +176,13 @@ class TestDetectContacts:
         with pytest.raises(NotJohnPosition):
             detect_contacts(shrunk, 1.0, grid_per_axis=101)
 
+    def test_no_contact_not_john(self):
+        # lowering every b lifts h off the hemisphere everywhere: nothing touches
+        h, cs, w = two_level_cross_fixture(1, 1.0, 0.4, 0.8)
+        lifted = make_log_concave(h.form.a, h.form.b - 0.1, 1.0)
+        with pytest.raises(NotJohnPosition, match="touches the hemisphere nowhere"):
+            detect_contacts(lifted, 1.0)
+
     def test_domain_radius_below_one_not_john(self):
         # the contacts lie inside radius 0.9, but h vanishes on 0.9 < |x| < 1
         h, cs, w = two_level_cross_fixture(1, 1.0, 0.4, 0.8)

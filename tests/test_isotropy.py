@@ -29,7 +29,7 @@ def ungated(h, s, nu):
     The result's multiplier is NaN: the tests that reach the loop this way do not read it.
     """
     at = _Atoms(h, s, nu)
-    c, _, value, gnorm, it, evals = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
+    c, value, gnorm, it, evals, _ = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
     return MinimizerResult(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
                            projected_grad_norm=gnorm, lam=float("nan"), iterations=it,
                            converged=True, evaluations=evals, stop_reason=WITHIN_TOL)
@@ -281,7 +281,7 @@ class TestNewton:
             for scale in (1e-9, 1e-10):
                 for _ in range(20):
                     x0 = best.point.vec + scale * rng.standard_normal(len(at.basis)) @ at.basis
-                    c, _, _, _, it, _ = _newton(at.phi, at.w, F, at.basis @ x0)
+                    c, _, _, it, _, _ = _newton(at.phi, at.w, F, at.basis @ x0)
                     assert it <= 5
                     assert np.linalg.norm(c @ at.basis - best.point.vec) <= 1e-9
 
@@ -319,14 +319,18 @@ class TestLimitReference:
         at, W, H = self._limit(h, S, n)
         z = at.features @ lim.point.vec
         assert lim.value == pytest.approx(float(np.dot(W, H(z))), rel=1e-13)
-        grad = at.basis @ (at.features.T @ (W * H.deriv(z)))  # on the trace-zero subspace
+        grad = at.basis @ (at.features.T @ (W * H.derivs(z)[0]))  # on the trace-zero subspace
         assert np.linalg.norm(grad) <= 1e-10
         assert lim.point.vec == pytest.approx(at.basis.T @ (at.basis @ lim.point.vec), abs=1e-15)
-        # the flat Hessian against central differences of the flat gradient
-        step = 1e-6
-        cols = [(at.features.T @ (W * H.deriv(at.features @ (lim.point.vec + step * e)))
-                 - at.features.T @ (W * H.deriv(at.features @ (lim.point.vec - step * e))))
-                / (2.0 * step) for e in np.eye(at.features.shape[1])]
+
+        def basis_grad(c):  # the gradient of L in the coordinates c on the basis rows
+            return at.phi.T @ (W * H.derivs(at.phi @ c)[0])
+
+        # the Hessian in basis coordinates against central differences of that gradient
+        c, step = at.basis @ lim.point.vec, 1e-6
+        cols = [(basis_grad(c + step * e) - basis_grad(c - step * e)) / (2.0 * step)
+                for e in np.eye(len(at.basis))]
+        assert lim.hessian.shape == (len(at.basis),) * 2
         assert lim.hessian == pytest.approx(np.array(cols).T, rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -336,7 +340,7 @@ class TestLimitReference:
         h, _ = off_axis_two_level(n)
         lim = limit_reference(h, S, canonical_pair())
         at, W, H = self._limit(h, S, n)
-        masses = W * H.deriv(at.features @ lim.point.vec) / at.h_pow**2
+        masses = W * H.derivs(at.features @ lim.point.vec)[0] / at.h_pow**2
         iso = check_isotropy(DiscreteMeasure(at.X, masses), S)
         assert iso.residual_iso <= 1e-10 and iso.residual_center <= 1e-10 and iso.lam > 0.0
 
@@ -444,6 +448,18 @@ class TestDiscreteMeasure:
     def test_rejects_non_finite_atoms(self, points, masses, message):
         with pytest.raises(ValueError, match=message):
             DiscreteMeasure(np.array(points), np.array(masses))
+
+    @pytest.mark.parametrize("points,first", [([[0.0, 0.5], [1e308, 0.0]], 1),
+                                              ([[1e154, 0.0], [-1e154, 0.0]], 0)],
+                             ids=["square-overflows", "distance-square-overflows"])
+    def test_rejects_atoms_whose_distances_can_overflow(self, points, first):
+        with np.errstate(over="raise"):  # rejected before any overflow
+            with pytest.raises(ValueError, match=rf"atom {first} is too large: 4\|x\|\^2"):
+                DiscreteMeasure(np.array(points), np.ones(2))
+
+    def test_rejects_no_atom(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestCheckIsotropy:
