@@ -60,9 +60,10 @@ def _hemisphere_gap(h_pow: np.ndarray, X: np.ndarray) -> np.ndarray:
     """h(x)**(1/s) - sqrt(1 - |x|^2) at the rows of X, from h_pow = h**(1/s) there.
 
     Nonnegative on the unit ball in John position, and zero at the contacts.
+    +inf where |x|^2 >= 1, since a contact lies in the open unit ball (NaN stays NaN).
     """
     r2 = np.sum(X * X, axis=1)
-    return h_pow - np.sqrt(np.clip(1.0 - r2, 0.0, None))
+    return np.where(r2 >= 1.0, np.inf, h_pow - np.sqrt(np.clip(1.0 - r2, 0.0, None)))
 
 
 def make_tangent_instance(points, s: float, domain_radius: float | None = None) -> LogConcaveFn:
@@ -140,10 +141,10 @@ def verify_decomposition(points, weights, h: LogConcaveFn, s: float) -> Decompos
     n = U.shape[1]
     h_pow = eval_h_many(h, U) ** (1.0 / s)
     res_a = float(np.max(np.abs(_hemisphere_gap(h_pow, U))))
-    M = (U.T * c) @ U
-    res_b = float(np.linalg.norm(M - np.eye(n), ord="fro"))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf (or NaN) residual
+        res_b = float(np.linalg.norm((U.T * c) @ U - np.eye(n), ord="fro"))
+        res_d = float(np.linalg.norm(c @ U))
     res_c = float(abs(np.dot(c, h_pow**2) - s))
-    res_d = float(np.linalg.norm(c @ U))
     positive = bool(np.all((c > 0.0) & np.isfinite(c)))
     return DecompositionReport(res_a, res_b, res_c, res_d, positive)
 

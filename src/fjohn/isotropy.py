@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 class DiscreteMeasure:
     """At least one weighted atom (x_i, m_i), with positive masses and pairwise-distinct points.
 
-    Every point has a finite 4|x|^2, so no distance |x_i - x_j| between two overflows.
+    Points have at least one coordinate, and every point has a finite 4|x|^2, so no
+    distance |x_i - x_j| between two overflows.
     """
 
     points: np.ndarray  # (k, n)
@@ -40,6 +41,8 @@ class DiscreteMeasure:
     def __post_init__(self):
         P = np.atleast_2d(np.asarray(self.points, dtype=float))
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
+        if P.shape[1] == 0:  # np.atleast_2d([]) is one atom in R^0
+            raise ValueError("atom points need at least one coordinate")
         if P.shape[0] != m.shape[0]:
             raise ValueError("points/masses length mismatch")
         if P.shape[0] == 0:

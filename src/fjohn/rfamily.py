@@ -7,10 +7,10 @@ cubic in t whenever the profiles are piecewise linear, so the 2-point Gauss
 rule integrates it exactly on every segment and the only quadrature error
 comes from the outer x grid.
 One kernel gives the inner integral I and its derivative I' in c^2 on the
-nodes where the band is open, and everything else is built from those two:
-the band functional, its analytic gradient in the minimizer's coordinates
-(so the minimizer is quasi-Newton on that gradient), and, by parts, the
-concentration-measure density and the stationarity multiplier.
+nodes where the band is open, and one walk of them (`_band_sums`) gives the
+band functional, its analytic gradient in the minimizer's coordinates (so
+the minimizer is quasi-Newton on that gradient), and, in closed form, the
+concentration-measure integrals and the stationarity multiplier.
 """
 
 from __future__ import annotations
@@ -355,15 +355,16 @@ class _Band:
         """Walk the grid block by block, yielding each block's open nodes.
 
         shifted: x is the band variable and the factor is evaluated at Ax + v
-        (the band_functional route); otherwise x is the factor argument and
-        the band variable is A^-1 (x - v).  For n = 1 the panels follow the
-        kinks of psi in both variables.  Yields (W, h^(1/s), I, I', X, at,
-        Y, opened) for each block where the band is open: the open nodes'
-        weights, h at their band-factor argument and the inner integrals, in
-        row-major grid order (node i0 P^(n-1) + ... + i_(n-1) is (x[i0], ...,
-        x[i_(n-1)]) for the P nodes x of `_axis_rule`); the block's grid
-        points X and the near nodes' band-factor arguments Y, whose rows `at`
-        and `opened` are the open nodes, for a caller that needs them.
+        (every route but one); otherwise x is the factor argument and the
+        band variable is A^-1 (x - v) (`rescaled_band_functional`).  For
+        n = 1 the panels follow the kinks of psi in both variables.  Yields
+        (W, h^(1/s), I, I', X, at, Y, opened) for each block where the band
+        is open: the open nodes' weights, h at their band-factor argument and
+        the inner integrals, in row-major grid order (node
+        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P
+        nodes x of `_axis_rule`); the block's grid points X and the near
+        nodes' band-factor arguments Y, whose rows `at` and `opened` are the
+        open nodes, for `_band_sums`.
         Yields None and stops at the first block where part of the band lies
         where h^(1/s)/alpha vanishes (or its square underflows).  h at the
         band-factor argument is evaluated only where the band can be open
@@ -485,37 +486,19 @@ def _value_sum(band: _Band, A, alpha, v, shifted: bool, scale: float) -> float:
     return value
 
 
-def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Band functional at theta and its gradient there.
+def _band_sums(band: _Band, A: np.ndarray, alpha: float, v: np.ndarray, bumps=()):
+    """The sums over the open nodes at (A, alpha, v), from one shifted walk; None at the barrier.
 
-    theta, the coordinates of `_minimize_band` on the rows of
-    `trace0_array` (`_Band.split`), stands for the position
-    (exp S, exp(-tr S / s), v) with (S, -tr S/s, v) = theta @ basis.  The
-    one eigh of S in `_expm_sym_eig`, which `sdet1_param` takes too, gives
-    both A = exp S and the gradient below, so the value is `_band_value` at
-    the `sdet1_param` position bit for bit.
-    With c = h(y)^(1/s)/alpha at y = Ax + v and the inner integral I(c^2),
-    each open node contributes W c I(c^2), so the gradient is
-    sum W c (I + 2 c^2 I') d(log c), where d(log c) = -(1/s) a_j(y) . dy
-    - d(log alpha) with a_j(y) the active piece of psi at y.  dy = dA x + dv;
-    dA = L(S, dS) is the Frechet derivative of the symmetric matrix
-    exponential (Daleckii-Krein: in the eigenbasis of S, dS scaled
-    entrywise by the divided differences of exp), which is self-adjoint, so
-    the gradient in the flat form is (L(S, G)/-s, -sum (weight),
-    sum (weight) a_j/-s) for G = sum (weight) a_j x^T, and theta's is the
-    basis times it.  Each block adds its share of the value, G,
-    sum (weight) a_j and sum (weight), with a_j at the block's own y.
-    Returns (inf, None) beyond the coercive barrier; A = exp S is positive
-    definite, so it is not checked.
+    (value, G, a_sum, omega_sum, bump_sums) are sum W c I, sum omega a_j x^T,
+    sum omega a_j, sum omega and, per bump, sum omega delta(Y)/h_y^2, with
+    c = h(y)^(1/s)/alpha at y = Ax + v, omega = W c (I + 2 c^2 I') and a_j(y)
+    the active piece of psi there; each block adds its share.
     """
-    s = band.s
-    S, v = band.split(theta)
-    A, lam, V = _expm_sym_eig(S)
-    alpha = float(np.exp(-np.trace(S) / s))
     value, omega_sum, G, a_sum = 0.0, 0.0, np.zeros_like(A), np.zeros_like(v)
+    bump_sums = np.zeros(len(bumps))
     for block in band.blocks(A, alpha, v, shifted=True):
         if block is None:
-            return float("inf"), None
+            return None
         W, h_y, inner, d_inner, X, at, Y, opened = block
         X, Y = X.take(at, axis=0), Y.take(opened, axis=0)
         c = h_y / alpha
@@ -525,6 +508,35 @@ def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]
         G += (a_j.T * omega) @ X  # sum omega a_j x^T
         a_sum += a_j.T @ omega
         omega_sum += float(np.sum(omega))
+        for k, delta in enumerate(bumps):
+            bump_sums[k] += float(np.sum(omega / (h_y * h_y) * delta(Y)))
+    return value, G, a_sum, omega_sum, bump_sums
+
+
+def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Band functional at theta and its gradient there; (inf, None) beyond the barrier.
+
+    theta, the coordinates of `_minimize_band` on the rows of
+    `trace0_array` (`_Band.split`), stands for the position
+    (exp S, exp(-tr S / s), v) with (S, -tr S/s, v) = theta @ basis.  The
+    one eigh of S in `_expm_sym_eig`, which `sdet1_param` takes too, gives
+    both A = exp S and the gradient below, so the value is `_band_value` at
+    the `sdet1_param` position bit for bit.  A node adds W c I(c^2) to the
+    value (`_band_sums`) and omega d(log c) to the gradient, with
+    d(log c) = -(1/s) a_j(y) . (dA x + dv) - d(log alpha).  dA = L(S, dS) is
+    the Frechet derivative of the symmetric matrix exponential
+    (Daleckii-Krein: in the eigenbasis of S, dS scaled entrywise by the
+    divided differences of exp), which is self-adjoint, so theta's gradient
+    is the basis times the flat form's, (L(S, G)/-s, -omega_sum, a_sum/-s).
+    """
+    s = band.s
+    S, v = band.split(theta)
+    A, lam, V = _expm_sym_eig(S)
+    alpha = float(np.exp(-np.trace(S) / s))
+    sums = _band_sums(band, A, alpha, v)
+    if sums is None:
+        return float("inf"), None
+    value, G, a_sum, omega_sum, _ = sums
     half_gap = 0.5 * np.subtract.outer(lam, lam)
     sinhc = np.divide(np.sinh(half_gap), half_gap, out=np.ones_like(half_gap),
                       where=half_gap != 0.0)
@@ -550,47 +562,41 @@ def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: fl
     return float(alpha ** (s - 1.0) * _value_sum(band, A, alpha, (1.0 - r) * p.shift, False, 1.0))
 
 
-def _density_sums(band: _Band, minimizer: EPoint, bumps) -> tuple[np.ndarray, float]:
-    """Every bump's integral against the concentration measure, and the multiplier.
+def _band_measure(band: _Band, p: EPoint, bumps) -> tuple[np.ndarray, float]:
+    """Every bump's integral against the concentration measure at p, and the multiplier.
 
-    One walk of the density alpha^(s-1) D / h^(1/s), with D the integral of
-    f'(t) (1+(1-r)t) g(q(t)) dt.  By parts, since f(t) (1+(1-r)t) g(q(t))
-    vanishes at both ends of the band (`check_band_pair`), and with
-    dq/dt = 2 c^2 (1+(1-r)t)(1-r)/den, D = -(1-r)(I + 2 c^2 I').  Each block
-    adds its share of every integral and of the multiplier's numerator.
-    Raises SingularA unless the block is SPD with a positive corner, and
-    NotInBr when part of the band lies where h vanishes (band functional +inf).
+    The measure's density in y is alpha^(s-1) D / h^(1/s), with, by parts
+    (`check_band_pair`), D = integral f'(t) (1+(1-r)t) g(q(t)) dt
+    = -(1-r)(I + 2 c^2 I').  In the band variable (y = Ax + v, Jacobian
+    J = alpha^s det A, 1 on the minimizer's manifold) both are closed forms
+    in the `_band_sums`: mu_r(delta) = -(1-r) J sum omega delta(Y)/h_y^2 and
+    lambda_r = -J [(tr(A G^T) + a_sum . v)/s + s omega_sum]/(n + s^2), the
+    measure's sum of h^(2/s) ((1/s) a_j . y + s) over (1-r)(n + s^2).
+    SingularA unless the block is SPD with a positive corner; NotInBr when
+    part of the band lies where h vanishes.
     """
-    A, alpha, v = minimizer.mat.diag, minimizer.mat.corner, minimizer.shift
+    A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if not _positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    s, r = band.s, band.r
-    integrals, moment = np.zeros(len(bumps)), 0.0
-    for block in band.blocks(A, alpha, v, shifted=False):
-        if block is None:
-            raise NotInBr("the band reaches where h vanishes")
-        W, h_x, inner, d_inner, X, at = block[:6]
-        X = X.take(at, axis=0)
-        c2 = (h_x / alpha) ** 2
-        density = (-(1.0 - r) * alpha ** (s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
-        for k, delta in enumerate(bumps):
-            integrals[k] += float(np.sum(W * np.asarray(delta(X), dtype=float) * density))
-        slope = psi_gradient(band.h.form, X)
-        contraction = h_x**2 * ((1.0 / s) * np.sum(slope * X, axis=1) + s)
-        moment += float(np.sum(W * density * contraction))
-    return integrals, moment / ((1.0 - r) * (band.h.n + s * s))
+    sums = _band_sums(band, A, alpha, v, bumps)
+    if sums is None:
+        raise NotInBr("the band reaches where h vanishes")
+    _, G, a_sum, omega_sum, bump_sums = sums
+    s, jac = band.s, alpha ** band.s * np.linalg.det(A)
+    lam = -jac * ((np.sum(A * G) + a_sum @ v) / s + s * omega_sum) / (band.h.n + s * s)
+    return (-(1.0 - band.r) * jac) * bump_sums, float(lam)
 
 
 def concentration_integral(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                            minimizer: EPoint, delta, quad: QuadratureSpec) -> float:
     """Integral of a compactly supported test function against the band measure."""
-    return float(_density_sums(_Band(h, s, pair, r, quad), minimizer, [delta])[0][0])
+    return float(_band_measure(_Band(h, s, pair, r, quad), minimizer, [delta])[0][0])
 
 
 def stationarity_multiplier(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                             minimizer: EPoint, quad: QuadratureSpec) -> float:
     """Multiplier from the identity-direction contraction of the measure moments."""
-    return _density_sums(_Band(h, s, pair, r, quad), minimizer, [])[1]
+    return _band_measure(_Band(h, s, pair, r, quad), minimizer, ())[1]
 
 
 @dataclass
@@ -618,21 +624,14 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
 
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
-    loses nothing at a minimum).  Quasi-Newton in theta, the coordinates of
-    (S, -tr S/s, shift) on the orthonormal rows of `trace0_array` (the basis
-    the contact functional and the limit are minimized in), from theta = 0
-    on the analytic gradient of `_band_value_grad`: one Hessian from
-    differences of that gradient at the start, BFGS updates after every
-    step, and Armijo backtracking on the value.  It stops once the decrease
-    the model predicts is below the rounding of the value, once no step down
-    to the difference step descends on a freshly differenced Hessian, or
-    after BAND_MAX_ITER steps.  The band geometry (radius, kinks of psi) is
-    built once per minimization.  Returns the minimizer and the stationarity
-    multiplier.
+    loses nothing at a minimum), and minimized quasi-Newton from the identity
+    on the analytic gradient: `_minimize_band` on one band geometry.  Returns
+    the minimizer and the stationarity multiplier, from one `_band_sums` walk
+    at the minimizer.
     """
     band = _Band(h, s, pair, r, quad)
     point = _minimize_band(band, None).point
-    return point, _density_sums(band, point, [])[1]
+    return point, _band_measure(band, point, ())[1]
 
 
 def _minimize_band(band: _Band, theta0: np.ndarray | None,
@@ -829,8 +828,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     normalized by (1-r) * lambda_r and scaled by the reference multiplier,
     which makes them comparable with the reference measure: at the exact
     minimizer both normalized measures satisfy the same identity-direction
-    moment identity.  Each r builds the band geometry once, and one walk of
-    the density gives every bump integral and lambda_r.
+    moment identity.  Each r builds the band geometry once, and one
+    `_band_sums` walk at the minimizer gives every bump integral and lambda_r.
 
     Every r starts from the curvature-weighted limit of the band family
     (`isotropy.limit_reference`, computed once per call from h, s and the
@@ -869,7 +868,7 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             solver = _minimize_band(band, omr * c_lim,
                                     c_n * omr ** (0.5 * n - 2.0) * limit.hessian)
             point, value = solver.point, solver.value
-            mu_vals, lam_r = _density_sums(band, point, bumps)
+            mu_vals, lam_r = _band_measure(band, point, bumps)
         except (NotConverged, NotInBr, SingularA) as exc:
             nan = float("nan")
             result.entries.append(SweepEntry(

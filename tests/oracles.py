@@ -18,9 +18,9 @@ import numpy as np
 from fjohn import rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
-from fjohn.errors import NotConverged, NotJohnPosition, SingularA
+from fjohn.errors import NotConverged, NotInBr, NotJohnPosition, SingularA
 from fjohn.isotropy import DiscreteMeasure, _Atoms
-from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
+from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many, psi_gradient
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -514,6 +514,40 @@ def dense_quadrature_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float
         gvals = np.asarray(pair.g(np.clip(garg, -2.0, 2.0)), dtype=float)
         total += float(np.dot(fvals, gvals))
     return total * wx * wy / omr
+
+
+def density_sums(band, minimizer: EPoint, bumps) -> tuple[np.ndarray, float]:
+    """Every bump's integral against the concentration measure, and the multiplier.
+
+    The unshifted density walk that `rfamily._band_measure` replaced, kept as
+    its second-route reference: it walks `_Band.blocks` in the factor
+    argument x (band variable A^-1 (x - v)) and sums the density directly.
+    One walk of the density alpha^(s-1) D / h^(1/s), with D the integral of
+    f'(t) (1+(1-r)t) g(q(t)) dt.  By parts, since f(t) (1+(1-r)t) g(q(t))
+    vanishes at both ends of the band (`check_band_pair`), and with
+    dq/dt = 2 c^2 (1+(1-r)t)(1-r)/den, D = -(1-r)(I + 2 c^2 I').  Each block
+    adds its share of every integral and of the multiplier's numerator.
+    Raises SingularA unless the block is SPD with a positive corner, and
+    NotInBr when part of the band lies where h vanishes (band functional +inf).
+    """
+    A, alpha, v = minimizer.mat.diag, minimizer.mat.corner, minimizer.shift
+    if not rfamily._positive(A, alpha):
+        raise SingularA("block must be positive definite with positive corner")
+    s, r = band.s, band.r
+    integrals, moment = np.zeros(len(bumps)), 0.0
+    for block in band.blocks(A, alpha, v, shifted=False):
+        if block is None:
+            raise NotInBr("the band reaches where h vanishes")
+        W, h_x, inner, d_inner, X, at = block[:6]
+        X = X.take(at, axis=0)
+        c2 = (h_x / alpha) ** 2
+        density = (-(1.0 - r) * alpha ** (s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
+        for k, delta in enumerate(bumps):
+            integrals[k] += float(np.sum(W * np.asarray(delta(X), dtype=float) * density))
+        slope = psi_gradient(band.h.form, X)
+        contraction = h_x**2 * ((1.0 / s) * np.sum(slope * X, axis=1) + s)
+        moment += float(np.sum(W * density * contraction))
+    return integrals, moment / ((1.0 - r) * (band.h.n + s * s))
 
 
 def theta_point(theta, n: int, s: float):

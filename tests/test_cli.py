@@ -293,6 +293,50 @@ def test_point_whose_square_overflows_is_a_clean_input_error(tmp_path, capsys, c
     assert "is too large: 4|x|^2 is not finite" in captured.err
 
 
+def _far_contact_point(inst):
+    inst["contacts"]["points"][3] = [0.0, -40.0]
+
+
+def _large_contact_point(inst):
+    inst["contacts"]["points"][3][1] = 1e150  # 4|x|^2 finite, |x|^4 not
+
+
+@pytest.mark.parametrize("mutate", [_far_contact_point, _large_contact_point],
+                         ids=["far", "large"])
+def test_contact_off_the_unit_ball_fails_verify(tmp_path, capsys, mutate):
+    # a contact needs |x| < 1: h is tiny far out, but the gap there is inf, not h^(1/s);
+    # residuals that overflow are inf and fail, with no numpy warning
+    inst = json.loads((INSTANCES / "cross_n2_s2.json").read_text())
+    mutate(inst)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(inst))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--instance", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out)["result"]
+    assert result["residual_a"] == "inf" and result["pass"]["a"] is False
+    assert result["ok"] is False
+    if mutate is _large_contact_point:
+        assert result["residual_b"] == "inf" and result["pass"]["b"] is False
+
+
+@pytest.mark.parametrize("mutate", [_far_contact_point, _large_contact_point],
+                         ids=["far", "large"])
+def test_contact_off_the_unit_ball_is_not_an_atom(tmp_path, capsys, mutate):
+    inst = json.loads((INSTANCES / "cross_n2_s2.json").read_text())
+    mutate(inst)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(inst))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["minimize-i1", "--instance", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("math failure: atom [") and "contact gap inf" in captured.err
+
+
 def test_tangent_point_whose_square_overflows_is_a_clean_input_error(tmp_path, capsys):
     out = tmp_path / "inst.json"
     with warnings.catch_warnings():

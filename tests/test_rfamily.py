@@ -18,7 +18,7 @@ from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, can
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            concentration_integral, default_bumps, minimize_band, r_sweep,
                            rescaled_band_functional, stationarity_multiplier, trapezoid_bump)
-from oracles import (envelope_breaks_scan, fd_newton_minimize, pl_deriv, s_det,
+from oracles import (density_sums, envelope_breaks_scan, fd_newton_minimize, pl_deriv, s_det,
                      sorted_inner_band, theta_point, x_grid)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -528,6 +528,40 @@ class TestConcentration:
         assert vals[0] >= vals[1] >= vals[2]
         assert vals[2] <= 1e-12
 
+    @pytest.mark.parametrize("n, nodes, schedule, tol", [
+        (1, 960, (0.8, 0.9, 0.95, 0.99), 1e-9),
+        (2, 240, (0.8, 0.9), 1e-3),
+    ], ids=["n1", "n2"])
+    def test_shifted_sums_match_unshifted_walk(self, fixture, n, nodes, schedule, tol):
+        # lambda_r and every default bump's integral from `_band_sums` (shifted route, through
+        # `_band_measure`'s closed forms) against the unshifted density walk of
+        # `oracles.density_sums`, at `_minimize_band`'s minimizers and, for the Jacobian
+        # alpha^s det A, at a position off their unit-weighted-determinant manifold.  The two
+        # routes differ by the quadrature of their grids.  The bounds come from measured moves
+        # at these points: at n = 1, on the two-level cross at 960 nodes, <= 1.2e-11 (lambda_r)
+        # and 5.8e-11 (integrals); at n = 2, on the triangle plus square at 240 nodes, which is
+        # not node-converged, <= 1.2e-4 and 3.4e-4 (r = 0.8, at the minimizer)
+        h = fixture[0] if n == 1 else _triangle_square_n2()
+        bumps = default_bumps(counting_measure(detect_contacts(h, S).points))
+        for r in schedule:
+            band = rfamily._Band(h, S, canonical_pair(), r, QuadratureSpec(x_nodes_per_axis=nodes))
+            p = rfamily._minimize_band(band, None).point
+            off = EPoint(BlockMat(1.05 * p.mat.diag, 0.95 * p.mat.corner), p.shift)
+            for q in (p, off):
+                (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(band, q, bumps),
+                                                  density_sums(band, q, bumps))
+                assert abs(lam - want_lam) <= tol * abs(want_lam)
+                assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu))
+                assert np.all(mu != 0.0)
+            # the term a_sum . v needs a shift, which the minimizers lack (|v| <= 3.2e-3).  With
+            # 0.02 added the bump integrals move by up to 1.4e-4 between the routes at n = 1, so
+            # lambda_r alone is compared, within 1e-3: it moved by <= 6.4e-6 at n = 1 and 2.6e-4
+            # at n = 2, and dropping the term moves it by 4e-3 to 1.3e-2
+            moved = EPoint(off.mat, p.shift + 0.02)
+            lam, want_lam = (rfamily._band_measure(band, moved, ())[1],
+                             density_sums(band, moved, ())[1])
+            assert abs(lam - want_lam) <= 1e-3 * abs(want_lam)
+
     def test_sweep_diagnostics(self, fixture, quad):
         h, cs, w = fixture
         pair = canonical_pair()
@@ -755,8 +789,8 @@ class TestBlockedTerms:
     def test_matches_unblocked_terms(self, n, mode, shifted, monkeypatch):
         # mode names what the caller reads: 'value' the open nodes' W, h and I; 'grad'
         # also their coordinates and band-factor arguments; 'density' the by-parts density
-        # on them (`_density_sums`'s in the unshifted route), which must carry all of the
-        # grid's density: the direct integrand is 0 on every near node that is not open
+        # on them (`_band_sums`'s bump sums in the shifted route), which must carry all of
+        # the grid's density: the direct integrand is 0 on every near node that is not open
         nodes, block = self.GRIDS[n]
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", block)
         # on the axis cross every product a . x is exact, so no BLAS kernel's order of
@@ -775,9 +809,10 @@ class TestBlockedTerms:
             assert (got is None) == (ref is None)
             if ref is None:
                 refused += 1
-                if mode == "density" and not shifted:
+                if mode == "density" and shifted:
+                    assert rfamily._band_sums(band, A, alpha, v) is None
                     with pytest.raises(NotInBr):
-                        rfamily._density_sums(band, EPoint(BlockMat(A, alpha), v), [])
+                        rfamily._band_measure(band, EPoint(BlockMat(A, alpha), v), [])
                 continue
             assert all(np.array_equal(a, b) for a, b in zip(got[2:], ref[2:]))
             assert len(got[2]) and np.all(got[4] > 0.0)
@@ -790,15 +825,14 @@ class TestBlockedTerms:
                 shut = np.ones(len(c2), dtype=bool)
                 shut[opened] = False
                 assert np.any(shut) and not np.any(direct[shut])
-                X, _, W, h_y, inner, d_inner = got
+                _, Y, W, h_y, inner, d_inner = got
                 by_parts = _by_parts(band.r, c2[opened], inner, d_inner)
                 assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
-                if not shifted:  # the density the measure uses, times h^(1/s) / alpha^(S-1)
-                    density = by_parts * alpha ** (S - 1.0) / h_y
-                    point = EPoint(BlockMat(A, alpha), v)
+                if shifted:  # the measure's bump sums: omega/h_y^2 = W by_parts/(-(1-r) alpha h_y)
+                    per_h2 = W * by_parts / (-(1.0 - band.r) * alpha * h_y)
                     for delta in (lambda x: np.ones(len(x)), lambda x: x[:, 0] > 0.0):
-                        got_mu = rfamily._density_sums(band, point, [delta])[0][0]
-                        want = float(np.sum(W * delta(X) * density))
+                        got_mu = rfamily._band_sums(band, A, alpha, v, [delta])[4][0]
+                        want = float(np.sum(per_h2 * delta(Y)))
                         assert abs(got_mu - want) <= 1e-13 * abs(want)
         # the last position lies partly where h = 0: refused
         assert refused == 1
@@ -888,7 +922,7 @@ class TestBlockedTerms:
                                               for b in (band, whole))
             assert abs(got - want) <= tol * want
             assert np.linalg.norm(grad - want_grad) <= tol * np.linalg.norm(want_grad)
-            (mu, lam), (want_mu, want_lam) = (rfamily._density_sums(b, p, bumps)
+            (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(b, p, bumps)
                                               for b in (band, whole))
             assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu)) and np.all(mu != 0.0)
             assert abs(lam - want_lam) <= tol * abs(want_lam)
