@@ -43,6 +43,13 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, not on argparse's 2, the code of a math failure."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def _to_jsonable(obj):
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
@@ -482,14 +489,14 @@ def cmd_profiles_check(args) -> int:
         "F_nonnegative": bool(np.all(Fv >= -1e-12)),
         "F_nondecreasing": bool(np.all(np.diff(Fv) >= -1e-12)),
         "F_convex": bool(np.all(Fv[2:] - 2 * Fv[1:-1] + Fv[:-2] >= -1e-10)),
-        "F_prime_at_zero": float(F.deriv(0.0)),
+        "F_prime_at_zero": float(F.derivs(0.0)[0]),
     }
     print(_report("profiles-check", inst, result))
     return EXIT_OK if rep.ok else EXIT_MATH
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fjohn",
         description="Decomposition-of-identity measures for log-concave functions "
                     "in John position")
@@ -501,7 +508,8 @@ def main(argv=None) -> int:
     p_fix.add_argument("--s", type=float, required=True)
     p_fix.add_argument("--rho1-sq", type=float, default=0.4)
     p_fix.add_argument("--rho2-sq", type=float, default=0.8)
-    p_fix.add_argument("--points", help="semicolon-separated comma vectors, e.g. '0.5;-0.25'")
+    p_fix.add_argument("--points", help="semicolon-separated comma vectors; a list that starts "
+                                        "with '-' needs '=': --points=-0.5,0.1;0.2,0.3")
     p_fix.add_argument("--domain-radius", type=float)
     p_fix.add_argument("--nu", default="counting", choices=["counting", "calibrated"])
     p_fix.add_argument("--out")

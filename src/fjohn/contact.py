@@ -18,6 +18,7 @@ from .errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
 from .logconcave import LogConcaveFn, eval_h_many, make_log_concave
 
 GAP_TOL = 1e-8  # the largest hemisphere gap of a contact point, wherever contacts are decided
+# GAP_TOL^2 < 2^-53 <= 1 - |x|^2 for every float |x|^2 < 1: where h = 0, |gap| > GAP_TOL
 DECOMPOSITION_TOL = 1e-8  # the largest residual of a decomposition condition that passes
 
 

@@ -37,10 +37,6 @@ class AtomOffContactSet(FJohnError):
     pass
 
 
-class ZeroValueAtom(FJohnError):
-    pass
-
-
 class AllWeightsZero(FJohnError):
     pass
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from .blockmat import EPoint, s_trace, trace0_array
 from .contact import GAP_TOL, _hemisphere_gap, detect_contacts
-from .errors import (AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged,
-                     ZeroValueAtom)
+from .errors import AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged
 from .logconcave import LogConcaveFn, _positive_span, eval_h_many, psi_gradient
 
 if TYPE_CHECKING:
@@ -114,7 +113,8 @@ class _Atoms:
     """Cached per-atom quantities for one (h, s, nu) combination.
 
     An atom whose hemisphere gap exceeds `contact.GAP_TOL` in absolute value,
-    the bound `detect_contacts` lists contacts by, raises AtomOffContactSet.
+    the bound `detect_contacts` lists contacts by, or is NaN (the first NaN
+    is named), and so every atom where h = 0, raises AtomOffContactSet.
     The argument of F is linear in (M, beta, w): in the flat form `EPoint.vec`
     it is `features @ p.vec`, row i of `features` being
     (x_i x_i^T / h_i^(2/s), 1, x_i / h_i^(2/s)).  On the weighted-trace-zero
@@ -126,15 +126,12 @@ class _Atoms:
 
     def __init__(self, h: LogConcaveFn, s: float, nu: DiscreteMeasure):
         X = nu.points
-        hv = eval_h_many(h, X)
-        self.h_pow = hv ** (1.0 / s)          # h^(1/s)
+        self.h_pow = eval_h_many(h, X) ** (1.0 / s)  # h^(1/s)
         gaps = _hemisphere_gap(self.h_pow, X)
-        if np.max(np.abs(gaps)) > GAP_TOL:
-            i = int(np.argmax(np.abs(gaps)))
+        if not np.max(np.abs(gaps)) <= GAP_TOL:  # NaN fails too
+            i = int(np.argmax(np.abs(gaps)))  # the first NaN, if any
             raise AtomOffContactSet(
                 f"atom {X[i]} has contact gap {gaps[i]:.3e} > {GAP_TOL:.1e}")
-        if np.any(hv <= 0.0):
-            raise ZeroValueAtom("h vanishes at an atom")
         k, n = X.shape
         self.X = X
         self.m = nu.masses
@@ -155,7 +152,7 @@ def functional_gradient(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                         F: ConvolutionProfile, p: EPoint) -> EPoint:
     """Gradient as a pair: sum_i m_i/h_i^(1/s) F'(arg_i) (x_i x_i^T + h_i^(2/s) corner, x_i)."""
     at = _Atoms(h, s, nu)
-    return _gradient(at, F.deriv(at.args(p)))
+    return _gradient(at, F.derivs(at.args(p))[0])
 
 
 def _gradient(at: _Atoms, dF: np.ndarray) -> EPoint:
@@ -375,7 +372,7 @@ def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,
                     nu: DiscreteMeasure, F: ConvolutionProfile) -> DiscreteMeasure:
     """Atoms (x_i, m_i/h_i^(1/s) F'(arg_i)); zero-weight atoms are dropped."""
     at = _Atoms(h, s, nu)
-    w = at.m / at.h_pow * F.deriv(at.args(res.point))
+    w = at.m / at.h_pow * F.derivs(at.args(res.point))[0]
     keep = w > 0.0
     if not np.any(keep):
         raise AllWeightsZero("every extracted weight vanished")

@@ -178,7 +178,7 @@ def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
 
 
 class ConvolutionProfile:
-    """F(x) = integral f(t) g(t - x) dt with F' (`deriv`) and F'' (`derivs`); nondecreasing, convex.
+    """F(x) = integral f(t) g(t - x) dt with F' and F'' (`derivs`); nondecreasing, convex.
 
     For a piecewise-linear pair F'' is piecewise linear: integrating
     integral f(t) g''(t - x) dt by parts gives F''(x) = sum_k J_k f(x + b_k)
@@ -218,12 +218,8 @@ class ConvolutionProfile:
         u, (a0, a1, a2, a3) = self._local(x)
         return ((a3 * u + a2) * u + a1) * u + a0
 
-    def deriv(self, x):
-        u, (_, a1, a2, a3) = self._local(x)
-        return (3.0 * a3 * u + 2.0 * a2) * u + a1
-
     def derivs(self, x):
-        """(F'(x), F''(x)) from one piece lookup, the first bit for bit `deriv`."""
+        """(F'(x), F''(x)) from one piece lookup."""
         u, (_, a1, a2, a3) = self._local(x)
         return (3.0 * a3 * u + 2.0 * a2) * u + a1, 6.0 * a3 * u + 2.0 * a2
 

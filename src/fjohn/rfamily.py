@@ -45,8 +45,8 @@ class QuadratureSpec:
     The inner t-integrals are exact for piecewise-linear profiles (2-point
     Gauss on piecewise cubics), so the quadrature error comes from the x
     grid alone; 960 nodes per axis holds it to 1e-6 at n = 1 up to r = 0.99
-    (cost grows like 1/(1-r) beyond).  The grid spans the band radius of
-    `_Band`.  An instance file's `quadrature.tol`, `t_nodes` and
+    (cost grows like 1/(1-r) beyond).  The grid spans the band radius at r
+    (`_Band.radii`).  An instance file's `quadrature.tol`, `t_nodes` and
     `domain_radius` are accepted and ignored in schema version 1.
     The inner kernel integrates only the grid nodes where the band is open,
     so a band evaluation costs in proportion to the open share of the grid
@@ -60,7 +60,7 @@ class QuadratureSpec:
     the grid); n = 1 is one block.  The outer grid has at least 4 panels of
     8 nodes per axis, so a count below 25, which it would silently raise,
     is rejected.  `check_grid` bounds the largest array of the band walk
-    by MAX_WALK_ARRAY, which `_Band` enforces.
+    by MAX_WALK_ARRAY, which `_Band` enforces once per (h, s, pair, quad).
     """
 
     x_nodes_per_axis: int = 960
@@ -303,17 +303,17 @@ def check_band_pair(pair: ProfilePair) -> None:
 
 
 class _Band:
-    """What a band quadrature needs that does not depend on the position.
+    """What a band quadrature needs that depends on neither r nor the position.
 
-    Built once per (h, s, pair, r, quad) and kept for one call or one
-    minimization, whose every evaluation walks it with `blocks`: the
-    profiles, the grid radii, for n = 1 the kinks of psi on the whole line,
-    and the trace-zero basis the minimizer's coordinates live on.  It
-    checks up front what the band kernel assumes: the pair passes
-    `check_band_pair`, and h > 0 on the closed unit ball without underflow
-    of h^(2/s) 2(1-r) there.  Then a node where the band can be open
-    (|z|^2 - 1 below den = 2(1-r) h^(2/s) times the top kink of g) has
-    den > 0: den = 0 would need |z| < 1.
+    Built once per (h, s, pair, quad) and shared by every r of a sweep, whose
+    every evaluation walks it with `blocks` at its r: the profiles, the
+    bounds on h^(2/s) that give the grid radii at r (`radii`), for n = 1 the
+    kinks of psi, and the trace-zero basis of the minimizer's coordinates.
+    It checks up front what the band kernel assumes: the pair passes
+    `check_band_pair`, the grid `check_grid`, h > 0 on the closed unit ball,
+    and (`radii`) no underflow of h^(2/s) 2(1-r) there.  Then a node where
+    the band can be open (|z|^2 - 1 below den = 2(1-r) h^(2/s) times the
+    top kink of g) has den > 0: den = 0 would need |z| < 1.
 
     The grid's radius is sqrt(1 + 2(1-r) e^(-2 min psi/s) (1 + 1e-7)),
     capped at max(R, 1) = R for a domain ball of radius R (R >= 1, as
@@ -323,27 +323,29 @@ class _Band:
     the same bound with den times the top kink of g where that exceeds 1.
     """
 
-    def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
-                 quad: QuadratureSpec):
-        if not 0.5 < r < 1.0:
-            raise BadR(f"r={r} outside (1/2, 1)")
+    def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, quad: QuadratureSpec):
         check_band_pair(pair)
         quad.check_grid(h.n)
         form = h.form
         if form.domain_radius is not None and form.domain_radius < 1.0:
             raise NotJohnPosition(f"h vanishes on the unit ball beyond its domain radius "
                                   f"{form.domain_radius}")
-        # on |x| <= 1, psi <= max_j (b_j + |a_j|)
-        least = np.exp(-np.max(form.b + np.linalg.norm(form.a, axis=1))) ** (2.0 / s)
-        if not least * 2.0 * (1.0 - r) > 0.0:
-            raise NotJohnPosition("h^(2/s) underflows on the unit ball")
-        self.h, self.s, self.r, self.quad, self.f, self.g = h, s, r, quad, pair.f, pair.g
-        sup = float(np.exp(-_min_psi(form)) ** (2.0 / s)) * 1.0000001  # >= sup h^(2/s)
-        cap = np.inf if form.domain_radius is None else form.domain_radius  # >= 1, as checked
-        self.radius, self.reach = (min(float(np.sqrt(1.0 + 2.0 * (1.0 - r) * sup * top)), cap)
-                                   for top in (1.0, max(float(pair.g.breaks[-1]), 1.0)))
+        # on |x| <= 1, psi <= max_j (b_j + |a_j|): least <= h^(2/s) there
+        self.least = np.exp(-np.max(form.b + np.linalg.norm(form.a, axis=1))) ** (2.0 / s)
+        self.h, self.s, self.quad, self.f, self.g = h, s, quad, pair.f, pair.g
+        self.sup = float(np.exp(-_min_psi(form)) ** (2.0 / s)) * 1.0000001  # >= sup h^(2/s)
+        self.cap = np.inf if form.domain_radius is None else form.domain_radius  # >= 1, as checked
         self.breaks = _envelope_breaks_1d(h.form) if h.n == 1 else None
         self.basis = trace0_array(h.n, s)
+
+    def radii(self, r: float) -> tuple[float, float]:
+        """(radius, reach) of the grid at r; BadR outside (1/2, 1), NotJohnPosition on underflow."""
+        if not 0.5 < r < 1.0:
+            raise BadR(f"r={r} outside (1/2, 1)")
+        if not self.least * 2.0 * (1.0 - r) > 0.0:
+            raise NotJohnPosition("h^(2/s) underflows on the unit ball")
+        return tuple(min(float(np.sqrt(1.0 + 2.0 * (1.0 - r) * self.sup * top)), self.cap)
+                     for top in (1.0, max(float(self.g.breaks[-1]), 1.0)))
 
     def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(S, shift) of the flat form theta @ basis: theta are coordinates on the basis rows."""
@@ -351,8 +353,8 @@ class _Band:
         flat = theta @ self.basis
         return flat[:n * n].reshape(n, n), flat[n * n + 1:]
 
-    def blocks(self, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool):
-        """Walk the grid block by block, yielding each block's open nodes.
+    def blocks(self, r: float, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool):
+        """Walk the grid at r block by block, yielding each block's open nodes.
 
         shifted: x is the band variable and the factor is evaluated at Ax + v
         (every route but one); otherwise x is the factor argument and the
@@ -397,6 +399,7 @@ class _Band:
         product over a block's kept columns, so the same holds for it.
         """
         n, s = self.h.n, self.s
+        radius, reach = self.radii(r)
 
         def extent(radius):  # the grid's half-width for a radius in the band variable
             return (radius if shifted else
@@ -407,8 +410,8 @@ class _Band:
             a, c = float(A[0, 0]), float(v[0])
             u, c = (a, c) if shifted else (1.0 / a, -c / a)
             kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
-        x1, w1 = _axis_rule(extent(self.radius), self.quad.x_nodes_per_axis, kinks)
-        clip2 = (extent(self.reach) + 1e-9) ** 2  # no near node lies beyond; 1e-9 for rounding
+        x1, w1 = _axis_rule(extent(radius), self.quad.x_nodes_per_axis, kinks)
+        clip2 = (extent(reach) + 1e-9) ** 2  # no near node lies beyond; 1e-9 for rounding
         P = len(x1)
         w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
@@ -432,7 +435,7 @@ class _Band:
             den = eval_h_many(self.h, Z)  # 2 h^(2/s) (1-r), in place
             den **= 2.0 / s
             den *= 2.0
-            den *= 1.0 - self.r
+            den *= 1.0 - r
             near = np.flatnonzero(r2m1 < den * self.g.breaks[-1])
             if not len(near):  # the band is closed on the whole block
                 continue
@@ -446,8 +449,7 @@ class _Band:
             if not c2.min() > 0.0:  # NaN fails too
                 yield None
                 return
-            opened, inner, d_inner = _inner_band(self.f, self.g, self.r, c2, den[near],
-                                                 r2m1[near])
+            opened, inner, d_inner = _inner_band(self.f, self.g, r, c2, den[near], r2m1[near])
             at = near[opened]
             yield (np.multiply.outer(w_rows[r0:r1], w1[c0:c1]).ravel().take(at),
                    h_near[opened], inner, d_inner, X, at, Y, opened)
@@ -465,20 +467,20 @@ def band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     Returns +inf when the position pushes part of the band outside the
     support of h (the coercive barrier).
     """
-    return _band_value(_Band(h, s, pair, r, quad), p)
+    return _band_value(_Band(h, s, pair, quad), r, p)
 
 
-def _band_value(band: _Band, p: EPoint) -> float:
+def _band_value(band: _Band, r: float, p: EPoint) -> float:
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if not _positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    return _value_sum(band, A, alpha, v, True, alpha)
+    return _value_sum(band, r, A, alpha, v, True, alpha)
 
 
-def _value_sum(band: _Band, A, alpha, v, shifted: bool, scale: float) -> float:
+def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool, scale: float) -> float:
     """The sum of W (h^(1/s)/scale) I over the open nodes, block by block; +inf at the barrier."""
     value = 0.0
-    for block in band.blocks(A, alpha, v, shifted):
+    for block in band.blocks(r, A, alpha, v, shifted):
         if block is None:
             return float("inf")
         W, h, inner = block[:3]
@@ -486,8 +488,8 @@ def _value_sum(band: _Band, A, alpha, v, shifted: bool, scale: float) -> float:
     return value
 
 
-def _band_sums(band: _Band, A: np.ndarray, alpha: float, v: np.ndarray, bumps=()):
-    """The sums over the open nodes at (A, alpha, v), from one shifted walk; None at the barrier.
+def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray, bumps=()):
+    """The open nodes' sums at r and (A, alpha, v), from one shifted walk; None at the barrier.
 
     (value, G, a_sum, omega_sum, bump_sums) are sum W c I, sum omega a_j x^T,
     sum omega a_j, sum omega and, per bump, sum omega delta(Y)/h_y^2, with
@@ -496,7 +498,7 @@ def _band_sums(band: _Band, A: np.ndarray, alpha: float, v: np.ndarray, bumps=()
     """
     value, omega_sum, G, a_sum = 0.0, 0.0, np.zeros_like(A), np.zeros_like(v)
     bump_sums = np.zeros(len(bumps))
-    for block in band.blocks(A, alpha, v, shifted=True):
+    for block in band.blocks(r, A, alpha, v, shifted=True):
         if block is None:
             return None
         W, h_y, inner, d_inner, X, at, Y, opened = block
@@ -513,8 +515,8 @@ def _band_sums(band: _Band, A: np.ndarray, alpha: float, v: np.ndarray, bumps=()
     return value, G, a_sum, omega_sum, bump_sums
 
 
-def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Band functional at theta and its gradient there; (inf, None) beyond the barrier.
+def _band_value_grad(band: _Band, r: float, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Band functional at r and theta and its gradient there; (inf, None) beyond the barrier.
 
     theta, the coordinates of `_minimize_band` on the rows of
     `trace0_array` (`_Band.split`), stands for the position
@@ -533,7 +535,7 @@ def _band_value_grad(band: _Band, theta: np.ndarray) -> tuple[float, np.ndarray]
     S, v = band.split(theta)
     A, lam, V = _expm_sym_eig(S)
     alpha = float(np.exp(-np.trace(S) / s))
-    sums = _band_sums(band, A, alpha, v)
+    sums = _band_sums(band, r, A, alpha, v)
     if sums is None:
         return float("inf"), None
     value, G, a_sum, omega_sum, _ = sums
@@ -554,16 +556,17 @@ def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: fl
     reparametrization identity between the two is a genuine two-route check.
     Raises NotInBr unless I + (1-r) M is positive definite and 1 + (1-r) beta > 0.
     """
-    band = _Band(h, s, pair, r, quad)
+    band = _Band(h, s, pair, quad)
     A = np.eye(p.n) + (1.0 - r) * p.mat.diag
     alpha = 1.0 + (1.0 - r) * p.mat.corner
     if not _positive(A, alpha):
         raise NotInBr("identity plus (1-r) M is not positive definite (or corner <= 0)")
-    return float(alpha ** (s - 1.0) * _value_sum(band, A, alpha, (1.0 - r) * p.shift, False, 1.0))
+    shift = (1.0 - r) * p.shift
+    return float(alpha ** (s - 1.0) * _value_sum(band, r, A, alpha, shift, False, 1.0))
 
 
-def _band_measure(band: _Band, p: EPoint, bumps) -> tuple[np.ndarray, float]:
-    """Every bump's integral against the concentration measure at p, and the multiplier.
+def _band_measure(band: _Band, r: float, p: EPoint, bumps) -> tuple[np.ndarray, float]:
+    """Every bump's integral against the concentration measure at r and p, and the multiplier.
 
     The measure's density in y is alpha^(s-1) D / h^(1/s), with, by parts
     (`check_band_pair`), D = integral f'(t) (1+(1-r)t) g(q(t)) dt
@@ -578,25 +581,25 @@ def _band_measure(band: _Band, p: EPoint, bumps) -> tuple[np.ndarray, float]:
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if not _positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    sums = _band_sums(band, A, alpha, v, bumps)
+    sums = _band_sums(band, r, A, alpha, v, bumps)
     if sums is None:
         raise NotInBr("the band reaches where h vanishes")
     _, G, a_sum, omega_sum, bump_sums = sums
     s, jac = band.s, alpha ** band.s * np.linalg.det(A)
     lam = -jac * ((np.sum(A * G) + a_sum @ v) / s + s * omega_sum) / (band.h.n + s * s)
-    return (-(1.0 - band.r) * jac) * bump_sums, float(lam)
+    return (-(1.0 - r) * jac) * bump_sums, float(lam)
 
 
 def concentration_integral(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                            minimizer: EPoint, delta, quad: QuadratureSpec) -> float:
     """Integral of a compactly supported test function against the band measure."""
-    return float(_band_measure(_Band(h, s, pair, r, quad), minimizer, [delta])[0][0])
+    return float(_band_measure(_Band(h, s, pair, quad), r, minimizer, [delta])[0][0])
 
 
 def stationarity_multiplier(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                             minimizer: EPoint, quad: QuadratureSpec) -> float:
     """Multiplier from the identity-direction contraction of the measure moments."""
-    return _band_measure(_Band(h, s, pair, r, quad), minimizer, ())[1]
+    return _band_measure(_Band(h, s, pair, quad), r, minimizer, ())[1]
 
 
 @dataclass
@@ -625,18 +628,18 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
     loses nothing at a minimum), and minimized quasi-Newton from the identity
-    on the analytic gradient: `_minimize_band` on one band geometry.  Returns
-    the minimizer and the stationarity multiplier, from one `_band_sums` walk
-    at the minimizer.
+    on the analytic gradient: `_minimize_band` at r on a band geometry built
+    for this call.  Returns the minimizer and the stationarity multiplier,
+    from one `_band_sums` walk at the minimizer.
     """
-    band = _Band(h, s, pair, r, quad)
-    point = _minimize_band(band, None).point
-    return point, _band_measure(band, point, ())[1]
+    band = _Band(h, s, pair, quad)
+    point = _minimize_band(band, r, None).point
+    return point, _band_measure(band, r, point, ())[1]
 
 
-def _minimize_band(band: _Band, theta0: np.ndarray | None,
+def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None,
                    hessian: np.ndarray | None = None) -> BandMinimum:
-    """minimize_band on a prepared band geometry, as a solver record.
+    """minimize_band at r on a prepared band geometry, as a solver record.
 
     theta0 is the start in theta, the coordinates on the rows of
     `trace0_array` (None: theta = 0, where `minimize_band` starts);
@@ -674,13 +677,12 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None,
     Hessian steps along, raises NotConverged with the iterations and
     evaluations so far.  After BAND_MAX_ITER steps it stops ("max_iter").
     """
-    s, r = band.s, band.r
     evals = builds = 0
 
     def evaluate(theta: np.ndarray):
         nonlocal evals
         evals += 1
-        return _band_value_grad(band, theta)
+        return _band_value_grad(band, r, theta)
 
     def difference_hessian() -> np.ndarray:
         nonlocal builds
@@ -745,7 +747,7 @@ def _minimize_band(band: _Band, theta0: np.ndarray | None,
             hess = (hess - np.outer(h_step, h_step) / np.dot(step, h_step)
                     + np.outer(change, change) / sy)
     S, v = band.split(theta)
-    return BandMinimum(point=EPoint(BlockMat(*sdet1_param(S, s)), v), value=value,
+    return BandMinimum(point=EPoint(BlockMat(*sdet1_param(S, band.s)), v), value=value,
                        evaluations=evals, iterations=it, stop_reason=stop,
                        grad_norm=float(np.linalg.norm(grad)),
                        hessian_builds=builds)
@@ -828,8 +830,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     normalized by (1-r) * lambda_r and scaled by the reference multiplier,
     which makes them comparable with the reference measure: at the exact
     minimizer both normalized measures satisfy the same identity-direction
-    moment identity.  Each r builds the band geometry once, and one
-    `_band_sums` walk at the minimizer gives every bump integral and lambda_r.
+    moment identity.  One band geometry (`_Band`) serves every r, and one
+    `_band_sums` walk at each minimizer gives every bump integral and lambda_r.
 
     Every r starts from the curvature-weighted limit of the band family
     (`isotropy.limit_reference`, computed once per call from h, s and the
@@ -842,33 +844,32 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     rescaled_band_functional ~ c_n (1-r)^(n/2) L.  c_n was
     read off measured values at n = 1, 2 and 3, not derived; `_minimize_band`
     rescales a handed-in model by the curvature along its first step, so a
-    wrong factor costs evaluations, not the minimizer.  Nothing is carried
-    from one r to the next: a row depends on its r alone.  A failure at a
-    single r is recorded with its reason and the sweep continues; a contact
-    set on which the limit is not coercive raises DivergingIterates before
-    any r.  The diagnostics are norms of differences of flat forms
-    `EPoint.vec`; `secant_to_limit` is the rescaled minimizer's distance to
-    the limit point, which `RSweepResult.limit` holds.
+    wrong factor costs evaluations, not the minimizer.  Nothing of one r
+    reaches the next (`_Band` holds nothing of r): a row depends on its r
+    alone.  A failure at a single r is recorded with its reason and the sweep
+    continues; a contact set on which the limit is not coercive raises
+    DivergingIterates before any r.  The diagnostics are norms of differences
+    of flat forms `EPoint.vec`; `secant_to_limit` is the rescaled minimizer's
+    distance to the limit point, which `RSweepResult.limit` holds.
     """
     n = h.n
     limit = limit_reference(h, s, pair)
-    c_lim = trace0_array(n, s) @ limit.point.vec  # the point lies on the orthonormal rows' span
-    c_n = 2.0 ** (n + 1) * np.pi ** (0.5 * n) / math.gamma(0.5 * n)  # 2^n |S^(n-1)|
     bumps = default_bumps(reference_measure)
-    ref_integrals = np.array([
-        float(np.dot(reference_measure.masses, b(reference_measure.points)))
-        for b in bumps
-    ])
+    band = _Band(h, s, pair, quad)
+    c_lim = band.basis @ limit.point.vec  # the point lies on the orthonormal rows' span
+    c_n = 2.0 ** (n + 1) * np.pi ** (0.5 * n) / math.gamma(0.5 * n)  # 2^n |S^(n-1)|
+    ref_integrals = np.array([float(np.dot(reference_measure.masses, b(reference_measure.points)))
+                              for b in bumps])
     ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
     result = RSweepResult(schedule=list(schedule), limit=limit.point)
     for r in schedule:
+        band.radii(r)  # BadR before the model below divides by 1 - r
         omr = 1.0 - r
         try:
-            band = _Band(h, s, pair, r, quad)
-            solver = _minimize_band(band, omr * c_lim,
+            solver = _minimize_band(band, r, omr * c_lim,
                                     c_n * omr ** (0.5 * n - 2.0) * limit.hessian)
             point, value = solver.point, solver.value
-            mu_vals, lam_r = _band_measure(band, point, bumps)
+            mu_vals, lam_r = _band_measure(band, r, point, bumps)
         except (NotConverged, NotInBr, SingularA) as exc:
             nan = float("nan")
             result.entries.append(SweepEntry(

@@ -516,8 +516,8 @@ def dense_quadrature_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float
     return total * wx * wy / omr
 
 
-def density_sums(band, minimizer: EPoint, bumps) -> tuple[np.ndarray, float]:
-    """Every bump's integral against the concentration measure, and the multiplier.
+def density_sums(band, r: float, minimizer: EPoint, bumps) -> tuple[np.ndarray, float]:
+    """Every bump's integral against the concentration measure at r, and the multiplier.
 
     The unshifted density walk that `rfamily._band_measure` replaced, kept as
     its second-route reference: it walks `_Band.blocks` in the factor
@@ -533,9 +533,9 @@ def density_sums(band, minimizer: EPoint, bumps) -> tuple[np.ndarray, float]:
     A, alpha, v = minimizer.mat.diag, minimizer.mat.corner, minimizer.shift
     if not rfamily._positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    s, r = band.s, band.r
+    s = band.s
     integrals, moment = np.zeros(len(bumps)), 0.0
-    for block in band.blocks(A, alpha, v, shifted=False):
+    for block in band.blocks(r, A, alpha, v, shifted=False):
         if block is None:
             raise NotInBr("the band reaches where h vanishes")
         W, h_x, inner, d_inner, X, at = block[:6]
@@ -569,7 +569,7 @@ def logm_sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (L + L.T)
 
 
-def fd_newton_minimize(band, x0=None, max_iter=400):
+def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
     """The Newton loop the quasi-Newton `rfamily._minimize_band` replaced, its reference.
 
     Every step builds the Hessian from forward differences of the analytic
@@ -579,14 +579,14 @@ def fd_newton_minimize(band, x0=None, max_iter=400):
     below fd without a decrease (RESOLVED).  Returns (point, value,
     evaluations, stop_reason).
     """
-    n, r, s = band.h.n, band.r, band.s
+    n, s = band.h.n, band.s
     basis = trace0_array(n, s)
     evals = 0
 
     def evaluate(theta):
         nonlocal evals
         evals += 1
-        return rfamily._band_value_grad(band, theta)
+        return rfamily._band_value_grad(band, r, theta)
 
     if x0 is not None:  # the coordinates of (log A, -tr log A/s, shift), on the basis's span
         S_0 = logm_sym(x0.mat.diag)

@@ -207,7 +207,7 @@ def test_c6_profile_closed_form():
                                - convolve_numeric(PAIR.f, gbar, float(x), 1e-4)))
     ok = worst <= 1e-6
     ok &= abs(float(F(0.0)) - 2.0 / 3.0) <= 1e-7
-    ok &= abs(float(F.deriv(0.0)) - 1.0) <= 1e-7
+    ok &= abs(float(F.derivs(0.0)[0]) - 1.0) <= 1e-7
     ok &= abs(float(F(1.0)) - 13.0 / 6.0) <= 1e-7
     rep = validate_profiles(PAIR)
     ok &= rep.ok

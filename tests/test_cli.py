@@ -128,6 +128,28 @@ G_KNOTS = {"xs": [-1.0, 1.0], "ys": [1.0, 0.0]}
 F_NONZERO_LEFT = {"f": {"xs": [-1.0, 0.5], "ys": [0.2, 1.5]}, "g": G_KNOTS}
 
 
+class TestUsageErrors:
+    """argparse's usage errors exit 1, an input problem, with the usage on stderr."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify"], "the following arguments are required: --instance"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["fixture", "cross", "--n", "x", "--s", "1"], "argument --n: invalid int value: 'x'"),
+    ], ids=["missing-instance", "unknown-command", "n-not-an-int"])
+    def test_exit_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: fjohn") and message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fixture", "--help"])
+        assert exc.value.code == 0
+        assert "--points=-0.5" in "".join(capsys.readouterr().out.split())  # however it wraps
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("command,mutate", [
         ("minimize-i1", lambda i: i["h"]["pieces"][0].pop("a")),

@@ -13,7 +13,7 @@ from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, MinimizerResult, _Atoms
                             calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
                             limit_reference, minimize_functional)
-from fjohn.logconcave import _positive_span, psi_gradient
+from fjohn.logconcave import _positive_span, make_log_concave, psi_gradient
 from fjohn.profiles import (ConvolutionProfile, LimitProfile, PiecewiseLinear, ProfilePair,
                             canonical_pair)
 from oracles import functional_value, lp_spans, project_trace0
@@ -77,6 +77,24 @@ class TestFunctionalValue:
         with pytest.raises(AtomOffContactSet):
             functional_value(h, S, nu, F, EPoint.from_vec(np.zeros(3), 1))
 
+    def test_nan_gap_is_named(self):
+        # psi = max(inf x, -x) is NaN at 0 (inf * 0) and +inf at 0.5, where h = 0 and the
+        # gap is -0.87: the NaN atom must fail the gap test, not hide the other atom's gap
+        h = make_log_concave([[np.inf], [-1.0]], [0.0, 0.0], S)
+        nu = counting_measure(np.array([[0.0], [0.5]]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                AtomOffContactSet, match=r"atom \[0\.\] has contact gap nan"):
+            _Atoms(h, S, nu)
+
+    def test_h_vanishing_next_to_the_sphere(self):
+        # h = e^-800 = 0 at an atom with |x|^2 = 1 - 2^-52, as near the sphere as a float
+        # |x|^2 but one gets: the gap -2^-26 still exceeds GAP_TOL in absolute value
+        x = 1.0 - 2.0 ** -53
+        assert x * x == 1.0 - 2.0 ** -52
+        h = make_log_concave([[0.0]], [800.0], S)
+        with pytest.raises(AtomOffContactSet, match="contact gap -1.490e-08"):
+            _Atoms(h, S, counting_measure(np.array([[x]])))
+
 
 class TestFunctionalGradient:
     def test_matches_finite_differences(self):
@@ -111,8 +129,8 @@ class TestFunctionalGradient:
         nu = calibrated_measure(cs.points, w, h, S)
         g = functional_gradient(h, S, nu, F, EPoint.from_vec(np.zeros(3), 1))
         # conditions (b),(c),(d) collapse the gradient onto the identity direction
-        assert g.mat.diag[0, 0] == pytest.approx(float(F.deriv(0.0)), rel=1e-12)
-        assert g.mat.corner == pytest.approx(S * float(F.deriv(0.0)), rel=1e-12)
+        assert g.mat.diag[0, 0] == pytest.approx(float(F.derivs(0.0)[0]), rel=1e-12)
+        assert g.mat.corner == pytest.approx(S * float(F.derivs(0.0)[0]), rel=1e-12)
         assert np.allclose(g.shift, 0.0, atol=1e-14)
 
     def test_dead_zone_zero_gradient(self, two_level):
@@ -399,7 +417,7 @@ class TestFeatureOracles:
                 want = np.sum(X * (X @ p.mat.diag.T + p.shift), axis=1) / h2 + p.mat.corner
                 got = at.args(p)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-                c = nu.masses / at.h_pow * F.deriv(want)
+                c = nu.masses / at.h_pow * F.derivs(want)[0]
                 ref = EPoint(BlockMat((X.T * c) @ X, float(np.dot(c, h2))), c @ X).vec
                 g = functional_gradient(h, s, nu, F, p).vec
                 assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))

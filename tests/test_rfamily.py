@@ -60,9 +60,10 @@ class TestBandFunctional:
 
     def test_band_radius_invariant(self, fixture, quad):
         h, _, _ = fixture
+        band = rfamily._Band(h, S, canonical_pair(), quad)
         for r in (0.8, 0.9, 0.95, 0.99):
             need = np.sqrt(1.0 + 2.0 * (1.0 - r) * np.exp(-rfamily._min_psi(h.form)) ** (2.0 / S))
-            assert rfamily._Band(h, S, canonical_pair(), r, quad).radius >= need - 1e-12
+            assert band.radii(r)[0] >= need - 1e-12
 
     def test_refinement_stability(self, fixture, quad):
         h, _, _ = fixture
@@ -141,8 +142,8 @@ class TestBandRadius:
         h = cli.build_h(inst)
         pair = canonical_pair()
         assert np.exp(-rfamily._min_psi(h.form)) ** (2.0 / S) == pytest.approx(62670.82, rel=1e-6)
-        band = rfamily._Band(h, S, pair, 0.8, quad)
-        assert band.radius == band.reach == 8.0
+        radius, reach = rfamily._Band(h, S, pair, quad).radii(0.8)
+        assert radius == reach == 8.0
         for v, want in ((0.4, 1.8334019), (0.5, 2.9710297), (-0.3, np.inf)):
             p = EPoint(BlockMat(np.eye(1), 1.0), np.array([v]))
             assert band_functional(h, S, pair, 0.8, p, quad) == pytest.approx(want, rel=1e-5)
@@ -159,19 +160,21 @@ class TestBandRadius:
         sup = float(np.exp(-rfamily._min_psi(h.form)) ** (2.0 / S)) * 1.0000001
         assert sup == float(eval_h_many(h, np.zeros((1, n)))[0] ** 2) * 1.0000001
         assert sampled <= sup <= sampled * (1.0 + 2e-7)
-        band = rfamily._Band(h, S, canonical_pair(), 0.8, quad)
-        assert band.radius == band.reach == np.sqrt(1.0 + 2.0 * (1.0 - 0.8) * sup)
+        radius, reach = rfamily._Band(h, S, canonical_pair(), quad).radii(0.8)
+        assert radius == reach == np.sqrt(1.0 + 2.0 * (1.0 - 0.8) * sup)
 
     def test_non_coercive_pieces_use_the_domain_bound(self, quad):
         # psi = max(x, 2x) has a vertex at 0 but falls to -3 at x = -3 on |x| <= 3
         def band(domain_radius):
             h = make_log_concave([[1.0], [2.0]], [0.0, 0.0], S, domain_radius)
-            return rfamily._Band(h, S, canonical_pair(), 0.99, quad)
+            return rfamily._Band(h, S, canonical_pair(), quad)
 
         assert np.exp(-rfamily._min_psi(band(3.0).h.form)) ** (2.0 / S) == pytest.approx(
             np.exp(6.0), rel=2e-7)
-        assert band(3.0).radius == band(3.0).reach == 3.0
-        assert band(1.0).radius == band(1.0).reach == 1.0
+        radius, reach = band(3.0).radii(0.99)
+        assert radius == reach == 3.0
+        radius, reach = band(1.0).radii(0.99)
+        assert radius == reach == 1.0
         with pytest.raises(NotProper):
             band(None)
 
@@ -274,7 +277,7 @@ def test_band_functional_allocates_one_block():
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def _compass_minimize(band, max_iter=400):
+def _compass_minimize(band, r, max_iter=400):
     """The compass search and finite-difference polish the Newton minimizer replaced.
 
     Kept as the reference oracle of `_minimize_band`: derivative-free steps
@@ -282,14 +285,14 @@ def _compass_minimize(band, max_iter=400):
     not evaluated again, then a gradient polish on central differences.
     Starts at the identity and returns (point, value).
     """
-    n, r = band.h.n, band.r
+    n = band.h.n
     seen = {}
 
     def obj(theta):
         p = theta_point(theta, n, S)
         key = (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes())
         if key not in seen:
-            seen[key] = rfamily._band_value(band, p)
+            seen[key] = rfamily._band_value(band, r, p)
         return seen[key]
 
     theta = np.zeros(n * (n + 1) // 2 + n)
@@ -334,7 +337,7 @@ class TestBandGradient:
     @pytest.mark.parametrize("r", [0.8, 0.9])
     def test_matches_central_differences_n1(self, fixture, quad, r):
         h, _, _ = fixture
-        band = rfamily._Band(h, S, canonical_pair(), r, quad)
+        band = rfamily._Band(h, S, canonical_pair(), quad)
         rng = np.random.default_rng(int(100 * r))
 
         def value_at(th):
@@ -343,7 +346,7 @@ class TestBandGradient:
         step, worst = 1e-6, 0.0
         for _ in range(20):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=2)
-            value, grad = rfamily._band_value_grad(band, theta)
+            value, grad = rfamily._band_value_grad(band, r, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(2)])
             worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
@@ -353,7 +356,7 @@ class TestBandGradient:
     def test_matches_central_differences_n2(self, r):
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         quad = QuadratureSpec(x_nodes_per_axis=96)
-        band = rfamily._Band(h, S, canonical_pair(), r, quad)
+        band = rfamily._Band(h, S, canonical_pair(), quad)
         rng = np.random.default_rng(int(200 * r))
 
         def value_at(th):
@@ -362,7 +365,7 @@ class TestBandGradient:
         step = 1e-6
         for _ in range(3):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=5)
-            _, grad = rfamily._band_value_grad(band, theta)
+            _, grad = rfamily._band_value_grad(band, r, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(5)])
             assert np.linalg.norm(fd - grad) <= 1e-4 * np.linalg.norm(grad)
@@ -374,23 +377,23 @@ class TestBandGradient:
         h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
         quad = QuadratureSpec(x_nodes_per_axis={1: 960, 2: 96, 3: 32}[n])
         rng = np.random.default_rng(67 + n)
+        band = rfamily._Band(h, S, canonical_pair(), quad)
         for r in (0.8, 0.95):
-            band = rfamily._Band(h, S, canonical_pair(), r, quad)
             for _ in range(5):
                 theta = rng.normal(scale=0.05, size=n * (n + 1) // 2 + n)
                 p = theta_point(theta, n, S)
-                value, _ = rfamily._band_value_grad(band, theta)
-                assert 0.0 < value == rfamily._band_value(band, p)
+                value, _ = rfamily._band_value_grad(band, r, theta)
+                assert 0.0 < value == rfamily._band_value(band, r, p)
                 assert value == band_functional(h, S, canonical_pair(), r, p, quad)
 
     def test_barrier_has_no_gradient(self):
         # a shift that pushes the band beyond the bounded domain of h
         form = two_level_cross_fixture(1, S, 0.4, 0.8)[0].form
         bounded = make_log_concave(form.a, form.b, S, domain_radius=1.2)
-        band = rfamily._Band(bounded, S, canonical_pair(), 0.9, QuadratureSpec())
+        band = rfamily._Band(bounded, S, canonical_pair(), QuadratureSpec())
         theta = np.array([0.0, 0.5])
-        assert rfamily._band_value(band, theta_point(theta, 1, S)) == float("inf")
-        assert rfamily._band_value_grad(band, theta) == (float("inf"), None)
+        assert rfamily._band_value(band, 0.9, theta_point(theta, 1, S)) == float("inf")
+        assert rfamily._band_value_grad(band, 0.9, theta) == (float("inf"), None)
 
 
 class TestGridCap:
@@ -409,17 +412,17 @@ class TestGridCap:
         assert (nodes - 1) ** power <= rfamily.MAX_WALK_ARRAY < nodes ** power
         h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
         with pytest.raises(ValueError, match="band-walk array"):
-            rfamily._Band(h, S, canonical_pair(), 0.9, QuadratureSpec(x_nodes_per_axis=nodes))
-        rfamily._Band(h, S, canonical_pair(), 0.9, QuadratureSpec(x_nodes_per_axis=nodes - 1))
+            rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=nodes))
+        rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=nodes - 1))
 
 
 class TestMinimizeBand:
     @pytest.mark.parametrize("r", [0.8, 0.9, 0.99])
     def test_lands_on_compass_minimizer(self, fixture, quad, r):
         h, _, _ = fixture
-        band = rfamily._Band(h, S, canonical_pair(), r, quad)
-        ref_point, ref_value = _compass_minimize(band)
-        res = rfamily._minimize_band(band, None)
+        band = rfamily._Band(h, S, canonical_pair(), quad)
+        ref_point, ref_value = _compass_minimize(band, r)
+        res = rfamily._minimize_band(band, r, None)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 40
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -428,10 +431,10 @@ class TestMinimizeBand:
     @pytest.mark.parametrize("n, r", [(1, 0.8), (1, 0.9), (1, 0.99), (2, 0.9), (2, 0.95)])
     def test_lands_on_fd_newton_minimizer(self, n, r):
         h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
-        band = rfamily._Band(h, S, canonical_pair(), r,
+        band = rfamily._Band(h, S, canonical_pair(),
                              QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96))
-        ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band)
-        res = rfamily._minimize_band(band, None)
+        ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band, r)
+        res = rfamily._minimize_band(band, r, None)
         assert res.stop_reason in CONVERGED_STOPS and res.hessian_builds == 1
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -443,10 +446,10 @@ class TestMinimizeBand:
         # step, and the two paths end at different such points.  Started where the
         # quasi-Newton loop stopped, the FD-Newton loop finds no step either.
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
-        band = rfamily._Band(h, S, canonical_pair(), 0.8, QuadratureSpec(x_nodes_per_axis=96))
-        res = rfamily._minimize_band(band, None)
+        band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=96))
+        res = rfamily._minimize_band(band, 0.8, None)
         assert res.stop_reason == rfamily.RESOLVED
-        point, value, _, stop = fd_newton_minimize(band, res.point)  # x0 goes through log(A)
+        point, value, _, stop = fd_newton_minimize(band, 0.8, res.point)  # x0 goes through log(A)
         assert stop == rfamily.RESOLVED and value == pytest.approx(res.value, rel=1e-14)
         assert np.linalg.norm(point.vec - res.point.vec) <= 1e-12
 
@@ -464,15 +467,15 @@ class TestMinimizeBand:
         mu0 = extract_measure(ref, h, S, nu, F)
         original = rfamily._minimize_band
 
-        def miscaled(band, theta0, hessian):
-            return original(band, theta0, None if hessian is None else scale * hessian)
+        def miscaled(band, r, theta0, hessian):
+            return original(band, r, theta0, None if hessian is None else scale * hessian)
 
         monkeypatch.setattr(rfamily, "_minimize_band", miscaled)
         with np.errstate(over="ignore", invalid="ignore"):  # soft models step beyond the barrier
             sweep = r_sweep(h, S, pair, [0.8, 0.9, 0.95, 0.99], quad, ref, mu0)
+        band = rfamily._Band(h, S, pair, quad)
         for e in sweep.entries:
-            band = rfamily._Band(h, S, pair, e.r, quad)
-            ref_point, ref_value, _, _ = fd_newton_minimize(band)
+            ref_point, ref_value, _, _ = fd_newton_minimize(band, e.r)
             assert e.solver.stop_reason in CONVERGED_STOPS
             assert np.linalg.norm(e.point.vec - ref_point.vec) / (1.0 - e.r) <= 1e-5
             assert e.value <= ref_value * (1.0 + 1e-10)
@@ -481,8 +484,8 @@ class TestMinimizeBand:
     def test_same_loop_at_n2(self, r):
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         quad = QuadratureSpec(x_nodes_per_axis=96)
-        band = rfamily._Band(h, S, canonical_pair(), r, quad)
-        res = rfamily._minimize_band(band, None)
+        band = rfamily._Band(h, S, canonical_pair(), quad)
+        res = rfamily._minimize_band(band, r, None)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 60
         assert s_det(res.point.mat, S) == pytest.approx(1.0, abs=1e-10)
         assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
@@ -491,8 +494,8 @@ class TestMinimizeBand:
     def test_max_iter_zero_takes_no_step(self, fixture, quad, monkeypatch):
         h, _, _ = fixture
         monkeypatch.setattr(rfamily, "BAND_MAX_ITER", 0)
-        band = rfamily._Band(h, S, canonical_pair(), 0.9, quad)
-        res = rfamily._minimize_band(band, None)
+        band = rfamily._Band(h, S, canonical_pair(), quad)
+        res = rfamily._minimize_band(band, 0.9, None)
         assert res.iterations == 0 and res.stop_reason == "max_iter"
         assert np.linalg.norm(res.point.vec - identity_point().vec) == 0.0
         p, lam = minimize_band(h, S, canonical_pair(), 0.9, quad)
@@ -543,13 +546,13 @@ class TestConcentration:
         # not node-converged, <= 1.2e-4 and 3.4e-4 (r = 0.8, at the minimizer)
         h = fixture[0] if n == 1 else _triangle_square_n2()
         bumps = default_bumps(counting_measure(detect_contacts(h, S).points))
+        band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=nodes))
         for r in schedule:
-            band = rfamily._Band(h, S, canonical_pair(), r, QuadratureSpec(x_nodes_per_axis=nodes))
-            p = rfamily._minimize_band(band, None).point
+            p = rfamily._minimize_band(band, r, None).point
             off = EPoint(BlockMat(1.05 * p.mat.diag, 0.95 * p.mat.corner), p.shift)
             for q in (p, off):
-                (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(band, q, bumps),
-                                                  density_sums(band, q, bumps))
+                (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(band, r, q, bumps),
+                                                  density_sums(band, r, q, bumps))
                 assert abs(lam - want_lam) <= tol * abs(want_lam)
                 assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu))
                 assert np.all(mu != 0.0)
@@ -558,8 +561,8 @@ class TestConcentration:
             # lambda_r alone is compared, within 1e-3: it moved by <= 6.4e-6 at n = 1 and 2.6e-4
             # at n = 2, and dropping the term moves it by 4e-3 to 1.3e-2
             moved = EPoint(off.mat, p.shift + 0.02)
-            lam, want_lam = (rfamily._band_measure(band, moved, ())[1],
-                             density_sums(band, moved, ())[1])
+            lam, want_lam = (rfamily._band_measure(band, r, moved, ())[1],
+                             density_sums(band, r, moved, ())[1])
             assert abs(lam - want_lam) <= 1e-3 * abs(want_lam)
 
     def test_sweep_diagnostics(self, fixture, quad):
@@ -681,11 +684,11 @@ class TestBandGeometry:
         seen = {}
         original = rfamily._band_value_grad
 
-        def recording(band, theta):
+        def recording(band, r, theta):
             p = theta_point(theta, band.h.n, S)
-            seen.setdefault(band.r, []).append(
+            seen.setdefault(r, []).append(
                 (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes()))
-            return original(band, theta)
+            return original(band, r, theta)
 
         monkeypatch.setattr(rfamily, "_band_value_grad", recording)
         schedule = [0.8, 0.9, 0.95, 0.99]
@@ -716,12 +719,13 @@ class TestBandGeometry:
             assert e.error is None
 
 
-def _unblocked_terms(band, A, alpha, v, shifted):
+def _unblocked_terms(band, r, A, alpha, v, shifted):
     """The whole-grid, row-major band terms that the block walk replaces, kept as its
     bit-for-bit reference: (X, Y, W, h_y, I, I') on the open nodes, or None.  Also returns
     the near nodes' kernel inputs (c2, den, r2m1) and which of them are open."""
-    radius = (band.radius if shifted else
-              float(np.linalg.norm(A, 2) * band.radius + np.linalg.norm(v)) + 1e-9)
+    radius = band.radii(r)[0]
+    radius = (radius if shifted else
+              float(np.linalg.norm(A, 2) * radius + np.linalg.norm(v)) + 1e-9)
     kinks = None
     if band.breaks is not None:
         a, c = float(A[0, 0]), float(v[0])
@@ -729,24 +733,23 @@ def _unblocked_terms(band, A, alpha, v, shifted):
         kinks = np.concatenate([band.breaks, (band.breaks - c) / u])
     X, W = x_grid(band.h.n, radius, band.quad.x_nodes_per_axis, kinks)
     Z, Y = (X, X @ A.T + v) if shifted else (np.linalg.solve(A, (X - v).T).T, X)
-    den = 2.0 * eval_h_many(band.h, Z) ** (2.0 / band.s) * (1.0 - band.r)
+    den = 2.0 * eval_h_many(band.h, Z) ** (2.0 / band.s) * (1.0 - r)
     r2m1 = np.sum(Z * Z, axis=1) - 1.0
     near = np.flatnonzero(r2m1 < den * band.g.breaks[-1])
     h_y = eval_h_many(band.h, Y[near]) ** (1.0 / band.s)
     c2 = (h_y / alpha) ** 2
     if not np.all(c2 > 0.0):
         return None, None
-    opened, inner, d_inner = rfamily._inner_band(band.f, band.g, band.r, c2, den[near],
-                                                 r2m1[near])
+    opened, inner, d_inner = rfamily._inner_band(band.f, band.g, r, c2, den[near], r2m1[near])
     at = near[opened]
     terms = X[at], Y[at], W[at], h_y[opened], inner, d_inner
     return terms, (c2, den[near], r2m1[near], opened)
 
 
-def _walked_terms(band, A, alpha, v, shifted):
+def _walked_terms(band, r, A, alpha, v, shifted):
     """`_Band.blocks`'s open nodes (X[at], Y[opened], W, h_y, I, I') concatenated in walk
     order, or None when the walk stops at the coercive barrier."""
-    blocks = list(band.blocks(A, alpha, v, shifted))
+    blocks = list(band.blocks(r, A, alpha, v, shifted))
     if None in blocks:
         assert blocks[-1] is None  # the walk stops at the barrier
         return None
@@ -797,22 +800,23 @@ class TestBlockedTerms:
         # summation can move a bit: what is compared is the walk over the blocks
         form = two_level_cross_fixture(n, S, 0.4, 0.8)[0].form
         h = make_log_concave(form.a, form.b, S, domain_radius=1.4)  # h = 0 beyond 1.4
-        band = rfamily._Band(h, S, canonical_pair(), 0.8, QuadratureSpec(x_nodes_per_axis=nodes))
+        r = 0.8
+        band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=nodes))
         per_row = len(x_grid(1, 1.0, nodes)[0])
         rows, per_block = per_row ** (n - 1), max(1, block // per_row)
         if n > 1:  # at least three blocks, the last one partial
             assert rows >= 2 * per_block and rows % per_block
         refused = 0
         for A, alpha, v in self._positions(n):
-            got = _walked_terms(band, A, alpha, v, shifted)
-            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted)
+            got = _walked_terms(band, r, A, alpha, v, shifted)
+            ref, inputs = _unblocked_terms(band, r, A, alpha, v, shifted)
             assert (got is None) == (ref is None)
             if ref is None:
                 refused += 1
                 if mode == "density" and shifted:
-                    assert rfamily._band_sums(band, A, alpha, v) is None
+                    assert rfamily._band_sums(band, r, A, alpha, v) is None
                     with pytest.raises(NotInBr):
-                        rfamily._band_measure(band, EPoint(BlockMat(A, alpha), v), [])
+                        rfamily._band_measure(band, r, EPoint(BlockMat(A, alpha), v), [])
                 continue
             assert all(np.array_equal(a, b) for a, b in zip(got[2:], ref[2:]))
             assert len(got[2]) and np.all(got[4] > 0.0)
@@ -821,17 +825,17 @@ class TestBlockedTerms:
                 assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
             if mode == "density":
                 c2, den, r2m1, opened = inputs
-                direct = _full_inner_band(band.f, band.g, band.r, c2, den, r2m1, "density", 2)
+                direct = _full_inner_band(band.f, band.g, r, c2, den, r2m1, "density", 2)
                 shut = np.ones(len(c2), dtype=bool)
                 shut[opened] = False
                 assert np.any(shut) and not np.any(direct[shut])
                 _, Y, W, h_y, inner, d_inner = got
-                by_parts = _by_parts(band.r, c2[opened], inner, d_inner)
+                by_parts = _by_parts(r, c2[opened], inner, d_inner)
                 assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
                 if shifted:  # the measure's bump sums: omega/h_y^2 = W by_parts/(-(1-r) alpha h_y)
-                    per_h2 = W * by_parts / (-(1.0 - band.r) * alpha * h_y)
+                    per_h2 = W * by_parts / (-(1.0 - r) * alpha * h_y)
                     for delta in (lambda x: np.ones(len(x)), lambda x: x[:, 0] > 0.0):
-                        got_mu = rfamily._band_sums(band, A, alpha, v, [delta])[4][0]
+                        got_mu = rfamily._band_sums(band, r, A, alpha, v, [delta])[4][0]
                         want = float(np.sum(per_h2 * delta(Y)))
                         assert abs(got_mu - want) <= 1e-13 * abs(want)
         # the last position lies partly where h = 0: refused
@@ -857,10 +861,11 @@ class TestBlockedTerms:
         else:
             h, pair = make_log_concave(form.a, form.b, S, domain_radius=1.4), _two_kink_pair()
             positions = self._positions(n)  # the last one is refused
-        band = rfamily._Band(h, S, pair, 0.8, QuadratureSpec(x_nodes_per_axis=nodes))
+        band = rfamily._Band(h, S, pair, QuadratureSpec(x_nodes_per_axis=nodes))
         if case == "domain-below-band-radius":
             unbounded = make_log_concave(form.a, form.b, S)
-            assert band.radius == 1.05 < rfamily._Band(unbounded, S, pair, 0.8, band.quad).radius
+            assert (band.radii(0.8)[0] == 1.05
+                    < rfamily._Band(unbounded, S, pair, band.quad).radii(0.8)[0])
         visited, kernel_inputs = [], []
         sq_norms, inner_band = rfamily._sq_norms, rfamily._inner_band
 
@@ -878,10 +883,10 @@ class TestBlockedTerms:
             kernel_inputs.clear()
             monkeypatch.setattr(rfamily, "_sq_norms", spy_sq_norms)
             monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
-            got = _walked_terms(band, A, alpha, v, shifted)
+            got = _walked_terms(band, 0.8, A, alpha, v, shifted)
             monkeypatch.setattr(rfamily, "_sq_norms", sq_norms)
             monkeypatch.setattr(rfamily, "_inner_band", inner_band)
-            ref, inputs = _unblocked_terms(band, A, alpha, v, shifted)
+            ref, inputs = _unblocked_terms(band, 0.8, A, alpha, v, shifted)
             assert (got is None) == (ref is None)
             if ref is None:
                 continue
@@ -903,10 +908,10 @@ class TestBlockedTerms:
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", block)
         h = two_level_cross_fixture(n, S, 0.4, 0.8)[0]
         quad = QuadratureSpec(x_nodes_per_axis=nodes)
-        band = rfamily._Band(h, S, canonical_pair(), 0.8, quad)
-        whole = rfamily._Band(h, S, canonical_pair(), 0.8, quad)
-        whole.blocks = lambda A, alpha, v, shifted: iter(
-            [_one_block(_unblocked_terms(band, A, alpha, v, shifted)[0])])
+        band = rfamily._Band(h, S, canonical_pair(), quad)
+        whole = rfamily._Band(h, S, canonical_pair(), quad)
+        whole.blocks = lambda r, A, alpha, v, shifted: iter(
+            [_one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0])])
         if n > 1:  # at least three blocks
             per_row = len(x_grid(1, 1.0, nodes)[0])
             assert per_row ** (n - 1) >= 2 * max(1, block // per_row) + 1
@@ -916,13 +921,13 @@ class TestBlockedTerms:
         for _ in range(2):
             theta = rng.normal(scale=0.05, size=n * (n + 1) // 2 + n)
             p = theta_point(theta, n, S)
-            got = rfamily._band_value(band, p)
-            assert abs(got - rfamily._band_value(whole, p)) <= tol * got
-            (got, grad), (want, want_grad) = (rfamily._band_value_grad(b, theta)
+            got = rfamily._band_value(band, 0.8, p)
+            assert abs(got - rfamily._band_value(whole, 0.8, p)) <= tol * got
+            (got, grad), (want, want_grad) = (rfamily._band_value_grad(b, 0.8, theta)
                                               for b in (band, whole))
             assert abs(got - want) <= tol * want
             assert np.linalg.norm(grad - want_grad) <= tol * np.linalg.norm(want_grad)
-            (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(b, p, bumps)
+            (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(b, 0.8, p, bumps)
                                               for b in (band, whole))
             assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu)) and np.all(mu != 0.0)
             assert abs(lam - want_lam) <= tol * abs(want_lam)
@@ -1192,14 +1197,14 @@ class TestBandPreconditions:
         form = fixture[0].form
         cut = make_log_concave(form.a, form.b, S, domain_radius=0.9)
         with pytest.raises(NotJohnPosition):
-            rfamily._Band(cut, S, canonical_pair(), 0.8, quad)
+            rfamily._Band(cut, S, canonical_pair(), quad)
         rfamily._Band(make_log_concave(form.a, form.b, S, domain_radius=1.0), S,
-                      canonical_pair(), 0.8, quad)
+                      canonical_pair(), quad).radii(0.8)
 
     def test_h_underflows_on_unit_ball(self, quad):
         h = make_log_concave([[1.0], [-1.0]], [800.0, 800.0], S)
         with pytest.raises(NotJohnPosition):
-            rfamily._Band(h, S, canonical_pair(), 0.8, quad)
+            rfamily._Band(h, S, canonical_pair(), quad).radii(0.8)
 
     @pytest.mark.parametrize("f_ys, g_ys", [([0.2, 1.1], [1.0, 0.0]), ([0.0, 1.1], [1.0, 0.1])],
                              ids=["f-at-minus-one", "g-at-top-kink"])
@@ -1207,7 +1212,7 @@ class TestBandPreconditions:
         pair = ProfilePair(f=PiecewiseLinear.from_knots([-1.0, 0.4], f_ys, right_slope=1.0),
                            g=PiecewiseLinear.from_knots([-1.0, 1.0], g_ys))
         with pytest.raises(ValueError):
-            rfamily._Band(fixture[0], S, pair, 0.8, quad)
+            rfamily._Band(fixture[0], S, pair, quad)
         with pytest.raises(ValueError):
             rfamily.check_band_pair(pair)
 
@@ -1287,6 +1292,26 @@ class TestSweepFromLimit:
                      "hessian_builds"):
             assert getattr(alone.solver, name) == getattr(full.solver, name), name
 
+    def test_one_band_geometry_per_sweep(self, fixture, quad, monkeypatch):
+        # psi's minimum (and with it the band checks, the kinks and the basis) is built
+        # once per sweep, not once per r
+        h, cs, _ = fixture
+        pair = canonical_pair()
+        F = ConvolutionProfile(pair)
+        nu = counting_measure(cs.points)
+        ref = minimize_functional(h, S, nu, F)
+        mu0 = extract_measure(ref, h, S, nu, F)
+        calls, min_psi = [], rfamily._min_psi
+
+        def spy(form):
+            calls.append(form)
+            return min_psi(form)
+
+        monkeypatch.setattr(rfamily, "_min_psi", spy)
+        sweep = r_sweep(h, S, pair, [0.8, 0.9, 0.95, 0.99], quad, ref, mu0)
+        assert all(e.error is None for e in sweep.entries)
+        assert len(calls) == 1
+
     def test_reports_the_limit_point(self, fixture, quad):
         h, cs, _ = fixture
         pair = canonical_pair()
@@ -1318,10 +1343,10 @@ class TestSweepErrors:
     def _failing_at(monkeypatch, bad_r):
         original = rfamily._minimize_band
 
-        def flaky(band, theta0, hessian):
-            if band.r == bad_r:
+        def flaky(band, r, theta0, hessian):
+            if r == bad_r:
                 raise NotConverged("band functional infinite at the starting point")
-            return original(band, theta0, hessian)
+            return original(band, r, theta0, hessian)
 
         monkeypatch.setattr(rfamily, "_minimize_band", flaky)
 
