@@ -130,8 +130,8 @@ class _Atoms:
         gaps = _hemisphere_gap(self.h_pow, X)
         if not np.max(np.abs(gaps)) <= GAP_TOL:  # NaN fails too
             i = int(np.argmax(np.abs(gaps)))  # the first NaN, if any
-            raise AtomOffContactSet(
-                f"atom {X[i]} has contact gap {gaps[i]:.3e} > {GAP_TOL:.1e}")
+            raise AtomOffContactSet(f"atom {i} at {X[i].tolist()} has hemisphere gap "
+                                    f"{gaps[i]:.3e}, outside +-{GAP_TOL:.1e}")
         k, n = X.shape
         self.X = X
         self.m = nu.masses
@@ -162,44 +162,44 @@ def _gradient(at: _Atoms, dF: np.ndarray) -> EPoint:
 
 def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                        n_dirs: int = 1000) -> WitnessReport:
-    """Directional positivity check for coercivity on the trace-zero subspace.
+    """Coercivity on the trace-zero subspace: the exact verdict, its evidence and a margin.
 
-    For each unit direction (M, beta, w) the witness needs some atom with
-    <x, Mx + w>/h^(2/s) + beta > 0.  `n_dirs` sampled directions, always the
-    same ones (drawn from `default_rng(0)`; one read-only table per
-    (n, s, n_dirs), `_witness_directions`), are checked as a diagnostic
-    together with the analytic flat candidates: the identity-block direction
-    with corner -n/s, and the coordinate shift directions.  When none of
-    them fails, the certificate direction of `_positive_span` on the design
-    matrix, if the rows do not positively span, is one more checked
-    direction and a failure labelled "certificate"; so `ok` is exact, the
-    same decision `minimize_functional` gates on.
+    Coercive means every unit direction (M, beta, w) has an atom with
+    <x, Mx + w>/h^(2/s) + beta > 0.  `ok` is the exact decision of
+    `_flat_direction`, the one `minimize_functional` gates on.  Only when it
+    finds a flat direction are there `failures`: the named directions of
+    `_witness_directions` whose largest argument is at most 1e-12, or, when
+    none is, the certificate direction, labelled "certificate".  `margin` is
+    the least largest argument over the named rows, the `n_dirs` fixed
+    samples and a listed certificate (`n_checked` of them): an estimate of
+    the exact margin from above, which never decides `ok`.
     """
     at = _Atoms(h, s, nu)
     dirs, labels = _witness_directions(at.n, s, n_dirs)
     # args is linear in the direction: every direction is one column of one matmul
     best = np.max(at.features @ dirs.T, axis=0)
-    failures = [(labels[i], EPoint.from_vec(dirs[i], at.n), float(best[i]))
-                for i in np.flatnonzero(best <= 1e-12)]
     margin, n_checked = float(np.min(best)), len(best)
+    d = _flat_direction(at)
+    if d is None:
+        return WitnessReport(margin=margin, n_checked=n_checked)
+    failures = [(lbl, EPoint.from_vec(dirs[i], at.n), float(best[i]))
+                for i, lbl in enumerate(labels) if best[i] <= 1e-12]
     if not failures:
-        d = _flat_direction(at)
-        if d is not None:
-            top = float(np.max(at.features @ d))
-            failures.append(("certificate", EPoint.from_vec(d, at.n), top))
-            margin, n_checked = min(margin, top), n_checked + 1
+        top = float(np.max(at.features @ d))
+        failures.append(("certificate", EPoint.from_vec(d, at.n), top))
+        margin, n_checked = min(margin, top), n_checked + 1
     return WitnessReport(margin=margin, n_checked=n_checked, failures=failures)
 
 
 @functools.lru_cache(maxsize=16)
 def _witness_directions(n: int, s: float, n_dirs: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The witness's unit directions, one flat `EPoint.vec` per row, and their labels.
+    """The witness's unit directions, one flat `EPoint.vec` per row, and the named rows' labels.
 
-    The identity-block direction with corner -n/s and its negative, the
-    coordinate shifts +-e_j, then `n_dirs` samples: normalised
-    `default_rng(0)` normals on the rows of `trace0_array(n, s)`.  One
-    read-only table per (n, s, n_dirs) is built on first use; `maxsize`
-    bounds how many a caller's choices of `n_dirs` keep alive.
+    The 2 + 2n named rows: the identity-block direction with corner -n/s,
+    its negative, and the coordinate shifts +-e_j; then `n_dirs` unlabelled
+    samples, normalised `default_rng(0)` normals on the rows of
+    `trace0_array(n, s)`.  One read-only table per (n, s, n_dirs) is built on
+    first use; `maxsize` bounds how many a caller's choices of `n_dirs` keep alive.
     """
     basis = trace0_array(n, s)
     coeffs = np.random.default_rng(0).standard_normal((n_dirs, len(basis)))
@@ -214,7 +214,6 @@ def _witness_directions(n: int, s: float, n_dirs: int) -> tuple[np.ndarray, tupl
     dirs.flags.writeable = False
     labels = ["identity-flat(+)", "identity-flat(-)"]
     labels += [f"shift({sign}e{j})" for j in range(n) for sign in "+-"]
-    labels += [f"sample{i}" for i in range(n_dirs)]
     return dirs, tuple(labels)
 
 

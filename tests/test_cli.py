@@ -356,7 +356,8 @@ def test_contact_off_the_unit_ball_is_not_an_atom(tmp_path, capsys, mutate):
         assert cli.main(["minimize-i1", "--instance", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("math failure: atom [") and "contact gap inf" in captured.err
+    assert captured.err.startswith("math failure: atom 3 at [")
+    assert "has hemisphere gap inf, outside +-1.0e-08" in captured.err
 
 
 def test_tangent_point_whose_square_overflows_is_a_clean_input_error(tmp_path, capsys):
@@ -384,6 +385,21 @@ def test_no_contact_is_a_math_failure(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(
         "math failure: h**(1/s) touches the hemisphere nowhere")
+
+
+@pytest.mark.parametrize("command", ["minimize-i1", "coercivity", "sweep-r"])
+def test_atom_off_the_hemisphere_is_named_in_full(tmp_path, capsys, command):
+    # a domain radius of 0.7 zeroes h at the outer atoms: the gap is negative, so the message
+    # bounds its absolute value, and names the atom by index with every digit of its point
+    inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+    inst["h"]["domain_radius"] = 0.7
+    bad = tmp_path / "clipped.json"
+    bad.write_text(json.dumps(inst))
+    assert cli.main([command, "--instance", str(bad)]) == cli.EXIT_MATH
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "math failure: atom 2 at [0.8944271909999159] has hemisphere gap -4.472e-01, "
+        "outside +-1.0e-08\n")
 
 
 class TestGridCap:
@@ -544,6 +560,18 @@ class TestCoercivityCommand:
         labels = [f["label"] for f in payload["result"]["failures"]]
         assert any("identity-flat" in lbl for lbl in labels)
         assert "identity-flat" in res.stderr
+
+    def test_single_contact_lists_the_named_flat_directions(self, capsys):
+        # one contact at 0.5: the samples that fail only lower the margin, the failures
+        # are the named directions along which no atom's argument grows
+        path = INSTANCES / "tangent_n1_s1.json"
+        assert cli.main(["coercivity", "--instance", str(path)]) == cli.EXIT_MATH
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)["result"]
+        assert result["ok"] is False
+        assert [f["label"] for f in result["failures"]] == ["identity-flat(+)", "shift(-e0)"]
+        assert result["margin"] == -0.8164946225086687 and result["n_checked"] == 2 + 2 + 1000
+        assert captured.err == "coercivity failed on direction identity-flat(+)\n"
 
 
 class TestTwoLevelCrossN2:
