@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blockmat import EPoint, s_trace, trace0_array
+from .blockmat import EPoint, trace0_array
 from .contact import GAP_TOL, _hemisphere_gap, detect_contacts
 from .errors import AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged
 from .logconcave import LogConcaveFn, _positive_span, eval_h_many, psi_gradient
@@ -55,13 +55,25 @@ class DiscreteMeasure:
         if not np.all((m > 0.0) & np.isfinite(m)):
             raise ValueError("masses must be positive and finite")
         close = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2) < 1e-9
-        i, j = np.nonzero(np.triu(close, 1))  # row-major: the first pair first
-        if len(i):
+        if np.count_nonzero(close) > len(P):  # the diagonal alone is k entries
+            i, j = np.nonzero(np.triu(close, 1))  # row-major: the first pair first
             raise ValueError(f"atoms {i[0]} and {j[0]} coincide")
+        self._freeze(P, m)
+
+    def _freeze(self, P: np.ndarray, m: np.ndarray) -> None:
         P.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "points", P)
         object.__setattr__(self, "masses", m)
+
+    def _subset(self, keep: np.ndarray, masses: np.ndarray) -> DiscreteMeasure:
+        """The atoms at `keep` with new `masses`: only those are checked, the points were."""
+        m = np.asarray(masses, dtype=float)
+        if not np.all((m > 0.0) & np.isfinite(m)):
+            raise ValueError("masses must be positive and finite")
+        sub = object.__new__(DiscreteMeasure)
+        sub._freeze(self.points[keep], m)
+        return sub
 
 
 WITHIN_TOL = "projected gradient within tol"  # the stop of a `minimize_functional` that returns
@@ -110,7 +122,7 @@ class WitnessReport:
 
 
 class _Atoms:
-    """Cached per-atom quantities for one (h, s, nu) combination.
+    """Cached per-atom quantities for one (h, s, nu) combination, every array read-only.
 
     An atom whose hemisphere gap exceeds `contact.GAP_TOL` in absolute value,
     the bound `detect_contacts` lists contacts by, or is NaN (the first NaN
@@ -121,7 +133,9 @@ class _Atoms:
     subspace, with coordinates c in the rows of the orthonormal `basis`
     array, it is `phi @ c` for the (k x d) design matrix
     phi = features basis^T, so the functional there is
-    sum_i w_i F((phi c)_i) with weights `w` = m h^(1/s).
+    sum_i w_i F((phi c)_i) with weights `w` = m h^(1/s).  `flat_direction`
+    decides coercivity on first use and keeps the verdict.  Build through
+    `_atoms`, which hands the same object to every step of one contact problem.
     """
 
     def __init__(self, h: LogConcaveFn, s: float, nu: DiscreteMeasure):
@@ -142,22 +156,53 @@ class _Atoms:
                                    np.ones((k, 1)), Y])
         self.basis = trace0_array(n, s)
         self.phi = self.features @ self.basis.T
+        for a in (self.h_pow, self.w, self.features, self.phi):
+            a.flags.writeable = False
+
+    @functools.cached_property
+    def flat_direction(self) -> np.ndarray | None:
+        """None if the rows of `phi` positively span, else a unit flat `d @ basis` with phi d <= 0.
+
+        The contact functional sum_i w_i F((phi c)_i) is coercive exactly when
+        no direction d != 0 has phi d <= 0 (F is nondecreasing, bounded below
+        and unbounded to the right), which `_positive_span` decides with a
+        checked certificate.
+        """
+        spans, d = _positive_span(self.phi)
+        if spans:
+            return None
+        d = d @ self.basis / np.linalg.norm(d)  # the basis rows are orthonormal
+        d.flags.writeable = False
+        return d
 
     def args(self, p: EPoint) -> np.ndarray:
         """<x_i, M x_i + w>/h_i^(2/s) + beta for all atoms."""
         return self.features @ p.vec
 
 
+_LAST: list = []  # [h, s, nu, _Atoms] of the last `_atoms` build, or empty
+
+
+def _atoms(h: LogConcaveFn, s: float, nu: DiscreteMeasure) -> _Atoms:
+    """`_Atoms(h, s, nu)`, reusing the last build for the same h and nu objects and an equal s.
+
+    Safe because h, its form and nu are frozen and hold read-only arrays, as
+    does `_Atoms`; keeping h and nu alive keeps their ids from being reused.
+    So the witness, minimization and extraction of one contact problem share
+    one build and one coercivity verdict.
+    """
+    if _LAST and _LAST[0] is h and _LAST[2] is nu and _LAST[1] == s:
+        return _LAST[3]
+    at = _Atoms(h, s, nu)
+    _LAST[:] = [h, s, nu, at]
+    return at
+
+
 def functional_gradient(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
                         F: ConvolutionProfile, p: EPoint) -> EPoint:
     """Gradient as a pair: sum_i m_i/h_i^(1/s) F'(arg_i) (x_i x_i^T + h_i^(2/s) corner, x_i)."""
-    at = _Atoms(h, s, nu)
-    return _gradient(at, F.derivs(at.args(p))[0])
-
-
-def _gradient(at: _Atoms, dF: np.ndarray) -> EPoint:
-    """The gradient at a point where the arguments have F' = `dF`."""
-    return EPoint.from_vec(at.features.T @ (at.w * dF), at.n)
+    at = _atoms(h, s, nu)
+    return EPoint.from_vec(at.features.T @ (at.w * F.derivs(at.args(p))[0]), at.n)
 
 
 def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
@@ -166,7 +211,7 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 
     Coercive means every unit direction (M, beta, w) has an atom with
     <x, Mx + w>/h^(2/s) + beta > 0.  `ok` is the exact decision of
-    `_flat_direction`, the one `minimize_functional` gates on.  Only when it
+    `_Atoms.flat_direction`, the one `minimize_functional` gates on.  Only when it
     finds a flat direction are there `failures`: the named directions of
     `_witness_directions` whose largest argument is at most 1e-12, or, when
     none is, the certificate direction, labelled "certificate".  `margin` is
@@ -174,12 +219,12 @@ def coercivity_witness(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     samples and a listed certificate (`n_checked` of them): an estimate of
     the exact margin from above, which never decides `ok`.
     """
-    at = _Atoms(h, s, nu)
+    at = _atoms(h, s, nu)
     dirs, labels = _witness_directions(at.n, s, n_dirs)
     # args is linear in the direction: every direction is one column of one matmul
     best = np.max(at.features @ dirs.T, axis=0)
     margin, n_checked = float(np.min(best)), len(best)
-    d = _flat_direction(at)
+    d = at.flat_direction
     if d is None:
         return WitnessReport(margin=margin, n_checked=n_checked)
     failures = [(lbl, EPoint.from_vec(dirs[i], at.n), float(best[i]))
@@ -217,23 +262,9 @@ def _witness_directions(n: int, s: float, n_dirs: int) -> tuple[np.ndarray, tupl
     return dirs, tuple(labels)
 
 
-def _flat_direction(at: _Atoms) -> np.ndarray | None:
-    """None if the rows of `phi` positively span, else a unit flat `d @ basis` with phi d <= 0.
-
-    The contact functional sum_i w_i F((phi c)_i) is coercive exactly when
-    no direction d != 0 has phi d <= 0 (F is nondecreasing, bounded below
-    and unbounded to the right), which `_positive_span` decides with a
-    checked certificate.
-    """
-    spans, d = _positive_span(at.phi)
-    if spans:
-        return None
-    return d @ at.basis / np.linalg.norm(d)  # the basis rows are orthonormal
-
-
 def _require_coercive(at: _Atoms, what: str) -> None:
-    """Raise DivergingIterates, naming the certificate direction, unless `_flat_direction` is None."""
-    d = _flat_direction(at)
+    """Raise DivergingIterates, naming the certificate direction, unless `flat_direction` is None."""
+    d = at.flat_direction
     if d is not None:
         shown = np.round(d, 6) + 0.0
         raise DivergingIterates(f"the {what}: no atom's argument grows along d = {shown.tolist()}",
@@ -313,10 +344,11 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     plain trace formula; the two must agree to 1e-8, which doubles as a
     contact-set sanity check.
     """
-    at = _Atoms(h, s, nu)
+    at = _atoms(h, s, nu)
     _require_coercive(at, "contact functional is not coercive for this measure")
     c, value, gnorm, it, evals, (dF, _) = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
-    lam_a = s_trace(_gradient(at, dF).mat, s) / (at.n + s * s)
+    n, g = at.n, at.features.T @ (at.w * dF)  # the gradient's flat form
+    lam_a = (s * g[n * n] + np.trace(g[:n * n].reshape(n, n))) / (n + s * s)
     lam_b = float(np.dot(at.m / at.h_pow, dF)) / (at.n + s)
     gap = abs(lam_a - lam_b)
     if gap > 1e-8:
@@ -356,7 +388,7 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     """
     from .profiles import ConvolutionProfile, LimitProfile  # not loaded by `coercivity`
 
-    at = _Atoms(h, s, counting_measure(detect_contacts(h, s).points))
+    at = _atoms(h, s, counting_measure(detect_contacts(h, s).points))
     _require_coercive(at, "limit functional is not coercive on the contact set")
     h2s = at.h_pow**2
     slope2 = np.sum(psi_gradient(h.form, at.X) ** 2, axis=1)
@@ -370,12 +402,12 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,
                     nu: DiscreteMeasure, F: ConvolutionProfile) -> DiscreteMeasure:
     """Atoms (x_i, m_i/h_i^(1/s) F'(arg_i)); zero-weight atoms are dropped."""
-    at = _Atoms(h, s, nu)
+    at = _atoms(h, s, nu)
     w = at.m / at.h_pow * F.derivs(at.args(res.point))[0]
     keep = w > 0.0
     if not np.any(keep):
         raise AllWeightsZero("every extracted weight vanished")
-    return DiscreteMeasure(at.X[keep], w[keep])
+    return nu._subset(keep, w[keep])
 
 
 def check_isotropy(mu: DiscreteMeasure, s: float) -> IsotropyReport:

@@ -382,9 +382,15 @@ class _Band:
         at n = 1 the grid lies inside it, so every column.  No node beyond
         it is near: there |z|^2 - 1 exceeds den times the top kink of g, or
         h = 0.  So the square's corners, 21% of an n = 2 grid, mostly go
-        unvisited.  W is taken at the open nodes from the block's tile of row
-        weights times column weights: the same products as those of the
-        whole tensor grid.
+        unvisited.  In the shifted route at n >= 2 a block also drops the
+        columns where psi's lower bound lb(col) = max_j (min over the rows of
+        sum_(k<n-1) a_jk x_k, plus a_j,last x_col + b_j) keeps every row shut:
+        x_col^2 + the least row |x|^2 - 1 is at least 2(1-r) max(top kink, 1)
+        e^(-2 lb/s) (1 + 1e-7) + 1e-9.  That clips most of the annulus beyond
+        |x| = 1 (band_n2: 749,444 nodes visited per call, 428,128 now, for
+        403,900 near at r = 0.8).  W is taken at the open nodes from the
+        block's tile of row weights times column weights: the same products
+        as those of the whole tensor grid.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -415,12 +421,20 @@ class _Band:
         P = len(x1)
         w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
+        a, b = self.h.form.a, self.h.form.b
+        top = 2.0 * (1.0 - r) * max(float(self.g.breaks[-1]), 1.0) * 1.0000001
         for r0 in range(0, rows, step):
             r1 = min(rows, r0 + step)
             lead = [x1[np.arange(r0, r1) // P ** (n - 2 - k) % P] for k in range(n - 1)]
             # the columns some row of the block has inside the disk (at n = 1, every column)
             least = np.min(functools.reduce(np.add, [x * x for x in lead], 0.0))
-            cols = np.flatnonzero(x1 * x1 <= clip2 - least)
+            keep = x1 * x1 <= clip2 - least
+            if shifted and n > 1:  # and where a lower bound on psi over the rows lets h open it
+                row_min = np.min(a[:, :-1] @ np.array(lead), axis=1)
+                lb = np.max((row_min + b)[:, None] + np.outer(a[:, -1], x1), axis=0)
+                with np.errstate(over="ignore"):
+                    keep &= x1 * x1 + least - 1.0 < top * np.exp(-lb) ** (2.0 / s) + 1e-9
+            cols = np.flatnonzero(keep)
             if not len(cols):
                 continue
             c0, c1 = cols[0], cols[-1] + 1

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from fjohn import cli, isotropy
 from fjohn.blockmat import BlockMat, EPoint, trace0_array
 from fjohn.contact import (cross_fixture, detect_contacts, make_tangent_instance,
                            two_level_cross_fixture)
-from fjohn.errors import AtomOffContactSet, DivergingIterates, NotConverged
+from fjohn.errors import AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged
 from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, MinimizerResult, _Atoms, _newton,
                             calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
@@ -394,6 +396,104 @@ class TestAtomsBuiltOnce:
         minimize_functional(h, S, nu, F)
         assert len(built) == 1
 
+    @staticmethod
+    def _spy(monkeypatch):
+        """Lists that grow by one per `_Atoms` build and per `_positive_span` call."""
+        built, spans = [], []
+        init, positive_span = _Atoms.__init__, isotropy._positive_span
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        def counting_span(a):
+            spans.append(1)
+            return positive_span(a)
+
+        monkeypatch.setattr(_Atoms, "__init__", counting_init)
+        monkeypatch.setattr(isotropy, "_positive_span", counting_span)
+        return built, spans
+
+    def test_one_build_and_one_verdict_per_contact_problem(self, two_level, monkeypatch):
+        h, cs, w = two_level
+        nu = counting_measure(cs.points)
+        built, spans = self._spy(monkeypatch)
+        wit = coercivity_witness(h, S, nu)
+        res = minimize_functional(h, S, nu, F)
+        extract_measure(res, h, S, nu, F)
+        functional_gradient(h, S, nu, F, res.point)
+        assert wit.ok and len(built) == 1 and len(spans) == 1
+
+    def test_other_objects_or_another_s_rebuild(self, two_level, monkeypatch):
+        h, cs, w = two_level
+        nu = counting_measure(cs.points)
+        at = isotropy._atoms(h, S, nu)
+        built, _ = self._spy(monkeypatch)
+        assert isotropy._atoms(h, 1, nu) is at  # an equal s
+        twin_nu = counting_measure(cs.points)  # equal values, another object
+        twin_h = type(h)(h.n, h.s, h.form)
+        # one part in 1e12 moves h^(1/s) far less than GAP_TOL: the atoms stay contacts
+        for args in ((h, S, twin_nu), (twin_h, S, nu), (h, S * (1.0 + 1e-12), nu)):
+            assert isotropy._atoms(*args) is not at
+            assert isotropy._atoms(*args) is isotropy._atoms(*args)
+        assert len(built) == 3
+
+    def test_arrays_are_read_only(self, two_level):
+        h, cs, w = two_level
+        at = isotropy._atoms(h, S, counting_measure(cs.points))
+        for name in ("X", "m", "h_pow", "w", "features", "basis", "phi"):
+            assert not getattr(at, name).flags.writeable, name
+        h2, cs2, _ = two_level_cross_fixture(2, S, 0.4, 0.8)  # not coercive: a flat direction
+        flat = isotropy._atoms(h2, S, counting_measure(cs2.points)).flat_direction
+        assert flat is not None and not flat.flags.writeable
+
+    @staticmethod
+    def _chain(h, s, nu, F, fresh):
+        """Witness, minimizer and extracted measure as plain values; each step builds its
+        own `_Atoms` when `fresh`.  A functional that is not coercive ends the chain at
+        the minimizer's DivergingIterates (message and direction)."""
+        def step(fn, *args):
+            if fresh:
+                isotropy._LAST.clear()
+            return fn(*args)
+
+        wit = step(coercivity_witness, h, s, nu)
+        out = [wit.margin, wit.n_checked, wit.ok,
+               [(lbl, d.vec.tolist(), val) for lbl, d, val in wit.failures]]
+        try:
+            res = step(minimize_functional, h, s, nu, F)
+        except DivergingIterates as exc:
+            return out + [str(exc), exc.direction.vec.tolist()]
+        mu = step(extract_measure, res, h, s, nu, F)
+        return out + [res.point.vec.tolist(), res.value, res.lam, res.lambda_gap,
+                      res.projected_grad_norm, res.iterations, res.evaluations,
+                      mu.points.tolist(), mu.masses.tolist()]
+
+    @staticmethod
+    def _problems(monkeypatch):
+        """(name, h, s, nu, F) of the shipped instances and perfbench's certify_instances(501)."""
+        for path in sorted(INSTANCES.glob("*.json")):
+            inst = json.loads(path.read_text())
+            h = cli.build_h(inst)
+            yield (path.stem, h, inst["s"], cli.build_nu(inst, h),
+                   ConvolutionProfile(cli.build_valid_profile(inst)))
+        path = INSTANCES.parent / "perfbench" / "instances.py"
+        spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+        spec.loader.exec_module(module)
+        for inst in module.certify_instances(501):
+            cs = detect_contacts(inst.h, inst.s)
+            yield inst.name, inst.h, inst.s, counting_measure(cs.points), F
+
+    def test_shared_and_fresh_builds_agree_bit_for_bit(self, monkeypatch):
+        names = []
+        for name, h, s, nu, prof in self._problems(monkeypatch):
+            assert self._chain(h, s, nu, prof, False) == self._chain(h, s, nu, prof, True), name
+            names.append(name)
+        assert names == ["cross_n2_s2", "tangent_n1_s1", "two_level_n1_s1",
+                         "gen_n1", "gen_n2", "gen_n3"]
+
 
 class TestFeatureOracles:
     """`_Atoms.features` against the per-atom formulas it replaced."""
@@ -449,12 +549,35 @@ class TestExtractMeasure:
         for p, m in by_point.items():
             assert m == pytest.approx(by_point[-p], abs=1e-10)
 
+    def test_measure_equals_a_validated_one(self, two_level):
+        # extraction validates only the new masses: the points are a subset of nu's
+        h, cs, w = two_level
+        nu = counting_measure(cs.points)
+        mu = extract_measure(minimize_functional(h, S, nu, F), h, S, nu, F)
+        ref = DiscreteMeasure(mu.points.copy(), mu.masses.copy())
+        assert type(mu) is DiscreteMeasure
+        assert np.array_equal(mu.points, ref.points) and np.array_equal(mu.masses, ref.masses)
+        assert mu.points.shape == (len(cs.points), 1)
+        assert not mu.points.flags.writeable and not mu.masses.flags.writeable
+
+    def test_all_weights_zero(self, two_level):
+        h, cs, w = two_level
+        nu = counting_measure(cs.points)
+        # beta = -3 puts every argument where F' = 0
+        res = MinimizerResult(point=EPoint(BlockMat(np.zeros((1, 1)), -3.0), np.zeros(1)),
+                              value=0.0, projected_grad_norm=0.0, lam=0.0, iterations=0,
+                              converged=True, evaluations=0, stop_reason=WITHIN_TOL)
+        with pytest.raises(AllWeightsZero):
+            extract_measure(res, h, S, nu, F)
+
 
 class TestDiscreteMeasure:
     def test_coincident_atoms_name_the_first_pair(self):
         with pytest.raises(ValueError, match="atoms 0 and 2 coincide"):
             DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]),
                             np.ones(4))
+        with pytest.raises(ValueError, match="atoms 0 and 3 coincide"):  # row-major, not by column
+            DiscreteMeasure(np.array([[0.0], [0.5], [0.5], [0.0]]), np.ones(4))
         with pytest.raises(ValueError, match="atoms 1 and 2 coincide"):
             DiscreteMeasure(np.array([[0.0], [0.5], [0.5 + 5e-10]]), np.ones(3))
         assert len(DiscreteMeasure(np.array([[0.0], [0.5], [0.5 + 2e-9]]), np.ones(3)).points) == 3

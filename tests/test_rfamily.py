@@ -898,6 +898,39 @@ class TestBlockedTerms:
             assert len(got[2]) and np.all(got[4] > 0.0)
         assert compared == 2
 
+    @pytest.mark.parametrize("r", [0.8, 0.9])
+    def test_shifted_walk_skips_the_far_annulus(self, r, monkeypatch):
+        # the shifted n = 2 walk drops the columns where a lower bound on psi over the
+        # block's rows keeps every node's band closed: it visits barely more nodes than are
+        # near (1.81x at r = 0.8 and 1.42x at 0.9 by the reach clip alone), skipping none
+        # that is, bit for bit
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", 300)  # blocks of 2 rows of 120
+        form = two_level_cross_fixture(2, S, 0.4, 0.8)[0].form
+        h = make_log_concave(form.a, form.b, S, domain_radius=1.4)
+        band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=120))
+        visited, near = [], []
+        sq_norms, inner_band = rfamily._sq_norms, rfamily._inner_band
+
+        def spy_sq_norms(Z):
+            visited.append(len(Z))
+            return sq_norms(Z)
+
+        def spy_inner_band(f, g, r, c2, den, r2m1):
+            near.append(len(c2))
+            return inner_band(f, g, r, c2, den, r2m1)
+
+        for A, alpha, v in self._positions(2)[:2]:  # the last one is refused
+            visited.clear()
+            near.clear()
+            monkeypatch.setattr(rfamily, "_sq_norms", spy_sq_norms)
+            monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
+            got = _walked_terms(band, r, A, alpha, v, True)
+            monkeypatch.setattr(rfamily, "_sq_norms", sq_norms)
+            monkeypatch.setattr(rfamily, "_inner_band", inner_band)
+            ref, inputs = _unblocked_terms(band, r, A, alpha, v, True)
+            assert sum(visited) < 1.1 * sum(near) and sum(near) == len(inputs[0])
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_block_sums_match_whole_grid(self, n, monkeypatch):
         # every consumer reduces each block as it is walked; the reference runs the same
