@@ -3,7 +3,7 @@
 
     python3 scripts/check_sweep_rows.py sweep.json
 
-Prints one line per r (r, evaluations, Hessian builds, stop reason, error,
+Prints one line per r (r, evaluations, stop reason, error,
 lambda_r, secant to the limit point, bump integrals) and exits 1 unless the
 report has rows and every row has no error, stops CONVERGED or RESOLVED,
 and has lambda_r > 0, finite bump integrals (the by-parts density feeds
@@ -33,7 +33,7 @@ def main(path: str) -> int:
            or not all(finite(m) for m in row["mu_integrals"])
            or not finite(row["secant_to_limit"])]
     for row in rows:
-        print(row["r"], row["evaluations"], row["hessian_builds"], row["stop_reason"],
+        print(row["r"], row["evaluations"], row["stop_reason"],
               row["error"], row["lambda_r"], row["secant_to_limit"], row["mu_integrals"])
     return 1 if bad or not rows else 0
 

@@ -448,7 +448,6 @@ def cmd_sweep_r(args) -> int:
             "error": e.error,
             "evaluations": e.solver.evaluations if e.solver else None,
             "stop_reason": e.solver.stop_reason if e.solver else None,
-            "hessian_builds": e.solver.hessian_builds if e.solver else None,
         })
     if args.out:
         with open(args.out, "w", newline="") as fh:

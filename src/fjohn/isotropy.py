@@ -278,12 +278,11 @@ NEWTON_MAX_ITER = 2000  # the gradient evaluations `_newton` may take
 def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray):
     """Minimize sum_i w_i F((phi c)_i) over c from `c`, for both Newton minimizers of this module.
 
-    Returns (c, value, gradient norm, iterations, evaluations, (F', F''))
-    once the gradient norm is at most NEWTON_TOL, the last pair being
-    `F.derivs` at phi c from the final gradient; a stop short of it raises
-    NotConverged with the same counts.  It does not check coercivity: on a
-    functional that is not coercive it may run to NEWTON_MAX_ITER or stop
-    at a stationary point.
+    Returns (c, value, gradient norm, iterations, evaluations, F') once the
+    gradient norm is at most NEWTON_TOL, the last being F' at phi c from the
+    final gradient; a stop short of it raises NotConverged with the same
+    counts.  It does not check coercivity: on a functional that is not
+    coercive it may run to NEWTON_MAX_ITER or stop at a stationary point.
     """
     z = phi @ c
     value = float(np.dot(w, F(z)))
@@ -293,7 +292,7 @@ def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray
         g = phi.T @ (w * dF)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= NEWTON_TOL:
-            return c, value, gnorm, it, evals, (dF, d2F)
+            return c, value, gnorm, it, evals, dF
         hess = (phi.T * (w * d2F)) @ phi
         delta = np.linalg.lstsq(hess, -g, rcond=None)[0]
         slope = float(np.dot(g, delta))
@@ -346,7 +345,7 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     """
     at = _atoms(h, s, nu)
     _require_coercive(at, "contact functional is not coercive for this measure")
-    c, value, gnorm, it, evals, (dF, _) = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
+    c, value, gnorm, it, evals, dF = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
     n, g = at.n, at.features.T @ (at.w * dF)  # the gradient's flat form
     lam_a = (s * g[n * n] + np.trace(g[:n * n].reshape(n, n))) / (n + s * s)
     lam_b = float(np.dot(at.m / at.h_pow, dF)) / (at.n + s)
@@ -363,11 +362,10 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
 
 @dataclass
 class LimitReference:
-    """The minimizer of the curvature-weighted limit functional and its Hessian there."""
+    """The minimizer of the curvature-weighted limit functional and its value there."""
 
     point: EPoint
     value: float
-    hessian: np.ndarray  # phi^T diag(W H_n''(phi c)) phi: in the coordinates c on `trace0_array`
 
 
 def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitReference:
@@ -383,8 +381,7 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     and unbounded above, as F is, so the same exact gate as
     `minimize_functional` decides coercivity (DivergingIterates with the
     certificate direction), and the same Newton loop (`_newton`) minimizes,
-    from c = 0.  The `hessian` is that loop's phi^T diag(W H_n'') phi at the
-    minimizer, from its last H_n''.
+    from c = 0.
     """
     from .profiles import ConvolutionProfile, LimitProfile  # not loaded by `coercivity`
 
@@ -394,9 +391,8 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     slope2 = np.sum(psi_gradient(h.form, at.X) ** 2, axis=1)
     W = at.w * h2s ** (0.5 * at.n) / np.sqrt(2.0**at.n * (1.0 + 2.0 / (s * s) * h2s * slope2))
     H = LimitProfile(ConvolutionProfile(pair), at.n)
-    c, value, *_, (_, d2H) = _newton(at.phi, W, H, np.zeros(len(at.basis)))
-    return LimitReference(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
-                          hessian=(at.phi.T * (W * d2H)) @ at.phi)
+    c, value, *_ = _newton(at.phi, W, H, np.zeros(len(at.basis)))
+    return LimitReference(point=EPoint.from_vec(c @ at.basis, at.n), value=value)
 
 
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,

@@ -8,8 +8,8 @@ rule integrates it exactly on every segment and the only quadrature error
 comes from the outer x grid.
 One kernel gives the inner integral I and its derivative I' in c^2 on the
 nodes where the band is open, and one walk of them (`_band_sums`) gives the
-band functional, its analytic gradient in the minimizer's coordinates (so
-the minimizer is quasi-Newton on that gradient), and, in closed form, the
+band functional, its analytic gradient and Hessian in the minimizer's
+coordinates (so the minimizer is exact Newton), and, in closed form, the
 concentration-measure integrals and the stationarity multiplier.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,6 +285,21 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     return is_open, inner, d_inner / den
 
 
+def _inner_curvature(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
+                     c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray) -> np.ndarray:
+    """I'' = dI'/dc2 on open nodes (`_inner_band`'s inputs there): one point term per kink of g.
+
+    g' jumps by D_k at g's kink k (by minus its last slope at the top one,
+    above which the band ends), so I'' = sum_k D_k f(t_k) (tau_k^2/den)^2/q'(t_k)
+    = sum_k D_k f(t_k) tau_k^3/(2 c2 (1-r) den) over the kinks whose pullback
+    t_k lies above -1 (f(-1) = 0), with tau = 1 + (1-r) t, q' = 2 c2 (1-r) tau/den.
+    """
+    jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
+    tau = np.sqrt(np.maximum((np.multiply.outer(g_pl.breaks, den) - r2m1) / c2, 0.0))
+    terms = np.where(tau > r, f_pl((tau - 1.0) / (1.0 - r)) * tau ** 3, 0.0)
+    return (jumps @ terms) / (2.0 * (1.0 - r) * c2 * den)
+
+
 def check_band_pair(pair: ProfilePair) -> None:
     """Raise ValueError unless the band kernel applies to the profile pair.
 
@@ -335,7 +349,11 @@ class _Band:
         self.h, self.s, self.quad, self.f, self.g = h, s, quad, pair.f, pair.g
         self.sup = float(np.exp(-_min_psi(form)) ** (2.0 / s)) * 1.0000001  # >= sup h^(2/s)
         self.cap = np.inf if form.domain_radius is None else form.domain_radius  # >= 1, as checked
-        self.breaks = _envelope_breaks_1d(h.form) if h.n == 1 else None
+        self.breaks = b = _envelope_breaks_1d(h.form) if h.n == 1 else None
+        if b is not None:  # psi's slope jump and h^(1/s) at each kink; one side point per piece
+            sides = np.concatenate([b[:1] - 1.0, 0.5 * (b[:-1] + b[1:]), b[-1:] + 1.0])[:, None]
+            self.jumps, self.h_breaks = (np.diff(psi_gradient(form, sides)[:, 0]),
+                                         eval_h_many(h, b[:, None]) ** (1.0 / s))
         self.basis = trace0_array(h.n, s)
 
     def radii(self, r: float) -> tuple[float, float]:
@@ -360,13 +378,13 @@ class _Band:
         (every route but one); otherwise x is the factor argument and the
         band variable is A^-1 (x - v) (`rescaled_band_functional`).  For
         n = 1 the panels follow the kinks of psi in both variables.  Yields
-        (W, h^(1/s), I, I', X, at, Y, opened) for each block where the band
-        is open: the open nodes' weights, h at their band-factor argument and
-        the inner integrals, in row-major grid order (node
-        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P
-        nodes x of `_axis_rule`); the block's grid points X and the near
-        nodes' band-factor arguments Y, whose rows `at` and `opened` are the
-        open nodes, for `_band_sums`.
+        (W, h^(1/s), I, I', X, at, Y, opened, den, r2m1) for each block where
+        the band is open: the open nodes' weights, h at their band-factor
+        argument and the inner integrals, in row-major grid order (node
+        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P nodes
+        x of `_axis_rule`); for `_band_sums`, the block's grid points X, the
+        near nodes' band-factor arguments Y (the open nodes are rows `at` of X
+        and `opened` of Y), and den and |z|^2 - 1 on X.
         Yields None and stops at the first block where part of the band lies
         where h^(1/s)/alpha vanishes (or its square underflows).  h at the
         band-factor argument is evaluated only where the band can be open
@@ -466,7 +484,7 @@ class _Band:
             opened, inner, d_inner = _inner_band(self.f, self.g, r, c2, den[near], r2m1[near])
             at = near[opened]
             yield (np.multiply.outer(w_rows[r0:r1], w1[c0:c1]).ravel().take(at),
-                   h_near[opened], inner, d_inner, X, at, Y, opened)
+                   h_near[opened], inner, d_inner, X, at, Y, opened, den, r2m1)
 
 
 def _positive(A: np.ndarray, alpha: float) -> bool:
@@ -498,6 +516,7 @@ def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool, scale: float) 
         if block is None:
             return float("inf")
         W, h, inner = block[:3]
+        del block  # the rest of the block is freed before the walk builds the next one
         value += float(np.sum(W * (h / scale) * inner))
     return value
 
@@ -505,60 +524,113 @@ def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool, scale: float) 
 def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray, bumps=()):
     """The open nodes' sums at r and (A, alpha, v), from one shifted walk; None at the barrier.
 
-    (value, G, a_sum, omega_sum, bump_sums) are sum W c I, sum omega a_j x^T,
-    sum omega a_j, sum omega and, per bump, sum omega delta(Y)/h_y^2, with
-    c = h(y)^(1/s)/alpha at y = Ax + v, omega = W c (I + 2 c^2 I') and a_j(y)
-    the active piece of psi there; each block adds its share.
+    (value, grad, hess, bump_sums): the band functional sum W c I, its
+    gradient and Hessian in the flat coordinates (A, log alpha, v) (`EPoint.vec`
+    layout, A unconstrained) and, per bump, sum omega delta(Y)/h_y^2.  With
+    c = h(y)^(1/s)/alpha at y = Ax + v, u = log c has the gradient -z,
+    z = (a_j x^T/s, 1, a_j/s) for the active piece a_j(y) of psi, and no
+    curvature off psi's kinks.  A node adds W phi(u) = W c I(c^2), so
+    grad = -sum omega z with omega = W phi' = W c (I + 2 c^2 I'), and
+    hess = sum W phi'' z z^T with phi'' = c (I + 8 c^2 I' + 4 c^4 I'')
+    (`_inner_curvature`): at n >= 2, on a fixed grid, the exact Hessian of the
+    sum wherever it exists (n = 1 adds `_band_value_grad`'s kink terms).
     """
-    value, omega_sum, G, a_sum = 0.0, 0.0, np.zeros_like(A), np.zeros_like(v)
-    bump_sums = np.zeros(len(bumps))
+    n, s = band.h.n, band.s
+    value, bump_sums = 0.0, np.zeros(len(bumps))
+    grad, hess = np.zeros(n * n + 1 + n), np.zeros((n * n + 1 + n,) * 2)
     for block in band.blocks(r, A, alpha, v, shifted=True):
         if block is None:
             return None
-        W, h_y, inner, d_inner, X, at, Y, opened = block
+        W, h_y, inner, d_inner, X, at, Y, opened, den, r2m1 = block
         X, Y = X.take(at, axis=0), Y.take(opened, axis=0)
         c = h_y / alpha
         value += float(np.sum(W * c * inner))
-        omega = W * c * (inner + 2.0 * c * c * d_inner)
-        a_j = psi_gradient(band.h.form, Y)
-        G += (a_j.T * omega) @ X  # sum omega a_j x^T
-        a_sum += a_j.T @ omega
-        omega_sum += float(np.sum(omega))
+        wc, c2 = W * c, c * c
+        omega = wc * (inner + 2.0 * c2 * d_inner)
+        d2_inner = _inner_curvature(band.f, band.g, r, c2, den.take(at), r2m1.take(at))
+        z = np.empty((len(W), n * n + 1 + n))
+        z[:, n * n + 1:] = psi_gradient(band.h.form, Y) / s
+        z[:, :n * n] = (z[:, n * n + 1:, None] * X[:, None, :]).reshape(len(W), n * n)
+        z[:, n * n] = 1.0
+        grad -= omega @ z
+        hess += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
         for k, delta in enumerate(bumps):
             bump_sums[k] += float(np.sum(omega / (h_y * h_y) * delta(Y)))
-    return value, G, a_sum, omega_sum, bump_sums
+    return value, grad, hess, bump_sums
 
 
-def _band_value_grad(band: _Band, r: float, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Band functional at r and theta and its gradient there; (inf, None) beyond the barrier.
+# 1/(a + b + 2)! for a, b <= 10: the Taylor coefficients of exp[x, 0, z] on x^a z^b
+_EXP2_TAYLOR = 1.0 / np.cumprod(np.arange(1.0, 23.0))[np.add.outer(range(11), range(11)) + 1]
 
-    theta, the coordinates of `_minimize_band` on the rows of
-    `trace0_array` (`_Band.split`), stands for the position
-    (exp S, exp(-tr S / s), v) with (S, -tr S/s, v) = theta @ basis.  The
-    one eigh of S in `_expm_sym_eig`, which `sdet1_param` takes too, gives
-    both A = exp S and the gradient below, so the value is `_band_value` at
-    the `sdet1_param` position bit for bit.  A node adds W c I(c^2) to the
-    value (`_band_sums`) and omega d(log c) to the gradient, with
-    d(log c) = -(1/s) a_j(y) . (dA x + dv) - d(log alpha).  dA = L(S, dS) is
-    the Frechet derivative of the symmetric matrix exponential
-    (Daleckii-Krein: in the eigenbasis of S, dS scaled entrywise by the
-    divided differences of exp), which is self-adjoint, so theta's gradient
-    is the basis times the flat form's, (L(S, G)/-s, -omega_sum, a_sum/-s).
+
+def _exp_divided_differences(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp[l_i, l_j] and exp[l_i, l_m, l_j], the divided differences of exp on the eigenvalues.
+
+    The first is e^((a+b)/2) sinh(d)/d, d = (a-b)/2.  The second, symmetric in
+    its arguments, is the recursion (exp[l_i, l_m] - exp[l_m, l_j])/(l_i - l_j),
+    or (exp[l_m, l_i] - exp[l_i, l_j])/(l_m - l_j) where l_m - l_j is wider,
+    when that divisor exceeds 0.05; else the three lie within 0.1 (every
+    triple at n = 1) and it is e^(l_m) exp[l_i - l_m, 0, l_j - l_m] by its
+    Taylor series in x^a z^b, a, b <= 10, whose terms fall below 1e-16 there.
     """
-    s = band.s
+    if len(lam) == 1:  # confluent: e^l and e^l/2
+        return np.exp(lam)[:, None], 0.5 * np.exp(lam)[:, None, None]
+    gap = np.subtract.outer(lam, lam)  # l_i - l_m
+    half = 0.5 * gap
+    g = np.exp(0.5 * np.add.outer(lam, lam)) * np.divide(np.sinh(half), half,
+                                                          out=np.ones_like(half), where=half != 0.0)
+    powers = gap[..., None] ** np.arange(11)
+    series = np.exp(lam)[:, None] * np.einsum("ima,ab,jmb->imj", powers, _EXP2_TAYLOR, powers)
+    by_ij = np.abs(gap[:, None, :]) >= np.abs(gap)  # |l_i - l_j| against |l_m - l_j|
+    div = np.where(by_ij, gap[:, None, :], gap)
+    far = np.abs(div) > 0.05
+    recursion = np.where(by_ij, g[:, :, None] - g, g.T[:, :, None] - g[:, None, :])
+    return g, np.where(far, recursion / np.where(far, div, 1.0), series)
+
+
+def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
+    """Band functional, gradient and Hessian at r and theta; (inf, None, None) beyond the barrier.
+
+    theta (`_Band.split`) stands for (exp S, exp(-tr S / s), v) with
+    (S, -tr S/s, v) = theta @ basis.  The one eigh of S in `_expm_sym_eig`,
+    which `sdet1_param` takes too, gives A = exp S and its derivatives, so the
+    value is `_band_value` at the `sdet1_param` position bit for bit.  log alpha
+    and v are linear in theta, and in S's eigenbasis A's first and second
+    derivatives are L(S, E)_ij = E_ij exp[l_i, l_j] and L2(S; E, F)_ij =
+    sum_m (E_im F_mj + F_im E_mj) exp[l_i, l_m, l_j] (Daleckii-Krein).  With J the
+    basis rows, their A-part mapped by L, `_band_sums`'s flat derivatives give
+    J grad and J hess J^T + <L2(S; dS_k, dS_l), grad_A>.  The n = 1 grid follows
+    psi's kinks y_k, across which u's gradient jumps by -(da_k/s) dy, so the
+    flat Hessian adds per open kink -(da_k/s) Phi_u dy dy^T/A at
+    x_k = (y_k - v)/A, dy = (x_k, 0, 1), with Phi_u = c (I + 2 c^2 I') from one
+    `_inner_band` call on the kinks.
+    """
+    n, s = band.h.n, band.s
     S, v = band.split(theta)
     A, lam, V = _expm_sym_eig(S)
     alpha = float(np.exp(-np.trace(S) / s))
     sums = _band_sums(band, r, A, alpha, v)
     if sums is None:
-        return float("inf"), None
-    value, G, a_sum, omega_sum, _ = sums
-    half_gap = 0.5 * np.subtract.outer(lam, lam)
-    sinhc = np.divide(np.sinh(half_gap), half_gap, out=np.ones_like(half_gap),
-                      where=half_gap != 0.0)
-    gamma = np.exp(0.5 * np.add.outer(lam, lam)) * sinhc  # divided differences of exp
-    D = V @ ((V.T @ G @ V) * gamma) @ V.T
-    return value, band.basis @ np.concatenate([D.ravel() / -s, [-omega_sum], a_sum / -s])
+        return float("inf"), None, None
+    value, grad, hess, _ = sums
+    if band.breaks is not None:
+        a, x = float(A[0, 0]), (band.breaks - v[0]) / float(A[0, 0])
+        den, r2m1 = 2.0 * (1.0 - r) * eval_h_many(band.h, x[:, None]) ** (2.0 / s), x * x - 1.0
+        c2 = (band.h_breaks / alpha) ** 2
+        k = np.flatnonzero((den * band.g.breaks[-1] - r2m1 > c2 * r * r) & (c2 > 0.0))  # open
+        if len(k):
+            opened, inner, d_inner = _inner_band(band.f, band.g, r, c2[k], den[k], r2m1[k])
+            k, c2 = k[opened], c2[k[opened]]
+            dy = np.zeros((len(k), 3))
+            dy[:, 0], dy[:, 2] = x[k], 1.0
+            phi_u = np.sqrt(c2) * (inner + 2.0 * c2 * d_inner)
+            hess += (dy.T * (-band.jumps[k] / (s * a) * phi_u)) @ dy
+    gamma1, gamma2 = _exp_divided_differences(lam)
+    E = V.T @ band.basis[:, :n * n].reshape(-1, n, n) @ V  # the basis rows' dS, in S's eigenbasis
+    J = band.basis.copy()
+    J[:, :n * n] = (V @ (E * gamma1) @ V.T).reshape(-1, n * n)
+    second = np.einsum("ij,imj,kim,lmj->kl", V.T @ grad[:n * n].reshape(n, n) @ V, gamma2, E, E)
+    return value, J @ grad, J @ hess @ J.T + second + second.T
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -587,8 +659,8 @@ def _band_measure(band: _Band, r: float, p: EPoint, bumps) -> tuple[np.ndarray, 
     = -(1-r)(I + 2 c^2 I').  In the band variable (y = Ax + v, Jacobian
     J = alpha^s det A, 1 on the minimizer's manifold) both are closed forms
     in the `_band_sums`: mu_r(delta) = -(1-r) J sum omega delta(Y)/h_y^2 and
-    lambda_r = -J [(tr(A G^T) + a_sum . v)/s + s omega_sum]/(n + s^2), the
-    measure's sum of h^(2/s) ((1/s) a_j . y + s) over (1-r)(n + s^2).
+    lambda_r = J grad . (A, s, v)/(n + s^2), the derivative along the scaling,
+    i.e. the measure's sum of h^(2/s) ((1/s) a_j . y + s) over (1-r)(n + s^2).
     SingularA unless the block is SPD with a positive corner; NotInBr when
     part of the band lies where h vanishes.
     """
@@ -598,9 +670,9 @@ def _band_measure(band: _Band, r: float, p: EPoint, bumps) -> tuple[np.ndarray, 
     sums = _band_sums(band, r, A, alpha, v, bumps)
     if sums is None:
         raise NotInBr("the band reaches where h vanishes")
-    _, G, a_sum, omega_sum, bump_sums = sums
+    _, grad, _, bump_sums = sums
     s, jac = band.s, alpha ** band.s * np.linalg.det(A)
-    lam = -jac * ((np.sum(A * G) + a_sum @ v) / s + s * omega_sum) / (band.h.n + s * s)
+    lam = jac * (grad @ np.concatenate([A.ravel(), [s], v])) / (band.h.n + s * s)
     return (-(1.0 - r) * jac) * bump_sums, float(lam)
 
 
@@ -622,17 +694,16 @@ class BandMinimum:
 
     point: EPoint
     value: float
-    evaluations: int  # value-and-gradient calls, Hessian columns and line-search trials included
-    iterations: int   # quasi-Newton steps taken
+    evaluations: int  # value-gradient-Hessian calls, line-search trials included
+    iterations: int   # Newton steps taken
     stop_reason: str  # CONVERGED, RESOLVED or "max_iter"
     grad_norm: float  # norm of the gradient in theta at `point`
-    hessian_builds: int  # forward-difference Hessians built
 
 
 CONVERGED = "predicted decrease below rounding"
 RESOLVED = "no descent beyond the difference step"
 ROUNDING = 1e-12  # relative level of the value below which a predicted decrease is not resolved
-BAND_MAX_ITER = 400  # the quasi-Newton steps `_minimize_band` may take
+BAND_MAX_ITER = 400  # the Newton steps `_minimize_band` may take
 
 
 def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -641,101 +712,57 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
 
     The block is parametrized as exp(S) with corner exp(-tr S / s), which
     keeps the weighted determinant at exactly 1 (restricting to that manifold
-    loses nothing at a minimum), and minimized quasi-Newton from the identity
-    on the analytic gradient: `_minimize_band` at r on a band geometry built
-    for this call.  Returns the minimizer and the stationarity multiplier,
-    from one `_band_sums` walk at the minimizer.
+    loses nothing at a minimum), and minimized by Newton from the identity
+    on the analytic gradient and Hessian: `_minimize_band` at r on a band
+    geometry built for this call.  Returns the minimizer and the
+    stationarity multiplier, from one `_band_sums` walk at the minimizer.
     """
     band = _Band(h, s, pair, quad)
     point = _minimize_band(band, r, None).point
     return point, _band_measure(band, r, point, ())[1]
 
 
-def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None,
-                   hessian: np.ndarray | None = None) -> BandMinimum:
+def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> BandMinimum:
     """minimize_band at r on a prepared band geometry, as a solver record.
 
-    theta0 is the start in theta, the coordinates on the rows of
-    `trace0_array` (None: theta = 0, where `minimize_band` starts);
-    `r_sweep` starts from the limit.  Every evaluation is one
-    `_band_value_grad` call on theta; the position is built once, for the
-    result.  Without a `hessian` (in theta at theta0) the loop starts from
-    one built from forward differences of the gradient with step
-    fd = 1e-4 (1-r), theta's scale being 1-r, the width of the band; its
-    eigenvalues are floored in magnitude, so the model starts positive
-    definite.  A handed-in `hessian` (`r_sweep` hands in the limit's) has
-    the right shape but a scale nothing has checked, so it is not trusted
-    to stop the loop: the first step is taken even when the model predicts
-    a decrease below rounding, and before the first BFGS update the model
-    is multiplied by s.y/(s.Hs), the curvature the step measured over the
-    one the model predicted (Oren-Luenberger self-scaling), when that ratio
-    lies outside [1/2, 2].  The limit's model measures 1.0-1.5 on the
-    benchmark's instances and is kept as it is.  A model 1e6 times too
-    stiff then costs one short step, and one 1e6 times too soft about 20
-    halvings of its first step.  Each step is Newton on the model
-    (floored again), halved until Armijo (1e-4) holds on the value; +inf
-    beyond the coercive barrier is a rejection.  An accepted step s with
-    gradient change y updates the model by BFGS, skipped when s.y <= 0, so
-    the model stays positive definite.  The minimizer stops (CONVERGED) once
-    the model predicts a decrease below ROUNDING of the value: the n = 1
-    grid follows the kinks of psi(Ax + v) and moves with theta, so the
-    analytic gradient and the discrete values differ at the quadrature
-    level (~1e-6 of the gradient, ~1e-12 of the value), and a smaller
-    decrease is not resolved.  When the halved step falls below fd without
-    a decrease, the model is rebuilt from differences at the same theta and
-    the step retried; if a fresh difference Hessian fails too the minimizer
-    stops (RESOLVED): that is where the discrete functional stops following
-    its Newton model, as on a fixed n >= 2 grid, whose nodes cross the kinks
-    of psi one by one.  A start beyond the coercive barrier,
-    or a barrier within fd of an iterate in every direction a difference
-    Hessian steps along, raises NotConverged with the iterations and
-    evaluations so far.  After BAND_MAX_ITER steps it stops ("max_iter").
+    theta0 is the start in theta, the coordinates on the rows of `trace0_array`
+    (None: theta = 0, where `minimize_band` starts); `r_sweep` starts from the
+    limit.  Each evaluation is one `_band_value_grad` call, and each step Newton
+    on its Hessian with the eigenvalues floored in magnitude (`_newton`), halved
+    until Armijo (1e-4) holds on the value; +inf beyond the coercive barrier is
+    a rejection.  It stops (CONVERGED) once the step predicts a decrease below
+    ROUNDING of the value: the n = 1 grid moves with theta, so the analytic
+    derivatives (the continuum functional's) and the discrete values differ at
+    the quadrature level (~1e-6 of the gradient, ~1e-12 of the value).  When the
+    halved step falls below the difference step 1e-4 (1-r) without a decrease
+    (theta's scale is 1-r, the band's width), it stops RESOLVED: there the
+    discrete functional stops following its Newton model, as on a fixed n >= 2
+    grid, whose nodes cross the kinks of psi one by one.  A start beyond the
+    barrier raises NotConverged; after BAND_MAX_ITER steps it stops ("max_iter").
     """
-    evals = builds = 0
+    evals = 0
 
     def evaluate(theta: np.ndarray):
         nonlocal evals
         evals += 1
         return _band_value_grad(band, r, theta)
 
-    def difference_hessian() -> np.ndarray:
-        nonlocal builds
-        builds += 1
-        cols = []
-        for unit in np.eye(len(theta)):
-            for step in (fd, -fd):  # backwards where the forward point is beyond the barrier
-                g_k = evaluate(theta + step * unit)[1]
-                if g_k is not None:
-                    break
-            else:
-                raise NotConverged(f"coercive barrier within {fd:.1e} of the iterate at r={r}",
-                                   reason="coercive barrier", iterations=it, evaluations=evals,
-                                   grad_norm=float(np.linalg.norm(grad)))
-            cols.append((g_k - grad) / step)
-        lam, V = _floored(0.5 * (np.array(cols) + np.array(cols).T))
-        return (V * lam) @ V.T
-
     theta = np.zeros(len(band.basis)) if theta0 is None else theta0
-    value, grad = evaluate(theta)
+    value, grad, hess = evaluate(theta)
     if not np.isfinite(value):
         raise NotConverged("band functional infinite at the starting point",
                            reason="infinite start", iterations=0, evaluations=evals)
-
-    fd = 1e-4 * (1.0 - r)
-    it, stop = 0, CONVERGED
-    fresh = hessian is None  # the model is a difference Hessian at theta
-    hess = difference_hessian() if fresh else hessian
-    scaled = fresh  # a handed-in model's scale is untested until a step measures it
+    fd, it, stop = 1e-4 * (1.0 - r), 0, CONVERGED  # the difference step; steps taken
     while True:
         delta, decrease = _newton(hess, grad)
-        if decrease <= ROUNDING * value and scaled:
+        if decrease <= ROUNDING * value:
             break
         if it == BAND_MAX_ITER:
             stop = "max_iter"
             break
         t = 1.0
         while True:
-            c_value, c_grad = evaluate(theta + t * delta)
+            c_value, c_grad, c_hess = evaluate(theta + t * delta)
             if c_value <= value - 2e-4 * t * decrease:
                 break
             t *= 0.5
@@ -743,39 +770,19 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None,
                 t = 0.0  # no descent down to the difference step
                 break
         if t == 0.0:
-            if fresh:
-                stop = RESOLVED
-                break
-            hess, fresh, scaled = difference_hessian(), True, True
-            continue
-        step, change = t * delta, c_grad - grad
-        theta, value, grad, it, fresh = theta + step, c_value, c_grad, it + 1, False
-        sy = float(np.dot(step, change))
-        if sy > 0.0:
-            h_step = hess @ step
-            if not scaled:  # the curvature along the step rescales a handed-in model
-                ratio = sy / float(np.dot(step, h_step))
-                if not 0.5 <= ratio <= 2.0:
-                    hess, h_step = ratio * hess, ratio * h_step
-                scaled = True
-            hess = (hess - np.outer(h_step, h_step) / np.dot(step, h_step)
-                    + np.outer(change, change) / sy)
+            stop = RESOLVED
+            break
+        theta, value, grad, hess, it = theta + t * delta, c_value, c_grad, c_hess, it + 1
     S, v = band.split(theta)
     return BandMinimum(point=EPoint(BlockMat(*sdet1_param(S, band.s)), v), value=value,
                        evaluations=evals, iterations=it, stop_reason=stop,
-                       grad_norm=float(np.linalg.norm(grad)),
-                       hessian_builds=builds)
-
-
-def _floored(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a symmetric Hessian floored in magnitude, and its eigenvectors."""
-    lam, V = np.linalg.eigh(hess)
-    return np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam))), V
+                       grad_norm=float(np.linalg.norm(grad)))
 
 
 def _newton(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
-    """Newton step on the eigenvalue-floored Hessian and the decrease it predicts."""
-    lam, V = _floored(hess)
+    """Newton step on the Hessian, eigenvalues floored in magnitude, and its predicted decrease."""
+    lam, V = np.linalg.eigh(hess)
+    lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
     coef = (V.T @ grad) / lam
     return -(V @ coef), 0.5 * float(np.dot(coef, V.T @ grad))
 
@@ -852,36 +859,28 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     pair alone: the band functional never sees a measure).  L is minimized
     in the coordinates `_minimize_band` works in, the rows of `trace0_array`,
     and theta = (1-r) c stands for the rescaled position c @ basis to first
-    order, so the start is theta = (1-r) c_lim with the model Hessian
-    c_n (1-r)^(n/2 - 2) (Hessian of L at c_lim), where c_n = 2^n |S^(n-1)|
-    is the leading factor of the band functional's value near the limit,
-    rescaled_band_functional ~ c_n (1-r)^(n/2) L.  c_n was
-    read off measured values at n = 1, 2 and 3, not derived; `_minimize_band`
-    rescales a handed-in model by the curvature along its first step, so a
-    wrong factor costs evaluations, not the minimizer.  Nothing of one r
-    reaches the next (`_Band` holds nothing of r): a row depends on its r
-    alone.  A failure at a single r is recorded with its reason and the sweep
-    continues; a contact set on which the limit is not coercive raises
-    DivergingIterates before any r.  The diagnostics are norms of differences
-    of flat forms `EPoint.vec`; `secant_to_limit` is the rescaled minimizer's
-    distance to the limit point, which `RSweepResult.limit` holds.
+    order, so the start is theta = (1-r) c_lim.  Nothing of one r reaches
+    the next (`_Band` holds nothing of r): a row depends on its r alone.  An
+    r outside (1/2, 1) raises BadR at its first evaluation.  A failure at a
+    single r is recorded with its reason and the sweep continues; a contact
+    set on which the limit is not coercive raises DivergingIterates before
+    any r.  The diagnostics are norms of differences of flat forms
+    `EPoint.vec`; `secant_to_limit` is the rescaled minimizer's distance to
+    the limit point, which `RSweepResult.limit` holds.
     """
     n = h.n
     limit = limit_reference(h, s, pair)
     bumps = default_bumps(reference_measure)
     band = _Band(h, s, pair, quad)
     c_lim = band.basis @ limit.point.vec  # the point lies on the orthonormal rows' span
-    c_n = 2.0 ** (n + 1) * np.pi ** (0.5 * n) / math.gamma(0.5 * n)  # 2^n |S^(n-1)|
     ref_integrals = np.array([float(np.dot(reference_measure.masses, b(reference_measure.points)))
                               for b in bumps])
     ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
     result = RSweepResult(schedule=list(schedule), limit=limit.point)
     for r in schedule:
-        band.radii(r)  # BadR before the model below divides by 1 - r
         omr = 1.0 - r
         try:
-            solver = _minimize_band(band, r, omr * c_lim,
-                                    c_n * omr ** (0.5 * n - 2.0) * limit.hessian)
+            solver = _minimize_band(band, r, omr * c_lim)
             point, value = solver.point, solver.value
             mu_vals, lam_r = _band_measure(band, r, point, bumps)
         except (NotConverged, NotInBr, SingularA) as exc:

@@ -569,8 +569,27 @@ def logm_sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (L + L.T)
 
 
+def expm_derivatives(S: np.ndarray, E: np.ndarray, F: np.ndarray):
+    """d/dt exp(S + t E) and d^2/ds dt exp(S + s E + t F) at 0, from scipy's expm of block matrices.
+
+    The top-right block of exp([[S, E], [0, S]]) is the first.  The top-right block
+    of exp([[S, E, 0], [0, S, F], [0, 0, S]]) is the sum over the words
+    S^i E S^j F S^k / (i + j + k + 2)!, the half of the second derivative with E
+    before F; the other order adds the other half.  scipy is imported here only.
+    """
+    from scipy.linalg import expm
+
+    n = len(S)
+    zero = np.zeros((n, n))
+
+    def half(E, F):
+        return expm(np.block([[S, E, zero], [zero, S, F], [zero, zero, S]]))[:n, 2 * n:]
+
+    return expm(np.block([[S, E], [zero, S]]))[:n, n:], half(E, F) + half(F, E)
+
+
 def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
-    """The Newton loop the quasi-Newton `rfamily._minimize_band` replaced, its reference.
+    """Newton on difference Hessians, the reference of the exact-Newton `rfamily._minimize_band`.
 
     Every step builds the Hessian from forward differences of the analytic
     gradient (step fd = 1e-4 (1-r)), takes the eigenvalue-floored Newton step
@@ -586,7 +605,7 @@ def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
     def evaluate(theta):
         nonlocal evals
         evals += 1
-        return rfamily._band_value_grad(band, r, theta)
+        return rfamily._band_value_grad(band, r, theta)[:2]
 
     if x0 is not None:  # the coordinates of (log A, -tr log A/s, shift), on the basis's span
         S_0 = logm_sym(x0.mat.diag)

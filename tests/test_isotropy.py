@@ -346,16 +346,6 @@ class TestLimitReference:
         assert np.linalg.norm(grad) <= 1e-10
         assert lim.point.vec == pytest.approx(at.basis.T @ (at.basis @ lim.point.vec), abs=1e-15)
 
-        def basis_grad(c):  # the gradient of L in the coordinates c on the basis rows
-            return at.phi.T @ (W * H.derivs(at.phi @ c)[0])
-
-        # the Hessian in basis coordinates against central differences of that gradient
-        c, step = at.basis @ lim.point.vec, 1e-6
-        cols = [(basis_grad(c + step * e) - basis_grad(c - step * e)) / (2.0 * step)
-                for e in np.eye(len(at.basis))]
-        assert lim.hessian.shape == (len(at.basis),) * 2
-        assert lim.hessian == pytest.approx(np.array(cols).T, rel=1e-6, abs=1e-8)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_limit_measure_is_isotropic(self, n):
         # stationarity on the trace-zero subspace makes the masses W_i H_n'(z_i)/h_i^(2/s)

@@ -18,7 +18,8 @@ from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, can
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            concentration_integral, default_bumps, minimize_band, r_sweep,
                            rescaled_band_functional, stationarity_multiplier, trapezoid_bump)
-from oracles import (density_sums, envelope_breaks_scan, fd_newton_minimize, pl_deriv, s_det,
+from oracles import (density_sums, envelope_breaks_scan, expm_derivatives,
+                     fd_newton_minimize, pl_deriv, s_det,
                      sorted_inner_band, theta_point, x_grid)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -346,7 +347,7 @@ class TestBandGradient:
         step, worst = 1e-6, 0.0
         for _ in range(20):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=2)
-            value, grad = rfamily._band_value_grad(band, r, theta)
+            value, grad, _ = rfamily._band_value_grad(band, r, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(2)])
             worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
@@ -365,7 +366,7 @@ class TestBandGradient:
         step = 1e-6
         for _ in range(3):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=5)
-            _, grad = rfamily._band_value_grad(band, r, theta)
+            _, grad, _ = rfamily._band_value_grad(band, r, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(5)])
             assert np.linalg.norm(fd - grad) <= 1e-4 * np.linalg.norm(grad)
@@ -382,7 +383,7 @@ class TestBandGradient:
             for _ in range(5):
                 theta = rng.normal(scale=0.05, size=n * (n + 1) // 2 + n)
                 p = theta_point(theta, n, S)
-                value, _ = rfamily._band_value_grad(band, r, theta)
+                value = rfamily._band_value_grad(band, r, theta)[0]
                 assert 0.0 < value == rfamily._band_value(band, r, p)
                 assert value == band_functional(h, S, canonical_pair(), r, p, quad)
 
@@ -393,7 +394,90 @@ class TestBandGradient:
         band = rfamily._Band(bounded, S, canonical_pair(), QuadratureSpec())
         theta = np.array([0.0, 0.5])
         assert rfamily._band_value(band, 0.9, theta_point(theta, 1, S)) == float("inf")
-        assert rfamily._band_value_grad(band, 0.9, theta) == (float("inf"), None)
+        assert rfamily._band_value_grad(band, 0.9, theta) == (float("inf"), None, None)
+
+
+def _octahedron_cube_n3():
+    """h tangent at an octahedron at sqrt 0.4 and a cube at sqrt 0.8, turned off the axes."""
+    rot = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+    octahedron = np.concatenate([np.eye(3), -np.eye(3)])
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3))) / np.sqrt(3.0)
+    return make_tangent_instance(np.concatenate([np.sqrt(0.4) * octahedron,
+                                                 np.sqrt(0.8) * cube]) @ rot.T, S)
+
+
+def _ci_custom_pair():
+    """The custom pair CI sweeps with: f kinks at -0.3 and 0.4, g kinks at -1, -0.2 and 1."""
+    f = PiecewiseLinear.from_knots([-1.0, -0.3, 0.4], [0.0, 0.35, 1.1], right_slope=2.0)
+    g = PiecewiseLinear.from_knots([-1.0, -0.2, 1.0], [1.0, 0.7, 0.0])
+    return ProfilePair(f=f, g=g)
+
+
+def _hessian_error(band, r, theta):
+    """Relative distance of `_band_value_grad`'s Hessian from central differences of its
+    gradient, with step 1e-4 (1-r)."""
+    hess = rfamily._band_value_grad(band, r, theta)[2]
+    step = 1e-4 * (1.0 - r)
+    fd = np.array([(rfamily._band_value_grad(band, r, theta + e)[1]
+                    - rfamily._band_value_grad(band, r, theta - e)[1]) / (2.0 * step)
+                   for e in step * np.eye(len(theta))])
+    return np.linalg.norm(hess - fd) / np.linalg.norm(fd)
+
+
+class TestBandHessian:
+    @pytest.mark.parametrize("pair, s", [("canonical", S), ("ci-custom", S), ("canonical", 2.0)])
+    @pytest.mark.parametrize("r", [0.8, 0.95])
+    def test_matches_central_differences_n1(self, fixture, quad, pair, s, r):
+        # the n = 1 grid moves with theta, so this is the continuum functional's Hessian,
+        # one point term per kink of psi included (without it: up to 17% off).  Measured:
+        # 3e-9 to 3e-5 on the canonical pair, 2e-7 to 1.6e-5 on the custom one, whose
+        # interior g kink at -0.2 adds a term to I'', and 1.6e-5 to 4e-5 at s = 2 (h
+        # tangent at +-sqrt 0.4 and +-sqrt 0.8), where every 1/s factor shows
+        pair = canonical_pair() if pair == "canonical" else _ci_custom_pair()
+        h = fixture[0] if s == S else make_tangent_instance(
+            np.sqrt([0.8, 0.4, 0.4, 0.8])[:, None] * np.array([[-1.0], [-1.0], [1.0], [1.0]]), s)
+        band = rfamily._Band(h, s, pair, quad)
+        rng = np.random.default_rng(int(1000 * r))
+        for theta in [np.zeros(2)] + [rng.normal(scale=0.3 * (1.0 - r), size=2)
+                                      for _ in range(3)]:
+            assert _hessian_error(band, r, theta) <= 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_central_differences_fixed_grid(self, n):
+        # at n >= 2 the grid is fixed and the Hessian is that of the sum wherever it exists.
+        # The differences are taken where the minimizer starts: at theta = 0 and at the
+        # sweep's start (1-r) c_lim.  A difference step that lets a node cross a kink of psi
+        # moves them by far more (20% at a seeded random theta on the n = 2 instance, and
+        # 13-49% at r = 0.8), which is not a fault of the Hessian.  Measured: 1.5e-9 at
+        # n = 2 and 6e-9 to 1.7e-8 at n = 3
+        h, nodes = (_triangle_square_n2(), 240) if n == 2 else (_octahedron_cube_n3(), 64)
+        band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=nodes))
+        c_lim = band.basis @ limit_reference(h, S, canonical_pair()).point.vec
+        r = 0.95
+        for theta in (np.zeros(len(band.basis)), (1.0 - r) * c_lim):
+            assert _hessian_error(band, r, theta) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_divided_differences_match_expm(self, n):
+        # A's first and second derivatives along symmetric directions E and F, from the
+        # divided differences of exp in S's eigenbasis, against scipy's expm of the 2n x 2n
+        # and 3n x 3n block matrices.  S = 0 and equal eigenvalues are confluent (every
+        # n = 1 point is); the spread eigenvalues take the recursion, the close ones the series
+        rng = np.random.default_rng(11 + n)
+        spectra = [np.zeros(n), np.full(n, 0.3), rng.normal(scale=0.02, size=n),
+                   np.array([-0.7, 0.01, 0.03, 1.2][:n])]
+        for lam in spectra:
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            Sm = (V * lam) @ V.T
+            lam, V = np.linalg.eigh(Sm)
+            E, F = (0.5 * (m + m.T) for m in rng.standard_normal((2, n, n)))
+            gamma1, gamma2 = rfamily._exp_divided_differences(lam)
+            Eh, Fh = V.T @ E @ V, V.T @ F @ V
+            first = V @ (Eh * gamma1) @ V.T
+            second = V @ (np.einsum("imj,im,mj->ij", gamma2, Eh, Fh)
+                          + np.einsum("imj,im,mj->ij", gamma2, Fh, Eh)) @ V.T
+            for got, want in zip((first, second), expm_derivatives(Sm, E, F)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestGridCap:
@@ -423,7 +507,7 @@ class TestMinimizeBand:
         band = rfamily._Band(h, S, canonical_pair(), quad)
         ref_point, ref_value = _compass_minimize(band, r)
         res = rfamily._minimize_band(band, r, None)
-        assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 40
+        assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 6  # Newton takes 4
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
         assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
@@ -435,7 +519,7 @@ class TestMinimizeBand:
                              QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96))
         ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band, r)
         res = rfamily._minimize_band(band, r, None)
-        assert res.stop_reason in CONVERGED_STOPS and res.hessian_builds == 1
+        assert res.stop_reason in CONVERGED_STOPS
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
         assert res.evaluations < ref_evals
@@ -444,7 +528,7 @@ class TestMinimizeBand:
         # on the coarse n = 2 grid at r = 0.8 both loops stop RESOLVED: the nodes cross
         # the kinks of psi, so the discrete minimum is fixed only to about the difference
         # step, and the two paths end at different such points.  Started where the
-        # quasi-Newton loop stopped, the FD-Newton loop finds no step either.
+        # exact-Newton loop stopped, the FD-Newton loop finds no step either.
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=96))
         res = rfamily._minimize_band(band, 0.8, None)
@@ -452,33 +536,6 @@ class TestMinimizeBand:
         point, value, _, stop = fd_newton_minimize(band, 0.8, res.point)  # x0 goes through log(A)
         assert stop == rfamily.RESOLVED and value == pytest.approx(res.value, rel=1e-14)
         assert np.linalg.norm(point.vec - res.point.vec) <= 1e-12
-
-    @pytest.mark.parametrize("scale", [1e6, 1e4, 1e-4, 1e-6])
-    def test_badly_scaled_model_reaches_oracle(self, fixture, quad, monkeypatch, scale):
-        # the limit's model Hessian scaled far off the true curvature: a stiff one predicts
-        # tiny steps and a decrease below rounding at once (trusted, it crawls to max_iter),
-        # a soft one overshoots by its scale; the first step's curvature rescales it, and
-        # every r still reaches the oracle
-        h, cs, _ = fixture
-        pair = canonical_pair()
-        F = ConvolutionProfile(pair)
-        nu = counting_measure(cs.points)
-        ref = minimize_functional(h, S, nu, F)
-        mu0 = extract_measure(ref, h, S, nu, F)
-        original = rfamily._minimize_band
-
-        def miscaled(band, r, theta0, hessian):
-            return original(band, r, theta0, None if hessian is None else scale * hessian)
-
-        monkeypatch.setattr(rfamily, "_minimize_band", miscaled)
-        with np.errstate(over="ignore", invalid="ignore"):  # soft models step beyond the barrier
-            sweep = r_sweep(h, S, pair, [0.8, 0.9, 0.95, 0.99], quad, ref, mu0)
-        band = rfamily._Band(h, S, pair, quad)
-        for e in sweep.entries:
-            ref_point, ref_value, _, _ = fd_newton_minimize(band, e.r)
-            assert e.solver.stop_reason in CONVERGED_STOPS
-            assert np.linalg.norm(e.point.vec - ref_point.vec) / (1.0 - e.r) <= 1e-5
-            assert e.value <= ref_value * (1.0 + 1e-10)
 
     @pytest.mark.parametrize("r", [0.8, 0.9])
     def test_same_loop_at_n2(self, r):
@@ -672,9 +729,8 @@ class TestBandGeometry:
         assert len(set(alone)) == len(alone)
 
     def test_minimize_band_never_revisits(self, fixture, quad, monkeypatch):
-        # every value(+gradient) call counts once; none repeats a position, the
-        # acceptance sweep stays within the quasi-Newton budget, and no r builds a
-        # difference Hessian: each starts from the limit's model
+        # every value-gradient-Hessian call counts once; none repeats a position, and
+        # the acceptance sweep stays within the Newton budget (it takes 4, 4, 3 and 3)
         h, cs, _ = fixture
         pair = canonical_pair()
         F = ConvolutionProfile(pair)
@@ -696,8 +752,7 @@ class TestBandGeometry:
         counts = [len(seen[r]) for r in schedule]
         assert counts == [e.solver.evaluations for e in sweep.entries]
         assert all(len(set(calls)) == len(calls) for calls in seen.values())
-        assert np.median(counts) <= 20 and max(counts) <= 40 and sum(counts) <= 30
-        assert sum(e.solver.hessian_builds for e in sweep.entries) == 0
+        assert max(counts) <= 5 and sum(counts) <= 16
         assert all(e.solver.stop_reason in CONVERGED_STOPS for e in sweep.entries)
 
     def test_sweep_integrals_match_public_calls(self, fixture, quad):
@@ -742,31 +797,33 @@ def _unblocked_terms(band, r, A, alpha, v, shifted):
         return None, None
     opened, inner, d_inner = rfamily._inner_band(band.f, band.g, r, c2, den[near], r2m1[near])
     at = near[opened]
-    terms = X[at], Y[at], W[at], h_y[opened], inner, d_inner
+    terms = X[at], Y[at], W[at], h_y[opened], inner, d_inner, den[at], r2m1[at]
     return terms, (c2, den[near], r2m1[near], opened)
 
 
 def _walked_terms(band, r, A, alpha, v, shifted):
-    """`_Band.blocks`'s open nodes (X[at], Y[opened], W, h_y, I, I') concatenated in walk
-    order, or None when the walk stops at the coercive barrier."""
+    """`_Band.blocks`'s open nodes (X[at], Y[opened], W, h_y, I, I', den[at], r2m1[at])
+    concatenated in walk order, or None when the walk stops at the coercive barrier."""
     blocks = list(band.blocks(r, A, alpha, v, shifted))
     if None in blocks:
         assert blocks[-1] is None  # the walk stops at the barrier
         return None
     n = band.h.n
-    terms = [(np.empty((0, n)),) * 2 + (np.empty(0),) * 4]
-    for W, h_y, inner, d_inner, X, at, Y, opened in blocks:
-        terms.append((X.take(at, axis=0), Y.take(opened, axis=0), W, h_y, inner, d_inner))
+    terms = [(np.empty((0, n)),) * 2 + (np.empty(0),) * 6]
+    for W, h_y, inner, d_inner, X, at, Y, opened, den, r2m1 in blocks:
+        terms.append((X.take(at, axis=0), Y.take(opened, axis=0), W, h_y, inner, d_inner,
+                      den.take(at), r2m1.take(at)))
     return tuple(np.concatenate(col) for col in zip(*terms))
 
 
 def _one_block(terms):
-    """The whole grid's open-node terms (X, Y, W, h_y, I, I') as one block of `_Band.blocks`."""
+    """The whole grid's open-node terms (X, Y, W, h_y, I, I', den, r2m1) as one block of
+    `_Band.blocks`."""
     if terms is None:
         return None
-    X, Y, W, h_y, inner, d_inner = terms
+    X, Y, W, h_y, inner, d_inner, den, r2m1 = terms
     every = np.arange(len(W))
-    return W, h_y, inner, d_inner, X, every, Y, every
+    return W, h_y, inner, d_inner, X, every, Y, every, den, r2m1
 
 
 class TestBlockedTerms:
@@ -829,13 +886,13 @@ class TestBlockedTerms:
                 shut = np.ones(len(c2), dtype=bool)
                 shut[opened] = False
                 assert np.any(shut) and not np.any(direct[shut])
-                _, Y, W, h_y, inner, d_inner = got
+                _, Y, W, h_y, inner, d_inner, _, _ = got
                 by_parts = _by_parts(r, c2[opened], inner, d_inner)
                 assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
                 if shifted:  # the measure's bump sums: omega/h_y^2 = W by_parts/(-(1-r) alpha h_y)
                     per_h2 = W * by_parts / (-(1.0 - r) * alpha * h_y)
                     for delta in (lambda x: np.ones(len(x)), lambda x: x[:, 0] > 0.0):
-                        got_mu = rfamily._band_sums(band, r, A, alpha, v, [delta])[4][0]
+                        got_mu = rfamily._band_sums(band, r, A, alpha, v, [delta])[3][0]
                         want = float(np.sum(per_h2 * delta(Y)))
                         assert abs(got_mu - want) <= 1e-13 * abs(want)
         # the last position lies partly where h = 0: refused
@@ -956,10 +1013,11 @@ class TestBlockedTerms:
             p = theta_point(theta, n, S)
             got = rfamily._band_value(band, 0.8, p)
             assert abs(got - rfamily._band_value(whole, 0.8, p)) <= tol * got
-            (got, grad), (want, want_grad) = (rfamily._band_value_grad(b, 0.8, theta)
-                                              for b in (band, whole))
+            (got, grad, hess), (want, want_grad, want_hess) = (
+                rfamily._band_value_grad(b, 0.8, theta) for b in (band, whole))
             assert abs(got - want) <= tol * want
             assert np.linalg.norm(grad - want_grad) <= tol * np.linalg.norm(want_grad)
+            assert np.linalg.norm(hess - want_hess) <= tol * np.linalg.norm(want_hess)
             (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(b, 0.8, p, bumps)
                                               for b in (band, whole))
             assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu)) and np.all(mu != 0.0)
@@ -1321,8 +1379,7 @@ class TestSweepFromLimit:
         for name in ("value", "lambda_r", "dist_to_identity", "normalized_s_trace",
                      "secant_to_reference", "secant_to_limit"):
             assert getattr(alone, name) == getattr(full, name), name
-        for name in ("value", "evaluations", "iterations", "stop_reason", "grad_norm",
-                     "hessian_builds"):
+        for name in ("value", "evaluations", "iterations", "stop_reason", "grad_norm"):
             assert getattr(alone.solver, name) == getattr(full.solver, name), name
 
     def test_one_band_geometry_per_sweep(self, fixture, quad, monkeypatch):
@@ -1376,12 +1433,22 @@ class TestSweepErrors:
     def _failing_at(monkeypatch, bad_r):
         original = rfamily._minimize_band
 
-        def flaky(band, r, theta0, hessian):
+        def flaky(band, r, theta0):
             if r == bad_r:
                 raise NotConverged("band functional infinite at the starting point")
-            return original(band, r, theta0, hessian)
+            return original(band, r, theta0)
 
         monkeypatch.setattr(rfamily, "_minimize_band", flaky)
+
+    def test_r_of_one_raises_bad_r(self, fixture, quad):
+        # no check before the minimizer: its first evaluation raises BadR at r = 1
+        h, cs, _ = fixture
+        pair = canonical_pair()
+        F = ConvolutionProfile(pair)
+        nu = counting_measure(cs.points)
+        ref = minimize_functional(h, S, nu, F)
+        with pytest.raises(BadR, match=r"r=1.0 outside"):
+            r_sweep(h, S, pair, [0.9, 1.0], quad, ref, extract_measure(ref, h, S, nu, F))
 
     def test_failed_r_keeps_reason(self, fixture, quad, monkeypatch):
         h, cs, _ = fixture
@@ -1420,8 +1487,7 @@ class TestSweepErrors:
         assert rows[0]["evaluations"] is None and rows[0]["stop_reason"] is None
         assert rows[1]["evaluations"] > 0
         # nothing passes from one r to the next: the row after the failed r is the row
-        # that r gives alone, and starts from the limit's model without a difference Hessian
-        assert rows[0]["hessian_builds"] is None and rows[1]["hessian_builds"] == 0
+        # that r gives alone
         assert rows[1]["stop_reason"] in CONVERGED_STOPS
         doc["r_schedule"] = [0.9]
         inst.write_text(json.dumps(doc))

@@ -35,7 +35,7 @@ def test_check_bench_correct_without_a_path_prints_usage():
 
 
 def _sweep_row(**changes):
-    row = {"r": 0.9, "evaluations": 5, "hessian_builds": 0,
+    row = {"r": 0.9, "evaluations": 5,
            "stop_reason": "predicted decrease below rounding", "error": None,
            "lambda_r": 0.4, "secant_to_limit": 0.08, "mu_integrals": [0.5, 0.5]}
     return {**row, **changes}
