@@ -8,9 +8,13 @@ rule integrates it exactly on every segment and the only quadrature error
 comes from the outer x grid.
 One kernel gives the inner integral I and its derivative I' in c^2 on the
 nodes where the band is open, and one walk of them (`_band_sums`) gives the
-band functional, its analytic gradient and Hessian in the minimizer's
-coordinates (so the minimizer is exact Newton), and, in closed form, the
-concentration-measure integrals and the stationarity multiplier.
+band functional and its analytic gradient and Hessian in the minimizer's
+coordinates (so the minimizer is exact Newton).  At n = 1 the kinks of psi
+join the walk's one kernel call.  The walk also keeps the open nodes'
+band-factor arguments and density weights, from which one reduction
+(`_measure`) gives, in closed form, the concentration-measure integrals and
+the stationarity multiplier: a sweep reads them from the minimizer's
+accepted evaluation and walks no grid after the minimizer.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 
     t_top = pullback(g_breaks[-1], np.empty(len(c2)))
     # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
-    is_open = np.flatnonzero(~(t_top <= -1.0))
+    is_open = (~(t_top <= -1.0)).nonzero()[0]
     c2, den, r2m1, t_top = c2[is_open], den[is_open], r2m1[is_open], t_top[is_open]
     m = len(c2)
     # the t-ends of f's pieces above -1, and of g's pieces below its top kink in [-1, t_top]
@@ -226,8 +230,8 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     g_ends.append(t_top)
     f_first = int(np.count_nonzero(f_pl.breaks <= -1.0))  # the piece of f right of -1
     # each end's least and greatest value: NaN where a node is NaN, and then no pair skips
-    g_lows = [np.min(e, initial=np.inf) for e in g_ends]
-    g_highs = [np.max(e, initial=-np.inf) for e in g_ends]
+    g_lows = [np.minimum.reduce(e, initial=np.inf) for e in g_ends]
+    g_highs = [np.maximum.reduce(e, initial=-np.inf) for e in g_ends]
 
     xi = _gauss(2)[0][:, None]  # the 2-point rule: nodes mid + xi half, both weights exactly 1
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
@@ -371,7 +375,8 @@ class _Band:
         flat = theta @ self.basis
         return flat[:n * n].reshape(n, n), flat[n * n + 1:]
 
-    def blocks(self, r: float, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool):
+    def blocks(self, r: float, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool,
+               kink_inputs=None):
         """Walk the grid at r block by block, yielding each block's open nodes.
 
         shifted: x is the band variable and the factor is evaluated at Ax + v
@@ -385,6 +390,12 @@ class _Band:
         x of `_axis_rule`); for `_band_sums`, the block's grid points X, the
         near nodes' band-factor arguments Y (the open nodes are rows `at` of X
         and `opened` of Y), and den and |z|^2 - 1 on X.
+        kink_inputs (n = 1 only, where the grid is one block): the kernel inputs
+        (c2, den, |x|^2 - 1) of more points, which join the block's one
+        `_inner_band` call after its near nodes; the block's tuple then ends
+        with their (opened, I, I').  The kernel integrates every node on its
+        own, so neither set moves a bit of the other, and the block is kept
+        even when no grid node is near.
         Yields None and stops at the first block where part of the band lies
         where h^(1/s)/alpha vanishes (or its square underflows).  h at the
         band-factor argument is evaluated only where the band can be open
@@ -469,7 +480,7 @@ class _Band:
             den *= 2.0
             den *= 1.0 - r
             near = np.flatnonzero(r2m1 < den * self.g.breaks[-1])
-            if not len(near):  # the band is closed on the whole block
+            if not len(near) and kink_inputs is None:  # the band is closed on the whole block
                 continue
             Y = X.take(near, axis=0)
             if shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
@@ -478,13 +489,23 @@ class _Band:
                     Y[:, k] += v[k]
             h_near = eval_h_many(self.h, Y) ** (1.0 / s)
             c2 = (h_near / alpha) ** 2
-            if not c2.min() > 0.0:  # NaN fails too
+            if not np.minimum.reduce(c2, initial=np.inf) > 0.0:  # NaN fails too
                 yield None
                 return
-            opened, inner, d_inner = _inner_band(self.f, self.g, r, c2, den[near], r2m1[near])
+            if kink_inputs is None:
+                opened, inner, d_inner = _inner_band(self.f, self.g, r, c2, den[near], r2m1[near])
+                tail = ()
+            else:  # the kinks join the call after the near nodes
+                opened, inner, d_inner = _inner_band(self.f, self.g, r, *[
+                    np.concatenate(pair) for pair in zip((c2, den[near], r2m1[near]), kink_inputs)])
+                m = np.searchsorted(opened, len(near))
+                tail = ((opened[m:] - len(near), inner[m:], d_inner[m:]),)
+                opened, inner, d_inner = opened[:m], inner[:m], d_inner[:m]
             at = near[opened]
+            # built in the yield: a tuple held by the generator would keep this block's
+            # arrays alive while the next one is built
             yield (np.multiply.outer(w_rows[r0:r1], w1[c0:c1]).ravel().take(at),
-                   h_near[opened], inner, d_inner, X, at, Y, opened, den, r2m1)
+                   h_near[opened], inner, d_inner, X, at, Y, opened, den, r2m1) + tail
 
 
 def _positive(A: np.ndarray, alpha: float) -> bool:
@@ -521,27 +542,40 @@ def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool, scale: float) 
     return value
 
 
-def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray, bumps=()):
+def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray):
     """The open nodes' sums at r and (A, alpha, v), from one shifted walk; None at the barrier.
 
-    (value, grad, hess, bump_sums): the band functional sum W c I, its
-    gradient and Hessian in the flat coordinates (A, log alpha, v) (`EPoint.vec`
-    layout, A unconstrained) and, per bump, sum omega delta(Y)/h_y^2.  With
+    (value, grad, hess, kept): the band functional sum W c I, its gradient
+    and Hessian in the flat coordinates (A, log alpha, v) (`EPoint.vec`
+    layout, A unconstrained), and per block the open nodes' Y and
+    omega/h_y^2, from which `_measure` sums every bump.  With
     c = h(y)^(1/s)/alpha at y = Ax + v, u = log c has the gradient -z,
     z = (a_j x^T/s, 1, a_j/s) for the active piece a_j(y) of psi, and no
     curvature off psi's kinks.  A node adds W phi(u) = W c I(c^2), so
     grad = -sum omega z with omega = W phi' = W c (I + 2 c^2 I'), and
     hess = sum W phi'' z z^T with phi'' = c (I + 8 c^2 I' + 4 c^4 I'')
     (`_inner_curvature`): at n >= 2, on a fixed grid, the exact Hessian of the
-    sum wherever it exists (n = 1 adds `_band_value_grad`'s kink terms).
+    sum wherever it exists.  The n = 1 grid follows psi's kinks y_k, across
+    which u's gradient jumps by -(da_k/s) dy, so hess adds per open kink
+    -(da_k/s) Phi_u dy dy^T/A at x_k = (y_k - v)/A, dy = (x_k, 0, 1), with
+    Phi_u = c (I + 2 c^2 I') from the walk's own kernel call (`_Band.blocks`'
+    kink_inputs), over the kinks with c^2 = (h(y_k)^(1/s)/alpha)^2 > 0 where
+    the band is open (q(-1) below g's top kink).
     """
     n, s = band.h.n, band.s
-    value, bump_sums = 0.0, np.zeros(len(bumps))
+    value, kept = 0.0, []
     grad, hess = np.zeros(n * n + 1 + n), np.zeros((n * n + 1 + n,) * 2)
-    for block in band.blocks(r, A, alpha, v, shifted=True):
+    kinks = None
+    if band.breaks is not None:  # the kernel inputs of psi's open kinks, at x_k = (y_k - v)/A
+        a, x_k = float(A[0, 0]), (band.breaks - v[0]) / float(A[0, 0])
+        den_k = 2.0 * (1.0 - r) * eval_h_many(band.h, x_k[:, None]) ** (2.0 / s)
+        r2m1_k, c2_k = x_k * x_k - 1.0, (band.h_breaks / alpha) ** 2
+        k = np.flatnonzero((den_k * band.g.breaks[-1] - r2m1_k > c2_k * r * r) & (c2_k > 0.0))
+        kinks = c2_k[k], den_k[k], r2m1_k[k]
+    for block in band.blocks(r, A, alpha, v, True, kinks):
         if block is None:
             return None
-        W, h_y, inner, d_inner, X, at, Y, opened, den, r2m1 = block
+        W, h_y, inner, d_inner, X, at, Y, opened, den, r2m1 = block[:10]
         X, Y = X.take(at, axis=0), Y.take(opened, axis=0)
         c = h_y / alpha
         value += float(np.sum(W * c * inner))
@@ -554,9 +588,15 @@ def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray
         z[:, n * n] = 1.0
         grad -= omega @ z
         hess += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
-        for k, delta in enumerate(bumps):
-            bump_sums[k] += float(np.sum(omega / (h_y * h_y) * delta(Y)))
-    return value, grad, hess, bump_sums
+        kept.append((Y, omega / (h_y * h_y)))
+        if kinks is not None:
+            opened, inner, d_inner = block[10]
+            c2, at = kinks[0][opened], k[opened]
+            dy = np.zeros((len(at), 3))
+            dy[:, 0], dy[:, 2] = x_k[at], 1.0
+            phi_u = np.sqrt(c2) * (inner + 2.0 * c2 * d_inner)
+            hess += (dy.T * (-band.jumps[at] / (s * a) * phi_u)) @ dy
+    return value, grad, hess, kept
 
 
 # 1/(a + b + 2)! for a, b <= 10: the Taylor coefficients of exp[x, 0, z] on x^a z^b
@@ -589,7 +629,8 @@ def _exp_divided_differences(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
-    """Band functional, gradient and Hessian at r and theta; (inf, None, None) beyond the barrier.
+    """Band functional, gradient, Hessian and walk at r and theta; (inf, None, None, None)
+    beyond the barrier.
 
     theta (`_Band.split`) stands for (exp S, exp(-tr S / s), v) with
     (S, -tr S/s, v) = theta @ basis.  The one eigh of S in `_expm_sym_eig`,
@@ -599,11 +640,9 @@ def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
     derivatives are L(S, E)_ij = E_ij exp[l_i, l_j] and L2(S; E, F)_ij =
     sum_m (E_im F_mj + F_im E_mj) exp[l_i, l_m, l_j] (Daleckii-Krein).  With J the
     basis rows, their A-part mapped by L, `_band_sums`'s flat derivatives give
-    J grad and J hess J^T + <L2(S; dS_k, dS_l), grad_A>.  The n = 1 grid follows
-    psi's kinks y_k, across which u's gradient jumps by -(da_k/s) dy, so the
-    flat Hessian adds per open kink -(da_k/s) Phi_u dy dy^T/A at
-    x_k = (y_k - v)/A, dy = (x_k, 0, 1), with Phi_u = c (I + 2 c^2 I') from one
-    `_inner_band` call on the kinks.
+    J grad and J hess J^T + <L2(S; dS_k, dS_l), grad_A>.  The walk,
+    (A, alpha, v, the flat gradient, `_band_sums`' kept arrays), is what
+    `_measure` reduces to lambda_r and the bump integrals at this theta.
     """
     n, s = band.h.n, band.s
     S, v = band.split(theta)
@@ -611,26 +650,14 @@ def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
     alpha = float(np.exp(-np.trace(S) / s))
     sums = _band_sums(band, r, A, alpha, v)
     if sums is None:
-        return float("inf"), None, None
-    value, grad, hess, _ = sums
-    if band.breaks is not None:
-        a, x = float(A[0, 0]), (band.breaks - v[0]) / float(A[0, 0])
-        den, r2m1 = 2.0 * (1.0 - r) * eval_h_many(band.h, x[:, None]) ** (2.0 / s), x * x - 1.0
-        c2 = (band.h_breaks / alpha) ** 2
-        k = np.flatnonzero((den * band.g.breaks[-1] - r2m1 > c2 * r * r) & (c2 > 0.0))  # open
-        if len(k):
-            opened, inner, d_inner = _inner_band(band.f, band.g, r, c2[k], den[k], r2m1[k])
-            k, c2 = k[opened], c2[k[opened]]
-            dy = np.zeros((len(k), 3))
-            dy[:, 0], dy[:, 2] = x[k], 1.0
-            phi_u = np.sqrt(c2) * (inner + 2.0 * c2 * d_inner)
-            hess += (dy.T * (-band.jumps[k] / (s * a) * phi_u)) @ dy
+        return float("inf"), None, None, None
+    value, grad, hess, kept = sums
     gamma1, gamma2 = _exp_divided_differences(lam)
     E = V.T @ band.basis[:, :n * n].reshape(-1, n, n) @ V  # the basis rows' dS, in S's eigenbasis
     J = band.basis.copy()
     J[:, :n * n] = (V @ (E * gamma1) @ V.T).reshape(-1, n * n)
     second = np.einsum("ij,imj,kim,lmj->kl", V.T @ grad[:n * n].reshape(n, n) @ V, gamma2, E, E)
-    return value, J @ grad, J @ hess @ J.T + second + second.T
+    return value, J @ grad, J @ hess @ J.T + second + second.T, (A, alpha, v, grad, kept)
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -651,29 +678,43 @@ def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: fl
     return float(alpha ** (s - 1.0) * _value_sum(band, r, A, alpha, shift, False, 1.0))
 
 
+def _measure(band: _Band, r: float, walk, bumps) -> tuple[np.ndarray, float]:
+    """Every bump's integral against the concentration measure, and the multiplier, of one walk.
+
+    walk is (A, alpha, v, grad, kept): a position, and the flat gradient and
+    kept arrays that `_band_sums` walked there.  The measure's density in y is
+    alpha^(s-1) D / h^(1/s), with, by parts (`check_band_pair`),
+    D = integral f'(t) (1+(1-r)t) g(q(t)) dt = -(1-r)(I + 2 c^2 I').  In the
+    band variable (y = Ax + v, Jacobian J = alpha^s det A, 1 on the
+    minimizer's manifold) both are closed forms: mu_r(delta) = -(1-r) J
+    sum omega delta(Y)/h_y^2, summed block by block, and
+    lambda_r = J grad . (A, s, v)/(n + s^2), the derivative along the scaling,
+    i.e. the measure's sum of h^(2/s) ((1/s) a_j . y + s) over (1-r)(n + s^2).
+    """
+    A, alpha, v, grad, kept = walk
+    bump_sums = np.zeros(len(bumps))
+    for Y, per_h2 in kept:
+        for k, delta in enumerate(bumps):
+            bump_sums[k] += float(np.sum(per_h2 * delta(Y)))
+    s, jac = band.s, alpha ** band.s * np.linalg.det(A)
+    lam = jac * (grad @ np.concatenate([A.ravel(), [s], v])) / (band.h.n + s * s)
+    return (-(1.0 - r) * jac) * bump_sums, float(lam)
+
+
 def _band_measure(band: _Band, r: float, p: EPoint, bumps) -> tuple[np.ndarray, float]:
     """Every bump's integral against the concentration measure at r and p, and the multiplier.
 
-    The measure's density in y is alpha^(s-1) D / h^(1/s), with, by parts
-    (`check_band_pair`), D = integral f'(t) (1+(1-r)t) g(q(t)) dt
-    = -(1-r)(I + 2 c^2 I').  In the band variable (y = Ax + v, Jacobian
-    J = alpha^s det A, 1 on the minimizer's manifold) both are closed forms
-    in the `_band_sums`: mu_r(delta) = -(1-r) J sum omega delta(Y)/h_y^2 and
-    lambda_r = J grad . (A, s, v)/(n + s^2), the derivative along the scaling,
-    i.e. the measure's sum of h^(2/s) ((1/s) a_j . y + s) over (1-r)(n + s^2).
-    SingularA unless the block is SPD with a positive corner; NotInBr when
-    part of the band lies where h vanishes.
+    One `_band_sums` walk at p, reduced by `_measure`.  SingularA unless the
+    block is SPD with a positive corner; NotInBr when part of the band lies
+    where h vanishes.
     """
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if not _positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    sums = _band_sums(band, r, A, alpha, v, bumps)
+    sums = _band_sums(band, r, A, alpha, v)
     if sums is None:
         raise NotInBr("the band reaches where h vanishes")
-    _, grad, _, bump_sums = sums
-    s, jac = band.s, alpha ** band.s * np.linalg.det(A)
-    lam = jac * (grad @ np.concatenate([A.ravel(), [s], v])) / (band.h.n + s * s)
-    return (-(1.0 - r) * jac) * bump_sums, float(lam)
+    return _measure(band, r, (A, alpha, v, sums[1], sums[3]), bumps)
 
 
 def concentration_integral(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -715,15 +756,16 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     loses nothing at a minimum), and minimized by Newton from the identity
     on the analytic gradient and Hessian: `_minimize_band` at r on a band
     geometry built for this call.  Returns the minimizer and the
-    stationarity multiplier, from one `_band_sums` walk at the minimizer.
+    stationarity multiplier, from the walk of the minimizer's accepted
+    evaluation (`_measure`).
     """
     band = _Band(h, s, pair, quad)
-    point = _minimize_band(band, r, None).point
-    return point, _band_measure(band, r, point, ())[1]
+    solver, walk = _minimize_band(band, r, None)
+    return solver.point, _measure(band, r, walk, ())[1]
 
 
-def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> BandMinimum:
-    """minimize_band at r on a prepared band geometry, as a solver record.
+def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[BandMinimum, tuple]:
+    """minimize_band at r on a prepared band geometry: a solver record and the minimizer's walk.
 
     theta0 is the start in theta, the coordinates on the rows of `trace0_array`
     (None: theta = 0, where `minimize_band` starts); `r_sweep` starts from the
@@ -739,6 +781,12 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> BandMini
     discrete functional stops following its Newton model, as on a fixed n >= 2
     grid, whose nodes cross the kinks of psi one by one.  A start beyond the
     barrier raises NotConverged; after BAND_MAX_ITER steps it stops ("max_iter").
+    The walk is the one `_band_value_grad` returned at the accepted iterate,
+    which the record's point is bit for bit, so `_measure` on it is
+    `_band_measure` there without a walk.  Besides the walk being built, the
+    loop holds the accepted iterate's walk and the last candidate's; the
+    caller reduces the returned walk and drops it, and no record holds
+    open-node arrays.
     """
     evals = 0
 
@@ -748,7 +796,7 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> BandMini
         return _band_value_grad(band, r, theta)
 
     theta = np.zeros(len(band.basis)) if theta0 is None else theta0
-    value, grad, hess = evaluate(theta)
+    value, grad, hess, walk = evaluate(theta)
     if not np.isfinite(value):
         raise NotConverged("band functional infinite at the starting point",
                            reason="infinite start", iterations=0, evaluations=evals)
@@ -762,7 +810,7 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> BandMini
             break
         t = 1.0
         while True:
-            c_value, c_grad, c_hess = evaluate(theta + t * delta)
+            c_value, c_grad, c_hess, c_walk = evaluate(theta + t * delta)
             if c_value <= value - 2e-4 * t * decrease:
                 break
             t *= 0.5
@@ -772,11 +820,12 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> BandMini
         if t == 0.0:
             stop = RESOLVED
             break
-        theta, value, grad, hess, it = theta + t * delta, c_value, c_grad, c_hess, it + 1
+        theta, value, grad, hess, walk = theta + t * delta, c_value, c_grad, c_hess, c_walk
+        it += 1
     S, v = band.split(theta)
     return BandMinimum(point=EPoint(BlockMat(*sdet1_param(S, band.s)), v), value=value,
                        evaluations=evals, iterations=it, stop_reason=stop,
-                       grad_norm=float(np.linalg.norm(grad)))
+                       grad_norm=float(np.linalg.norm(grad))), walk
 
 
 def _newton(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
@@ -851,8 +900,9 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     normalized by (1-r) * lambda_r and scaled by the reference multiplier,
     which makes them comparable with the reference measure: at the exact
     minimizer both normalized measures satisfy the same identity-direction
-    moment identity.  One band geometry (`_Band`) serves every r, and one
-    `_band_sums` walk at each minimizer gives every bump integral and lambda_r.
+    moment identity.  One band geometry (`_Band`) serves every r, and the
+    walk of the minimizer's accepted evaluation gives every bump integral and
+    lambda_r (`_measure`): no grid is walked after the minimizer.
 
     Every r starts from the curvature-weighted limit of the band family
     (`isotropy.limit_reference`, computed once per call from h, s and the
@@ -880,10 +930,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     for r in schedule:
         omr = 1.0 - r
         try:
-            solver = _minimize_band(band, r, omr * c_lim)
-            point, value = solver.point, solver.value
-            mu_vals, lam_r = _band_measure(band, r, point, bumps)
-        except (NotConverged, NotInBr, SingularA) as exc:
+            solver, walk = _minimize_band(band, r, omr * c_lim)
+        except NotConverged as exc:
             nan = float("nan")
             result.entries.append(SweepEntry(
                 r=r, point=None, rescaled=None, lambda_r=nan, value=nan,
@@ -891,6 +939,9 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
                 secant_to_limit=nan, mu_integrals=np.full(len(bumps), np.nan),
                 mu_reference=ref_integrals, error=f"{type(exc).__name__}: {exc}"))
             continue
+        mu_vals, lam_r = _measure(band, r, walk, bumps)
+        del walk  # the open nodes' arrays are freed before the next r is walked
+        point, value = solver.point, solver.value
         diff = point.vec - ident
         rescaled = EPoint.from_vec(diff * (1.0 / omr), n)
         flat = rescaled.vec

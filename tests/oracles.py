@@ -550,6 +550,30 @@ def density_sums(band, r: float, minimizer: EPoint, bumps) -> tuple[np.ndarray, 
     return integrals, moment / ((1.0 - r) * (band.h.n + s * s))
 
 
+def kink_hessian(band, r: float, A: np.ndarray, alpha: float, v: np.ndarray) -> np.ndarray:
+    """The n = 1 kink term of `rfamily._band_sums`' flat Hessian, from a kernel call of its own.
+
+    The separate `_inner_band` call on psi's open kinks that the term took
+    before the kinks joined the walk's call, kept as its bit-for-bit
+    reference: per open kink y_k, -(da_k/s) Phi_u dy dy^T/A at
+    x_k = (y_k - v)/A, dy = (x_k, 0, 1), Phi_u = c (I + 2 c^2 I').  The
+    3 x 3 zero matrix when no kink is open.
+    """
+    s, hess = band.s, np.zeros((3, 3))
+    a, x = float(A[0, 0]), (band.breaks - v[0]) / float(A[0, 0])
+    den, r2m1 = 2.0 * (1.0 - r) * eval_h_many(band.h, x[:, None]) ** (2.0 / s), x * x - 1.0
+    c2 = (band.h_breaks / alpha) ** 2
+    k = np.flatnonzero((den * band.g.breaks[-1] - r2m1 > c2 * r * r) & (c2 > 0.0))  # open
+    if len(k):
+        opened, inner, d_inner = rfamily._inner_band(band.f, band.g, r, c2[k], den[k], r2m1[k])
+        k, c2 = k[opened], c2[k[opened]]
+        dy = np.zeros((len(k), 3))
+        dy[:, 0], dy[:, 2] = x[k], 1.0
+        phi_u = np.sqrt(c2) * (inner + 2.0 * c2 * d_inner)
+        hess += (dy.T * (-band.jumps[k] / (s * a) * phi_u)) @ dy
+    return hess
+
+
 def theta_point(theta, n: int, s: float):
     """The position at theta, coordinates on the rows of `trace0_array`, by `sdet1_param`.
 

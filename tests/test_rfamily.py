@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -19,7 +20,7 @@ from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            concentration_integral, default_bumps, minimize_band, r_sweep,
                            rescaled_band_functional, stationarity_multiplier, trapezoid_bump)
 from oracles import (density_sums, envelope_breaks_scan, expm_derivatives,
-                     fd_newton_minimize, pl_deriv, s_det,
+                     fd_newton_minimize, kink_hessian, pl_deriv, s_det,
                      sorted_inner_band, theta_point, x_grid)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -347,7 +348,7 @@ class TestBandGradient:
         step, worst = 1e-6, 0.0
         for _ in range(20):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=2)
-            value, grad, _ = rfamily._band_value_grad(band, r, theta)
+            value, grad, _, _ = rfamily._band_value_grad(band, r, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(2)])
             worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
@@ -366,7 +367,7 @@ class TestBandGradient:
         step = 1e-6
         for _ in range(3):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=5)
-            _, grad, _ = rfamily._band_value_grad(band, r, theta)
+            _, grad, _, _ = rfamily._band_value_grad(band, r, theta)
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(5)])
             assert np.linalg.norm(fd - grad) <= 1e-4 * np.linalg.norm(grad)
@@ -394,7 +395,7 @@ class TestBandGradient:
         band = rfamily._Band(bounded, S, canonical_pair(), QuadratureSpec())
         theta = np.array([0.0, 0.5])
         assert rfamily._band_value(band, 0.9, theta_point(theta, 1, S)) == float("inf")
-        assert rfamily._band_value_grad(band, 0.9, theta) == (float("inf"), None, None)
+        assert rfamily._band_value_grad(band, 0.9, theta) == (float("inf"), None, None, None)
 
 
 def _octahedron_cube_n3():
@@ -441,6 +442,56 @@ class TestBandHessian:
         for theta in [np.zeros(2)] + [rng.normal(scale=0.3 * (1.0 - r), size=2)
                                       for _ in range(3)]:
             assert _hessian_error(band, r, theta) <= 1e-4
+
+    @pytest.mark.parametrize("pair, s", [("canonical", S), ("ci-custom", S), ("canonical", 2.0)])
+    @pytest.mark.parametrize("r", [0.8, 0.95])
+    def test_kink_term_matches_its_own_kernel_call(self, fixture, quad, pair, s, r):
+        # psi's open kinks join the walk's one `_inner_band` call after the near grid nodes.
+        # The kernel integrates every node on its own, so the flat Hessian is bit for bit the
+        # grid's (a band whose kinks have no slope jump adds a kink term of zeros) plus the
+        # term from a kernel call on the kinks alone (`oracles.kink_hessian`)
+        pair = canonical_pair() if pair == "canonical" else _ci_custom_pair()
+        h = fixture[0] if s == S else make_tangent_instance(
+            np.sqrt([0.8, 0.4, 0.4, 0.8])[:, None] * np.array([[-1.0], [-1.0], [1.0], [1.0]]), s)
+        band, smooth = rfamily._Band(h, s, pair, quad), rfamily._Band(h, s, pair, quad)
+        smooth.jumps = np.zeros_like(band.jumps)
+        rng = np.random.default_rng(int(1000 * r))
+        for theta in [np.zeros(2)] + [rng.normal(scale=0.3 * (1.0 - r), size=2)
+                                      for _ in range(3)]:
+            Sm, v = band.split(theta)
+            A, alpha = sdet1_param(Sm, s)
+            term = kink_hessian(band, r, A, alpha, v)
+            assert np.any(term != 0.0)
+            want = rfamily._band_sums(smooth, r, A, alpha, v)[2] + term
+            assert np.array_equal(rfamily._band_sums(band, r, A, alpha, v)[2], want)
+
+    def test_kink_open_where_no_grid_node_is_near(self, monkeypatch):
+        # with g's top kink at -0.5 a node is near only where |x|^2 - 1 < -(1-r) h^(2/s).
+        # psi falls with slope -300, then -250 from its kink at -0.999, where
+        # (1-r) h^(2/s) = 1e-3, and is flat from -0.699: on the 25-node grid (radius 1.2)
+        # that holds on a sliver around the kink between two nodes, -1.003 and -0.993.  The
+        # walk still makes its one kernel call, on the kink alone, and the kink's term is
+        # the whole Hessian
+        r = 0.9
+        psi_k = -0.5 * np.log(1e-3 / (1.0 - r))
+        h = make_log_concave(np.array([[-300.0], [-250.0], [0.0]]),
+                             psi_k + np.array([-299.7, -249.75, -75.0]), S, domain_radius=1.2)
+        pair = ProfilePair(f=canonical_pair().f,
+                           g=PiecewiseLinear.from_knots([-1.0, -0.5], [1.0, 0.0]))
+        band = rfamily._Band(h, S, pair, QuadratureSpec(x_nodes_per_axis=25))
+        assert np.allclose(band.breaks, [-0.999, -0.699])
+        A, alpha, v = np.eye(1), 10.0, np.zeros(1)
+        calls, inner_band = [], rfamily._inner_band
+
+        def spy_inner_band(f, g, r, c2, den, r2m1):
+            calls.append(len(c2))
+            return inner_band(f, g, r, c2, den, r2m1)
+
+        monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
+        value, _, hess, kept = rfamily._band_sums(band, r, A, alpha, v)
+        assert calls == [1] and value == 0.0 and sum(len(w) for _, w in kept) == 0
+        term = kink_hessian(band, r, A, alpha, v)
+        assert np.any(term != 0.0) and np.array_equal(hess, term)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_central_differences_fixed_grid(self, n):
@@ -506,7 +557,7 @@ class TestMinimizeBand:
         h, _, _ = fixture
         band = rfamily._Band(h, S, canonical_pair(), quad)
         ref_point, ref_value = _compass_minimize(band, r)
-        res = rfamily._minimize_band(band, r, None)
+        res, _ = rfamily._minimize_band(band, r, None)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 6  # Newton takes 4
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -518,7 +569,7 @@ class TestMinimizeBand:
         band = rfamily._Band(h, S, canonical_pair(),
                              QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96))
         ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band, r)
-        res = rfamily._minimize_band(band, r, None)
+        res, _ = rfamily._minimize_band(band, r, None)
         assert res.stop_reason in CONVERGED_STOPS
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -531,7 +582,7 @@ class TestMinimizeBand:
         # exact-Newton loop stopped, the FD-Newton loop finds no step either.
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=96))
-        res = rfamily._minimize_band(band, 0.8, None)
+        res, _ = rfamily._minimize_band(band, 0.8, None)
         assert res.stop_reason == rfamily.RESOLVED
         point, value, _, stop = fd_newton_minimize(band, 0.8, res.point)  # x0 goes through log(A)
         assert stop == rfamily.RESOLVED and value == pytest.approx(res.value, rel=1e-14)
@@ -542,7 +593,7 @@ class TestMinimizeBand:
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         quad = QuadratureSpec(x_nodes_per_axis=96)
         band = rfamily._Band(h, S, canonical_pair(), quad)
-        res = rfamily._minimize_band(band, r, None)
+        res, _ = rfamily._minimize_band(band, r, None)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 60
         assert s_det(res.point.mat, S) == pytest.approx(1.0, abs=1e-10)
         assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
@@ -552,7 +603,7 @@ class TestMinimizeBand:
         h, _, _ = fixture
         monkeypatch.setattr(rfamily, "BAND_MAX_ITER", 0)
         band = rfamily._Band(h, S, canonical_pair(), quad)
-        res = rfamily._minimize_band(band, 0.9, None)
+        res, _ = rfamily._minimize_band(band, 0.9, None)
         assert res.iterations == 0 and res.stop_reason == "max_iter"
         assert np.linalg.norm(res.point.vec - identity_point().vec) == 0.0
         p, lam = minimize_band(h, S, canonical_pair(), 0.9, quad)
@@ -605,7 +656,7 @@ class TestConcentration:
         bumps = default_bumps(counting_measure(detect_contacts(h, S).points))
         band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=nodes))
         for r in schedule:
-            p = rfamily._minimize_band(band, r, None).point
+            p = rfamily._minimize_band(band, r, None)[0].point
             off = EPoint(BlockMat(1.05 * p.mat.diag, 0.95 * p.mat.corner), p.shift)
             for q in (p, off):
                 (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(band, r, q, bumps),
@@ -891,8 +942,9 @@ class TestBlockedTerms:
                 assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
                 if shifted:  # the measure's bump sums: omega/h_y^2 = W by_parts/(-(1-r) alpha h_y)
                     per_h2 = W * by_parts / (-(1.0 - r) * alpha * h_y)
+                    kept = rfamily._band_sums(band, r, A, alpha, v)[3]
                     for delta in (lambda x: np.ones(len(x)), lambda x: x[:, 0] > 0.0):
-                        got_mu = rfamily._band_sums(band, r, A, alpha, v, [delta])[3][0]
+                        got_mu = sum(float(np.sum(w * delta(y))) for y, w in kept)
                         want = float(np.sum(per_h2 * delta(Y)))
                         assert abs(got_mu - want) <= 1e-13 * abs(want)
         # the last position lies partly where h = 0: refused
@@ -1000,8 +1052,14 @@ class TestBlockedTerms:
         quad = QuadratureSpec(x_nodes_per_axis=nodes)
         band = rfamily._Band(h, S, canonical_pair(), quad)
         whole = rfamily._Band(h, S, canonical_pair(), quad)
-        whole.blocks = lambda r, A, alpha, v, shifted: iter(
-            [_one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0])])
+
+        def whole_blocks(r, A, alpha, v, shifted, kink_inputs=None):
+            block = _one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0])
+            if block is not None and kink_inputs is not None:  # psi's kinks in a call of their own
+                block += (rfamily._inner_band(band.f, band.g, r, *kink_inputs),)
+            return iter([block])
+
+        whole.blocks = whole_blocks
         if n > 1:  # at least three blocks
             per_row = len(x_grid(1, 1.0, nodes)[0])
             assert per_row ** (n - 1) >= 2 * max(1, block // per_row) + 1
@@ -1013,7 +1071,7 @@ class TestBlockedTerms:
             p = theta_point(theta, n, S)
             got = rfamily._band_value(band, 0.8, p)
             assert abs(got - rfamily._band_value(whole, 0.8, p)) <= tol * got
-            (got, grad, hess), (want, want_grad, want_hess) = (
+            (got, grad, hess, _), (want, want_grad, want_hess, _) = (
                 rfamily._band_value_grad(b, 0.8, theta) for b in (band, whole))
             assert abs(got - want) <= tol * want
             assert np.linalg.norm(grad - want_grad) <= tol * np.linalg.norm(want_grad)
@@ -1426,6 +1484,72 @@ class TestSweepFromLimit:
         with pytest.raises(DivergingIterates, match="limit functional is not coercive"):
             r_sweep(h, S, canonical_pair(), [0.8, 0.9], QuadratureSpec(x_nodes_per_axis=96),
                     None, None)
+
+
+def _held_arrays(obj):
+    """Every numpy array that obj holds through attributes, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for item in vars(obj).values():
+            yield from _held_arrays(item)
+
+
+class TestSweepReadsTheMinimizersWalk:
+    """A row's lambda_r and bump integrals come from the minimizer's accepted evaluation."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_equal_the_measure_at_their_points(self, n, monkeypatch):
+        # the acceptance fixture at 960 nodes, the triangle plus square at 240 and the
+        # rotated octahedron plus cube at 64.  The sweep walks the grid once per
+        # evaluation and no more (at n = 1 with one kernel call per walk, psi's kinks
+        # included), and every row is bit for bit `_band_measure` walked at its point,
+        # though the RSweepResult holds no array of the open nodes
+        if n == 1:
+            h, cs, _ = two_level_cross_fixture(1, S, 0.4, 0.8)
+            points, quad, schedule = cs.points, QuadratureSpec(), [0.8, 0.9, 0.95, 0.99]
+        else:
+            h = _triangle_square_n2() if n == 2 else _octahedron_cube_n3()
+            points = detect_contacts(h, S).points
+            quad, schedule = QuadratureSpec(x_nodes_per_axis=240 if n == 2 else 64), [0.8, 0.9]
+        pair = canonical_pair()
+        F = ConvolutionProfile(pair)
+        nu = counting_measure(points)
+        ref = minimize_functional(h, S, nu, F)
+        mu0 = extract_measure(ref, h, S, nu, F)
+        walks, kernel_calls = [], []
+        blocks, inner_band = rfamily._Band.blocks, rfamily._inner_band
+
+        def spy_blocks(band, r, *args):
+            walks.append(r)
+            return blocks(band, r, *args)
+
+        def spy_inner_band(*args):
+            kernel_calls.append(len(args[3]))
+            return inner_band(*args)
+
+        monkeypatch.setattr(rfamily._Band, "blocks", spy_blocks)
+        monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
+        sweep = r_sweep(h, S, pair, schedule, quad, ref, mu0)
+        monkeypatch.setattr(rfamily._Band, "blocks", blocks)
+        monkeypatch.setattr(rfamily, "_inner_band", inner_band)
+        assert len(walks) == sum(e.solver.evaluations for e in sweep.entries)
+        if n == 1:
+            assert len(kernel_calls) == len(walks)
+        band, bumps = rfamily._Band(h, S, pair, quad), default_bumps(mu0)
+        least_open = np.inf
+        for e in sweep.entries:
+            assert e.error is None
+            mu, lam = rfamily._band_measure(band, e.r, e.point, bumps)
+            assert e.lambda_r == lam
+            assert np.array_equal(e.mu_integrals, ref.lam * mu / ((1.0 - e.r) * lam))
+            kept = rfamily._band_sums(band, e.r, e.point.mat.diag, e.point.mat.corner,
+                                      e.point.shift)[3]
+            least_open = min(least_open, sum(len(w) for _, w in kept))
+        assert max(a.size for a in _held_arrays(sweep)) < least_open
 
 
 class TestSweepErrors:
