@@ -101,10 +101,12 @@ def _check_s(s) -> None:
 
 
 def _r_schedule(inst: dict) -> list:
-    """The instance's `r_schedule`, which must be a list of numbers in (1/2, 1)."""
+    """The instance's `r_schedule`, which must be a nonempty list of numbers in (1/2, 1)."""
     schedule = inst.get("r_schedule", INSTANCE_DEFAULTS["r_schedule"])
-    if not (isinstance(schedule, list) and all(_is_number(r) and 0.5 < r < 1.0 for r in schedule)):
-        raise InputError(f"r_schedule must be a list of numbers in (1/2, 1), got {schedule!r}")
+    if not (isinstance(schedule, list) and schedule
+            and all(_is_number(r) and 0.5 < r < 1.0 for r in schedule)):
+        raise InputError(f"r_schedule must be a nonempty list of numbers in (1/2, 1), "
+                         f"got {schedule!r}")
     return schedule
 
 

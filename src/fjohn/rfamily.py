@@ -6,15 +6,16 @@ t = (scaled height - 1)/(1-r) turns the inner integral into a piecewise
 cubic in t whenever the profiles are piecewise linear, so the 2-point Gauss
 rule integrates it exactly on every segment and the only quadrature error
 comes from the outer x grid.
-One kernel gives the inner integral I and its derivative I' in c^2 on the
-nodes where the band is open, and one walk of them (`_band_sums`) gives the
-band functional and its analytic gradient and Hessian in the minimizer's
-coordinates (so the minimizer is exact Newton).  At n = 1 the kinks of psi
-join the walk's one kernel call.  The walk also keeps the open nodes'
-band-factor arguments and density weights, from which one reduction
-(`_measure`) gives, in closed form, the concentration-measure integrals and
-the stationarity multiplier: a sweep reads them from the minimizer's
-accepted evaluation and walks no grid after the minimizer.
+One kernel (`_inner_band`) gives the inner integral I on the nodes where the
+band is open, and for the minimizer also its first two derivatives in c^2.
+One walk of the grid (`_Band.blocks`) feeds it block by block: the value
+walks sum the band functional, and the derivative walk (`_band_sums`, with
+psi's kinks in the same kernel call at n = 1) gives its analytic gradient and
+Hessian, so the minimizer is exact Newton.  The derivative walk keeps the open
+nodes' band-factor arguments and density weights, from which one reduction
+(`_measure`) gives the concentration-measure integrals and the stationarity
+multiplier in closed form: a sweep reads them from the minimizer's accepted
+evaluation and walks no grid after the minimizer.
 """
 
 from __future__ import annotations
@@ -171,63 +172,74 @@ _BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.blocks`: ~32k, so tempo
 
 
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
-                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray):
-    """The inner t-integral I and its derivative I' in c2, on the nodes where the band is open.
+                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray, derivs: bool):
+    """The inner t-integral I on the open nodes, and with derivs I' and I'' in c2 there.
 
-    I  = integral of f(t) g(q(t)) dt,
-    I' = integral of f(t) g'(q(t)) (1+(1-r)t)^2/den dt,
-    with q(t) = (r2m1 + c2 (1+(1-r)t)^2)/den, increasing in t >= -1, for
-    c2 > 0 and den > 0 (`_Band` makes sure of both).  Returns (open, I, I'):
-    the indices of the open nodes and the two integrals there.  The band is
-    open only where the pullback t_top of the top kink of g lies above -1;
-    everywhere else each segment end clips to -1 and both integrals are
-    exactly 0.  On [-1, t_top] the integrands are polynomials of degree
-    <= 3 on the overlap of a piece i of f with the t-range of a piece j of
-    g (between the pullbacks of its kinks), so the 2-point Gauss rule is
-    exact there, with the slopes and intercepts of i and j as constants.
-    The kernel walks every pair (i, j) on every node; an empty overlap has
-    b = a and adds exactly 0, and the pairs come in increasing t, so the
-    sums run in the order of the sorted segment ends.  A piece of g with
-    slope 0 needs no q (0 q + c = c) and adds nothing to I'.  A pair that
-    no node reaches is skipped.  Every node is integrated on its own, so
-    `_Band.blocks` calls this on one block of the grid at a time and gets
-    the same bits as on the whole grid.  f(t) g(q(t)) is continuous at
-    every segment end and vanishes at the top one, so moving the ends with
-    c2 adds no term to I': it is accumulated in the same pass.  The kernel
-    works in place: each pullback is computed one g kink at a time into
-    its own array, and every pass writes into the same few preallocated
-    (2, nodes) work arrays through `out=` ufuncs, each operation on the
-    operands and in the order of the plain expression in its comment (up to
-    the order of the two factors of a product or terms of a sum, which
-    rounds alike), so I and I' keep the bits of those expressions.
+    I = integral of f(t) g(q(t)) dt and I' = integral of f(t) g'(q(t)) tau^2/den dt,
+    with tau = 1+(1-r)t and q(t) = (r2m1 + c2 tau^2)/den, increasing in t >= -1,
+    for c2 > 0 and den > 0 (`_Band` makes sure of both).  Returns (open, I, I',
+    I'') with derivs and (open, I) without: the indices of the open nodes and
+    the integrals there.  The band is open only where the pullback t_top of
+    the top kink of g lies above -1; everywhere else each segment end clips
+    to -1 and the integrals are exactly 0.  On [-1, t_top] the integrands are
+    polynomials of degree <= 3 on the overlap of a piece i of f with the
+    t-range of a piece j of g (between the pullbacks of its kinks), so the
+    2-point Gauss rule is exact there, with the slopes and intercepts of i
+    and j as constants.  The kernel walks every pair (i, j) on every node;
+    an empty overlap has b = a and adds exactly 0, and the pairs come in
+    increasing t, so the sums run in the order of the sorted segment ends.
+    A piece of g with slope 0 needs no q (0 q + c = c) and adds nothing to
+    I'.  A pair that no node reaches is skipped.  Every node is integrated
+    on its own (I'' up to the caveat of `_Band.blocks`), so `_Band.blocks`
+    calls this on one block of the grid at a time.  f(t) g(q(t)) is
+    continuous at every segment end and vanishes at the top one, so moving
+    the ends with c2 adds no term to I'.  In I' only g' jumps as c2 moves the
+    pullbacks t_k: by D_k at g's kink k (by minus its last slope at the top
+    one, where the band ends), so with q' = 2 c2 (1-r) tau/den,
+    I'' = sum_k D_k f(t_k) (tau_k^2/den)^2/q'(t_k) = sum_k D_k f(t_k) tau_k^3/(2 c2 (1-r) den)
+    over the kinks with t_k above -1 (tau_k > r; f(-1) = 0), reduced from the
+    pullbacks' tau_k before the passes allocate their work arrays.  I and I'
+    are accumulated in the same passes, in place: every pass writes into the
+    same few (2, nodes) work arrays through `out=` ufuncs, each operation on
+    the operands and in the order of the plain expression in its comment (up
+    to the order of the two factors of a product or terms of a sum, which
+    rounds alike), so the integrals keep the bits of those expressions.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
 
-    def pullback(gb, out):  # t with q(t) = gb; -1/(1-r), i.e. tau = 0, where q(tau = 0) >= gb
-        # (sqrt(max((den gb - r2m1)/c2, 0)) - 1)/(1-r)
+    def pullback(gb, out):  # tau with q(t) = gb: sqrt(max((den gb - r2m1)/c2, 0))
         np.multiply(den, gb, out=out)
         out -= r2m1
         out /= c2
         np.maximum(out, 0.0, out=out)
-        np.sqrt(out, out=out)
-        out -= 1.0
-        out /= omr
-        return out
+        return np.sqrt(out, out=out)
 
-    t_top = pullback(g_breaks[-1], np.empty(len(c2)))
-    # ~(t <= -1) rather than t > -1 keeps NaN nodes on the integrating path
-    is_open = (~(t_top <= -1.0)).nonzero()[0]
-    c2, den, r2m1, t_top = c2[is_open], den[is_open], r2m1[is_open], t_top[is_open]
-    m = len(c2)
+    tau_top = pullback(g_breaks[-1], np.empty(len(c2)))
+    # tau > r is t > -1 exactly, as 1 - r and tau - 1 (tau in [1/2, 2]) are exact for r in
+    # (1/2, 1); ~(tau <= r) rather than tau > r keeps NaN nodes on the integrating path
+    is_open = (~(tau_top <= r)).nonzero()[0]
+    m = len(is_open)
+    g_ends = np.empty((len(g_breaks), m))  # each kink's pullback on the open nodes: tau, then t
+    tau_top.take(is_open, out=g_ends[-1])
+    del tau_top  # before the open nodes' arrays: holding it costs ~2x the page faults
+    c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
+    for gb, row in zip(g_breaks[:-1], g_ends):
+        pullback(gb, row)
+    if derivs:  # I'' = (D @ terms)/(2 (1-r) c2 den) with terms = f(t) tau^3, 0 where tau <= r
+        terms, shut = g_ends ** 3, ~(g_ends > r)
+    g_ends -= 1.0  # t = (tau - 1)/(1-r)
+    g_ends /= omr
+    if derivs:
+        terms *= f_pl(g_ends)
+        terms[shut] = 0.0
+        jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
+        d2_inner = (jumps @ terms) / (2.0 * omr * c2 * den)
+        terms = shut = None
     # the t-ends of f's pieces above -1, and of g's pieces below its top kink in [-1, t_top]
     f_ends = [-1.0, *f_pl.breaks[f_pl.breaks > -1.0], np.inf]
-    g_ends = [-1.0]
-    for gb in g_breaks[:-1]:  # min(max(pullback, -1), t_top)
-        end = pullback(gb, np.empty(m))
-        np.maximum(end, -1.0, out=end)
-        g_ends.append(np.minimum(end, t_top, out=end))
-    g_ends.append(t_top)
+    np.minimum(np.maximum(g_ends[:-1], -1.0, out=g_ends[:-1]), g_ends[-1], out=g_ends[:-1])
+    g_ends = [-1.0, *g_ends]
     f_first = int(np.count_nonzero(f_pl.breaks <= -1.0))  # the piece of f right of -1
     # each end's least and greatest value: NaN where a node is NaN, and then no pair skips
     g_lows = [np.minimum.reduce(e, initial=np.inf) for e in g_ends]
@@ -236,7 +248,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     xi = _gauss(2)[0][:, None]  # the 2-point rule: nodes mid + xi half, both weights exactly 1
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
     inner = np.zeros(m)
-    d_inner = np.zeros(m)
+    d_inner = np.zeros(m) if derivs else None
     # work arrays of every pass: the segment ends, then the Gauss nodes t; half, mid and
     # the row sums; f(t); tau^2 and then d_vals; q and then vals
     ends, half, mid = np.empty((2, m)), np.empty(m), np.empty(m)
@@ -276,32 +288,18 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
             q *= g_slope
             q += g_icpt
             vals *= f_t
-            # d_inner += (half g_slope)(d_vals[0] + d_vals[1]) with d_vals = f_t tau2:
-            # g' = g_slope is fixed on the overlap, so it is applied here
-            d_vals = np.multiply(f_t, tau2, out=work)
-            np.add(d_vals[0], d_vals[1], out=mid)
-            mid *= np.multiply(half, g_slope, out=d_vals[0])
-            d_inner += mid
+            if derivs:
+                # d_inner += (half g_slope)(d_vals[0] + d_vals[1]) with d_vals = f_t tau2:
+                # g' = g_slope is fixed on the overlap, so it is applied here
+                d_vals = np.multiply(f_t, tau2, out=work)
+                np.add(d_vals[0], d_vals[1], out=mid)
+                mid *= np.multiply(half, g_slope, out=d_vals[0])
+                d_inner += mid
         # inner += half (vals[0] + vals[1])
         np.add(vals[0], vals[1], out=mid)
         mid *= half
         inner += mid
-    return is_open, inner, d_inner / den
-
-
-def _inner_curvature(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
-                     c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray) -> np.ndarray:
-    """I'' = dI'/dc2 on open nodes (`_inner_band`'s inputs there): one point term per kink of g.
-
-    g' jumps by D_k at g's kink k (by minus its last slope at the top one,
-    above which the band ends), so I'' = sum_k D_k f(t_k) (tau_k^2/den)^2/q'(t_k)
-    = sum_k D_k f(t_k) tau_k^3/(2 c2 (1-r) den) over the kinks whose pullback
-    t_k lies above -1 (f(-1) = 0), with tau = 1 + (1-r) t, q' = 2 c2 (1-r) tau/den.
-    """
-    jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
-    tau = np.sqrt(np.maximum((np.multiply.outer(g_pl.breaks, den) - r2m1) / c2, 0.0))
-    terms = np.where(tau > r, f_pl((tau - 1.0) / (1.0 - r)) * tau ** 3, 0.0)
-    return (jumps @ terms) / (2.0 * (1.0 - r) * c2 * den)
+    return (is_open, inner, d_inner / den, d2_inner) if derivs else (is_open, inner)
 
 
 def check_band_pair(pair: ProfilePair) -> None:
@@ -376,26 +374,24 @@ class _Band:
         return flat[:n * n].reshape(n, n), flat[n * n + 1:]
 
     def blocks(self, r: float, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool,
-               kink_inputs=None):
+               derivs: bool, kink_inputs=None):
         """Walk the grid at r block by block, yielding each block's open nodes.
 
         shifted: x is the band variable and the factor is evaluated at Ax + v
         (every route but one); otherwise x is the factor argument and the
         band variable is A^-1 (x - v) (`rescaled_band_functional`).  For
-        n = 1 the panels follow the kinks of psi in both variables.  Yields
-        (W, h^(1/s), I, I', X, at, Y, opened, den, r2m1) for each block where
-        the band is open: the open nodes' weights, h at their band-factor
-        argument and the inner integrals, in row-major grid order (node
-        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P nodes
-        x of `_axis_rule`); for `_band_sums`, the block's grid points X, the
-        near nodes' band-factor arguments Y (the open nodes are rows `at` of X
-        and `opened` of Y), and den and |z|^2 - 1 on X.
-        kink_inputs (n = 1 only, where the grid is one block): the kernel inputs
-        (c2, den, |x|^2 - 1) of more points, which join the block's one
-        `_inner_band` call after its near nodes; the block's tuple then ends
-        with their (opened, I, I').  The kernel integrates every node on its
-        own, so neither set moves a bit of the other, and the block is kept
-        even when no grid node is near.
+        n = 1 the panels follow the kinks of psi in both variables.  Each
+        block where the band is open yields its open nodes' (W, h^(1/s), I),
+        and with derivs (W, h^(1/s), I, I', I'', X, Y): weights, h at the
+        band-factor argument, `_inner_band`'s integrals, grid points and
+        band-factor arguments, in row-major grid order (node
+        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P
+        nodes x of `_axis_rule`).  kink_inputs (n = 1, where the grid is one
+        block): the kernel inputs (c2, den, |x|^2 - 1) of more points, which
+        join the block's one `_inner_band` call after its near nodes; the
+        tuple then ends with their (open, I, I').  The kernel integrates
+        every node on its own, so neither set moves a bit of the other's I
+        and I', and the block is kept even when no grid node is near.
         Yields None and stops at the first block where part of the band lies
         where h^(1/s)/alpha vanishes (or its square underflows).  h at the
         band-factor argument is evaluated only where the band can be open
@@ -416,10 +412,10 @@ class _Band:
         sum_(k<n-1) a_jk x_k, plus a_j,last x_col + b_j) keeps every row shut:
         x_col^2 + the least row |x|^2 - 1 is at least 2(1-r) max(top kink, 1)
         e^(-2 lb/s) (1 + 1e-7) + 1e-9.  That clips most of the annulus beyond
-        |x| = 1 (band_n2: 749,444 nodes visited per call, 428,128 now, for
-        403,900 near at r = 0.8).  W is taken at the open nodes from the
-        block's tile of row weights times column weights: the same products
-        as those of the whole tensor grid.
+        |x| = 1 (a band_n2 call visits 428,128 nodes, for 403,900 near at
+        r = 0.8).  W is taken at the open nodes from the block's tile of row
+        weights times column weights: the same products as those of the
+        whole tensor grid.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -431,7 +427,9 @@ class _Band:
         so its tail falls on other nodes, and a node's h can move in its last
         bit: seen at 1 node in 32,768 on a rotated n = 3 cross, never on the
         axis crosses or the benchmark's instances.  h on the grid is one
-        product over a block's kept columns, so the same holds for it.
+        product over a block's kept columns, and I'' one product of g's slope
+        jumps with the kinks' terms over a kernel call's open nodes, so the
+        same holds for both.
         """
         n, s = self.h.n, self.s
         radius, reach = self.radii(r)
@@ -492,20 +490,22 @@ class _Band:
             if not np.minimum.reduce(c2, initial=np.inf) > 0.0:  # NaN fails too
                 yield None
                 return
-            if kink_inputs is None:
-                opened, inner, d_inner = _inner_band(self.f, self.g, r, c2, den[near], r2m1[near])
-                tail = ()
-            else:  # the kinks join the call after the near nodes
-                opened, inner, d_inner = _inner_band(self.f, self.g, r, *[
-                    np.concatenate(pair) for pair in zip((c2, den[near], r2m1[near]), kink_inputs)])
+            den, r2m1 = den[near], r2m1[near]
+            if kink_inputs is not None:  # the kinks join the call after the near nodes
+                c2, den, r2m1 = (np.concatenate(pair) for pair in zip((c2, den, r2m1), kink_inputs))
+            opened, *integrals = _inner_band(self.f, self.g, r, c2, den, r2m1, derivs)
+            del den, r2m1  # not held while the consumer reduces the block
+            tail = ()
+            if kink_inputs is not None:
                 m = np.searchsorted(opened, len(near))
-                tail = ((opened[m:] - len(near), inner[m:], d_inner[m:]),)
-                opened, inner, d_inner = opened[:m], inner[:m], d_inner[:m]
+                tail = ((opened[m:] - len(near), *[e[m:] for e in integrals[:2]]),)
+                opened, integrals = opened[:m], [e[:m] for e in integrals]
             at = near[opened]
             # built in the yield: a tuple held by the generator would keep this block's
             # arrays alive while the next one is built
-            yield (np.multiply.outer(w_rows[r0:r1], w1[c0:c1]).ravel().take(at),
-                   h_near[opened], inner, d_inner, X, at, Y, opened, den, r2m1) + tail
+            yield (np.multiply.outer(w_rows[r0:r1], w1[c0:c1]).ravel().take(at), h_near[opened],
+                   *integrals, *((X.take(at, axis=0), Y.take(opened, axis=0), *tail)
+                                 if derivs else ()))
 
 
 def _positive(A: np.ndarray, alpha: float) -> bool:
@@ -533,11 +533,10 @@ def _band_value(band: _Band, r: float, p: EPoint) -> float:
 def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool, scale: float) -> float:
     """The sum of W (h^(1/s)/scale) I over the open nodes, block by block; +inf at the barrier."""
     value = 0.0
-    for block in band.blocks(r, A, alpha, v, shifted):
+    for block in band.blocks(r, A, alpha, v, shifted, False):
         if block is None:
             return float("inf")
-        W, h, inner = block[:3]
-        del block  # the rest of the block is freed before the walk builds the next one
+        W, h, inner = block
         value += float(np.sum(W * (h / scale) * inner))
     return value
 
@@ -553,35 +552,33 @@ def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray
     z = (a_j x^T/s, 1, a_j/s) for the active piece a_j(y) of psi, and no
     curvature off psi's kinks.  A node adds W phi(u) = W c I(c^2), so
     grad = -sum omega z with omega = W phi' = W c (I + 2 c^2 I'), and
-    hess = sum W phi'' z z^T with phi'' = c (I + 8 c^2 I' + 4 c^4 I'')
-    (`_inner_curvature`): at n >= 2, on a fixed grid, the exact Hessian of the
-    sum wherever it exists.  The n = 1 grid follows psi's kinks y_k, across
-    which u's gradient jumps by -(da_k/s) dy, so hess adds per open kink
-    -(da_k/s) Phi_u dy dy^T/A at x_k = (y_k - v)/A, dy = (x_k, 0, 1), with
-    Phi_u = c (I + 2 c^2 I') from the walk's own kernel call (`_Band.blocks`'
-    kink_inputs), over the kinks with c^2 = (h(y_k)^(1/s)/alpha)^2 > 0 where
-    the band is open (q(-1) below g's top kink).
+    hess = sum W phi'' z z^T with phi'' = c (I + 8 c^2 I' + 4 c^4 I''), all
+    three from the walk's kernel (`_inner_band`): at n >= 2, on a fixed grid,
+    the exact Hessian of the sum wherever it exists.  The n = 1 grid follows
+    psi's kinks y_k, across which u's gradient jumps by -(da_k/s) dy, so
+    hess adds per open kink -(da_k/s) Phi_u dy dy^T/A at x_k = (y_k - v)/A,
+    dy = (x_k, 0, 1), with Phi_u = c (I + 2 c^2 I').  The kinks with
+    c^2 = (h(y_k)^(1/s)/alpha)^2 > 0 join the walk's kernel call
+    (`_Band.blocks`' kink_inputs), which finds those where the band is open.
     """
     n, s = band.h.n, band.s
     value, kept = 0.0, []
     grad, hess = np.zeros(n * n + 1 + n), np.zeros((n * n + 1 + n,) * 2)
     kinks = None
-    if band.breaks is not None:  # the kernel inputs of psi's open kinks, at x_k = (y_k - v)/A
+    if band.breaks is not None:  # the kernel inputs of psi's kinks, at x_k = (y_k - v)/A
         a, x_k = float(A[0, 0]), (band.breaks - v[0]) / float(A[0, 0])
         den_k = 2.0 * (1.0 - r) * eval_h_many(band.h, x_k[:, None]) ** (2.0 / s)
-        r2m1_k, c2_k = x_k * x_k - 1.0, (band.h_breaks / alpha) ** 2
-        k = np.flatnonzero((den_k * band.g.breaks[-1] - r2m1_k > c2_k * r * r) & (c2_k > 0.0))
-        kinks = c2_k[k], den_k[k], r2m1_k[k]
-    for block in band.blocks(r, A, alpha, v, True, kinks):
+        c2_k = (band.h_breaks / alpha) ** 2
+        k = np.flatnonzero(c2_k > 0.0)
+        kinks = c2_k[k], den_k[k], x_k[k] * x_k[k] - 1.0
+    for block in band.blocks(r, A, alpha, v, True, True, kinks):
         if block is None:
             return None
-        W, h_y, inner, d_inner, X, at, Y, opened, den, r2m1 = block[:10]
-        X, Y = X.take(at, axis=0), Y.take(opened, axis=0)
+        W, h_y, inner, d_inner, d2_inner, X, Y = block[:7]
         c = h_y / alpha
         value += float(np.sum(W * c * inner))
         wc, c2 = W * c, c * c
         omega = wc * (inner + 2.0 * c2 * d_inner)
-        d2_inner = _inner_curvature(band.f, band.g, r, c2, den.take(at), r2m1.take(at))
         z = np.empty((len(W), n * n + 1 + n))
         z[:, n * n + 1:] = psi_gradient(band.h.form, Y) / s
         z[:, :n * n] = (z[:, n * n + 1:, None] * X[:, None, :]).reshape(len(W), n * n)
@@ -590,7 +587,7 @@ def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray
         hess += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
         kept.append((Y, omega / (h_y * h_y)))
         if kinks is not None:
-            opened, inner, d_inner = block[10]
+            opened, inner, d_inner = block[7]
             c2, at = kinks[0][opened], k[opened]
             dy = np.zeros((len(at), 3))
             dy[:, 0], dy[:, 2] = x_k[at], 1.0

@@ -474,6 +474,22 @@ def sorted_inner_band(f_pl, g_pl, r, c2, den, r2m1):
     return is_open, inner, d_inner / den
 
 
+def inner_curvature(f_pl, g_pl, r, c2, den, r2m1):
+    """I'' = dI'/dc2 on open nodes (`_inner_band`'s inputs there): one point term per kink of g.
+
+    The second kernel that `rfamily._inner_band` replaces with the I'' it
+    reduces from its own pullbacks, kept as its bit-for-bit reference.
+    g' jumps by D_k at g's kink k (by minus its last slope at the top one,
+    above which the band ends), so I'' = sum_k D_k f(t_k) (tau_k^2/den)^2/q'(t_k)
+    = sum_k D_k f(t_k) tau_k^3/(2 c2 (1-r) den) over the kinks whose pullback
+    t_k lies above -1 (f(-1) = 0), with tau = 1 + (1-r) t, q' = 2 c2 (1-r) tau/den.
+    """
+    jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
+    tau = np.sqrt(np.maximum((np.multiply.outer(g_pl.breaks, den) - r2m1) / c2, 0.0))
+    terms = np.where(tau > r, f_pl((tau - 1.0) / (1.0 - r)) * tau ** 3, 0.0)
+    return (jumps @ terms) / (2.0 * (1.0 - r) * c2 * den)
+
+
 def dense_quadrature_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                           p: EPoint, x_nodes: int = 4000, y_nodes: int = 4000,
                           radius: float | None = None) -> float:
@@ -535,11 +551,10 @@ def density_sums(band, r: float, minimizer: EPoint, bumps) -> tuple[np.ndarray, 
         raise SingularA("block must be positive definite with positive corner")
     s = band.s
     integrals, moment = np.zeros(len(bumps)), 0.0
-    for block in band.blocks(r, A, alpha, v, shifted=False):
+    for block in band.blocks(r, A, alpha, v, shifted=False, derivs=True):
         if block is None:
             raise NotInBr("the band reaches where h vanishes")
-        W, h_x, inner, d_inner, X, at = block[:6]
-        X = X.take(at, axis=0)
+        W, h_x, inner, d_inner, _, X, _ = block
         c2 = (h_x / alpha) ** 2
         density = (-(1.0 - r) * alpha ** (s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
         for k, delta in enumerate(bumps):
@@ -565,7 +580,8 @@ def kink_hessian(band, r: float, A: np.ndarray, alpha: float, v: np.ndarray) -> 
     c2 = (band.h_breaks / alpha) ** 2
     k = np.flatnonzero((den * band.g.breaks[-1] - r2m1 > c2 * r * r) & (c2 > 0.0))  # open
     if len(k):
-        opened, inner, d_inner = rfamily._inner_band(band.f, band.g, r, c2[k], den[k], r2m1[k])
+        opened, inner, d_inner, _ = rfamily._inner_band(band.f, band.g, r, c2[k], den[k], r2m1[k],
+                                                        derivs=True)
         k, c2 = k[opened], c2[k[opened]]
         dy = np.zeros((len(k), 3))
         dy[:, 0], dy[:, 2] = x[k], 1.0

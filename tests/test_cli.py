@@ -187,6 +187,7 @@ class TestMalformedInput:
         ("sweep-r", lambda i: i.update(r_schedule=True)),
         ("sweep-r", lambda i: i.update(r_schedule=[NAN])),
         ("sweep-r", lambda i: i.update(r_schedule=[1.5])),
+        ("sweep-r", lambda i: i.update(r_schedule=[])),
         ("sweep-r", lambda i: i.update(quadrature=[1, 2])),
         ("verify", lambda i: i.update(h=[1])),
         ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=960.7)),
@@ -206,7 +207,7 @@ class TestMalformedInput:
             "nan-contact-point-coercivity", "nan-contact-point-verify", "nan-contact-weight",
             "nan-nu-mass", "infinite-nu-mass", "nan-nu-point", "r-schedule-string-entry",
             "r-schedule-not-a-list", "r-schedule-boolean", "r-schedule-nan-entry",
-            "r-schedule-entry-above-one",
+            "r-schedule-entry-above-one", "r-schedule-empty",
             "quadrature-not-an-object", "h-not-an-object", "x-nodes-fraction",
             "contacts-not-an-object", "n-boolean", "n-fraction", "domain-radius-square-overflows",
             "slope-square-overflows",

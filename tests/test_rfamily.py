@@ -20,7 +20,7 @@ from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            concentration_integral, default_bumps, minimize_band, r_sweep,
                            rescaled_band_functional, stationarity_multiplier, trapezoid_bump)
 from oracles import (density_sums, envelope_breaks_scan, expm_derivatives,
-                     fd_newton_minimize, kink_hessian, pl_deriv, s_det,
+                     fd_newton_minimize, inner_curvature, kink_hessian, pl_deriv, s_det,
                      sorted_inner_band, theta_point, x_grid)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -262,21 +262,40 @@ class TestPositiveDefiniteBlock:
         assert stationarity_multiplier(h, S, pair, r, ident, quad) > 0.0
 
 
+def _traced_peak(evaluate):
+    """evaluate()'s result and its tracemalloc peak, after one untraced warm-up call."""
+    evaluate()
+    tracemalloc.start()
+    try:
+        return evaluate(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_band_functional_allocates_one_block():
     # an n = 2 evaluation on the default 921,600-node grid reduces every block as it is
-    # walked, so its peak allocation is a few blocks' temporaries, not grid-sized buffers
+    # walked, so its peak allocation is a few blocks' temporaries, not grid-sized buffers.
+    # Measured: 5.58 MB; the bound is 1.25 times that, which a kernel that kept its last
+    # call's pass arrays (7.29 MB) fails
     h = _triangle_square_n2()
     A, alpha = sdet1_param(np.array([[0.1, -0.05], [-0.05, -0.08]]), S)
     p = EPoint(BlockMat(A, alpha), np.array([0.05, -0.1]))
-    band_functional(h, S, canonical_pair(), 0.8, p, QuadratureSpec(x_nodes_per_axis=64))
-    tracemalloc.start()
-    try:
-        value = band_functional(h, S, canonical_pair(), 0.8, p, QuadratureSpec())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = _traced_peak(lambda: band_functional(h, S, canonical_pair(), 0.8, p,
+                                                       QuadratureSpec()))
     assert 0.0 < value < np.inf
-    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 6.97e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_band_value_grad_allocates_one_block():
+    # one Newton evaluation (value, gradient, Hessian and the kept arrays) on the n = 2
+    # instance at 480 nodes per axis.  Measured: 9.96 MB (11.0 MB when I'' came from a
+    # second kernel after the walk's); the bound is 1.25 times that
+    band = rfamily._Band(_triangle_square_n2(), S, canonical_pair(),
+                         QuadratureSpec(x_nodes_per_axis=480))
+    value, peak = _traced_peak(lambda: rfamily._band_value_grad(band, 0.8,
+                                                                np.zeros(len(band.basis)))[0])
+    assert 0.0 < value < np.inf
+    assert peak <= 12.45e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def _compass_minimize(band, r, max_iter=400):
@@ -470,8 +489,8 @@ class TestBandHessian:
         # psi falls with slope -300, then -250 from its kink at -0.999, where
         # (1-r) h^(2/s) = 1e-3, and is flat from -0.699: on the 25-node grid (radius 1.2)
         # that holds on a sliver around the kink between two nodes, -1.003 and -0.993.  The
-        # walk still makes its one kernel call, on the kink alone, and the kink's term is
-        # the whole Hessian
+        # walk still makes its one kernel call, on psi's two kinks alone, of which the kernel
+        # finds the one at -0.999 open, and that kink's term is the whole Hessian
         r = 0.9
         psi_k = -0.5 * np.log(1e-3 / (1.0 - r))
         h = make_log_concave(np.array([[-300.0], [-250.0], [0.0]]),
@@ -483,13 +502,14 @@ class TestBandHessian:
         A, alpha, v = np.eye(1), 10.0, np.zeros(1)
         calls, inner_band = [], rfamily._inner_band
 
-        def spy_inner_band(f, g, r, c2, den, r2m1):
-            calls.append(len(c2))
-            return inner_band(f, g, r, c2, den, r2m1)
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
+            out = inner_band(f, g, r, c2, den, r2m1, derivs)
+            calls.append((len(c2), out[0].tolist()))
+            return out
 
         monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
         value, _, hess, kept = rfamily._band_sums(band, r, A, alpha, v)
-        assert calls == [1] and value == 0.0 and sum(len(w) for _, w in kept) == 0
+        assert calls == [(2, [0])] and value == 0.0 and sum(len(w) for _, w in kept) == 0
         term = kink_hessian(band, r, A, alpha, v)
         assert np.any(term != 0.0) and np.array_equal(hess, term)
 
@@ -827,8 +847,9 @@ class TestBandGeometry:
 
 def _unblocked_terms(band, r, A, alpha, v, shifted):
     """The whole-grid, row-major band terms that the block walk replaces, kept as its
-    bit-for-bit reference: (X, Y, W, h_y, I, I') on the open nodes, or None.  Also returns
-    the near nodes' kernel inputs (c2, den, r2m1) and which of them are open."""
+    bit-for-bit reference: (X, Y, W, h_y, I, I', I'') on the open nodes, I'' from
+    `oracles.inner_curvature`, or None.  Also returns the near nodes' kernel inputs
+    (c2, den, r2m1) and which of them are open."""
     radius = band.radii(r)[0]
     radius = (radius if shifted else
               float(np.linalg.norm(A, 2) * radius + np.linalg.norm(v)) + 1e-9)
@@ -846,35 +867,48 @@ def _unblocked_terms(band, r, A, alpha, v, shifted):
     c2 = (h_y / alpha) ** 2
     if not np.all(c2 > 0.0):
         return None, None
-    opened, inner, d_inner = rfamily._inner_band(band.f, band.g, r, c2, den[near], r2m1[near])
+    opened, inner, d_inner, _ = rfamily._inner_band(band.f, band.g, r, c2, den[near],
+                                                    r2m1[near], derivs=True)
     at = near[opened]
-    terms = X[at], Y[at], W[at], h_y[opened], inner, d_inner, den[at], r2m1[at]
+    d2_inner = inner_curvature(band.f, band.g, r, c2[opened], den[at], r2m1[at])
+    terms = X[at], Y[at], W[at], h_y[opened], inner, d_inner, d2_inner
     return terms, (c2, den[near], r2m1[near], opened)
 
 
-def _walked_terms(band, r, A, alpha, v, shifted):
-    """`_Band.blocks`'s open nodes (X[at], Y[opened], W, h_y, I, I', den[at], r2m1[at])
-    concatenated in walk order, or None when the walk stops at the coercive barrier."""
-    blocks = list(band.blocks(r, A, alpha, v, shifted))
+def _walked_terms(band, r, A, alpha, v, shifted, derivs=True):
+    """`_Band.blocks`'s open nodes concatenated in walk order, or None when the walk stops
+    at the coercive barrier: (X, Y, W, h_y, I, I', I'') from the derivative walk, and
+    (W, h_y, I) from the value walk."""
+    blocks = list(band.blocks(r, A, alpha, v, shifted, derivs))
     if None in blocks:
         assert blocks[-1] is None  # the walk stops at the barrier
         return None
     n = band.h.n
-    terms = [(np.empty((0, n)),) * 2 + (np.empty(0),) * 6]
-    for W, h_y, inner, d_inner, X, at, Y, opened, den, r2m1 in blocks:
-        terms.append((X.take(at, axis=0), Y.take(opened, axis=0), W, h_y, inner, d_inner,
-                      den.take(at), r2m1.take(at)))
+    if not derivs:
+        return tuple(np.concatenate(col) for col in zip((np.empty(0),) * 3, *blocks))
+    terms = [(np.empty((0, n)),) * 2 + (np.empty(0),) * 5]
+    for W, h_y, inner, d_inner, d2_inner, X, Y in blocks:
+        terms.append((X, Y, W, h_y, inner, d_inner, d2_inner))
     return tuple(np.concatenate(col) for col in zip(*terms))
 
 
-def _one_block(terms):
-    """The whole grid's open-node terms (X, Y, W, h_y, I, I', den, r2m1) as one block of
+def _same_terms(got, ref, n):
+    """Walked and whole-grid terms (`_walked_terms`, `_unblocked_terms`) bit for bit, but
+    I'' at n >= 2 to 1e-13 relative: I'' sums the kinks' terms in one BLAS product over a
+    kernel call's open nodes, whose last rows take another micro-kernel (the caveat of
+    `_Band.blocks`), and at n >= 2 those are other nodes in a block than in the grid."""
+    tol = 0.0 if n == 1 else 1e-13
+    return (all(np.array_equal(a, b) for a, b in zip(got[:-1], ref[:-1], strict=True))
+            and np.all(np.abs(got[-1] - ref[-1]) <= tol * np.abs(ref[-1])))
+
+
+def _one_block(terms, derivs):
+    """The whole grid's open-node terms (X, Y, W, h_y, I, I', I'') as one block of
     `_Band.blocks`."""
     if terms is None:
         return None
-    X, Y, W, h_y, inner, d_inner, den, r2m1 = terms
-    every = np.arange(len(W))
-    return W, h_y, inner, d_inner, X, every, Y, every, den, r2m1
+    X, Y, W, h_y, inner, d_inner, d2_inner = terms
+    return (W, h_y, inner, d_inner, d2_inner, X, Y) if derivs else (W, h_y, inner)
 
 
 class TestBlockedTerms:
@@ -926,9 +960,12 @@ class TestBlockedTerms:
                     with pytest.raises(NotInBr):
                         rfamily._band_measure(band, r, EPoint(BlockMat(A, alpha), v), [])
                 continue
-            assert all(np.array_equal(a, b) for a, b in zip(got[2:], ref[2:]))
+            assert _same_terms(got, ref, n)
             assert len(got[2]) and np.all(got[4] > 0.0)
-            if mode != "value":
+            if mode == "value":  # the value walk yields the same W, h_y and I
+                values = _walked_terms(band, r, A, alpha, v, shifted, derivs=False)
+                assert all(np.array_equal(a, b) for a, b in zip(values, ref[2:5], strict=True))
+            else:
                 assert all(a.shape == (len(got[2]), n) for a in got[:2])
                 assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
             if mode == "density":
@@ -937,7 +974,7 @@ class TestBlockedTerms:
                 shut = np.ones(len(c2), dtype=bool)
                 shut[opened] = False
                 assert np.any(shut) and not np.any(direct[shut])
-                _, Y, W, h_y, inner, d_inner, _, _ = got
+                _, Y, W, h_y, inner, d_inner, _ = got
                 by_parts = _by_parts(r, c2[opened], inner, d_inner)
                 assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
                 if shifted:  # the measure's bump sums: omega/h_y^2 = W by_parts/(-(1-r) alpha h_y)
@@ -982,9 +1019,9 @@ class TestBlockedTerms:
             visited.append(len(Z))
             return sq_norms(Z)
 
-        def spy_inner_band(f, g, r, c2, den, r2m1):
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
             kernel_inputs.append((c2, den, r2m1))
-            return inner_band(f, g, r, c2, den, r2m1)
+            return inner_band(f, g, r, c2, den, r2m1, derivs)
 
         compared = 0
         for A, alpha, v in positions:
@@ -1003,7 +1040,7 @@ class TestBlockedTerms:
             assert sum(visited) < len(x_grid(1, 1.0, nodes)[0]) ** n
             walked = [np.concatenate(col) for col in zip(*kernel_inputs)]
             assert all(np.array_equal(a, b) for a, b in zip(walked, inputs[:3]))
-            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert _same_terms(got, ref, n)
             assert len(got[2]) and np.all(got[4] > 0.0)
         assert compared == 2
 
@@ -1024,9 +1061,9 @@ class TestBlockedTerms:
             visited.append(len(Z))
             return sq_norms(Z)
 
-        def spy_inner_band(f, g, r, c2, den, r2m1):
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
             near.append(len(c2))
-            return inner_band(f, g, r, c2, den, r2m1)
+            return inner_band(f, g, r, c2, den, r2m1, derivs)
 
         for A, alpha, v in self._positions(2)[:2]:  # the last one is refused
             visited.clear()
@@ -1038,7 +1075,7 @@ class TestBlockedTerms:
             monkeypatch.setattr(rfamily, "_inner_band", inner_band)
             ref, inputs = _unblocked_terms(band, r, A, alpha, v, True)
             assert sum(visited) < 1.1 * sum(near) and sum(near) == len(inputs[0])
-            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert _same_terms(got, ref, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_block_sums_match_whole_grid(self, n, monkeypatch):
@@ -1053,10 +1090,10 @@ class TestBlockedTerms:
         band = rfamily._Band(h, S, canonical_pair(), quad)
         whole = rfamily._Band(h, S, canonical_pair(), quad)
 
-        def whole_blocks(r, A, alpha, v, shifted, kink_inputs=None):
-            block = _one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0])
+        def whole_blocks(r, A, alpha, v, shifted, derivs, kink_inputs=None):
+            block = _one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0], derivs)
             if block is not None and kink_inputs is not None:  # psi's kinks in a call of their own
-                block += (rfamily._inner_band(band.f, band.g, r, *kink_inputs),)
+                block += (rfamily._inner_band(band.f, band.g, r, *kink_inputs, derivs=True)[:3],)
             return iter([block])
 
         whole.blocks = whole_blocks
@@ -1144,7 +1181,7 @@ def _kernel_inputs(seed, count=4000):
 
 def _kernel(pair, r, c2, den, r2m1):
     """`_inner_band`'s I and I' on every node, 0 where the band is closed, and the open mask."""
-    opened, inner, d_inner = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1)
+    opened, inner, d_inner, _ = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, derivs=True)
     out = np.zeros((2, len(c2)))
     out[0, opened], out[1, opened] = inner, d_inner
     is_open = np.zeros(len(c2), dtype=bool)
@@ -1212,8 +1249,9 @@ class TestInnerBandKernel:
     def test_all_closed(self, pair, mode):
         c2, den, _ = _kernel_inputs(7, count=500)
         r2m1 = den * pair.g.breaks[-1] + np.linspace(0.0, 2.0, 500)  # q(-1) above g's top kink
-        opened, inner, d_inner = rfamily._inner_band(pair.f, pair.g, 0.8, c2, den, r2m1)
-        assert opened.shape == inner.shape == d_inner.shape == (0,)
+        opened, inner, d_inner, d2_inner = rfamily._inner_band(pair.f, pair.g, 0.8, c2, den, r2m1,
+                                                               derivs=True)
+        assert opened.shape == inner.shape == d_inner.shape == d2_inner.shape == (0,)
         ref = _full_inner_band(pair.f, pair.g, 0.8, c2, den, r2m1, mode, 2)
         assert ref.shape == (500,) and not np.any(ref)
 
@@ -1259,11 +1297,18 @@ class TestPairKernel:
 
     @staticmethod
     def _same(pair, r, c2, den, r2m1):
-        got = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1)
-        ref = sorted_inner_band(pair.f, pair.g, r, c2, den, r2m1)
-        for a, b in zip(got, ref):
+        # (open, I, I') against the sorted-merge kernel, I'' against `oracles.inner_curvature`
+        # on the open nodes, and the value-only call's (open, I) against the full one's
+        got = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, derivs=True)
+        at = got[0]
+        ref = (*sorted_inner_band(pair.f, pair.g, r, c2, den, r2m1),
+               inner_curvature(pair.f, pair.g, r, c2[at], den[at], r2m1[at]))
+        value = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, derivs=False)
+        for a, b in zip(got, ref, strict=True):
             assert np.array_equal(a, b, equal_nan=True)
-        return got
+        for a, b in zip(value, got[:2], strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+        return got[:3]
 
     @ALL_PAIRS
     @pytest.mark.parametrize("r", [0.6, 0.8, 0.93])
@@ -1337,6 +1382,78 @@ class TestPairKernel:
         r2m1 = den * pair.g.breaks[-1] + np.linspace(0.0, 2.0, 500)
         opened, inner, d_inner = self._same(pair, 0.8, c2, den, r2m1)
         assert opened.shape == inner.shape == d_inner.shape == (0,)
+
+
+class TestKernelDerivatives:
+    """The kernel's I'' against `oracles.inner_curvature`, the second kernel it replaces, bit
+    for bit, and which walks ask the kernel for derivatives."""
+
+    @pytest.mark.parametrize("pair", [canonical_pair(), _ci_custom_pair()],
+                             ids=["canonical", "ci-custom"])
+    @pytest.mark.parametrize("r", [0.8, 0.95, 0.99])
+    def test_fuzz_inputs(self, pair, r):
+        # the kernel fuzz inputs, with NaN on some nodes in each of c2, den and r2m1
+        c2, den, r2m1 = (x.copy() for x in _kernel_inputs(int(1000 * r) + 9))
+        c2[::101], den[33::101], r2m1[66::101] = np.nan, np.nan, np.nan
+        opened, _, _, d2_inner = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1,
+                                                     derivs=True)
+        want = inner_curvature(pair.f, pair.g, r, c2[opened], den[opened], r2m1[opened])
+        assert np.array_equal(d2_inner, want, equal_nan=True)
+        finite = d2_inner[np.isfinite(d2_inner)]
+        assert 0 < len(opened) < len(c2) and len(finite) < len(opened)  # closed and NaN nodes
+        assert np.count_nonzero(finite) > 0.1 * len(finite)
+
+    @pytest.mark.parametrize("case", ["canonical", "ci-custom", "s2", "n2"])
+    @pytest.mark.parametrize("r", [0.8, 0.95, 0.99])
+    def test_walk_inputs(self, fixture, case, r, monkeypatch):
+        # every kernel call of `_band_value_grad`'s walk: at n = 1 psi's kinks join the
+        # grid's call; s = 2 is h tangent at +-sqrt 0.4 and +-sqrt 0.8
+        pair = _ci_custom_pair() if case == "ci-custom" else canonical_pair()
+        s, h, nodes = S, fixture[0], 960
+        if case == "s2":
+            s, h = 2.0, make_tangent_instance(np.sqrt([0.8, 0.4, 0.4, 0.8])[:, None]
+                                              * np.array([[-1.0], [-1.0], [1.0], [1.0]]), 2.0)
+        elif case == "n2":
+            h, nodes = _triangle_square_n2(), 96
+        band = rfamily._Band(h, s, pair, QuadratureSpec(x_nodes_per_axis=nodes))
+        calls, inner_band = [], rfamily._inner_band
+
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
+            out = inner_band(f, g, r, c2, den, r2m1, derivs)
+            calls.append((c2, den, r2m1, out))
+            return out
+
+        monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
+        rng = np.random.default_rng(int(1000 * r))
+        for theta in (np.zeros(len(band.basis)), rng.normal(scale=0.3 * (1.0 - r),
+                                                            size=len(band.basis))):
+            assert np.isfinite(rfamily._band_value_grad(band, r, theta)[0])
+        assert calls
+        for c2, den, r2m1, (opened, _, _, d2_inner) in calls:
+            assert np.array_equal(d2_inner, inner_curvature(pair.f, pair.g, r, c2[opened],
+                                                            den[opened], r2m1[opened]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_only_the_minimizer_asks_for_derivatives(self, n, monkeypatch):
+        h = two_level_cross_fixture(1, S, 0.4, 0.8)[0] if n == 1 else _triangle_square_n2()
+        pair, r, quad = canonical_pair(), 0.9, QuadratureSpec(x_nodes_per_axis=96)
+        asked, inner_band = [], rfamily._inner_band
+
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
+            asked.append(derivs)
+            return inner_band(f, g, r, c2, den, r2m1, derivs)
+
+        monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
+        p = random_unit_sdet_members(n, S, 1, seed=5)[0]
+        rescaled = EPoint(BlockMat((p.mat.diag - np.eye(n)) / (1.0 - r),
+                                   (p.mat.corner - 1.0) / (1.0 - r)), p.shift / (1.0 - r))
+        assert np.isfinite(band_functional(h, S, pair, r, p, quad))
+        assert np.isfinite(rescaled_band_functional(h, S, pair, r, rescaled, quad))
+        assert asked and not any(asked)
+        asked.clear()
+        band = rfamily._Band(h, S, pair, quad)
+        assert np.isfinite(rfamily._band_value_grad(band, r, np.zeros(len(band.basis)))[0])
+        assert asked and all(derivs is True for derivs in asked)
 
 
 class TestBandPreconditions:
