@@ -8,6 +8,7 @@ coercivity), 3 no convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -110,6 +111,15 @@ def _r_schedule(inst: dict) -> list:
     return schedule
 
 
+@contextlib.contextmanager
+def _reading(what: str):
+    """InputError, naming `what`, for the exceptions a malformed value raises while it is read."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what} ({type(exc).__name__}: {exc})")
+
+
 def _json_int(text: str) -> int:
     """An integer of the instance file, which must lie within the range of a float."""
     value = int(text)
@@ -147,11 +157,9 @@ def build_h(inst: dict) -> LogConcaveFn:
     pieces = desc.get("pieces", [])
     if not pieces:
         raise InputError("h.pieces is empty")
-    try:
+    with _reading("h.pieces"):
         a = np.array([p["a"] for p in pieces], dtype=float)
         b = np.array([p["b"] for p in pieces], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed h.pieces ({type(exc).__name__}: {exc})")
     if a.ndim != 2 or a.shape[1] != inst["n"]:
         raise InputError("piece dimension does not match n")
     if b.shape != (len(pieces),):
@@ -186,10 +194,8 @@ def build_profile(inst: dict) -> ProfilePair:
                 np.asarray(desc["xs"], dtype=float), np.asarray(desc["ys"], dtype=float),
                 left_slope=float(desc.get("left_slope", 0.0)),
                 right_slope=float(desc.get("right_slope", 0.0)))
-        try:
+        with _reading("profile"):
             return ProfilePair(f=pl(prof["f"]), g=pl(prof["g"]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed profile ({type(exc).__name__}: {exc})")
     raise InputError(f"unsupported profile {prof!r}")
 
 
@@ -218,11 +224,9 @@ def _check_sq_norms(pts: np.ndarray, what: str) -> None:
 def contact_points(inst: dict, h: LogConcaveFn):
     c = inst.get("contacts", {})
     if "points" in c:
-        try:
+        with _reading("contacts"):
             pts = np.array(c["points"], dtype=float)
             weights = None if c.get("weights") is None else np.array(c["weights"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed contacts ({type(exc).__name__}: {exc})")
         if pts.ndim != 2 or pts.shape[1] != inst["n"]:
             raise InputError(f"contacts.points must be a list of points in R^{inst['n']}")
         if weights is not None and weights.shape != (len(pts),):
@@ -238,25 +242,23 @@ def build_nu(inst: dict, h: LogConcaveFn) -> DiscreteMeasure:
     from . import isotropy
 
     nu = inst.get("nu", "counting")
-    if nu == "counting":
-        pts, _ = contact_points(inst, h)
-        return isotropy.counting_measure(pts)
-    if nu == "calibrated":
-        pts, weights = contact_points(inst, h)
-        if weights is None:
-            raise InputError("calibrated nu needs construction weights in contacts.weights")
-        return isotropy.calibrated_measure(pts, weights, h, inst["s"])
     if isinstance(nu, dict) and "atoms" in nu:
-        try:
+        with _reading("nu.atoms"):
             pts = np.array([a["x"] for a in nu["atoms"]], dtype=float)
             m = np.array([a["m"] for a in nu["atoms"]], dtype=float)
             measure = isotropy.DiscreteMeasure(pts, m)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed nu.atoms ({type(exc).__name__}: {exc})")
         if measure.points.shape[1] != inst["n"]:
             raise InputError("nu atom dimension does not match n")
         return measure
-    raise InputError(f"unsupported nu {nu!r}")
+    if nu not in ("counting", "calibrated"):
+        raise InputError(f"unsupported nu {nu!r}")
+    pts, weights = contact_points(inst, h)
+    if nu == "calibrated" and weights is None:
+        raise InputError("calibrated nu needs construction weights in contacts.weights")
+    with _reading("contacts"):
+        if nu == "counting":
+            return isotropy.counting_measure(pts)
+        return isotropy.calibrated_measure(pts, weights, h, inst["s"])
 
 
 def build_quad(inst: dict) -> QuadratureSpec:
@@ -265,12 +267,10 @@ def build_quad(inst: dict) -> QuadratureSpec:
     nodes = {**INSTANCE_DEFAULTS["quadrature"], **inst.get("quadrature", {})}["x_nodes_per_axis"]
     if type(nodes) is not int:  # a bool or a fraction is not a node count
         raise InputError(f"quadrature.x_nodes_per_axis must be an integer, got {nodes!r}")
-    try:
+    with _reading("quadrature"):
         quad = rfamily.QuadratureSpec(x_nodes_per_axis=nodes)
         quad.check_grid(inst["n"])  # before a sweep allocates the grid
-        return quad
-    except ValueError as exc:
-        raise InputError(f"malformed quadrature ({type(exc).__name__}: {exc})")
+    return quad
 
 
 def _pieces_json(h: LogConcaveFn) -> dict:
@@ -284,7 +284,9 @@ def _pieces_json(h: LogConcaveFn) -> dict:
 
 
 def _tangent_points(text, n: int) -> np.ndarray:
-    """The `--points` of a tangent fixture: finite points in R^n with finite |x|^2."""
+    """The `--points` of a tangent fixture: distinct finite points in R^n with finite |x|^2."""
+    from . import isotropy
+
     if not text:
         raise InputError("tangent fixture needs --points")
     try:
@@ -296,6 +298,8 @@ def _tangent_points(text, n: int) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise InputError(f"--points must be finite, got {text!r}")
     _check_sq_norms(pts, "--points")
+    with _reading("--points"):  # no two closer than `DiscreteMeasure` allows its atoms
+        isotropy.counting_measure(pts)
     return pts
 
 

@@ -147,8 +147,8 @@ def _axis_rule(radius: float, nodes_per_axis: int, kinks=None):
     return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wi).ravel()
 
 
-def _envelope_breaks_1d(form: PiecewiseLogAffine) -> np.ndarray:
-    """Kink locations of the max-affine envelope, in increasing order (n = 1 only).
+def _envelope_breaks_1d(form: PiecewiseLogAffine) -> tuple[np.ndarray, np.ndarray]:
+    """Kinks of the max-affine envelope in increasing order, and its hull's slopes (n = 1 only).
 
     Sweeps the max envelope of the lines in order of slope (of parallel lines
     only the highest can show); each kink is the crossing of two hull
@@ -165,7 +165,7 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine) -> np.ndarray:
                 break
             hull.pop()
         hull.append(j)
-    return np.array([(b[j] - b[i]) / (a[i] - a[j]) for i, j in zip(hull[:-1], hull[1:])])
+    return np.array([(b[j] - b[i]) / (a[i] - a[j]) for i, j in zip(hull[:-1], hull[1:])]), a[hull]
 
 
 _BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.blocks`: ~32k, so temporaries stay in cache
@@ -190,20 +190,21 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     increasing t, so the sums run in the order of the sorted segment ends.
     A piece of g with slope 0 needs no q (0 q + c = c) and adds nothing to
     I'.  A pair that no node reaches is skipped.  Every node is integrated
-    on its own (I'' up to the caveat of `_Band.blocks`), so `_Band.blocks`
-    calls this on one block of the grid at a time.  f(t) g(q(t)) is
-    continuous at every segment end and vanishes at the top one, so moving
-    the ends with c2 adds no term to I'.  In I' only g' jumps as c2 moves the
-    pullbacks t_k: by D_k at g's kink k (by minus its last slope at the top
-    one, where the band ends), so with q' = 2 c2 (1-r) tau/den,
+    on its own, so `_Band.blocks` calls this on one block of the grid at a
+    time.  f(t) g(q(t)) is continuous at every segment end and vanishes at
+    the top one, so moving the ends with c2 adds no term to I'.  In I' only
+    g' jumps as c2 moves the pullbacks t_k: by D_k at g's kink k (by minus
+    its last slope at the top one, where the band ends), so with
+    q' = 2 c2 (1-r) tau/den,
     I'' = sum_k D_k f(t_k) (tau_k^2/den)^2/q'(t_k) = sum_k D_k f(t_k) tau_k^3/(2 c2 (1-r) den)
-    over the kinks with t_k above -1 (tau_k > r; f(-1) = 0), reduced from the
-    pullbacks' tau_k before the passes allocate their work arrays.  I and I'
-    are accumulated in the same passes, in place: every pass writes into the
-    same few (2, nodes) work arrays through `out=` ufuncs, each operation on
-    the operands and in the order of the plain expression in its comment (up
-    to the order of the two factors of a product or terms of a sum, which
-    rounds alike), so the integrals keep the bits of those expressions.
+    over the kinks with t_k above -1 (tau_k > r; f(-1) = 0), summed kink by
+    kink in g's order at each node, reduced from the pullbacks' tau_k before
+    the passes allocate their work arrays.  I and I' are accumulated in the
+    same passes, in place: every pass writes into the same few (2, nodes)
+    work arrays through `out=` ufuncs, each operation on the operands and in
+    the order of the plain expression in its comment (up to the order of the
+    two factors of a product or terms of a sum, which rounds alike), so the
+    integrals keep the bits of those expressions.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
@@ -226,7 +227,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
     for gb, row in zip(g_breaks[:-1], g_ends):
         pullback(gb, row)
-    if derivs:  # I'' = (D @ terms)/(2 (1-r) c2 den) with terms = f(t) tau^3, 0 where tau <= r
+    if derivs:  # I'' = sum_k D_k terms_k/(2 (1-r) c2 den), terms = f(t) tau^3, 0 where tau <= r
         terms, shut = g_ends ** 3, ~(g_ends > r)
     g_ends -= 1.0  # t = (tau - 1)/(1-r)
     g_ends /= omr
@@ -234,7 +235,10 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         terms *= f_pl(g_ends)
         terms[shut] = 0.0
         jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
-        d2_inner = (jumps @ terms) / (2.0 * omr * c2 * den)
+        d2_inner = np.zeros(m)
+        for jump, row in zip(jumps, terms):  # kink by kink, each node on its own
+            d2_inner += np.multiply(row, jump, out=row)
+        d2_inner /= 2.0 * omr * c2 * den
         terms = shut = None
     # the t-ends of f's pieces above -1, and of g's pieces below its top kink in [-1, t_top]
     f_ends = [-1.0, *f_pl.breaks[f_pl.breaks > -1.0], np.inf]
@@ -351,11 +355,11 @@ class _Band:
         self.h, self.s, self.quad, self.f, self.g = h, s, quad, pair.f, pair.g
         self.sup = float(np.exp(-_min_psi(form)) ** (2.0 / s)) * 1.0000001  # >= sup h^(2/s)
         self.cap = np.inf if form.domain_radius is None else form.domain_radius  # >= 1, as checked
-        self.breaks = b = _envelope_breaks_1d(h.form) if h.n == 1 else None
-        if b is not None:  # psi's slope jump and h^(1/s) at each kink; one side point per piece
-            sides = np.concatenate([b[:1] - 1.0, 0.5 * (b[:-1] + b[1:]), b[-1:] + 1.0])[:, None]
-            self.jumps, self.h_breaks = (np.diff(psi_gradient(form, sides)[:, 0]),
-                                         eval_h_many(h, b[:, None]) ** (1.0 / s))
+        self.breaks = None
+        if h.n == 1:  # psi's kinks, and its slope jump and h^(1/s) at each
+            self.breaks, slopes = _envelope_breaks_1d(form)
+            self.jumps = np.diff(slopes)
+            self.h_breaks = eval_h_many(h, self.breaks[:, None]) ** (1.0 / s)
         self.basis = trace0_array(h.n, s)
 
     def radii(self, r: float) -> tuple[float, float]:
@@ -427,9 +431,7 @@ class _Band:
         so its tail falls on other nodes, and a node's h can move in its last
         bit: seen at 1 node in 32,768 on a rotated n = 3 cross, never on the
         axis crosses or the benchmark's instances.  h on the grid is one
-        product over a block's kept columns, and I'' one product of g's slope
-        jumps with the kinks' terms over a kernel call's open nodes, so the
-        same holds for both.
+        product over a block's kept columns, so the same holds for it.
         """
         n, s = self.h.n, self.s
         radius, reach = self.radii(r)
@@ -527,11 +529,12 @@ def _band_value(band: _Band, r: float, p: EPoint) -> float:
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if not _positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    return _value_sum(band, r, A, alpha, v, True, alpha)
+    return _value_sum(band, r, A, alpha, v, True)
 
 
-def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool, scale: float) -> float:
+def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool) -> float:
     """The sum of W (h^(1/s)/scale) I over the open nodes, block by block; +inf at the barrier."""
+    scale = alpha if shifted else 1.0
     value = 0.0
     for block in band.blocks(r, A, alpha, v, shifted, False):
         if block is None:
@@ -672,7 +675,7 @@ def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: fl
     if not _positive(A, alpha):
         raise NotInBr("identity plus (1-r) M is not positive definite (or corner <= 0)")
     shift = (1.0 - r) * p.shift
-    return float(alpha ** (s - 1.0) * _value_sum(band, r, A, alpha, shift, False, 1.0))
+    return float(alpha ** (s - 1.0) * _value_sum(band, r, A, alpha, shift, False))
 
 
 def _measure(band: _Band, r: float, walk, bumps) -> tuple[np.ndarray, float]:

@@ -483,11 +483,15 @@ def inner_curvature(f_pl, g_pl, r, c2, den, r2m1):
     above which the band ends), so I'' = sum_k D_k f(t_k) (tau_k^2/den)^2/q'(t_k)
     = sum_k D_k f(t_k) tau_k^3/(2 c2 (1-r) den) over the kinks whose pullback
     t_k lies above -1 (f(-1) = 0), with tau = 1 + (1-r) t, q' = 2 c2 (1-r) tau/den.
+    The sum runs kink by kink at each node, in g's order, from 0.
     """
     jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
     tau = np.sqrt(np.maximum((np.multiply.outer(g_pl.breaks, den) - r2m1) / c2, 0.0))
     terms = np.where(tau > r, f_pl((tau - 1.0) / (1.0 - r)) * tau ** 3, 0.0)
-    return (jumps @ terms) / (2.0 * (1.0 - r) * c2 * den)
+    total = np.zeros(terms.shape[1:])
+    for jump, row in zip(jumps, terms):
+        total = total + jump * row
+    return total / (2.0 * (1.0 - r) * c2 * den)
 
 
 def dense_quadrature_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,

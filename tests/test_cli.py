@@ -63,9 +63,11 @@ class TestFixtureCommand:
         ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "-3"],
         ["tangent", "--n", "1", "--points", "1.2"],
         ["tangent", "--n", "2", "--points", "0.5,0.5;0.6,0.8"],
+        ["tangent", "--n", "1", "--points", "0.5;0.5;-0.5"],
     ], ids=["cross-n0", "cross-n-1", "two-level-n0", "points-not-numbers",
             "points-wrong-dimension", "points-ragged", "points-nan", "domain-radius-0",
-            "domain-radius-negative", "points-outside-ball", "points-on-sphere"])
+            "domain-radius-negative", "points-outside-ball", "points-on-sphere",
+            "points-repeated"])
     def test_bad_input_is_an_input_error(self, argv, tmp_path, capsys):
         out = tmp_path / "inst.json"
         assert cli.main(["fixture", *argv, "--s", "1.0", "--out", str(out)]) == 1
@@ -150,6 +152,15 @@ class TestUsageErrors:
         assert "--points=-0.5" in "".join(capsys.readouterr().out.split())  # however it wraps
 
 
+def _repeat_contact_point(inst):
+    inst["contacts"]["points"][1] = list(inst["contacts"]["points"][0])  # weights keep their count
+
+
+def _calibrate(inst, weight):
+    inst["nu"] = "calibrated"
+    inst["contacts"]["weights"][0] = weight
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("command,mutate", [
         ("minimize-i1", lambda i: i["h"]["pieces"][0].pop("a")),
@@ -198,6 +209,11 @@ class TestMalformedInput:
         ("contacts", lambda i: i["h"]["pieces"][0].update(a=[1e308])),
         ("minimize-i1", lambda i: [piece.update(b=[]) for piece in i["h"]["pieces"]]),
         ("verify", lambda i: i.update(s=10**400)),
+        ("minimize-i1", _repeat_contact_point),
+        ("coercivity", _repeat_contact_point),
+        ("sweep-r", _repeat_contact_point),
+        ("minimize-i1", lambda i: _calibrate(i, 0.0)),
+        ("coercivity", lambda i: _calibrate(i, -0.25)),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
@@ -211,7 +227,9 @@ class TestMalformedInput:
             "quadrature-not-an-object", "h-not-an-object", "x-nodes-fraction",
             "contacts-not-an-object", "n-boolean", "n-fraction", "domain-radius-square-overflows",
             "slope-square-overflows",
-            "every-b-an-empty-list", "integer-beyond-float-range"])
+            "every-b-an-empty-list", "integer-beyond-float-range",
+            "repeated-contact-minimize", "repeated-contact-coercivity", "repeated-contact-sweep",
+            "calibrated-zero-weight", "calibrated-negative-weight"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, capsys,
                                            command, mutate):
         # in process: an exception escaping `main` fails the test, as a traceback would
@@ -221,6 +239,19 @@ class TestMalformedInput:
         bad.write_text(json.dumps(inst))
         assert cli.main([command, "--instance", str(bad)]) == 1
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate,why", [
+        (_repeat_contact_point, "ValueError: atoms 0 and 1 coincide"),
+        (lambda i: _calibrate(i, 0.0), "ValueError: masses must be positive and finite"),
+    ], ids=["repeated-contact", "calibrated-zero-weight"])
+    def test_measure_on_contacts_names_the_fault(self, two_level_instance, tmp_path, capsys,
+                                                 mutate, why):
+        inst = json.loads(two_level_instance.read_text())
+        mutate(inst)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(inst))
+        assert cli.main(["coercivity", "--instance", str(bad)]) == 1
+        assert capsys.readouterr().err == f"input error: malformed contacts ({why})\n"
 
     @pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1]"],
                              ids=["number", "null", "string", "list"])

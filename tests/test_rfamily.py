@@ -14,7 +14,7 @@ from fjohn.errors import (BadR, DivergingIterates, NotConverged, NotInBr, NotJoh
                           NotProper, SingularA)
 from fjohn.isotropy import (counting_measure, extract_measure, limit_reference,
                             minimize_functional)
-from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
+from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave, psi_gradient
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            concentration_integral, default_bumps, minimize_band, r_sweep,
@@ -892,14 +892,9 @@ def _walked_terms(band, r, A, alpha, v, shifted, derivs=True):
     return tuple(np.concatenate(col) for col in zip(*terms))
 
 
-def _same_terms(got, ref, n):
-    """Walked and whole-grid terms (`_walked_terms`, `_unblocked_terms`) bit for bit, but
-    I'' at n >= 2 to 1e-13 relative: I'' sums the kinks' terms in one BLAS product over a
-    kernel call's open nodes, whose last rows take another micro-kernel (the caveat of
-    `_Band.blocks`), and at n >= 2 those are other nodes in a block than in the grid."""
-    tol = 0.0 if n == 1 else 1e-13
-    return (all(np.array_equal(a, b) for a, b in zip(got[:-1], ref[:-1], strict=True))
-            and np.all(np.abs(got[-1] - ref[-1]) <= tol * np.abs(ref[-1])))
+def _same_terms(got, ref):
+    """Walked and whole-grid terms (`_walked_terms`, `_unblocked_terms`) bit for bit."""
+    return all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
 
 
 def _one_block(terms, derivs):
@@ -960,7 +955,7 @@ class TestBlockedTerms:
                     with pytest.raises(NotInBr):
                         rfamily._band_measure(band, r, EPoint(BlockMat(A, alpha), v), [])
                 continue
-            assert _same_terms(got, ref, n)
+            assert _same_terms(got, ref)
             assert len(got[2]) and np.all(got[4] > 0.0)
             if mode == "value":  # the value walk yields the same W, h_y and I
                 values = _walked_terms(band, r, A, alpha, v, shifted, derivs=False)
@@ -1040,7 +1035,7 @@ class TestBlockedTerms:
             assert sum(visited) < len(x_grid(1, 1.0, nodes)[0]) ** n
             walked = [np.concatenate(col) for col in zip(*kernel_inputs)]
             assert all(np.array_equal(a, b) for a, b in zip(walked, inputs[:3]))
-            assert _same_terms(got, ref, n)
+            assert _same_terms(got, ref)
             assert len(got[2]) and np.all(got[4] > 0.0)
         assert compared == 2
 
@@ -1075,7 +1070,7 @@ class TestBlockedTerms:
             monkeypatch.setattr(rfamily, "_inner_band", inner_band)
             ref, inputs = _unblocked_terms(band, r, A, alpha, v, True)
             assert sum(visited) < 1.1 * sum(near) and sum(near) == len(inputs[0])
-            assert _same_terms(got, ref, 2)
+            assert _same_terms(got, ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_block_sums_match_whole_grid(self, n, monkeypatch):
@@ -1513,9 +1508,14 @@ class TestEnvelopeBreaks:
             checked += 1
             slopes = np.sort(rng.choice(np.arange(-6.0, 7.0), size=m + 1, replace=False))
             form = _envelope_from_kinks(kinks, slopes, rng)
+            found, hull_slopes = _envelope_breaks_1d(form)
+            # the hull's slopes are psi's gradient between its kinks and beyond them
+            sides = np.concatenate([found[:1] - 1.0, 0.5 * (found[:-1] + found[1:]),
+                                    found[-1:] + 1.0])
+            assert np.array_equal(hull_slopes, slopes)
+            assert np.array_equal(hull_slopes, psi_gradient(form, sides[:, None])[:, 0])
             for lo, hi in ((-10.0, 10.0), (-3.0, 2.5)):
-                closed = _envelope_breaks_1d(form)
-                closed = closed[(closed > lo) & (closed < hi)]
+                closed = found[(found > lo) & (found < hi)]
                 scan = envelope_breaks_scan(form, lo, hi)
                 assert np.array_equal(closed, scan)
                 assert closed == pytest.approx(kinks[(kinks > lo) & (kinks < hi)], abs=1e-12)
@@ -1527,14 +1527,14 @@ class TestEnvelopeBreaks:
         form = PiecewiseLogAffine(np.array([[-1.0], [0.0], [1.0]]),
                                   np.array([0.0013, 0.0005, -0.0013]))
         assert envelope_breaks_scan(form, -10.0, 10.0) == pytest.approx([0.0013])
-        closed = _envelope_breaks_1d(form)
+        closed, _ = _envelope_breaks_1d(form)
         closed = closed[(closed > -10.0) & (closed < 10.0)]
         assert closed == pytest.approx([0.0008, 0.0018], abs=1e-15)
 
     def test_no_kinks(self):
         for a, b in (([[2.0]], [0.5]), ([[1.0], [1.0]], [0.0, 3.0])):
             form = PiecewiseLogAffine(np.array(a), np.array(b))
-            assert len(_envelope_breaks_1d(form)) == 0
+            assert len(_envelope_breaks_1d(form)[0]) == 0
 
 
 class TestSweepFromLimit:
