@@ -84,22 +84,16 @@ def s_trace(b: BlockMat, s: float) -> float:
     return float(s * b.corner + np.trace(b.diag))
 
 
-def _expm_sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(exp S, lam, V) for the eigendecomposition S = V diag(lam) V^T of S's symmetric part."""
-    S = 0.5 * (S + S.T)
-    lam, V = np.linalg.eigh(S)
-    E = (V * np.exp(lam)) @ V.T
-    return 0.5 * (E + E.T), lam, V
-
-
 def sdet1_param(S: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     """Map a symmetric matrix S to an SPD pair (A, alpha) of unit weighted determinant.
 
     A = exp(S), alpha = exp(-trace(S)/s), so alpha**s * det(A) = 1 exactly.
+    exp is taken on the eigendecomposition of S's symmetric part.
     """
-    A = _expm_sym_eig(np.asarray(S, dtype=float))[0]
-    alpha = float(np.exp(-np.trace(S) / s))
-    return A, alpha
+    S = np.asarray(S, dtype=float)
+    lam, V = np.linalg.eigh(0.5 * (S + S.T))
+    E = (V * np.exp(lam)) @ V.T
+    return 0.5 * (E + E.T), float(np.exp(-np.trace(S) / s))
 
 
 @functools.lru_cache(maxsize=None)

@@ -177,9 +177,13 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None)
 
     psi <= -(s/2) log(1 - |x|^2) with a strictly convex right side, so piece
     j can touch only at its tangency point u_j = rho_j a_j/|a_j| with
-    s rho_j/(1 - rho_j^2) = |a_j| (u_j = 0 when a_j = 0), and h is in John
-    position iff the gap is nonnegative at every u_j, zero at some u_j, and
-    domain_radius >= 1.  Raises NotJohnPosition otherwise.  A gap below
+    s rho_j/(1 - rho_j^2) = |a_j| (u_j = 0 when a_j = 0), and h^(1/s)
+    dominates the hemisphere and touches it iff the gap is nonnegative at
+    every u_j, zero at some u_j, and domain_radius >= 1.  Raises
+    NotJohnPosition otherwise.  Touching is not John position, which needs a
+    decomposition of the identity on the contact set (`verify_decomposition`
+    checks one for given weights): `tangent_n1_s1` touches at one point and
+    has none.  A gap below
     -GAP_TOL is a fall below the hemisphere, and one of at most GAP_TOL a
     contact, as in `isotropy._Atoms`; an h whose least gap exceeds GAP_TOL
     touches the hemisphere nowhere.

@@ -38,14 +38,14 @@ class DiscreteMeasure:
     masses: np.ndarray  # (k,)
 
     def __post_init__(self):
-        P = np.atleast_2d(np.asarray(self.points, dtype=float))
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        if P.shape[1] == 0:  # np.atleast_2d([]) is one atom in R^0
+        if m.shape[0] == 0:  # before np.atleast_2d, which makes [] one atom in R^0
+            raise ValueError("a measure needs at least one atom")
+        P = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if P.shape[1] == 0:
             raise ValueError("atom points need at least one coordinate")
         if P.shape[0] != m.shape[0]:
             raise ValueError("points/masses length mismatch")
-        if P.shape[0] == 0:
-            raise ValueError("a measure needs at least one atom")
         if not np.all(np.isfinite(P)):
             raise ValueError("atom points must be finite")
         with np.errstate(over="ignore"):

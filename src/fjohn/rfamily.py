@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import BlockMat, EPoint, _expm_sym_eig, s_trace, sdet1_param, trace0_array
+from .blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
 from .isotropy import DiscreteMeasure, MinimizerResult, limit_reference
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
@@ -599,65 +599,39 @@ def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray
     return value, grad, hess, kept
 
 
-# 1/(a + b + 2)! for a, b <= 10: the Taylor coefficients of exp[x, 0, z] on x^a z^b
-_EXP2_TAYLOR = 1.0 / np.cumprod(np.arange(1.0, 23.0))[np.add.outer(range(11), range(11)) + 1]
-
-
-def _exp_divided_differences(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp[l_i, l_j] and exp[l_i, l_m, l_j], the divided differences of exp on the eigenvalues.
-
-    The first is e^((a+b)/2) sinh(d)/d, d = (a-b)/2.  The second, symmetric in
-    its arguments, is the recursion (exp[l_i, l_m] - exp[l_m, l_j])/(l_i - l_j),
-    or (exp[l_m, l_i] - exp[l_i, l_j])/(l_m - l_j) where l_m - l_j is wider,
-    when that divisor exceeds 0.05; else the three lie within 0.1 (every
-    triple at n = 1) and it is e^(l_m) exp[l_i - l_m, 0, l_j - l_m] by its
-    Taylor series in x^a z^b, a, b <= 10, whose terms fall below 1e-16 there.
-    """
-    if len(lam) == 1:  # confluent: e^l and e^l/2
-        return np.exp(lam)[:, None], 0.5 * np.exp(lam)[:, None, None]
-    gap = np.subtract.outer(lam, lam)  # l_i - l_m
-    half = 0.5 * gap
-    g = np.exp(0.5 * np.add.outer(lam, lam)) * np.divide(np.sinh(half), half,
-                                                          out=np.ones_like(half), where=half != 0.0)
-    powers = gap[..., None] ** np.arange(11)
-    series = np.exp(lam)[:, None] * np.einsum("ima,ab,jmb->imj", powers, _EXP2_TAYLOR, powers)
-    by_ij = np.abs(gap[:, None, :]) >= np.abs(gap)  # |l_i - l_j| against |l_m - l_j|
-    div = np.where(by_ij, gap[:, None, :], gap)
-    far = np.abs(div) > 0.05
-    recursion = np.where(by_ij, g[:, :, None] - g, g.T[:, :, None] - g[:, None, :])
-    return g, np.where(far, recursion / np.where(far, div, 1.0), series)
-
-
 def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
     """Band functional, gradient, Hessian and walk at r and theta; (inf, None, None, None)
     beyond the barrier.
 
-    theta (`_Band.split`) stands for (exp S, exp(-tr S / s), v) with
-    (S, -tr S/s, v) = theta @ basis.  The one eigh of S in `_expm_sym_eig`,
-    which `sdet1_param` takes too, gives A = exp S and its derivatives, so the
-    value is `_band_value` at the `sdet1_param` position bit for bit.  log alpha
-    and v are linear in theta, and in S's eigenbasis A's first and second
-    derivatives are L(S, E)_ij = E_ij exp[l_i, l_j] and L2(S; E, F)_ij =
-    sum_m (E_im F_mj + F_im E_mj) exp[l_i, l_m, l_j] (Daleckii-Krein).  With J the
-    basis rows, their A-part mapped by L, `_band_sums`'s flat derivatives give
-    J grad and J hess J^T + <L2(S; dS_k, dS_l), grad_A>.  The walk,
+    theta (`_Band.split`) stands for (I + S, det(I + S)^(-1/s), v) with
+    (S, -tr S/s, v) = theta @ basis: the block is linear in theta, and only
+    log alpha = -log det A/s is not, with first derivative -tr(A^-1 dS)/s and
+    second tr(A^-1 dS A^-1 dS')/s.  One eigh of A gives its SPD test (theta
+    is beyond the barrier unless A is positive definite), log det A and A^-1.
+    With J the basis rows, their corner replaced by -tr(A^-1 dS_k)/s,
+    `_band_sums`'s flat derivatives give J grad and
+    J hess J^T + grad_(log alpha) tr(A^-1 dS_k A^-1 dS_l)/s.  The walk,
     (A, alpha, v, the flat gradient, `_band_sums`' kept arrays), is what
-    `_measure` reduces to lambda_r and the bump integrals at this theta.
+    `_measure` reduces to lambda_r and the bump integrals at this theta, and
+    its (A, alpha, v) is the position whose `_band_value` the value is, bit
+    for bit.
     """
     n, s = band.h.n, band.s
     S, v = band.split(theta)
-    A, lam, V = _expm_sym_eig(S)
-    alpha = float(np.exp(-np.trace(S) / s))
+    A = np.eye(n) + S  # symmetric: theta @ basis has one term in each off-diagonal entry
+    lam, V = np.linalg.eigh(A)
+    if not lam[0] > 0.0:
+        return float("inf"), None, None, None
+    alpha = float(np.exp(-np.sum(np.log(lam)) / s))
     sums = _band_sums(band, r, A, alpha, v)
     if sums is None:
         return float("inf"), None, None, None
     value, grad, hess, kept = sums
-    gamma1, gamma2 = _exp_divided_differences(lam)
-    E = V.T @ band.basis[:, :n * n].reshape(-1, n, n) @ V  # the basis rows' dS, in S's eigenbasis
+    P = (V / lam) @ V.T @ band.basis[:, :n * n].reshape(-1, n, n)  # A^-1 dS_k
     J = band.basis.copy()
-    J[:, :n * n] = (V @ (E * gamma1) @ V.T).reshape(-1, n * n)
-    second = np.einsum("ij,imj,kim,lmj->kl", V.T @ grad[:n * n].reshape(n, n) @ V, gamma2, E, E)
-    return value, J @ grad, J @ hess @ J.T + second + second.T, (A, alpha, v, grad, kept)
+    J[:, n * n] = -np.trace(P, axis1=1, axis2=2) / s
+    second = (grad[n * n] / s) * np.einsum("kij,lji->kl", P, P)
+    return value, J @ grad, J @ hess @ J.T + second, (A, alpha, v, grad, kept)
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -751,9 +725,9 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                   quad: QuadratureSpec) -> tuple[EPoint, float]:
     """Minimize the band functional over unit-weighted-determinant positions.
 
-    The block is parametrized as exp(S) with corner exp(-tr S / s), which
-    keeps the weighted determinant at exactly 1 (restricting to that manifold
-    loses nothing at a minimum), and minimized by Newton from the identity
+    The block is parametrized as I + S with corner det(I + S)^(-1/s), which
+    keeps the weighted determinant at 1 (restricting to that manifold loses
+    nothing at a minimum), and minimized by Newton from the identity
     on the analytic gradient and Hessian: `_minimize_band` at r on a band
     geometry built for this call.  Returns the minimizer and the
     stationarity multiplier, from the walk of the minimizer's accepted
@@ -771,18 +745,19 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
     (None: theta = 0, where `minimize_band` starts); `r_sweep` starts from the
     limit.  Each evaluation is one `_band_value_grad` call, and each step Newton
     on its Hessian with the eigenvalues floored in magnitude (`_newton`), halved
-    until Armijo (1e-4) holds on the value; +inf beyond the coercive barrier is
-    a rejection.  It stops (CONVERGED) once the step predicts a decrease below
-    ROUNDING of the value: the n = 1 grid moves with theta, so the analytic
-    derivatives (the continuum functional's) and the discrete values differ at
-    the quadrature level (~1e-6 of the gradient, ~1e-12 of the value).  When the
-    halved step falls below the difference step 1e-4 (1-r) without a decrease
-    (theta's scale is 1-r, the band's width), it stops RESOLVED: there the
-    discrete functional stops following its Newton model, as on a fixed n >= 2
-    grid, whose nodes cross the kinks of psi one by one.  A start beyond the
+    until Armijo (1e-4) holds on the value; +inf beyond the coercive barrier,
+    or where I + S is not positive definite, is a rejection.  It stops
+    (CONVERGED) once the step predicts a decrease below ROUNDING of the
+    value: the n = 1 grid moves with theta, so the analytic derivatives (the
+    continuum functional's) and the discrete values differ at the quadrature
+    level (~1e-6 of the gradient, ~1e-12 of the value).  When the halved step
+    falls below the difference step 1e-4 (1-r) without a decrease (theta's
+    scale is 1-r, the band's width), it stops RESOLVED: there the discrete
+    functional stops following its Newton model, as on a fixed n >= 2 grid,
+    whose nodes cross the kinks of psi one by one.  A start beyond the
     barrier raises NotConverged; after BAND_MAX_ITER steps it stops ("max_iter").
     The walk is the one `_band_value_grad` returned at the accepted iterate,
-    which the record's point is bit for bit, so `_measure` on it is
+    and its (A, alpha, v) is the record's point, so `_measure` on it is
     `_band_measure` there without a walk.  Besides the walk being built, the
     loop holds the accepted iterate's walk and the last candidate's; the
     caller reduces the returned walk and drops it, and no record holds
@@ -822,8 +797,8 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
             break
         theta, value, grad, hess, walk = theta + t * delta, c_value, c_grad, c_hess, c_walk
         it += 1
-    S, v = band.split(theta)
-    return BandMinimum(point=EPoint(BlockMat(*sdet1_param(S, band.s)), v), value=value,
+    A, alpha, v = walk[:3]
+    return BandMinimum(point=EPoint(BlockMat(A, alpha), v), value=value,
                        evaluations=evals, iterations=it, stop_reason=stop,
                        grad_norm=float(np.linalg.norm(grad))), walk
 
@@ -904,12 +879,14 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     walk of the minimizer's accepted evaluation gives every bump integral and
     lambda_r (`_measure`): no grid is walked after the minimizer.
 
-    Every r starts from the curvature-weighted limit of the band family
-    (`isotropy.limit_reference`, computed once per call from h, s and the
-    pair alone: the band functional never sees a measure).  L is minimized
-    in the coordinates `_minimize_band` works in, the rows of `trace0_array`,
-    and theta = (1-r) c stands for the rescaled position c @ basis to first
-    order, so the start is theta = (1-r) c_lim.  Nothing of one r reaches
+    Every r starts from the curvature-weighted limit (M_lim, beta_lim, w_lim)
+    of the band family (`isotropy.limit_reference`, computed once per call
+    from h, s and the pair alone: the band functional never sees a measure),
+    at the position of unit weighted determinant that stands for (1-r) times
+    it: the block `sdet1_param((1-r) M_lim, s)` and the shift (1-r) w_lim,
+    written in `_minimize_band`'s chart as theta = basis @ (A0 - I,
+    -tr(A0 - I)/s, (1-r) w_lim).  A0 = exp((1-r) M_lim) is positive definite,
+    so no start lies beyond the chart's barrier.  Nothing of one r reaches
     the next (`_Band` holds nothing of r): a row depends on its r alone.  An
     r outside (1/2, 1) raises BadR at its first evaluation.  A failure at a
     single r is recorded with its reason and the sweep continues; a contact
@@ -922,15 +899,17 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     limit = limit_reference(h, s, pair)
     bumps = default_bumps(reference_measure)
     band = _Band(h, s, pair, quad)
-    c_lim = band.basis @ limit.point.vec  # the point lies on the orthonormal rows' span
+    M_lim, w_lim = limit.point.mat.diag, limit.point.shift
     ref_integrals = np.array([float(np.dot(reference_measure.masses, b(reference_measure.points)))
                               for b in bumps])
     ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
     result = RSweepResult(schedule=list(schedule), limit=limit.point)
     for r in schedule:
         omr = 1.0 - r
+        step = sdet1_param(omr * M_lim, s)[0] - np.eye(n)  # A0 - I
+        start = band.basis @ np.concatenate([step.ravel(), [-np.trace(step) / s], omr * w_lim])
         try:
-            solver, walk = _minimize_band(band, r, omr * c_lim)
+            solver, walk = _minimize_band(band, r, start)
         except NotConverged as exc:
             nan = float("nan")
             result.entries.append(SweepEntry(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fjohn import rfamily
-from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
+from fjohn.blockmat import BlockMat, EPoint, s_trace, trace0_array
 from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
 from fjohn.errors import NotConverged, NotInBr, NotJohnPosition, SingularA
 from fjohn.isotropy import DiscreteMeasure, _Atoms
@@ -595,41 +595,16 @@ def kink_hessian(band, r: float, A: np.ndarray, alpha: float, v: np.ndarray) -> 
 
 
 def theta_point(theta, n: int, s: float):
-    """The position at theta, coordinates on the rows of `trace0_array`, by `sdet1_param`.
+    """The position at theta, coordinates on the rows of `trace0_array`, in the linear chart.
 
-    theta @ trace0_array(n, s) is the flat form (S, -tr S/s, shift).
+    theta @ trace0_array(n, s) is the flat form (S, -tr S/s, shift); the block is
+    I + S and the corner det(I + S)^(-1/s), from the eigenvalues of the block by
+    the expression of `rfamily._band_value_grad`.
     """
     flat = theta @ trace0_array(n, s)
-    A, alpha = sdet1_param(flat[:n * n].reshape(n, n), s)
+    A = np.eye(n) + flat[:n * n].reshape(n, n)
+    alpha = float(np.exp(-np.sum(np.log(np.linalg.eigh(A)[0])) / s))
     return EPoint(BlockMat(A, alpha), flat[n * n + 1:])
-
-
-def logm_sym(A: np.ndarray) -> np.ndarray:
-    """The symmetric matrix log of an SPD block, by eigh; SingularA otherwise."""
-    lam, V = np.linalg.eigh(0.5 * (A + A.T))
-    if np.any(lam <= 0.0):
-        raise SingularA("matrix log of a non-SPD block")
-    L = (V * np.log(lam)) @ V.T
-    return 0.5 * (L + L.T)
-
-
-def expm_derivatives(S: np.ndarray, E: np.ndarray, F: np.ndarray):
-    """d/dt exp(S + t E) and d^2/ds dt exp(S + s E + t F) at 0, from scipy's expm of block matrices.
-
-    The top-right block of exp([[S, E], [0, S]]) is the first.  The top-right block
-    of exp([[S, E, 0], [0, S, F], [0, 0, S]]) is the sum over the words
-    S^i E S^j F S^k / (i + j + k + 2)!, the half of the second derivative with E
-    before F; the other order adds the other half.  scipy is imported here only.
-    """
-    from scipy.linalg import expm
-
-    n = len(S)
-    zero = np.zeros((n, n))
-
-    def half(E, F):
-        return expm(np.block([[S, E, zero], [zero, S, F], [zero, zero, S]]))[:n, 2 * n:]
-
-    return expm(np.block([[S, E], [zero, S]]))[:n, n:], half(E, F) + half(F, E)
 
 
 def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
@@ -651,8 +626,8 @@ def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
         evals += 1
         return rfamily._band_value_grad(band, r, theta)[:2]
 
-    if x0 is not None:  # the coordinates of (log A, -tr log A/s, shift), on the basis's span
-        S_0 = logm_sym(x0.mat.diag)
+    if x0 is not None:  # the coordinates of (A - I, -tr(A - I)/s, shift), on the basis's span
+        S_0 = x0.mat.diag - np.eye(n)
         theta = basis @ np.concatenate([S_0.ravel(), [-np.trace(S_0) / s], x0.shift])
     else:
         theta = np.zeros(len(basis))

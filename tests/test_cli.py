@@ -298,6 +298,33 @@ def test_profile_failing_beyond_the_grid(two_level_instance, tmp_path):
     assert "input error: profile pair fails f2_convex, f4_strictly_increasing" in res.stderr
 
 
+def test_pair_unfit_for_the_band_is_an_input_error(tmp_path, capsys):
+    # the canonical f, and a g that falls to -4e-9 at its top kink 5000: every
+    # `validate_profiles` check passes, but the band kernel needs g = 0 at that kink
+    inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+    inst["profile"] = {"f": {"xs": [-1.0], "ys": [0.0], "right_slope": 1.0},
+                       "g": {"xs": [-1.0, 1.0, 5000.0], "ys": [1.0, 0.0, -4e-9]}}
+    bad = tmp_path / "unfit.json"
+    bad.write_text(json.dumps(inst))
+    assert cli.main(["profiles-check", "--instance", str(bad)]) == 0
+    capsys.readouterr()
+    assert cli.main(["sweep-r", "--instance", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: profile unfit for the band functionals (")
+
+
+def test_empty_nu_atoms_is_no_atom(tmp_path, capsys):
+    # np.atleast_2d would make the empty list one atom in R^0; the message names the fault
+    inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+    inst["nu"] = {"atoms": []}
+    bad = tmp_path / "no_atom.json"
+    bad.write_text(json.dumps(inst))
+    assert cli.main(["coercivity", "--instance", str(bad)]) == 1
+    assert capsys.readouterr().err == ("input error: malformed nu.atoms "
+                                       "(ValueError: a measure needs at least one atom)\n")
+
+
 # the custom pair of the CI sweep step: f kinks at -0.3 and 0.4, g at -0.2
 CUSTOM_PAIR = {"f": {"xs": [-1.0, -0.3, 0.4], "ys": [0.0, 0.35, 1.1], "right_slope": 2.0},
                "g": {"xs": [-1.0, -0.2, 1.0], "ys": [1.0, 0.7, 0.0]}}

@@ -592,10 +592,12 @@ class TestDiscreteMeasure:
                 DiscreteMeasure(np.array(points), np.ones(2))
 
     def test_rejects_no_atom(self):
-        with pytest.raises(ValueError, match="at least one atom"):
-            DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
+        # ([], []) is no atom, although np.atleast_2d([]) would make it one in R^0
+        for points, masses in ((np.zeros((0, 2)), np.zeros(0)), ([], [])):
+            with pytest.raises(ValueError, match="at least one atom"):
+                DiscreteMeasure(points, masses)
 
-    @pytest.mark.parametrize("points, masses", [([], [1.0]), ([], []), ([[]], [1.0])])
+    @pytest.mark.parametrize("points, masses", [([], [1.0]), ([[]], [1.0])])
     def test_rejects_points_without_coordinates(self, points, masses):
         # np.atleast_2d([]) has shape (1, 0): one atom in R^0, not a measure
         with pytest.raises(ValueError, match="at least one coordinate"):

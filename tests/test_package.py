@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fjohn
-from fjohn import contact, isotropy, logconcave, rfamily
+from fjohn import blockmat, contact, isotropy, logconcave, rfamily
 
 # every name `fjohn` exports, by the submodule that defines it
 EXPORTS = {
@@ -65,6 +65,7 @@ def test_the_benchmark_reaches_every_name_and_keyword_it_uses():
     inspect.signature(contact.verify_decomposition).bind(p, w, h, s)
     inspect.signature(logconcave.make_log_concave).bind(p, w, s, None)
     inspect.signature(rfamily.QuadratureSpec).bind(x_nodes_per_axis=64)
+    inspect.signature(blockmat.sdet1_param).bind(p, s)  # band_n2 draws its positions with it
     # the tracer reads these arguments by position when they are not keywords
     assert list(inspect.signature(contact.detect_contacts).parameters)[2] == "grid_per_axis"
     assert list(inspect.signature(rfamily.band_functional).parameters)[5] == "quad"
