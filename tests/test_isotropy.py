@@ -597,7 +597,8 @@ class TestDiscreteMeasure:
             with pytest.raises(ValueError, match="at least one atom"):
                 DiscreteMeasure(points, masses)
 
-    @pytest.mark.parametrize("points, masses", [([], [1.0]), ([[]], [1.0])])
+    @pytest.mark.parametrize("points, masses",
+                             [([], [1.0]), ([[]], [1.0]), ([[], []], [1.0, 1.0])])
     def test_rejects_points_without_coordinates(self, points, masses):
         # np.atleast_2d([]) has shape (1, 0): one atom in R^0, not a measure
         with pytest.raises(ValueError, match="at least one coordinate"):
