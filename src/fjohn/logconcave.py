@@ -47,16 +47,17 @@ class LogConcaveFn:
     form: PiecewiseLogAffine
 
 
-def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
+def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray, out=None, work=None) -> np.ndarray:
     """Vectorized psi over rows of X, ignoring the domain ball.
 
     The (k, N) layout puts the long axis last, so the max over the k pieces
     runs along contiguous rows instead of over k-wide rows of an (N, k) array.
-    The intercepts are added in place, so a call builds one (k, N) array.
+    The intercepts are added in place, so a call builds one (k, N) array, or
+    writes it into work (k rows of at least N entries) and psi into out.
     """
-    vals = form.a @ X.T
+    vals = np.matmul(form.a, X.T, out=work)
     vals += form.b[:, None]
-    return np.max(vals, axis=0)
+    return np.max(vals, axis=0, out=out)
 
 
 def psi_gradient(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
@@ -64,26 +65,27 @@ def psi_gradient(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
     return form.a[np.argmax(X @ form.a.T + form.b, axis=1)]
 
 
-def _sq_norms(X: np.ndarray) -> np.ndarray:
+def _sq_norms(X: np.ndarray, out=None, work=None) -> np.ndarray:
     """np.sum(X * X, axis=1) bit for bit, without numpy's slow reduce over short rows.
 
-    numpy sums the rows of an (N, n) array column by column; so does this.
+    numpy sums the rows of an (N, n) array column by column; so does this,
+    into out with work as scratch when they are given.
     """
-    out = X[:, 0] * X[:, 0]
+    out = np.multiply(X[:, 0], X[:, 0], out=out)
     for k in range(1, X.shape[1]):
-        out += X[:, k] * X[:, k]
+        out += np.multiply(X[:, k], X[:, k], out=work)
     return out
 
 
-def eval_h_many(h: LogConcaveFn, X: np.ndarray) -> np.ndarray:
-    """h over the rows of X: exp(-psi), and 0 outside the domain ball."""
+def eval_h_many(h: LogConcaveFn, X: np.ndarray, out=None, work=None) -> np.ndarray:
+    """h over the rows of X: exp(-psi), and 0 outside the domain ball; out and work as psi's."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     form = h.form
-    vals = psi_eval_many(form, X)
+    vals = psi_eval_many(form, X, out, work)
     np.negative(vals, out=vals)
     np.exp(vals, out=vals)
     if form.domain_radius is not None:
-        vals = np.where(_sq_norms(X) <= form.domain_radius**2, vals, 0.0)
+        vals[~(_sq_norms(X) <= form.domain_radius**2)] = 0.0
     return vals
 
 

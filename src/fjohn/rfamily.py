@@ -35,10 +35,12 @@ from .profiles import PiecewiseLinear, ProfilePair, _distinct
 
 # Entries of the largest array the band walk (`_Band.blocks`) holds, which
 # is x_nodes_per_axis ** max(1, n - 1): at n = 1 the whole grid is one block,
-# about 180 bytes a node in flight (0.75 GB at the cap; 10^9 nodes would need
-# ~180 GB), and at n >= 2 the row-weight table holds P^(n-1) entries for the
-# P >= x_nodes_per_axis nodes per axis, while a block holds at most
-# max(`_BLOCK_NODES`, P) nodes.  It admits 2048 nodes per axis at n = 3.
+# whose workspace and reductions take about 165 bytes a node in a value walk
+# and 290 in a derivative walk (0.7 and 1.2 GB at the cap; the free list
+# keeps no workspace of more than `_BLOCK_NODES` nodes, so that one is freed
+# when the walk ends), and at n >= 2 the row-weight table holds P^(n-1)
+# entries for the P >= x_nodes_per_axis nodes per axis, while a block holds
+# at most max(`_BLOCK_NODES`, P) nodes.  It admits 2048 nodes per axis at n = 3.
 MAX_WALK_ARRAY = 1 << 22
 
 
@@ -61,7 +63,14 @@ class QuadratureSpec:
     block drops the columns outside the grid's disk, where no node is near,
     so at n >= 2 the square's corners cost almost nothing.  At n >= 2 a sum
     is a sum of block sums in grid order (~1e-16 relative from one sum over
-    the grid); n = 1 is one block.  The outer grid has at least 4 panels of
+    the grid); n = 1 is one block.  Every block is written into one
+    workspace of rows of a block's nodes, which the walk takes from a
+    module-level free list and gives back when it ends, so a second
+    evaluation allocates no block-sized array and takes no page fault: an
+    n = 2 `band_functional` on the default grid keeps 4.2 MB there between
+    calls (16 rows of 32,640 nodes), takes ~0 minor page faults a call in a
+    warm process (~2,000 when every block allocated its own), and ~50 ms
+    (~58 ms).  The outer grid has at least 4 panels of
     8 nodes per axis, so a count below 25, which it would silently raise,
     is rejected.  `check_grid` bounds the largest array of the band walk
     by MAX_WALK_ARRAY, which `_Band` enforces once per (h, s, pair, quad).
@@ -169,10 +178,16 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine) -> tuple[np.ndarray, np.ndarra
 
 
 _BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.blocks`: ~32k, so temporaries stay in cache
+_FREE: list = []  # the workspace a finished walk of `_Band.blocks` left for the next one
+
+
+def _kernel_rows(breaks: int, derivs: bool) -> int:
+    """Scratch rows of `_inner_band` on a g with `breaks` kinks: see its rows argument."""
+    return 1 + 2 * derivs + 1 + breaks + 3 + max(5 + 2 * derivs, breaks)
 
 
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
-                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray, derivs: bool):
+                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray, derivs: bool, rows=None):
     """The inner t-integral I on the open nodes, and with derivs I' and I'' in c2 there.
 
     I = integral of f(t) g(q(t)) dt and I' = integral of f(t) g'(q(t)) tau^2/den dt,
@@ -199,15 +214,28 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     I'' = sum_k D_k f(t_k) (tau_k^2/den)^2/q'(t_k) = sum_k D_k f(t_k) tau_k^3/(2 c2 (1-r) den)
     over the kinks with t_k above -1 (tau_k > r; f(-1) = 0), summed kink by
     kink in g's order at each node, reduced from the pullbacks' tau_k before
-    the passes allocate their work arrays.  I and I' are accumulated in the
-    same passes, in place: every pass writes into the same few (2, nodes)
-    work arrays through `out=` ufuncs, each operation on the operands and in
-    the order of the plain expression in its comment (up to the order of the
-    two factors of a product or terms of a sum, which rounds alike), so the
-    integrals keep the bits of those expressions.
+    the passes start.  I and I' are accumulated in the same passes, in place:
+    every pass writes into the same few (2, nodes) work arrays through `out=`
+    ufuncs, each operation on the operands and in the order of the plain
+    expression in its comment (up to the order of the two factors of a
+    product or terms of a sum, which rounds alike), so the integrals keep
+    the bits of those expressions.
+
+    rows: `_kernel_rows` scratch rows of at least len(c2) entries (None: the
+    kernel allocates them), into which it writes every node-sized array.
+    The integrals it returns are views of the first 1 (3 with derivs) rows;
+    then come tau_top, g's pulled-back ends, the inputs on the open nodes,
+    and the passes' work arrays, which are free again once it returns.
     """
     omr = 1.0 - r
     g_breaks = g_pl.breaks
+    kinks = len(g_breaks)
+    if rows is None:
+        rows = np.empty((_kernel_rows(kinks, derivs), len(c2)))
+    # every view is a slice of the flat rows at a row's offset, as cheap as np.empty
+    step, rows = rows.shape[1], rows.reshape(-1)
+    top = (1 + 2 * derivs) * step  # tau_top, and half in the passes
+    ends_at, spare = top + step, top + (4 + kinks) * step
 
     def pullback(gb, out):  # tau with q(t) = gb: sqrt(max((den gb - r2m1)/c2, 0))
         np.multiply(den, gb, out=out)
@@ -216,30 +244,38 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         np.maximum(out, 0.0, out=out)
         return np.sqrt(out, out=out)
 
-    tau_top = pullback(g_breaks[-1], np.empty(len(c2)))
+    tau_top = pullback(g_breaks[-1], rows[top:top + len(c2)])
     # tau > r is t > -1 exactly, as 1 - r and tau - 1 (tau in [1/2, 2]) are exact for r in
     # (1/2, 1); ~(tau <= r) rather than tau > r keeps NaN nodes on the integrating path
     is_open = (~(tau_top <= r)).nonzero()[0]
     m = len(is_open)
-    g_ends = np.empty((len(g_breaks), m))  # each kink's pullback on the open nodes: tau, then t
-    tau_top.take(is_open, out=g_ends[-1])
-    del tau_top  # before the open nodes' arrays: holding it costs ~2x the page faults
-    c2, den, r2m1 = c2[is_open], den[is_open], r2m1[is_open]
+    # each kink's pullback on the open nodes, tau and then t; every (k, m) view of the kernel
+    # is contiguous, as numpy's loops over strided rows cost ~0.7 us more a call
+    g_ends = rows[ends_at:ends_at + kinks * m].reshape(kinks, m)
+    tau_top.take(is_open, out=g_ends[-1], mode="clip")  # is_open is in range: no bounds check
+    at = spare - 3 * step  # the inputs on the open nodes
+    c2 = c2.take(is_open, out=rows[at:at + m], mode="clip")
+    den = den.take(is_open, out=rows[at + step:at + step + m], mode="clip")
+    r2m1 = r2m1.take(is_open, out=rows[at + 2 * step:at + 2 * step + m], mode="clip")
     for gb, row in zip(g_breaks[:-1], g_ends):
         pullback(gb, row)
     if derivs:  # I'' = sum_k D_k terms_k/(2 (1-r) c2 den), terms = f(t) tau^3, 0 where tau <= r
-        terms, shut = g_ends ** 3, ~(g_ends > r)
+        terms = np.power(g_ends, 3, out=rows[spare:spare + kinks * m].reshape(kinks, m))
+        shut = ~(g_ends > r)
     g_ends -= 1.0  # t = (tau - 1)/(1-r)
     g_ends /= omr
     if derivs:
         terms *= f_pl(g_ends)
         terms[shut] = 0.0
         jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
-        d2_inner = np.zeros(m)
+        d2_inner = rows[2 * step:2 * step + m]
+        d2_inner.fill(0.0)
         for jump, row in zip(jumps, terms):  # kink by kink, each node on its own
             d2_inner += np.multiply(row, jump, out=row)
-        d2_inner /= 2.0 * omr * c2 * den
-        terms = shut = None
+        scale = np.multiply(c2, 2.0 * omr, out=rows[spare:spare + m])  # 2 (1-r) c2 den
+        scale *= den
+        d2_inner /= scale
+        shut = None  # the rest are workspace rows
     # the t-ends of f's pieces above -1, and of g's pieces below its top kink in [-1, t_top]
     f_ends = [-1.0, *f_pl.breaks[f_pl.breaks > -1.0], np.inf]
     np.minimum(np.maximum(g_ends[:-1], -1.0, out=g_ends[:-1]), g_ends[-1], out=g_ends[:-1])
@@ -251,12 +287,19 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
 
     xi = _gauss(2)[0][:, None]  # the 2-point rule: nodes mid + xi half, both weights exactly 1
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
-    inner = np.zeros(m)
-    d_inner = np.zeros(m) if derivs else None
-    # work arrays of every pass: the segment ends, then the Gauss nodes t; half, mid and
-    # the row sums; f(t); tau^2 and then d_vals; q and then vals
-    ends, half, mid = np.empty((2, m)), np.empty(m), np.empty(m)
-    f_t, work, vals = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
+    inner = rows[:m]
+    inner.fill(0.0)
+    if derivs:
+        d_inner = rows[step:step + m]
+        d_inner.fill(0.0)
+    # work arrays of every pass: the segment ends, then the Gauss nodes t, then (without
+    # derivs, in place of t) tau^2, then q and vals; half, mid and the row sums; f(t); with
+    # derivs tau^2 and then d_vals
+    at = spare + step
+    ends = rows[at:at + 2 * m].reshape(2, m)
+    f_t = rows[at + 2 * step:at + 2 * step + 2 * m].reshape(2, m)
+    work = rows[at + 4 * step:at + 4 * step + 2 * m].reshape(2, m) if derivs else None
+    half, mid = rows[top:top + m], rows[spare:spare + m]
     a, b = ends
     for i, j in itertools.product(range(len(f_ends) - 1), range(len(g_breaks))):
         if f_ends[i] >= g_highs[j + 1] or f_ends[i + 1] <= g_lows[j]:
@@ -277,14 +320,14 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         f_t += f_pl.intercepts[f_first + i]
         g_slope, g_icpt = g_pl.slopes[j], g_pl.intercepts[j]
         if g_slope == 0.0:  # vals = f_t g_icpt
-            np.multiply(f_t, g_icpt, out=vals)
+            vals = np.multiply(f_t, g_icpt, out=ends)
         else:
             # tau2 = (1 + (1-r) t)^2, q = min(max((r2m1 + c2 tau2)/den, qlo), qhi),
             # vals = f_t (g_slope q + g_icpt)
-            tau2 = np.multiply(t, omr, out=work)
+            tau2 = np.multiply(t, omr, out=work if derivs else t)  # t is spent
             tau2 += 1.0
             np.square(tau2, out=tau2)
-            q = np.multiply(tau2, c2, out=vals)
+            q = vals = np.multiply(tau2, c2, out=ends)
             q += r2m1
             q /= den
             np.maximum(q, qlo, out=q)
@@ -303,7 +346,10 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
         np.add(vals[0], vals[1], out=mid)
         mid *= half
         inner += mid
-    return (is_open, inner, d_inner / den, d2_inner) if derivs else (is_open, inner)
+    if not derivs:
+        return is_open, inner
+    d_inner /= den
+    return is_open, inner, d_inner, d2_inner
 
 
 def check_band_pair(pair: ProfilePair) -> None:
@@ -418,8 +464,23 @@ class _Band:
         e^(-2 lb/s) (1 + 1e-7) + 1e-9.  That clips most of the annulus beyond
         |x| = 1 (a band_n2 call visits 428,128 nodes, for 403,900 near at
         r = 0.8).  W is taken at the open nodes from the block's tile of row
-        weights times column weights: the same products as those of the
-        whole tensor grid.
+        weights times column weights (at n = 1 the column weights, as the row
+        weight is 1.0): the same products as those of the whole tensor grid.
+
+        Every array a block makes is written into one workspace, rows of
+        min(step, rows) P nodes (psi's kinks added) in a flat array, through
+        numpy's `out=`: the operations and their order are those of fresh
+        arrays, so no bit moves.  The yielded arrays are views of it that
+        stay valid only until the walk's next step (the consumer may
+        overwrite them); a caller that keeps one copies it (`_band_sums`'
+        kept Y).  The walk takes the workspace from the module's free list
+        `_FREE` when it starts, or builds one when the list holds none that
+        fits (a nested, interleaved or concurrent walk builds its own, so no
+        two live walks share buffers), and gives it back in its `finally`,
+        so an abandoned walk or one stopped at the barrier returns it too.
+        The list keeps one workspace, and only one whose rows hold at most
+        `_BLOCK_NODES` nodes (psi's kinks added); a larger one, an n = 1
+        grid above that, is freed when the walk ends.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -452,62 +513,111 @@ class _Band:
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
         a, b = self.h.form.a, self.h.form.b
         top = 2.0 * (1.0 - r) * max(float(self.g.breaks[-1]), 1.0) * 1.0000001
-        for r0 in range(0, rows, step):
-            r1 = min(rows, r0 + step)
-            lead = [x1[np.arange(r0, r1) // P ** (n - 2 - k) % P] for k in range(n - 1)]
-            # the columns some row of the block has inside the disk (at n = 1, every column)
-            least = np.min(functools.reduce(np.add, [x * x for x in lead], 0.0))
-            keep = x1 * x1 <= clip2 - least
-            if shifted and n > 1:  # and where a lower bound on psi over the rows lets h open it
-                row_min = np.min(a[:, :-1] @ np.array(lead), axis=1)
-                lb = np.max((row_min + b)[:, None] + np.outer(a[:, -1], x1), axis=0)
-                with np.errstate(over="ignore"):
-                    keep &= x1 * x1 + least - 1.0 < top * np.exp(-lb) ** (2.0 / s) + 1e-9
-            cols = np.flatnonzero(keep)
-            if not len(cols):
-                continue
-            c0, c1 = cols[0], cols[-1] + 1
-            X = np.empty((r1 - r0, c1 - c0, n))
-            X[..., -1] = x1[c0:c1]
-            for k, x in enumerate(lead):
-                X[..., k] = x[:, None]
-            X = X.reshape(-1, n)
-            Z = X if shifted else np.linalg.solve(A, (X - v).T).T
-            r2m1 = _sq_norms(Z)
-            r2m1 -= 1.0
-            den = eval_h_many(self.h, Z)  # 2 h^(2/s) (1-r), in place
-            den **= 2.0 / s
-            den *= 2.0
-            den *= 1.0 - r
-            near = np.flatnonzero(r2m1 < den * self.g.breaks[-1])
-            if not len(near) and kink_inputs is None:  # the band is closed on the whole block
-                continue
-            Y = X.take(near, axis=0)
-            if shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
-                Y = Y @ np.ascontiguousarray(A.T)
-                for k in range(n):
-                    Y[:, k] += v[k]
-            h_near = eval_h_many(self.h, Y) ** (1.0 / s)
-            c2 = (h_near / alpha) ** 2
-            if not np.minimum.reduce(c2, initial=np.inf) > 0.0:  # NaN fails too
-                yield None
-                return
-            den, r2m1 = den[near], r2m1[near]
-            if kink_inputs is not None:  # the kinks join the call after the near nodes
-                c2, den, r2m1 = (np.concatenate(pair) for pair in zip((c2, den, r2m1), kink_inputs))
-            opened, *integrals = _inner_band(self.f, self.g, r, c2, den, r2m1, derivs)
-            del den, r2m1  # not held while the consumer reduces the block
-            tail = ()
-            if kink_inputs is not None:
-                m = np.searchsorted(opened, len(near))
-                tail = ((opened[m:] - len(near), *[e[m:] for e in integrals[:2]]),)
-                opened, integrals = opened[:m], [e[:m] for e in integrals]
-            at = near[opened]
-            # built in the yield: a tuple held by the generator would keep this block's
-            # arrays alive while the next one is built
-            yield (np.multiply.outer(w_rows[r0:r1], w1[c0:c1]).ravel().take(at), h_near[opened],
-                   *integrals, *((X.take(at, axis=0), Y.take(opened, axis=0), *tail)
-                                 if derivs else ()))
+        # the workspace: rows of a block's grid nodes (and psi's kinks), sliced at their offsets
+        # in the flat array.  Rows 0-3 hold h, c2, den and |x|^2 - 1 on the near nodes (with
+        # derivs then X and Y there) across the kernel call; the kernel's rows follow, which
+        # hold before it the grid's X, |x|^2 - 1, den and psi's product, then (without
+        # derivs) X and Y on the near nodes and psi's product there, and after it the
+        # yielded arrays: W's tile, W, h, X and Y
+        cap, extra = min(step, rows) * P, 0 if kink_inputs is None else len(kink_inputs[0])
+        held, pieces = 4 + 2 * n * derivs, len(b)
+        need = held + max(_kernel_rows(len(self.g.breaks), derivs), n + 2 + pieces,
+                          2 * n * (not derivs) + pieces, 4 + 2 * derivs * (1 + n))
+        try:
+            ws = _FREE.pop()
+        except IndexError:  # a nested, interleaved or concurrent walk holds the list's
+            ws = None
+        if ws is None or ws.shape[0] < need or ws.shape[1] < cap + extra:
+            ws = np.empty((need, cap + extra))
+        width, flat = ws.shape[1], ws.reshape(-1)
+        at_grid = held * width
+        at_r2 = at_grid + n * width
+        at_den, at_psi = at_r2 + width, at_r2 + 2 * width
+        at_x, at_y, at_psi_y = ((4 * width, (4 + n) * width, at_grid) if derivs else
+                                (at_r2, at_grid, at_grid + 2 * n * width))
+        at_out = at_grid + (1 + 2 * derivs) * width
+        try:
+            for r0 in range(0, rows, step):
+                r1 = min(rows, r0 + step)
+                lead = [x1[np.arange(r0, r1) // P ** (n - 2 - k) % P] for k in range(n - 1)]
+                c0, c1 = 0, P  # at n = 1 the grid lies inside the disk: every column
+                if n > 1:  # the columns some row of the block has inside the disk
+                    least = np.min(functools.reduce(np.add, [x * x for x in lead], 0.0))
+                    keep = x1 * x1 <= clip2 - least
+                    if shifted:  # and where a lower bound on psi over the rows lets h open it
+                        row_min = np.min(a[:, :-1] @ np.array(lead), axis=1)
+                        lb = np.max((row_min + b)[:, None] + np.outer(a[:, -1], x1), axis=0)
+                        with np.errstate(over="ignore"):
+                            keep &= x1 * x1 + least - 1.0 < top * np.exp(-lb) ** (2.0 / s) + 1e-9
+                    cols = np.flatnonzero(keep)
+                    if not len(cols):
+                        continue
+                    c0, c1 = cols[0], cols[-1] + 1
+                nodes = (r1 - r0) * (c1 - c0)
+                X = flat[at_grid:at_grid + nodes * n].reshape(r1 - r0, c1 - c0, n)
+                X[..., -1] = x1[c0:c1]
+                for k, x in enumerate(lead):
+                    X[..., k] = x[:, None]
+                X = X.reshape(-1, n)
+                Z = X if shifted else np.linalg.solve(A, (X - v).T).T
+                r2m1 = _sq_norms(Z, flat[at_r2:at_r2 + nodes], flat[at_den:at_den + nodes])
+                r2m1 -= 1.0
+                den = eval_h_many(self.h, Z, flat[at_den:at_den + nodes],
+                                  flat[at_psi:at_psi + pieces * nodes].reshape(pieces, nodes))
+                den **= 2.0 / s  # 2 h^(2/s) (1-r), in place
+                den *= 2.0
+                den *= 1.0 - r
+                near = np.flatnonzero(r2m1 < np.multiply(den, self.g.breaks[-1],
+                                                         out=flat[at_psi:at_psi + nodes]))
+                if not len(near) and kink_inputs is None:  # the band is closed on the whole block
+                    continue
+                m = len(near)  # near is in range: no bounds check
+                den = den.take(near, out=flat[2 * width:2 * width + m], mode="clip")
+                r2m1 = r2m1.take(near, out=flat[3 * width:3 * width + m], mode="clip")
+                Y = X0 = X.take(near, axis=0, out=flat[at_x:at_x + m * n].reshape(m, n),
+                                mode="clip")
+                if shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
+                    Y = np.matmul(X0, np.ascontiguousarray(A.T),
+                                  out=flat[at_y:at_y + m * n].reshape(m, n))
+                    for k in range(n):
+                        Y[:, k] += v[k]
+                h_near = eval_h_many(self.h, Y, flat[:m],
+                                     flat[at_psi_y:at_psi_y + pieces * m].reshape(pieces, m))
+                h_near **= 1.0 / s
+                c2 = np.divide(h_near, alpha, out=flat[width:width + m])
+                c2 **= 2
+                if not np.minimum.reduce(c2, initial=np.inf) > 0.0:  # NaN fails too
+                    yield None
+                    return
+                if kink_inputs is not None:  # the kinks join the call after the near nodes
+                    c2, den, r2m1 = (flat[k * width:k * width + m + extra] for k in (1, 2, 3))
+                    for x, kink in zip((c2, den, r2m1), kink_inputs):
+                        x[m:] = kink
+                opened, *integrals = _inner_band(self.f, self.g, r, c2, den, r2m1, derivs,
+                                                 ws[held:])
+                tail = ()
+                if kink_inputs is not None:
+                    j = np.searchsorted(opened, m)
+                    tail = ((opened[j:] - m, *[e[j:] for e in integrals[:2]]),)
+                    opened, integrals = opened[:j], [e[:j] for e in integrals]
+                j, tile = len(opened), w1  # at n = 1 the row weight is 1.0, and 1.0 w = w
+                if n > 1:
+                    tile = flat[at_out:at_out + nodes]
+                    np.multiply.outer(w_rows[r0:r1], w1[c0:c1], out=tile.reshape(r1 - r0, -1))
+                at = at_out + width
+                W = tile.take(near[opened], out=flat[at:at + j], mode="clip")
+                h_open = h_near.take(opened, out=flat[at + width:at + width + j], mode="clip")
+                if not derivs:
+                    yield W, h_open, *integrals
+                    continue
+                at += 2 * width
+                X_open = X0.take(opened, axis=0, out=flat[at:at + j * n].reshape(j, n), mode="clip")
+                at += n * width
+                Y_open = Y.take(opened, axis=0, out=flat[at:at + j * n].reshape(j, n), mode="clip")
+                yield W, h_open, *integrals, X_open, Y_open, *tail
+        finally:  # an abandoned walk, or one stopped at the barrier, returns it too
+            if width <= _BLOCK_NODES + extra and not _FREE:
+                _FREE.append(ws)
 
 
 def _positive(A: np.ndarray, alpha: float) -> bool:
@@ -539,8 +649,11 @@ def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool) -> float:
     for block in band.blocks(r, A, alpha, v, shifted, False):
         if block is None:
             return float("inf")
-        W, h, inner = block
-        value += float(np.sum(W * (h / scale) * inner))
+        W, h, inner = block  # the walk's views: W (h/scale) I is formed in h, as it rounds alike
+        h /= scale
+        h *= W
+        h *= inner
+        value += float(np.sum(h))
     return value
 
 
@@ -588,7 +701,7 @@ def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray
         z[:, n * n] = 1.0
         grad -= omega @ z
         hess += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
-        kept.append((Y, omega / (h_y * h_y)))
+        kept.append((Y.copy(), omega / (h_y * h_y)))  # Y is the walk's until its next block
         if kinks is not None:
             opened, inner, d_inner = block[7]
             c2, at = kinks[0][opened], k[opened]

@@ -262,9 +262,14 @@ class TestPositiveDefiniteBlock:
         assert stationarity_multiplier(h, S, pair, r, ident, quad) > 0.0
 
 
-def _traced_peak(evaluate):
-    """evaluate()'s result and its tracemalloc peak, after one untraced warm-up call."""
+def _traced_peak(evaluate, monkeypatch=None):
+    """evaluate()'s result and its tracemalloc peak, after one untraced warm-up call.
+
+    With monkeypatch, the band walk's free list is emptied after the warm-up,
+    so the traced call builds its workspace and the peak counts it."""
     evaluate()
+    if monkeypatch is not None:
+        monkeypatch.setattr(rfamily, "_FREE", [])
     tracemalloc.start()
     try:
         return evaluate(), tracemalloc.get_traced_memory()[1]
@@ -272,28 +277,43 @@ def _traced_peak(evaluate):
         tracemalloc.stop()
 
 
-def test_band_functional_allocates_one_block():
-    # an n = 2 evaluation on the default 921,600-node grid reduces every block as it is
-    # walked, so its peak allocation is a few blocks' temporaries, not grid-sized buffers.
-    # Measured: 5.58 MB; the bound is 1.25 times that, which a kernel that kept its last
-    # call's pass arrays (7.29 MB) fails
+def _band_n2_call():
+    """One band_functional call on the n = 2 instance's default 921,600-node grid."""
     h = _triangle_square_n2()
     A, alpha = sdet1_param(np.array([[0.1, -0.05], [-0.05, -0.08]]), S)
     p = EPoint(BlockMat(A, alpha), np.array([0.05, -0.1]))
-    value, peak = _traced_peak(lambda: band_functional(h, S, canonical_pair(), 0.8, p,
-                                                       QuadratureSpec()))
+    return lambda: band_functional(h, S, canonical_pair(), 0.8, p, QuadratureSpec())
+
+
+def test_band_functional_allocates_one_block(monkeypatch):
+    # an n = 2 evaluation on the default 921,600-node grid reduces every block as it is
+    # walked, so its peak allocation is a few blocks' temporaries, not grid-sized buffers.
+    # The traced call builds its workspace.  Measured: 4.81 MB (5.58 MB when every block
+    # allocated its own temporaries); the bound is 1.25 times the latter, which a kernel
+    # that kept its last call's pass arrays (7.29 MB) failed
+    value, peak = _traced_peak(_band_n2_call(), monkeypatch)
     assert 0.0 < value < np.inf
     assert peak <= 6.97e6, f"peak {peak / 1e6:.2f} MB"
 
 
-def test_band_value_grad_allocates_one_block():
+def test_band_functional_reuses_its_workspace():
+    # a second call walks the workspace the first one left on the free list: it allocates
+    # only index arrays and a few small ones.  Measured: 0.63 MB; the bound is 1.25 times
+    # that, which a walk that built its workspace again (4.81 MB) fails
+    value, peak = _traced_peak(_band_n2_call())
+    assert 0.0 < value < np.inf
+    assert peak <= 0.79e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_band_value_grad_allocates_one_block(monkeypatch):
     # one Newton evaluation (value, gradient, Hessian and the kept arrays) on the n = 2
-    # instance at 480 nodes per axis.  Measured: 9.96 MB (11.0 MB when I'' came from a
-    # second kernel after the walk's); the bound is 1.25 times that
+    # instance at 480 nodes per axis, building its workspace.  Measured: 12.20 MB (9.96 MB
+    # when every block allocated its own temporaries, 11.0 MB when I'' came from a second
+    # kernel after the walk's); the bound is 1.25 times 9.96 MB
     band = rfamily._Band(_triangle_square_n2(), S, canonical_pair(),
                          QuadratureSpec(x_nodes_per_axis=480))
-    value, peak = _traced_peak(lambda: rfamily._band_value_grad(band, 0.8,
-                                                                np.zeros(len(band.basis)))[0])
+    value, peak = _traced_peak(lambda: rfamily._band_value_grad(
+        band, 0.8, np.zeros(len(band.basis)))[0], monkeypatch)
     assert 0.0 < value < np.inf
     assert peak <= 12.45e6, f"peak {peak / 1e6:.2f} MB"
 
@@ -512,8 +532,8 @@ class TestBandHessian:
         A, alpha, v = np.eye(1), 10.0, np.zeros(1)
         calls, inner_band = [], rfamily._inner_band
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
-            out = inner_band(f, g, r, c2, den, r2m1, derivs)
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
+            out = inner_band(f, g, r, c2, den, r2m1, derivs, rows)
             calls.append((len(c2), out[0].tolist()))
             return out
 
@@ -867,11 +887,16 @@ def _unblocked_terms(band, r, A, alpha, v, shifted):
     return terms, (c2, den[near], r2m1[near], opened)
 
 
+def _copied(block):
+    """A block of `_Band.blocks` with every array copied out of the walk's workspace."""
+    return None if block is None else tuple(np.copy(x) for x in block)
+
+
 def _walked_terms(band, r, A, alpha, v, shifted, derivs=True):
     """`_Band.blocks`'s open nodes concatenated in walk order, or None when the walk stops
     at the coercive barrier: (X, Y, W, h_y, I, I', I'') from the derivative walk, and
     (W, h_y, I) from the value walk."""
-    blocks = list(band.blocks(r, A, alpha, v, shifted, derivs))
+    blocks = [_copied(block) for block in band.blocks(r, A, alpha, v, shifted, derivs)]
     if None in blocks:
         assert blocks[-1] is None  # the walk stops at the barrier
         return None
@@ -1002,13 +1027,13 @@ class TestBlockedTerms:
         visited, kernel_inputs = [], []
         sq_norms, inner_band = rfamily._sq_norms, rfamily._inner_band
 
-        def spy_sq_norms(Z):
+        def spy_sq_norms(Z, *scratch):
             visited.append(len(Z))
-            return sq_norms(Z)
+            return sq_norms(Z, *scratch)
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
-            kernel_inputs.append((c2, den, r2m1))
-            return inner_band(f, g, r, c2, den, r2m1, derivs)
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
+            kernel_inputs.append((c2.copy(), den.copy(), r2m1.copy()))  # workspace rows
+            return inner_band(f, g, r, c2, den, r2m1, derivs, rows)
 
         compared = 0
         for A, alpha, v in positions:
@@ -1044,13 +1069,13 @@ class TestBlockedTerms:
         visited, near = [], []
         sq_norms, inner_band = rfamily._sq_norms, rfamily._inner_band
 
-        def spy_sq_norms(Z):
+        def spy_sq_norms(Z, *scratch):
             visited.append(len(Z))
-            return sq_norms(Z)
+            return sq_norms(Z, *scratch)
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
             near.append(len(c2))
-            return inner_band(f, g, r, c2, den, r2m1, derivs)
+            return inner_band(f, g, r, c2, den, r2m1, derivs, rows)
 
         for A, alpha, v in self._positions(2)[:2]:  # the last one is refused
             visited.clear()
@@ -1104,6 +1129,106 @@ class TestBlockedTerms:
                                               for b in (band, whole))
             assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu)) and np.all(mu != 0.0)
             assert abs(lam - want_lam) <= tol * abs(want_lam)
+
+
+def _same_blocks(got, want):
+    """Two walks' copied blocks (`_copied`) equal bit for bit, a barrier's None included."""
+    if len(got) != len(want):
+        return False
+    for a, b in zip(got, want):
+        if (a is None) != (b is None):
+            return False
+        if a is not None and not all(np.array_equal(x, y) for x, y in zip(a, b, strict=True)):
+            return False
+    return True
+
+
+class TestWorkspace:
+    """`_Band.blocks` writes every block into one workspace, which the free list keeps."""
+
+    @staticmethod
+    def _band(monkeypatch, domain_radius=None):
+        # 40 nodes per axis in blocks of 7 rows: six blocks at n = 2, the last one partial
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", 300)
+        form = two_level_cross_fixture(2, S, 0.4, 0.8)[0].form
+        h = make_log_concave(form.a, form.b, S, domain_radius=domain_radius)
+        return rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=40))
+
+    def test_interleaved_walks_match_walks_alone(self, monkeypatch):
+        # two walks stepped alternately, one block apart, one shifted and one unshifted at
+        # another position, each block copied only once the other walk has stepped too: the
+        # second walk finds the free list empty and builds its own workspace, so every
+        # array either yields is the one a fresh walk alone yields
+        band = self._band(monkeypatch)
+        monkeypatch.setattr(rfamily, "_FREE", [])  # the walks alone leave theirs on it
+        A1, alpha1 = sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
+        A2, alpha2 = sdet1_param(np.array([[-0.04, 0.01], [0.01, 0.06]]), S)
+        args = [(0.8, A1, alpha1, np.array([0.03, -0.02]), True, True),
+                (0.9, A2, alpha2, np.array([-0.01, 0.04]), False, True)]
+        alone = [[_copied(b) for b in band.blocks(*a)] for a in args]
+        assert all(len(blocks) >= 3 and None not in blocks for blocks in alone)
+        walks = [band.blocks(*a) for a in args]
+        got = [[_copied(next(walks[0]))], []]
+        while True:
+            blocks = [next(walk, StopIteration) for walk in walks]
+            if all(block is StopIteration for block in blocks):
+                break
+            for held, block in zip(got, blocks):
+                if block is not StopIteration:
+                    held.append(_copied(block))
+        assert all(_same_blocks(g, a) for g, a in zip(got, alone))
+        assert len(rfamily._FREE) == 1  # it keeps one of the two workspaces
+
+    def test_closed_and_barrier_walks_return_their_workspace(self, monkeypatch):
+        # a walk closed after its first block, and one that stops at the barrier (part of
+        # the band where h = 0), give their workspace back to the free list
+        band = self._band(monkeypatch, domain_radius=1.4)
+        monkeypatch.setattr(rfamily, "_FREE", [])
+        walk = band.blocks(0.8, np.eye(2), 1.0, np.zeros(2), True, False)
+        assert next(walk) is not None and rfamily._FREE == []  # the walk holds it
+        walk.close()
+        assert len(rfamily._FREE) == 1
+        workspace = rfamily._FREE[0]
+        blocks = list(band.blocks(0.8, np.eye(2), 1.0, np.array([0.5, 0.0]), True, False))
+        assert blocks[-1] is None and rfamily._FREE == [workspace]
+        p = EPoint(BlockMat(np.eye(2), 1.0), np.array([0.5, 0.0]))
+        assert rfamily._band_value(band, 0.8, p) == np.inf  # stops at the barrier's block
+        assert rfamily._FREE == [workspace]
+
+    def test_kept_arrays_outlive_their_block(self, monkeypatch):
+        # `_band_sums` keeps copies of each block's Y, which the next block's arrays do not
+        # overwrite, and `_measure` sums the bumps over them as over copies of the blocks
+        band = self._band(monkeypatch)
+        r, (A, alpha) = 0.8, sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
+        v = np.array([0.03, -0.02])
+        _, grad, _, kept = rfamily._band_sums(band, r, A, alpha, v)
+        blocks = [_copied(b) for b in band.blocks(r, A, alpha, v, True, True)]
+        assert len(kept) == len(blocks) >= 3
+        bumps = [trapezoid_bump(np.array([0.3, 0.3]), 0.2, 0.2),
+                 trapezoid_bump(np.zeros(2), 1.0, 0.2)]
+        want = np.zeros(len(bumps))
+        for (Y, per_h2), (W, h_y, inner, d_inner, _, _, Y_walk) in zip(kept, blocks):
+            c = h_y / alpha
+            wc, c2 = W * c, c * c
+            per_h2_walk = wc * (inner + 2.0 * c2 * d_inner) / (h_y * h_y)
+            assert np.array_equal(Y, Y_walk) and np.array_equal(per_h2, per_h2_walk)
+            for k, delta in enumerate(bumps):
+                want[k] += float(np.sum(per_h2_walk * delta(Y_walk)))
+        assert not any(np.shares_memory(a[0], b[0]) for a, b in itertools.combinations(kept, 2))
+        mu = rfamily._measure(band, r, (A, alpha, v, grad, kept), bumps)[0]
+        assert np.array_equal(mu, (-(1.0 - r) * alpha ** S * np.linalg.det(A)) * want)
+
+    def test_free_list_keeps_one_block_at_most(self, monkeypatch, fixture):
+        # an n = 1 grid above _BLOCK_NODES nodes is one block of the whole grid: its
+        # workspace is freed when the walk ends, and the free list keeps no workspace
+        # whose rows hold more than one block of _BLOCK_NODES nodes
+        monkeypatch.setattr(rfamily, "_FREE", [])
+        h, pair = fixture[0], canonical_pair()
+        assert 0.0 < band_functional(h, S, pair, 0.8, identity_point(), QuadratureSpec()) < np.inf
+        assert len(rfamily._FREE) == 1 and rfamily._FREE[0].shape[1] <= rfamily._BLOCK_NODES
+        big = QuadratureSpec(x_nodes_per_axis=rfamily._BLOCK_NODES + 1000)
+        assert 0.0 < band_functional(h, S, pair, 0.8, identity_point(), big) < np.inf
+        assert all(ws.shape[1] <= rfamily._BLOCK_NODES for ws in rfamily._FREE)
 
 
 def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
@@ -1405,9 +1530,10 @@ class TestKernelDerivatives:
         band = rfamily._Band(h, s, pair, QuadratureSpec(x_nodes_per_axis=nodes))
         calls, inner_band = [], rfamily._inner_band
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
-            out = inner_band(f, g, r, c2, den, r2m1, derivs)
-            calls.append((c2, den, r2m1, out))
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
+            out = inner_band(f, g, r, c2, den, r2m1, derivs, rows)
+            # the walk's arrays are workspace rows, which its next block overwrites
+            calls.append(tuple(np.copy(x) for x in (c2, den, r2m1, *out)))
             return out
 
         monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
@@ -1416,7 +1542,7 @@ class TestKernelDerivatives:
                                                             size=len(band.basis))):
             assert np.isfinite(rfamily._band_value_grad(band, r, theta)[0])
         assert calls
-        for c2, den, r2m1, (opened, _, _, d2_inner) in calls:
+        for c2, den, r2m1, opened, _, _, d2_inner in calls:
             assert np.array_equal(d2_inner, inner_curvature(pair.f, pair.g, r, c2[opened],
                                                             den[opened], r2m1[opened]))
 
@@ -1426,9 +1552,9 @@ class TestKernelDerivatives:
         pair, r, quad = canonical_pair(), 0.9, QuadratureSpec(x_nodes_per_axis=96)
         asked, inner_band = [], rfamily._inner_band
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs):
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
             asked.append(derivs)
-            return inner_band(f, g, r, c2, den, r2m1, derivs)
+            return inner_band(f, g, r, c2, den, r2m1, derivs, rows)
 
         monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
         p = random_unit_sdet_members(n, S, 1, seed=5)[0]
