@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class MinimizerResult:
     value: float
     projected_grad_norm: float
     lam: float
-    iterations: int
+    iterations: int  # Newton steps taken
     converged: bool
     evaluations: int  # values of the functional, the start and every Armijo trial included
     stop_reason: str
@@ -271,49 +271,91 @@ def _require_coercive(at: _Atoms, what: str) -> None:
                                 direction=EPoint.from_vec(d, at.n))
 
 
-NEWTON_TOL = 1e-10  # the gradient norm at which `_newton` stops
-NEWTON_MAX_ITER = 2000  # the gradient evaluations `_newton` may take
+NEWTON_TOL = 1e-10  # the gradient norm at which the contact and limit minimizers stop
+NEWTON_MAX_ITER = 2000  # the Newton steps the contact and limit minimizers may take
+ROUNDING = 1e-12  # relative level of the value below which a predicted decrease is not resolved
 
 
-def _newton(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray):
-    """Minimize sum_i w_i F((phi c)_i) over c from `c`, for both Newton minimizers of this module.
+class _Descent(NamedTuple):
+    """What `_newton` did: the last accepted x, its value and payload, and how it got there."""
 
-    Returns (c, value, gradient norm, iterations, evaluations, F') once the
-    gradient norm is at most NEWTON_TOL, the last being F' at phi c from the
-    final gradient; a stop short of it raises NotConverged with the same
-    counts.  It does not check coercivity: on a functional that is not
-    coercive it may run to NEWTON_MAX_ITER or stop at a stationary point.
+    x: np.ndarray
+    value: float
+    payload: object
+    grad_norm: float
+    steps: int
+    evaluations: int  # `evaluate` calls, the start and every Armijo trial included
+    stop_reason: str  # the caller's, "max_iter" or "no descent"
+
+
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton step on the Hessian, eigenvalues floored in magnitude, and its predicted decrease.
+
+    Eigenvalues within d eps of the largest in magnitude get no component (least
+    squares drops that null space too); the others are floored at 1e-8 of it.
     """
-    z = phi @ c
-    value = float(np.dot(w, F(z)))
-    evals = 1
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        dF, d2F = F.derivs(z)
-        g = phi.T @ (w * dF)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= NEWTON_TOL:
-            return c, value, gnorm, it, evals, dF
-        hess = (phi.T * (w * d2F)) @ phi
-        delta = np.linalg.lstsq(hess, -g, rcond=None)[0]
-        slope = float(np.dot(g, delta))
-        step = 1.0
+    lam, V = np.linalg.eigh(hess)
+    size = np.abs(lam)
+    top = size.max()
+    proj = V.T @ grad
+    null = size <= len(size) * np.finfo(float).eps * top
+    coef = proj / np.maximum(size, 1e-8 * top + null)  # + 1 where zeroed: never 0/0
+    coef[null] = 0.0
+    return -(V @ coef), 0.5 * float(np.dot(coef, proj))
+
+
+def _newton(evaluate, x: np.ndarray, stop, max_steps: int, floor: float) -> _Descent:
+    """Damped Newton from x, the one loop of the contact, limit and band minimizers.
+
+    evaluate(x) gives (value, gradient, Hessian, payload); an infinite value
+    is a rejection, and at x raises NotConverged ("infinite start").  The loop
+    ends with the reason stop(value, gradient norm, predicted decrease) gives
+    at an iterate, or after max_steps steps ("max_iter").  Each `_newton_step`
+    is halved until the value falls by 2e-4 t times the predicted decrease
+    (Armijo), taken whole if that is below ROUNDING of the value, and ends the
+    loop when shorter than floor ("no descent").
+    """
+    value, grad, hess, payload = evaluate(x)
+    evals, steps = 1, 0
+    if not np.isfinite(value):
+        raise NotConverged("the functional is infinite at the starting point",
+                           reason="infinite start", iterations=0, evaluations=evals)
+    while True:
+        delta, decrease = _newton_step(hess, grad)
+        gnorm = float(np.linalg.norm(grad))
+        reason = stop(value, gnorm, decrease) or ("max_iter" if steps == max_steps else None)
+        if reason is not None:
+            return _Descent(x, value, payload, gnorm, steps, evals, reason)
+        t = 1.0
         while True:
-            cand = c + step * delta
-            z_cand = phi @ cand
-            new_value = float(np.dot(w, F(z_cand)))
+            trial = evaluate(x + t * delta)
             evals += 1
-            # a predicted decrease (-slope/2) below the rounding of the value
-            # is invisible to the Armijo test: take the full step then
-            if new_value <= value + 1e-4 * step * slope or -slope <= 1e-12 * value:
+            if trial[0] <= value - 2e-4 * t * decrease or decrease <= ROUNDING * value:
                 break
-            step *= 0.5
-            if step < 1e-16:
-                raise NotConverged(f"no descent along the Newton step, grad {gnorm:.3e}",
-                                   reason="no descent", iterations=it, evaluations=evals,
-                                   grad_norm=gnorm)
-        c, z, value = cand, z_cand, new_value
-    raise NotConverged(f"projected gradient {gnorm:.3e} above tol {NEWTON_TOL:.1e}",
-                       reason="max_iter", iterations=it, evaluations=evals, grad_norm=gnorm)
+            t *= 0.5
+            if t * np.linalg.norm(delta) < floor:
+                return _Descent(x, value, payload, gnorm, steps, evals, "no descent")
+        x, (value, grad, hess, payload), steps = x + t * delta, trial, steps + 1
+
+
+def _minimize(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray) -> _Descent:
+    """Minimize sum_i w_i F((phi c)_i) from `c` by `_newton`, to a gradient norm of NEWTON_TOL.
+
+    The payload is F'(phi c).  Any other stop (the line search below 1e-16 in
+    c, NEWTON_MAX_ITER steps) raises NotConverged; coercivity is not checked.
+    """
+    def evaluate(c):
+        z = phi @ c
+        dF, d2F = F.derivs(z)
+        return float(np.dot(w, F(z))), phi.T @ (w * dF), (phi.T * (w * d2F)) @ phi, dF
+
+    run = _newton(evaluate, c, lambda value, gnorm, decrease: WITHIN_TOL if gnorm <= NEWTON_TOL
+                  else None, NEWTON_MAX_ITER, 1e-16)
+    if run.stop_reason != WITHIN_TOL:
+        raise NotConverged(f"projected gradient {run.grad_norm:.3e} above tol {NEWTON_TOL:.1e}",
+                           reason=run.stop_reason, iterations=run.steps,
+                           evaluations=run.evaluations, grad_norm=run.grad_norm)
+    return run
 
 
 def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
@@ -325,39 +367,27 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
     subspace (`_positive_span`), DivergingIterates carries the unit
     certificate direction `d @ basis`, along which no atom's argument grows,
     and the message names it rounded to 6 digits.  Then exact Newton on phi
-    from c = 0 (`_newton`): with z = phi c the gradient is phi^T (w F'(z))
-    and the Hessian phi^T diag(w F''(z)) phi.  The step is the minimum-norm
-    least-squares solution, so a singular Hessian (F'' = 0 on some atoms)
-    leaves its null directions alone, which the gradient has no component
-    along.
-    Armijo backtracking on the value (c = 1e-4, halving) until the projected
-    gradient norm is at most NEWTON_TOL (the stop WITHIN_TOL; every other end
-    raises NotConverged with the same counts, the last gradient norm and a
-    `reason`: "max_iter" after NEWTON_MAX_ITER gradients, "no descent" or
-    "multiplier cross-check");
-    `iterations` counts the gradient evaluations and `evaluations` the
-    values, Armijo trials included.  F'' > 0 wherever F' > 0, so every
-    Newton step is a descent direction, and descent keeps the iterates in
-    the start's sublevel set, which coercivity bounds.  The multiplier is
-    computed both from the identity-direction contraction and from the
-    plain trace formula; the two must agree to 1e-8, which doubles as a
-    contact-set sanity check.
+    from c = 0 (`_minimize`), whose descent stays in the start's sublevel
+    set, which coercivity bounds.  The multiplier is computed both from the
+    identity-direction contraction and from the plain trace formula; the two
+    must agree to 1e-8 (else NotConverged, "multiplier cross-check"), which
+    doubles as a contact-set sanity check.
     """
     at = _atoms(h, s, nu)
     _require_coercive(at, "contact functional is not coercive for this measure")
-    c, value, gnorm, it, evals, dF = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
-    n, g = at.n, at.features.T @ (at.w * dF)  # the gradient's flat form
+    run = _minimize(at.phi, at.w, F, np.zeros(len(at.basis)))
+    n, g = at.n, at.features.T @ (at.w * run.payload)  # the gradient's flat form
     lam_a = (s * g[n * n] + np.trace(g[:n * n].reshape(n, n))) / (n + s * s)
-    lam_b = float(np.dot(at.m / at.h_pow, dF)) / (at.n + s)
+    lam_b = float(np.dot(at.m / at.h_pow, run.payload)) / (at.n + s)
     gap = abs(lam_a - lam_b)
     if gap > 1e-8:
         raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}",
-                           reason="multiplier cross-check", iterations=it, evaluations=evals,
-                           grad_norm=gnorm)
-    return MinimizerResult(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
-                           projected_grad_norm=gnorm, lam=float(lam_a), iterations=it,
-                           converged=True, evaluations=evals, stop_reason=WITHIN_TOL,
-                           lambda_gap=float(gap))
+                           reason="multiplier cross-check", iterations=run.steps,
+                           evaluations=run.evaluations, grad_norm=run.grad_norm)
+    return MinimizerResult(point=EPoint.from_vec(run.x @ at.basis, at.n), value=run.value,
+                           projected_grad_norm=run.grad_norm, lam=float(lam_a),
+                           iterations=run.steps, converged=True, evaluations=run.evaluations,
+                           stop_reason=WITHIN_TOL, lambda_gap=float(gap))
 
 
 @dataclass
@@ -380,8 +410,7 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     `LimitProfile`.  W > 0 and H_n is nondecreasing, convex, bounded below
     and unbounded above, as F is, so the same exact gate as
     `minimize_functional` decides coercivity (DivergingIterates with the
-    certificate direction), and the same Newton loop (`_newton`) minimizes,
-    from c = 0.
+    certificate direction), and `_minimize` runs from c = 0.
     """
     from .profiles import ConvolutionProfile, LimitProfile  # not loaded by `coercivity`
 
@@ -391,8 +420,8 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     slope2 = np.sum(psi_gradient(h.form, at.X) ** 2, axis=1)
     W = at.w * h2s ** (0.5 * at.n) / np.sqrt(2.0**at.n * (1.0 + 2.0 / (s * s) * h2s * slope2))
     H = LimitProfile(ConvolutionProfile(pair), at.n)
-    c, value, *_ = _newton(at.phi, W, H, np.zeros(len(at.basis)))
-    return LimitReference(point=EPoint.from_vec(c @ at.basis, at.n), value=value)
+    run = _minimize(at.phi, W, H, np.zeros(len(at.basis)))
+    return LimitReference(point=EPoint.from_vec(run.x @ at.basis, at.n), value=run.value)
 
 
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,

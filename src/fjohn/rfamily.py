@@ -28,7 +28,8 @@ import numpy as np
 
 from .blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
-from .isotropy import DiscreteMeasure, MinimizerResult, limit_reference
+from . import isotropy  # `isotropy._newton` by attribute: one name for a tracer to patch
+from .isotropy import ROUNDING, DiscreteMeasure, MinimizerResult, limit_reference
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
                          eval_h_many, psi_eval_many, psi_gradient)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
@@ -830,7 +831,6 @@ class BandMinimum:
 
 CONVERGED = "predicted decrease below rounding"
 RESOLVED = "no descent beyond the difference step"
-ROUNDING = 1e-12  # relative level of the value below which a predicted decrease is not resolved
 BAND_MAX_ITER = 400  # the Newton steps `_minimize_band` may take
 
 
@@ -838,13 +838,10 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
                   quad: QuadratureSpec) -> tuple[EPoint, float]:
     """Minimize the band functional over unit-weighted-determinant positions.
 
-    The block is parametrized as I + S with corner det(I + S)^(-1/s), which
-    keeps the weighted determinant at 1 (restricting to that manifold loses
-    nothing at a minimum), and minimized by Newton from the identity
-    on the analytic gradient and Hessian: `_minimize_band` at r on a band
-    geometry built for this call.  Returns the minimizer and the
-    stationarity multiplier, from the walk of the minimizer's accepted
-    evaluation (`_measure`).
+    The block is I + S with corner det(I + S)^(-1/s), which keeps the weighted
+    determinant at 1 (restricting to it loses nothing at a minimum):
+    `_minimize_band` from the identity, on a band geometry built for this call.
+    Returns the minimizer and the multiplier of its accepted walk (`_measure`).
     """
     band = _Band(h, s, pair, quad)
     solver, walk = _minimize_band(band, r, None)
@@ -855,73 +852,27 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
     """minimize_band at r on a prepared band geometry: a solver record and the minimizer's walk.
 
     theta0 is the start in theta, the coordinates on the rows of `trace0_array`
-    (None: theta = 0, where `minimize_band` starts); `r_sweep` starts from the
-    limit.  Each evaluation is one `_band_value_grad` call, and each step Newton
-    on its Hessian with the eigenvalues floored in magnitude (`_newton`), halved
-    until Armijo (1e-4) holds on the value; +inf beyond the coercive barrier,
-    or where I + S is not positive definite, is a rejection.  It stops
-    (CONVERGED) once the step predicts a decrease below ROUNDING of the
-    value: the n = 1 grid moves with theta, so the analytic derivatives (the
-    continuum functional's) and the discrete values differ at the quadrature
-    level (~1e-6 of the gradient, ~1e-12 of the value).  When the halved step
-    falls below the difference step 1e-4 (1-r) without a decrease (theta's
-    scale is 1-r, the band's width), it stops RESOLVED: there the discrete
-    functional stops following its Newton model, as on a fixed n >= 2 grid,
-    whose nodes cross the kinks of psi one by one.  A start beyond the
-    barrier raises NotConverged; after BAND_MAX_ITER steps it stops ("max_iter").
-    The walk is the one `_band_value_grad` returned at the accepted iterate,
-    and its (A, alpha, v) is the record's point, so `_measure` on it is
-    `_band_measure` there without a walk.  Besides the walk being built, the
-    loop holds the accepted iterate's walk and the last candidate's; the
-    caller reduces the returned walk and drops it, and no record holds
-    open-node arrays.
+    (None: theta = 0).  The loop is `isotropy._newton` on `_band_value_grad`.
+    It stops CONVERGED once the step predicts a decrease below ROUNDING of the
+    value: the n = 1 grid moves with theta, so the analytic derivatives and
+    the discrete values differ at the quadrature level (~1e-6 of the
+    gradient, ~1e-12 of the value).  It stops RESOLVED when the halved step
+    falls below the difference step 1e-4 (1-r), theta's scale being the band's
+    width, without a decrease: there the discrete functional stops following
+    its Newton model, as on a fixed n >= 2 grid, whose nodes cross the kinks
+    of psi one by one.  The walk is the accepted iterate's, whose (A, alpha, v)
+    is the record's point, so `_measure` on it is `_band_measure` there.
     """
-    evals = 0
-
-    def evaluate(theta: np.ndarray):
-        nonlocal evals
-        evals += 1
-        return _band_value_grad(band, r, theta)
-
     theta = np.zeros(len(band.basis)) if theta0 is None else theta0
-    value, grad, hess, walk = evaluate(theta)
-    if not np.isfinite(value):
-        raise NotConverged("band functional infinite at the starting point",
-                           reason="infinite start", iterations=0, evaluations=evals)
-    fd, it, stop = 1e-4 * (1.0 - r), 0, CONVERGED  # the difference step; steps taken
-    while True:
-        delta, decrease = _newton(hess, grad)
-        if decrease <= ROUNDING * value:
-            break
-        if it == BAND_MAX_ITER:
-            stop = "max_iter"
-            break
-        t = 1.0
-        while True:
-            c_value, c_grad, c_hess, c_walk = evaluate(theta + t * delta)
-            if c_value <= value - 2e-4 * t * decrease:
-                break
-            t *= 0.5
-            if t * np.linalg.norm(delta) < fd:
-                t = 0.0  # no descent down to the difference step
-                break
-        if t == 0.0:
-            stop = RESOLVED
-            break
-        theta, value, grad, hess, walk = theta + t * delta, c_value, c_grad, c_hess, c_walk
-        it += 1
-    A, alpha, v = walk[:3]
-    return BandMinimum(point=EPoint(BlockMat(A, alpha), v), value=value,
-                       evaluations=evals, iterations=it, stop_reason=stop,
-                       grad_norm=float(np.linalg.norm(grad))), walk
-
-
-def _newton(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
-    """Newton step on the Hessian, eigenvalues floored in magnitude, and its predicted decrease."""
-    lam, V = np.linalg.eigh(hess)
-    lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
-    coef = (V.T @ grad) / lam
-    return -(V @ coef), 0.5 * float(np.dot(coef, V.T @ grad))
+    run = isotropy._newton(
+        functools.partial(_band_value_grad, band, r), theta,
+        lambda value, gnorm, decrease: CONVERGED if decrease <= ROUNDING * value else None,
+        BAND_MAX_ITER, 1e-4 * (1.0 - r))  # the difference step
+    A, alpha, v = run.payload[:3]
+    return BandMinimum(point=EPoint(BlockMat(A, alpha), v), value=run.value,
+                       evaluations=run.evaluations, iterations=run.steps,
+                       stop_reason=RESOLVED if run.stop_reason == "no descent" else run.stop_reason,
+                       grad_norm=run.grad_norm), run.payload
 
 
 def trapezoid_bump(center, flat: float, taper: float):

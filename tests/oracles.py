@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fjohn import rfamily
+from fjohn import isotropy, rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_trace, trace0_array
 from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
 from fjohn.errors import NotConverged, NotInBr, NotJohnPosition, SingularA
@@ -611,11 +611,11 @@ def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
     """Newton on difference Hessians, the reference of the exact-Newton `rfamily._minimize_band`.
 
     Every step builds the Hessian from forward differences of the analytic
-    gradient (step fd = 1e-4 (1-r)), takes the eigenvalue-floored Newton step
-    and halves it under Armijo; it stops once the fresh Hessian predicts a
-    decrease below ROUNDING of the value (CONVERGED) or the halved step falls
-    below fd without a decrease (RESOLVED).  Returns (point, value,
-    evaluations, stop_reason).
+    gradient (step fd = 1e-4 (1-r)), takes the minimizers' Newton step
+    (`isotropy._newton_step`) and halves it under Armijo in a loop of its own;
+    it stops once the fresh Hessian predicts a decrease below ROUNDING of the
+    value (CONVERGED) or the halved step falls below fd without a decrease
+    (RESOLVED).  Returns (point, value, evaluations, stop_reason).
     """
     n, s = band.h.n, band.s
     basis = trace0_array(n, s)
@@ -634,7 +634,7 @@ def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
     value, grad = evaluate(theta)
     fd = 1e-4 * (1.0 - r)
     hess, it, stop = None, 0, rfamily.CONVERGED
-    while hess is None or rfamily._newton(hess, grad)[1] > rfamily.ROUNDING * value:
+    while hess is None or isotropy._newton_step(hess, grad)[1] > rfamily.ROUNDING * value:
         if it == max_iter:
             stop = "max_iter"
             break
@@ -648,7 +648,7 @@ def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
                 raise NotConverged(f"coercive barrier within {fd:.1e} of the iterate at r={r}")
             cols.append((g_k - grad) / step)
         hess = 0.5 * (np.array(cols) + np.array(cols).T)
-        delta, decrease = rfamily._newton(hess, grad)
+        delta, decrease = isotropy._newton_step(hess, grad)
         if decrease <= rfamily.ROUNDING * value:
             break
         t = 1.0

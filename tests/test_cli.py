@@ -692,18 +692,18 @@ class TestMinimizeCommand:
 class TestNotConverged:
     @pytest.mark.parametrize("command", ["minimize-i1", "sweep-r"])
     def test_exit_3_reports_the_solver_record(self, command, monkeypatch, capsys):
-        # two Newton steps leave the contact functional's gradient at 2.965e-01
+        # two Newton steps leave the contact functional's gradient at 2.956e-02
         monkeypatch.setattr(isotropy, "NEWTON_MAX_ITER", 2)
         code = cli.main([command, "--instance", str(INSTANCES / "two_level_n1_s1.json")])
         captured = capsys.readouterr()
         assert code == cli.EXIT_NOT_CONVERGED and captured.out == ""
         message, record = captured.err.splitlines()
-        assert message == "not converged: projected gradient 2.965e-01 above tol 1.0e-10"
+        assert message == "not converged: projected gradient 2.956e-02 above tol 1.0e-10"
         assert record.startswith("solver record: ")
         record = json.loads(record[len("solver record: "):])
         assert record["reason"] == "max_iter" and record["iterations"] == 2
         assert record["evaluations"] >= 3
-        assert f"{record['grad_norm']:.3e}" == "2.965e-01"
+        assert f"{record['grad_norm']:.3e}" == "2.956e-02"
 
 
 class TestDeterminism:

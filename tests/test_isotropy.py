@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from fjohn import cli, isotropy
+from fjohn import cli, isotropy, rfamily
 from fjohn.blockmat import BlockMat, EPoint, trace0_array
 from fjohn.contact import (cross_fixture, detect_contacts, make_tangent_instance,
                            two_level_cross_fixture)
 from fjohn.errors import AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged
-from fjohn.isotropy import (WITHIN_TOL, DiscreteMeasure, MinimizerResult, _Atoms, _newton,
-                            calibrated_measure, check_isotropy, coercivity_witness,
+from fjohn.isotropy import (NEWTON_TOL, WITHIN_TOL, DiscreteMeasure, MinimizerResult, _Atoms,
+                            _minimize, calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
                             limit_reference, minimize_functional)
 from fjohn.logconcave import _positive_span, make_log_concave, psi_gradient
@@ -31,10 +31,11 @@ def ungated(h, s, nu):
     The result's multiplier is NaN: the tests that reach the loop this way do not read it.
     """
     at = _Atoms(h, s, nu)
-    c, value, gnorm, it, evals, _ = _newton(at.phi, at.w, F, np.zeros(len(at.basis)))
-    return MinimizerResult(point=EPoint.from_vec(c @ at.basis, at.n), value=value,
-                           projected_grad_norm=gnorm, lam=float("nan"), iterations=it,
-                           converged=True, evaluations=evals, stop_reason=WITHIN_TOL)
+    run = _minimize(at.phi, at.w, F, np.zeros(len(at.basis)))
+    return MinimizerResult(point=EPoint.from_vec(run.x @ at.basis, at.n), value=run.value,
+                           projected_grad_norm=run.grad_norm, lam=float("nan"),
+                           iterations=run.steps, converged=True, evaluations=run.evaluations,
+                           stop_reason=WITHIN_TOL)
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +157,9 @@ class TestMinimize:
         with pytest.raises(NotConverged) as caught:
             minimize_functional(h, inst["s"], nu, F)
         exc = caught.value
-        assert str(exc) == "projected gradient 2.965e-01 above tol 1.0e-10"
+        assert str(exc) == "projected gradient 2.956e-02 above tol 1.0e-10"
         assert exc.reason == "max_iter" and exc.iterations == 2
-        assert f"{exc.grad_norm:.3e}" == "2.965e-01"
+        assert f"{exc.grad_norm:.3e}" == "2.956e-02"
         # one value at the start and at least one Armijo trial per step
         assert 3 <= exc.evaluations < full.evaluations and full.iterations > 2
 
@@ -291,6 +292,52 @@ class TestNewton:
         assert res.evaluations == len(calls) >= res.iterations > 1
         assert res.stop_reason == WITHIN_TOL
 
+    def test_line_search_floor_and_infinite_start(self, two_level, monkeypatch):
+        # `_newton` fed values that rise at every call: no Armijo trial passes, so the
+        # halved step reaches the caller's floor from the start, and no step is taken
+        h, cs, _ = two_level
+        at = _Atoms(h, S, counting_measure(cs.points))
+        start = np.zeros(len(at.basis))
+        calls = []
+
+        class Rising(ConvolutionProfile):  # F' and F'' of F, and values that never fall
+            def __call__(self, x):
+                calls.append(1)
+                return np.full_like(x, float(len(calls)))
+
+        with pytest.raises(NotConverged) as caught:
+            _minimize(at.phi, at.w, Rising(canonical_pair()), start)
+        exc = caught.value
+        assert exc.reason == "no descent" and exc.iterations == 0
+        assert exc.evaluations == len(calls) > 2
+        assert str(exc) == f"projected gradient {exc.grad_norm:.3e} above tol {NEWTON_TOL:.1e}"
+        assert exc.grad_norm > NEWTON_TOL
+
+        band = rfamily._Band(h, S, canonical_pair(), rfamily.QuadratureSpec(x_nodes_per_axis=120))
+        real = rfamily._band_value_grad
+        calls.clear()
+
+        def rising(band, r, theta):
+            value, *rest = real(band, r, theta)
+            calls.append(1)
+            return (value * len(calls), *rest)
+
+        monkeypatch.setattr(rfamily, "_band_value_grad", rising)
+        res, _ = rfamily._minimize_band(band, 0.9, None)
+        assert res.stop_reason == rfamily.RESOLVED and res.iterations == 0
+        assert res.evaluations == len(calls) > 2
+        assert res.value == real(band, 0.9, start)[0]
+        assert np.array_equal(res.point.mat.diag, np.eye(1)) and res.point.mat.corner == 1.0
+
+        class Infinite(ConvolutionProfile):
+            def __call__(self, x):
+                return np.full_like(x, np.inf)
+
+        with pytest.raises(NotConverged) as caught:
+            _minimize(at.phi, at.w, Infinite(canonical_pair()), start)
+        exc = caught.value
+        assert exc.reason == "infinite start" and exc.iterations == 0 and exc.evaluations == 1
+
     def test_converges_from_next_to_the_minimizer(self, monkeypatch):
         # there the decrease a Newton step promises is below the rounding of
         # the value, which the Armijo test alone cannot confirm
@@ -304,19 +351,23 @@ class TestNewton:
             for scale in (1e-9, 1e-10):
                 for _ in range(20):
                     x0 = best.point.vec + scale * rng.standard_normal(len(at.basis)) @ at.basis
-                    c, _, _, it, _, _ = _newton(at.phi, at.w, F, at.basis @ x0)
-                    assert it <= 5
-                    assert np.linalg.norm(c @ at.basis - best.point.vec) <= 1e-9
+                    run = _minimize(at.phi, at.w, F, at.basis @ x0)
+                    assert run.steps <= 5
+                    assert np.linalg.norm(run.x @ at.basis - best.point.vec) <= 1e-9
 
-    def test_singular_hessian_leaves_flat_direction_alone(self):
-        # every atom is on an axis: the functional is constant along M_12
-        h, cs, w = two_level_cross_fixture(2, S, 0.4, 0.8)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_hessian_leaves_flat_direction_alone(self, n):
+        # every atom is on an axis: the functional is constant along each M_ij, i < j.
+        # A step that only floors the Hessian's zero eigenvalues drifts along them
+        # (1.26e-9 at n = 3); `_newton_step` drops them, as a least-squares solve does
+        h, cs, w = two_level_cross_fixture(n, S, 0.4, 0.8)
         nu = counting_measure(cs.points)
         at = _Atoms(h, S, nu)
-        assert np.linalg.matrix_rank(at.phi) == at.phi.shape[1] - 1 == 4
+        flat = n * (n - 1) // 2  # the M_ij, i < j
+        assert np.linalg.matrix_rank(at.phi) == at.phi.shape[1] - flat == n * (n + 3) // 2 - flat
         res = ungated(h, S, nu)
         assert res.projected_grad_norm <= 1e-10
-        assert abs(res.point.mat.diag[0, 1]) <= 1e-12
+        assert np.max(np.abs(res.point.mat.diag[np.triu_indices(n, 1)])) <= 1e-12
         iso = check_isotropy(extract_measure(res, h, S, nu, F), S)
         assert iso.residual_iso <= 1e-8
         assert iso.residual_center <= 1e-8
