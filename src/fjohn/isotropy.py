@@ -274,6 +274,7 @@ def _require_coercive(at: _Atoms, what: str) -> None:
 NEWTON_TOL = 1e-10  # the gradient norm at which the contact and limit minimizers stop
 NEWTON_MAX_ITER = 2000  # the Newton steps the contact and limit minimizers may take
 ROUNDING = 1e-12  # relative level of the value below which a predicted decrease is not resolved
+CONVERGED = "predicted decrease below rounding"  # the band minimizer's stop
 
 
 class _Descent(NamedTuple):
@@ -285,7 +286,7 @@ class _Descent(NamedTuple):
     grad_norm: float
     steps: int
     evaluations: int  # `evaluate` calls, the start and every Armijo trial included
-    stop_reason: str  # the caller's, "max_iter" or "no descent"
+    stop_reason: str  # WITHIN_TOL, CONVERGED, "max_iter" or "no descent"
 
 
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
@@ -296,24 +297,23 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]
     """
     lam, V = np.linalg.eigh(hess)
     size = np.abs(lam)
-    top = size.max()
+    top = max(size[0], size[-1])  # eigh sorts lam
     proj = V.T @ grad
-    null = size <= len(size) * np.finfo(float).eps * top
-    coef = proj / np.maximum(size, 1e-8 * top + null)  # + 1 where zeroed: never 0/0
-    coef[null] = 0.0
+    coef = proj / np.maximum(size, 1e-8 * top or 1.0)  # 1.0 on a zero Hessian: never 0/0
+    coef[size <= len(size) * np.finfo(float).eps * top] = 0.0
     return -(V @ coef), 0.5 * float(np.dot(coef, proj))
 
 
-def _newton(evaluate, x: np.ndarray, stop, max_steps: int, floor: float) -> _Descent:
+def _newton(evaluate, x: np.ndarray, gtol: float | None, max_steps: int, floor: float) -> _Descent:
     """Damped Newton from x, the one loop of the contact, limit and band minimizers.
 
-    evaluate(x) gives (value, gradient, Hessian, payload); an infinite value
-    is a rejection, and at x raises NotConverged ("infinite start").  The loop
-    ends with the reason stop(value, gradient norm, predicted decrease) gives
-    at an iterate, or after max_steps steps ("max_iter").  Each `_newton_step`
-    is halved until the value falls by 2e-4 t times the predicted decrease
-    (Armijo), taken whole if that is below ROUNDING of the value, and ends the
-    loop when shorter than floor ("no descent").
+    evaluate(x) gives (value, gradient, Hessian, payload); an infinite value is a
+    rejection, and at x raises NotConverged ("infinite start").  The loop ends
+    WITHIN_TOL at a gradient norm <= gtol, before the step; CONVERGED, if gtol is
+    None, at a `_newton_step` that predicts a decrease below ROUNDING of the value
+    (else taken whole: Armijo cannot resolve it); "max_iter" after max_steps steps;
+    "no descent" once the step, halved until the value falls by 2e-4 t times the
+    predicted decrease (Armijo), is shorter than floor.
     """
     value, grad, hess, payload = evaluate(x)
     evals, steps = 1, 0
@@ -321,16 +321,19 @@ def _newton(evaluate, x: np.ndarray, stop, max_steps: int, floor: float) -> _Des
         raise NotConverged("the functional is infinite at the starting point",
                            reason="infinite start", iterations=0, evaluations=evals)
     while True:
-        delta, decrease = _newton_step(hess, grad)
         gnorm = float(np.linalg.norm(grad))
-        reason = stop(value, gnorm, decrease) or ("max_iter" if steps == max_steps else None)
+        if gtol is not None and gnorm <= gtol:
+            return _Descent(x, value, payload, gnorm, steps, evals, WITHIN_TOL)
+        delta, decrease = _newton_step(hess, grad)
+        whole = decrease <= ROUNDING * value
+        reason = CONVERGED if whole and gtol is None else "max_iter" if steps == max_steps else None
         if reason is not None:
             return _Descent(x, value, payload, gnorm, steps, evals, reason)
         t = 1.0
         while True:
             trial = evaluate(x + t * delta)
             evals += 1
-            if trial[0] <= value - 2e-4 * t * decrease or decrease <= ROUNDING * value:
+            if whole or trial[0] <= value - 2e-4 * t * decrease:
                 break
             t *= 0.5
             if t * np.linalg.norm(delta) < floor:
@@ -349,10 +352,11 @@ def _minimize(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarr
         dF, d2F = F.derivs(z)
         return float(np.dot(w, F(z))), phi.T @ (w * dF), (phi.T * (w * d2F)) @ phi, dF
 
-    run = _newton(evaluate, c, lambda value, gnorm, decrease: WITHIN_TOL if gnorm <= NEWTON_TOL
-                  else None, NEWTON_MAX_ITER, 1e-16)
+    run = _newton(evaluate, c, NEWTON_TOL, NEWTON_MAX_ITER, 1e-16)
     if run.stop_reason != WITHIN_TOL:
-        raise NotConverged(f"projected gradient {run.grad_norm:.3e} above tol {NEWTON_TOL:.1e}",
+        raise NotConverged(f"no descent along the Newton step, grad {run.grad_norm:.3e}"
+                           if run.stop_reason == "no descent" else
+                           f"projected gradient {run.grad_norm:.3e} above tol {NEWTON_TOL:.1e}",
                            reason=run.stop_reason, iterations=run.steps,
                            evaluations=run.evaluations, grad_norm=run.grad_norm)
     return run

@@ -29,7 +29,7 @@ import numpy as np
 from .blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
 from . import isotropy  # `isotropy._newton` by attribute: one name for a tracer to patch
-from .isotropy import ROUNDING, DiscreteMeasure, MinimizerResult, limit_reference
+from .isotropy import CONVERGED, ROUNDING, DiscreteMeasure, MinimizerResult, limit_reference
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
                          eval_h_many, psi_eval_many, psi_gradient)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
@@ -829,7 +829,6 @@ class BandMinimum:
     grad_norm: float  # norm of the gradient in theta at `point`
 
 
-CONVERGED = "predicted decrease below rounding"
 RESOLVED = "no descent beyond the difference step"
 BAND_MAX_ITER = 400  # the Newton steps `_minimize_band` may take
 
@@ -852,22 +851,19 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
     """minimize_band at r on a prepared band geometry: a solver record and the minimizer's walk.
 
     theta0 is the start in theta, the coordinates on the rows of `trace0_array`
-    (None: theta = 0).  The loop is `isotropy._newton` on `_band_value_grad`.
-    It stops CONVERGED once the step predicts a decrease below ROUNDING of the
-    value: the n = 1 grid moves with theta, so the analytic derivatives and
-    the discrete values differ at the quadrature level (~1e-6 of the
-    gradient, ~1e-12 of the value).  It stops RESOLVED when the halved step
-    falls below the difference step 1e-4 (1-r), theta's scale being the band's
-    width, without a decrease: there the discrete functional stops following
-    its Newton model, as on a fixed n >= 2 grid, whose nodes cross the kinks
-    of psi one by one.  The walk is the accepted iterate's, whose (A, alpha, v)
-    is the record's point, so `_measure` on it is `_band_measure` there.
+    (None: theta = 0).  `isotropy._newton` on `_band_value_grad` stops CONVERGED
+    at a predicted decrease below ROUNDING of the value: the n = 1 grid moves
+    with theta, so the analytic derivatives and the discrete values differ at
+    the quadrature level (~1e-6 of the gradient, ~1e-12 of the value).  It
+    stops RESOLVED when the halved step falls below the difference step
+    1e-4 (1-r), theta's scale being the band's width, without a decrease: there
+    the discrete functional stops following its Newton model, as on a fixed
+    n >= 2 grid, whose nodes cross the kinks of psi one by one.  The walk is the
+    accepted iterate's, whose (A, alpha, v) is the record's point.
     """
     theta = np.zeros(len(band.basis)) if theta0 is None else theta0
-    run = isotropy._newton(
-        functools.partial(_band_value_grad, band, r), theta,
-        lambda value, gnorm, decrease: CONVERGED if decrease <= ROUNDING * value else None,
-        BAND_MAX_ITER, 1e-4 * (1.0 - r))  # the difference step
+    run = isotropy._newton(functools.partial(_band_value_grad, band, r), theta, None,
+                           BAND_MAX_ITER, 1e-4 * (1.0 - r))  # the difference step
     A, alpha, v = run.payload[:3]
     return BandMinimum(point=EPoint(BlockMat(A, alpha), v), value=run.value,
                        evaluations=run.evaluations, iterations=run.steps,

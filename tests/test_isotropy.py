@@ -256,7 +256,7 @@ class TestNewton:
     def test_off_axis_converges_in_few_steps(self, n):
         h, nu = off_axis_two_level(n)
         res = minimize_functional(h, S, nu, F)
-        assert res.iterations <= 10
+        assert res.iterations <= 9
         assert res.projected_grad_norm <= 1e-10
         iso = check_isotropy(extract_measure(res, h, S, nu, F), S)
         assert iso.residual_iso <= 1e-8
@@ -272,7 +272,7 @@ class TestNewton:
         F_steep = ConvolutionProfile(steep)
         h, nu = off_axis_two_level(n)
         res = minimize_functional(h, S, nu, F_steep)
-        assert res.converged and res.iterations <= 10
+        assert res.converged and res.iterations <= 9
         assert res.projected_grad_norm <= 1e-10 and res.lambda_gap <= 1e-8
         iso = check_isotropy(extract_measure(res, h, S, nu, F_steep), S)
         assert iso.residual_iso <= 1e-8
@@ -310,7 +310,7 @@ class TestNewton:
         exc = caught.value
         assert exc.reason == "no descent" and exc.iterations == 0
         assert exc.evaluations == len(calls) > 2
-        assert str(exc) == f"projected gradient {exc.grad_norm:.3e} above tol {NEWTON_TOL:.1e}"
+        assert str(exc) == f"no descent along the Newton step, grad {exc.grad_norm:.3e}"
         assert exc.grad_norm > NEWTON_TOL
 
         band = rfamily._Band(h, S, canonical_pair(), rfamily.QuadratureSpec(x_nodes_per_axis=120))
@@ -352,7 +352,7 @@ class TestNewton:
                 for _ in range(20):
                     x0 = best.point.vec + scale * rng.standard_normal(len(at.basis)) @ at.basis
                     run = _minimize(at.phi, at.w, F, at.basis @ x0)
-                    assert run.steps <= 5
+                    assert run.steps <= 4
                     assert np.linalg.norm(run.x @ at.basis - best.point.vec) <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
