@@ -19,7 +19,7 @@ import numpy as np
 
 from . import contact
 from .errors import FJohnError, InfeasibleWeights, NotConverged, NotProper, PointOnBoundary
-from .logconcave import LogConcaveFn, check_proper, make_log_concave
+from .logconcave import LogConcaveFn, _check_points, check_proper, make_log_concave
 
 # A command imports the rest of the package where it first needs it, so a cold
 # `verify` or `contacts` loads neither the contact functional nor the band family.
@@ -204,38 +204,25 @@ def build_valid_profile(inst: dict) -> ProfilePair:
     from .profiles import validate_profiles
 
     pair = build_profile(inst)
-    failed = validate_profiles(pair).failed()
+    failed = [name for name, ok in validate_profiles(pair).items() if not ok]
     if failed:
         raise InputError(f"profile pair fails {', '.join(failed)}")
     return pair
 
 
-def _check_sq_norms(pts: np.ndarray, what: str) -> None:
-    """InputError unless 4|x|^2 is finite at every point, as `DiscreteMeasure` needs.
-
-    `eval_h_many` takes |x|^2, and a measure |x - y|^2 <= 4 max(|x|^2, |y|^2).
-    """
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(4.0 * np.sum(pts * pts, axis=1))
-    if not np.all(finite):
-        raise InputError(f"{what}[{int(np.argmin(finite))}] is too large: 4|x|^2 is not finite")
-
-
 def contact_points(inst: dict, h: LogConcaveFn):
     c = inst.get("contacts", {})
-    if "points" in c:
-        with _reading("contacts"):
-            pts = np.array(c["points"], dtype=float)
-            weights = None if c.get("weights") is None else np.array(c["weights"], dtype=float)
+    if "points" not in c:
+        return contact.detect_contacts(h, inst["s"]).points, None
+    with _reading("contacts"):
+        pts = np.array(c["points"], dtype=float)
+        weights = None if c.get("weights") is None else np.array(c["weights"], dtype=float)
         if pts.ndim != 2 or pts.shape[1] != inst["n"]:
             raise InputError(f"contacts.points must be a list of points in R^{inst['n']}")
-        if weights is not None and weights.shape != (len(pts),):
-            raise InputError(f"contacts.weights must hold one number per point ({len(pts)})")
-        if not (np.all(np.isfinite(pts)) and (weights is None or np.all(np.isfinite(weights)))):
-            raise InputError("contacts must hold finite numbers")
-        _check_sq_norms(pts, "contacts.points")
-        return pts, weights
-    return contact.detect_contacts(h, inst["s"]).points, None
+        _check_points(pts, "point")
+    if weights is not None and not (weights.shape == (len(pts),) and np.all(np.isfinite(weights))):
+        raise InputError(f"contacts.weights must hold one finite number per point ({len(pts)})")
+    return pts, weights
 
 
 def build_nu(inst: dict, h: LogConcaveFn) -> DiscreteMeasure:
@@ -265,8 +252,6 @@ def build_quad(inst: dict) -> QuadratureSpec:
     from . import rfamily
 
     nodes = {**INSTANCE_DEFAULTS["quadrature"], **inst.get("quadrature", {})}["x_nodes_per_axis"]
-    if type(nodes) is not int:  # a bool or a fraction is not a node count
-        raise InputError(f"quadrature.x_nodes_per_axis must be an integer, got {nodes!r}")
     with _reading("quadrature"):
         quad = rfamily.QuadratureSpec(x_nodes_per_axis=nodes)
         quad.check_grid(inst["n"])  # before a sweep allocates the grid
@@ -284,21 +269,15 @@ def _pieces_json(h: LogConcaveFn) -> dict:
 
 
 def _tangent_points(text, n: int) -> np.ndarray:
-    """The `--points` of a tangent fixture: distinct finite points in R^n with finite |x|^2."""
+    """The `--points` of a tangent fixture: points in R^n that `DiscreteMeasure` takes as atoms."""
     from . import isotropy
 
     if not text:
         raise InputError("tangent fixture needs --points")
-    try:
+    with _reading("--points"):
         pts = np.array([[float(v) for v in chunk.split(",")] for chunk in text.split(";")])
-    except ValueError as exc:
-        raise InputError(f"malformed --points ({exc})")
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise InputError(f"--points must be points in R^{n}, got {text!r}")
-    if not np.all(np.isfinite(pts)):
-        raise InputError(f"--points must be finite, got {text!r}")
-    _check_sq_norms(pts, "--points")
-    with _reading("--points"):  # no two closer than `DiscreteMeasure` allows its atoms
+        if pts.shape[1] != n:
+            raise InputError(f"--points must be points in R^{n}, got {text!r}")
         isotropy.counting_measure(pts)
     return pts
 
@@ -314,7 +293,7 @@ def cmd_fixture(args) -> int:
     elif args.name == "two-level-cross":
         h, cs, weights = contact.two_level_cross_fixture(n, s, args.rho1_sq, args.rho2_sq)
         points, params = cs.points, {"rho1_sq": args.rho1_sq, "rho2_sq": args.rho2_sq}
-    elif args.name == "tangent":
+    else:  # "tangent", the last of the parser's choices
         points = _tangent_points(args.points, n)
         radius = 8.0 if args.domain_radius is None else args.domain_radius
         if not (_is_number(radius) and radius > 0):
@@ -322,8 +301,6 @@ def cmd_fixture(args) -> int:
         h = contact.make_tangent_instance(points, s, domain_radius=radius)
         weights = None
         params = {"points": points, "domain_radius": radius}
-    else:
-        raise InputError(f"unknown fixture {args.name!r}")
 
     inst = {
         "version": SCHEMA_VERSION,
@@ -484,20 +461,20 @@ def cmd_profiles_check(args) -> int:
     else:
         inst = None
         pair = canonical_pair()
-    rep = validate_profiles(pair)
+    checks = validate_profiles(pair)
     F = ConvolutionProfile(pair)
     xs = np.linspace(-3.0, 3.0, 601)
     Fv = np.asarray(F(xs), dtype=float)
     result = {
-        "profile_properties": {c.name: c.ok for c in rep.checks},
-        "all_ok": rep.ok,
+        "profile_properties": checks,
+        "all_ok": all(checks.values()),
         "F_nonnegative": bool(np.all(Fv >= -1e-12)),
         "F_nondecreasing": bool(np.all(np.diff(Fv) >= -1e-12)),
         "F_convex": bool(np.all(Fv[2:] - 2 * Fv[1:-1] + Fv[:-2] >= -1e-10)),
         "F_prime_at_zero": float(F.derivs(0.0)[0]),
     }
     print(_report("profiles-check", inst, result))
-    return EXIT_OK if rep.ok else EXIT_MATH
+    return EXIT_OK if result["all_ok"] else EXIT_MATH
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,8 @@ import numpy as np
 from .blockmat import EPoint, trace0_array
 from .contact import GAP_TOL, _hemisphere_gap, detect_contacts
 from .errors import AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged
-from .logconcave import LogConcaveFn, _positive_span, eval_h_many, psi_gradient
+from .logconcave import (LogConcaveFn, _check_points, _positive_span, eval_h_many,
+                         psi_gradient)
 
 if TYPE_CHECKING:
     from .profiles import ConvolutionProfile, ProfilePair
@@ -30,8 +31,8 @@ if TYPE_CHECKING:
 class DiscreteMeasure:
     """At least one weighted atom (x_i, m_i), with positive masses and pairwise-distinct points.
 
-    Points have at least one coordinate, and every point has a finite 4|x|^2, so no
-    distance |x_i - x_j| between two overflows.
+    Points have at least one coordinate, and every point has a finite 4|x|^2
+    (`logconcave._check_points`), so no distance |x_i - x_j| between two overflows.
     """
 
     points: np.ndarray  # (k, n)
@@ -46,12 +47,7 @@ class DiscreteMeasure:
             raise ValueError("atom points need at least one coordinate")
         if P.shape[0] != m.shape[0]:
             raise ValueError("points/masses length mismatch")
-        if not np.all(np.isfinite(P)):
-            raise ValueError("atom points must be finite")
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(4.0 * np.sum(P * P, axis=1))
-        if not np.all(finite):
-            raise ValueError(f"atom {int(np.argmin(finite))} is too large: 4|x|^2 is not finite")
+        _check_points(P, "atom")
         if not np.all((m > 0.0) & np.isfinite(m)):
             raise ValueError("masses must be positive and finite")
         close = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2) < 1e-9
@@ -313,7 +309,9 @@ def _newton(evaluate, x: np.ndarray, gtol: float | None, max_steps: int, floor: 
     None, at a `_newton_step` that predicts a decrease below ROUNDING of the value
     (else taken whole: Armijo cannot resolve it); "max_iter" after max_steps steps;
     "no descent" once the step, halved until the value falls by 2e-4 t times the
-    predicted decrease (Armijo), is shorter than floor.
+    predicted decrease (Armijo), is shorter than floor.  The fall must be strict:
+    where 2e-4 t times the decrease is below half an ulp of the value, the Armijo
+    bound rounds to the value itself.
     """
     value, grad, hess, payload = evaluate(x)
     evals, steps = 1, 0
@@ -333,7 +331,7 @@ def _newton(evaluate, x: np.ndarray, gtol: float | None, max_steps: int, floor: 
         while True:
             trial = evaluate(x + t * delta)
             evals += 1
-            if whole or trial[0] <= value - 2e-4 * t * decrease:
+            if whole or (trial[0] < value and trial[0] <= value - 2e-4 * t * decrease):
                 break
             t *= 0.5
             if t * np.linalg.norm(delta) < floor:

@@ -77,6 +77,21 @@ def _sq_norms(X: np.ndarray, out=None, work=None) -> np.ndarray:
     return out
 
 
+def _check_points(X: np.ndarray, what: str) -> None:
+    """ValueError, naming the first row without it `what` i, unless every row x has a finite 4|x|^2.
+
+    A finite 4|x|^2 keeps every coordinate finite and every |x - y|^2 <= 4 max(|x|^2, |y|^2)
+    from overflow: `eval_h_many` takes |x|^2, `isotropy.DiscreteMeasure` distances of atoms.
+    """
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(4.0 * _sq_norms(X))
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        if not np.all(np.isfinite(X[i])):
+            raise ValueError(f"points must be finite: {what} {i} is {X[i].tolist()}")
+        raise ValueError(f"{what} {i} is too large: 4|x|^2 is not finite")
+
+
 def eval_h_many(h: LogConcaveFn, X: np.ndarray, out=None, work=None) -> np.ndarray:
     """h over the rows of X: exp(-psi), and 0 outside the domain ball; out and work as psi's."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -9,7 +9,7 @@ polynomial and lets the band quadratures integrate it segment-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,35 +116,11 @@ def canonical_pair() -> ProfilePair:
     return ProfilePair(f=f, g=g)
 
 
-@dataclass
-class PropertyCheck:
-    name: str
-    ok: bool
-
-
-@dataclass
-class ProfileReport:
-    checks: list[PropertyCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failed(self) -> list[str]:
-        return [c.name for c in self.checks if not c.ok]
-
-
 _TOL = 1e-12  # rounding allowed in the "= 0", "= 1" and "nondecreasing slope" checks
 
 
-def validate_profiles(pair: ProfilePair) -> ProfileReport:
-    """Check the seven profile properties, each decided exactly on all of R by `_exact_checks`."""
-    return ProfileReport([PropertyCheck(name, bool(ok))
-                          for name, ok in _exact_checks(pair.f, pair.g)])
-
-
-def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
-    """The seven properties of a piecewise-linear pair as (name, verdict), on all of R.
+def validate_profiles(pair: ProfilePair) -> dict[str, bool]:
+    """The seven profile properties of the pair as {name: verdict}, each decided on all of R.
 
     A continuous piecewise-linear function is constant (increasing, ...) on
     an interval exactly when every piece meeting it has slope 0 (> 0, ...),
@@ -156,25 +132,28 @@ def _exact_checks(f: PiecewiseLinear, g: PiecewiseLinear):
     f and g are Lipschitz (properties f1 and g1) by construction, since
     `PiecewiseLinear` rejects non-finite slopes and intercepts.
     """
+    f, g = pair.f, pair.g
+
     def slopes_on(pl, lo, hi):  # piece k spans [b_(k-1), b_k]: those meeting (lo, hi)
         b = pl.breaks
         return pl.slopes[np.searchsorted(b, lo, side="right"):np.searchsorted(b, hi) + 1]
 
     inside = g.breaks[(g.breaks > -1.0) & (g.breaks < 1.0)]
     ends = np.concatenate([[-1.0], inside, [1.0]])
-    return [
-        ("f2_convex", np.all(np.diff(f.slopes) >= -_TOL)),
-        ("f3_zero_left", np.all(np.abs(slopes_on(f, -np.inf, -1.0)) <= _TOL)
-         and abs(f(-1.0)) <= _TOL),
-        ("f4_strictly_increasing", np.all(slopes_on(f, -1.0, np.inf) > 0.0)),
-        ("g2_nonincreasing", np.all(g.slopes <= _TOL)),
-        ("g3_one_left", np.all(np.abs(slopes_on(g, -np.inf, -1.0)) <= _TOL)
-         and abs(g(-1.0) - 1.0) <= _TOL),
-        ("g4_positive_inside", np.all(g(inside) > 0.0)
-         and np.all(g(0.5 * (ends[:-1] + ends[1:])) > 0.0) and np.all(g(ends[[0, -1]]) >= 0.0)),
-        ("g5_zero_right", np.all(np.abs(slopes_on(g, 1.0, np.inf)) <= _TOL)
-         and abs(g(1.0)) <= _TOL),
-    ]
+    checks = {
+        "f2_convex": np.all(np.diff(f.slopes) >= -_TOL),
+        "f3_zero_left": np.all(np.abs(slopes_on(f, -np.inf, -1.0)) <= _TOL)
+        and abs(f(-1.0)) <= _TOL,
+        "f4_strictly_increasing": np.all(slopes_on(f, -1.0, np.inf) > 0.0),
+        "g2_nonincreasing": np.all(g.slopes <= _TOL),
+        "g3_one_left": np.all(np.abs(slopes_on(g, -np.inf, -1.0)) <= _TOL)
+        and abs(g(-1.0) - 1.0) <= _TOL,
+        "g4_positive_inside": np.all(g(inside) > 0.0)
+        and np.all(g(0.5 * (ends[:-1] + ends[1:])) > 0.0) and np.all(g(ends[[0, -1]]) >= 0.0),
+        "g5_zero_right": np.all(np.abs(slopes_on(g, 1.0, np.inf)) <= _TOL)
+        and abs(g(1.0)) <= _TOL,
+    }
+    return {name: bool(ok) for name, ok in checks.items()}
 
 
 class ConvolutionProfile:

@@ -53,35 +53,23 @@ class QuadratureSpec:
     Gauss on piecewise cubics), so the quadrature error comes from the x
     grid alone; 960 nodes per axis holds it to 1e-6 at n = 1 up to r = 0.99
     (cost grows like 1/(1-r) beyond).  The grid spans the band radius at r
-    (`_Band.radii`).  An instance file's `quadrature.tol`, `t_nodes` and
-    `domain_radius` are accepted and ignored in schema version 1.
-    The inner kernel integrates only the grid nodes where the band is open,
-    so a band evaluation costs in proportion to the open share of the grid
-    (about a third of the 921,600 nodes of an n = 2 grid at r = 0.8), not to
-    x_nodes_per_axis ** n.  The grid is walked in blocks of about 32k nodes
-    and every sum over the open nodes is taken block by block, so an
-    evaluation holds one block's temporaries and nothing grid-sized; a
-    block drops the columns outside the grid's disk, where no node is near,
-    so at n >= 2 the square's corners cost almost nothing.  At n >= 2 a sum
-    is a sum of block sums in grid order (~1e-16 relative from one sum over
-    the grid); n = 1 is one block.  Every block is written into one
-    workspace of rows of a block's nodes, which the walk takes from a
-    module-level free list and gives back when it ends, so a second
-    evaluation allocates no block-sized array and takes no page fault: an
-    n = 2 `band_functional` on the default grid keeps 4.2 MB there between
-    calls (16 rows of 32,640 nodes), takes ~0 minor page faults a call in a
-    warm process (~2,000 when every block allocated its own), and ~50 ms
-    (~58 ms).  The outer grid has at least 4 panels of
-    8 nodes per axis, so a count below 25, which it would silently raise,
-    is rejected.  `check_grid` bounds the largest array of the band walk
-    by MAX_WALK_ARRAY, which `_Band` enforces once per (h, s, pair, quad).
+    (`_Band.radii`), and a band evaluation integrates only the nodes where
+    the band is open (`_Band.blocks`), so it costs in proportion to that
+    share of the grid, not to x_nodes_per_axis ** n.  An instance file's
+    `quadrature.tol`, `t_nodes` and `domain_radius` are accepted and ignored
+    in schema version 1.  x_nodes_per_axis must be an integer of at least
+    25: the outer grid has at least 4 panels of 8 nodes per axis, so it
+    would silently raise a smaller count.  `check_grid` bounds the largest
+    array of the band walk by MAX_WALK_ARRAY, which `_Band` enforces once
+    per (h, s, pair, quad).
     """
 
     x_nodes_per_axis: int = 960
 
     def __post_init__(self):
-        if not self.x_nodes_per_axis >= 25:
-            raise ValueError(f"x_nodes_per_axis must be at least 25, got {self.x_nodes_per_axis}")
+        nodes = self.x_nodes_per_axis
+        if type(nodes) is not int or nodes < 25:  # a bool or a fraction is not a node count
+            raise ValueError(f"x_nodes_per_axis must be an integer of at least 25, got {nodes!r}")
 
     def check_grid(self, n: int) -> None:
         """ValueError unless x_nodes_per_axis ** max(1, n - 1) is at most MAX_WALK_ARRAY."""
@@ -447,7 +435,8 @@ class _Band:
         where h^(1/s)/alpha vanishes (or its square underflows).  h at the
         band-factor argument is evaluated only where the band can be open
         (q(-1) below the top kink of g).  Callers reduce each block as it
-        comes (see `QuadratureSpec`).
+        comes, so at n >= 2 a sum is a sum of block sums in grid order (~1e-16
+        relative from one sum over the grid); n = 1 is one block.
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in

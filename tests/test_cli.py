@@ -64,10 +64,11 @@ class TestFixtureCommand:
         ["tangent", "--n", "1", "--points", "1.2"],
         ["tangent", "--n", "2", "--points", "0.5,0.5;0.6,0.8"],
         ["tangent", "--n", "1", "--points", "0.5;0.5;-0.5"],
+        ["tangent", "--n", "1"],
     ], ids=["cross-n0", "cross-n-1", "two-level-n0", "points-not-numbers",
             "points-wrong-dimension", "points-ragged", "points-nan", "domain-radius-0",
             "domain-radius-negative", "points-outside-ball", "points-on-sphere",
-            "points-repeated"])
+            "points-repeated", "points-missing"])
     def test_bad_input_is_an_input_error(self, argv, tmp_path, capsys):
         out = tmp_path / "inst.json"
         assert cli.main(["fixture", *argv, "--s", "1.0", "--out", str(out)]) == 1
@@ -214,6 +215,8 @@ class TestMalformedInput:
         ("sweep-r", _repeat_contact_point),
         ("minimize-i1", lambda i: _calibrate(i, 0.0)),
         ("coercivity", lambda i: _calibrate(i, -0.25)),
+        ("minimize-i1", lambda i: i["h"].update(pieces=[])),
+        ("coercivity", lambda i: [i.update(nu="calibrated"), i["contacts"].pop("weights")]),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
@@ -229,7 +232,8 @@ class TestMalformedInput:
             "slope-square-overflows",
             "every-b-an-empty-list", "integer-beyond-float-range",
             "repeated-contact-minimize", "repeated-contact-coercivity", "repeated-contact-sweep",
-            "calibrated-zero-weight", "calibrated-negative-weight"])
+            "calibrated-zero-weight", "calibrated-negative-weight", "h-pieces-empty",
+            "calibrated-without-weights"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, capsys,
                                            command, mutate):
         # in process: an exception escaping `main` fails the test, as a traceback would
@@ -279,6 +283,33 @@ class TestMalformedInput:
         assert cli.main(["profiles-check", "--instance", str(bad)]) == 2
         props = json.loads(capsys.readouterr().out)["result"]["profile_properties"]
         assert sorted(named) == sorted(k for k, ok in props.items() if not ok)
+
+
+class TestExplicitAtoms:
+    """`nu.atoms` gives the measure itself, in place of one built on the contacts."""
+
+    @pytest.mark.parametrize("command", ["minimize-i1", "coercivity"])
+    def test_unit_atoms_at_the_contacts_are_the_counting_measure(self, tmp_path, capsys,
+                                                                 command):
+        inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+        atoms = {"atoms": [{"x": p, "m": 1.0} for p in inst["contacts"]["points"]]}
+        results = []
+        for nu in ("counting", atoms):
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps({**inst, "nu": nu}))
+            assert cli.main([command, "--instance", str(path)]) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        assert results[0] == results[1]
+
+    def test_atoms_in_another_dimension_are_an_input_error(self, tmp_path, capsys):
+        inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+        inst["nu"] = {"atoms": [{"x": p + [0.0], "m": 1.0} for p in inst["contacts"]["points"]]}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+        assert cli.main(["coercivity", "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: nu atom dimension does not match n\n"
 
 
 def test_profile_failing_beyond_the_grid(two_level_instance, tmp_path):
@@ -427,7 +458,7 @@ def test_tangent_point_whose_square_overflows_is_a_clean_input_error(tmp_path, c
                          "--points", "0.1,0.2;0.3,1e308", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(
-        "input error: --points[1] is too large: 4|x|^2 is not finite")
+        "input error: malformed --points (ValueError: atom 1 is too large: 4|x|^2 is not finite)")
     assert not out.exists()
 
 

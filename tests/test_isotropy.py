@@ -338,6 +338,23 @@ class TestNewton:
         exc = caught.value
         assert exc.reason == "infinite start" and exc.iterations == 0 and exc.evaluations == 1
 
+    def test_flat_value_stops_without_a_step(self, two_level, monkeypatch):
+        # F = 1 everywhere with the canonical F' and F'': each trial's value equals the start's,
+        # and once 2e-4 t times the predicted decrease is below half an ulp of it, the Armijo
+        # bound rounds to the value itself; a trial that does not fall is still no descent
+        h, cs, _ = two_level
+        at = _Atoms(h, S, counting_measure(cs.points))
+
+        class Flat(ConvolutionProfile):
+            def __call__(self, x):
+                return np.ones_like(x)
+
+        monkeypatch.setattr(isotropy, "NEWTON_MAX_ITER", 3)
+        with pytest.raises(NotConverged) as caught:
+            _minimize(at.phi, at.w, Flat(canonical_pair()), np.zeros(len(at.basis)))
+        exc = caught.value
+        assert exc.reason == "no descent" and exc.iterations == 0 and exc.evaluations == 53
+
     def test_converges_from_next_to_the_minimizer(self, monkeypatch):
         # there the decrease a Newton step promises is below the rounding of
         # the value, which the Armijo test alone cannot confirm

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fjohn
-from fjohn import blockmat, contact, isotropy, logconcave, rfamily
+from fjohn import blockmat, contact, isotropy, logconcave, profiles, rfamily
+from fjohn.errors import DimensionMismatch
 
 # every name `fjohn` exports, by the submodule that defines it
 EXPORTS = {
@@ -42,6 +43,29 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fjohn.no_such_name
     assert not hasattr(fjohn, "no_such_name")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: logconcave.PiecewiseLogAffine(np.ones((2, 1)), np.ones(3)), DimensionMismatch,
+     "piece counts of a and b differ"),
+    (lambda: blockmat.BlockMat(np.ones((2, 3)), 1.0), DimensionMismatch,
+     r"diag must be square, got shape \(2, 3\)"),
+    (lambda: blockmat.EPoint(blockmat.BlockMat.identity(2), np.zeros(3)), DimensionMismatch,
+     r"shift must have length 2, got \(3,\)"),
+    (lambda: isotropy.DiscreteMeasure(np.zeros((2, 1)), np.ones(3)), ValueError,
+     "points/masses length mismatch"),
+    (lambda: isotropy.counting_measure([[0.0], [0.5]])._subset(np.array([True, True]),
+                                                               [1.0, 0.0]),
+     ValueError, "masses must be positive and finite"),
+    (lambda: profiles.PiecewiseLinear(np.array([0.0]), np.ones(1), np.zeros(1)), ValueError,
+     "need one more piece than breaks"),
+], ids=["log-affine-piece-counts", "blockmat-not-square", "epoint-shift-length",
+        "measure-lengths", "measure-subset-mass", "piecewise-linear-pieces"])
+def test_constructor_guards(build, error, message):
+    # each guard raises its own exception, not one a later step would raise on the same input
+    with pytest.raises(error, match=message) as caught:
+        build()
+    assert type(caught.value) is error
 
 
 def _perfbench_spans():
