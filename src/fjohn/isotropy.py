@@ -300,10 +300,13 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]
     return -(V @ coef), 0.5 * float(np.dot(coef, proj))
 
 
-def _newton(evaluate, x: np.ndarray, gtol: float | None, max_steps: int, floor: float) -> _Descent:
+def _newton(x: np.ndarray, gtol: float | None, max_steps: int, floor: float):
     """Damped Newton from x, the one loop of the contact, limit and band minimizers.
 
-    evaluate(x) gives (value, gradient, Hessian, payload); an infinite value is a
+    A generator: it yields every point it needs evaluated, is sent back the
+    point's (value, gradient, Hessian, payload), and returns a `_Descent`.
+    `_drive` evaluates one loop's points one at a time; `rfamily.r_sweep`
+    drives the loops of all its r's in rounds.  An infinite value is a
     rejection, and at x raises NotConverged ("infinite start").  The loop ends
     WITHIN_TOL at a gradient norm <= gtol, before the step; CONVERGED, if gtol is
     None, at a `_newton_step` that predicts a decrease below ROUNDING of the value
@@ -313,7 +316,7 @@ def _newton(evaluate, x: np.ndarray, gtol: float | None, max_steps: int, floor: 
     where 2e-4 t times the decrease is below half an ulp of the value, the Armijo
     bound rounds to the value itself.
     """
-    value, grad, hess, payload = evaluate(x)
+    value, grad, hess, payload = yield x
     evals, steps = 1, 0
     if not np.isfinite(value):
         raise NotConverged("the functional is infinite at the starting point",
@@ -329,7 +332,7 @@ def _newton(evaluate, x: np.ndarray, gtol: float | None, max_steps: int, floor: 
             return _Descent(x, value, payload, gnorm, steps, evals, reason)
         t = 1.0
         while True:
-            trial = evaluate(x + t * delta)
+            trial = yield x + t * delta
             evals += 1
             if whole or (trial[0] < value and trial[0] <= value - 2e-4 * t * decrease):
                 break
@@ -337,6 +340,16 @@ def _newton(evaluate, x: np.ndarray, gtol: float | None, max_steps: int, floor: 
             if t * np.linalg.norm(delta) < floor:
                 return _Descent(x, value, payload, gnorm, steps, evals, "no descent")
         x, (value, grad, hess, payload), steps = x + t * delta, trial, steps + 1
+
+
+def _drive(loop, evaluate) -> _Descent:
+    """Run a `_newton` loop to its end, sending it evaluate(x) for every x it yields."""
+    try:
+        x = next(loop)
+        while True:
+            x = loop.send(evaluate(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _minimize(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarray) -> _Descent:
@@ -350,7 +363,7 @@ def _minimize(phi: np.ndarray, w: np.ndarray, F: ConvolutionProfile, c: np.ndarr
         dF, d2F = F.derivs(z)
         return float(np.dot(w, F(z))), phi.T @ (w * dF), (phi.T * (w * d2F)) @ phi, dF
 
-    run = _newton(evaluate, c, NEWTON_TOL, NEWTON_MAX_ITER, 1e-16)
+    run = _drive(_newton(c, NEWTON_TOL, NEWTON_MAX_ITER, 1e-16), evaluate)
     if run.stop_reason != WITHIN_TOL:
         raise NotConverged(f"no descent along the Newton step, grad {run.grad_norm:.3e}"
                            if run.stop_reason == "no descent" else

@@ -92,11 +92,20 @@ def _check_points(X: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} {i} is too large: 4|x|^2 is not finite")
 
 
-def eval_h_many(h: LogConcaveFn, X: np.ndarray, out=None, work=None) -> np.ndarray:
-    """h over the rows of X: exp(-psi), and 0 outside the domain ball; out and work as psi's."""
+def eval_h_many(h: LogConcaveFn, X: np.ndarray, out=None, work=None, piece=None) -> np.ndarray:
+    """h over the rows of X: exp(-psi), and 0 outside the domain ball; out and work as psi's.
+
+    piece (with work): an intp array that receives each row's active piece, the
+    first j whose a_j . x + b_j in work equals psi, as `psi_gradient` takes the
+    first maximum of its own product (a row with a NaN gets the last piece).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     form = h.form
     vals = psi_eval_many(form, X, out, work)
+    if piece is not None:  # from the last piece down, so the first equal one is kept
+        piece.fill(len(form.b) - 1)
+        for j in range(len(form.b) - 2, -1, -1):
+            np.copyto(piece, j, where=work[j] == vals)
     np.negative(vals, out=vals)
     np.exp(vals, out=vals)
     if form.domain_radius is not None:

@@ -15,7 +15,9 @@ Hessian, so the minimizer is exact Newton.  The derivative walk keeps the open
 nodes' band-factor arguments and density weights, from which one reduction
 (`_measure`) gives the concentration-measure integrals and the stationarity
 multiplier in closed form: a sweep reads them from the minimizer's accepted
-evaluation and walks no grid after the minimizer.
+evaluation and walks no grid after the minimizer.  A sweep runs the Newton
+loops of its r's in rounds, and at n = 1 one derivative walk evaluates every
+r of a round (`r_sweep`).
 """
 
 from __future__ import annotations
@@ -175,9 +177,13 @@ def _kernel_rows(breaks: int, derivs: bool) -> int:
     return 1 + 2 * derivs + 1 + breaks + 3 + max(5 + 2 * derivs, breaks)
 
 
-def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
+def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
                 c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray, derivs: bool, rows=None):
     """The inner t-integral I on the open nodes, and with derivs I' and I'' in c2 there.
+
+    r is one float, or one per node (`_Band.blocks` walking several r at once):
+    every operation on it is elementwise, so a node's integrals are those of
+    its own r alone, bit for bit.
 
     I = integral of f(t) g(q(t)) dt and I' = integral of f(t) g'(q(t)) tau^2/den dt,
     with tau = 1+(1-r)t and q(t) = (r2m1 + c2 tau^2)/den, increasing in t >= -1,
@@ -216,7 +222,6 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     then come tau_top, g's pulled-back ends, the inputs on the open nodes,
     and the passes' work arrays, which are free again once it returns.
     """
-    omr = 1.0 - r
     g_breaks = g_pl.breaks
     kinks = len(g_breaks)
     if rows is None:
@@ -238,6 +243,9 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r: float,
     # (1/2, 1); ~(tau <= r) rather than tau > r keeps NaN nodes on the integrating path
     is_open = (~(tau_top <= r)).nonzero()[0]
     m = len(is_open)
+    if isinstance(r, np.ndarray):  # r per node: its open nodes'
+        r = r.take(is_open, mode="clip")
+    omr = 1.0 - r
     # each kink's pullback on the open nodes, tau and then t; every (k, m) view of the kernel
     # is contiguous, as numpy's loops over strided rows cost ~0.7 us more a call
     g_ends = rows[ends_at:ends_at + kinks * m].reshape(kinks, m)
@@ -412,31 +420,52 @@ class _Band:
         flat = theta @ self.basis
         return flat[:n * n].reshape(n, n), flat[n * n + 1:]
 
-    def blocks(self, r: float, A: np.ndarray, alpha: float, v: np.ndarray, shifted: bool,
-               derivs: bool, kink_inputs=None):
-        """Walk the grid at r block by block, yielding each block's open nodes.
+    def blocks(self, positions, shifted: bool, derivs: bool, kink_inputs=None):
+        """Walk the grid block by block at each position, yielding its open nodes.
 
+        positions: (r, A, alpha, v) tuples.  Several are walked together only in
+        the shifted route at n = 1, where each position's grid is one block (a
+        round of `r_sweep`, whose grids fit one block together); a walk at
+        n >= 2, whose grid is many blocks, or an unshifted one takes one.
         shifted: x is the band variable and the factor is evaluated at Ax + v
         (every route but one); otherwise x is the factor argument and the
         band variable is A^-1 (x - v) (`rescaled_band_functional`).  For
-        n = 1 the panels follow the kinks of psi in both variables.  Each
-        block where the band is open yields its open nodes' (W, h^(1/s), I),
-        and with derivs (W, h^(1/s), I, I', I'', X, Y): weights, h at the
-        band-factor argument, `_inner_band`'s integrals, grid points and
-        band-factor arguments, in row-major grid order (node
-        i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)]) for the P
-        nodes x of `_axis_rule`).  kink_inputs (n = 1, where the grid is one
-        block): the kernel inputs (c2, den, |x|^2 - 1) of more points, which
-        join the block's one `_inner_band` call after its near nodes; the
-        tuple then ends with their (open, I, I').  The kernel integrates
-        every node on its own, so neither set moves a bit of the other's I
-        and I', and the block is kept even when no grid node is near.
-        Yields None and stops at the first block where part of the band lies
-        where h^(1/s)/alpha vanishes (or its square underflows).  h at the
-        band-factor argument is evaluated only where the band can be open
-        (q(-1) below the top kink of g).  Callers reduce each block as it
-        comes, so at n >= 2 a sum is a sum of block sums in grid order (~1e-16
-        relative from one sum over the grid); n = 1 is one block.
+        n = 1 the panels follow the kinks of psi in both variables.  For each
+        block where the band is open, the walk yields one item per position,
+        in order: its open nodes' (W, h^(1/s), I), and with derivs
+        (W, h^(1/s), I, I', I'', X, Y, j): weights, h at the band-factor
+        argument, `_inner_band`'s integrals, grid points, band-factor
+        arguments and the index j of psi's active piece there, in row-major
+        grid order (node i0 P^(n-1) + ... + i_(n-1) is (x[i0], ..., x[i_(n-1)])
+        for the P nodes x of `_axis_rule`).  j is the first maximum of the
+        (pieces, nodes) product a_j . y + b_j that h at y already takes
+        (`eval_h_many`'s piece), found at every near node by one comparison
+        per piece.  `psi_gradient` takes it from a product of its own, in
+        (nodes, pieces) layout, so at n >= 2 a node where two pieces tie to
+        rounding can get the other one (at n = 1 every entry is one product,
+        which rounds alike).
+        kink_inputs (n = 1): per position, the kernel inputs (c2, den,
+        |x|^2 - 1) of more points, which join the block's one `_inner_band`
+        call after the near nodes of every position; each item then ends
+        with its own points' (open, I, I').  The kernel integrates every node
+        on its own, so no set moves a bit of another's I and I', and the
+        block is kept even when no grid node is near.  Its item is None at
+        a position's barrier, the first block where part of its band lies
+        where h^(1/s)/alpha vanishes (or its square underflows): at n >= 2
+        the walk stops there, and at n = 1 that position's c2 is set to 1
+        before the kernel call, whose integrals there no item holds, so the
+        others keep their bits.  h at the band-factor argument is evaluated only where the
+        band can be open (q(-1) below the top kink of g).  Callers reduce
+        each block as it comes, so at n >= 2 a sum is a sum of block sums in
+        grid order (~1e-16 relative from one sum over the grid); n = 1 is one
+        block.
+
+        At n = 1 the positions' grids lie one after another in the block,
+        and the walk carries r, 1 - r, alpha, A and v per node: den, Y = xA + v
+        (one product each, as the matmul of a walk alone takes it), c2 and
+        `_inner_band`'s r.  Every array operation is elementwise, so each
+        position's items are those of its walk alone, bit for bit, and its
+        consumer reduces its own slice.  One position keeps them scalars.
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in
@@ -485,34 +514,52 @@ class _Band:
         product over a block's kept columns, so the same holds for it.
         """
         n, s = self.h.n, self.s
-        radius, reach = self.radii(r)
+        several = len(positions) > 1
+        if several and (n > 1 or not shifted):
+            raise ValueError("only a shifted walk at n = 1 takes several positions")
+        r, A, alpha, v = positions[0]  # the one position of a walk at n >= 2 or unshifted
 
         def extent(radius):  # the grid's half-width for a radius in the band variable
             return (radius if shifted else
                     float(np.linalg.norm(A, 2) * radius + np.linalg.norm(v)) + 1e-9)
 
-        kinks = None
-        if self.breaks is not None:
-            a, c = float(A[0, 0]), float(v[0])
-            u, c = (a, c) if shifted else (1.0 / a, -c / a)
-            kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
-        x1, w1 = _axis_rule(extent(radius), self.quad.x_nodes_per_axis, kinks)
+        rules = []
+        for r_p, A_p, _, v_p in positions:  # each position's grid, one after another
+            radius, reach = self.radii(r_p)
+            kinks = None
+            if self.breaks is not None:
+                a, c = float(A_p[0, 0]), float(v_p[0])
+                u, c = (a, c) if shifted else (1.0 / a, -c / a)
+                kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
+            rules.append(_axis_rule(extent(radius), self.quad.x_nodes_per_axis, kinks))
+        x1, w1 = (np.concatenate(col) for col in zip(*rules))
         clip2 = (extent(reach) + 1e-9) ** 2  # no near node lies beyond; 1e-9 for rounding
+        if several:  # each grid node's r, 1 - r, alpha, A and v, and each position's nodes
+            sizes = [len(x) for x, _ in rules]
+            per_node = np.repeat([(r_p, 1.0 - r_p, alpha_p, A_p[0, 0], v_p[0])
+                                  for r_p, A_p, alpha_p, v_p in positions], sizes, axis=0)
+            edges = np.cumsum([0] + sizes)
         P = len(x1)
         w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
         a, b = self.h.form.a, self.h.form.b
         top = 2.0 * (1.0 - r) * max(float(self.g.breaks[-1]), 1.0) * 1.0000001
+        extra = 0
+        if kink_inputs is not None:  # one (c2, den, |x|^2 - 1) of every position's kinks
+            kink_edges = np.cumsum([0] + [len(k[0]) for k in kink_inputs])
+            kink_r = np.repeat([r_p for r_p, *_ in positions], np.diff(kink_edges))
+            kink_inputs = [np.concatenate(x) for x in zip(*kink_inputs)]
+            extra = kink_edges[-1]
         # the workspace: rows of a block's grid nodes (and psi's kinks), sliced at their offsets
         # in the flat array.  Rows 0-3 hold h, c2, den and |x|^2 - 1 on the near nodes (with
-        # derivs then X and Y there) across the kernel call; the kernel's rows follow, which
-        # hold before it the grid's X, |x|^2 - 1, den and psi's product, then (without
-        # derivs) X and Y on the near nodes and psi's product there, and after it the
-        # yielded arrays: W's tile, W, h, X and Y
-        cap, extra = min(step, rows) * P, 0 if kink_inputs is None else len(kink_inputs[0])
-        held, pieces = 4 + 2 * n * derivs, len(b)
+        # derivs then X, Y and psi's active piece there) across the kernel call; the kernel's
+        # rows follow, which hold before it the grid's X, |x|^2 - 1, den and psi's product,
+        # then (without derivs) X and Y on the near nodes and psi's product there, and after
+        # it the yielded arrays: W's tile, W, h, X, Y and the piece
+        cap = min(step, rows) * P
+        held, pieces = 4 + (2 * n + 1) * derivs, len(b)
         need = held + max(_kernel_rows(len(self.g.breaks), derivs), n + 2 + pieces,
-                          2 * n * (not derivs) + pieces, 4 + 2 * derivs * (1 + n))
+                          2 * n * (not derivs) + pieces, 4 + derivs * (3 + 2 * n))
         try:
             ws = _FREE.pop()
         except IndexError:  # a nested, interleaved or concurrent walk holds the list's
@@ -556,37 +603,57 @@ class _Band:
                                   flat[at_psi:at_psi + pieces * nodes].reshape(pieces, nodes))
                 den **= 2.0 / s  # 2 h^(2/s) (1-r), in place
                 den *= 2.0
-                den *= 1.0 - r
+                den *= per_node[:, 1] if several else 1.0 - r
                 near = np.flatnonzero(r2m1 < np.multiply(den, self.g.breaks[-1],
                                                          out=flat[at_psi:at_psi + nodes]))
                 if not len(near) and kink_inputs is None:  # the band is closed on the whole block
                     continue
                 m = len(near)  # near is in range: no bounds check
+                cuts = (0, m)  # each position's near nodes
+                if several:
+                    near_at, cuts = per_node.take(near, axis=0), np.searchsorted(near, edges)
                 den = den.take(near, out=flat[2 * width:2 * width + m], mode="clip")
                 r2m1 = r2m1.take(near, out=flat[3 * width:3 * width + m], mode="clip")
                 Y = X0 = X.take(near, axis=0, out=flat[at_x:at_x + m * n].reshape(m, n),
                                 mode="clip")
-                if shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
+                if shifted and several:  # n = 1: x a + v, the one product a matmul takes
+                    Y = np.multiply(X0, near_at[:, 3:4], out=flat[at_y:at_y + m].reshape(m, 1))
+                    Y[:, 0] += near_at[:, 4]
+                elif shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
                     Y = np.matmul(X0, np.ascontiguousarray(A.T),
                                   out=flat[at_y:at_y + m * n].reshape(m, n))
                     for k in range(n):
                         Y[:, k] += v[k]
+                piece = None  # with derivs, psi's active piece at Y, from the product h takes
+                if derivs:
+                    piece = flat[(held - 1) * width:(held - 1) * width + m].view(np.intp)
                 h_near = eval_h_many(self.h, Y, flat[:m],
-                                     flat[at_psi_y:at_psi_y + pieces * m].reshape(pieces, m))
+                                     flat[at_psi_y:at_psi_y + pieces * m].reshape(pieces, m), piece)
                 h_near **= 1.0 / s
-                c2 = np.divide(h_near, alpha, out=flat[width:width + m])
+                c2 = np.divide(h_near, near_at[:, 2] if several else alpha,
+                               out=flat[width:width + m])
                 c2 **= 2
-                if not np.minimum.reduce(c2, initial=np.inf) > 0.0:  # NaN fails too
-                    yield None
+                shut = [not np.minimum.reduce(c2[lo:hi], initial=np.inf) > 0.0  # NaN fails too
+                        for lo, hi in zip(cuts[:-1], cuts[1:])]
+                if all(shut):
+                    yield from [None] * len(positions)
                     return
                 if kink_inputs is not None:  # the kinks join the call after the near nodes
                     c2, den, r2m1 = (flat[k * width:k * width + m + extra] for k in (1, 2, 3))
                     for x, kink in zip((c2, den, r2m1), kink_inputs):
                         x[m:] = kink
-                opened, *integrals = _inner_band(self.f, self.g, r, c2, den, r2m1, derivs,
+                for lo, hi, closed in zip(cuts[:-1], cuts[1:], shut):
+                    if closed:  # (n = 1) a c2 the kernel takes quietly
+                        c2[lo:hi] = 1.0
+                r_node = r
+                if several:  # each node's own r: the near nodes', then the kinks'
+                    r_node = near_at[:, 0]
+                    if kink_inputs is not None:
+                        r_node = np.concatenate([r_node, kink_r])
+                opened, *integrals = _inner_band(self.f, self.g, r_node, c2, den, r2m1, derivs,
                                                  ws[held:])
                 tail = ()
-                if kink_inputs is not None:
+                if kink_inputs is not None:  # the kinks' open points follow the grid's
                     j = np.searchsorted(opened, m)
                     tail = ((opened[j:] - m, *[e[j:] for e in integrals[:2]]),)
                     opened, integrals = opened[:j], [e[:j] for e in integrals]
@@ -595,16 +662,33 @@ class _Band:
                     tile = flat[at_out:at_out + nodes]
                     np.multiply.outer(w_rows[r0:r1], w1[c0:c1], out=tile.reshape(r1 - r0, -1))
                 at = at_out + width
-                W = tile.take(near[opened], out=flat[at:at + j], mode="clip")
-                h_open = h_near.take(opened, out=flat[at + width:at + width + j], mode="clip")
-                if not derivs:
-                    yield W, h_open, *integrals
+                out = [tile.take(near[opened], out=flat[at:at + j], mode="clip"),
+                       h_near.take(opened, out=flat[at + width:at + width + j], mode="clip"),
+                       *integrals]
+                if derivs:
+                    at += 2 * width
+                    for x in (X0, Y):
+                        out.append(x.take(opened, axis=0, out=flat[at:at + j * n].reshape(j, n),
+                                          mode="clip"))
+                        at += n * width
+                    out.append(piece.take(opened, out=flat[at:at + j].view(np.intp), mode="clip"))
+                if not several:
+                    yield *out, *tail
                     continue
-                at += 2 * width
-                X_open = X0.take(opened, axis=0, out=flat[at:at + j * n].reshape(j, n), mode="clip")
-                at += n * width
-                Y_open = Y.take(opened, axis=0, out=flat[at:at + j * n].reshape(j, n), mode="clip")
-                yield W, h_open, *integrals, X_open, Y_open, *tail
+                open_cuts = np.searchsorted(opened, cuts)
+                if tail:
+                    kink_cuts = np.searchsorted(tail[0][0], kink_edges)
+                for p in range(len(positions)):
+                    if shut[p]:
+                        yield None
+                        continue
+                    lo, hi = open_cuts[p], open_cuts[p + 1]
+                    item = tuple(x[lo:hi] for x in out)
+                    if tail:
+                        k0, k1 = kink_cuts[p], kink_cuts[p + 1]
+                        item += ((tail[0][0][k0:k1] - kink_edges[p],
+                                  *[e[k0:k1] for e in tail[0][1:]]),)
+                    yield item
         finally:  # an abandoned walk, or one stopped at the barrier, returns it too
             if width <= _BLOCK_NODES + extra and not _FREE:
                 _FREE.append(ws)
@@ -636,7 +720,7 @@ def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool) -> float:
     """The sum of W (h^(1/s)/scale) I over the open nodes, block by block; +inf at the barrier."""
     scale = alpha if shifted else 1.0
     value = 0.0
-    for block in band.blocks(r, A, alpha, v, shifted, False):
+    for block in band.blocks([(r, A, alpha, v)], shifted, False):
         if block is None:
             return float("inf")
         W, h, inner = block  # the walk's views: W (h/scale) I is formed in h, as it rounds alike
@@ -647,17 +731,20 @@ def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool) -> float:
     return value
 
 
-def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray):
-    """The open nodes' sums at r and (A, alpha, v), from one shifted walk; None at the barrier.
+def _band_sums(band: _Band, positions):
+    """The open nodes' sums at each position (r, A, alpha, v), from one shifted walk of them all.
 
-    (value, grad, hess, kept): the band functional sum W c I, its gradient
-    and Hessian in the flat coordinates (A, log alpha, v) (`EPoint.vec`
-    layout, A unconstrained), and per block the open nodes' Y and
-    omega/h_y^2, from which `_measure` sums every bump.  With
-    c = h(y)^(1/s)/alpha at y = Ax + v, u = log c has the gradient -z,
-    z = (a_j x^T/s, 1, a_j/s) for the active piece a_j(y) of psi, and no
-    curvature off psi's kinks.  A node adds W phi(u) = W c I(c^2), so
-    grad = -sum omega z with omega = W phi' = W c (I + 2 c^2 I'), and
+    One entry per position, None at its barrier, else (value, grad, hess,
+    kept): the band functional sum W c I, its gradient and Hessian in the
+    flat coordinates (A, log alpha, v) (`EPoint.vec` layout, A
+    unconstrained), and per block the open nodes' Y and omega/h_y^2, from
+    which `_measure` sums every bump.  Several positions share the walk only
+    at n = 1 (`_Band.blocks`); each is reduced from its own slice of the
+    open nodes, so its sums are those of a walk of its own, bit for bit.
+    With c = h(y)^(1/s)/alpha at y = Ax + v, u = log c has the gradient -z,
+    z = (a_j x^T/s, 1, a_j/s) for the active piece a_j(y) of psi (the walk's
+    j), and no curvature off psi's kinks.  A node adds W phi(u) = W c I(c^2),
+    so grad = -sum omega z with omega = W phi' = W c (I + 2 c^2 I'), and
     hess = sum W phi'' z z^T with phi'' = c (I + 8 c^2 I' + 4 c^4 I''), all
     three from the walk's kernel (`_inner_band`): at n >= 2, on a fixed grid,
     the exact Hessian of the sum wherever it exists.  The n = 1 grid follows
@@ -668,43 +755,55 @@ def _band_sums(band: _Band, r: float, A: np.ndarray, alpha: float, v: np.ndarray
     (`_Band.blocks`' kink_inputs), which finds those where the band is open.
     """
     n, s = band.h.n, band.s
-    value, kept = 0.0, []
-    grad, hess = np.zeros(n * n + 1 + n), np.zeros((n * n + 1 + n,) * 2)
-    kinks = None
+    d = n * n + 1 + n
+    sums = [[0.0, np.zeros(d), np.zeros((d, d)), []] for _ in positions]
+    kinks, kink_inputs = [None] * len(positions), None
     if band.breaks is not None:  # the kernel inputs of psi's kinks, at x_k = (y_k - v)/A
-        a, x_k = float(A[0, 0]), (band.breaks - v[0]) / float(A[0, 0])
-        den_k = 2.0 * (1.0 - r) * eval_h_many(band.h, x_k[:, None]) ** (2.0 / s)
-        c2_k = (band.h_breaks / alpha) ** 2
-        k = np.flatnonzero(c2_k > 0.0)
-        kinks = c2_k[k], den_k[k], x_k[k] * x_k[k] - 1.0
-    for block in band.blocks(r, A, alpha, v, True, True, kinks):
+        kink_inputs = []
+        for p, (r, A, alpha, v) in enumerate(positions):
+            x_k = (band.breaks - v[0]) / float(A[0, 0])
+            den_k = 2.0 * (1.0 - r) * eval_h_many(band.h, x_k[:, None]) ** (2.0 / s)
+            c2_k = (band.h_breaks / alpha) ** 2
+            k = np.flatnonzero(c2_k > 0.0)
+            kinks[p] = x_k, k, c2_k[k]
+            kink_inputs.append((kinks[p][2], den_k[k], x_k[k] * x_k[k] - 1.0))
+    # the walk yields one item per position and block, positions in turn
+    walk = band.blocks(positions, True, True, kink_inputs)
+    for ((r, A, alpha, v), acc, kink), block in zip(itertools.cycle(zip(positions, sums, kinks)),
+                                                    walk):
         if block is None:
-            return None
-        W, h_y, inner, d_inner, d2_inner, X, Y = block[:7]
+            acc.clear()
+            continue
+        W, h_y, inner, d_inner, d2_inner, X, Y, piece = block[:8]
         c = h_y / alpha
-        value += float(np.sum(W * c * inner))
+        acc[0] += float(np.sum(W * c * inner))
         wc, c2 = W * c, c * c
         omega = wc * (inner + 2.0 * c2 * d_inner)
-        z = np.empty((len(W), n * n + 1 + n))
-        z[:, n * n + 1:] = psi_gradient(band.h.form, Y) / s
+        z = np.empty((len(W), d))
+        z[:, n * n + 1:] = band.h.form.a[piece] / s
         z[:, :n * n] = (z[:, n * n + 1:, None] * X[:, None, :]).reshape(len(W), n * n)
         z[:, n * n] = 1.0
-        grad -= omega @ z
-        hess += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
-        kept.append((Y.copy(), omega / (h_y * h_y)))  # Y is the walk's until its next block
-        if kinks is not None:
-            opened, inner, d_inner = block[7]
-            c2, at = kinks[0][opened], k[opened]
+        acc[1] -= omega @ z
+        acc[2] += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
+        acc[3].append((Y.copy(), omega / (h_y * h_y)))  # Y is the walk's until its next block
+        if kink is not None:
+            (x_k, k, c2_k), (opened, inner, d_inner) = kink, block[8]
+            c2, at = c2_k[opened], k[opened]
             dy = np.zeros((len(at), 3))
             dy[:, 0], dy[:, 2] = x_k[at], 1.0
             phi_u = np.sqrt(c2) * (inner + 2.0 * c2 * d_inner)
-            hess += (dy.T * (-band.jumps[at] / (s * a) * phi_u)) @ dy
-    return value, grad, hess, kept
+            acc[2] += (dy.T * (-band.jumps[at] / (s * float(A[0, 0])) * phi_u)) @ dy
+    return [tuple(acc) if acc else None for acc in sums]
 
 
 def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
     """Band functional, gradient, Hessian and walk at r and theta; (inf, None, None, None)
-    beyond the barrier.
+    beyond the barrier: `_band_value_grads` of the one pair (r, theta)."""
+    return _band_value_grads(band, [(r, theta)])[0]
+
+
+def _band_value_grads(band: _Band, evals) -> list:
+    """`_band_value_grad` at every (r, theta) of evals, from one walk of their positions.
 
     theta (`_Band.split`) stands for (I + S, det(I + S)^(-1/s), v) with
     (S, -tr S/s, v) = theta @ basis: the block is linear in theta, and only
@@ -717,24 +816,30 @@ def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
     (A, alpha, v, the flat gradient, `_band_sums`' kept arrays), is what
     `_measure` reduces to lambda_r and the bump integrals at this theta, and
     its (A, alpha, v) is the position whose `_band_value` the value is, bit
-    for bit.
+    for bit.  The positions inside the barrier share one `_band_sums` walk
+    (none walks when there is none), so more than one pair needs n = 1.
     """
     n, s = band.h.n, band.s
-    S, v = band.split(theta)
-    A = np.eye(n) + S  # symmetric: theta @ basis has one term in each off-diagonal entry
-    lam, V = np.linalg.eigh(A)
-    if not lam[0] > 0.0:
-        return float("inf"), None, None, None
-    alpha = float(np.exp(-np.sum(np.log(lam)) / s))
-    sums = _band_sums(band, r, A, alpha, v)
-    if sums is None:
-        return float("inf"), None, None, None
-    value, grad, hess, kept = sums
-    P = (V / lam) @ V.T @ band.basis[:, :n * n].reshape(-1, n, n)  # A^-1 dS_k
-    J = band.basis.copy()
-    J[:, n * n] = -np.trace(P, axis1=1, axis2=2) / s
-    second = (grad[n * n] / s) * np.einsum("kij,lji->kl", P, P)
-    return value, J @ grad, J @ hess @ J.T + second, (A, alpha, v, grad, kept)
+    out = [(float("inf"), None, None, None)] * len(evals)
+    charts, positions = [], []
+    for i, (r, theta) in enumerate(evals):
+        S, v = band.split(theta)
+        A = np.eye(n) + S  # symmetric: theta @ basis has one term in each off-diagonal entry
+        lam, V = np.linalg.eigh(A)
+        if lam[0] > 0.0:
+            charts.append((i, lam, V))
+            positions.append((r, A, float(np.exp(-np.sum(np.log(lam)) / s)), v))
+    walked = _band_sums(band, positions) if positions else []
+    for (i, lam, V), (r, A, alpha, v), sums in zip(charts, positions, walked):
+        if sums is None:
+            continue
+        value, grad, hess, kept = sums
+        P = (V / lam) @ V.T @ band.basis[:, :n * n].reshape(-1, n, n)  # A^-1 dS_k
+        J = band.basis.copy()
+        J[:, n * n] = -np.trace(P, axis1=1, axis2=2) / s
+        second = (grad[n * n] / s) * np.einsum("kij,lji->kl", P, P)
+        out[i] = value, J @ grad, J @ hess @ J.T + second, (A, alpha, v, grad, kept)
+    return out
 
 
 def rescaled_band_functional(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
@@ -788,7 +893,7 @@ def _band_measure(band: _Band, r: float, p: EPoint, bumps) -> tuple[np.ndarray, 
     A, alpha, v = p.mat.diag, p.mat.corner, p.shift
     if not _positive(A, alpha):
         raise SingularA("block must be positive definite with positive corner")
-    sums = _band_sums(band, r, A, alpha, v)
+    sums = _band_sums(band, [(r, A, alpha, v)])[0]
     if sums is None:
         raise NotInBr("the band reaches where h vanishes")
     return _measure(band, r, (A, alpha, v, sums[1], sums[3]), bumps)
@@ -851,8 +956,17 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
     accepted iterate's, whose (A, alpha, v) is the record's point.
     """
     theta = np.zeros(len(band.basis)) if theta0 is None else theta0
-    run = isotropy._newton(functools.partial(_band_value_grad, band, r), theta, None,
-                           BAND_MAX_ITER, 1e-4 * (1.0 - r))  # the difference step
+    return _band_minimum(isotropy._drive(_band_loop(r, theta),
+                                         functools.partial(_band_value_grad, band, r)))
+
+
+def _band_loop(r: float, theta: np.ndarray):
+    """The `isotropy._newton` loop of the band minimizer at r from theta."""
+    return isotropy._newton(theta, None, BAND_MAX_ITER, 1e-4 * (1.0 - r))  # the difference step
+
+
+def _band_minimum(run) -> tuple[BandMinimum, tuple]:
+    """The solver record of a finished `_band_loop`, and its accepted iterate's walk."""
     A, alpha, v = run.payload[:3]
     return BandMinimum(point=EPoint(BlockMat(A, alpha), v), value=run.value,
                        evaluations=run.evaluations, iterations=run.steps,
@@ -935,14 +1049,30 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     it: the block `sdet1_param((1-r) M_lim, s)` and the shift (1-r) w_lim,
     written in `_minimize_band`'s chart as theta = basis @ (A0 - I,
     -tr(A0 - I)/s, (1-r) w_lim).  A0 = exp((1-r) M_lim) is positive definite,
-    so no start lies beyond the chart's barrier.  Nothing of one r reaches
-    the next (`_Band` holds nothing of r): a row depends on its r alone.  An
-    r outside (1/2, 1) raises BadR at its first evaluation.  A failure at a
-    single r is recorded with its reason and the sweep continues; a contact
-    set on which the limit is not coercive raises DivergingIterates before
-    any r.  The diagnostics are norms of differences of flat forms
-    `EPoint.vec`; `secant_to_limit` is the rescaled minimizer's distance to
-    the limit point, which `RSweepResult.limit` holds.
+    so no start lies beyond the chart's barrier.
+
+    The r's minimizers run in rounds.  Every r's Newton loop (`_band_loop`)
+    starts at once; a round takes the pending points of the first r's, in
+    schedule order, whose grids fit together in one block of the walk
+    (`_BLOCK_NODES` nodes), evaluates them with one walk
+    (`_band_value_grads`), and sends each loop its own result.  At n = 1 an
+    r's grid is one block of at most 8 (p + 2k + 1) nodes, for the p panels
+    of x_nodes_per_axis and psi's k kinks (`_axis_rule`), so a round takes
+    about 32 r's at the default 960 nodes (about 1,000 each): a sweep walks
+    once per round, not once per evaluation, and the walk and kernel cost
+    is paid once for the round.  At n >= 2 an r's grid is many blocks, so a
+    round takes one r, which runs to its end before the next starts: no
+    more open-node arrays are alive than one r alone keeps.  A loop's row
+    is taken (`_measure`) as soon as it stops, and its walk freed.  Each
+    r's slice of a round is what its walk alone gives, bit for bit
+    (`_Band.blocks`), so nothing of one r reaches another (`_Band` holds
+    nothing of r): a row depends on its r alone.  An r outside (1/2, 1)
+    raises BadR at its first round.  A failure at a single r is recorded
+    with its reason and the sweep continues; a contact set on which the
+    limit is not coercive raises DivergingIterates before any r.  The
+    diagnostics are norms of differences of flat forms `EPoint.vec`;
+    `secant_to_limit` is the rescaled minimizer's distance to the limit
+    point, which `RSweepResult.limit` holds.
     """
     n = h.n
     limit = limit_reference(h, s, pair)
@@ -952,24 +1082,11 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     ref_integrals = np.array([float(np.dot(reference_measure.masses, b(reference_measure.points)))
                               for b in bumps])
     ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
-    result = RSweepResult(schedule=list(schedule), limit=limit.point)
-    for r in schedule:
-        omr = 1.0 - r
-        step = sdet1_param(omr * M_lim, s)[0] - np.eye(n)  # A0 - I
-        start = band.basis @ np.concatenate([step.ravel(), [-np.trace(step) / s], omr * w_lim])
-        try:
-            solver, walk = _minimize_band(band, r, start)
-        except NotConverged as exc:
-            nan = float("nan")
-            result.entries.append(SweepEntry(
-                r=r, point=None, rescaled=None, lambda_r=nan, value=nan,
-                dist_to_identity=nan, normalized_s_trace=nan, secant_to_reference=nan,
-                secant_to_limit=nan, mu_integrals=np.full(len(bumps), np.nan),
-                mu_reference=ref_integrals, error=f"{type(exc).__name__}: {exc}"))
-            continue
+
+    def row(r, run):  # the row of an r whose loop stopped
+        solver, walk = _band_minimum(run)
         mu_vals, lam_r = _measure(band, r, walk, bumps)
-        del walk  # the open nodes' arrays are freed before the next r is walked
-        point, value = solver.point, solver.value
+        omr, point, value = 1.0 - r, solver.point, solver.value
         diff = point.vec - ident
         rescaled = EPoint.from_vec(diff * (1.0 / omr), n)
         flat = rescaled.vec
@@ -978,9 +1095,38 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
         secant = float(np.linalg.norm(flat - reference.point.vec))
         to_limit = float(np.linalg.norm(flat - limit.point.vec))
         mu_norm = reference.lam * mu_vals / (omr * lam_r)
-        result.entries.append(SweepEntry(
+        return SweepEntry(
             r=r, point=point, rescaled=rescaled, lambda_r=lam_r, value=value,
             dist_to_identity=dist, normalized_s_trace=nst,
             secant_to_reference=secant, secant_to_limit=to_limit, mu_integrals=mu_norm,
-            mu_reference=ref_integrals, solver=solver))
-    return result
+            mu_reference=ref_integrals, solver=solver)
+
+    loops, rows = {}, {}  # by place in the schedule: (loop, its pending point), and the rows
+    for i, r in enumerate(schedule):
+        omr = 1.0 - r
+        step = sdet1_param(omr * M_lim, s)[0] - np.eye(n)  # A0 - I
+        loop = _band_loop(r, band.basis @ np.concatenate([step.ravel(), [-np.trace(step) / s],
+                                                           omr * w_lim]))
+        loops[i] = loop, next(loop)
+    per_round = 1
+    if n == 1:
+        panels = max(4, -(-quad.x_nodes_per_axis // 8)) + 2 * len(band.breaks) + 1
+        per_round = max(1, _BLOCK_NODES // (8 * panels))
+    while loops:
+        batch = sorted(loops)[:per_round]
+        values = _band_value_grads(band, [(schedule[i], loops[i][1]) for i in batch])
+        for i, value in zip(batch, values):
+            loop = loops.pop(i)[0]
+            try:
+                loops[i] = loop, loop.send(value)
+            except StopIteration as stop:
+                rows[i] = row(schedule[i], stop.value)
+            except NotConverged as exc:
+                nan = float("nan")
+                rows[i] = SweepEntry(
+                    r=schedule[i], point=None, rescaled=None, lambda_r=nan, value=nan,
+                    dist_to_identity=nan, normalized_s_trace=nan, secant_to_reference=nan,
+                    secant_to_limit=nan, mu_integrals=np.full(len(bumps), np.nan),
+                    mu_reference=ref_integrals, error=f"{type(exc).__name__}: {exc}")
+    return RSweepResult(schedule=list(schedule), limit=limit.point,
+                        entries=[rows[i] for i in range(len(schedule))])

@@ -555,10 +555,10 @@ def density_sums(band, r: float, minimizer: EPoint, bumps) -> tuple[np.ndarray, 
         raise SingularA("block must be positive definite with positive corner")
     s = band.s
     integrals, moment = np.zeros(len(bumps)), 0.0
-    for block in band.blocks(r, A, alpha, v, shifted=False, derivs=True):
+    for block in band.blocks([(r, A, alpha, v)], shifted=False, derivs=True):
         if block is None:
             raise NotInBr("the band reaches where h vanishes")
-        W, h_x, inner, d_inner, _, X, _ = block
+        W, h_x, inner, d_inner, _, X = block[:6]
         c2 = (h_x / alpha) ** 2
         density = (-(1.0 - r) * alpha ** (s - 1.0)) * (inner + 2.0 * c2 * d_inner) / h_x
         for k, delta in enumerate(bumps):

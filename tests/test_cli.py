@@ -163,60 +163,111 @@ def _calibrate(inst, weight):
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("command,mutate", [
-        ("minimize-i1", lambda i: i["h"]["pieces"][0].pop("a")),
-        ("minimize-i1", lambda i: i.update(profile={"f": {"ys": [0.0, 2.0]}, "g": G_KNOTS})),
+    @pytest.mark.parametrize("command,mutate,message", [
+        ("minimize-i1", lambda i: i["h"]["pieces"][0].pop("a"),
+         "malformed h.pieces (KeyError: 'a')"),
+        ("minimize-i1", lambda i: i.update(profile={"f": {"ys": [0.0, 2.0]}, "g": G_KNOTS}),
+         "malformed profile (KeyError: 'xs')"),
         ("minimize-i1", lambda i: i.update(
-            profile={"f": {"xs": [1.0, -1.0], "ys": [2.0, 0.0]}, "g": G_KNOTS})),
+            profile={"f": {"xs": [1.0, -1.0], "ys": [2.0, 0.0]}, "g": G_KNOTS}),
+         "malformed profile (ValueError: breaks must be strictly increasing)"),
         ("minimize-i1", lambda i: i.update(
-            nu={"atoms": [{"x": p, "m": -1.0} for p in i["contacts"]["points"]]})),
-        ("verify", lambda i: i["h"].update(domain_radius="abc")),
+            nu={"atoms": [{"x": p, "m": -1.0} for p in i["contacts"]["points"]]}),
+         "malformed nu.atoms (ValueError: masses must be positive and finite)"),
+        ("verify", lambda i: i["h"].update(domain_radius="abc"),
+         "h.domain_radius must be null or have a finite square, got 'abc'"),
         ("verify", lambda i: i["contacts"].update(
-            points=[p + [0.0] for p in i["contacts"]["points"]])),
-        ("verify", lambda i: i["contacts"].update(weights=i["contacts"]["weights"][:1])),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis="abc")),
-        ("verify", lambda i: i.update(s=-1.0)),
-        ("minimize-i1", lambda i: i.update(s=0)),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=0)),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5)),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8)),
-        ("sweep-r", lambda i: i.update(profile=F_NONZERO_LEFT)),
-        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[NAN])),
-        ("verify", lambda i: i["h"]["pieces"][1].update(b=INF)),
-        ("minimize-i1", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN)),
-        ("coercivity", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN)),
-        ("verify", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN)),
-        ("verify", lambda i: i["contacts"]["weights"].__setitem__(0, NAN)),
+            points=[p + [0.0] for p in i["contacts"]["points"]]),
+         "contacts.points must be a list of points in R^1"),
+        ("verify", lambda i: i["contacts"].update(weights=i["contacts"]["weights"][:1]),
+         "contacts.weights must hold one finite number per point (4)"),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis="abc"),
+         "malformed quadrature (ValueError: x_nodes_per_axis must be an integer of at least 25, "
+         "got 'abc')"),
+        ("verify", lambda i: i.update(s=-1.0),
+         "s must be a positive number, got -1.0"),
+        ("minimize-i1", lambda i: i.update(s=0),
+         "s must be a positive number, got 0"),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=0),
+         "malformed quadrature (ValueError: x_nodes_per_axis must be an integer of at least 25, "
+         "got 0)"),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=-5),
+         "malformed quadrature (ValueError: x_nodes_per_axis must be an integer of at least 25, "
+         "got -5)"),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=8),
+         "malformed quadrature (ValueError: x_nodes_per_axis must be an integer of at least 25, "
+         "got 8)"),
+        ("sweep-r", lambda i: i.update(profile=F_NONZERO_LEFT),
+         "profile pair fails f2_convex, f3_zero_left, f4_strictly_increasing"),
+        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[NAN]),
+         "h.pieces must hold finite numbers"),
+        ("verify", lambda i: i["h"]["pieces"][1].update(b=INF),
+         "h.pieces must hold finite numbers"),
+        ("minimize-i1", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN),
+         "malformed contacts (ValueError: points must be finite: point 0 is [nan])"),
+        ("coercivity", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN),
+         "malformed contacts (ValueError: points must be finite: point 0 is [nan])"),
+        ("verify", lambda i: i["contacts"]["points"][0].__setitem__(0, NAN),
+         "malformed contacts (ValueError: points must be finite: point 0 is [nan])"),
+        ("verify", lambda i: i["contacts"]["weights"].__setitem__(0, NAN),
+         "contacts.weights must hold one finite number per point (4)"),
         ("minimize-i1", lambda i: i.update(
-            nu={"atoms": [{"x": p, "m": NAN} for p in i["contacts"]["points"]]})),
+            nu={"atoms": [{"x": p, "m": NAN} for p in i["contacts"]["points"]]}),
+         "malformed nu.atoms (ValueError: masses must be positive and finite)"),
         ("coercivity", lambda i: i.update(
-            nu={"atoms": [{"x": p, "m": INF} for p in i["contacts"]["points"]]})),
+            nu={"atoms": [{"x": p, "m": INF} for p in i["contacts"]["points"]]}),
+         "malformed nu.atoms (ValueError: masses must be positive and finite)"),
         ("coercivity", lambda i: i.update(
             nu={"atoms": [{"x": [NAN], "m": 1.0}] + [{"x": p, "m": 1.0}
-                                                    for p in i["contacts"]["points"]]})),
-        ("sweep-r", lambda i: i.update(r_schedule=["abc"])),
-        ("sweep-r", lambda i: i.update(r_schedule=0.9)),
-        ("sweep-r", lambda i: i.update(r_schedule=True)),
-        ("sweep-r", lambda i: i.update(r_schedule=[NAN])),
-        ("sweep-r", lambda i: i.update(r_schedule=[1.5])),
-        ("sweep-r", lambda i: i.update(r_schedule=[])),
-        ("sweep-r", lambda i: i.update(quadrature=[1, 2])),
-        ("verify", lambda i: i.update(h=[1])),
-        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=960.7)),
-        ("minimize-i1", lambda i: i.update(contacts=[1, 2])),
-        ("coercivity", lambda i: i.update(n=True)),
-        ("minimize-i1", lambda i: i.update(n=1.0)),
-        ("contacts", lambda i: i["h"].update(domain_radius=1e308)),
-        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[1e308])),
-        ("minimize-i1", lambda i: [piece.update(b=[]) for piece in i["h"]["pieces"]]),
-        ("verify", lambda i: i.update(s=10**400)),
-        ("minimize-i1", _repeat_contact_point),
-        ("coercivity", _repeat_contact_point),
-        ("sweep-r", _repeat_contact_point),
-        ("minimize-i1", lambda i: _calibrate(i, 0.0)),
-        ("coercivity", lambda i: _calibrate(i, -0.25)),
-        ("minimize-i1", lambda i: i["h"].update(pieces=[])),
-        ("coercivity", lambda i: [i.update(nu="calibrated"), i["contacts"].pop("weights")]),
+                                                    for p in i["contacts"]["points"]]}),
+         "malformed nu.atoms (ValueError: points must be finite: atom 0 is [nan])"),
+        ("sweep-r", lambda i: i.update(r_schedule=["abc"]),
+         "r_schedule must be a nonempty list of numbers in (1/2, 1), got ['abc']"),
+        ("sweep-r", lambda i: i.update(r_schedule=0.9),
+         "r_schedule must be a nonempty list of numbers in (1/2, 1), got 0.9"),
+        ("sweep-r", lambda i: i.update(r_schedule=True),
+         "r_schedule must be a nonempty list of numbers in (1/2, 1), got True"),
+        ("sweep-r", lambda i: i.update(r_schedule=[NAN]),
+         "r_schedule must be a nonempty list of numbers in (1/2, 1), got [nan]"),
+        ("sweep-r", lambda i: i.update(r_schedule=[1.5]),
+         "r_schedule must be a nonempty list of numbers in (1/2, 1), got [1.5]"),
+        ("sweep-r", lambda i: i.update(r_schedule=[]),
+         "r_schedule must be a nonempty list of numbers in (1/2, 1), got []"),
+        ("sweep-r", lambda i: i.update(quadrature=[1, 2]),
+         "quadrature must be an object, got [1, 2]"),
+        ("verify", lambda i: i.update(h=[1]),
+         "h must be an object, got [1]"),
+        ("sweep-r", lambda i: i["quadrature"].update(x_nodes_per_axis=960.7),
+         "malformed quadrature (ValueError: x_nodes_per_axis must be an integer of at least 25, "
+         "got 960.7)"),
+        ("minimize-i1", lambda i: i.update(contacts=[1, 2]),
+         "contacts must be an object, got [1, 2]"),
+        ("coercivity", lambda i: i.update(n=True),
+         "n must be an integer of at least 1, got True"),
+        ("minimize-i1", lambda i: i.update(n=1.0),
+         "n must be an integer of at least 1, got 1.0"),
+        ("contacts", lambda i: i["h"].update(domain_radius=1e308),
+         "h.domain_radius must be null or have a finite square, got 1e+308"),
+        ("contacts", lambda i: i["h"]["pieces"][0].update(a=[1e308]),
+         "h.pieces[0].a is too large: 4|a|^2 is not finite"),
+        ("minimize-i1", lambda i: [piece.update(b=[]) for piece in i["h"]["pieces"]],
+         "each piece's b must be a number"),
+        ("verify", lambda i: i.update(s=10**400),
+         "integer 100000000000... (401 digits) is beyond the float range"),
+        ("minimize-i1", _repeat_contact_point,
+         "malformed contacts (ValueError: atoms 0 and 1 coincide)"),
+        ("coercivity", _repeat_contact_point,
+         "malformed contacts (ValueError: atoms 0 and 1 coincide)"),
+        ("sweep-r", _repeat_contact_point,
+         "malformed contacts (ValueError: atoms 0 and 1 coincide)"),
+        ("minimize-i1", lambda i: _calibrate(i, 0.0),
+         "malformed contacts (ValueError: masses must be positive and finite)"),
+        ("coercivity", lambda i: _calibrate(i, -0.25),
+         "malformed contacts (ValueError: masses must be positive and finite)"),
+        ("minimize-i1", lambda i: i["h"].update(pieces=[]),
+         "h.pieces is empty"),
+        ("coercivity", lambda i: [i.update(nu="calibrated"), i["contacts"].pop("weights")],
+         "calibrated nu needs construction weights in contacts.weights"),
     ], ids=["piece-without-a", "profile-without-xs", "knots-not-increasing",
             "negative-nu-mass", "domain-radius-not-a-number",
             "contact-points-wrong-dimension", "contact-weights-wrong-length",
@@ -235,14 +286,16 @@ class TestMalformedInput:
             "calibrated-zero-weight", "calibrated-negative-weight", "h-pieces-empty",
             "calibrated-without-weights"])
     def test_input_error_without_traceback(self, two_level_instance, tmp_path, capsys,
-                                           command, mutate):
-        # in process: an exception escaping `main` fails the test, as a traceback would
+                                           command, mutate, message):
+        # in process: an exception escaping `main` fails the test, as a traceback would; the
+        # whole message pins the guard that fired, so a mutation that trips an earlier one
+        # fails
         inst = json.loads(two_level_instance.read_text())
         mutate(inst)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(inst))
         assert cli.main([command, "--instance", str(bad)]) == 1
-        assert "input error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("mutate,why", [
         (_repeat_contact_point, "ValueError: atoms 0 and 1 coincide"),

@@ -52,6 +52,27 @@ class TestEvalH:
         assert np.array_equal(eval_h_many(h, X), want)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_active_piece_is_the_first_maximum(self, n):
+        # eval_h_many's piece is the first j with a_j . x + b_j equal to psi in its own
+        # (pieces, rows) product, as np.argmax takes the first maximum; ties are exact
+        # on the grid of multiples of 1/4, where the repeated pieces and the slopes 0
+        # and +-1 give equal values
+        rng = np.random.default_rng(61 + n)
+        a = rng.integers(-1, 2, size=(6, n)).astype(float)
+        a[3], b = a[0], rng.integers(-1, 1, size=6) / 4.0
+        b[3] = b[0]
+        h = make_log_concave(a, b, 1.0)
+        X = rng.integers(-8, 9, size=(4000, n)) / 4.0
+        work, piece = np.empty((6, len(X))), np.empty(len(X), dtype=np.intp)
+        got = eval_h_many(h, X, None, work, piece)
+        product = a @ X.T + b[:, None]
+        assert np.array_equal(work, product) and np.array_equal(got, eval_h_many(h, X))
+        assert np.array_equal(piece, np.argmax(product, axis=0))
+        ties = np.sum(product == np.max(product, axis=0), axis=0) > 1
+        assert np.count_nonzero(ties) > 100 and np.any(piece[ties] > 0)
+
+
 class TestPsiEvalMany:
     @staticmethod
     def _row_major(form, X):

@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import pathlib
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -511,8 +514,8 @@ class TestBandHessian:
             A, alpha = sdet1_param(Sm, s)
             term = kink_hessian(band, r, A, alpha, v)
             assert np.any(term != 0.0)
-            want = rfamily._band_sums(smooth, r, A, alpha, v)[2] + term
-            assert np.array_equal(rfamily._band_sums(band, r, A, alpha, v)[2], want)
+            want = rfamily._band_sums(smooth, [(r, A, alpha, v)])[0][2] + term
+            assert np.array_equal(rfamily._band_sums(band, [(r, A, alpha, v)])[0][2], want)
 
     def test_kink_open_where_no_grid_node_is_near(self, monkeypatch):
         # with g's top kink at -0.5 a node is near only where |x|^2 - 1 < -(1-r) h^(2/s).
@@ -538,7 +541,7 @@ class TestBandHessian:
             return out
 
         monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
-        value, _, hess, kept = rfamily._band_sums(band, r, A, alpha, v)
+        value, _, hess, kept = rfamily._band_sums(band, [(r, A, alpha, v)])[0]
         assert calls == [(2, [0])] and value == 0.0 and sum(len(w) for _, w in kept) == 0
         term = kink_hessian(band, r, A, alpha, v)
         assert np.any(term != 0.0) and np.array_equal(hess, term)
@@ -821,15 +824,16 @@ class TestBandGeometry:
         ref = minimize_functional(h, S, nu, F)
         mu0 = extract_measure(ref, h, S, nu, F)
         seen = {}
-        original = rfamily._band_value_grad
+        original = rfamily._band_value_grads
 
-        def recording(band, r, theta):
-            p = theta_point(theta, band.h.n, S)
-            seen.setdefault(r, []).append(
-                (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes()))
-            return original(band, r, theta)
+        def recording(band, evals):  # a round's (r, theta) pairs
+            for r, theta in evals:
+                p = theta_point(theta, band.h.n, S)
+                seen.setdefault(r, []).append(
+                    (p.mat.diag.tobytes(), p.mat.corner, p.shift.tobytes()))
+            return original(band, evals)
 
-        monkeypatch.setattr(rfamily, "_band_value_grad", recording)
+        monkeypatch.setattr(rfamily, "_band_value_grads", recording)
         schedule = [0.8, 0.9, 0.95, 0.99]
         sweep = r_sweep(h, S, pair, schedule, quad, ref, mu0)
         counts = [len(seen[r]) for r in schedule]
@@ -896,7 +900,7 @@ def _walked_terms(band, r, A, alpha, v, shifted, derivs=True):
     """`_Band.blocks`'s open nodes concatenated in walk order, or None when the walk stops
     at the coercive barrier: (X, Y, W, h_y, I, I', I'') from the derivative walk, and
     (W, h_y, I) from the value walk."""
-    blocks = [_copied(block) for block in band.blocks(r, A, alpha, v, shifted, derivs)]
+    blocks = [_copied(block) for block in band.blocks([(r, A, alpha, v)], shifted, derivs)]
     if None in blocks:
         assert blocks[-1] is None  # the walk stops at the barrier
         return None
@@ -904,7 +908,7 @@ def _walked_terms(band, r, A, alpha, v, shifted, derivs=True):
     if not derivs:
         return tuple(np.concatenate(col) for col in zip((np.empty(0),) * 3, *blocks))
     terms = [(np.empty((0, n)),) * 2 + (np.empty(0),) * 5]
-    for W, h_y, inner, d_inner, d2_inner, X, Y in blocks:
+    for W, h_y, inner, d_inner, d2_inner, X, Y, _ in blocks:
         terms.append((X, Y, W, h_y, inner, d_inner, d2_inner))
     return tuple(np.concatenate(col) for col in zip(*terms))
 
@@ -914,13 +918,14 @@ def _same_terms(got, ref):
     return all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
 
 
-def _one_block(terms, derivs):
+def _one_block(terms, derivs, form):
     """The whole grid's open-node terms (X, Y, W, h_y, I, I', I'') as one block of
-    `_Band.blocks`."""
+    `_Band.blocks`, with psi's active piece at Y as `psi_gradient` takes it."""
     if terms is None:
         return None
     X, Y, W, h_y, inner, d_inner, d2_inner = terms
-    return (W, h_y, inner, d_inner, d2_inner, X, Y) if derivs else (W, h_y, inner)
+    piece = np.argmax(Y @ form.a.T + form.b, axis=1)
+    return (W, h_y, inner, d_inner, d2_inner, X, Y, piece) if derivs else (W, h_y, inner)
 
 
 class TestBlockedTerms:
@@ -968,7 +973,7 @@ class TestBlockedTerms:
             if ref is None:
                 refused += 1
                 if mode == "density" and shifted:
-                    assert rfamily._band_sums(band, r, A, alpha, v) is None
+                    assert rfamily._band_sums(band, [(r, A, alpha, v)]) == [None]
                     with pytest.raises(NotInBr):
                         rfamily._band_measure(band, r, EPoint(BlockMat(A, alpha), v), [])
                 continue
@@ -991,7 +996,7 @@ class TestBlockedTerms:
                 assert np.max(np.abs(by_parts - direct[opened])) <= 1e-13 * np.max(direct)
                 if shifted:  # the measure's bump sums: omega/h_y^2 = W by_parts/(-(1-r) alpha h_y)
                     per_h2 = W * by_parts / (-(1.0 - r) * alpha * h_y)
-                    kept = rfamily._band_sums(band, r, A, alpha, v)[3]
+                    kept = rfamily._band_sums(band, [(r, A, alpha, v)])[0][3]
                     for delta in (lambda x: np.ones(len(x)), lambda x: x[:, 0] > 0.0):
                         got_mu = sum(float(np.sum(w * delta(y))) for y, w in kept)
                         want = float(np.sum(per_h2 * delta(Y)))
@@ -1102,10 +1107,13 @@ class TestBlockedTerms:
         band = rfamily._Band(h, S, canonical_pair(), quad)
         whole = rfamily._Band(h, S, canonical_pair(), quad)
 
-        def whole_blocks(r, A, alpha, v, shifted, derivs, kink_inputs=None):
-            block = _one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0], derivs)
+        def whole_blocks(positions, shifted, derivs, kink_inputs=None):
+            (r, A, alpha, v), = positions
+            block = _one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0], derivs,
+                               h.form)
             if block is not None and kink_inputs is not None:  # psi's kinks in a call of their own
-                block += (rfamily._inner_band(band.f, band.g, r, *kink_inputs, derivs=True)[:3],)
+                block += (rfamily._inner_band(band.f, band.g, r, *kink_inputs[0],
+                                              derivs=True)[:3],)
             return iter([block])
 
         whole.blocks = whole_blocks
@@ -1163,8 +1171,8 @@ class TestWorkspace:
         monkeypatch.setattr(rfamily, "_FREE", [])  # the walks alone leave theirs on it
         A1, alpha1 = sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
         A2, alpha2 = sdet1_param(np.array([[-0.04, 0.01], [0.01, 0.06]]), S)
-        args = [(0.8, A1, alpha1, np.array([0.03, -0.02]), True, True),
-                (0.9, A2, alpha2, np.array([-0.01, 0.04]), False, True)]
+        args = [([(0.8, A1, alpha1, np.array([0.03, -0.02]))], True, True),
+                ([(0.9, A2, alpha2, np.array([-0.01, 0.04]))], False, True)]
         alone = [[_copied(b) for b in band.blocks(*a)] for a in args]
         assert all(len(blocks) >= 3 and None not in blocks for blocks in alone)
         walks = [band.blocks(*a) for a in args]
@@ -1184,12 +1192,12 @@ class TestWorkspace:
         # the band where h = 0), give their workspace back to the free list
         band = self._band(monkeypatch, domain_radius=1.4)
         monkeypatch.setattr(rfamily, "_FREE", [])
-        walk = band.blocks(0.8, np.eye(2), 1.0, np.zeros(2), True, False)
+        walk = band.blocks([(0.8, np.eye(2), 1.0, np.zeros(2))], True, False)
         assert next(walk) is not None and rfamily._FREE == []  # the walk holds it
         walk.close()
         assert len(rfamily._FREE) == 1
         workspace = rfamily._FREE[0]
-        blocks = list(band.blocks(0.8, np.eye(2), 1.0, np.array([0.5, 0.0]), True, False))
+        blocks = list(band.blocks([(0.8, np.eye(2), 1.0, np.array([0.5, 0.0]))], True, False))
         assert blocks[-1] is None and rfamily._FREE == [workspace]
         p = EPoint(BlockMat(np.eye(2), 1.0), np.array([0.5, 0.0]))
         assert rfamily._band_value(band, 0.8, p) == np.inf  # stops at the barrier's block
@@ -1201,13 +1209,13 @@ class TestWorkspace:
         band = self._band(monkeypatch)
         r, (A, alpha) = 0.8, sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
         v = np.array([0.03, -0.02])
-        _, grad, _, kept = rfamily._band_sums(band, r, A, alpha, v)
-        blocks = [_copied(b) for b in band.blocks(r, A, alpha, v, True, True)]
+        _, grad, _, kept = rfamily._band_sums(band, [(r, A, alpha, v)])[0]
+        blocks = [_copied(b) for b in band.blocks([(r, A, alpha, v)], True, True)]
         assert len(kept) == len(blocks) >= 3
         bumps = [trapezoid_bump(np.array([0.3, 0.3]), 0.2, 0.2),
                  trapezoid_bump(np.zeros(2), 1.0, 0.2)]
         want = np.zeros(len(bumps))
-        for (Y, per_h2), (W, h_y, inner, d_inner, _, _, Y_walk) in zip(kept, blocks):
+        for (Y, per_h2), (W, h_y, inner, d_inner, _, _, Y_walk, _) in zip(kept, blocks):
             c = h_y / alpha
             wc, c2 = W * c, c * c
             per_h2_walk = wc * (inner + 2.0 * c2 * d_inner) / (h_y * h_y)
@@ -1740,9 +1748,10 @@ class TestSweepReadsTheMinimizersWalk:
     def test_rows_equal_the_measure_at_their_points(self, n, monkeypatch):
         # the acceptance fixture at 960 nodes, the triangle plus square at 240 and the
         # rotated octahedron plus cube at 64.  The sweep walks the grid once per
-        # evaluation and no more (at n = 1 with one kernel call per walk, psi's kinks
-        # included), and every row is bit for bit `_band_measure` walked at its point,
-        # though the RSweepResult holds no array of the open nodes
+        # round and no more: at n = 1 one walk evaluates every pending r (their grids fit
+        # one block), with one kernel call per walk, psi's kinks included; at n >= 2 a
+        # round is one evaluation.  Every row is bit for bit `_band_measure` walked at its
+        # point, though the RSweepResult holds no array of the open nodes
         if n == 1:
             h, cs, _ = two_level_cross_fixture(1, S, 0.4, 0.8)
             points, quad, schedule = cs.points, QuadratureSpec(), [0.8, 0.9, 0.95, 0.99]
@@ -1758,9 +1767,9 @@ class TestSweepReadsTheMinimizersWalk:
         walks, kernel_calls = [], []
         blocks, inner_band = rfamily._Band.blocks, rfamily._inner_band
 
-        def spy_blocks(band, r, *args):
-            walks.append(r)
-            return blocks(band, r, *args)
+        def spy_blocks(band, positions, *args):
+            walks.append(len(positions))
+            return blocks(band, positions, *args)
 
         def spy_inner_band(*args):
             kernel_calls.append(len(args[3]))
@@ -1771,7 +1780,9 @@ class TestSweepReadsTheMinimizersWalk:
         sweep = r_sweep(h, S, pair, schedule, quad, ref, mu0)
         monkeypatch.setattr(rfamily._Band, "blocks", blocks)
         monkeypatch.setattr(rfamily, "_inner_band", inner_band)
-        assert len(walks) == sum(e.solver.evaluations for e in sweep.entries)
+        evaluations = [e.solver.evaluations for e in sweep.entries]
+        assert len(walks) == (max(evaluations) if n == 1 else sum(evaluations))
+        assert sum(walks) == sum(evaluations)
         if n == 1:
             assert len(kernel_calls) == len(walks)
         band, bumps = rfamily._Band(h, S, pair, quad), default_bumps(mu0)
@@ -1781,8 +1792,8 @@ class TestSweepReadsTheMinimizersWalk:
             mu, lam = rfamily._band_measure(band, e.r, e.point, bumps)
             assert e.lambda_r == lam
             assert np.array_equal(e.mu_integrals, ref.lam * mu / ((1.0 - e.r) * lam))
-            kept = rfamily._band_sums(band, e.r, e.point.mat.diag, e.point.mat.corner,
-                                      e.point.shift)[3]
+            kept = rfamily._band_sums(band, [(e.r, e.point.mat.diag, e.point.mat.corner,
+                                              e.point.shift)])[0][3]
             least_open = min(least_open, sum(len(w) for _, w in kept))
         assert max(a.size for a in _held_arrays(sweep)) < least_open
 
@@ -1790,14 +1801,14 @@ class TestSweepReadsTheMinimizersWalk:
 class TestSweepErrors:
     @staticmethod
     def _failing_at(monkeypatch, bad_r):
-        original = rfamily._minimize_band
+        # the band functional reads +inf at every point of bad_r, its start included
+        original = rfamily._band_value_grads
 
-        def flaky(band, r, theta0):
-            if r == bad_r:
-                raise NotConverged("band functional infinite at the starting point")
-            return original(band, r, theta0)
+        def flaky(band, evals):
+            return [(np.inf, None, None, None) if r == bad_r else value
+                    for (r, _), value in zip(evals, original(band, evals))]
 
-        monkeypatch.setattr(rfamily, "_minimize_band", flaky)
+        monkeypatch.setattr(rfamily, "_band_value_grads", flaky)
 
     def test_r_of_one_raises_bad_r(self, fixture, quad):
         # no check before the minimizer: its first evaluation raises BadR at r = 1
@@ -1821,7 +1832,7 @@ class TestSweepErrors:
         bad = sweep.entries[1]
         assert bad.point is None and np.isnan(bad.lambda_r) and np.isnan(bad.value)
         assert np.all(np.isnan(bad.mu_integrals))
-        assert bad.error == "NotConverged: band functional infinite at the starting point"
+        assert bad.error == "NotConverged: the functional is infinite at the starting point"
         for e in (sweep.entries[0], sweep.entries[2]):
             assert e.error is None and np.isfinite(e.lambda_r) and e.point is not None
 
@@ -1840,7 +1851,7 @@ class TestSweepErrors:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         rows = json.loads(outs[0])["result"]["entries"]
-        assert rows[0]["error"] == "NotConverged: band functional infinite at the starting point"
+        assert rows[0]["error"] == "NotConverged: the functional is infinite at the starting point"
         assert rows[0]["lambda_r"] == "nan" and rows[0]["minimizer"] is None
         assert rows[1]["error"] is None and rows[1]["lambda_r"] > 0.0
         assert rows[0]["evaluations"] is None and rows[0]["stop_reason"] is None
@@ -1852,3 +1863,151 @@ class TestSweepErrors:
         inst.write_text(json.dumps(doc))
         assert cli.main(["sweep-r", "--instance", str(inst)]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["entries"] == rows[1:]
+
+
+def _bits(x) -> bytes:
+    """The bytes of a float or an array of them: equal bits, -0.0 and NaN included."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestSweepRounds:
+    """`r_sweep` minimizes its r's in rounds, one walk a round; each row is its r's alone."""
+
+    SCHEDULE = [0.8, 0.9, 0.95, 0.99]
+
+    @staticmethod
+    def _problem(name, monkeypatch):
+        """(h, reference, its measure) of the 9c instance or perfbench's first sweep instance."""
+        if name == "9c":
+            h, cs, _ = two_level_cross_fixture(1, S, 0.4, 0.8)
+            points = cs.points
+        else:
+            path = INSTANCES.parent / "perfbench" / "instances.py"
+            spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+            spec.loader.exec_module(module)
+            inst = module.sweep_instances(501, 1)[0]
+            assert inst.s == S
+            h, points = inst.h, inst.points
+        F = ConvolutionProfile(canonical_pair())
+        nu = counting_measure(points)
+        ref = minimize_functional(h, S, nu, F)
+        return h, ref, extract_measure(ref, h, S, nu, F)
+
+    @staticmethod
+    def _rows(entries):
+        """Every field of the rows and of their solver records, as bytes and strings."""
+        rows = []
+        for e in entries:
+            points = [None if p is None else _bits(p.vec) for p in (e.point, e.rescaled)]
+            record = None if e.solver is None else (
+                _bits(e.solver.point.vec), _bits(e.solver.value), e.solver.evaluations,
+                e.solver.iterations, e.solver.stop_reason, _bits(e.solver.grad_norm))
+            rows.append((_bits([e.r, e.lambda_r, e.value, e.dist_to_identity,
+                                e.normalized_s_trace, e.secant_to_reference, e.secant_to_limit]),
+                         _bits(e.mu_integrals), _bits(e.mu_reference), e.error, *points, record))
+        return rows
+
+    @pytest.mark.parametrize("name", ["9c", "perfbench-sweep-501"])
+    def test_rounds_match_each_r_alone(self, name, monkeypatch):
+        # every r minimized by itself, `_minimize_band` from the sweep's start plus
+        # `_measure` of its accepted walk, gives the sweep's row bit for bit; the sweep
+        # walks once per round, every r of the schedule in one walk
+        h, ref, mu0 = self._problem(name, monkeypatch)
+        pair, quad = canonical_pair(), QuadratureSpec()
+        walks, blocks = [], rfamily._Band.blocks
+
+        def spy_blocks(band, positions, *args):
+            walks.append(len(positions))
+            return blocks(band, positions, *args)
+
+        monkeypatch.setattr(rfamily._Band, "blocks", spy_blocks)
+        sweep = r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0)
+        monkeypatch.setattr(rfamily._Band, "blocks", blocks)
+        evaluations = [e.solver.evaluations for e in sweep.entries]
+        assert len(walks) == max(evaluations) and walks[0] == len(self.SCHEDULE)
+        assert sum(walks) == sum(evaluations)
+
+        band, bumps = rfamily._Band(h, S, pair, quad), default_bumps(mu0)
+        limit = limit_reference(h, S, pair).point
+        ident = identity_point().vec
+        for r, e in zip(self.SCHEDULE, sweep.entries):
+            omr = 1.0 - r
+            step = sdet1_param(omr * limit.mat.diag, S)[0] - np.eye(1)
+            start = band.basis @ np.concatenate([step.ravel(), [-np.trace(step) / S],
+                                                 omr * limit.shift])
+            solver, walk = rfamily._minimize_band(band, r, start)
+            mu, lam = rfamily._measure(band, r, walk, bumps)
+            rescaled = EPoint.from_vec((solver.point.vec - ident) * (1.0 / omr), 1)
+            flat = rescaled.vec
+            alone = rfamily.SweepEntry(
+                r=r, point=solver.point, rescaled=rescaled, lambda_r=lam, value=solver.value,
+                dist_to_identity=float(np.linalg.norm(solver.point.vec - ident)),
+                normalized_s_trace=abs(s_trace(rescaled.mat, S)) / float(np.linalg.norm(flat[:2])),
+                secant_to_reference=float(np.linalg.norm(flat - ref.point.vec)),
+                secant_to_limit=float(np.linalg.norm(flat - limit.vec)),
+                mu_integrals=ref.lam * mu / (omr * lam), mu_reference=e.mu_reference,
+                solver=solver)
+            assert self._rows([e]) == self._rows([alone])
+
+    def test_failed_r_leaves_the_other_rows_bit_for_bit(self, monkeypatch):
+        # r = 0.9 reads +inf at its start and stops there; the rows of the r's that shared
+        # its rounds are the rows of the sweep without the failure
+        h, ref, mu0 = self._problem("9c", monkeypatch)
+        pair, quad = canonical_pair(), QuadratureSpec()
+        want = self._rows(r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0).entries)
+        TestSweepErrors._failing_at(monkeypatch, 0.9)
+        got = r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0).entries
+        assert got[1].error == "NotConverged: the functional is infinite at the starting point"
+        assert got[1].point is None and got[1].solver is None
+        assert [row for i, row in enumerate(self._rows(got)) if i != 1] == want[:1] + want[2:]
+
+    @pytest.mark.parametrize("bad", [0.5, 1.2])
+    def test_r_outside_the_open_interval_raises_bad_r(self, bad, monkeypatch):
+        h, ref, mu0 = self._problem("9c", monkeypatch)
+        with pytest.raises(BadR, match=rf"r={bad} outside \(1/2, 1\)"):
+            r_sweep(h, S, canonical_pair(), [0.8, bad, 0.9], QuadratureSpec(), ref, mu0)
+
+    def test_small_blocks_walk_one_r_per_round(self, monkeypatch):
+        # below one grid's nodes a block holds one r: every round walks one r, and every
+        # row is the row of the rounds that walk all four
+        h, ref, mu0 = self._problem("9c", monkeypatch)
+        pair, quad = canonical_pair(), QuadratureSpec()
+        want = r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0)
+        walks, blocks = [], rfamily._Band.blocks
+
+        def spy_blocks(band, positions, *args):
+            walks.append(len(positions))
+            return blocks(band, positions, *args)
+
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", 1000)
+        monkeypatch.setattr(rfamily._Band, "blocks", spy_blocks)
+        got = r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0)
+        assert walks == [1] * sum(e.solver.evaluations for e in want.entries)
+        assert self._rows(got.entries) == self._rows(want.entries)
+
+    def test_a_round_is_each_evaluation_alone(self):
+        # one walk of four (r, theta) at n = 1 with h = 0 beyond 1.4: one theta puts part
+        # of its band there (its barrier), one has no positive definite A (no walk); the
+        # two others get what their evaluations alone get, bit for bit, kept walks included,
+        # and nothing warns on the shut position's closed nodes
+        form = two_level_cross_fixture(1, S, 0.4, 0.8)[0].form
+        h = make_log_concave(form.a, form.b, S, domain_radius=1.4)
+        band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec())
+        evals = [(0.8, np.array([0.01, 0.02])), (0.9, np.array([0.0, 0.5])),
+                 (0.95, np.array([-0.02, -0.01])), (0.99, np.array([-3.0, 0.0]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rfamily._band_value_grads(band, evals)
+        assert [np.isfinite(g[0]) for g in got] == [True, False, True, False]
+        for (r, theta), (value, grad, hess, walk) in zip(evals, got):
+            want = rfamily._band_value_grad(band, r, theta)
+            assert _bits(value) == _bits(want[0])
+            if walk is None:
+                assert want[1:] == (None, None, None)
+                continue
+            assert _bits(grad) == _bits(want[1]) and _bits(hess) == _bits(want[2])
+            (Y, per_h2), = walk[4]
+            (want_Y, want_per_h2), = want[3][4]
+            assert _bits(Y) == _bits(want_Y) and _bits(per_h2) == _bits(want_per_h2)
