@@ -8,16 +8,18 @@ rule integrates it exactly on every segment and the only quadrature error
 comes from the outer x grid.
 One kernel (`_inner_band`) gives the inner integral I on the nodes where the
 band is open, and for the minimizer also its first two derivatives in c^2.
-One walk of the grid (`_Band.blocks`) feeds it block by block: the value
-walks sum the band functional, and the derivative walk (`_band_sums`, with
-psi's kinks in the same kernel call at n = 1) gives its analytic gradient and
-Hessian, so the minimizer is exact Newton.  The derivative walk keeps the open
-nodes' band-factor arguments and density weights, from which one reduction
+One walk per grid shape feeds it: at n >= 2 `_Band.blocks` walks one
+position's tensor grid block by block, and at n = 1 `_Band.line` lays the
+grids of every position of a round side by side in one array, psi's kinks
+added to its kernel calls.  The value walks sum the band functional, and the
+derivative walks (`_band_sums`) give its analytic gradient and Hessian, so
+the minimizer is exact Newton.  The derivative walks keep the open nodes'
+band-factor arguments and density weights, from which one reduction
 (`_measure`) gives the concentration-measure integrals and the stationarity
 multiplier in closed form: a sweep reads them from the minimizer's accepted
 evaluation and walks no grid after the minimizer.  A sweep runs the Newton
-loops of its r's in rounds, and at n = 1 one derivative walk evaluates every
-r of a round (`r_sweep`).
+loops of its r's in rounds, and at n = 1 one walk evaluates every r of a
+round (`r_sweep`).
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_n
                          eval_h_many, psi_eval_many, psi_gradient)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
 
-# Entries of the largest array the band walk (`_Band.blocks`) holds, which
-# is x_nodes_per_axis ** max(1, n - 1): at n = 1 the whole grid is one block,
-# whose workspace and reductions take about 165 bytes a node in a value walk
-# and 290 in a derivative walk (0.7 and 1.2 GB at the cap; the free list
-# keeps no workspace of more than `_BLOCK_NODES` nodes, so that one is freed
-# when the walk ends), and at n >= 2 the row-weight table holds P^(n-1)
-# entries for the P >= x_nodes_per_axis nodes per axis, while a block holds
-# at most max(`_BLOCK_NODES`, P) nodes.  It admits 2048 nodes per axis at n = 3.
+# Entries of the largest array a band walk holds, which is
+# x_nodes_per_axis ** max(1, n - 1): at n = 1 a position's whole grid goes to
+# one kernel call (`_Band.line`), whose fresh arrays take about 200 bytes a
+# node in a value walk and 315 in a derivative walk (0.85 and 1.3 GB at the
+# cap, all freed when the walk ends), and at n >= 2 (`_Band.blocks`) the
+# row-weight table holds P^(n-1) entries for the P >= x_nodes_per_axis nodes
+# per axis, while a block holds at most max(`_BLOCK_NODES`, P) nodes.  It
+# admits 2048 nodes per axis at n = 3.
 MAX_WALK_ARRAY = 1 << 22
 
 
@@ -56,12 +58,12 @@ class QuadratureSpec:
     grid alone; 960 nodes per axis holds it to 1e-6 at n = 1 up to r = 0.99
     (cost grows like 1/(1-r) beyond).  The grid spans the band radius at r
     (`_Band.radii`), and a band evaluation integrates only the nodes where
-    the band is open (`_Band.blocks`), so it costs in proportion to that
-    share of the grid, not to x_nodes_per_axis ** n.  An instance file's
-    `quadrature.tol`, `t_nodes` and `domain_radius` are accepted and ignored
-    in schema version 1.  x_nodes_per_axis must be an integer of at least
-    25: the outer grid has at least 4 panels of 8 nodes per axis, so it
-    would silently raise a smaller count.  `check_grid` bounds the largest
+    the band is open (`_Band.blocks`, `_Band.line`), so it costs in
+    proportion to that share of the grid, not to x_nodes_per_axis ** n.  An
+    instance file's `quadrature.tol`, `t_nodes` and `domain_radius` are
+    accepted and ignored in schema version 1.  x_nodes_per_axis must be an
+    integer of at least 25: the outer grid has at least 4 panels of 8 nodes
+    per axis, so it would silently raise a smaller count.  `check_grid` bounds the largest
     array of the band walk by MAX_WALK_ARRAY, which `_Band` enforces once
     per (h, s, pair, quad).
     """
@@ -168,7 +170,9 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine) -> tuple[np.ndarray, np.ndarra
     return np.array([(b[j] - b[i]) / (a[i] - a[j]) for i, j in zip(hull[:-1], hull[1:])]), a[hull]
 
 
-_BLOCK_NODES = 1 << 15  # grid nodes per block of `_Band.blocks`: ~32k, so temporaries stay in cache
+# grid nodes per block of `_Band.blocks` and per kernel call of `_Band.line`: ~32k, so
+# temporaries stay in cache
+_BLOCK_NODES = 1 << 15
 _FREE: list = []  # the workspace a finished walk of `_Band.blocks` left for the next one
 
 
@@ -181,7 +185,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
                 c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray, derivs: bool, rows=None):
     """The inner t-integral I on the open nodes, and with derivs I' and I'' in c2 there.
 
-    r is one float, or one per node (`_Band.blocks` walking several r at once):
+    r is one float, or one per node (`_Band.line` walking several r at once):
     every operation on it is elementwise, so a node's integrals are those of
     its own r alone, bit for bit.
 
@@ -200,7 +204,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
     increasing t, so the sums run in the order of the sorted segment ends.
     A piece of g with slope 0 needs no q (0 q + c = c) and adds nothing to
     I'.  A pair that no node reaches is skipped.  Every node is integrated
-    on its own, so `_Band.blocks` calls this on one block of the grid at a
+    on its own, so a band walk calls this on one block of the grid at a
     time.  f(t) g(q(t)) is continuous at every segment end and vanishes at
     the top one, so moving the ends with c2 adds no term to I'.  In I' only
     g' jumps as c2 moves the pullbacks t_k: by D_k at g's kink k (by minus
@@ -216,8 +220,9 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
     product or terms of a sum, which rounds alike), so the integrals keep
     the bits of those expressions.
 
-    rows: `_kernel_rows` scratch rows of at least len(c2) entries (None: the
-    kernel allocates them), into which it writes every node-sized array.
+    rows: `_kernel_rows` scratch rows of at least len(c2) entries, into which
+    it writes every node-sized array: `_Band.blocks` passes rows of its
+    workspace, and with None (`_Band.line`) the kernel allocates them.
     The integrals it returns are views of the first 1 (3 with derivs) rows;
     then come tau_top, g's pulled-back ends, the inputs on the open nodes,
     and the passes' work arrays, which are free again once it returns.
@@ -369,9 +374,10 @@ class _Band:
     """What a band quadrature needs that depends on neither r nor the position.
 
     Built once per (h, s, pair, quad) and shared by every r of a sweep, whose
-    every evaluation walks it with `blocks` at its r: the profiles, the
-    bounds on h^(2/s) that give the grid radii at r (`radii`), for n = 1 the
-    kinks of psi, and the trace-zero basis of the minimizer's coordinates.
+    every evaluation walks it at its r, with `line` at n = 1 and `blocks`
+    above: the profiles, the bounds on h^(2/s) that give the grid radii at r
+    (`radii`), for n = 1 the kinks of psi, and the trace-zero basis of the
+    minimizer's coordinates.
     It checks up front what the band kernel assumes: the pair passes
     `check_band_pair`, the grid `check_grid`, h > 0 on the closed unit ball,
     and (`radii`) no underflow of h^(2/s) 2(1-r) there.  Then a node where
@@ -420,19 +426,19 @@ class _Band:
         flat = theta @ self.basis
         return flat[:n * n].reshape(n, n), flat[n * n + 1:]
 
-    def blocks(self, positions, shifted: bool, derivs: bool, kink_inputs=None):
-        """Walk the grid block by block at each position, yielding its open nodes.
+    def half_width(self, radius: float, A, v, shifted: bool) -> float:
+        """The grid's half-width for a radius in the band variable: |A| radius + |v| unshifted."""
+        return (radius if shifted else
+                float(np.linalg.norm(A, 2) * radius + np.linalg.norm(v)) + 1e-9)
 
-        positions: (r, A, alpha, v) tuples.  Several are walked together only in
-        the shifted route at n = 1, where each position's grid is one block (a
-        round of `r_sweep`, whose grids fit one block together); a walk at
-        n >= 2, whose grid is many blocks, or an unshifted one takes one.
-        shifted: x is the band variable and the factor is evaluated at Ax + v
-        (every route but one); otherwise x is the factor argument and the
-        band variable is A^-1 (x - v) (`rescaled_band_functional`).  For
-        n = 1 the panels follow the kinks of psi in both variables.  For each
-        block where the band is open, the walk yields one item per position,
-        in order: its open nodes' (W, h^(1/s), I), and with derivs
+    def blocks(self, position, shifted: bool, derivs: bool):
+        """Walk the tensor grid (n >= 2) block by block at one position, yielding its open nodes.
+
+        position: (r, A, alpha, v).  shifted: x is the band variable and the
+        factor is evaluated at Ax + v (every route but one); otherwise x is
+        the factor argument and the band variable is A^-1 (x - v)
+        (`rescaled_band_functional`).  For each block where the band is open,
+        the walk yields its open nodes' (W, h^(1/s), I), and with derivs
         (W, h^(1/s), I, I', I'', X, Y, j): weights, h at the band-factor
         argument, `_inner_band`'s integrals, grid points, band-factor
         arguments and the index j of psi's active piece there, in row-major
@@ -441,65 +447,47 @@ class _Band:
         (pieces, nodes) product a_j . y + b_j that h at y already takes
         (`eval_h_many`'s piece), found at every near node by one comparison
         per piece.  `psi_gradient` takes it from a product of its own, in
-        (nodes, pieces) layout, so at n >= 2 a node where two pieces tie to
-        rounding can get the other one (at n = 1 every entry is one product,
-        which rounds alike).
-        kink_inputs (n = 1): per position, the kernel inputs (c2, den,
-        |x|^2 - 1) of more points, which join the block's one `_inner_band`
-        call after the near nodes of every position; each item then ends
-        with its own points' (open, I, I').  The kernel integrates every node
-        on its own, so no set moves a bit of another's I and I', and the
-        block is kept even when no grid node is near.  Its item is None at
-        a position's barrier, the first block where part of its band lies
-        where h^(1/s)/alpha vanishes (or its square underflows): at n >= 2
-        the walk stops there, and at n = 1 that position's c2 is set to 1
-        before the kernel call, whose integrals there no item holds, so the
-        others keep their bits.  h at the band-factor argument is evaluated only where the
-        band can be open (q(-1) below the top kink of g).  Callers reduce
-        each block as it comes, so at n >= 2 a sum is a sum of block sums in
-        grid order (~1e-16 relative from one sum over the grid); n = 1 is one
-        block.
-
-        At n = 1 the positions' grids lie one after another in the block,
-        and the walk carries r, 1 - r, alpha, A and v per node: den, Y = xA + v
-        (one product each, as the matmul of a walk alone takes it), c2 and
-        `_inner_band`'s r.  Every array operation is elementwise, so each
-        position's items are those of its walk alone, bit for bit, and its
-        consumer reduces its own slice.  One position keeps them scalars.
+        (nodes, pieces) layout, so a node where two pieces tie to rounding
+        can get the other one.  The walk yields None and stops at the
+        barrier, the first block where part of the band lies where
+        h^(1/s)/alpha vanishes (or its square underflows).  h at the
+        band-factor argument is evaluated only where the band can be open
+        (q(-1) below the top kink of g).  Callers reduce each block as it
+        comes, so a sum is a sum of block sums in grid order (~1e-16 relative
+        from one sum over the grid).
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in
         cache.  A block keeps only the columns (last-axis nodes) that some
         row of the block has inside the disk of `reach` (the grid's own
         radius unless g has a kink beyond 1; in the unshifted route mapped
-        like the radius, |x| <= |A| reach + |v|), plus 1e-9 for rounding;
-        at n = 1 the grid lies inside it, so every column.  No node beyond
-        it is near: there |z|^2 - 1 exceeds den times the top kink of g, or
-        h = 0.  So the square's corners, 21% of an n = 2 grid, mostly go
-        unvisited.  In the shifted route at n >= 2 a block also drops the
+        like the radius, |x| <= |A| reach + |v|), plus 1e-9 for rounding.
+        No node beyond it is near: there |z|^2 - 1 exceeds den times the top
+        kink of g, or h = 0.  So the square's corners, 21% of an n = 2 grid,
+        mostly go unvisited.  In the shifted route a block also drops the
         columns where psi's lower bound lb(col) = max_j (min over the rows of
         sum_(k<n-1) a_jk x_k, plus a_j,last x_col + b_j) keeps every row shut:
         x_col^2 + the least row |x|^2 - 1 is at least 2(1-r) max(top kink, 1)
         e^(-2 lb/s) (1 + 1e-7) + 1e-9.  That clips most of the annulus beyond
         |x| = 1 (a band_n2 call visits 428,128 nodes, for 403,900 near at
         r = 0.8).  W is taken at the open nodes from the block's tile of row
-        weights times column weights (at n = 1 the column weights, as the row
-        weight is 1.0): the same products as those of the whole tensor grid.
+        weights times column weights: the same products as those of the
+        whole tensor grid.
 
         Every array a block makes is written into one workspace, rows of
-        min(step, rows) P nodes (psi's kinks added) in a flat array, through
-        numpy's `out=`: the operations and their order are those of fresh
-        arrays, so no bit moves.  The yielded arrays are views of it that
-        stay valid only until the walk's next step (the consumer may
-        overwrite them); a caller that keeps one copies it (`_band_sums`'
-        kept Y).  The walk takes the workspace from the module's free list
-        `_FREE` when it starts, or builds one when the list holds none that
-        fits (a nested, interleaved or concurrent walk builds its own, so no
-        two live walks share buffers), and gives it back in its `finally`,
-        so an abandoned walk or one stopped at the barrier returns it too.
-        The list keeps one workspace, and only one whose rows hold at most
-        `_BLOCK_NODES` nodes (psi's kinks added); a larger one, an n = 1
-        grid above that, is freed when the walk ends.
+        min(step, rows) P nodes in a flat array, through numpy's `out=`: the
+        operations and their order are those of fresh arrays, so no bit
+        moves.  The yielded arrays are views of it that stay valid only until
+        the walk's next step (the consumer may overwrite them); a caller that
+        keeps one copies it (`_band_sums`' kept Y).  The walk takes the
+        workspace from the module's free list `_FREE` when it starts, or
+        builds one when the list holds none that fits (a nested, interleaved
+        or concurrent walk builds its own, so no two live walks share
+        buffers), and gives it back in its `finally`, so an abandoned walk or
+        one stopped at the barrier returns it too.  The list keeps one
+        workspace, and only one whose rows hold at most `_BLOCK_NODES` nodes;
+        a wider one (more than `_BLOCK_NODES` nodes per axis) is freed when
+        the walk ends.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -514,48 +502,22 @@ class _Band:
         product over a block's kept columns, so the same holds for it.
         """
         n, s = self.h.n, self.s
-        several = len(positions) > 1
-        if several and (n > 1 or not shifted):
-            raise ValueError("only a shifted walk at n = 1 takes several positions")
-        r, A, alpha, v = positions[0]  # the one position of a walk at n >= 2 or unshifted
-
-        def extent(radius):  # the grid's half-width for a radius in the band variable
-            return (radius if shifted else
-                    float(np.linalg.norm(A, 2) * radius + np.linalg.norm(v)) + 1e-9)
-
-        rules = []
-        for r_p, A_p, _, v_p in positions:  # each position's grid, one after another
-            radius, reach = self.radii(r_p)
-            kinks = None
-            if self.breaks is not None:
-                a, c = float(A_p[0, 0]), float(v_p[0])
-                u, c = (a, c) if shifted else (1.0 / a, -c / a)
-                kinks = np.concatenate([self.breaks, (self.breaks - c) / u])
-            rules.append(_axis_rule(extent(radius), self.quad.x_nodes_per_axis, kinks))
-        x1, w1 = (np.concatenate(col) for col in zip(*rules))
-        clip2 = (extent(reach) + 1e-9) ** 2  # no near node lies beyond; 1e-9 for rounding
-        if several:  # each grid node's r, 1 - r, alpha, A and v, and each position's nodes
-            sizes = [len(x) for x, _ in rules]
-            per_node = np.repeat([(r_p, 1.0 - r_p, alpha_p, A_p[0, 0], v_p[0])
-                                  for r_p, A_p, alpha_p, v_p in positions], sizes, axis=0)
-            edges = np.cumsum([0] + sizes)
+        r, A, alpha, v = position
+        radius, reach = self.radii(r)
+        x1, w1 = _axis_rule(self.half_width(radius, A, v, shifted), self.quad.x_nodes_per_axis)
+        # no near node lies beyond; 1e-9 for rounding
+        clip2 = (self.half_width(reach, A, v, shifted) + 1e-9) ** 2
         P = len(x1)
         w_rows = functools.reduce(np.multiply.outer, [w1] * (n - 1), np.ones(1)).ravel()
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
         a, b = self.h.form.a, self.h.form.b
         top = 2.0 * (1.0 - r) * max(float(self.g.breaks[-1]), 1.0) * 1.0000001
-        extra = 0
-        if kink_inputs is not None:  # one (c2, den, |x|^2 - 1) of every position's kinks
-            kink_edges = np.cumsum([0] + [len(k[0]) for k in kink_inputs])
-            kink_r = np.repeat([r_p for r_p, *_ in positions], np.diff(kink_edges))
-            kink_inputs = [np.concatenate(x) for x in zip(*kink_inputs)]
-            extra = kink_edges[-1]
-        # the workspace: rows of a block's grid nodes (and psi's kinks), sliced at their offsets
-        # in the flat array.  Rows 0-3 hold h, c2, den and |x|^2 - 1 on the near nodes (with
-        # derivs then X, Y and psi's active piece there) across the kernel call; the kernel's
-        # rows follow, which hold before it the grid's X, |x|^2 - 1, den and psi's product,
-        # then (without derivs) X and Y on the near nodes and psi's product there, and after
-        # it the yielded arrays: W's tile, W, h, X, Y and the piece
+        # the workspace: rows of a block's grid nodes, sliced at their offsets in the flat
+        # array.  Rows 0-3 hold h, c2, den and |x|^2 - 1 on the near nodes (with derivs then
+        # X, Y and psi's active piece there) across the kernel call; the kernel's rows follow,
+        # which hold before it the grid's X, |x|^2 - 1, den and psi's product, then (without
+        # derivs) X and Y on the near nodes and psi's product there, and after it the yielded
+        # arrays: W's tile, W, h, X, Y and the piece
         cap = min(step, rows) * P
         held, pieces = 4 + (2 * n + 1) * derivs, len(b)
         need = held + max(_kernel_rows(len(self.g.breaks), derivs), n + 2 + pieces,
@@ -564,8 +526,8 @@ class _Band:
             ws = _FREE.pop()
         except IndexError:  # a nested, interleaved or concurrent walk holds the list's
             ws = None
-        if ws is None or ws.shape[0] < need or ws.shape[1] < cap + extra:
-            ws = np.empty((need, cap + extra))
+        if ws is None or ws.shape[0] < need or ws.shape[1] < cap:
+            ws = np.empty((need, cap))
         width, flat = ws.shape[1], ws.reshape(-1)
         at_grid = held * width
         at_r2 = at_grid + n * width
@@ -577,19 +539,18 @@ class _Band:
             for r0 in range(0, rows, step):
                 r1 = min(rows, r0 + step)
                 lead = [x1[np.arange(r0, r1) // P ** (n - 2 - k) % P] for k in range(n - 1)]
-                c0, c1 = 0, P  # at n = 1 the grid lies inside the disk: every column
-                if n > 1:  # the columns some row of the block has inside the disk
-                    least = np.min(functools.reduce(np.add, [x * x for x in lead], 0.0))
-                    keep = x1 * x1 <= clip2 - least
-                    if shifted:  # and where a lower bound on psi over the rows lets h open it
-                        row_min = np.min(a[:, :-1] @ np.array(lead), axis=1)
-                        lb = np.max((row_min + b)[:, None] + np.outer(a[:, -1], x1), axis=0)
-                        with np.errstate(over="ignore"):
-                            keep &= x1 * x1 + least - 1.0 < top * np.exp(-lb) ** (2.0 / s) + 1e-9
-                    cols = np.flatnonzero(keep)
-                    if not len(cols):
-                        continue
-                    c0, c1 = cols[0], cols[-1] + 1
+                # the columns some row of the block has inside the disk
+                least = np.min(functools.reduce(np.add, [x * x for x in lead], 0.0))
+                keep = x1 * x1 <= clip2 - least
+                if shifted:  # and where a lower bound on psi over the rows lets h open it
+                    row_min = np.min(a[:, :-1] @ np.array(lead), axis=1)
+                    lb = np.max((row_min + b)[:, None] + np.outer(a[:, -1], x1), axis=0)
+                    with np.errstate(over="ignore"):
+                        keep &= x1 * x1 + least - 1.0 < top * np.exp(-lb) ** (2.0 / s) + 1e-9
+                cols = np.flatnonzero(keep)
+                if not len(cols):
+                    continue
+                c0, c1 = cols[0], cols[-1] + 1
                 nodes = (r1 - r0) * (c1 - c0)
                 X = flat[at_grid:at_grid + nodes * n].reshape(r1 - r0, c1 - c0, n)
                 X[..., -1] = x1[c0:c1]
@@ -603,23 +564,17 @@ class _Band:
                                   flat[at_psi:at_psi + pieces * nodes].reshape(pieces, nodes))
                 den **= 2.0 / s  # 2 h^(2/s) (1-r), in place
                 den *= 2.0
-                den *= per_node[:, 1] if several else 1.0 - r
+                den *= 1.0 - r
                 near = np.flatnonzero(r2m1 < np.multiply(den, self.g.breaks[-1],
                                                          out=flat[at_psi:at_psi + nodes]))
-                if not len(near) and kink_inputs is None:  # the band is closed on the whole block
+                if not len(near):  # the band is closed on the whole block
                     continue
                 m = len(near)  # near is in range: no bounds check
-                cuts = (0, m)  # each position's near nodes
-                if several:
-                    near_at, cuts = per_node.take(near, axis=0), np.searchsorted(near, edges)
                 den = den.take(near, out=flat[2 * width:2 * width + m], mode="clip")
                 r2m1 = r2m1.take(near, out=flat[3 * width:3 * width + m], mode="clip")
                 Y = X0 = X.take(near, axis=0, out=flat[at_x:at_x + m * n].reshape(m, n),
                                 mode="clip")
-                if shifted and several:  # n = 1: x a + v, the one product a matmul takes
-                    Y = np.multiply(X0, near_at[:, 3:4], out=flat[at_y:at_y + m].reshape(m, 1))
-                    Y[:, 0] += near_at[:, 4]
-                elif shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
+                if shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
                     Y = np.matmul(X0, np.ascontiguousarray(A.T),
                                   out=flat[at_y:at_y + m * n].reshape(m, n))
                     for k in range(n):
@@ -630,37 +585,15 @@ class _Band:
                 h_near = eval_h_many(self.h, Y, flat[:m],
                                      flat[at_psi_y:at_psi_y + pieces * m].reshape(pieces, m), piece)
                 h_near **= 1.0 / s
-                c2 = np.divide(h_near, near_at[:, 2] if several else alpha,
-                               out=flat[width:width + m])
+                c2 = np.divide(h_near, alpha, out=flat[width:width + m])
                 c2 **= 2
-                shut = [not np.minimum.reduce(c2[lo:hi], initial=np.inf) > 0.0  # NaN fails too
-                        for lo, hi in zip(cuts[:-1], cuts[1:])]
-                if all(shut):
-                    yield from [None] * len(positions)
+                if not np.minimum.reduce(c2, initial=np.inf) > 0.0:  # NaN fails too
+                    yield None
                     return
-                if kink_inputs is not None:  # the kinks join the call after the near nodes
-                    c2, den, r2m1 = (flat[k * width:k * width + m + extra] for k in (1, 2, 3))
-                    for x, kink in zip((c2, den, r2m1), kink_inputs):
-                        x[m:] = kink
-                for lo, hi, closed in zip(cuts[:-1], cuts[1:], shut):
-                    if closed:  # (n = 1) a c2 the kernel takes quietly
-                        c2[lo:hi] = 1.0
-                r_node = r
-                if several:  # each node's own r: the near nodes', then the kinks'
-                    r_node = near_at[:, 0]
-                    if kink_inputs is not None:
-                        r_node = np.concatenate([r_node, kink_r])
-                opened, *integrals = _inner_band(self.f, self.g, r_node, c2, den, r2m1, derivs,
+                opened, *integrals = _inner_band(self.f, self.g, r, c2, den, r2m1, derivs,
                                                  ws[held:])
-                tail = ()
-                if kink_inputs is not None:  # the kinks' open points follow the grid's
-                    j = np.searchsorted(opened, m)
-                    tail = ((opened[j:] - m, *[e[j:] for e in integrals[:2]]),)
-                    opened, integrals = opened[:j], [e[:j] for e in integrals]
-                j, tile = len(opened), w1  # at n = 1 the row weight is 1.0, and 1.0 w = w
-                if n > 1:
-                    tile = flat[at_out:at_out + nodes]
-                    np.multiply.outer(w_rows[r0:r1], w1[c0:c1], out=tile.reshape(r1 - r0, -1))
+                j, tile = len(opened), flat[at_out:at_out + nodes]
+                np.multiply.outer(w_rows[r0:r1], w1[c0:c1], out=tile.reshape(r1 - r0, -1))
                 at = at_out + width
                 out = [tile.take(near[opened], out=flat[at:at + j], mode="clip"),
                        h_near.take(opened, out=flat[at + width:at + width + j], mode="clip"),
@@ -672,26 +605,121 @@ class _Band:
                                           mode="clip"))
                         at += n * width
                     out.append(piece.take(opened, out=flat[at:at + j].view(np.intp), mode="clip"))
-                if not several:
-                    yield *out, *tail
-                    continue
-                open_cuts = np.searchsorted(opened, cuts)
-                if tail:
-                    kink_cuts = np.searchsorted(tail[0][0], kink_edges)
-                for p in range(len(positions)):
-                    if shut[p]:
-                        yield None
-                        continue
-                    lo, hi = open_cuts[p], open_cuts[p + 1]
-                    item = tuple(x[lo:hi] for x in out)
-                    if tail:
-                        k0, k1 = kink_cuts[p], kink_cuts[p + 1]
-                        item += ((tail[0][0][k0:k1] - kink_edges[p],
-                                  *[e[k0:k1] for e in tail[0][1:]]),)
-                    yield item
+                yield tuple(out)
         finally:  # an abandoned walk, or one stopped at the barrier, returns it too
-            if width <= _BLOCK_NODES + extra and not _FREE:
+            if width <= _BLOCK_NODES and not _FREE:
                 _FREE.append(ws)
+
+    def line(self, positions, shifted: bool, derivs: bool):
+        """Walk the n = 1 grids of every position side by side, yielding each one's open nodes.
+
+        positions: (r, A, alpha, v) tuples, a round of `r_sweep` or a single
+        position (the only kind in the unshifted route); shifted as in
+        `blocks`.  Each position's grid has its panels at the kinks of psi in
+        both variables (`_axis_rule`), and the grids lie one after another in
+        one array, every node carrying its position's r, 1 - r, alpha, a = A
+        and v: den, Y = xa + v (one product, as a 1 x 1 matmul takes it), c2
+        and `_inner_band`'s r.  The positions go to the kernel in calls of at
+        most `_BLOCK_NODES` grid nodes (a position with more goes alone).
+        Every array operation is elementwise and every product has one term,
+        so each position's item is that of a walk of its own, bit for bit,
+        wherever it lies in a call.
+
+        The walk yields one item per position, in order.  It is None at the
+        position's barrier, where part of its band lies where h^(1/s)/alpha
+        vanishes (or its square underflows): its c2 is set to 1 before the
+        kernel call, which then integrates its nodes quietly, and no item
+        holds those integrals, so the others keep their bits.  Otherwise it
+        holds the position's open nodes' arrays as a block of `blocks` does,
+        over the whole grid (the grid lies inside the disk that `blocks`
+        clips to, so every node is visited, and W is the column weight, the
+        row weight being 1.0); j is psi's first maximum as `psi_gradient`
+        takes it, as every entry of either product is one term.  With
+        derivs the item ends with a tuple (x_k, c^2, D_k, I, I') on psi's
+        kinks y_k where the band is open: the band variable x_k = (y_k - v)/a
+        (in both routes), c^2 = (h(y_k)^(1/s)/alpha)^2, psi's slope jump D_k,
+        and `_inner_band`'s integrals at den = 2(1-r) h(x_k)^(2/s) and
+        |x_k|^2 - 1.  The kinks with c^2 > 0 join the kernel call after the
+        grid's near nodes; the kernel integrates every node on its own, so
+        they move no bit of the grid's integrals.  h at the band-factor
+        argument is evaluated only where the band can be open.
+
+        The arrays are fresh and the items stay valid: the walk keeps no
+        workspace.  In a loop of sweeps alone a kept one saved no page fault
+        and no CPU time; where the process hands freed memory back to the
+        system between calls, every call faults its arrays in again (about
+        250 pages, most of them the kernel's rows, per sweep at the default
+        960 nodes).
+        """
+        s, top = self.s, self.g.breaks[-1]
+        rules = []
+        for r, A, _, v in positions:  # each position's grid, its panels at psi's kinks
+            a, c = float(A[0, 0]), float(v[0])
+            u, c = (a, c) if shifted else (1.0 / a, -c / a)
+            rules.append(_axis_rule(self.half_width(self.radii(r)[0], A, v, shifted),
+                                    self.quad.x_nodes_per_axis,
+                                    np.concatenate([self.breaks, (self.breaks - c) / u])))
+        sizes = [len(x) for x, _ in rules]
+        starts = [0]  # the first position of each kernel call
+        for p in range(1, len(positions)):
+            if sum(sizes[starts[-1]:p + 1]) > _BLOCK_NODES:
+                starts.append(p)
+        for lo, hi in zip(starts, starts[1:] + [len(positions)]):
+            batch = positions[lo:hi]
+            x1, w1 = (np.concatenate(col) for col in zip(*rules[lo:hi]))
+            edges = np.cumsum([0] + sizes[lo:hi])
+            params = np.array([(r, 1.0 - r, alpha, A[0, 0], v[0]) for r, A, alpha, v in batch])
+            owner = np.repeat(np.arange(hi - lo), sizes[lo:hi])  # each node's position
+            X = Z = x1.reshape(-1, 1)
+            if not shifted:  # an unshifted walk takes one position
+                (_, A, _, v), = batch
+                Z = np.linalg.solve(A, (X - v).T).T
+            r2m1 = _sq_norms(Z) - 1.0
+            den = eval_h_many(self.h, Z) ** (2.0 / s) * 2.0 * params[owner, 1]  # 2 h^(2/s) (1-r)
+            near = np.flatnonzero(r2m1 < den * top)
+            m, cuts = len(near), np.searchsorted(near, edges)  # each position's near nodes
+            den, r2m1, X, at = den[near], r2m1[near], X[near], params[owner[near]]
+            Y = X
+            if shifted:  # x a + v, the one product a matmul takes
+                Y = X * at[:, 3:4]
+                Y[:, 0] += at[:, 4]
+            piece = np.empty(m, np.intp) if derivs else None  # psi's active piece at Y
+            h_y = eval_h_many(self.h, Y, None, np.empty((len(self.h.form.b), m)), piece)
+            h_y **= 1.0 / s
+            c2 = (h_y / at[:, 2]) ** 2
+            shut = [not np.minimum.reduce(c2[i:j], initial=np.inf) > 0.0  # NaN fails too
+                    for i, j in zip(cuts[:-1], cuts[1:])]
+            for i, j, closed in zip(cuts[:-1], cuts[1:], shut):
+                if closed:  # a c2 the kernel takes quietly
+                    c2[i:j] = 1.0
+            r_node = at[:, 0]
+            if derivs:  # psi's kinks y_k with c^2 > 0 join the call after the grid's near nodes
+                x_k = (self.breaks - params[:, 4:5]) / params[:, 3:4]
+                h_k = eval_h_many(self.h, x_k.reshape(-1)[:, None]).reshape(x_k.shape)
+                den_k = 2.0 * params[:, 1:2] * h_k ** (2.0 / s)
+                c2_k = (self.h_breaks / params[:, 2:3]) ** 2
+                kink = c2_k > 0.0
+                kink_edges = np.cumsum([0, *np.count_nonzero(kink, axis=1)])
+                jump = np.broadcast_to(self.jumps, kink.shape)[kink]
+                x_k, c2_k = x_k[kink], c2_k[kink]
+                c2, den = np.concatenate([c2, c2_k]), np.concatenate([den, den_k[kink]])
+                r2m1 = np.concatenate([r2m1, x_k * x_k - 1.0])
+                r_node = np.concatenate([r_node, np.broadcast_to(params[:, :1], kink.shape)[kink]])
+            opened, *integrals = _inner_band(self.f, self.g, r_node, c2, den, r2m1, derivs)
+            split = np.searchsorted(opened, m)  # the kinks' open points follow the grid's
+            grid = opened[:split]
+            out = [w1[near[grid]], h_y[grid], *[e[:split] for e in integrals]]
+            open_cuts = np.searchsorted(grid, cuts)
+            if derivs:
+                out += [X[grid], Y[grid], piece[grid]]
+                ko = opened[split:] - m
+                kinks = [x_k[ko], c2_k[ko], jump[ko], *[e[split:] for e in integrals[:2]]]
+                kink_cuts = np.searchsorted(ko, kink_edges)
+            for p, closed in enumerate(shut):
+                item = tuple(x[open_cuts[p]:open_cuts[p + 1]] for x in out)
+                if derivs:
+                    item += (tuple(e[kink_cuts[p]:kink_cuts[p + 1]] for e in kinks),)
+                yield None if closed else item
 
 
 def _positive(A: np.ndarray, alpha: float) -> bool:
@@ -719,8 +747,10 @@ def _band_value(band: _Band, r: float, p: EPoint) -> float:
 def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool) -> float:
     """The sum of W (h^(1/s)/scale) I over the open nodes, block by block; +inf at the barrier."""
     scale = alpha if shifted else 1.0
+    position = (r, A, alpha, v)
     value = 0.0
-    for block in band.blocks([(r, A, alpha, v)], shifted, False):
+    for block in (band.line([position], shifted, False) if band.h.n == 1 else
+                  band.blocks(position, shifted, False)):
         if block is None:
             return float("inf")
         W, h, inner = block  # the walk's views: W (h/scale) I is formed in h, as it rounds alike
@@ -732,15 +762,16 @@ def _value_sum(band: _Band, r: float, A, alpha, v, shifted: bool) -> float:
 
 
 def _band_sums(band: _Band, positions):
-    """The open nodes' sums at each position (r, A, alpha, v), from one shifted walk of them all.
+    """The open nodes' sums at each position (r, A, alpha, v), from a shifted walk of each.
 
     One entry per position, None at its barrier, else (value, grad, hess,
     kept): the band functional sum W c I, its gradient and Hessian in the
     flat coordinates (A, log alpha, v) (`EPoint.vec` layout, A
     unconstrained), and per block the open nodes' Y and omega/h_y^2, from
-    which `_measure` sums every bump.  Several positions share the walk only
-    at n = 1 (`_Band.blocks`); each is reduced from its own slice of the
-    open nodes, so its sums are those of a walk of its own, bit for bit.
+    which `_measure` sums every bump.  At n = 1 one `_Band.line` walks every
+    position, one item each; at n >= 2 each position has a `_Band.blocks`
+    walk of its own.  Either way a position's sums are those of a walk of
+    its own, bit for bit.
     With c = h(y)^(1/s)/alpha at y = Ax + v, u = log c has the gradient -z,
     z = (a_j x^T/s, 1, a_j/s) for the active piece a_j(y) of psi (the walk's
     j), and no curvature off psi's kinks.  A node adds W phi(u) = W c I(c^2),
@@ -748,52 +779,42 @@ def _band_sums(band: _Band, positions):
     hess = sum W phi'' z z^T with phi'' = c (I + 8 c^2 I' + 4 c^4 I''), all
     three from the walk's kernel (`_inner_band`): at n >= 2, on a fixed grid,
     the exact Hessian of the sum wherever it exists.  The n = 1 grid follows
-    psi's kinks y_k, across which u's gradient jumps by -(da_k/s) dy, so
-    hess adds per open kink -(da_k/s) Phi_u dy dy^T/A at x_k = (y_k - v)/A,
-    dy = (x_k, 0, 1), with Phi_u = c (I + 2 c^2 I').  The kinks with
-    c^2 = (h(y_k)^(1/s)/alpha)^2 > 0 join the walk's kernel call
-    (`_Band.blocks`' kink_inputs), which finds those where the band is open.
+    psi's kinks y_k, across which u's gradient jumps by -(D_k/s) dy, so
+    hess adds per open kink -(D_k/s) Phi_u dy dy^T/A at x_k = (y_k - v)/A,
+    dy = (x_k, 0, 1), with Phi_u = c (I + 2 c^2 I'): the kinks' terms that
+    ends each item of the n = 1 walk.
     """
     n, s = band.h.n, band.s
     d = n * n + 1 + n
-    sums = [[0.0, np.zeros(d), np.zeros((d, d)), []] for _ in positions]
-    kinks, kink_inputs = [None] * len(positions), None
-    if band.breaks is not None:  # the kernel inputs of psi's kinks, at x_k = (y_k - v)/A
-        kink_inputs = []
-        for p, (r, A, alpha, v) in enumerate(positions):
-            x_k = (band.breaks - v[0]) / float(A[0, 0])
-            den_k = 2.0 * (1.0 - r) * eval_h_many(band.h, x_k[:, None]) ** (2.0 / s)
-            c2_k = (band.h_breaks / alpha) ** 2
-            k = np.flatnonzero(c2_k > 0.0)
-            kinks[p] = x_k, k, c2_k[k]
-            kink_inputs.append((kinks[p][2], den_k[k], x_k[k] * x_k[k] - 1.0))
-    # the walk yields one item per position and block, positions in turn
-    walk = band.blocks(positions, True, True, kink_inputs)
-    for ((r, A, alpha, v), acc, kink), block in zip(itertools.cycle(zip(positions, sums, kinks)),
-                                                    walk):
-        if block is None:
-            acc.clear()
-            continue
-        W, h_y, inner, d_inner, d2_inner, X, Y, piece = block[:8]
-        c = h_y / alpha
-        acc[0] += float(np.sum(W * c * inner))
-        wc, c2 = W * c, c * c
-        omega = wc * (inner + 2.0 * c2 * d_inner)
-        z = np.empty((len(W), d))
-        z[:, n * n + 1:] = band.h.form.a[piece] / s
-        z[:, :n * n] = (z[:, n * n + 1:, None] * X[:, None, :]).reshape(len(W), n * n)
-        z[:, n * n] = 1.0
-        acc[1] -= omega @ z
-        acc[2] += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
-        acc[3].append((Y.copy(), omega / (h_y * h_y)))  # Y is the walk's until its next block
-        if kink is not None:
-            (x_k, k, c2_k), (opened, inner, d_inner) = kink, block[8]
-            c2, at = c2_k[opened], k[opened]
-            dy = np.zeros((len(at), 3))
-            dy[:, 0], dy[:, 2] = x_k[at], 1.0
-            phi_u = np.sqrt(c2) * (inner + 2.0 * c2 * d_inner)
-            acc[2] += (dy.T * (-band.jumps[at] / (s * float(A[0, 0])) * phi_u)) @ dy
-    return [tuple(acc) if acc else None for acc in sums]
+    walks = ([item] for item in band.line(positions, True, True)) if n == 1 else (
+        band.blocks(position, True, True) for position in positions)
+    sums = []
+    for (r, A, alpha, v), walk in zip(positions, walks):
+        acc = [0.0, np.zeros(d), np.zeros((d, d)), []]
+        for block in walk:
+            if block is None:
+                acc.clear()
+                continue
+            W, h_y, inner, d_inner, d2_inner, X, Y, piece = block[:8]
+            c = h_y / alpha
+            acc[0] += float(np.sum(W * c * inner))
+            wc, c2 = W * c, c * c
+            omega = wc * (inner + 2.0 * c2 * d_inner)
+            z = np.empty((len(W), d))
+            z[:, n * n + 1:] = band.h.form.a[piece] / s
+            z[:, :n * n] = (z[:, n * n + 1:, None] * X[:, None, :]).reshape(len(W), n * n)
+            z[:, n * n] = 1.0
+            acc[1] -= omega @ z
+            acc[2] += (z.T * (wc * (inner + c2 * (8.0 * d_inner + 4.0 * c2 * d2_inner)))) @ z
+            acc[3].append((Y.copy(), omega / (h_y * h_y)))  # Y is the walk's until its next block
+            if n == 1:
+                x_k, c2, jump, inner, d_inner = block[8]
+                dy = np.zeros((len(x_k), 3))
+                dy[:, 0], dy[:, 2] = x_k, 1.0
+                phi_u = np.sqrt(c2) * (inner + 2.0 * c2 * d_inner)
+                acc[2] += (dy.T * (-jump / (s * float(A[0, 0])) * phi_u)) @ dy
+        sums.append(tuple(acc) if acc else None)
+    return sums
 
 
 def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
@@ -816,8 +837,8 @@ def _band_value_grads(band: _Band, evals) -> list:
     (A, alpha, v, the flat gradient, `_band_sums`' kept arrays), is what
     `_measure` reduces to lambda_r and the bump integrals at this theta, and
     its (A, alpha, v) is the position whose `_band_value` the value is, bit
-    for bit.  The positions inside the barrier share one `_band_sums` walk
-    (none walks when there is none), so more than one pair needs n = 1.
+    for bit.  The positions inside the barrier go to one `_band_sums` call
+    (none walks when there is none).
     """
     n, s = band.h.n, band.s
     out = [(float("inf"), None, None, None)] * len(evals)
@@ -1052,24 +1073,24 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     so no start lies beyond the chart's barrier.
 
     The r's minimizers run in rounds.  Every r's Newton loop (`_band_loop`)
-    starts at once; a round takes the pending points of the first r's, in
-    schedule order, whose grids fit together in one block of the walk
-    (`_BLOCK_NODES` nodes), evaluates them with one walk
-    (`_band_value_grads`), and sends each loop its own result.  At n = 1 an
-    r's grid is one block of at most 8 (p + 2k + 1) nodes, for the p panels
-    of x_nodes_per_axis and psi's k kinks (`_axis_rule`), so a round takes
-    about 32 r's at the default 960 nodes (about 1,000 each): a sweep walks
-    once per round, not once per evaluation, and the walk and kernel cost
-    is paid once for the round.  At n >= 2 an r's grid is many blocks, so a
-    round takes one r, which runs to its end before the next starts: no
+    starts at once; a round evaluates pending points with one
+    `_band_value_grads` call and sends each loop its own result.  At n = 1
+    a round takes the pending point of every r, and one walk (`_Band.line`)
+    evaluates them all, in kernel calls of at most `_BLOCK_NODES` grid
+    nodes (an r's grid has about 1,000 at the default 960 nodes, so about
+    32 r's share a call): a sweep walks once per round, not once per
+    evaluation.  At n >= 2 an r's grid is many blocks, so a round takes the
+    first pending r alone, which runs to its end before the next starts: no
     more open-node arrays are alive than one r alone keeps.  A loop's row
     is taken (`_measure`) as soon as it stops, and its walk freed.  Each
-    r's slice of a round is what its walk alone gives, bit for bit
-    (`_Band.blocks`), so nothing of one r reaches another (`_Band` holds
-    nothing of r): a row depends on its r alone.  An r outside (1/2, 1)
-    raises BadR at its first round.  A failure at a single r is recorded
-    with its reason and the sweep continues; a contact set on which the
-    limit is not coercive raises DivergingIterates before any r.  The
+    r's item of a round is what its walk alone gives, bit for bit, so
+    nothing of one r reaches another (`_Band` holds nothing of r): a row
+    depends on its r alone.  An r outside (1/2, 1) raises BadR at its first
+    round.  A failure at a single r is recorded with its reason and the
+    sweep continues: NotConverged from its loop, or BadR when the walk of
+    its minimizer has no open node (the grid resolves no node of the band
+    at r, so every sum is 0).  A contact set on which the limit is not
+    coercive raises DivergingIterates before any r.  The
     diagnostics are norms of differences of flat forms `EPoint.vec`;
     `secant_to_limit` is the rescaled minimizer's distance to the limit
     point, which `RSweepResult.limit` holds.
@@ -1083,8 +1104,19 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
                               for b in bumps])
     ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
 
+    def failed(r, exc):  # the row of an r that failed, with the reason
+        nan = float("nan")
+        return SweepEntry(
+            r=r, point=None, rescaled=None, lambda_r=nan, value=nan, dist_to_identity=nan,
+            normalized_s_trace=nan, secant_to_reference=nan, secant_to_limit=nan,
+            mu_integrals=np.full(len(bumps), np.nan), mu_reference=ref_integrals,
+            error=f"{type(exc).__name__}: {exc}")
+
     def row(r, run):  # the row of an r whose loop stopped
         solver, walk = _band_minimum(run)
+        if not any(len(per_h2) for _, per_h2 in walk[4]):  # no node: the sums are all 0
+            return failed(r, BadR(f"the grid of {quad.x_nodes_per_axis} nodes per axis "
+                                  f"resolves no node of the band at r = {r!r}"))
         mu_vals, lam_r = _measure(band, r, walk, bumps)
         omr, point, value = 1.0 - r, solver.point, solver.value
         diff = point.vec - ident
@@ -1108,12 +1140,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
         loop = _band_loop(r, band.basis @ np.concatenate([step.ravel(), [-np.trace(step) / s],
                                                            omr * w_lim]))
         loops[i] = loop, next(loop)
-    per_round = 1
-    if n == 1:
-        panels = max(4, -(-quad.x_nodes_per_axis // 8)) + 2 * len(band.breaks) + 1
-        per_round = max(1, _BLOCK_NODES // (8 * panels))
     while loops:
-        batch = sorted(loops)[:per_round]
+        batch = sorted(loops) if n == 1 else [min(loops)]
         values = _band_value_grads(band, [(schedule[i], loops[i][1]) for i in batch])
         for i, value in zip(batch, values):
             loop = loops.pop(i)[0]
@@ -1122,11 +1150,6 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
             except StopIteration as stop:
                 rows[i] = row(schedule[i], stop.value)
             except NotConverged as exc:
-                nan = float("nan")
-                rows[i] = SweepEntry(
-                    r=schedule[i], point=None, rescaled=None, lambda_r=nan, value=nan,
-                    dist_to_identity=nan, normalized_s_trace=nan, secant_to_reference=nan,
-                    secant_to_limit=nan, mu_integrals=np.full(len(bumps), np.nan),
-                    mu_reference=ref_integrals, error=f"{type(exc).__name__}: {exc}")
+                rows[i] = failed(schedule[i], exc)
     return RSweepResult(schedule=list(schedule), limit=limit.point,
                         entries=[rows[i] for i in range(len(schedule))])

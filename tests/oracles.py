@@ -536,11 +536,18 @@ def dense_quadrature_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float
     return total * wx * wy / omr
 
 
+def band_walk(band, position, shifted: bool, derivs: bool):
+    """The band walk of one position (r, A, alpha, v): `_Band.line` at n = 1, else `blocks`."""
+    if band.h.n == 1:
+        return band.line([position], shifted, derivs)
+    return band.blocks(position, shifted, derivs)
+
+
 def density_sums(band, r: float, minimizer: EPoint, bumps) -> tuple[np.ndarray, float]:
     """Every bump's integral against the concentration measure at r, and the multiplier.
 
     The unshifted density walk that `rfamily._band_measure` replaced, kept as
-    its second-route reference: it walks `_Band.blocks` in the factor
+    its second-route reference: it walks the band (`band_walk`) in the factor
     argument x (band variable A^-1 (x - v)) and sums the density directly.
     One walk of the density alpha^(s-1) D / h^(1/s), with D the integral of
     f'(t) (1+(1-r)t) g(q(t)) dt.  By parts, since f(t) (1+(1-r)t) g(q(t))
@@ -555,7 +562,7 @@ def density_sums(band, r: float, minimizer: EPoint, bumps) -> tuple[np.ndarray, 
         raise SingularA("block must be positive definite with positive corner")
     s = band.s
     integrals, moment = np.zeros(len(bumps)), 0.0
-    for block in band.blocks([(r, A, alpha, v)], shifted=False, derivs=True):
+    for block in band_walk(band, (r, A, alpha, v), shifted=False, derivs=True):
         if block is None:
             raise NotInBr("the band reaches where h vanishes")
         W, h_x, inner, d_inner, _, X = block[:6]

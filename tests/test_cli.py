@@ -563,6 +563,7 @@ class TestGridCap:
             raise AssertionError("a band was evaluated on the oversized grid")
 
         monkeypatch.setattr(rfamily._Band, "blocks", evaluated)
+        monkeypatch.setattr(rfamily._Band, "line", evaluated)
         inst = json.loads((INSTANCES / f"{name}.json").read_text())
         inst["quadrature"]["x_nodes_per_axis"] = nodes
         bad = tmp_path / "big.json"

@@ -22,7 +22,7 @@ from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, can
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            concentration_integral, default_bumps, minimize_band, r_sweep,
                            rescaled_band_functional, stationarity_multiplier, trapezoid_bump)
-from oracles import (density_sums, envelope_breaks_scan,
+from oracles import (band_walk, density_sums, envelope_breaks_scan,
                      fd_newton_minimize, inner_curvature, kink_hessian, pl_deriv, s_det,
                      sorted_inner_band, theta_point, x_grid)
 
@@ -892,15 +892,16 @@ def _unblocked_terms(band, r, A, alpha, v, shifted):
 
 
 def _copied(block):
-    """A block of `_Band.blocks` with every array copied out of the walk's workspace."""
-    return None if block is None else tuple(np.copy(x) for x in block)
+    """A block of the band walk with every grid array copied out of the walk's workspace
+    (the n = 1 walk's kink terms left out)."""
+    return None if block is None else tuple(np.copy(x) for x in block[:8])
 
 
 def _walked_terms(band, r, A, alpha, v, shifted, derivs=True):
-    """`_Band.blocks`'s open nodes concatenated in walk order, or None when the walk stops
+    """The band walk's open nodes concatenated in walk order, or None when the walk stops
     at the coercive barrier: (X, Y, W, h_y, I, I', I'') from the derivative walk, and
     (W, h_y, I) from the value walk."""
-    blocks = [_copied(block) for block in band.blocks([(r, A, alpha, v)], shifted, derivs)]
+    blocks = [_copied(block) for block in band_walk(band, (r, A, alpha, v), shifted, derivs)]
     if None in blocks:
         assert blocks[-1] is None  # the walk stops at the barrier
         return None
@@ -919,8 +920,8 @@ def _same_terms(got, ref):
 
 
 def _one_block(terms, derivs, form):
-    """The whole grid's open-node terms (X, Y, W, h_y, I, I', I'') as one block of
-    `_Band.blocks`, with psi's active piece at Y as `psi_gradient` takes it."""
+    """The whole grid's open-node terms (X, Y, W, h_y, I, I', I'') as one block of the
+    band walk, with psi's active piece at Y as `psi_gradient` takes it."""
     if terms is None:
         return None
     X, Y, W, h_y, inner, d_inner, d2_inner = terms
@@ -1107,16 +1108,14 @@ class TestBlockedTerms:
         band = rfamily._Band(h, S, canonical_pair(), quad)
         whole = rfamily._Band(h, S, canonical_pair(), quad)
 
-        def whole_blocks(positions, shifted, derivs, kink_inputs=None):
-            (r, A, alpha, v), = positions
-            block = _one_block(_unblocked_terms(band, r, A, alpha, v, shifted)[0], derivs,
-                               h.form)
-            if block is not None and kink_inputs is not None:  # psi's kinks in a call of their own
-                block += (rfamily._inner_band(band.f, band.g, r, *kink_inputs[0],
-                                              derivs=True)[:3],)
+        def whole_blocks(position, shifted, derivs):
+            block = _one_block(_unblocked_terms(band, *position, shifted)[0], derivs, h.form)
+            if block is not None and derivs and n == 1:  # psi's kinks in a call of their own
+                block += (_kink_terms(band, *position),)
             return iter([block])
 
         whole.blocks = whole_blocks
+        whole.line = lambda positions, shifted, derivs: whole_blocks(*positions, shifted, derivs)
         if n > 1:  # at least three blocks
             per_row = len(x_grid(1, 1.0, nodes)[0])
             assert per_row ** (n - 1) >= 2 * max(1, block // per_row) + 1
@@ -1137,6 +1136,19 @@ class TestBlockedTerms:
                                               for b in (band, whole))
             assert np.all(np.abs(mu - want_mu) <= tol * np.abs(want_mu)) and np.all(mu != 0.0)
             assert abs(lam - want_lam) <= tol * abs(want_lam)
+
+
+def _kink_terms(band, r, A, alpha, v):
+    """psi's open kinks' (x_k, c^2, D_k, I, I') that end an item of the n = 1 walk, from a
+    kernel call of their own on the kinks with c^2 > 0."""
+    x = (band.breaks - v[0]) / float(A[0, 0])
+    den = 2.0 * (1.0 - r) * eval_h_many(band.h, x[:, None]) ** (2.0 / band.s)
+    c2 = (band.h_breaks / alpha) ** 2
+    k = np.flatnonzero(c2 > 0.0)
+    opened, inner, d_inner, _ = rfamily._inner_band(band.f, band.g, r, c2[k], den[k],
+                                                    x[k] * x[k] - 1.0, derivs=True)
+    k = k[opened]
+    return x[k], c2[k], band.jumps[k], inner, d_inner
 
 
 def _same_blocks(got, want):
@@ -1171,8 +1183,8 @@ class TestWorkspace:
         monkeypatch.setattr(rfamily, "_FREE", [])  # the walks alone leave theirs on it
         A1, alpha1 = sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
         A2, alpha2 = sdet1_param(np.array([[-0.04, 0.01], [0.01, 0.06]]), S)
-        args = [([(0.8, A1, alpha1, np.array([0.03, -0.02]))], True, True),
-                ([(0.9, A2, alpha2, np.array([-0.01, 0.04]))], False, True)]
+        args = [((0.8, A1, alpha1, np.array([0.03, -0.02])), True, True),
+                ((0.9, A2, alpha2, np.array([-0.01, 0.04])), False, True)]
         alone = [[_copied(b) for b in band.blocks(*a)] for a in args]
         assert all(len(blocks) >= 3 and None not in blocks for blocks in alone)
         walks = [band.blocks(*a) for a in args]
@@ -1192,12 +1204,12 @@ class TestWorkspace:
         # the band where h = 0), give their workspace back to the free list
         band = self._band(monkeypatch, domain_radius=1.4)
         monkeypatch.setattr(rfamily, "_FREE", [])
-        walk = band.blocks([(0.8, np.eye(2), 1.0, np.zeros(2))], True, False)
+        walk = band.blocks((0.8, np.eye(2), 1.0, np.zeros(2)), True, False)
         assert next(walk) is not None and rfamily._FREE == []  # the walk holds it
         walk.close()
         assert len(rfamily._FREE) == 1
         workspace = rfamily._FREE[0]
-        blocks = list(band.blocks([(0.8, np.eye(2), 1.0, np.array([0.5, 0.0]))], True, False))
+        blocks = list(band.blocks((0.8, np.eye(2), 1.0, np.array([0.5, 0.0])), True, False))
         assert blocks[-1] is None and rfamily._FREE == [workspace]
         p = EPoint(BlockMat(np.eye(2), 1.0), np.array([0.5, 0.0]))
         assert rfamily._band_value(band, 0.8, p) == np.inf  # stops at the barrier's block
@@ -1210,7 +1222,7 @@ class TestWorkspace:
         r, (A, alpha) = 0.8, sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
         v = np.array([0.03, -0.02])
         _, grad, _, kept = rfamily._band_sums(band, [(r, A, alpha, v)])[0]
-        blocks = [_copied(b) for b in band.blocks([(r, A, alpha, v)], True, True)]
+        blocks = [_copied(b) for b in band.blocks((r, A, alpha, v), True, True)]
         assert len(kept) == len(blocks) >= 3
         bumps = [trapezoid_bump(np.array([0.3, 0.3]), 0.2, 0.2),
                  trapezoid_bump(np.zeros(2), 1.0, 0.2)]
@@ -1226,17 +1238,36 @@ class TestWorkspace:
         mu = rfamily._measure(band, r, (A, alpha, v, grad, kept), bumps)[0]
         assert np.array_equal(mu, (-(1.0 - r) * alpha ** S * np.linalg.det(A)) * want)
 
-    def test_free_list_keeps_one_block_at_most(self, monkeypatch, fixture):
-        # an n = 1 grid above _BLOCK_NODES nodes is one block of the whole grid: its
-        # workspace is freed when the walk ends, and the free list keeps no workspace
-        # whose rows hold more than one block of _BLOCK_NODES nodes
+    def test_free_list_keeps_one_block_at_most(self, monkeypatch):
+        # below the 40 nodes per axis a block is one row of 40 nodes, wider than
+        # _BLOCK_NODES: that workspace is freed when the walk ends, and the free list keeps
+        # no workspace whose rows hold more than one block of _BLOCK_NODES nodes
+        band = self._band(monkeypatch)
+        p = EPoint(BlockMat(np.eye(2), 1.0), np.zeros(2))
         monkeypatch.setattr(rfamily, "_FREE", [])
-        h, pair = fixture[0], canonical_pair()
-        assert 0.0 < band_functional(h, S, pair, 0.8, identity_point(), QuadratureSpec()) < np.inf
+        assert 0.0 < rfamily._band_value(band, 0.8, p) < np.inf
         assert len(rfamily._FREE) == 1 and rfamily._FREE[0].shape[1] <= rfamily._BLOCK_NODES
-        big = QuadratureSpec(x_nodes_per_axis=rfamily._BLOCK_NODES + 1000)
-        assert 0.0 < band_functional(h, S, pair, 0.8, identity_point(), big) < np.inf
-        assert all(ws.shape[1] <= rfamily._BLOCK_NODES for ws in rfamily._FREE)
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", 30)
+        monkeypatch.setattr(rfamily, "_FREE", [])
+        assert 0.0 < rfamily._band_value(band, 0.8, p) < np.inf
+        assert rfamily._FREE == []
+
+    def test_n1_walks_leave_the_free_list_alone(self, monkeypatch, fixture, quad):
+        # the n = 1 walk allocates fresh arrays: a value on either route, a Newton
+        # evaluation and a sweep neither take a workspace from the list nor leave one on it
+        monkeypatch.setattr(rfamily, "_FREE", [])
+        h, cs, _ = fixture
+        pair = canonical_pair()
+        assert 0.0 < band_functional(h, S, pair, 0.8, identity_point(), quad) < np.inf
+        assert 0.0 < rescaled_band_functional(h, S, pair, 0.8, identity_point(), quad) < np.inf
+        band = rfamily._Band(h, S, pair, quad)
+        assert np.isfinite(rfamily._band_value_grad(band, 0.8, np.zeros(len(band.basis)))[0])
+        F = ConvolutionProfile(pair)
+        nu = counting_measure(cs.points)
+        ref = minimize_functional(h, S, nu, F)
+        sweep = r_sweep(h, S, pair, [0.8, 0.9], quad, ref, extract_measure(ref, h, S, nu, F))
+        assert all(e.error is None for e in sweep.entries)
+        assert rfamily._FREE == []
 
 
 def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
@@ -1748,9 +1779,9 @@ class TestSweepReadsTheMinimizersWalk:
     def test_rows_equal_the_measure_at_their_points(self, n, monkeypatch):
         # the acceptance fixture at 960 nodes, the triangle plus square at 240 and the
         # rotated octahedron plus cube at 64.  The sweep walks the grid once per
-        # round and no more: at n = 1 one walk evaluates every pending r (their grids fit
-        # one block), with one kernel call per walk, psi's kinks included; at n >= 2 a
-        # round is one evaluation.  Every row is bit for bit `_band_measure` walked at its
+        # round and no more: at n = 1 one line walk evaluates every pending r, with one
+        # kernel call per walk (their grids fit one), psi's kinks included; at n >= 2 a
+        # round is one evaluation, one tensor walk of one position.  Every row is bit for bit `_band_measure` walked at its
         # point, though the RSweepResult holds no array of the open nodes
         if n == 1:
             h, cs, _ = two_level_cross_fixture(1, S, 0.4, 0.8)
@@ -1764,21 +1795,27 @@ class TestSweepReadsTheMinimizersWalk:
         nu = counting_measure(points)
         ref = minimize_functional(h, S, nu, F)
         mu0 = extract_measure(ref, h, S, nu, F)
-        walks, kernel_calls = [], []
-        blocks, inner_band = rfamily._Band.blocks, rfamily._inner_band
+        walks, kernel_calls = [], []  # per walk, the positions it takes
+        blocks, line, inner_band = rfamily._Band.blocks, rfamily._Band.line, rfamily._inner_band
 
-        def spy_blocks(band, positions, *args):
+        def spy_blocks(band, position, *args):
+            walks.append(1)
+            return blocks(band, position, *args)
+
+        def spy_line(band, positions, *args):
             walks.append(len(positions))
-            return blocks(band, positions, *args)
+            return line(band, positions, *args)
 
         def spy_inner_band(*args):
             kernel_calls.append(len(args[3]))
             return inner_band(*args)
 
         monkeypatch.setattr(rfamily._Band, "blocks", spy_blocks)
+        monkeypatch.setattr(rfamily._Band, "line", spy_line)
         monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
         sweep = r_sweep(h, S, pair, schedule, quad, ref, mu0)
         monkeypatch.setattr(rfamily._Band, "blocks", blocks)
+        monkeypatch.setattr(rfamily._Band, "line", line)
         monkeypatch.setattr(rfamily, "_inner_band", inner_band)
         evaluations = [e.solver.evaluations for e in sweep.entries]
         assert len(walks) == (max(evaluations) if n == 1 else sum(evaluations))
@@ -1916,15 +1953,15 @@ class TestSweepRounds:
         # walks once per round, every r of the schedule in one walk
         h, ref, mu0 = self._problem(name, monkeypatch)
         pair, quad = canonical_pair(), QuadratureSpec()
-        walks, blocks = [], rfamily._Band.blocks
+        walks, line = [], rfamily._Band.line
 
-        def spy_blocks(band, positions, *args):
+        def spy_line(band, positions, *args):
             walks.append(len(positions))
-            return blocks(band, positions, *args)
+            return line(band, positions, *args)
 
-        monkeypatch.setattr(rfamily._Band, "blocks", spy_blocks)
+        monkeypatch.setattr(rfamily._Band, "line", spy_line)
         sweep = r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0)
-        monkeypatch.setattr(rfamily._Band, "blocks", blocks)
+        monkeypatch.setattr(rfamily._Band, "line", line)
         evaluations = [e.solver.evaluations for e in sweep.entries]
         assert len(walks) == max(evaluations) and walks[0] == len(self.SCHEDULE)
         assert sum(walks) == sum(evaluations)
@@ -1963,28 +2000,43 @@ class TestSweepRounds:
         assert got[1].point is None and got[1].solver is None
         assert [row for i, row in enumerate(self._rows(got)) if i != 1] == want[:1] + want[2:]
 
+    def test_unresolved_r_fails_with_its_reason(self, monkeypatch):
+        # at r = 1 - 1e-10 no node of the 960-node grid lies inside the band, so every sum
+        # is 0: the row fails and names the cause, nothing warns, and the row of r = 0.9
+        # is the row it gets alone
+        h, ref, mu0 = self._problem("9c", monkeypatch)
+        pair, quad = canonical_pair(), QuadratureSpec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = r_sweep(h, S, pair, [0.9, 0.9999999999], quad, ref, mu0).entries
+        assert got[1].error == ("BadR: the grid of 960 nodes per axis resolves no node of the "
+                                "band at r = 0.9999999999")
+        assert got[1].point is None and got[1].solver is None and np.isnan(got[1].lambda_r)
+        want = r_sweep(h, S, pair, [0.9], quad, ref, mu0).entries
+        assert self._rows(got[:1]) == self._rows(want)
+
     @pytest.mark.parametrize("bad", [0.5, 1.2])
     def test_r_outside_the_open_interval_raises_bad_r(self, bad, monkeypatch):
         h, ref, mu0 = self._problem("9c", monkeypatch)
         with pytest.raises(BadR, match=rf"r={bad} outside \(1/2, 1\)"):
             r_sweep(h, S, canonical_pair(), [0.8, bad, 0.9], QuadratureSpec(), ref, mu0)
 
-    def test_small_blocks_walk_one_r_per_round(self, monkeypatch):
-        # below one grid's nodes a block holds one r: every round walks one r, and every
-        # row is the row of the rounds that walk all four
+    def test_small_blocks_take_one_r_per_kernel_call(self, monkeypatch):
+        # below one grid's nodes a kernel call holds one r: every round's walk calls the
+        # kernel once per r, and every row is the row of the calls that take all four
         h, ref, mu0 = self._problem("9c", monkeypatch)
         pair, quad = canonical_pair(), QuadratureSpec()
         want = r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0)
-        walks, blocks = [], rfamily._Band.blocks
+        kernel_calls, inner_band = [], rfamily._inner_band
 
-        def spy_blocks(band, positions, *args):
-            walks.append(len(positions))
-            return blocks(band, positions, *args)
+        def spy_inner_band(*args):
+            kernel_calls.append(len(np.unique(args[2])))  # the r's of the call's nodes
+            return inner_band(*args)
 
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", 1000)
-        monkeypatch.setattr(rfamily._Band, "blocks", spy_blocks)
+        monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
         got = r_sweep(h, S, pair, self.SCHEDULE, quad, ref, mu0)
-        assert walks == [1] * sum(e.solver.evaluations for e in want.entries)
+        assert kernel_calls == [1] * sum(e.solver.evaluations for e in want.entries)
         assert self._rows(got.entries) == self._rows(want.entries)
 
     def test_a_round_is_each_evaluation_alone(self):
