@@ -20,8 +20,7 @@ import numpy as np
 from .blockmat import EPoint, trace0_array
 from .contact import GAP_TOL, _hemisphere_gap, detect_contacts
 from .errors import AllWeightsZero, AtomOffContactSet, DivergingIterates, NotConverged
-from .logconcave import (LogConcaveFn, _check_points, _positive_span, eval_h_many,
-                         psi_gradient)
+from .logconcave import LogConcaveFn, _check_points, _positive_span, eval_h_many
 
 if TYPE_CHECKING:
     from .profiles import ConvolutionProfile, ProfilePair
@@ -432,7 +431,9 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     at = _atoms(h, s, counting_measure(detect_contacts(h, s).points))
     _require_coercive(at, "limit functional is not coercive on the contact set")
     h2s = at.h_pow**2
-    slope2 = np.sum(psi_gradient(h.form, at.X) ** 2, axis=1)
+    piece = np.empty(len(at.X), np.intp)  # psi's active piece at each contact
+    eval_h_many(h, at.X, None, np.empty((len(h.form.b), len(at.X))), piece)
+    slope2 = np.sum(h.form.a[piece] ** 2, axis=1)
     W = at.w * h2s ** (0.5 * at.n) / np.sqrt(2.0**at.n * (1.0 + 2.0 / (s * s) * h2s * slope2))
     H = LimitProfile(ConvolutionProfile(pair), at.n)
     run = _minimize(at.phi, W, H, np.zeros(len(at.basis)))

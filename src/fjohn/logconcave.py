@@ -60,11 +60,6 @@ def psi_eval_many(form: PiecewiseLogAffine, X: np.ndarray, out=None, work=None) 
     return np.max(vals, axis=0, out=out)
 
 
-def psi_gradient(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
-    """The gradient of psi at the rows of X: the slope of the active piece (first on a tie)."""
-    return form.a[np.argmax(X @ form.a.T + form.b, axis=1)]
-
-
 def _sq_norms(X: np.ndarray, out=None, work=None) -> np.ndarray:
     """np.sum(X * X, axis=1) bit for bit, without numpy's slow reduce over short rows.
 
@@ -96,8 +91,8 @@ def eval_h_many(h: LogConcaveFn, X: np.ndarray, out=None, work=None, piece=None)
     """h over the rows of X: exp(-psi), and 0 outside the domain ball; out and work as psi's.
 
     piece (with work): an intp array that receives each row's active piece, the
-    first j whose a_j . x + b_j in work equals psi, as `psi_gradient` takes the
-    first maximum of its own product (a row with a NaN gets the last piece).
+    first j whose a_j . x + b_j in work equals psi, so a_j is the gradient of psi
+    there (a row with a NaN gets the last piece).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     form = h.form

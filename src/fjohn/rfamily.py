@@ -24,6 +24,7 @@ round (`r_sweep`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -35,14 +36,15 @@ from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, Sin
 from . import isotropy  # `isotropy._newton` by attribute: one name for a tracer to patch
 from .isotropy import CONVERGED, ROUNDING, DiscreteMeasure, MinimizerResult, limit_reference
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
-                         eval_h_many, psi_eval_many, psi_gradient)
+                         eval_h_many, psi_eval_many)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
 
 # Entries of the largest array a band walk holds, which is
 # x_nodes_per_axis ** max(1, n - 1): at n = 1 a position's whole grid goes to
-# one kernel call (`_Band.line`), whose fresh arrays take about 200 bytes a
-# node in a value walk and 315 in a derivative walk (0.85 and 1.3 GB at the
-# cap, all freed when the walk ends), and at n >= 2 (`_Band.blocks`) the
+# one kernel call (`_Band.line`), whose arrays and kernel rows take about 198
+# bytes a node in a value walk and 314 in a derivative walk (0.83 and 1.3 GB
+# at the cap, all freed when the walk ends: the free list keeps no rows that
+# wide), and at n >= 2 (`_Band.blocks`) the
 # row-weight table holds P^(n-1) entries for the P >= x_nodes_per_axis nodes
 # per axis, while a block holds at most max(`_BLOCK_NODES`, P) nodes.  It
 # admits 2048 nodes per axis at n = 3.
@@ -173,16 +175,58 @@ def _envelope_breaks_1d(form: PiecewiseLogAffine) -> tuple[np.ndarray, np.ndarra
 # grid nodes per block of `_Band.blocks` and per kernel call of `_Band.line`: ~32k, so
 # temporaries stay in cache
 _BLOCK_NODES = 1 << 15
-_FREE: list = []  # the workspace a finished walk of `_Band.blocks` left for the next one
+_FREE: list = []  # the buffer a finished band walk left for the next one
 
 
-def _kernel_rows(breaks: int, derivs: bool) -> int:
-    """Scratch rows of `_inner_band` on a g with `breaks` kinks: see its rows argument."""
-    return 1 + 2 * derivs + 1 + breaks + 3 + max(5 + 2 * derivs, breaks)
+class _Scratch(contextlib.AbstractContextManager):
+    """Rows of a band walk's arrays, handed out in stack order from one flat buffer.
+
+    `take(k)` returns the next k rows of `width` entries as one flat array
+    (a caller uses its first entries), and `release(mark)` hands back every
+    row taken after `mark()`.  A walk writes every array it makes into rows
+    through numpy's `out=`: the operations and their order are those of
+    fresh arrays, so no bit moves.  The buffer is the one on the module's
+    free list `_FREE`, or a new one of `rows` rows, as many as the last
+    walk that took any had taken at once, when the list holds none (a
+    nested, interleaved or concurrent walk builds its own, so no two live
+    walks share rows) or a smaller one.  Rows beyond its end are fresh
+    arrays (the first walk of a process takes all of them fresh).  On
+    leaving its `with` block (a finished or abandoned walk, or one stopped
+    at the barrier) the scratch gives the list a buffer that holds every
+    row the walk had taken at once, so the next walk of that size
+    allocates nothing.  The list keeps one buffer, and none from a walk
+    whose rows are wider than `_BLOCK_NODES` nodes.
+    """
+
+    rows = 0
+
+    def __init__(self, width: int):
+        self.width, self.top, self.high = width, 0, 0
+        buf = _FREE.pop() if _FREE else np.empty(0)
+        self.buf = buf if len(buf) >= _Scratch.rows * width else np.empty(_Scratch.rows * width)
+
+    def take(self, k: int) -> np.ndarray:
+        start = self.top
+        self.top = end = start + k * self.width
+        if end > self.high:
+            self.high = end
+        return self.buf[start:end] if end <= len(self.buf) else np.empty(end - start)
+
+    def mark(self) -> int:
+        return self.top
+
+    def release(self, mark: int) -> None:
+        self.top = mark
+
+    def __exit__(self, *exc):
+        if self.high:
+            _Scratch.rows = self.high // self.width
+        if self.width <= _BLOCK_NODES and not _FREE:
+            _FREE.append(self.buf if self.high <= len(self.buf) else np.empty(self.high))
 
 
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
-                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray, derivs: bool, rows=None):
+                c2: np.ndarray, den: np.ndarray, r2m1: np.ndarray, derivs: bool, scratch: _Scratch):
     """The inner t-integral I on the open nodes, and with derivs I' and I'' in c2 there.
 
     r is one float, or one per node (`_Band.line` walking several r at once):
@@ -220,21 +264,16 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
     product or terms of a sum, which rounds alike), so the integrals keep
     the bits of those expressions.
 
-    rows: `_kernel_rows` scratch rows of at least len(c2) entries, into which
-    it writes every node-sized array: `_Band.blocks` passes rows of its
-    workspace, and with None (`_Band.line`) the kernel allocates them.
-    The integrals it returns are views of the first 1 (3 with derivs) rows;
-    then come tau_top, g's pulled-back ends, the inputs on the open nodes,
-    and the passes' work arrays, which are free again once it returns.
+    scratch: the walk's `_Scratch`, whose rows hold at least len(c2)
+    entries.  The kernel takes every node-sized array from it, the
+    integrals' rows first, and releases the rest before it returns, so the
+    integrals it returns are views of the rows it took first and the
+    caller's next take follows them.
     """
     g_breaks = g_pl.breaks
     kinks = len(g_breaks)
-    if rows is None:
-        rows = np.empty((_kernel_rows(kinks, derivs), len(c2)))
-    # every view is a slice of the flat rows at a row's offset, as cheap as np.empty
-    step, rows = rows.shape[1], rows.reshape(-1)
-    top = (1 + 2 * derivs) * step  # tau_top, and half in the passes
-    ends_at, spare = top + step, top + (4 + kinks) * step
+    integrals = [scratch.take(1) for _ in range(1 + 2 * derivs)]  # I, and with derivs I', I''
+    mark = scratch.mark()
 
     def pullback(gb, out):  # tau with q(t) = gb: sqrt(max((den gb - r2m1)/c2, 0))
         np.multiply(den, gb, out=out)
@@ -243,7 +282,7 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
         np.maximum(out, 0.0, out=out)
         return np.sqrt(out, out=out)
 
-    tau_top = pullback(g_breaks[-1], rows[top:top + len(c2)])
+    tau_top = pullback(g_breaks[-1], scratch.take(1)[:len(c2)])
     # tau > r is t > -1 exactly, as 1 - r and tau - 1 (tau in [1/2, 2]) are exact for r in
     # (1/2, 1); ~(tau <= r) rather than tau > r keeps NaN nodes on the integrating path
     is_open = (~(tau_top <= r)).nonzero()[0]
@@ -253,16 +292,15 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
     omr = 1.0 - r
     # each kink's pullback on the open nodes, tau and then t; every (k, m) view of the kernel
     # is contiguous, as numpy's loops over strided rows cost ~0.7 us more a call
-    g_ends = rows[ends_at:ends_at + kinks * m].reshape(kinks, m)
+    g_ends = scratch.take(kinks)[:kinks * m].reshape(kinks, m)
     tau_top.take(is_open, out=g_ends[-1], mode="clip")  # is_open is in range: no bounds check
-    at = spare - 3 * step  # the inputs on the open nodes
-    c2 = c2.take(is_open, out=rows[at:at + m], mode="clip")
-    den = den.take(is_open, out=rows[at + step:at + step + m], mode="clip")
-    r2m1 = r2m1.take(is_open, out=rows[at + 2 * step:at + 2 * step + m], mode="clip")
+    c2, den, r2m1 = (x.take(is_open, out=scratch.take(1)[:m], mode="clip")  # on the open nodes
+                     for x in (c2, den, r2m1))
     for gb, row in zip(g_breaks[:-1], g_ends):
         pullback(gb, row)
     if derivs:  # I'' = sum_k D_k terms_k/(2 (1-r) c2 den), terms = f(t) tau^3, 0 where tau <= r
-        terms = np.power(g_ends, 3, out=rows[spare:spare + kinks * m].reshape(kinks, m))
+        spare = scratch.mark()
+        terms = np.power(g_ends, 3, out=scratch.take(kinks)[:kinks * m].reshape(kinks, m))
         shut = ~(g_ends > r)
     g_ends -= 1.0  # t = (tau - 1)/(1-r)
     g_ends /= omr
@@ -270,14 +308,15 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
         terms *= f_pl(g_ends)
         terms[shut] = 0.0
         jumps = np.append(g_pl.slopes[1:-1], 0.0) - g_pl.slopes[:-1]
-        d2_inner = rows[2 * step:2 * step + m]
+        d2_inner = integrals[2][:m]
         d2_inner.fill(0.0)
         for jump, row in zip(jumps, terms):  # kink by kink, each node on its own
             d2_inner += np.multiply(row, jump, out=row)
-        scale = np.multiply(c2, 2.0 * omr, out=rows[spare:spare + m])  # 2 (1-r) c2 den
+        scale = np.multiply(c2, 2.0 * omr, out=terms[0])  # 2 (1-r) c2 den
         scale *= den
         d2_inner /= scale
-        shut = None  # the rest are workspace rows
+        shut = None  # freed before the passes
+        scratch.release(spare)
     # the t-ends of f's pieces above -1, and of g's pieces below its top kink in [-1, t_top]
     f_ends = [-1.0, *f_pl.breaks[f_pl.breaks > -1.0], np.inf]
     np.minimum(np.maximum(g_ends[:-1], -1.0, out=g_ends[:-1]), g_ends[-1], out=g_ends[:-1])
@@ -289,19 +328,17 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
 
     xi = _gauss(2)[0][:, None]  # the 2-point rule: nodes mid + xi half, both weights exactly 1
     qlo, qhi = g_breaks[0] - 1.0, g_breaks[-1] + 1.0
-    inner = rows[:m]
+    inner = integrals[0][:m]
     inner.fill(0.0)
     if derivs:
-        d_inner = rows[step:step + m]
+        d_inner = integrals[1][:m]
         d_inner.fill(0.0)
-    # work arrays of every pass: the segment ends, then the Gauss nodes t, then (without
-    # derivs, in place of t) tau^2, then q and vals; half, mid and the row sums; f(t); with
-    # derivs tau^2 and then d_vals
-    at = spare + step
-    ends = rows[at:at + 2 * m].reshape(2, m)
-    f_t = rows[at + 2 * step:at + 2 * step + 2 * m].reshape(2, m)
-    work = rows[at + 4 * step:at + 4 * step + 2 * m].reshape(2, m) if derivs else None
-    half, mid = rows[top:top + m], rows[spare:spare + m]
+    # work arrays of every pass: half (in tau_top's spent row), mid and the row sums; the
+    # segment ends, then the Gauss nodes t, then (without derivs, in place of t) tau^2,
+    # then q and vals; f(t); with derivs tau^2 and then d_vals
+    half, mid = tau_top[:m], scratch.take(1)[:m]
+    passes = scratch.take(4 + 2 * derivs)[:(4 + 2 * derivs) * m].reshape(2 + derivs, 2, m)
+    ends, f_t, work = passes[0], passes[1], passes[2] if derivs else None
     a, b = ends
     for i, j in itertools.product(range(len(f_ends) - 1), range(len(g_breaks))):
         if f_ends[i] >= g_highs[j + 1] or f_ends[i + 1] <= g_lows[j]:
@@ -348,10 +385,10 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
         np.add(vals[0], vals[1], out=mid)
         mid *= half
         inner += mid
-    if not derivs:
-        return is_open, inner
-    d_inner /= den
-    return is_open, inner, d_inner, d2_inner
+    if derivs:
+        d_inner /= den
+    scratch.release(mark)  # all but the integrals
+    return (is_open, inner, d_inner, d2_inner) if derivs else (is_open, inner)
 
 
 def check_band_pair(pair: ProfilePair) -> None:
@@ -446,15 +483,12 @@ class _Band:
         for the P nodes x of `_axis_rule`).  j is the first maximum of the
         (pieces, nodes) product a_j . y + b_j that h at y already takes
         (`eval_h_many`'s piece), found at every near node by one comparison
-        per piece.  `psi_gradient` takes it from a product of its own, in
-        (nodes, pieces) layout, so a node where two pieces tie to rounding
-        can get the other one.  The walk yields None and stops at the
-        barrier, the first block where part of the band lies where
-        h^(1/s)/alpha vanishes (or its square underflows).  h at the
-        band-factor argument is evaluated only where the band can be open
-        (q(-1) below the top kink of g).  Callers reduce each block as it
-        comes, so a sum is a sum of block sums in grid order (~1e-16 relative
-        from one sum over the grid).
+        per piece.  The walk yields None and stops at the barrier, the first
+        block where part of the band lies where h^(1/s)/alpha vanishes (or
+        its square underflows).  h at the band-factor argument is evaluated
+        only where the band can be open (q(-1) below the top kink of g).
+        Callers reduce each block as it comes, so a sum is a sum of block
+        sums in grid order (~1e-16 relative from one sum over the grid).
 
         The grid is walked in blocks of whole tensor rows, about
         `_BLOCK_NODES` nodes each, so every per-node temporary stays in
@@ -474,20 +508,14 @@ class _Band:
         weights times column weights: the same products as those of the
         whole tensor grid.
 
-        Every array a block makes is written into one workspace, rows of
-        min(step, rows) P nodes in a flat array, through numpy's `out=`: the
-        operations and their order are those of fresh arrays, so no bit
-        moves.  The yielded arrays are views of it that stay valid only until
-        the walk's next step (the consumer may overwrite them); a caller that
-        keeps one copies it (`_band_sums`' kept Y).  The walk takes the
-        workspace from the module's free list `_FREE` when it starts, or
-        builds one when the list holds none that fits (a nested, interleaved
-        or concurrent walk builds its own, so no two live walks share
-        buffers), and gives it back in its `finally`, so an abandoned walk or
-        one stopped at the barrier returns it too.  The list keeps one
-        workspace, and only one whose rows hold at most `_BLOCK_NODES` nodes;
-        a wider one (more than `_BLOCK_NODES` nodes per axis) is freed when
-        the walk ends.
+        Every array a block makes, the kernel's included, is taken from the
+        walk's `_Scratch`, rows of min(step, rows) P nodes: the rows that live
+        across the kernel call once per walk, and the rest per block.  The
+        yielded arrays are views of its rows that stay valid only until the
+        walk's next step (the consumer may overwrite them); a caller that
+        keeps one copies it (`_band_sums`' kept Y).  A walk with more than
+        `_BLOCK_NODES` nodes per axis has rows too wide for the free list to
+        keep.
 
         Each node's arithmetic is the whole grid's.  A block keeps the grid's
         row-major (nodes, n) layout, so every matrix product takes the same
@@ -512,31 +540,15 @@ class _Band:
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
         a, b = self.h.form.a, self.h.form.b
         top = 2.0 * (1.0 - r) * max(float(self.g.breaks[-1]), 1.0) * 1.0000001
-        # the workspace: rows of a block's grid nodes, sliced at their offsets in the flat
-        # array.  Rows 0-3 hold h, c2, den and |x|^2 - 1 on the near nodes (with derivs then
-        # X, Y and psi's active piece there) across the kernel call; the kernel's rows follow,
-        # which hold before it the grid's X, |x|^2 - 1, den and psi's product, then (without
-        # derivs) X and Y on the near nodes and psi's product there, and after it the yielded
-        # arrays: W's tile, W, h, X, Y and the piece
-        cap = min(step, rows) * P
-        held, pieces = 4 + (2 * n + 1) * derivs, len(b)
-        need = held + max(_kernel_rows(len(self.g.breaks), derivs), n + 2 + pieces,
-                          2 * n * (not derivs) + pieces, 4 + derivs * (3 + 2 * n))
-        try:
-            ws = _FREE.pop()
-        except IndexError:  # a nested, interleaved or concurrent walk holds the list's
-            ws = None
-        if ws is None or ws.shape[0] < need or ws.shape[1] < cap:
-            ws = np.empty((need, cap))
-        width, flat = ws.shape[1], ws.reshape(-1)
-        at_grid = held * width
-        at_r2 = at_grid + n * width
-        at_den, at_psi = at_r2 + width, at_r2 + 2 * width
-        at_x, at_y, at_psi_y = ((4 * width, (4 + n) * width, at_grid) if derivs else
-                                (at_r2, at_grid, at_grid + 2 * n * width))
-        at_out = at_grid + (1 + 2 * derivs) * width
-        try:
+        with _Scratch(min(step, rows) * P) as scratch:
+            # the near nodes' h, c2, den and |x|^2 - 1, and with derivs X, Y and psi's active
+            # piece there, live across the kernel call
+            h_row, c2_row, den_row, r2_row = (scratch.take(1) for _ in range(4))
+            if derivs:
+                x_rows, y_rows, piece_row = scratch.take(n), scratch.take(n), scratch.take(1)
+            base = scratch.mark()
             for r0 in range(0, rows, step):
+                scratch.release(base)
                 r1 = min(rows, r0 + step)
                 lead = [x1[np.arange(r0, r1) // P ** (n - 2 - k) % P] for k in range(n - 1)]
                 # the columns some row of the block has inside the disk
@@ -552,63 +564,60 @@ class _Band:
                     continue
                 c0, c1 = cols[0], cols[-1] + 1
                 nodes = (r1 - r0) * (c1 - c0)
-                X = flat[at_grid:at_grid + nodes * n].reshape(r1 - r0, c1 - c0, n)
+                grid = scratch.take(n)
+                X = grid[:nodes * n].reshape(r1 - r0, c1 - c0, n)
                 X[..., -1] = x1[c0:c1]
                 for k, x in enumerate(lead):
                     X[..., k] = x[:, None]
                 X = X.reshape(-1, n)
+                spent = scratch.mark()  # the grid's rows below stay until X is taken
                 Z = X if shifted else np.linalg.solve(A, (X - v).T).T
-                r2m1 = _sq_norms(Z, flat[at_r2:at_r2 + nodes], flat[at_den:at_den + nodes])
+                r2m1, den = scratch.take(2)[:2 * nodes].reshape(2, nodes)
+                r2m1 = _sq_norms(Z, r2m1, den)
                 r2m1 -= 1.0
-                den = eval_h_many(self.h, Z, flat[at_den:at_den + nodes],
-                                  flat[at_psi:at_psi + pieces * nodes].reshape(pieces, nodes))
+                psi = scratch.take(len(b))[:len(b) * nodes].reshape(len(b), nodes)
+                den = eval_h_many(self.h, Z, den, psi)
                 den **= 2.0 / s  # 2 h^(2/s) (1-r), in place
                 den *= 2.0
                 den *= 1.0 - r
-                near = np.flatnonzero(r2m1 < np.multiply(den, self.g.breaks[-1],
-                                                         out=flat[at_psi:at_psi + nodes]))
+                near = np.flatnonzero(r2m1 < np.multiply(den, self.g.breaks[-1], out=psi[0]))
                 if not len(near):  # the band is closed on the whole block
                     continue
                 m = len(near)  # near is in range: no bounds check
-                den = den.take(near, out=flat[2 * width:2 * width + m], mode="clip")
-                r2m1 = r2m1.take(near, out=flat[3 * width:3 * width + m], mode="clip")
-                Y = X0 = X.take(near, axis=0, out=flat[at_x:at_x + m * n].reshape(m, n),
-                                mode="clip")
+                den = den.take(near, out=den_row[:m], mode="clip")
+                r2m1 = r2m1.take(near, out=r2_row[:m], mode="clip")
+                scratch.release(spent)
+                # X and Y on the near nodes: with derivs in their rows, else X in the spent
+                # rows and Y in the grid's, which is spent once X is taken
+                near_x, near_y = (x_rows, y_rows) if derivs else (scratch.take(n), grid)
+                Y = X0 = X.take(near, axis=0, out=near_x[:m * n].reshape(m, n), mode="clip")
                 if shifted:  # Y @ A.T + v, on numpy's fast paths: A.T contiguous, v by columns
                     Y = np.matmul(X0, np.ascontiguousarray(A.T),
-                                  out=flat[at_y:at_y + m * n].reshape(m, n))
+                                  out=near_y[:m * n].reshape(m, n))
                     for k in range(n):
                         Y[:, k] += v[k]
-                piece = None  # with derivs, psi's active piece at Y, from the product h takes
-                if derivs:
-                    piece = flat[(held - 1) * width:(held - 1) * width + m].view(np.intp)
-                h_near = eval_h_many(self.h, Y, flat[:m],
-                                     flat[at_psi_y:at_psi_y + pieces * m].reshape(pieces, m), piece)
+                piece = piece_row[:m].view(np.intp) if derivs else None  # psi's active piece
+                h_near = eval_h_many(self.h, Y, h_row[:m],
+                                     scratch.take(len(b))[:len(b) * m].reshape(len(b), m), piece)
                 h_near **= 1.0 / s
-                c2 = np.divide(h_near, alpha, out=flat[width:width + m])
+                c2 = np.divide(h_near, alpha, out=c2_row[:m])
                 c2 **= 2
                 if not np.minimum.reduce(c2, initial=np.inf) > 0.0:  # NaN fails too
                     yield None
                     return
+                scratch.release(base)
                 opened, *integrals = _inner_band(self.f, self.g, r, c2, den, r2m1, derivs,
-                                                 ws[held:])
-                j, tile = len(opened), flat[at_out:at_out + nodes]
+                                                 scratch)
+                j, tile = len(opened), scratch.take(1)[:nodes]
                 np.multiply.outer(w_rows[r0:r1], w1[c0:c1], out=tile.reshape(r1 - r0, -1))
-                at = at_out + width
-                out = [tile.take(near[opened], out=flat[at:at + j], mode="clip"),
-                       h_near.take(opened, out=flat[at + width:at + width + j], mode="clip"),
-                       *integrals]
+                out = [tile.take(near[opened], out=scratch.take(1)[:j], mode="clip"),
+                       h_near.take(opened, out=scratch.take(1)[:j], mode="clip"), *integrals]
                 if derivs:
-                    at += 2 * width
-                    for x in (X0, Y):
-                        out.append(x.take(opened, axis=0, out=flat[at:at + j * n].reshape(j, n),
+                    out += [x.take(opened, axis=0, out=scratch.take(n)[:j * n].reshape(j, n),
+                                   mode="clip") for x in (X0, Y)]
+                    out.append(piece.take(opened, out=scratch.take(1)[:j].view(np.intp),
                                           mode="clip"))
-                        at += n * width
-                    out.append(piece.take(opened, out=flat[at:at + j].view(np.intp), mode="clip"))
                 yield tuple(out)
-        finally:  # an abandoned walk, or one stopped at the barrier, returns it too
-            if width <= _BLOCK_NODES and not _FREE:
-                _FREE.append(ws)
 
     def line(self, positions, shifted: bool, derivs: bool):
         """Walk the n = 1 grids of every position side by side, yielding each one's open nodes.
@@ -633,8 +642,7 @@ class _Band:
         holds the position's open nodes' arrays as a block of `blocks` does,
         over the whole grid (the grid lies inside the disk that `blocks`
         clips to, so every node is visited, and W is the column weight, the
-        row weight being 1.0); j is psi's first maximum as `psi_gradient`
-        takes it, as every entry of either product is one term.  With
+        row weight being 1.0); j is psi's first maximum, as in `blocks`.  With
         derivs the item ends with a tuple (x_k, c^2, D_k, I, I') on psi's
         kinks y_k where the band is open: the band variable x_k = (y_k - v)/a
         (in both routes), c^2 = (h(y_k)^(1/s)/alpha)^2, psi's slope jump D_k,
@@ -644,12 +652,13 @@ class _Band:
         they move no bit of the grid's integrals.  h at the band-factor
         argument is evaluated only where the band can be open.
 
-        The arrays are fresh and the items stay valid: the walk keeps no
-        workspace.  In a loop of sweeps alone a kept one saved no page fault
-        and no CPU time; where the process hands freed memory back to the
-        system between calls, every call faults its arrays in again (about
-        250 pages, most of them the kernel's rows, per sweep at the default
-        960 nodes).
+        Each kernel call takes its rows from a `_Scratch` of its own, rows of
+        its node count, which it holds until the walk resumes after the
+        call's last item, so the items' integrals are views of its rows that
+        stay valid only until the walk's next kernel call; the other arrays
+        are fresh.  The buffer the free list keeps serves every call of a
+        sweep, so a sweep faults no kernel row in, also where the process
+        hands freed memory back to the system between calls.
         """
         s, top = self.s, self.g.breaks[-1]
         rules = []
@@ -705,21 +714,23 @@ class _Band:
                 c2, den = np.concatenate([c2, c2_k]), np.concatenate([den, den_k[kink]])
                 r2m1 = np.concatenate([r2m1, x_k * x_k - 1.0])
                 r_node = np.concatenate([r_node, np.broadcast_to(params[:, :1], kink.shape)[kink]])
-            opened, *integrals = _inner_band(self.f, self.g, r_node, c2, den, r2m1, derivs)
-            split = np.searchsorted(opened, m)  # the kinks' open points follow the grid's
-            grid = opened[:split]
-            out = [w1[near[grid]], h_y[grid], *[e[:split] for e in integrals]]
-            open_cuts = np.searchsorted(grid, cuts)
-            if derivs:
-                out += [X[grid], Y[grid], piece[grid]]
-                ko = opened[split:] - m
-                kinks = [x_k[ko], c2_k[ko], jump[ko], *[e[split:] for e in integrals[:2]]]
-                kink_cuts = np.searchsorted(ko, kink_edges)
-            for p, closed in enumerate(shut):
-                item = tuple(x[open_cuts[p]:open_cuts[p + 1]] for x in out)
+            with _Scratch(len(c2)) as scratch:  # the kernel's rows, until its next call
+                opened, *integrals = _inner_band(self.f, self.g, r_node, c2, den, r2m1, derivs,
+                                                 scratch)
+                split = np.searchsorted(opened, m)  # the kinks' open points follow the grid's
+                grid = opened[:split]
+                out = [w1[near[grid]], h_y[grid], *[e[:split] for e in integrals]]
+                open_cuts = np.searchsorted(grid, cuts)
                 if derivs:
-                    item += (tuple(e[kink_cuts[p]:kink_cuts[p + 1]] for e in kinks),)
-                yield None if closed else item
+                    out += [X[grid], Y[grid], piece[grid]]
+                    ko = opened[split:] - m
+                    kinks = [x_k[ko], c2_k[ko], jump[ko], *[e[split:] for e in integrals[:2]]]
+                    kink_cuts = np.searchsorted(ko, kink_edges)
+                for p, closed in enumerate(shut):
+                    item = tuple(x[open_cuts[p]:open_cuts[p + 1]] for x in out)
+                    if derivs:
+                        item += (tuple(e[kink_cuts[p]:kink_cuts[p + 1]] for e in kinks),)
+                    yield None if closed else item
 
 
 def _positive(A: np.ndarray, alpha: float) -> bool:

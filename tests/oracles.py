@@ -20,7 +20,7 @@ from fjohn.blockmat import BlockMat, EPoint, s_trace, trace0_array
 from fjohn.contact import ContactSet, _hemisphere_gap, _merge_contacts
 from fjohn.errors import NotConverged, NotInBr, NotJohnPosition, SingularA
 from fjohn.isotropy import DiscreteMeasure, _Atoms
-from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many, psi_gradient
+from fjohn.logconcave import LogConcaveFn, PiecewiseLogAffine, eval_h_many
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -427,6 +427,26 @@ def x_grid(n: int, radius: float, nodes_per_axis: int, kinks=None):
     return pts, functools.reduce(np.multiply.outer, [w1] * n).ravel()
 
 
+def psi_gradient(form: PiecewiseLogAffine, X: np.ndarray) -> np.ndarray:
+    """The gradient of psi at the rows of X: the slope of the active piece (first on a tie).
+
+    From a product of its own in (nodes, pieces) layout, the reference for
+    the active piece that `eval_h_many` finds in its (pieces, nodes) product.
+    """
+    return form.a[np.argmax(X @ form.a.T + form.b, axis=1)]
+
+
+def inner_band_alone(f_pl, g_pl, r, c2, den, r2m1, derivs):
+    """`rfamily._inner_band` on a scratch of its own, which goes back to the free list.
+
+    The arrays it returns are copies, so a later walk, which reuses the
+    scratch's buffer, leaves them as they are.
+    """
+    with rfamily._Scratch(len(c2)) as scratch:
+        return tuple(x.copy() for x in rfamily._inner_band(f_pl, g_pl, r, c2, den, r2m1, derivs,
+                                                           scratch))
+
+
 def sorted_inner_band(f_pl, g_pl, r, c2, den, r2m1):
     """The sorted-merge kernel that `rfamily._inner_band` replaces, its bit-for-bit reference.
 
@@ -591,8 +611,8 @@ def kink_hessian(band, r: float, A: np.ndarray, alpha: float, v: np.ndarray) -> 
     c2 = (band.h_breaks / alpha) ** 2
     k = np.flatnonzero((den * band.g.breaks[-1] - r2m1 > c2 * r * r) & (c2 > 0.0))  # open
     if len(k):
-        opened, inner, d_inner, _ = rfamily._inner_band(band.f, band.g, r, c2[k], den[k], r2m1[k],
-                                                        derivs=True)
+        opened, inner, d_inner, _ = inner_band_alone(band.f, band.g, r, c2[k], den[k], r2m1[k],
+                                                     derivs=True)
         k, c2 = k[opened], c2[k[opened]]
         dy = np.zeros((len(k), 3))
         dy[:, 0], dy[:, 2] = x[k], 1.0

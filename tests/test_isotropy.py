@@ -15,10 +15,10 @@ from fjohn.isotropy import (NEWTON_TOL, WITHIN_TOL, DiscreteMeasure, MinimizerRe
                             _minimize, calibrated_measure, check_isotropy, coercivity_witness,
                             counting_measure, extract_measure, functional_gradient,
                             limit_reference, minimize_functional)
-from fjohn.logconcave import _positive_span, make_log_concave, psi_gradient
+from fjohn.logconcave import _positive_span, make_log_concave
 from fjohn.profiles import (ConvolutionProfile, LimitProfile, PiecewiseLinear, ProfilePair,
                             canonical_pair)
-from oracles import functional_value, lp_spans, project_trace0
+from oracles import functional_value, lp_spans, project_trace0, psi_gradient
 
 F = ConvolutionProfile(canonical_pair())
 S = 1.0

@@ -17,14 +17,14 @@ from fjohn.errors import (BadR, DivergingIterates, NotConverged, NotInBr, NotJoh
                           NotProper, SingularA)
 from fjohn.isotropy import (counting_measure, extract_measure, limit_reference,
                             minimize_functional)
-from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave, psi_gradient
+from fjohn.logconcave import PiecewiseLogAffine, eval_h_many, make_log_concave
 from fjohn.profiles import ConvolutionProfile, PiecewiseLinear, ProfilePair, canonical_pair
 from fjohn.rfamily import (QuadratureSpec, _envelope_breaks_1d, band_functional,
                            concentration_integral, default_bumps, minimize_band, r_sweep,
                            rescaled_band_functional, stationarity_multiplier, trapezoid_bump)
 from oracles import (band_walk, density_sums, envelope_breaks_scan,
-                     fd_newton_minimize, inner_curvature, kink_hessian, pl_deriv, s_det,
-                     sorted_inner_band, theta_point, x_grid)
+                     fd_newton_minimize, inner_band_alone, inner_curvature, kink_hessian,
+                     pl_deriv, psi_gradient, s_det, sorted_inner_band, theta_point, x_grid)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 S = 1.0
@@ -269,7 +269,8 @@ def _traced_peak(evaluate, monkeypatch=None):
     """evaluate()'s result and its tracemalloc peak, after one untraced warm-up call.
 
     With monkeypatch, the band walk's free list is emptied after the warm-up,
-    so the traced call builds its workspace and the peak counts it."""
+    so the traced call builds its buffer, of as many rows as the warm-up took
+    (`_Scratch.rows`), and the peak counts it."""
     evaluate()
     if monkeypatch is not None:
         monkeypatch.setattr(rfamily, "_FREE", [])
@@ -535,8 +536,8 @@ class TestBandHessian:
         A, alpha, v = np.eye(1), 10.0, np.zeros(1)
         calls, inner_band = [], rfamily._inner_band
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
-            out = inner_band(f, g, r, c2, den, r2m1, derivs, rows)
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, scratch):
+            out = inner_band(f, g, r, c2, den, r2m1, derivs, scratch)
             calls.append((len(c2), out[0].tolist()))
             return out
 
@@ -883,8 +884,8 @@ def _unblocked_terms(band, r, A, alpha, v, shifted):
     c2 = (h_y / alpha) ** 2
     if not np.all(c2 > 0.0):
         return None, None
-    opened, inner, d_inner, _ = rfamily._inner_band(band.f, band.g, r, c2, den[near],
-                                                    r2m1[near], derivs=True)
+    opened, inner, d_inner, _ = inner_band_alone(band.f, band.g, r, c2, den[near],
+                                                 r2m1[near], derivs=True)
     at = near[opened]
     d2_inner = inner_curvature(band.f, band.g, r, c2[opened], den[at], r2m1[at])
     terms = X[at], Y[at], W[at], h_y[opened], inner, d_inner, d2_inner
@@ -1037,9 +1038,9 @@ class TestBlockedTerms:
             visited.append(len(Z))
             return sq_norms(Z, *scratch)
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, scratch):
             kernel_inputs.append((c2.copy(), den.copy(), r2m1.copy()))  # workspace rows
-            return inner_band(f, g, r, c2, den, r2m1, derivs, rows)
+            return inner_band(f, g, r, c2, den, r2m1, derivs, scratch)
 
         compared = 0
         for A, alpha, v in positions:
@@ -1079,9 +1080,9 @@ class TestBlockedTerms:
             visited.append(len(Z))
             return sq_norms(Z, *scratch)
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, scratch):
             near.append(len(c2))
-            return inner_band(f, g, r, c2, den, r2m1, derivs, rows)
+            return inner_band(f, g, r, c2, den, r2m1, derivs, scratch)
 
         for A, alpha, v in self._positions(2)[:2]:  # the last one is refused
             visited.clear()
@@ -1145,8 +1146,8 @@ def _kink_terms(band, r, A, alpha, v):
     den = 2.0 * (1.0 - r) * eval_h_many(band.h, x[:, None]) ** (2.0 / band.s)
     c2 = (band.h_breaks / alpha) ** 2
     k = np.flatnonzero(c2 > 0.0)
-    opened, inner, d_inner, _ = rfamily._inner_band(band.f, band.g, r, c2[k], den[k],
-                                                    x[k] * x[k] - 1.0, derivs=True)
+    opened, inner, d_inner, _ = inner_band_alone(band.f, band.g, r, c2[k], den[k],
+                                                 x[k] * x[k] - 1.0, derivs=True)
     k = k[opened]
     return x[k], c2[k], band.jumps[k], inner, d_inner
 
@@ -1164,15 +1165,91 @@ def _same_blocks(got, want):
 
 
 class TestWorkspace:
-    """`_Band.blocks` writes every block into one workspace, which the free list keeps."""
+    """Both band walks and their kernel take every array from one `_Scratch`, whose buffer the
+    free list keeps."""
 
     @staticmethod
-    def _band(monkeypatch, domain_radius=None):
+    def _band(monkeypatch, domain_radius=None, n=2):
         # 40 nodes per axis in blocks of 7 rows: six blocks at n = 2, the last one partial
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", 300)
-        form = two_level_cross_fixture(2, S, 0.4, 0.8)[0].form
+        form = two_level_cross_fixture(n, S, 0.4, 0.8)[0].form
         h = make_log_concave(form.a, form.b, S, domain_radius=domain_radius)
         return rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=40))
+
+    @staticmethod
+    def _scratch(width, rows):
+        """A scratch of rows of `width` on a buffer of `rows` rows, apart from the free list."""
+        scratch = rfamily._Scratch.__new__(rfamily._Scratch)
+        scratch.width, scratch.top, scratch.high = width, 0, 0
+        scratch.buf = np.empty(rows * width)
+        return scratch
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_live_rows_never_overlap(self, seed):
+        # a seeded run of takes, marks and releases on a buffer of 6 rows of 5, against a
+        # stack of the live takes: every take is whole rows that share no entry with a live
+        # one (past the buffer's end they are fresh arrays), and a release hands back
+        # exactly the takes after its mark
+        rng = np.random.default_rng(seed)
+        scratch = self._scratch(5, 6)
+        live, marks = [], []  # (rows, the value written into them); (mark, live takes there)
+        for step in range(400):
+            move = rng.integers(3)
+            if move == 0:
+                k = int(rng.integers(4))
+                rows = scratch.take(k)
+                assert rows.shape == (5 * k,)
+                assert not any(np.shares_memory(rows, held) for held, _ in live)
+                rows.fill(step)
+                live.append((rows, step))
+            elif move == 1:
+                marks.append((scratch.mark(), len(live)))
+            elif marks:
+                mark, count = marks[int(rng.integers(len(marks)))]
+                marks = [m for m in marks if m[1] <= count and m[0] <= mark]
+                scratch.release(mark)
+                del live[count:]
+            assert all(np.all(held == value) for held, value in live)
+            assert scratch.top == sum(len(held) for held, _ in live)
+        assert scratch.high > 30  # some takes went past the buffer's end
+
+    def test_release_frees_only_the_rows_after_its_mark(self):
+        scratch = self._scratch(4, 10)
+        first = scratch.take(2)
+        first.fill(1.0)
+        mark = scratch.mark()
+        second = scratch.take(3)
+        scratch.release(mark)
+        third = scratch.take(1)
+        assert np.shares_memory(third, second) and not np.shares_memory(third, first)
+        third.fill(2.0)
+        assert np.all(first == 1.0) and scratch.mark() == mark + 4
+
+    def test_overflowing_walk_keeps_its_high_water(self, monkeypatch):
+        # a walk whose buffer holds 3 of its rows (of 7 grid rows of 40 nodes) takes the rest
+        # fresh, yields the blocks a walk with room yields, and leaves a buffer of every row
+        # it took at once; the next walk of that size allocates nothing (np.empty, which the
+        # scratch allocates with, is counted)
+        band = self._band(monkeypatch)
+        A, alpha = sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
+        args = ((0.8, A, alpha, np.array([0.03, -0.02])), True, True)
+        small = np.empty(3 * 280)
+        monkeypatch.setattr(rfamily._Scratch, "rows", 0)
+        monkeypatch.setattr(rfamily, "_FREE", [small])
+        over = [_copied(b) for b in band.blocks(*args)]
+        kept, = rfamily._FREE
+        assert len(kept) == rfamily._Scratch.rows * 280 > len(small)
+        allocations, empty = [], np.empty
+
+        def counting_empty(*shape, **kwargs):
+            allocations.append(shape)
+            return empty(*shape, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counting_empty)
+        again = [_copied(b) for b in band.blocks(*args)]
+        monkeypatch.setattr(np, "empty", empty)
+        assert allocations == [] and len(rfamily._FREE) == 1 and rfamily._FREE[0] is kept
+        assert len(over) >= 3 and _same_blocks(over, again)
 
     def test_interleaved_walks_match_walks_alone(self, monkeypatch):
         # two walks stepped alternately, one block apart, one shifted and one unshifted at
@@ -1199,19 +1276,29 @@ class TestWorkspace:
         assert all(_same_blocks(g, a) for g, a in zip(got, alone))
         assert len(rfamily._FREE) == 1  # it keeps one of the two workspaces
 
-    def test_closed_and_barrier_walks_return_their_workspace(self, monkeypatch):
-        # a walk closed after its first block, and one that stops at the barrier (part of
-        # the band where h = 0), give their workspace back to the free list
-        band = self._band(monkeypatch, domain_radius=1.4)
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_closed_and_barrier_walks_return_their_workspace(self, n, monkeypatch):
+        # a walk closed after its first item, and one that meets the barrier (part of the
+        # band where h = 0), give their buffer back to the free list.  At n = 1 both walk a
+        # round of two positions, the second one at its barrier
+        band = self._band(monkeypatch, domain_radius=1.4, n=n)
+        shift = np.eye(n)[0] * 0.5
+        ident, shut = (0.8, np.eye(n), 1.0, np.zeros(n)), (0.8, np.eye(n), 1.0, shift)
+
+        def walk(position):
+            return (band.blocks(position, True, False) if n == 2 else
+                    band.line([ident, shut], True, False))
+
         monkeypatch.setattr(rfamily, "_FREE", [])
-        walk = band.blocks((0.8, np.eye(2), 1.0, np.zeros(2)), True, False)
-        assert next(walk) is not None and rfamily._FREE == []  # the walk holds it
-        walk.close()
+        walking = walk(ident)
+        assert next(walking) is not None and rfamily._FREE == []  # the walk holds it
+        walking.close()
         assert len(rfamily._FREE) == 1
         workspace = rfamily._FREE[0]
-        blocks = list(band.blocks((0.8, np.eye(2), 1.0, np.array([0.5, 0.0])), True, False))
-        assert blocks[-1] is None and rfamily._FREE == [workspace]
-        p = EPoint(BlockMat(np.eye(2), 1.0), np.array([0.5, 0.0]))
+        items = list(walk(shut))
+        assert items[-1] is None and rfamily._FREE == [workspace]
+        assert n == 2 or items[0] is not None
+        p = EPoint(BlockMat(np.eye(n), 1.0), shift)
         assert rfamily._band_value(band, 0.8, p) == np.inf  # stops at the barrier's block
         assert rfamily._FREE == [workspace]
 
@@ -1245,29 +1332,46 @@ class TestWorkspace:
         band = self._band(monkeypatch)
         p = EPoint(BlockMat(np.eye(2), 1.0), np.zeros(2))
         monkeypatch.setattr(rfamily, "_FREE", [])
+        monkeypatch.setattr(rfamily._Scratch, "rows", 0)  # the list keeps the walk's rows alone
         assert 0.0 < rfamily._band_value(band, 0.8, p) < np.inf
-        assert len(rfamily._FREE) == 1 and rfamily._FREE[0].shape[1] <= rfamily._BLOCK_NODES
+        assert len(rfamily._FREE) == 1 and len(rfamily._FREE[0]) == rfamily._Scratch.rows * 280
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", 30)
         monkeypatch.setattr(rfamily, "_FREE", [])
         assert 0.0 < rfamily._band_value(band, 0.8, p) < np.inf
         assert rfamily._FREE == []
 
-    def test_n1_walks_leave_the_free_list_alone(self, monkeypatch, fixture, quad):
-        # the n = 1 walk allocates fresh arrays: a value on either route, a Newton
-        # evaluation and a sweep neither take a workspace from the list nor leave one on it
-        monkeypatch.setattr(rfamily, "_FREE", [])
+    def test_n1_walks_reuse_the_kept_buffer(self, monkeypatch, fixture, quad):
+        # the n = 1 walk takes its kernel's rows from the free list's buffer: a value on either
+        # route, a Newton evaluation and a sweep each give it back, and a second call of the
+        # same size takes that same buffer in every kernel call and leaves it on the list
         h, cs, _ = fixture
         pair = canonical_pair()
-        assert 0.0 < band_functional(h, S, pair, 0.8, identity_point(), quad) < np.inf
-        assert 0.0 < rescaled_band_functional(h, S, pair, 0.8, identity_point(), quad) < np.inf
         band = rfamily._Band(h, S, pair, quad)
-        assert np.isfinite(rfamily._band_value_grad(band, 0.8, np.zeros(len(band.basis)))[0])
         F = ConvolutionProfile(pair)
         nu = counting_measure(cs.points)
         ref = minimize_functional(h, S, nu, F)
-        sweep = r_sweep(h, S, pair, [0.8, 0.9], quad, ref, extract_measure(ref, h, S, nu, F))
-        assert all(e.error is None for e in sweep.entries)
-        assert rfamily._FREE == []
+        mu0 = extract_measure(ref, h, S, nu, F)
+        calls = [lambda: band_functional(h, S, pair, 0.8, identity_point(), quad),
+                 lambda: rescaled_band_functional(h, S, pair, 0.8, identity_point(), quad),
+                 lambda: rfamily._band_value_grad(band, 0.8, np.zeros(len(band.basis)))[0],
+                 lambda: r_sweep(h, S, pair, [0.8, 0.9], quad, ref, mu0).entries[-1].value]
+        init, buffers = rfamily._Scratch.__init__, []
+
+        def spy_init(scratch, width):
+            init(scratch, width)
+            buffers.append(scratch.buf)
+
+        for call in calls:
+            monkeypatch.setattr(rfamily, "_FREE", [])
+            first = call()
+            assert len(rfamily._FREE) == 1
+            kept = rfamily._FREE[0]
+            buffers.clear()
+            monkeypatch.setattr(rfamily._Scratch, "__init__", spy_init)
+            assert call() == first and 0.0 < first < np.inf
+            monkeypatch.setattr(rfamily._Scratch, "__init__", init)
+            assert buffers and all(b is kept for b in buffers)
+            assert len(rfamily._FREE) == 1 and rfamily._FREE[0] is kept
 
 
 def _full_inner_band(f_pl, g_pl, r, c2, den, r2m1, mode, gl_nodes):
@@ -1332,7 +1436,7 @@ def _kernel_inputs(seed, count=4000):
 
 def _kernel(pair, r, c2, den, r2m1):
     """`_inner_band`'s I and I' on every node, 0 where the band is closed, and the open mask."""
-    opened, inner, d_inner, _ = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, derivs=True)
+    opened, inner, d_inner, _ = inner_band_alone(pair.f, pair.g, r, c2, den, r2m1, derivs=True)
     out = np.zeros((2, len(c2)))
     out[0, opened], out[1, opened] = inner, d_inner
     is_open = np.zeros(len(c2), dtype=bool)
@@ -1400,8 +1504,8 @@ class TestInnerBandKernel:
     def test_all_closed(self, pair, mode):
         c2, den, _ = _kernel_inputs(7, count=500)
         r2m1 = den * pair.g.breaks[-1] + np.linspace(0.0, 2.0, 500)  # q(-1) above g's top kink
-        opened, inner, d_inner, d2_inner = rfamily._inner_band(pair.f, pair.g, 0.8, c2, den, r2m1,
-                                                               derivs=True)
+        opened, inner, d_inner, d2_inner = inner_band_alone(pair.f, pair.g, 0.8, c2, den, r2m1,
+                                                            derivs=True)
         assert opened.shape == inner.shape == d_inner.shape == d2_inner.shape == (0,)
         ref = _full_inner_band(pair.f, pair.g, 0.8, c2, den, r2m1, mode, 2)
         assert ref.shape == (500,) and not np.any(ref)
@@ -1450,11 +1554,11 @@ class TestPairKernel:
     def _same(pair, r, c2, den, r2m1):
         # (open, I, I') against the sorted-merge kernel, I'' against `oracles.inner_curvature`
         # on the open nodes, and the value-only call's (open, I) against the full one's
-        got = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, derivs=True)
+        got = inner_band_alone(pair.f, pair.g, r, c2, den, r2m1, derivs=True)
         at = got[0]
         ref = (*sorted_inner_band(pair.f, pair.g, r, c2, den, r2m1),
                inner_curvature(pair.f, pair.g, r, c2[at], den[at], r2m1[at]))
-        value = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1, derivs=False)
+        value = inner_band_alone(pair.f, pair.g, r, c2, den, r2m1, derivs=False)
         for a, b in zip(got, ref, strict=True):
             assert np.array_equal(a, b, equal_nan=True)
         for a, b in zip(value, got[:2], strict=True):
@@ -1546,8 +1650,8 @@ class TestKernelDerivatives:
         # the kernel fuzz inputs, with NaN on some nodes in each of c2, den and r2m1
         c2, den, r2m1 = (x.copy() for x in _kernel_inputs(int(1000 * r) + 9))
         c2[::101], den[33::101], r2m1[66::101] = np.nan, np.nan, np.nan
-        opened, _, _, d2_inner = rfamily._inner_band(pair.f, pair.g, r, c2, den, r2m1,
-                                                     derivs=True)
+        opened, _, _, d2_inner = inner_band_alone(pair.f, pair.g, r, c2, den, r2m1,
+                                                  derivs=True)
         want = inner_curvature(pair.f, pair.g, r, c2[opened], den[opened], r2m1[opened])
         assert np.array_equal(d2_inner, want, equal_nan=True)
         finite = d2_inner[np.isfinite(d2_inner)]
@@ -1569,8 +1673,8 @@ class TestKernelDerivatives:
         band = rfamily._Band(h, s, pair, QuadratureSpec(x_nodes_per_axis=nodes))
         calls, inner_band = [], rfamily._inner_band
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
-            out = inner_band(f, g, r, c2, den, r2m1, derivs, rows)
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, scratch):
+            out = inner_band(f, g, r, c2, den, r2m1, derivs, scratch)
             # the walk's arrays are workspace rows, which its next block overwrites
             calls.append(tuple(np.copy(x) for x in (c2, den, r2m1, *out)))
             return out
@@ -1591,9 +1695,9 @@ class TestKernelDerivatives:
         pair, r, quad = canonical_pair(), 0.9, QuadratureSpec(x_nodes_per_axis=96)
         asked, inner_band = [], rfamily._inner_band
 
-        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, rows=None):
+        def spy_inner_band(f, g, r, c2, den, r2m1, derivs, scratch):
             asked.append(derivs)
-            return inner_band(f, g, r, c2, den, r2m1, derivs, rows)
+            return inner_band(f, g, r, c2, den, r2m1, derivs, scratch)
 
         monkeypatch.setattr(rfamily, "_inner_band", spy_inner_band)
         p = random_unit_sdet_members(n, S, 1, seed=5)[0]
