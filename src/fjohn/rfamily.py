@@ -185,31 +185,27 @@ class _Scratch(contextlib.AbstractContextManager):
     (a caller uses its first entries), and `release(mark)` hands back every
     row taken after `mark()`.  A walk writes every array it makes into rows
     through numpy's `out=`: the operations and their order are those of
-    fresh arrays, so no bit moves.  The buffer is the one on the module's
-    free list `_FREE`, or a new one of `rows` rows, as many as the last
-    walk that took any had taken at once, when the list holds none (a
-    nested, interleaved or concurrent walk builds its own, so no two live
-    walks share rows) or a smaller one.  Rows beyond its end are fresh
-    arrays (the first walk of a process takes all of them fresh).  On
-    leaving its `with` block (a finished or abandoned walk, or one stopped
-    at the barrier) the scratch gives the list a buffer that holds every
-    row the walk had taken at once, so the next walk of that size
-    allocates nothing.  The list keeps one buffer, and none from a walk
-    whose rows are wider than `_BLOCK_NODES` nodes.
+    fresh arrays, so no bit moves.  `rows` is the walk's high-water, the
+    most rows it holds at once.  The buffer is the one on the module's free
+    list `_FREE` if that holds `rows` rows; otherwise, or when the list
+    holds none (a nested or interleaved walk builds its own, so no two live
+    walks share rows), the scratch builds one of `rows` rows, so a walk
+    allocates its buffer once and up front, at its high-water.  A take past
+    the buffer's end is served fresh.  On leaving its `with` block (a
+    finished or abandoned walk, or one stopped at the barrier) the scratch
+    gives its buffer to the list.  The list keeps one buffer, and none from
+    a walk whose rows are wider than `_BLOCK_NODES` nodes, which also
+    leaves the kept one on the list.
     """
 
-    rows = 0
-
-    def __init__(self, width: int):
-        self.width, self.top, self.high = width, 0, 0
-        buf = _FREE.pop() if _FREE else np.empty(0)
-        self.buf = buf if len(buf) >= _Scratch.rows * width else np.empty(_Scratch.rows * width)
+    def __init__(self, width: int, rows: int):
+        self.width, self.top = width, 0
+        kept = _FREE.pop() if _FREE and width <= _BLOCK_NODES else np.empty(0)
+        self.buf = kept if len(kept) >= rows * width else np.empty(rows * width)
 
     def take(self, k: int) -> np.ndarray:
         start = self.top
         self.top = end = start + k * self.width
-        if end > self.high:
-            self.high = end
         return self.buf[start:end] if end <= len(self.buf) else np.empty(end - start)
 
     def mark(self) -> int:
@@ -219,10 +215,13 @@ class _Scratch(contextlib.AbstractContextManager):
         self.top = mark
 
     def __exit__(self, *exc):
-        if self.high:
-            _Scratch.rows = self.high // self.width
         if self.width <= _BLOCK_NODES and not _FREE:
-            _FREE.append(self.buf if self.high <= len(self.buf) else np.empty(self.high))
+            _FREE.append(self.buf)
+
+
+def _kernel_rows(kinks: int, derivs: bool) -> int:
+    """The rows `_inner_band` holds at once on a g with `kinks` kinks: see its scratch."""
+    return 1 + 2 * derivs + 1 + kinks + 3 + max(5 + 2 * derivs, kinks * derivs)
 
 
 def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
@@ -268,7 +267,11 @@ def _inner_band(f_pl: PiecewiseLinear, g_pl: PiecewiseLinear, r,
     entries.  The kernel takes every node-sized array from it, the
     integrals' rows first, and releases the rest before it returns, so the
     integrals it returns are views of the rows it took first and the
-    caller's next take follows them.
+    caller's next take follows them.  It holds `_kernel_rows` rows at once:
+    the integrals' (1, or 3 with derivs), t_top's, the kinks' pullbacks,
+    c2, den and |x|^2 - 1 on the open nodes, and then the larger of the
+    kinks' I'' terms (with derivs) and the passes' work arrays (5, or 7
+    with derivs).
     """
     g_breaks = g_pl.breaks
     kinks = len(g_breaks)
@@ -510,10 +513,11 @@ class _Band:
 
         Every array a block makes, the kernel's included, is taken from the
         walk's `_Scratch`, rows of min(step, rows) P nodes: the rows that live
-        across the kernel call once per walk, and the rest per block.  The
-        yielded arrays are views of its rows that stay valid only until the
-        walk's next step (the consumer may overwrite them); a caller that
-        keeps one copies it (`_band_sums`' kept Y).  A walk with more than
+        across the kernel call once per walk, and the rest per block, the
+        walk's high-water stated up front.  The yielded arrays are views of
+        its rows that stay valid only until the walk's next step (the
+        consumer may overwrite them); a caller that keeps one copies it
+        (`_band_sums`' kept Y).  A walk with more than
         `_BLOCK_NODES` nodes per axis has rows too wide for the free list to
         keep.
 
@@ -540,7 +544,12 @@ class _Band:
         rows, step = P ** (n - 1), max(1, _BLOCK_NODES // P)
         a, b = self.h.form.a, self.h.form.b
         top = 2.0 * (1.0 - r) * max(float(self.g.breaks[-1]), 1.0) * 1.0000001
-        with _Scratch(min(step, rows) * P) as scratch:
+        # the most rows a walk holds at once: those that live across the kernel call, and
+        # then the grid's, the near nodes', the kernel's or the yielded ones
+        high = 4 + (2 * n + 1) * derivs + max(n + 2 + len(b), n * (2 - derivs) + len(b),
+                                              _kernel_rows(len(self.g.breaks), derivs),
+                                              4 + (3 + 2 * n) * derivs)
+        with _Scratch(min(step, rows) * P, high) as scratch:
             # the near nodes' h, c2, den and |x|^2 - 1, and with derivs X, Y and psi's active
             # piece there, live across the kernel call
             h_row, c2_row, den_row, r2_row = (scratch.take(1) for _ in range(4))
@@ -652,13 +661,13 @@ class _Band:
         they move no bit of the grid's integrals.  h at the band-factor
         argument is evaluated only where the band can be open.
 
-        Each kernel call takes its rows from a `_Scratch` of its own, rows of
-        its node count, which it holds until the walk resumes after the
-        call's last item, so the items' integrals are views of its rows that
-        stay valid only until the walk's next kernel call; the other arrays
-        are fresh.  The buffer the free list keeps serves every call of a
-        sweep, so a sweep faults no kernel row in, also where the process
-        hands freed memory back to the system between calls.
+        Each kernel call takes its rows from a `_Scratch` of its own,
+        `_kernel_rows` rows of its node count, which it holds until the walk
+        resumes after the call's last item, so the items' integrals are views
+        of its rows that stay valid only until the walk's next kernel call;
+        the other arrays are fresh.  The buffer the free list keeps serves
+        every call of a sweep, so a sweep faults almost no kernel row in, also
+        where the process hands freed memory back to the system between calls.
         """
         s, top = self.s, self.g.breaks[-1]
         rules = []
@@ -714,7 +723,8 @@ class _Band:
                 c2, den = np.concatenate([c2, c2_k]), np.concatenate([den, den_k[kink]])
                 r2m1 = np.concatenate([r2m1, x_k * x_k - 1.0])
                 r_node = np.concatenate([r_node, np.broadcast_to(params[:, :1], kink.shape)[kink]])
-            with _Scratch(len(c2)) as scratch:  # the kernel's rows, until its next call
+            # the kernel's rows, until its next call
+            with _Scratch(len(c2), _kernel_rows(len(self.g.breaks), derivs)) as scratch:
                 opened, *integrals = _inner_band(self.f, self.g, r_node, c2, den, r2m1, derivs,
                                                  scratch)
                 split = np.searchsorted(opened, m)  # the kinks' open points follow the grid's

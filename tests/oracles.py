@@ -442,7 +442,7 @@ def inner_band_alone(f_pl, g_pl, r, c2, den, r2m1, derivs):
     The arrays it returns are copies, so a later walk, which reuses the
     scratch's buffer, leaves them as they are.
     """
-    with rfamily._Scratch(len(c2)) as scratch:
+    with rfamily._Scratch(len(c2), rfamily._kernel_rows(len(g_pl.breaks), derivs)) as scratch:
         return tuple(x.copy() for x in rfamily._inner_band(f_pl, g_pl, r, c2, den, r2m1, derivs,
                                                            scratch))
 

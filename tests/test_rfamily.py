@@ -269,8 +269,7 @@ def _traced_peak(evaluate, monkeypatch=None):
     """evaluate()'s result and its tracemalloc peak, after one untraced warm-up call.
 
     With monkeypatch, the band walk's free list is emptied after the warm-up,
-    so the traced call builds its buffer, of as many rows as the warm-up took
-    (`_Scratch.rows`), and the peak counts it."""
+    so the traced call builds its buffer and the peak counts it."""
     evaluate()
     if monkeypatch is not None:
         monkeypatch.setattr(rfamily, "_FREE", [])
@@ -1180,8 +1179,7 @@ class TestWorkspace:
     def _scratch(width, rows):
         """A scratch of rows of `width` on a buffer of `rows` rows, apart from the free list."""
         scratch = rfamily._Scratch.__new__(rfamily._Scratch)
-        scratch.width, scratch.top, scratch.high = width, 0, 0
-        scratch.buf = np.empty(rows * width)
+        scratch.width, scratch.top, scratch.buf = width, 0, np.empty(rows * width)
         return scratch
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -1193,6 +1191,7 @@ class TestWorkspace:
         rng = np.random.default_rng(seed)
         scratch = self._scratch(5, 6)
         live, marks = [], []  # (rows, the value written into them); (mark, live takes there)
+        high = 0
         for step in range(400):
             move = rng.integers(3)
             if move == 0:
@@ -1211,7 +1210,8 @@ class TestWorkspace:
                 del live[count:]
             assert all(np.all(held == value) for held, value in live)
             assert scratch.top == sum(len(held) for held, _ in live)
-        assert scratch.high > 30  # some takes went past the buffer's end
+            high = max(high, scratch.top)
+        assert high > 30  # some takes went past the buffer's end
 
     def test_release_frees_only_the_rows_after_its_mark(self):
         scratch = self._scratch(4, 10)
@@ -1225,20 +1225,17 @@ class TestWorkspace:
         third.fill(2.0)
         assert np.all(first == 1.0) and scratch.mark() == mark + 4
 
-    def test_overflowing_walk_keeps_its_high_water(self, monkeypatch):
-        # a walk whose buffer holds 3 of its rows (of 7 grid rows of 40 nodes) takes the rest
-        # fresh, yields the blocks a walk with room yields, and leaves a buffer of every row
-        # it took at once; the next walk of that size allocates nothing (np.empty, which the
-        # scratch allocates with, is counted)
+    def test_walk_builds_its_buffer_once(self, monkeypatch):
+        # a walk that finds the kept buffer too small for its rows (3 of them, of 7 grid rows
+        # of 40 nodes) builds one of its high-water up front, its one allocation, and the next
+        # walk of that size allocates nothing (np.empty, which the scratch allocates with, is
+        # counted).  A walk whose stated rows fall short (the kernel's left out) takes the
+        # rest fresh and yields the same blocks
         band = self._band(monkeypatch)
         A, alpha = sdet1_param(np.array([[0.05, 0.02], [0.02, -0.03]]), S)
         args = ((0.8, A, alpha, np.array([0.03, -0.02])), True, True)
         small = np.empty(3 * 280)
-        monkeypatch.setattr(rfamily._Scratch, "rows", 0)
         monkeypatch.setattr(rfamily, "_FREE", [small])
-        over = [_copied(b) for b in band.blocks(*args)]
-        kept, = rfamily._FREE
-        assert len(kept) == rfamily._Scratch.rows * 280 > len(small)
         allocations, empty = [], np.empty
 
         def counting_empty(*shape, **kwargs):
@@ -1246,10 +1243,49 @@ class TestWorkspace:
             return empty(*shape, **kwargs)
 
         monkeypatch.setattr(np, "empty", counting_empty)
+        built = [_copied(b) for b in band.blocks(*args)]
+        kept, = rfamily._FREE
+        assert allocations == [(len(kept),)] and len(kept) > len(small)
         again = [_copied(b) for b in band.blocks(*args)]
         monkeypatch.setattr(np, "empty", empty)
-        assert allocations == [] and len(rfamily._FREE) == 1 and rfamily._FREE[0] is kept
-        assert len(over) >= 3 and _same_blocks(over, again)
+        assert allocations == [(len(kept),)] and rfamily._FREE == [kept]
+        monkeypatch.setattr(rfamily, "_kernel_rows", lambda kinks, derivs: 0)
+        monkeypatch.setattr(rfamily, "_FREE", [])
+        short = [_copied(b) for b in band.blocks(*args)]
+        assert len(rfamily._FREE[0]) < len(kept)
+        assert len(built) >= 3 and _same_blocks(built, again) and _same_blocks(built, short)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("derivs", [False, True])
+    @pytest.mark.parametrize("kinks", [2, 9])
+    def test_walks_hold_the_rows_they_state(self, n, derivs, kinks, monkeypatch):
+        # every scratch of a walk is built for the rows it states, and its takes reach them
+        # and stay within them: at n = 1 each kernel call's, on a g with few kinks and with
+        # more than the kernel's work arrays
+        knots = np.linspace(-1.0, 1.0, kinks)
+        pair = ProfilePair(f=canonical_pair().f,
+                           g=PiecewiseLinear.from_knots(knots, ((1.0 - knots) / 2.0) ** 2))
+        band = self._band(monkeypatch, n=n)
+        band = rfamily._Band(band.h, S, pair, band.quad)
+        A, alpha = sdet1_param(np.diag(np.linspace(0.05, -0.03, n)), S)
+        position = (0.8, A, alpha, np.linspace(0.03, -0.02, n))
+        init, take, stated = rfamily._Scratch.__init__, rfamily._Scratch.take, {}
+
+        def spy_init(scratch, width, rows):
+            init(scratch, width, rows)
+            stated[scratch] = [rows * width, 0]
+
+        def spy_take(scratch, k):
+            rows = take(scratch, k)
+            stated[scratch][1] = max(stated[scratch][1], scratch.top)
+            return rows
+
+        monkeypatch.setattr(rfamily._Scratch, "__init__", spy_init)
+        monkeypatch.setattr(rfamily._Scratch, "take", spy_take)
+        walk = band.line([position], True, derivs) if n == 1 else band.blocks(position, True,
+                                                                               derivs)
+        assert None not in list(walk)
+        assert stated and all(held == rows for rows, held in stated.values())
 
     def test_interleaved_walks_match_walks_alone(self, monkeypatch):
         # two walks stepped alternately, one block apart, one shifted and one unshifted at
@@ -1332,13 +1368,25 @@ class TestWorkspace:
         band = self._band(monkeypatch)
         p = EPoint(BlockMat(np.eye(2), 1.0), np.zeros(2))
         monkeypatch.setattr(rfamily, "_FREE", [])
-        monkeypatch.setattr(rfamily._Scratch, "rows", 0)  # the list keeps the walk's rows alone
         assert 0.0 < rfamily._band_value(band, 0.8, p) < np.inf
-        assert len(rfamily._FREE) == 1 and len(rfamily._FREE[0]) == rfamily._Scratch.rows * 280
+        assert len(rfamily._FREE) == 1 and len(rfamily._FREE[0]) % 280 == 0
         monkeypatch.setattr(rfamily, "_BLOCK_NODES", 30)
         monkeypatch.setattr(rfamily, "_FREE", [])
         assert 0.0 < rfamily._band_value(band, 0.8, p) < np.inf
         assert rfamily._FREE == []
+
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_wide_walk_leaves_the_kept_buffer(self, n, monkeypatch):
+        # a walk whose rows are wider than _BLOCK_NODES (at n = 1 a position of more grid
+        # nodes goes to the kernel alone) builds its own buffer and leaves the kept one on the
+        # list for the next walk
+        band = self._band(monkeypatch, n=n)
+        p = EPoint(BlockMat(np.eye(n), 1.0), np.zeros(n))
+        monkeypatch.setattr(rfamily, "_BLOCK_NODES", 30)
+        kept = np.empty(10)
+        monkeypatch.setattr(rfamily, "_FREE", [kept])
+        assert 0.0 < rfamily._band_value(band, 0.8, p) < np.inf
+        assert len(rfamily._FREE) == 1 and rfamily._FREE[0] is kept
 
     def test_n1_walks_reuse_the_kept_buffer(self, monkeypatch, fixture, quad):
         # the n = 1 walk takes its kernel's rows from the free list's buffer: a value on either
@@ -1357,8 +1405,8 @@ class TestWorkspace:
                  lambda: r_sweep(h, S, pair, [0.8, 0.9], quad, ref, mu0).entries[-1].value]
         init, buffers = rfamily._Scratch.__init__, []
 
-        def spy_init(scratch, width):
-            init(scratch, width)
+        def spy_init(scratch, width, rows):
+            init(scratch, width, rows)
             buffers.append(scratch.buf)
 
         for call in calls:
