@@ -52,19 +52,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _to_jsonable(obj):
+    """A report as JSON values; a non-finite float becomes its repr ("nan", "inf").
+
+    A report holds dicts, lists, tuples, float64 arrays, floats, ints, bools,
+    strings and None, so nothing else needs converting.
+    """
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _to_jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):
         v = float(obj)
         return v if np.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWeights, NotJohnPosition, PointOnBoundary
-from .logconcave import LogConcaveFn, eval_h_many, make_log_concave
+from .logconcave import LogConcaveFn, _check_unit_ball, eval_h_many, make_log_concave
 
 GAP_TOL = 1e-8  # the largest hemisphere gap of a contact point, wherever contacts are decided
 # GAP_TOL^2 < 2^-53 <= 1 - |x|^2 for every float |x|^2 < 1: where h = 0, |gap| > GAP_TOL
@@ -193,10 +193,8 @@ def detect_contacts(h: LogConcaveFn, s: float, grid_per_axis: int | None = None)
     `tolerances.grid_per_axis` is in schema version 1.  The tests check
     this closed form against a grid scan of the same set.
     """
+    _check_unit_ball(h)
     form = h.form
-    if form.domain_radius is not None and form.domain_radius < 1.0:
-        raise NotJohnPosition(
-            f"domain radius {form.domain_radius} < 1: h vanishes inside the unit ball")
     norm = np.linalg.norm(form.a, axis=1)
     rho = 2.0 * norm / (s + np.sqrt(s * s + 4.0 * norm * norm))
     U = form.a * np.divide(rho, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]

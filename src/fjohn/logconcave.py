@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoCertificate, NotProper
+from .errors import DimensionMismatch, NoCertificate, NotJohnPosition, NotProper
 
 SPAN_TOL = 1e-9
 SPAN_FLOOR = 1e-3  # least weight on a unit row for `_positive_span`'s closed-form certificate
@@ -225,6 +225,13 @@ def check_proper(h: LogConcaveFn) -> None:
                             f"R^n: psi stays bounded along d = {d.tolist()}")
     elif form.domain_radius <= 0.0:
         raise NotProper(f"domain radius {form.domain_radius} leaves h a null support")
+
+
+def _check_unit_ball(h: LogConcaveFn) -> None:
+    """Raise NotJohnPosition unless h's domain ball contains the unit ball."""
+    radius = h.form.domain_radius
+    if radius is not None and radius < 1.0:
+        raise NotJohnPosition(f"domain radius {radius} < 1: h vanishes inside the unit ball")
 
 
 def make_log_concave(a, b, s: float, domain_radius: float | None = None) -> LogConcaveFn:

@@ -156,6 +156,26 @@ def validate_profiles(pair: ProfilePair) -> dict[str, bool]:
     return {name: bool(ok) for name, ok in checks.items()}
 
 
+def _slope_at(f: PiecewiseLinear, g: PiecewiseLinear, x: np.ndarray) -> np.ndarray:
+    """F'(x) = sum_j (-g'_j) integral of f over x + [c_(j-1), c_j], c the kinks of g.
+
+    A sum of nonnegative terms on a valid pair, so nothing cancels.  Each
+    piece of f is integrated by the trapezoid rule, exact on a line, in
+    u = t - x, where the kinks c are exact: a segment's width is taken in
+    u, and f at its ends as f(p) plus the slope times the offset from
+    q = p - x, p the piece's left kink (the first kink for piece 0).  So
+    x + c is never rounded, and a narrow piece of g keeps its width.
+    """
+    q = f.breaks - x[:, None]
+    inf = np.full((len(x), 1), np.inf)
+    lo, hi = np.hstack([-inf, q])[:, None], np.hstack([q, inf])[:, None]
+    ref = np.hstack([q[:, :1], q])[:, None]
+    a, b = np.clip(g.breaks[:-1, None], lo, hi), np.clip(g.breaks[1:, None], lo, hi)
+    at = f.slopes * np.append(f.breaks[:1], f.breaks) + f.intercepts  # each piece at its kink
+    ends = (at + f.slopes * (a - ref)) + (at + f.slopes * (b - ref))
+    return ((b - a) * ends).sum(axis=2) @ (-0.5 * g.slopes[1:-1])
+
+
 class ConvolutionProfile:
     """F(x) = integral f(t) g(t - x) dt with F' and F'' (`derivs`); nondecreasing, convex.
 
@@ -164,9 +184,11 @@ class ConvolutionProfile:
     over the kinks b_k of g, with J_k the jump of g' there.  Its breaks are
     the differences of a kink of f and a kink of g, and it is 0 left of
     them (f vanishes left of -1, g right of 1).  So F is one piecewise
-    cubic, built once by integrating F'' twice from 0: row i of `coef`
-    holds a0..a3 in powers of u = x - `lefts`[i].  The canonical pair
-    yields 0, (x+2)^3/12 on [-2, 0] and x^2/2 + x + 2/3 from 0 on.
+    cubic: F' at each break is its own sum of nonnegative terms
+    (`_slope_at`), not a running sum of F'', whose terms cancel where kinks
+    of g nearly meet, and F integrates it from 0.  Row i of `coef` holds
+    a0..a3 in powers of u = x - `lefts`[i].  The canonical pair yields 0,
+    (x+2)^3/12 on [-2, 0] and x^2/2 + x + 2/3 from 0 on.
     """
 
     def __init__(self, pair: ProfilePair):
@@ -181,7 +203,7 @@ class ConvolutionProfile:
         slope = f.slopes[kf] @ jumps
         d2 = f(np.add.outer(self.breaks, g.breaks)) @ jumps
         width = np.diff(self.breaks)
-        d1 = np.concatenate([[0.0], np.cumsum((d2[:-1] + 0.5 * slope[:-1] * width) * width)])
+        d1 = _slope_at(f, g, self.breaks)
         d0 = np.concatenate([[0.0], np.cumsum(
             ((slope[:-1] * width / 6.0 + 0.5 * d2[:-1]) * width + d1[:-1]) * width)])
         self.lefts = np.concatenate([self.breaks[:1], self.breaks])

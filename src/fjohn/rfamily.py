@@ -35,8 +35,8 @@ from .blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
 from . import isotropy  # `isotropy._newton` by attribute: one name for a tracer to patch
 from .isotropy import CONVERGED, ROUNDING, DiscreteMeasure, MinimizerResult, limit_reference
-from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _positive_span, _sq_norms,
-                         eval_h_many, psi_eval_many)
+from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _check_unit_ball, _positive_span,
+                         _sq_norms, eval_h_many, psi_eval_many)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
 
 # Entries of the largest array a band walk holds, which is
@@ -57,8 +57,11 @@ class QuadratureSpec:
 
     The inner t-integrals are exact for piecewise-linear profiles (2-point
     Gauss on piecewise cubics), so the quadrature error comes from the x
-    grid alone; 960 nodes per axis holds it to 1e-6 at n = 1 up to r = 0.99
-    (cost grows like 1/(1-r) beyond).  The grid spans the band radius at r
+    grid alone; 960 nodes per axis holds it to 1e-6 at n = 1 up to r = 0.99.
+    Past r = 0.999 the default does not resolve the band, and sweep rows
+    there are wrong with no error; more nodes do not mend it (3840 are
+    1.9e-5 off at r = 0.9999).  README states the rows, and ROADMAP items
+    2-4 the fix.  The grid spans the band radius at r
     (`_Band.radii`), and a band evaluation integrates only the nodes where
     the band is open (`_Band.blocks`, `_Band.line`), so it costs in
     proportion to that share of the grid, not to x_nodes_per_axis ** n.  An
@@ -435,10 +438,8 @@ class _Band:
     def __init__(self, h: LogConcaveFn, s: float, pair: ProfilePair, quad: QuadratureSpec):
         check_band_pair(pair)
         quad.check_grid(h.n)
+        _check_unit_ball(h)
         form = h.form
-        if form.domain_radius is not None and form.domain_radius < 1.0:
-            raise NotJohnPosition(f"h vanishes on the unit ball beyond its domain radius "
-                                  f"{form.domain_radius}")
         # on |x| <= 1, psi <= max_j (b_j + |a_j|): least <= h^(2/s) there
         self.least = np.exp(-np.max(form.b + np.linalg.norm(form.a, axis=1))) ** (2.0 / s)
         self.h, self.s, self.quad, self.f, self.g = h, s, quad, pair.f, pair.g
@@ -838,15 +839,10 @@ def _band_sums(band: _Band, positions):
     return sums
 
 
-def _band_value_grad(band: _Band, r: float, theta: np.ndarray):
-    """Band functional, gradient, Hessian and walk at r and theta; (inf, None, None, None)
-    beyond the barrier: `_band_value_grads` of the one pair (r, theta)."""
-    return _band_value_grads(band, [(r, theta)])[0]
-
-
 def _band_value_grads(band: _Band, evals) -> list:
-    """`_band_value_grad` at every (r, theta) of evals, from one walk of their positions.
+    """Band functional, gradient, Hessian and walk at every (r, theta) of evals, from one walk.
 
+    A theta beyond the barrier gets (inf, None, None, None).
     theta (`_Band.split`) stands for (I + S, det(I + S)^(-1/s), v) with
     (S, -tr S/s, v) = theta @ basis: the block is linear in theta, and only
     log alpha = -log det A/s is not, with first derivative -tr(A^-1 dS)/s and
@@ -987,7 +983,7 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
     """minimize_band at r on a prepared band geometry: a solver record and the minimizer's walk.
 
     theta0 is the start in theta, the coordinates on the rows of `trace0_array`
-    (None: theta = 0).  `isotropy._newton` on `_band_value_grad` stops CONVERGED
+    (None: theta = 0).  `isotropy._newton` on `_band_value_grads` stops CONVERGED
     at a predicted decrease below ROUNDING of the value: the n = 1 grid moves
     with theta, so the analytic derivatives and the discrete values differ at
     the quadrature level (~1e-6 of the gradient, ~1e-12 of the value).  It
@@ -999,7 +995,7 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
     """
     theta = np.zeros(len(band.basis)) if theta0 is None else theta0
     return _band_minimum(isotropy._drive(_band_loop(r, theta),
-                                         functools.partial(_band_value_grad, band, r)))
+                                         lambda x: _band_value_grads(band, [(r, x)])[0]))
 
 
 def _band_loop(r: float, theta: np.ndarray):

@@ -626,7 +626,7 @@ def theta_point(theta, n: int, s: float):
 
     theta @ trace0_array(n, s) is the flat form (S, -tr S/s, shift); the block is
     I + S and the corner det(I + S)^(-1/s), from the eigenvalues of the block by
-    the expression of `rfamily._band_value_grad`.
+    the expression of `rfamily._band_value_grads`.
     """
     flat = theta @ trace0_array(n, s)
     A = np.eye(n) + flat[:n * n].reshape(n, n)
@@ -651,7 +651,7 @@ def fd_newton_minimize(band, r: float, x0=None, max_iter=400):
     def evaluate(theta):
         nonlocal evals
         evals += 1
-        return rfamily._band_value_grad(band, r, theta)[:2]
+        return rfamily._band_value_grads(band, [(r, theta)])[0][:2]
 
     if x0 is not None:  # the coordinates of (A - I, -tr(A - I)/s, shift), on the basis's span
         S_0 = x0.mat.diag - np.eye(n)

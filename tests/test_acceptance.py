@@ -326,6 +326,24 @@ def test_c9e_secant_to_limit(sweep):
     assert ok
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the default n = 1 grid does not resolve the band past r = 0.999, and its rows carry no "
+    "error: ROADMAP item 2 (panels at the band's breakpoints) and item 4 (the r -> 1 law "
+    "and its stop rule) mend it"))
+def test_c9e_rows_near_one_are_right_or_failed(two_level, counting_run):
+    # secant_to_limit falls as 0.548 (1 - r) under a rule accurate to rounding; the default
+    # grid reads 0.545 (1 - r) at r = 0.99, then 1.45, 150 and 6.8e6 times (1 - r) at
+    # r = 0.999, 0.9999 and 0.999999, all with error null.  Each later row must carry an
+    # error or read within 5% of the r = 0.99 row
+    h, cs, w = two_level
+    _, ref, mu0 = counting_run
+    rows = r_sweep(h, 1.0, PAIR, [0.99, 0.999, 0.9999, 0.999999], QuadratureSpec(), ref,
+                   mu0).entries
+    slope = [e.secant_to_limit / (1.0 - e.r) for e in rows]
+    for e, k in zip(rows[1:], slope[1:]):
+        assert e.error is not None or abs(k / slope[0] - 1.0) <= 0.05, (e.r, k)
+
+
 def test_c9d_measure_integrals(sweep):
     last = sweep.entries[-1]
     rel = np.max(np.abs(last.mu_integrals - last.mu_reference)

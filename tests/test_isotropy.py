@@ -314,19 +314,19 @@ class TestNewton:
         assert exc.grad_norm > NEWTON_TOL
 
         band = rfamily._Band(h, S, canonical_pair(), rfamily.QuadratureSpec(x_nodes_per_axis=120))
-        real = rfamily._band_value_grad
+        real = rfamily._band_value_grads
         calls.clear()
 
-        def rising(band, r, theta):
-            value, *rest = real(band, r, theta)
+        def rising(band, evals):
+            value, *rest = real(band, evals)[0]
             calls.append(1)
-            return (value * len(calls), *rest)
+            return [(value * len(calls), *rest)]
 
-        monkeypatch.setattr(rfamily, "_band_value_grad", rising)
+        monkeypatch.setattr(rfamily, "_band_value_grads", rising)
         res, _ = rfamily._minimize_band(band, 0.9, None)
         assert res.stop_reason == rfamily.RESOLVED and res.iterations == 0
         assert res.evaluations == len(calls) > 2
-        assert res.value == real(band, 0.9, start)[0]
+        assert res.value == real(band, [(0.9, start)])[0][0]
         assert np.array_equal(res.point.mat.diag, np.eye(1)) and res.point.mat.corner == 1.0
 
         class Infinite(ConvolutionProfile):

@@ -7,11 +7,15 @@ import pytest
 from scipy import optimize
 
 from fjohn import logconcave
-from fjohn.contact import cross_fixture, make_tangent_instance, two_level_cross_fixture
-from fjohn.errors import NoCertificate, NotProper
+from fjohn.blockmat import BlockMat, EPoint
+from fjohn.contact import (cross_fixture, detect_contacts, make_tangent_instance,
+                           two_level_cross_fixture)
+from fjohn.errors import NoCertificate, NotJohnPosition, NotProper
 from fjohn.isotropy import _Atoms, counting_measure
 from fjohn.logconcave import (_nnls, _positive_span, check_proper, eval_h_many,
                               make_log_concave)
+from fjohn.profiles import canonical_pair
+from fjohn.rfamily import QuadratureSpec, band_functional
 from oracles import lp_spans
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -138,6 +142,21 @@ class TestProperness:
         h = make_log_concave([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0], 1.0)
         with pytest.raises(NotProper, match=r"d = \[0\.0, -1\.0\]"):
             check_proper(h)
+
+
+def test_domain_inside_the_unit_ball_has_one_check():
+    # contact detection and the band functional both refuse an h that vanishes on
+    # 0.9 < |x| < 1, with the same words, raised by the one check in logconcave
+    h, _, _ = two_level_cross_fixture(1, 1.0, 0.4, 0.8)
+    cut = make_log_concave(h.form.a, h.form.b, 1.0, domain_radius=0.9)
+    identity = EPoint(BlockMat.identity(1), np.zeros(1))
+    for call in (lambda: detect_contacts(cut, 1.0),
+                 lambda: band_functional(cut, 1.0, canonical_pair(), 0.8, identity,
+                                         QuadratureSpec())):
+        with pytest.raises(NotJohnPosition) as caught:
+            call()
+        assert str(caught.value) == "domain radius 0.9 < 1: h vanishes inside the unit ball"
+        assert caught.traceback[-1].name == "_check_unit_ball"
 
 
 def assert_certificate(a, spans, cert):

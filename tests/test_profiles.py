@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +248,43 @@ class TestConvolutionProfile:
         want = _canonical_closed(xs)[2]
         assert np.max(np.abs(F.derivs(xs)[1] - want)) <= 1e-15
         assert F.derivs(0.5)[1] == 1.0
+
+
+def _near_kinks_pair():
+    """A valid pair whose g has kinks at 0.99835 and 1.0, where g' jumps by about 30."""
+    f = PiecewiseLinear.from_knots([-1.0, 0.3, 1.2], [0.0, 0.65, 2.18], right_slope=2.6)
+    g = PiecewiseLinear.from_knots([-1.0, 0.99835, 1.0], [1.0, 0.05, 0.0])
+    return ProfilePair(f=f, g=g)
+
+
+def _exact_slope(pair, x) -> Fraction:
+    """F'(x) in rational arithmetic on the pair's floats and on x.
+
+    F'(x) is the sum over the pieces of g of -g' times the integral of f
+    over the piece shifted by x; f's pieces are split at its kinks, and on
+    each the integral of the line is its width times its value at the middle.
+    """
+    f, g = pair.f, pair.g
+    kinks = [Fraction(p) for p in f.breaks]
+
+    def integral(lo, hi):
+        edges = [lo] + [min(max(p, lo), hi) for p in kinks] + [hi]
+        return sum((b - a) * (Fraction(m) * (a + b) / 2 + Fraction(c))
+                   for a, b, m, c in zip(edges, edges[1:], f.slopes, f.intercepts))
+
+    c = [Fraction(x) + Fraction(b) for b in g.breaks]
+    return sum(-Fraction(m) * integral(lo, hi) for lo, hi, m in zip(c, c[1:], g.slopes[1:]))
+
+
+def test_slope_at_every_break_is_exact_where_kinks_of_g_nearly_meet():
+    # F' at a break is its own sum of nonnegative terms: a running sum of F'' would carry
+    # the cancellation of F'' = sum_k J_k f(x + b_k) (1e-14 relative on this pair)
+    pair = _near_kinks_pair()
+    assert all(validate_profiles(pair).values())
+    F = ConvolutionProfile(pair)
+    for x, got in zip(F.breaks, F.derivs(F.breaks)[0]):
+        want = _exact_slope(pair, x)
+        assert abs(Fraction(got) - want) <= Fraction(1e-15) * abs(want), x
 
 
 class TestCustomPair:

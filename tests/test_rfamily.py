@@ -308,15 +308,15 @@ def test_band_functional_reuses_its_workspace():
     assert peak <= 0.79e6, f"peak {peak / 1e6:.2f} MB"
 
 
-def test_band_value_grad_allocates_one_block(monkeypatch):
+def test_band_value_grads_allocates_one_block(monkeypatch):
     # one Newton evaluation (value, gradient, Hessian and the kept arrays) on the n = 2
     # instance at 480 nodes per axis, building its workspace.  Measured: 12.20 MB (9.96 MB
     # when every block allocated its own temporaries, 11.0 MB when I'' came from a second
     # kernel after the walk's); the bound is 1.25 times 9.96 MB
     band = rfamily._Band(_triangle_square_n2(), S, canonical_pair(),
                          QuadratureSpec(x_nodes_per_axis=480))
-    value, peak = _traced_peak(lambda: rfamily._band_value_grad(
-        band, 0.8, np.zeros(len(band.basis)))[0], monkeypatch)
+    value, peak = _traced_peak(lambda: rfamily._band_value_grads(
+        band, [(0.8, np.zeros(len(band.basis)))])[0][0], monkeypatch)
     assert 0.0 < value < np.inf
     assert peak <= 12.45e6, f"peak {peak / 1e6:.2f} MB"
 
@@ -390,7 +390,7 @@ class TestBandGradient:
         step, worst = 1e-6, 0.0
         for _ in range(20):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=2)
-            value, grad, _, _ = rfamily._band_value_grad(band, r, theta)
+            value, grad, _, _ = rfamily._band_value_grads(band, [(r, theta)])[0]
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(2)])
             worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
@@ -409,7 +409,7 @@ class TestBandGradient:
         step = 1e-6
         for _ in range(3):
             theta = rng.normal(scale=0.3 * (1.0 - r), size=5)
-            _, grad, _, _ = rfamily._band_value_grad(band, r, theta)
+            _, grad, _, _ = rfamily._band_value_grads(band, [(r, theta)])[0]
             fd = np.array([(value_at(theta + e) - value_at(theta - e)) / (2.0 * step)
                            for e in step * np.eye(5)])
             assert np.linalg.norm(fd - grad) <= 1e-4 * np.linalg.norm(grad)
@@ -426,7 +426,7 @@ class TestBandGradient:
             for _ in range(5):
                 theta = rng.normal(scale=0.05, size=n * (n + 1) // 2 + n)
                 p = theta_point(theta, n, S)
-                value = rfamily._band_value_grad(band, r, theta)[0]
+                value = rfamily._band_value_grads(band, [(r, theta)])[0][0]
                 assert 0.0 < value == rfamily._band_value(band, r, p)
                 assert value == band_functional(h, S, canonical_pair(), r, p, quad)
 
@@ -437,7 +437,7 @@ class TestBandGradient:
         band = rfamily._Band(bounded, S, canonical_pair(), QuadratureSpec())
         theta = np.array([0.0, 0.5])
         assert rfamily._band_value(band, 0.9, theta_point(theta, 1, S)) == float("inf")
-        assert rfamily._band_value_grad(band, 0.9, theta) == (float("inf"), None, None, None)
+        assert rfamily._band_value_grads(band, [(0.9, theta)]) == [(float("inf"), None, None, None)]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_block_not_positive_definite_is_beyond_the_barrier(self, n):
@@ -447,7 +447,7 @@ class TestBandGradient:
         band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=96))
         M = -1.5 * np.eye(n)
         theta = band.basis @ np.concatenate([M.ravel(), [-np.trace(M) / S], np.zeros(n)])
-        assert rfamily._band_value_grad(band, 0.9, theta) == (float("inf"), None, None, None)
+        assert rfamily._band_value_grads(band, [(0.9, theta)]) == [(float("inf"), None, None, None)]
 
 
 def _octahedron_cube_n3():
@@ -467,12 +467,12 @@ def _ci_custom_pair():
 
 
 def _hessian_error(band, r, theta):
-    """Relative distance of `_band_value_grad`'s Hessian from central differences of its
+    """Relative distance of `_band_value_grads`' Hessian from central differences of its
     gradient, with step 1e-4 (1-r)."""
-    hess = rfamily._band_value_grad(band, r, theta)[2]
+    hess = rfamily._band_value_grads(band, [(r, theta)])[0][2]
     step = 1e-4 * (1.0 - r)
-    fd = np.array([(rfamily._band_value_grad(band, r, theta + e)[1]
-                    - rfamily._band_value_grad(band, r, theta - e)[1]) / (2.0 * step)
+    fd = np.array([(rfamily._band_value_grads(band, [(r, theta + e)])[0][1]
+                    - rfamily._band_value_grads(band, [(r, theta - e)])[0][1]) / (2.0 * step)
                    for e in step * np.eye(len(theta))])
     return np.linalg.norm(hess - fd) / np.linalg.norm(fd)
 
@@ -1128,7 +1128,7 @@ class TestBlockedTerms:
             got = rfamily._band_value(band, 0.8, p)
             assert abs(got - rfamily._band_value(whole, 0.8, p)) <= tol * got
             (got, grad, hess, _), (want, want_grad, want_hess, _) = (
-                rfamily._band_value_grad(b, 0.8, theta) for b in (band, whole))
+                rfamily._band_value_grads(b, [(0.8, theta)])[0] for b in (band, whole))
             assert abs(got - want) <= tol * want
             assert np.linalg.norm(grad - want_grad) <= tol * np.linalg.norm(want_grad)
             assert np.linalg.norm(hess - want_hess) <= tol * np.linalg.norm(want_hess)
@@ -1401,7 +1401,7 @@ class TestWorkspace:
         mu0 = extract_measure(ref, h, S, nu, F)
         calls = [lambda: band_functional(h, S, pair, 0.8, identity_point(), quad),
                  lambda: rescaled_band_functional(h, S, pair, 0.8, identity_point(), quad),
-                 lambda: rfamily._band_value_grad(band, 0.8, np.zeros(len(band.basis)))[0],
+                 lambda: rfamily._band_value_grads(band, [(0.8, np.zeros(len(band.basis)))])[0][0],
                  lambda: r_sweep(h, S, pair, [0.8, 0.9], quad, ref, mu0).entries[-1].value]
         init, buffers = rfamily._Scratch.__init__, []
 
@@ -1709,7 +1709,7 @@ class TestKernelDerivatives:
     @pytest.mark.parametrize("case", ["canonical", "ci-custom", "s2", "n2"])
     @pytest.mark.parametrize("r", [0.8, 0.95, 0.99])
     def test_walk_inputs(self, fixture, case, r, monkeypatch):
-        # every kernel call of `_band_value_grad`'s walk: at n = 1 psi's kinks join the
+        # every kernel call of `_band_value_grads`' walk: at n = 1 psi's kinks join the
         # grid's call; s = 2 is h tangent at +-sqrt 0.4 and +-sqrt 0.8
         pair = _ci_custom_pair() if case == "ci-custom" else canonical_pair()
         s, h, nodes = S, fixture[0], 960
@@ -1731,7 +1731,7 @@ class TestKernelDerivatives:
         rng = np.random.default_rng(int(1000 * r))
         for theta in (np.zeros(len(band.basis)), rng.normal(scale=0.3 * (1.0 - r),
                                                             size=len(band.basis))):
-            assert np.isfinite(rfamily._band_value_grad(band, r, theta)[0])
+            assert np.isfinite(rfamily._band_value_grads(band, [(r, theta)])[0][0])
         assert calls
         for c2, den, r2m1, opened, _, _, d2_inner in calls:
             assert np.array_equal(d2_inner, inner_curvature(pair.f, pair.g, r, c2[opened],
@@ -1756,7 +1756,8 @@ class TestKernelDerivatives:
         assert asked and not any(asked)
         asked.clear()
         band = rfamily._Band(h, S, pair, quad)
-        assert np.isfinite(rfamily._band_value_grad(band, r, np.zeros(len(band.basis)))[0])
+        theta = np.zeros(len(band.basis))
+        assert np.isfinite(rfamily._band_value_grads(band, [(r, theta)])[0][0])
         assert asked and all(derivs is True for derivs in asked)
 
 
@@ -2042,6 +2043,12 @@ class TestSweepErrors:
         rows = json.loads(outs[0])["result"]["entries"]
         assert rows[0]["error"] == "NotConverged: the functional is infinite at the starting point"
         assert rows[0]["lambda_r"] == "nan" and rows[0]["minimizer"] is None
+        # every NaN of the failed row prints as the string "nan", never as JSON's bare NaN
+        assert "NaN" not in outs[0]
+        assert all(rows[0][key] == "nan" for key in ("value", "dist_to_identity",
+                                                     "normalized_s_trace", "secant_to_M0",
+                                                     "secant_to_limit"))
+        assert rows[0]["mu_integrals"] == ["nan"] * len(rows[0]["mu_reference"]) != []
         assert rows[1]["error"] is None and rows[1]["lambda_r"] > 0.0
         assert rows[0]["evaluations"] is None and rows[0]["stop_reason"] is None
         assert rows[1]["evaluations"] > 0
@@ -2206,7 +2213,7 @@ class TestSweepRounds:
             got = rfamily._band_value_grads(band, evals)
         assert [np.isfinite(g[0]) for g in got] == [True, False, True, False]
         for (r, theta), (value, grad, hess, walk) in zip(evals, got):
-            want = rfamily._band_value_grad(band, r, theta)
+            want = rfamily._band_value_grads(band, [(r, theta)])[0]
             assert _bits(value) == _bits(want[0])
             if walk is None:
                 assert want[1:] == (None, None, None)

@@ -1,11 +1,14 @@
 import json
+import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize("text,code", [
@@ -57,3 +60,40 @@ def test_check_sweep_rows(tmp_path, rows, code):
     assert len(res.stdout.splitlines()) == len(rows)
     assert all(str(row["secant_to_limit"]) in line
                for row, line in zip(rows, res.stdout.splitlines()))
+
+
+def _check_installed_package(checkout, package_root):
+    """Run the script on checkout, with fjohn imported from package_root/fjohn."""
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    return subprocess.run([sys.executable, str(SCRIPTS / "check_installed_package.py"),
+                           str(checkout)], capture_output=True, text=True, env=env)
+
+
+def test_check_installed_package_passes_on_the_package():
+    # the checkout's src/ stands in for the installed package
+    res = _check_installed_package(ROOT, ROOT / "src")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.count("$ ") == 8 and "Traceback" not in res.stderr
+
+
+def test_check_installed_package_fails_on_a_shipped_oracle(tmp_path):
+    shutil.copytree(ROOT / "src" / "fjohn", tmp_path / "fjohn")
+    (tmp_path / "fjohn" / "oracles.py").write_text("")
+    res = _check_installed_package(ROOT, tmp_path)
+    assert res.returncode == 1 and res.stdout.count("$ ") == 1
+    assert "AssertionError" in res.stderr
+
+
+def test_check_installed_package_stops_at_a_failing_verify(tmp_path):
+    # a checkout without instances: the first `verify` exits 1, and nothing runs after it
+    res = _check_installed_package(tmp_path, ROOT / "src")
+    assert res.returncode == 1 and res.stdout.count("$ ") == 4
+    assert res.stdout.splitlines()[-1].startswith("$ -m fjohn.cli verify --instance ")
+    assert "input error: " in res.stderr
+
+
+def test_check_installed_package_without_a_path_prints_usage():
+    res = subprocess.run([sys.executable, str(SCRIPTS / "check_installed_package.py")],
+                         capture_output=True, text=True)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("usage: ") and "Traceback" not in res.stderr
