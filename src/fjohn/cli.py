@@ -38,6 +38,10 @@ SCHEMA_VERSION = 1
 
 # The instance schema's defaults: `fixture` writes them, and every reader falls back to them.
 INSTANCE_DEFAULTS = {"r_schedule": [0.8, 0.9, 0.95, 0.99], "quadrature": {"x_nodes_per_axis": 960}}
+# The keys schema version 1 accepts with any content and no reader reads, by their full path;
+# any other key that its reader does not read is an input error (`_check_keys`).
+IGNORED_KEYS = ("tolerances", "seed", "fixture",
+                "quadrature.tol", "quadrature.t_nodes", "quadrature.domain_radius")
 
 
 class InputError(Exception):
@@ -93,6 +97,12 @@ def _epoint_dict(p: EPoint | None) -> dict | None:
     return {"diag": p.mat.diag, "corner": p.mat.corner, "shift": p.shift}
 
 
+def _solver_dict(record) -> dict:
+    """A solver record's iterations, evaluations, gradient and stop; all None for no record."""
+    return {key: getattr(record, key, None)
+            for key in ("iterations", "evaluations", "projected_grad_norm", "stop_reason")}
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
@@ -110,6 +120,17 @@ def _r_schedule(inst: dict) -> list:
         raise InputError(f"r_schedule must be a nonempty list of numbers in (1/2, 1), "
                          f"got {schedule!r}")
     return schedule
+
+
+def _check_keys(obj, path: str, *keys: str) -> None:
+    """InputError naming the first key of `obj` in neither `keys` nor IGNORED_KEYS by its path.
+
+    `path` is the path of `obj` itself, ending in a dot ("" at the top level).
+    Anything but a dict passes: its reader rejects it.
+    """
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys and path + key not in IGNORED_KEYS:
+            raise InputError(f"unknown key {path + key!r}")
 
 
 @contextlib.contextmanager
@@ -137,6 +158,8 @@ def load_instance(path: str) -> dict:
         raise InputError(f"cannot read instance: {exc}")
     if not isinstance(inst, dict):
         raise InputError(f"instance must be a JSON object, got {inst!r}")
+    _check_keys(inst, "", "version", "n", "s", "h", "contacts", "nu", "profile", "r_schedule",
+                "quadrature")
     for key in ("version", "n", "s", "h"):
         if key not in inst:
             raise InputError(f"instance missing required key '{key}'")
@@ -153,12 +176,15 @@ def load_instance(path: str) -> dict:
 
 def build_h(inst: dict) -> LogConcaveFn:
     desc = inst["h"]
+    _check_keys(desc, "h.", "type", "pieces", "domain_radius")
     if desc.get("type") != "psi":
         raise InputError(f"unsupported h type {desc.get('type')!r}")
     pieces = desc.get("pieces", [])
     if not pieces:
         raise InputError("h.pieces is empty")
     with _reading("h.pieces"):
+        for i, piece in enumerate(pieces):
+            _check_keys(piece, f"h.pieces[{i}].", "a", "b")
         a = np.array([p["a"] for p in pieces], dtype=float)
         b = np.array([p["b"] for p in pieces], dtype=float)
     if a.ndim != 2 or a.shape[1] != inst["n"]:
@@ -190,13 +216,16 @@ def build_profile(inst: dict) -> ProfilePair:
     if prof == "canonical":
         return canonical_pair()
     if isinstance(prof, dict):
-        def pl(desc):
+        _check_keys(prof, "profile.", "f", "g")
+
+        def pl(desc, path):
+            _check_keys(desc, path, "xs", "ys", "left_slope", "right_slope")
             return PiecewiseLinear.from_knots(
                 np.asarray(desc["xs"], dtype=float), np.asarray(desc["ys"], dtype=float),
                 left_slope=float(desc.get("left_slope", 0.0)),
                 right_slope=float(desc.get("right_slope", 0.0)))
         with _reading("profile"):
-            return ProfilePair(f=pl(prof["f"]), g=pl(prof["g"]))
+            return ProfilePair(f=pl(prof["f"], "profile.f."), g=pl(prof["g"], "profile.g."))
     raise InputError(f"unsupported profile {prof!r}")
 
 
@@ -213,6 +242,7 @@ def build_valid_profile(inst: dict) -> ProfilePair:
 
 def contact_points(inst: dict, h: LogConcaveFn):
     c = inst.get("contacts", {})
+    _check_keys(c, "contacts.", "points", "weights")
     if "points" not in c:
         return contact.detect_contacts(h, inst["s"]).points, None
     with _reading("contacts"):
@@ -230,8 +260,11 @@ def build_nu(inst: dict, h: LogConcaveFn) -> DiscreteMeasure:
     from . import isotropy
 
     nu = inst.get("nu", "counting")
+    _check_keys(nu, "nu.", "atoms")
     if isinstance(nu, dict) and "atoms" in nu:
         with _reading("nu.atoms"):
+            for i, atom in enumerate(nu["atoms"]):
+                _check_keys(atom, f"nu.atoms[{i}].", "x", "m")
             pts = np.array([a["x"] for a in nu["atoms"]], dtype=float)
             m = np.array([a["m"] for a in nu["atoms"]], dtype=float)
             measure = isotropy.DiscreteMeasure(pts, m)
@@ -252,7 +285,9 @@ def build_nu(inst: dict, h: LogConcaveFn) -> DiscreteMeasure:
 def build_quad(inst: dict) -> QuadratureSpec:
     from . import rfamily
 
-    nodes = {**INSTANCE_DEFAULTS["quadrature"], **inst.get("quadrature", {})}["x_nodes_per_axis"]
+    given = inst.get("quadrature", {})
+    _check_keys(given, "quadrature.", "x_nodes_per_axis")
+    nodes = {**INSTANCE_DEFAULTS["quadrature"], **given}["x_nodes_per_axis"]
     with _reading("quadrature"):
         quad = rfamily.QuadratureSpec(x_nodes_per_axis=nodes)
         quad.check_grid(inst["n"])  # before a sweep allocates the grid
@@ -297,8 +332,8 @@ def cmd_fixture(args) -> int:
     else:  # "tangent", the last of the parser's choices
         points = _tangent_points(args.points, n)
         radius = 8.0 if args.domain_radius is None else args.domain_radius
-        if not (_is_number(radius) and radius > 0):
-            raise InputError(f"--domain-radius must be a positive number, got {radius!r}")
+        if not (_is_number(radius) and radius >= 1):  # h must not vanish in the unit ball
+            raise InputError(f"--domain-radius must be a number of at least 1, got {radius!r}")
         h = contact.make_tangent_instance(points, s, domain_radius=radius)
         weights = None
         params = {"points": points, "domain_radius": radius}
@@ -315,6 +350,7 @@ def cmd_fixture(args) -> int:
         **INSTANCE_DEFAULTS,
         "fixture": {"name": args.name, "params": params},
     }
+    build_h(inst)  # write only an h that every reader takes
     text = _dumps(inst)
     if args.out:
         with open(args.out, "w") as fh:
@@ -361,12 +397,9 @@ def cmd_minimize_i1(args) -> int:
     print(_report("minimize-i1", inst, {
         "minimizer": _epoint_dict(res.point),
         "value": res.value,
-        "projected_grad_norm": res.projected_grad_norm,
+        **_solver_dict(res),
         "lambda": res.lam,
         "lambda_gap": res.lambda_gap,
-        "iterations": res.iterations,
-        "evaluations": res.evaluations,
-        "stop_reason": res.stop_reason,
         "converged": res.converged,
         "extracted": {"points": mu.points, "masses": mu.masses},
         "isotropy": iso.as_dict(),
@@ -430,8 +463,7 @@ def cmd_sweep_r(args) -> int:
             "mu_integrals": e.mu_integrals,
             "mu_reference": e.mu_reference,
             "error": e.error,
-            "evaluations": e.solver.evaluations if e.solver else None,
-            "stop_reason": e.solver.stop_reason if e.solver else None,
+            **_solver_dict(e.solver),
         })
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -446,7 +478,8 @@ def cmd_sweep_r(args) -> int:
                                 + list(e.mu_integrals) + list(e.mu_reference))
     print(_report("sweep-r", inst, {
         "reference": {"minimizer": _epoint_dict(ref.point), "lambda": ref.lam},
-        "limit": {"minimizer": _epoint_dict(sweep.limit)},
+        "limit": {"minimizer": _epoint_dict(sweep.limit.point), "value": sweep.limit.value,
+                  **_solver_dict(sweep.limit)},
         "entries": rows,
         "csv": args.out,
     }))

@@ -45,16 +45,7 @@ class DecompositionReport:
         return self.weights_positive and all(self._passes().values())
 
     def as_dict(self) -> dict:
-        return {
-            "residual_a": self.residual_a,
-            "residual_b": self.residual_b,
-            "residual_c": self.residual_c,
-            "residual_d": self.residual_d,
-            "tol": DECOMPOSITION_TOL,
-            "weights_positive": self.weights_positive,
-            "pass": self._passes(),
-            "ok": self.ok,
-        }
+        return {**vars(self), "tol": DECOMPOSITION_TOL, "pass": self._passes(), "ok": self.ok}
 
 
 def _hemisphere_gap(h_pow: np.ndarray, X: np.ndarray) -> np.ndarray:

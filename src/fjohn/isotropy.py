@@ -75,15 +75,23 @@ WITHIN_TOL = "projected gradient within tol"  # the stop of a `minimize_function
 
 
 @dataclass
-class MinimizerResult:
+class Minimum:
+    """What one `_newton` run found, and how it got there: the record of every minimizer."""
+
     point: EPoint
     value: float
-    projected_grad_norm: float
-    lam: float
     iterations: int  # Newton steps taken
-    converged: bool
     evaluations: int  # values of the functional, the start and every Armijo trial included
+    projected_grad_norm: float  # the gradient's norm in the minimizer's coordinates at `point`
     stop_reason: str
+
+
+@dataclass
+class MinimizerResult(Minimum):
+    """The contact functional's `Minimum`, with its stationarity multiplier."""
+
+    lam: float
+    converged: bool
     lambda_gap: float = 0.0
 
 
@@ -96,13 +104,9 @@ class IsotropyReport:
     nonzero: bool
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "residual_iso": self.residual_iso,
-            "residual_center": self.residual_center,
-            "nonneg": self.nonneg,
-            "nonzero": self.nonzero,
-        }
+        fields = dict(vars(self))
+        fields["lambda"] = fields.pop("lam")  # the report's name for the multiplier
+        return fields
 
 
 @dataclass
@@ -284,6 +288,12 @@ class _Descent(NamedTuple):
     stop_reason: str  # WITHIN_TOL, CONVERGED, "max_iter" or "no descent"
 
 
+def _minimum(run: _Descent, point: EPoint) -> Minimum:
+    """The record of a finished `_newton` run whose last x stands for `point`."""
+    return Minimum(point=point, value=run.value, iterations=run.steps, evaluations=run.evaluations,
+                   projected_grad_norm=run.grad_norm, stop_reason=run.stop_reason)
+
+
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
     """Newton step on the Hessian, eigenvalues floored in magnitude, and its predicted decrease.
 
@@ -398,21 +408,11 @@ def minimize_functional(h: LogConcaveFn, s: float, nu: DiscreteMeasure,
         raise NotConverged(f"multiplier cross-check failed: {lam_a:.12g} vs {lam_b:.12g}",
                            reason="multiplier cross-check", iterations=run.steps,
                            evaluations=run.evaluations, grad_norm=run.grad_norm)
-    return MinimizerResult(point=EPoint.from_vec(run.x @ at.basis, at.n), value=run.value,
-                           projected_grad_norm=run.grad_norm, lam=float(lam_a),
-                           iterations=run.steps, converged=True, evaluations=run.evaluations,
-                           stop_reason=WITHIN_TOL, lambda_gap=float(gap))
+    return MinimizerResult(**vars(_minimum(run, EPoint.from_vec(run.x @ at.basis, at.n))),
+                           lam=float(lam_a), converged=True, lambda_gap=float(gap))
 
 
-@dataclass
-class LimitReference:
-    """The minimizer of the curvature-weighted limit functional and its value there."""
-
-    point: EPoint
-    value: float
-
-
-def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitReference:
+def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> Minimum:
     """Minimize the r -> 1 limit of the band functionals, L(c) = sum_i W_i H_n((phi c)_i).
 
     The band functional never sees a measure, so neither does its limit:
@@ -437,7 +437,7 @@ def limit_reference(h: LogConcaveFn, s: float, pair: ProfilePair) -> LimitRefere
     W = at.w * h2s ** (0.5 * at.n) / np.sqrt(2.0**at.n * (1.0 + 2.0 / (s * s) * h2s * slope2))
     H = LimitProfile(ConvolutionProfile(pair), at.n)
     run = _minimize(at.phi, W, H, np.zeros(len(at.basis)))
-    return LimitReference(point=EPoint.from_vec(run.x @ at.basis, at.n), value=run.value)
+    return _minimum(run, EPoint.from_vec(run.x @ at.basis, at.n))
 
 
 def extract_measure(res: MinimizerResult, h: LogConcaveFn, s: float,

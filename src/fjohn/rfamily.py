@@ -34,7 +34,8 @@ import numpy as np
 from .blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from .errors import BadR, NotConverged, NotInBr, NotJohnPosition, NotProper, SingularA
 from . import isotropy  # `isotropy._newton` by attribute: one name for a tracer to patch
-from .isotropy import CONVERGED, ROUNDING, DiscreteMeasure, MinimizerResult, limit_reference
+from .isotropy import (CONVERGED, ROUNDING, DiscreteMeasure, Minimum, MinimizerResult,
+                       limit_reference)
 from .logconcave import (LogConcaveFn, PiecewiseLogAffine, _check_unit_ball, _positive_span,
                          _sq_norms, eval_h_many, psi_eval_many)
 from .profiles import PiecewiseLinear, ProfilePair, _distinct
@@ -949,18 +950,6 @@ def stationarity_multiplier(h: LogConcaveFn, s: float, pair: ProfilePair, r: flo
     return _band_measure(_Band(h, s, pair, quad), r, minimizer, ())[1]
 
 
-@dataclass
-class BandMinimum:
-    """What `_minimize_band` found, and how it got there."""
-
-    point: EPoint
-    value: float
-    evaluations: int  # value-gradient-Hessian calls, line-search trials included
-    iterations: int   # Newton steps taken
-    stop_reason: str  # CONVERGED, RESOLVED or "max_iter"
-    grad_norm: float  # norm of the gradient in theta at `point`
-
-
 RESOLVED = "no descent beyond the difference step"
 BAND_MAX_ITER = 400  # the Newton steps `_minimize_band` may take
 
@@ -975,15 +964,15 @@ def minimize_band(h: LogConcaveFn, s: float, pair: ProfilePair, r: float,
     Returns the minimizer and the multiplier of its accepted walk (`_measure`).
     """
     band = _Band(h, s, pair, quad)
-    solver, walk = _minimize_band(band, r, None)
+    solver, walk = _minimize_band(band, r)
     return solver.point, _measure(band, r, walk, ())[1]
 
 
-def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[BandMinimum, tuple]:
+def _minimize_band(band: _Band, r: float) -> tuple[Minimum, tuple]:
     """minimize_band at r on a prepared band geometry: a solver record and the minimizer's walk.
 
-    theta0 is the start in theta, the coordinates on the rows of `trace0_array`
-    (None: theta = 0).  `isotropy._newton` on `_band_value_grads` stops CONVERGED
+    The loop starts at theta = 0, theta being the coordinates on the rows of
+    `trace0_array`.  `isotropy._newton` on `_band_value_grads` stops CONVERGED
     at a predicted decrease below ROUNDING of the value: the n = 1 grid moves
     with theta, so the analytic derivatives and the discrete values differ at
     the quadrature level (~1e-6 of the gradient, ~1e-12 of the value).  It
@@ -993,8 +982,7 @@ def _minimize_band(band: _Band, r: float, theta0: np.ndarray | None) -> tuple[Ba
     n >= 2 grid, whose nodes cross the kinks of psi one by one.  The walk is the
     accepted iterate's, whose (A, alpha, v) is the record's point.
     """
-    theta = np.zeros(len(band.basis)) if theta0 is None else theta0
-    return _band_minimum(isotropy._drive(_band_loop(r, theta),
+    return _band_minimum(isotropy._drive(_band_loop(r, np.zeros(len(band.basis))),
                                          lambda x: _band_value_grads(band, [(r, x)])[0]))
 
 
@@ -1003,13 +991,15 @@ def _band_loop(r: float, theta: np.ndarray):
     return isotropy._newton(theta, None, BAND_MAX_ITER, 1e-4 * (1.0 - r))  # the difference step
 
 
-def _band_minimum(run) -> tuple[BandMinimum, tuple]:
-    """The solver record of a finished `_band_loop`, and its accepted iterate's walk."""
+def _band_minimum(run) -> tuple[Minimum, tuple]:
+    """The solver record of a finished `_band_loop`, and its accepted iterate's walk.
+
+    The record stops CONVERGED, RESOLVED (the loop's "no descent") or "max_iter".
+    """
+    if run.stop_reason == "no descent":
+        run = run._replace(stop_reason=RESOLVED)
     A, alpha, v = run.payload[:3]
-    return BandMinimum(point=EPoint(BlockMat(A, alpha), v), value=run.value,
-                       evaluations=run.evaluations, iterations=run.steps,
-                       stop_reason=RESOLVED if run.stop_reason == "no descent" else run.stop_reason,
-                       grad_norm=run.grad_norm), run.payload
+    return isotropy._minimum(run, EPoint(BlockMat(A, alpha), v)), run.payload
 
 
 def trapezoid_bump(center, flat: float, taper: float):
@@ -1028,27 +1018,29 @@ def trapezoid_bump(center, flat: float, taper: float):
     return delta
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SweepEntry:
+    """One r's row; a failed r keeps the defaults, NaN and None, but for r, the bumps and error."""
+
     r: float
-    point: EPoint
-    rescaled: EPoint
-    lambda_r: float
-    value: float
-    dist_to_identity: float
-    normalized_s_trace: float
-    secant_to_reference: float
-    secant_to_limit: float
+    point: EPoint | None = None
+    rescaled: EPoint | None = None
+    lambda_r: float = np.nan
+    value: float = np.nan
+    dist_to_identity: float = np.nan
+    normalized_s_trace: float = np.nan
+    secant_to_reference: float = np.nan
+    secant_to_limit: float = np.nan
     mu_integrals: np.ndarray
     mu_reference: np.ndarray
     error: str | None = None  # "<ExceptionClass>: <message>" when the r failed
-    solver: BandMinimum | None = None  # the minimizer's record; None when the r failed
+    solver: Minimum | None = None  # the minimizer's record; None when the r failed
 
 
 @dataclass
 class RSweepResult:
     schedule: list
-    limit: EPoint  # the minimizer of the limit functional (`isotropy.limit_reference`)
+    limit: Minimum  # the limit functional's minimizer (`isotropy.limit_reference`)
     entries: list = field(default_factory=list)
 
     def series(self, name: str) -> np.ndarray:
@@ -1110,7 +1102,7 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     coercive raises DivergingIterates before any r.  The
     diagnostics are norms of differences of flat forms `EPoint.vec`;
     `secant_to_limit` is the rescaled minimizer's distance to the limit
-    point, which `RSweepResult.limit` holds.
+    point, whose record `RSweepResult.limit` holds.
     """
     n = h.n
     limit = limit_reference(h, s, pair)
@@ -1122,12 +1114,8 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
     ident = EPoint(BlockMat.identity(n), np.zeros(n)).vec
 
     def failed(r, exc):  # the row of an r that failed, with the reason
-        nan = float("nan")
-        return SweepEntry(
-            r=r, point=None, rescaled=None, lambda_r=nan, value=nan, dist_to_identity=nan,
-            normalized_s_trace=nan, secant_to_reference=nan, secant_to_limit=nan,
-            mu_integrals=np.full(len(bumps), np.nan), mu_reference=ref_integrals,
-            error=f"{type(exc).__name__}: {exc}")
+        return SweepEntry(r=r, mu_integrals=np.full(len(bumps), np.nan),
+                          mu_reference=ref_integrals, error=f"{type(exc).__name__}: {exc}")
 
     def row(r, run):  # the row of an r whose loop stopped
         solver, walk = _band_minimum(run)
@@ -1168,5 +1156,5 @@ def r_sweep(h: LogConcaveFn, s: float, pair: ProfilePair, schedule,
                 rows[i] = row(schedule[i], stop.value)
             except NotConverged as exc:
                 rows[i] = failed(schedule[i], exc)
-    return RSweepResult(schedule=list(schedule), limit=limit.point,
+    return RSweepResult(schedule=list(schedule), limit=limit,
                         entries=[rows[i] for i in range(len(schedule))])

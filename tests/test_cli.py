@@ -61,20 +61,39 @@ class TestFixtureCommand:
         ["tangent", "--n", "1", "--points", "nan"],
         ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "0"],
         ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "-3"],
+        ["tangent", "--n", "1", "--points", "0.5", "--domain-radius", "0.5"],
         ["tangent", "--n", "1", "--points", "1.2"],
         ["tangent", "--n", "2", "--points", "0.5,0.5;0.6,0.8"],
         ["tangent", "--n", "1", "--points", "0.5;0.5;-0.5"],
         ["tangent", "--n", "1"],
     ], ids=["cross-n0", "cross-n-1", "two-level-n0", "points-not-numbers",
             "points-wrong-dimension", "points-ragged", "points-nan", "domain-radius-0",
-            "domain-radius-negative", "points-outside-ball", "points-on-sphere",
-            "points-repeated", "points-missing"])
+            "domain-radius-negative", "domain-radius-below-1", "points-outside-ball",
+            "points-on-sphere", "points-repeated", "points-missing"])
     def test_bad_input_is_an_input_error(self, argv, tmp_path, capsys):
         out = tmp_path / "inst.json"
         assert cli.main(["fixture", *argv, "--s", "1.0", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error: ")
         assert not out.exists()
+
+    def test_slope_no_reader_takes_is_an_input_error(self, tmp_path, capsys):
+        # s = 1e300 puts a slope of 6.7e299 in h, whose 4|a|^2 overflows in every reader
+        out = tmp_path / "inst.json"
+        assert cli.main(["fixture", "tangent", "--n", "1", "--s", "1e300", "--points", "0.5",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "input error: h.pieces[0].a is too large: 4|a|^2 is not finite\n"
+
+    def test_domain_radius_of_one_is_read_back(self, tmp_path, capsys):
+        # the least radius `fixture` takes: below 1, h would vanish inside the unit ball
+        out = tmp_path / "inst.json"
+        assert cli.main(["fixture", "tangent", "--n", "1", "--s", "1", "--points", "0.5",
+                         "--domain-radius", "1", "--out", str(out)]) == 0
+        assert cli.main(["contacts", "--instance", str(out)]) == 0
+        points = json.loads(capsys.readouterr().out.splitlines()[-1])["result"]["points"]
+        assert len(points) == 1 and points[0][0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestVerifyCommand:
@@ -847,3 +866,22 @@ class TestSweepCommand:
         assert header[:4] == ["r", "dist_to_identity", "normalized_s_trace",
                               "secant_to_M0"]
         assert len(csv_path.read_text().splitlines()) == 3
+
+    def test_rows_and_limit_print_their_solver_records(self, two_level_instance, tmp_path,
+                                                       capsys):
+        inst = json.loads(two_level_instance.read_text())
+        inst["r_schedule"] = [0.9]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(inst))
+        assert cli.main(["sweep-r", "--instance", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        limit = isotropy.limit_reference(cli.build_h(inst), inst["s"], cli.build_profile(inst))
+        assert result["limit"] == {
+            "minimizer": {"diag": limit.point.mat.diag.tolist(),
+                          "corner": limit.point.mat.corner, "shift": limit.point.shift.tolist()},
+            "value": limit.value, "iterations": limit.iterations,
+            "evaluations": limit.evaluations, "projected_grad_norm": limit.projected_grad_norm,
+            "stop_reason": isotropy.WITHIN_TOL}
+        row = result["entries"][0]
+        assert type(row["iterations"]) is int and 0 <= row["iterations"] < row["evaluations"]
+        assert 0.0 <= row["projected_grad_norm"] < math.inf

@@ -22,6 +22,7 @@ import json
 import operator
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -132,6 +133,29 @@ def test_custom_profile_pair_keeps_the_exit_contract(tmp_path, capsys):
     inst["r_schedule"] = [0.9]
     pairs = sample(inst, CUSTOM_PAIRS, "custom", under=("profile",))
     assert run_cases(inst, pairs, COMMANDS + ["sweep-r"], tmp_path, capsys) == []
+
+
+# One misspelled key at each level an instance reader reads, by its full path.  The
+# levels under nu and profile are read when nu lists atoms and the pair is custom.
+MISSPELLED = ["r_shedule", "h.domain_raduis", "h.pieces[1].bb", "contacts.weight",
+              "quadrature.x_nodes_per_axes", "nu.atom", "nu.atoms[0].mass", "profile.gg",
+              "profile.f.right_slop", "profile.g.xss"]
+
+
+@pytest.mark.parametrize("path", MISSPELLED)
+def test_misspelled_key_is_named_by_its_path(path, tmp_path, capsys):
+    *level, key = [int(part) if part.isdigit() else part
+                   for part in re.findall(r"[^.[\]]+", path)]
+    inst = json.loads((INSTANCES / "two_level_n1_s1.json").read_text())
+    inst["r_schedule"] = [0.9]
+    if level and level[0] in ("nu", "profile"):
+        inst["nu"] = {"atoms": [{"x": x, "m": 1.0} for x in inst["contacts"]["points"]]}
+        inst["profile"] = copy.deepcopy(CUSTOM_PAIR)
+    functools.reduce(operator.getitem, level, inst)[key] = 1
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(inst))
+    assert cli.main(["sweep-r", "--instance", str(case)]) == 1
+    assert capsys.readouterr() == ("", f"input error: unknown key {path!r}\n")
 
 
 def test_the_contract_check_rejects_a_bare_failure():

@@ -323,7 +323,7 @@ class TestNewton:
             return [(value * len(calls), *rest)]
 
         monkeypatch.setattr(rfamily, "_band_value_grads", rising)
-        res, _ = rfamily._minimize_band(band, 0.9, None)
+        res, _ = rfamily._minimize_band(band, 0.9)
         assert res.stop_reason == rfamily.RESOLVED and res.iterations == 0
         assert res.evaluations == len(calls) > 2
         assert res.value == real(band, [(0.9, start)])[0][0]

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fjohn import cli, rfamily
+from fjohn import cli, isotropy, rfamily
 from fjohn.blockmat import BlockMat, EPoint, s_trace, sdet1_param, trace0_array
 from fjohn.contact import detect_contacts, make_tangent_instance, two_level_cross_fixture
 from fjohn.errors import (BadR, DivergingIterates, NotConverged, NotInBr, NotJohnPosition,
@@ -592,7 +592,7 @@ class TestMinimizeBand:
         h, _, _ = fixture
         band = rfamily._Band(h, S, canonical_pair(), quad)
         ref_point, ref_value = _compass_minimize(band, r)
-        res, _ = rfamily._minimize_band(band, r, None)
+        res, _ = rfamily._minimize_band(band, r)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 6  # Newton takes 4
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -604,7 +604,7 @@ class TestMinimizeBand:
         band = rfamily._Band(h, S, canonical_pair(),
                              QuadratureSpec(x_nodes_per_axis=960 if n == 1 else 96))
         ref_point, ref_value, ref_evals, _ = fd_newton_minimize(band, r)
-        res, _ = rfamily._minimize_band(band, r, None)
+        res, _ = rfamily._minimize_band(band, r)
         assert res.stop_reason in CONVERGED_STOPS
         assert np.linalg.norm(res.point.vec - ref_point.vec) / (1.0 - r) <= 1e-5
         assert res.value <= ref_value * (1.0 + 1e-10)
@@ -617,7 +617,7 @@ class TestMinimizeBand:
         # exact-Newton loop stopped, the FD-Newton loop finds no step either.
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=96))
-        res, _ = rfamily._minimize_band(band, 0.8, None)
+        res, _ = rfamily._minimize_band(band, 0.8)
         assert res.stop_reason == rfamily.RESOLVED
         point, value, _, stop = fd_newton_minimize(band, 0.8, res.point)  # x0 goes through A - I
         assert stop == rfamily.RESOLVED and value == pytest.approx(res.value, rel=1e-14)
@@ -628,7 +628,7 @@ class TestMinimizeBand:
         h = two_level_cross_fixture(2, S, 0.4, 0.8)[0]
         quad = QuadratureSpec(x_nodes_per_axis=96)
         band = rfamily._Band(h, S, canonical_pair(), quad)
-        res, _ = rfamily._minimize_band(band, r, None)
+        res, _ = rfamily._minimize_band(band, r)
         assert res.stop_reason in CONVERGED_STOPS and res.evaluations <= 60
         assert s_det(res.point.mat, S) == pytest.approx(1.0, abs=1e-10)
         assert res.value == band_functional(h, S, canonical_pair(), r, res.point, quad)
@@ -638,7 +638,7 @@ class TestMinimizeBand:
         h, _, _ = fixture
         monkeypatch.setattr(rfamily, "BAND_MAX_ITER", 0)
         band = rfamily._Band(h, S, canonical_pair(), quad)
-        res, _ = rfamily._minimize_band(band, 0.9, None)
+        res, _ = rfamily._minimize_band(band, 0.9)
         assert res.iterations == 0 and res.stop_reason == "max_iter"
         assert np.linalg.norm(res.point.vec - identity_point().vec) == 0.0
         p, lam = minimize_band(h, S, canonical_pair(), 0.9, quad)
@@ -691,7 +691,7 @@ class TestConcentration:
         bumps = default_bumps(counting_measure(detect_contacts(h, S).points))
         band = rfamily._Band(h, S, canonical_pair(), QuadratureSpec(x_nodes_per_axis=nodes))
         for r in schedule:
-            p = rfamily._minimize_band(band, r, None)[0].point
+            p = rfamily._minimize_band(band, r)[0].point
             off = EPoint(BlockMat(1.05 * p.mat.diag, 0.95 * p.mat.corner), p.shift)
             for q in (p, off):
                 (mu, lam), (want_mu, want_lam) = (rfamily._band_measure(band, r, q, bumps),
@@ -1864,7 +1864,7 @@ class TestSweepFromLimit:
         for name in ("value", "lambda_r", "dist_to_identity", "normalized_s_trace",
                      "secant_to_reference", "secant_to_limit"):
             assert getattr(alone, name) == getattr(full, name), name
-        for name in ("value", "evaluations", "iterations", "stop_reason", "grad_norm"):
+        for name in ("value", "evaluations", "iterations", "stop_reason", "projected_grad_norm"):
             assert getattr(alone.solver, name) == getattr(full.solver, name), name
 
     def test_one_band_geometry_per_sweep(self, fixture, quad, monkeypatch):
@@ -1895,7 +1895,7 @@ class TestSweepFromLimit:
         ref = minimize_functional(h, S, nu, F)
         sweep = r_sweep(h, S, pair, [0.9], quad, ref, extract_measure(ref, h, S, nu, F))
         limit = limit_reference(h, S, pair).point
-        assert np.array_equal(sweep.limit.vec, limit.vec)
+        assert np.array_equal(sweep.limit.point.vec, limit.vec)
         e = sweep.entries[0]
         assert e.secant_to_limit == float(np.linalg.norm(e.rescaled.vec - limit.vec))
 
@@ -2050,7 +2050,8 @@ class TestSweepErrors:
                                                      "secant_to_limit"))
         assert rows[0]["mu_integrals"] == ["nan"] * len(rows[0]["mu_reference"]) != []
         assert rows[1]["error"] is None and rows[1]["lambda_r"] > 0.0
-        assert rows[0]["evaluations"] is None and rows[0]["stop_reason"] is None
+        assert all(rows[0][key] is None for key in ("iterations", "evaluations",
+                                                     "projected_grad_norm", "stop_reason"))
         assert rows[1]["evaluations"] > 0
         # nothing passes from one r to the next: the row after the failed r is the row
         # that r gives alone
@@ -2099,7 +2100,7 @@ class TestSweepRounds:
             points = [None if p is None else _bits(p.vec) for p in (e.point, e.rescaled)]
             record = None if e.solver is None else (
                 _bits(e.solver.point.vec), _bits(e.solver.value), e.solver.evaluations,
-                e.solver.iterations, e.solver.stop_reason, _bits(e.solver.grad_norm))
+                e.solver.iterations, e.solver.stop_reason, _bits(e.solver.projected_grad_norm))
             rows.append((_bits([e.r, e.lambda_r, e.value, e.dist_to_identity,
                                 e.normalized_s_trace, e.secant_to_reference, e.secant_to_limit]),
                          _bits(e.mu_integrals), _bits(e.mu_reference), e.error, *points, record))
@@ -2107,7 +2108,7 @@ class TestSweepRounds:
 
     @pytest.mark.parametrize("name", ["9c", "perfbench-sweep-501"])
     def test_rounds_match_each_r_alone(self, name, monkeypatch):
-        # every r minimized by itself, `_minimize_band` from the sweep's start plus
+        # every r minimized by itself, `_band_loop` from the sweep's start plus
         # `_measure` of its accepted walk, gives the sweep's row bit for bit; the sweep
         # walks once per round, every r of the schedule in one walk
         h, ref, mu0 = self._problem(name, monkeypatch)
@@ -2133,7 +2134,9 @@ class TestSweepRounds:
             step = sdet1_param(omr * limit.mat.diag, S)[0] - np.eye(1)
             start = band.basis @ np.concatenate([step.ravel(), [-np.trace(step) / S],
                                                  omr * limit.shift])
-            solver, walk = rfamily._minimize_band(band, r, start)
+            loop = rfamily._band_loop(r, start)
+            solver, walk = rfamily._band_minimum(
+                isotropy._drive(loop, lambda x: rfamily._band_value_grads(band, [(r, x)])[0]))
             mu, lam = rfamily._measure(band, r, walk, bumps)
             rescaled = EPoint.from_vec((solver.point.vec - ident) * (1.0 / omr), 1)
             flat = rescaled.vec

@@ -38,28 +38,48 @@ def test_check_bench_correct_without_a_path_prints_usage():
 
 
 def _sweep_row(**changes):
-    row = {"r": 0.9, "evaluations": 5,
+    row = {"r": 0.9, "iterations": 4, "evaluations": 5, "projected_grad_norm": 1e-9,
            "stop_reason": "predicted decrease below rounding", "error": None,
            "lambda_r": 0.4, "secant_to_limit": 0.08, "mu_integrals": [0.5, 0.5]}
     return {**row, **changes}
 
 
-@pytest.mark.parametrize("rows,code", [
-    ([_sweep_row()], 0),
-    ([_sweep_row(), _sweep_row(secant_to_limit="nan")], 1),
-    ([_sweep_row(lambda_r=-1.0)], 1),
-    ([_sweep_row(stop_reason="max_iter")], 1),
-    ([], 1),
-], ids=["finite", "secant-to-limit-nan", "negative-lambda", "max-iter", "no-rows"])
-def test_check_sweep_rows(tmp_path, rows, code):
+def _limit(**changes):
+    limit = {"minimizer": {}, "value": 0.3, "iterations": 4, "evaluations": 5,
+             "projected_grad_norm": 1e-17, "stop_reason": "projected gradient within tol"}
+    return {**limit, **changes}
+
+
+def _without(row, key):
+    return {k: v for k, v in row.items() if k != key}
+
+
+@pytest.mark.parametrize("rows,limit,code", [
+    ([_sweep_row()], _limit(), 0),
+    ([_sweep_row(), _sweep_row(secant_to_limit="nan")], _limit(), 1),
+    ([_sweep_row(lambda_r=-1.0)], _limit(), 1),
+    ([_sweep_row(stop_reason="max_iter")], _limit(), 1),
+    ([], _limit(), 1),
+    ([_without(_sweep_row(), "iterations")], _limit(), 1),
+    ([_without(_sweep_row(), "projected_grad_norm")], _limit(), 1),
+    ([_sweep_row(iterations=5)], _limit(), 1),
+    ([_sweep_row(iterations=4.0)], _limit(), 1),
+    ([_sweep_row(projected_grad_norm="nan")], _limit(), 1),
+    ([_sweep_row()], _limit(stop_reason="max_iter"), 1),
+    ([_sweep_row()], _limit(projected_grad_norm=2e-10), 1),
+], ids=["finite", "secant-to-limit-nan", "negative-lambda", "max-iter", "no-rows",
+        "no-iterations", "no-gradient", "iterations-at-evaluations", "iterations-not-int",
+        "gradient-nan", "limit-max-iter", "limit-gradient-above-tol"])
+def test_check_sweep_rows(tmp_path, rows, limit, code):
     out = tmp_path / "sweep.json"
-    out.write_text(json.dumps({"result": {"entries": rows}}))
+    out.write_text(json.dumps({"result": {"entries": rows, "limit": limit}}))
     res = subprocess.run([sys.executable, str(SCRIPTS / "check_sweep_rows.py"), str(out)],
                          capture_output=True, text=True)
     assert res.returncode == code, res.stderr
-    assert len(res.stdout.splitlines()) == len(rows)
-    assert all(str(row["secant_to_limit"]) in line
-               for row, line in zip(rows, res.stdout.splitlines()))
+    lines = res.stdout.splitlines()
+    assert len(lines) == len(rows) + 1 and "Traceback" not in res.stderr
+    assert all(str(row["secant_to_limit"]) in line for row, line in zip(rows, lines))
+    assert lines[-1] == f"limit {limit['stop_reason']} {limit['projected_grad_norm']}"
 
 
 def _check_installed_package(checkout, package_root):
